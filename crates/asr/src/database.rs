@@ -26,6 +26,13 @@ use crate::store::ObjectStore;
 /// Identifier of a registered access support relation.
 pub type AsrId = usize;
 
+/// The set occurrences of one registered path that a set instance sits
+/// at: per matching step, the owners holding the set there.
+struct SetSites {
+    slot: AsrId,
+    steps: Vec<(usize, Vec<Oid>)>,
+}
+
 /// An object base with maintained access support relations.
 #[derive(Debug)]
 pub struct Database {
@@ -612,9 +619,10 @@ impl Database {
         self.dirty_oids.insert(set);
         let _span = self.tracer.span("maintain.insert_into_set");
         let was_empty = self.base.object(set)?.body.len() == 1;
-        self.charge_set_update(set)?;
+        let sites = self.set_sites(set)?;
+        self.charge_set_update(set, &sites)?;
         let elem_cell = Cell::from_gom(&elem);
-        self.maintain_set_change(set, elem_cell, true, was_empty)?;
+        self.maintain_set_change(set, sites, elem_cell, true, was_empty)?;
         Ok(true)
     }
 
@@ -626,9 +634,10 @@ impl Database {
         self.dirty_oids.insert(set);
         let _span = self.tracer.span("maintain.remove_from_set");
         let now_empty = self.base.object(set)?.body.is_empty();
-        self.charge_set_update(set)?;
+        let sites = self.set_sites(set)?;
+        self.charge_set_update(set, &sites)?;
         let elem_cell = Cell::from_gom(elem);
-        self.maintain_set_change(set, elem_cell, false, now_empty)?;
+        self.maintain_set_change(set, sites, elem_cell, false, now_empty)?;
         Ok(true)
     }
 
@@ -643,90 +652,88 @@ impl Database {
         self.insert_into_set(set, elem)
     }
 
-    /// Charge the in-place update of the set (inlined with its owners; the
-    /// standalone set object is charged when nothing references it).
-    fn charge_set_update(&mut self, set: Oid) -> Result<()> {
-        let owners = self.owners_of_set_anywhere(set)?;
-        if owners.is_empty() {
-            let ty = self.base.type_of(set)?;
-            self.store.charge_update(ty, set);
-        } else {
-            // Charge each distinct owner once (the set is inlined there).
-            let mut seen = std::collections::BTreeSet::new();
-            for (owner, ty) in owners {
-                if seen.insert(owner) {
-                    self.store.charge_update(ty, owner);
-                }
+    /// Where the set instance `set` sits on the registered paths, resolved
+    /// once per update from the base's referrer index.  Bookkeeping only,
+    /// uncharged — a real system receives the owner with the update
+    /// statement.  Slots, steps and owners each ascend, the order the page
+    /// charges and edge events below are issued in.
+    fn set_sites(&self, set: Oid) -> Result<Vec<SetSites>> {
+        let set_ty = self.base.type_of(set)?;
+        let schema = self.base.schema();
+        let referrers: Vec<(Oid, TypeId, &str)> = self
+            .base
+            .referrers(set)
+            .map(|(owner, attr)| Ok((owner, self.base.type_of(owner)?, attr)))
+            .collect::<Result<_>>()?;
+        let mut sites = Vec::new();
+        for (slot, asr) in self.asrs() {
+            let steps: Vec<(usize, Vec<Oid>)> = asr
+                .path()
+                .steps()
+                .iter()
+                .enumerate()
+                .filter(|(_, step)| step.set_type == Some(set_ty))
+                .map(|(k, step)| {
+                    let owners = referrers
+                        .iter()
+                        .filter(|(_, ty, attr)| {
+                            *attr == step.attr && schema.is_subtype(*ty, step.domain)
+                        })
+                        .map(|&(owner, _, _)| owner)
+                        .collect();
+                    (k + 1, owners)
+                })
+                .collect();
+            if !steps.is_empty() {
+                sites.push(SetSites { slot, steps });
             }
         }
-        Ok(())
+        Ok(sites)
     }
 
-    /// All `(owner, owner type)` pairs whose set-valued attribute (on any
-    /// registered path) references `set`.  Bookkeeping only — a real system
-    /// receives the owner with the update statement.
-    fn owners_of_set_anywhere(&self, set: Oid) -> Result<Vec<(Oid, TypeId)>> {
-        let set_ty = self.base.type_of(set)?;
-        let mut out = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, asr) in self.asrs() {
-            for step in asr.path().steps() {
-                if step.set_type != Some(set_ty) {
-                    continue;
-                }
-                for o in self.base.extent_closure(step.domain) {
-                    if self.base.get_attribute(o, &step.attr)? == Value::Ref(set)
-                        && seen.insert((o, step.attr.clone()))
-                    {
-                        out.push((o, self.base.type_of(o)?));
-                    }
-                }
+    /// Charge the in-place update of the set (inlined with its owners; the
+    /// standalone set object is charged when nothing references it).
+    fn charge_set_update(&mut self, set: Oid, sites: &[SetSites]) -> Result<()> {
+        // Charge each distinct owner once (the set is inlined there).
+        let mut seen = BTreeSet::new();
+        for &owner in sites
+            .iter()
+            .flat_map(|s| &s.steps)
+            .flat_map(|(_, owners)| owners)
+        {
+            if seen.insert(owner) {
+                self.store.charge_update(self.base.type_of(owner)?, owner);
             }
         }
-        Ok(out)
+        if seen.is_empty() {
+            let ty = self.base.type_of(set)?;
+            self.store.charge_update(ty, set);
+        }
+        Ok(())
     }
 
     fn maintain_set_change(
         &mut self,
         set: Oid,
+        sites: Vec<SetSites>,
         elem: Option<Cell>,
         added: bool,
         boundary_empty: bool,
     ) -> Result<()> {
-        let set_ty = self.base.type_of(set)?;
-        for slot in 0..self.asrs.len() {
-            let Some(asr) = self.asrs[slot].as_ref() else {
-                continue;
-            };
-            let path = asr.path().clone();
-            let matching = (1..=path.len())
-                .filter(|&p| path.steps()[p - 1].set_type == Some(set_ty))
-                .count();
-            if matching > 1 {
+        for SetSites { slot, steps } in sites {
+            if steps.len() > 1 {
                 // Recursive path: one set insertion affects several
                 // positions — rebuild (see `set_attribute`).
                 self.note_rebuild_fallback(slot, "set_change");
                 self.asrs[slot]
                     .as_mut()
-                    .expect("slot checked above")
+                    .expect("sites name live slots")
                     .rebuild(&self.base)?;
                 continue;
             }
-            for p in 1..=path.len() {
-                let step = &path.steps()[p - 1];
-                if step.set_type != Some(set_ty) {
-                    continue;
-                }
-                let attr = step.attr.clone();
-                let domain = step.domain;
-                let owners: Vec<Oid> = self
-                    .base
-                    .extent_closure(domain)
-                    .into_iter()
-                    .filter(|o| self.base.get_attribute(*o, &attr).ok() == Some(Value::Ref(set)))
-                    .collect();
+            for (p, owners) in steps {
                 for owner in owners {
-                    let asr = self.asrs[slot].as_mut().expect("slot checked above");
+                    let asr = self.asrs[slot].as_mut().expect("sites name live slots");
                     let ev = EdgeEvent {
                         step: p,
                         owner,

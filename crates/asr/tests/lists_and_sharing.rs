@@ -11,7 +11,7 @@
 use asr_core::sharing::{shared_partition_savings, shared_segments};
 use asr_core::{AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension};
 use asr_gom::{PathExpression, Schema, Value};
-use asr_pagesim::IoStats;
+use asr_pagesim::{IoSnapshot, IoStats};
 
 // ----------------------------------------------------------------------
 // Lists
@@ -277,4 +277,111 @@ fn shared_content_stays_identical_under_updates() {
         .unwrap();
     assert_eq!(hits_a.len(), 1);
     assert_eq!(hits_b.len(), 1);
+}
+
+// ----------------------------------------------------------------------
+// Set sharing: several owners of one set instance
+// ----------------------------------------------------------------------
+
+/// Every registered ASR equals a from-scratch build over the same base.
+fn assert_equals_rebuild(db: &Database, what: &str) {
+    for (id, asr) in db.asrs() {
+        asr.check_consistency().unwrap();
+        let reference = AccessSupportRelation::build(
+            db.base(),
+            asr.path().clone(),
+            asr.config().clone(),
+            IoStats::new_handle(),
+        )
+        .unwrap();
+        assert!(
+            asr.full_rows().eq(reference.full_rows()),
+            "ASR {id} ({} under {}) after {what}",
+            asr.config().extension,
+            asr.config().decomposition
+        );
+    }
+}
+
+/// One `ProdSET` instance held by two divisions (`Manufactures`) and a
+/// supplier (`Delivers`): a set update must maintain exactly the owners
+/// whose type and attribute match each path's set occurrence, and charge
+/// exactly the pages the extent-scanning implementation charged (the
+/// literals below were taken from it).
+#[test]
+fn set_updates_maintain_every_owner_of_a_shared_set() {
+    let (mut db, p1, p2) = two_path_db();
+    for ext in Extension::ALL {
+        for decomposition in [Decomposition::binary(3), Decomposition::none(3)] {
+            let config = AsrConfig {
+                extension: ext,
+                decomposition,
+                keep_set_oids: false,
+            };
+            db.create_asr(p1.clone(), config).unwrap();
+        }
+    }
+    let by_supplier = db
+        .create_asr(p2.clone(), AsrConfig::binary(Extension::Full, &p2))
+        .unwrap();
+
+    let d1 = db.instantiate("Division").unwrap();
+    let d2 = db.instantiate("Division").unwrap();
+    let sup = db.instantiate("Supplier").unwrap();
+    let shared = db.instantiate("ProdSET").unwrap();
+    db.set_attribute(d1, "Manufactures", Value::Ref(shared))
+        .unwrap();
+    db.set_attribute(d2, "Manufactures", Value::Ref(shared))
+        .unwrap();
+    db.set_attribute(sup, "Delivers", Value::Ref(shared))
+        .unwrap();
+    let mut products = Vec::new();
+    for part_name in ["Hinge", "Latch"] {
+        let prod = db.instantiate("Product").unwrap();
+        let parts = db.instantiate("BasePartSET").unwrap();
+        db.set_attribute(prod, "Composition", Value::Ref(parts))
+            .unwrap();
+        let part = db.instantiate("BasePart").unwrap();
+        db.set_attribute(part, "Name", Value::string(part_name))
+            .unwrap();
+        db.insert_into_set(parts, Value::Ref(part)).unwrap();
+        products.push(Value::Ref(prod));
+    }
+    assert_equals_rebuild(&db, "set-up");
+
+    let io = |reads, writes| IoSnapshot {
+        reads,
+        writes,
+        batch_probes: 5,
+        ..IoSnapshot::default()
+    };
+    // (what, insert?, element, pages charged)
+    let updates = [
+        (
+            "insert into the empty set",
+            true,
+            &products[0],
+            io(143, 113),
+        ),
+        ("insert a second member", true, &products[1], io(125, 95)),
+        ("remove the first member", false, &products[0], io(139, 95)),
+        ("remove the last member", false, &products[1], io(157, 113)),
+    ];
+    for (what, insert, elem, charged) in updates {
+        db.stats().reset();
+        let changed = if insert {
+            db.insert_into_set(shared, elem.clone()).unwrap()
+        } else {
+            db.remove_from_set(shared, elem).unwrap()
+        };
+        assert!(changed, "{what}");
+        assert_eq!(db.stats().snapshot(), charged, "{what}");
+        assert_equals_rebuild(&db, what);
+    }
+
+    // The supplier's path saw the shared set through `Delivers` only.
+    db.insert_into_set(shared, products[0].clone()).unwrap();
+    let hinge = Cell::Value(Value::string("Hinge"));
+    assert_eq!(db.backward(by_supplier, 0, 3, &hinge).unwrap(), vec![sup]);
+    assert_eq!(db.backward(0, 0, 3, &hinge).unwrap(), vec![d1, d2]);
 }

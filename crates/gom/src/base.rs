@@ -4,11 +4,15 @@
 //! binds named database variables (such as `OurRobots` or `Mercedes` in the
 //! paper's examples) and enforces strong typing on every update.
 //!
-//! References are **uni-directional** (Section 2.2): the base maintains no
-//! reverse-reference index, which is exactly why backward navigation without
-//! an access support relation degenerates to exhaustive search.
+//! References are **uni-directional** (Section 2.2): no query may follow
+//! one backwards, which is exactly why backward navigation without an
+//! access support relation degenerates to exhaustive search.  The base
+//! does keep a *referrer index* — who holds a reference to an object in a
+//! tuple attribute — but only as update bookkeeping: the paper's statement
+//! `insert o into o_i.A_i` names the owner, the set-level API here does
+//! not, and [`ObjectBase::referrers`] recovers it without a scan.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::error::{GomError, Result};
 use crate::object::{Object, ObjectBody};
@@ -25,6 +29,14 @@ pub struct ObjectBase {
     extents: HashMap<TypeId, Vec<Oid>>,
     variables: HashMap<String, Value>,
     oidgen: OidGenerator,
+    /// `(target, owner)` for every tuple object `owner` with at least one
+    /// attribute currently holding `Value::Ref(target)`, dangling
+    /// references included; which attributes is read off the owner.
+    /// Written only by [`ObjectBase::set_attribute`] and
+    /// [`ObjectBase::delete`], the two mutators that can change a tuple
+    /// attribute, so loads, replays and clones carry it without an
+    /// invalidation protocol.
+    referrers: BTreeSet<(Oid, Oid)>,
 }
 
 impl ObjectBase {
@@ -36,6 +48,7 @@ impl ObjectBase {
             extents: HashMap::new(),
             variables: HashMap::new(),
             oidgen: OidGenerator::new(),
+            referrers: BTreeSet::new(),
         }
     }
 
@@ -116,6 +129,11 @@ impl ObjectBase {
         if let Some(extent) = self.extents.get_mut(&obj.ty) {
             extent.retain(|&o| o != oid);
         }
+        if let ObjectBody::Tuple(attrs) = &obj.body {
+            for target in attrs.values().filter_map(Value::as_ref_oid) {
+                self.referrers.remove(&(target, oid));
+            }
+        }
         Ok(())
     }
 
@@ -152,6 +170,27 @@ impl ObjectBase {
         self.objects.values()
     }
 
+    /// The `(owner, attribute)` pairs whose tuple attribute currently holds
+    /// a reference to `target`, in ascending owner-OID order.  Set and list
+    /// membership is not indexed; references left dangling by
+    /// [`ObjectBase::delete`] of `target` are.
+    pub fn referrers(&self, target: Oid) -> impl Iterator<Item = (Oid, &str)> {
+        self.referrers
+            .range((target, Oid::from_raw(0))..=(target, Oid::from_raw(u64::MAX)))
+            .filter_map(|(_, owner)| self.objects.get(owner))
+            .flat_map(move |obj| {
+                let attrs = match &obj.body {
+                    ObjectBody::Tuple(attrs) => Some(attrs),
+                    _ => None,
+                };
+                attrs
+                    .into_iter()
+                    .flatten()
+                    .filter(move |(_, value)| **value == Value::Ref(target))
+                    .map(|(attr, _)| (obj.oid, attr.as_str()))
+            })
+    }
+
     /// The *direct* extent of a type: objects instantiated exactly from it.
     pub fn extent(&self, ty: TypeId) -> &[Oid] {
         self.extents.get(&ty).map(Vec::as_slice).unwrap_or(&[])
@@ -185,10 +224,23 @@ impl ObjectBase {
             .ok_or(GomError::UnknownObject(oid))?;
         match &mut obj.body {
             ObjectBody::Tuple(attrs) => {
-                if value.is_null() {
-                    attrs.remove(attr);
+                let new_ref = value.as_ref_oid();
+                let old = if value.is_null() {
+                    attrs.remove(attr)
                 } else {
-                    attrs.insert(attr.to_string(), value);
+                    attrs.insert(attr.to_string(), value)
+                };
+                let old_ref = old.as_ref().and_then(Value::as_ref_oid);
+                if old_ref != new_ref {
+                    if let Some(target) = old_ref {
+                        let still_held = attrs.values().any(|v| v.as_ref_oid() == Some(target));
+                        if !still_held {
+                            self.referrers.remove(&(target, oid));
+                        }
+                    }
+                    if let Some(target) = new_ref {
+                        self.referrers.insert((target, oid));
+                    }
                 }
                 Ok(())
             }

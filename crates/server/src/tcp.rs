@@ -7,7 +7,8 @@
 //! nonblocking poll loop — no extra dependencies, no threads on the
 //! serving side: one [`TcpServer::poll`] pass accepts pending
 //! connections, drains every socket, pumps the session multiplexer and
-//! flushes responses.  Clients use [`TcpTransport`] (blocking reads
+//! flushes responses — as far as each kernel buffer takes them, the rest
+//! on later passes.  Clients use [`TcpTransport`] (blocking reads
 //! with a short timeout) under the ordinary exactly-once
 //! [`asr_net::WireClient`].
 
@@ -50,7 +51,54 @@ struct Conn {
     stream: TcpStream,
     sid: usize,
     inbuf: Vec<u8>,
+    /// Response bytes the kernel has not taken yet.
+    outbuf: Vec<u8>,
     dead: bool,
+}
+
+impl Conn {
+    /// Hand the kernel as much of `outbuf` as it takes right now; the
+    /// rest waits for a later pass, so a peer that stops reading costs
+    /// the other sessions nothing.
+    fn flush(&mut self) {
+        let mut off = 0;
+        while off < self.outbuf.len() {
+            match self.stream.write(&self.outbuf[off..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => off += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        self.outbuf.drain(..off);
+    }
+
+    /// Drain the socket into `inbuf`.
+    fn fill(&mut self) {
+        let mut chunk = [0u8; 4096];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// A nonblocking TCP server multiplexing wire sessions onto one
@@ -96,6 +144,7 @@ impl TcpServer {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(true)?;
+                    stream.set_nodelay(true)?;
                     let sid = self.server.open_session();
                     db.db()
                         .tracer()
@@ -105,6 +154,7 @@ impl TcpServer {
                         stream,
                         sid,
                         inbuf: Vec::new(),
+                        outbuf: Vec::new(),
                         dead: false,
                     });
                 }
@@ -114,62 +164,34 @@ impl TcpServer {
         }
         let mut total = PumpReport::default();
         for conn in &mut self.conns {
-            if conn.dead {
-                continue;
-            }
-            // Drain the socket.
-            let mut chunk = [0u8; 4096];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            // Reassemble frames and pump them through the session.
-            let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
-            loop {
-                match take_frame(&mut conn.inbuf) {
-                    Ok(Some(frame)) => rx.send(frame),
-                    Ok(None) => break,
-                    Err(()) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            let report = self.server.pump_session(conn.sid, db, &mut rx, &mut tx);
-            total.executed += report.executed;
-            total.replayed += report.replayed;
-            total.nacked += report.nacked;
-            total.dropped_stale += report.dropped_stale;
-            // Flush responses; a full kernel buffer gets a bounded spin.
-            while let Some(frame) = tx.recv() {
-                let mut off = 0;
-                while off < frame.len() {
-                    match conn.stream.write(&frame[off..]) {
-                        Ok(n) => off += n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::yield_now(),
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
+            // Back-pressure: a peer still owed answers is not read from,
+            // so what is buffered for it never exceeds the answers to one
+            // pass's requests.
+            if conn.outbuf.is_empty() {
+                conn.fill();
+                // Reassemble frames and pump them through the session.
+                let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
+                loop {
+                    match take_frame(&mut conn.inbuf) {
+                        Ok(Some(frame)) => rx.send(frame),
+                        Ok(None) => break,
+                        Err(()) => {
                             conn.dead = true;
                             break;
                         }
                     }
                 }
-                if conn.dead {
-                    break;
+                let report = self.server.pump_session(conn.sid, db, &mut rx, &mut tx);
+                total.executed += report.executed;
+                total.replayed += report.replayed;
+                total.nacked += report.nacked;
+                total.dropped_stale += report.dropped_stale;
+                while let Some(frame) = tx.recv() {
+                    conn.outbuf.extend_from_slice(&frame);
                 }
             }
-            if !self.server.session_open(conn.sid) {
+            conn.flush();
+            if conn.outbuf.is_empty() && !self.server.session_open(conn.sid) {
                 conn.dead = true;
             }
         }

@@ -1,13 +1,15 @@
 //! The TCP front door: the same frames over real sockets.  One test
 //! drives the nonblocking server single-threaded (loopback connect
-//! completes without an accept); the other runs the server in a thread
-//! and a full exactly-once [`WireClient`] on this side.
+//! completes without an accept); another runs the server in a thread
+//! and a full exactly-once [`WireClient`] on this side; the third parks
+//! a peer that never reads beside a client that must still be served.
 
 mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use asr_durable::MemStorage;
@@ -130,4 +132,75 @@ fn threaded_client_round_trips_exactly_once() {
     let (report, accepts) = handle.join().expect("server thread exits cleanly");
     assert_eq!(report.executed, 3, "three requests, each exactly once");
     assert_eq!(accepts, 1, "one TCP accept");
+}
+
+/// A peer that pipelines requests and never reads its answers fills its
+/// kernel buffers; the server must park that connection's unsent tail
+/// and keep serving everyone else.
+#[test]
+fn a_client_that_stops_reading_does_not_wedge_other_sessions() {
+    let (addr_tx, addr_rx) = mpsc::channel();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_serving = Arc::clone(&stop);
+    let handle = std::thread::spawn(move || {
+        let mut db = asr_workload::company_database().db;
+        let mut server = TcpServer::bind("127.0.0.1:0").expect("binds");
+        addr_tx
+            .send(server.local_addr().expect("addr"))
+            .expect("sends");
+        while !stop_serving.load(Ordering::SeqCst) {
+            server
+                .poll(&mut ServerDb::<MemStorage>::Plain(&mut db))
+                .expect("polls");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let addr = addr_rx.recv().expect("server thread reports its address");
+    let mut client = WireClient::new(TcpTransport::connect(&addr).expect("connects"));
+    // A 3^7-row cross product: well over 100 KiB per answer.
+    let vars: Vec<String> = (0..7).map(|k| format!("d{k}")).collect();
+    let wide = RequestBody::Query(format!(
+        "select {} from {}",
+        vars.iter()
+            .map(|v| format!("{v}.Name"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        vars.iter()
+            .map(|v| format!("{v} in Division"))
+            .collect::<Vec<_>>()
+            .join(", "),
+    ));
+    let answer_len = client
+        .call(wide.clone())
+        .expect("wide query")
+        .encode()
+        .len();
+
+    // Far more answer bytes than the kernel buffers between the two
+    // sockets can hold (Linux caps them at a few MiB each).
+    let pipelined = ((8 << 20) / answer_len + 1) as u64;
+    let mut stuck = TcpStream::connect(addr).expect("connects");
+    let requests: Vec<u8> = (1..=pipelined)
+        .flat_map(|id| {
+            Request {
+                id,
+                body: wide.clone(),
+            }
+            .encode()
+        })
+        .collect();
+    stuck.write_all(&requests).expect("writes");
+
+    for round in 0..20 {
+        let resp = client
+            .call(RequestBody::Query(
+                "select d.Name from d in Division".to_string(),
+            ))
+            .unwrap_or_else(|e| panic!("round {round}: {e:?}"));
+        assert!(matches!(resp.body, ResponseBody::Table { .. }));
+    }
+
+    stop.store(true, Ordering::SeqCst);
+    handle.join().expect("server thread exits cleanly");
+    drop(stuck);
 }
