@@ -42,10 +42,16 @@ impl Cell {
     /// [`Cell::Oid`], `NULL` becomes `None`, everything else a
     /// [`Cell::Value`].
     pub fn from_gom(value: &Value) -> Option<Cell> {
+        Cell::from_gom_owned(value.clone())
+    }
+
+    /// [`Cell::from_gom`] taking the value: an atomic value moves into
+    /// the cell instead of being cloned.
+    pub fn from_gom_owned(value: Value) -> Option<Cell> {
         match value {
             Value::Null => None,
-            Value::Ref(oid) => Some(Cell::Oid(*oid)),
-            other => Some(Cell::Value(other.clone())),
+            Value::Ref(oid) => Some(Cell::Oid(oid)),
+            other => Some(Cell::Value(other)),
         }
     }
 

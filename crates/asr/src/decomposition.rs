@@ -9,12 +9,14 @@
 //! same join flavour that defined the extension recovers the original
 //! relation exactly.
 
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
+use crate::cell::Cell;
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
-use crate::join::chain_join;
 use crate::relation::Relation;
+use crate::row::Row;
 
 /// A decomposition `(0, i_1, …, i_k, m)` of an `(m+1)`-column relation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -147,8 +149,40 @@ impl Decomposition {
 
     /// Reassemble decomposed partitions with the join flavour of the given
     /// extension.  By Theorem 3.9 this recovers the original extension
-    /// exactly (property-tested in `tests/lossless.rs`).
+    /// exactly (property-tested in `tests/lossless.rs` against the
+    /// [`chain_join`](crate::join::chain_join) folds of Definitions
+    /// 3.4–3.7).
     pub fn reassemble(&self, parts: &[Relation], extension: Extension) -> Result<Relation> {
+        let rows: Vec<Vec<&Row>> = parts.iter().map(|p| p.iter().collect()).collect();
+        let set = self.reassemble_rows(&rows, extension)?;
+        Ok(Relation::from_set(self.m() + 1, set))
+    }
+
+    /// [`Decomposition::reassemble`] over borrowed rows, one slice per
+    /// partition — what a stored ASR's row mirrors hand over without
+    /// being copied into [`Relation`]s first.
+    ///
+    /// One walk instead of a fold of joins.  The fold joins the
+    /// partitions in order (right to left for the right-complete
+    /// extension), and what one accumulated row becomes in the next join
+    /// depends on that row alone: it continues through every row of the
+    /// next partition whose first cell equals its last (`NULL` matches
+    /// nothing), or, finding none, is padded with `NULL`s when the join
+    /// keeps its accumulated side — for good, since a `NULL` border
+    /// never matches again — and dropped otherwise.  So each start row is
+    /// extended depth-first to full width and emitted once, and no
+    /// intermediate relation is built.  Start rows are the first
+    /// partition's; where the join also keeps its incoming side (the full
+    /// extension), a row of partition `k` that no path from an earlier
+    /// start reached is the join's unmatched incoming row and starts a
+    /// path itself, `NULL`s before it.  Partitions are taken in order, so
+    /// by the time partition `k` supplies starts every path that could
+    /// reach it has been walked.
+    pub fn reassemble_rows(
+        &self,
+        parts: &[Vec<&Row>],
+        extension: Extension,
+    ) -> Result<BTreeSet<Row>> {
         if parts.len() != self.partition_count() {
             return Err(AsrError::InvalidDecomposition(format!(
                 "expected {} partitions, got {}",
@@ -156,24 +190,153 @@ impl Decomposition {
                 parts.len()
             )));
         }
+        for (rows, (from, to)) in parts.iter().zip(self.partitions()) {
+            if let Some(row) = rows.iter().find(|r| r.arity() != to - from + 1) {
+                return Err(AsrError::ArityMismatch {
+                    expected: to - from + 1,
+                    actual: row.arity(),
+                });
+            }
+        }
         let kind = extension.join_kind();
-        match extension {
-            Extension::RightComplete => {
-                let (last, rest) = parts.split_last().expect("at least one partition");
-                let mut acc = last.clone();
-                for p in rest.iter().rev() {
-                    acc = chain_join(p, &acc, kind)?;
+        let backward = extension == Extension::RightComplete;
+        // The accumulated side is the join's left operand in a left fold
+        // and its right operand in a right fold.
+        let (pad, new_starts) = if backward {
+            (kind.keeps_right(), kind.keeps_left())
+        } else {
+            (kind.keeps_left(), kind.keeps_right())
+        };
+        let walk = Walk {
+            backward,
+            pad,
+            width: self.m() + 1,
+        };
+        // Partitions in the fold's order.
+        let mut stages: Vec<Stage<'_>> = parts.iter().map(|rows| walk.stage(rows)).collect();
+        let mut spans: Vec<(usize, usize)> = self.partitions().collect();
+        if backward {
+            stages.reverse();
+            spans.reverse();
+        }
+
+        let mut out = Vec::new();
+        let mut prefix: Vec<Option<Cell>> = Vec::with_capacity(walk.width);
+        let mut lead = 0;
+        let starting = if new_starts { stages.len() } else { 1 };
+        for k in 0..starting {
+            let (walked, ahead) = stages.split_at_mut(k + 1);
+            let stage = &walked[k];
+            for (at, &row) in stage.rows.iter().enumerate() {
+                if k > 0 && stage.reached[at] {
+                    continue;
                 }
-                Ok(acc)
+                prefix.clear();
+                prefix.resize(lead, None);
+                prefix.push(walk.entry(row).clone());
+                walk.push_tail(&mut prefix, row);
+                walk.extend(&mut prefix, ahead, &mut out);
             }
-            _ => {
-                let (first, rest) = parts.split_first().expect("at least one partition");
-                let mut acc = first.clone();
-                for p in rest {
-                    acc = chain_join(&acc, p, kind)?;
+            lead += spans[k].1 - spans[k].0;
+        }
+        Ok(out.into_iter().collect())
+    }
+}
+
+/// End of a [`Stage`] chain.
+const END: usize = usize::MAX;
+
+/// One partition as the walk sees it: its rows, chained by entry cell
+/// (`head[cell]` is the first row entered through `cell`, `next[at]` the
+/// one after row `at`), and which of them a path has reached.
+struct Stage<'a> {
+    rows: Vec<&'a Row>,
+    head: HashMap<&'a Cell, usize>,
+    next: Vec<usize>,
+    reached: Vec<bool>,
+}
+
+/// The shape of one reassembly walk (see
+/// [`Decomposition::reassemble_rows`]).  Rows are built in walk order —
+/// reversed for the right-to-left fold — and turned around on emission.
+struct Walk {
+    /// Right-to-left: a row is entered at its last cell, left at its first.
+    backward: bool,
+    /// Keep an accumulated row no incoming row continues, `NULL`-padded.
+    pad: bool,
+    /// Columns of the reassembled relation.
+    width: usize,
+}
+
+impl Walk {
+    /// Index one partition's rows by entry cell.  All-NULL rows carry
+    /// nothing (a [`Relation`] never holds one); a `NULL` entry matches
+    /// nothing and stays off the chains.
+    fn stage<'a>(&self, rows: &[&'a Row]) -> Stage<'a> {
+        let rows: Vec<&Row> = rows.iter().copied().filter(|r| !r.is_all_null()).collect();
+        let mut head = HashMap::with_capacity(rows.len());
+        let mut next = vec![END; rows.len()];
+        for (at, &row) in rows.iter().enumerate() {
+            if let Some(cell) = self.entry(row) {
+                next[at] = head.insert(cell, at).unwrap_or(END);
+            }
+        }
+        Stage {
+            reached: vec![false; rows.len()],
+            rows,
+            head,
+            next,
+        }
+    }
+
+    /// The cell a path enters `row` through.
+    fn entry<'a>(&self, row: &'a Row) -> &'a Option<Cell> {
+        if self.backward {
+            row.last()
+        } else {
+            row.first()
+        }
+    }
+
+    /// Append `row`'s cells past its entry cell, in walk order.
+    fn push_tail(&self, prefix: &mut Vec<Option<Cell>>, row: &Row) {
+        let cells = row.cells();
+        if self.backward {
+            prefix.extend(cells[..cells.len() - 1].iter().rev().cloned());
+        } else {
+            prefix.extend_from_slice(&cells[1..]);
+        }
+    }
+
+    /// Extend `prefix` through the partitions still `ahead` and emit
+    /// every full-width row it grows into.
+    fn extend(&self, prefix: &mut Vec<Option<Cell>>, ahead: &mut [Stage<'_>], out: &mut Vec<Row>) {
+        let done = ahead.is_empty();
+        let continued = ahead.split_first_mut().and_then(|(stage, rest)| {
+            let border = prefix.last()?.as_ref()?;
+            Some((*stage.head.get(border)?, stage, rest))
+        });
+        match continued {
+            Some((mut at, stage, rest)) => {
+                let len = prefix.len();
+                while at != END {
+                    stage.reached[at] = true;
+                    self.push_tail(prefix, stage.rows[at]);
+                    self.extend(prefix, rest, out);
+                    prefix.truncate(len);
+                    at = stage.next[at];
                 }
-                Ok(acc)
             }
+            None if done || self.pad => {
+                let mut cells = Vec::with_capacity(self.width);
+                cells.extend_from_slice(prefix);
+                cells.resize(self.width, None);
+                if self.backward {
+                    cells.reverse();
+                }
+                out.push(Row::new(cells));
+            }
+            None => {}
         }
     }
 }

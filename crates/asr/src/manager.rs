@@ -139,16 +139,14 @@ impl AccessSupportRelation {
     /// Reassemble the logical extension from the partition mirrors
     /// (Theorem 3.9) — the deferred half of [`Self::from_restored`].
     fn derive_rows(&self) -> Result<std::collections::BTreeSet<crate::row::Row>> {
-        let parts: Vec<Relation> = self
+        let parts: Vec<Vec<&crate::row::Row>> = self
             .partitions
             .iter()
-            .map(StoredPartition::mirror_relation)
-            .collect::<Result<_>>()?;
-        let extension = self
-            .config
+            .map(|p| p.mirror_rows().collect())
+            .collect();
+        self.config
             .decomposition
-            .reassemble(&parts, self.config.extension)?;
-        Ok(extension.iter().cloned().collect())
+            .reassemble_rows(&parts, self.config.extension)
     }
 
     /// The logical extension mirror, deriving it on first use.

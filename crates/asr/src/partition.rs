@@ -18,8 +18,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
-    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, StatsHandle, TreeImage, OID_SIZE,
-    PAGE_SIZE,
+    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageRef, StatsHandle, TreeImage,
+    OID_SIZE, PAGE_SIZE,
 };
 
 use crate::cell::Cell;
@@ -416,17 +416,18 @@ impl StoredPartition {
         Ok(())
     }
 
-    /// Capture the partition's complete physical state for the snapshot
-    /// writer: the row mirror (sorted by row id) plus page-faithful images
-    /// of both clustering trees.  Charges nothing — the writer prices the
-    /// bytes it emits.
-    pub(crate) fn dump(&self) -> PartitionImage {
-        let mut rows: Vec<(Row, u64, u64)> = self
+    /// The partition's complete physical state with the rows borrowed
+    /// from the mirror: the row mirror (sorted by row id) plus
+    /// page-faithful images of both clustering trees — everything the
+    /// snapshot writer needs, and nothing cloned but row ids and inner
+    /// keys.  Charges nothing — the writer prices the bytes it emits.
+    pub(crate) fn view(&self) -> PartitionImage<&Row> {
+        let mut rows: Vec<(&Row, u64, u64)> = self
             .rows
             .iter()
-            .map(|(row, meta)| (row.clone(), meta.rowid, meta.count))
+            .map(|(row, meta)| (row, meta.rowid, meta.count))
             .collect();
-        rows.sort_by_key(|&(_, rowid, _)| rowid);
+        rows.sort_unstable_by_key(|&(_, rowid, _)| rowid);
         PartitionImage {
             from: self.from,
             to: self.to,
@@ -436,6 +437,26 @@ impl StoredPartition {
             bwd: RawTreeImage::from_tree(&self.bwd),
             fwd_bytes: 0,
             bwd_bytes: 0,
+        }
+    }
+
+    /// [`Self::view`] owning its rows — what outlives the partition (a
+    /// published MVCC version, a base image to patch).
+    pub(crate) fn dump(&self) -> PartitionImage {
+        let view = self.view();
+        PartitionImage {
+            rows: view
+                .rows
+                .into_iter()
+                .map(|(row, rowid, count)| (row.clone(), rowid, count))
+                .collect(),
+            from: view.from,
+            to: view.to,
+            next_rowid: view.next_rowid,
+            fwd: view.fwd,
+            bwd: view.bwd,
+            fwd_bytes: view.fwd_bytes,
+            bwd_bytes: view.bwd_bytes,
         }
     }
 
@@ -450,7 +471,7 @@ impl StoredPartition {
             .filter(|(_, meta)| self.dirty_rows.contains(&meta.rowid))
             .map(|(row, meta)| (row.clone(), meta.rowid, meta.count))
             .collect();
-        upserts.sort_by_key(|&(_, rowid, _)| rowid);
+        upserts.sort_unstable_by_key(|&(_, rowid, _)| rowid);
         PartitionDelta {
             from: self.from,
             to: self.to,
@@ -545,11 +566,11 @@ impl StoredPartition {
         Ok(p)
     }
 
-    /// The partition's logical content read from the uncharged row mirror
-    /// — the restore path's counterpart of [`Self::to_relation`], which
-    /// scans the tree and charges pages.
-    pub(crate) fn mirror_relation(&self) -> Result<Relation> {
-        Relation::from_rows(self.arity(), self.rows.keys().cloned())
+    /// The partition's logical content read off the uncharged row mirror,
+    /// in no particular order — the restore path's counterpart of
+    /// [`Self::to_relation`], which scans the tree and charges pages.
+    pub(crate) fn mirror_rows(&self) -> impl Iterator<Item = &Row> {
+        self.rows.keys()
     }
 
     /// Witness count of a row (0 when absent) — for tests.
@@ -588,18 +609,20 @@ impl StoredPartition {
 
 /// The serializable physical state of one [`StoredPartition`]: the row
 /// mirror with row ids and witness counts, plus raw page images of both
-/// clustering trees.  Produced by `StoredPartition::dump`, consumed by
-/// `StoredPartition::restore` and the `ASRDB 2` snapshot writer/reader.
+/// clustering trees.  Produced by `StoredPartition::dump` / `view`,
+/// consumed by `StoredPartition::restore` and the `ASRDB 2` snapshot
+/// writer/reader.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PartitionImage {
+pub(crate) struct PartitionImage<R = Row> {
     /// First spanned column of the host relation.
     pub from: usize,
     /// Last spanned column (inclusive).
     pub to: usize,
     /// Row-id allocator position (preserves future id assignment).
     pub next_rowid: u64,
-    /// `(row, rowid, witness count)`, sorted by row id.
-    pub rows: Vec<(Row, u64, u64)>,
+    /// `(row, rowid, witness count)`, sorted by row id; `R` is `Row`, or
+    /// `&Row` in a [`StoredPartition::view`].
+    pub rows: Vec<(R, u64, u64)>,
     /// Page image of the forward-clustered tree.
     pub fwd: RawTreeImage,
     /// Page image of the backward-clustered tree.
@@ -664,17 +687,15 @@ pub(crate) struct RawTreeDelta {
 
 impl RawTreeDelta {
     fn from_tree(tree: &BPlusTree<PartitionKey, Row>, fence: u64) -> Self {
-        let d = tree.dump_image_since(fence);
         RawTreeDelta {
-            root: d.root,
-            height: d.height,
-            len: d.len,
-            free: d.free,
-            total_nodes: d.total_nodes,
-            pages: d
-                .pages
-                .into_iter()
-                .map(|(id, n)| (id, RawNode::from_image(n)))
+            root: tree.root_slot(),
+            height: tree.height(),
+            len: tree.len(),
+            free: tree.free_slots().to_vec(),
+            total_nodes: tree.slot_count(),
+            pages: tree
+                .slots_since(fence)
+                .map(|slot| (slot, RawNode::from_page(tree.page(slot))))
                 .collect(),
         }
     }
@@ -763,29 +784,34 @@ pub(crate) enum RawNode {
 }
 
 impl RawNode {
-    /// Strip one page image down to its raw, id-referencing form.
-    fn from_image(n: NodeImage<PartitionKey, Row>) -> Self {
-        match n {
-            NodeImage::Inner { keys, children } => RawNode::Inner { keys, children },
-            NodeImage::Leaf { entries, next } => RawNode::Leaf {
-                rowids: entries.into_iter().map(|((_, rowid), _)| rowid).collect(),
+    /// One live page in its raw, id-referencing form: a leaf keeps only
+    /// its entries' row ids, read off the page in place.
+    fn from_page(page: PageRef<'_, PartitionKey, Row>) -> Self {
+        match page {
+            PageRef::Inner { keys, children } => RawNode::Inner {
+                keys: keys.to_vec(),
+                children: children.to_vec(),
+            },
+            PageRef::Leaf { entries, next } => RawNode::Leaf {
+                rowids: entries.iter().map(|((_, rowid), _)| *rowid).collect(),
                 next,
             },
-            NodeImage::Free => RawNode::Free,
+            PageRef::Free => RawNode::Free,
         }
     }
 }
 
 impl RawTreeImage {
-    /// Strip a live tree's image down to its raw, id-referencing form.
+    /// A live tree's image in its raw, id-referencing form.
     fn from_tree(tree: &BPlusTree<PartitionKey, Row>) -> Self {
-        let img = tree.dump_image();
         RawTreeImage {
-            root: img.root,
-            height: img.height,
-            len: img.len,
-            free: img.free,
-            nodes: img.nodes.into_iter().map(RawNode::from_image).collect(),
+            root: tree.root_slot(),
+            height: tree.height(),
+            len: tree.len(),
+            free: tree.free_slots().to_vec(),
+            nodes: (0..tree.slot_count())
+                .map(|slot| RawNode::from_page(tree.page(slot)))
+                .collect(),
         }
     }
 

@@ -67,12 +67,14 @@
 //! reloads through the v2 restore machinery, so every structural invariant
 //! is re-validated; the input database is never modified.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::rc::Rc;
 
-use asr_gom::{snapshot, ObjectBase, Oid, PathExpression, TypeRef, Value};
+use asr_gom::snapshot::{self, push_csv, push_u64};
+use asr_gom::{ObjectBase, Oid, PathExpression, TypeRef, Value};
 
 use crate::cell::Cell;
 use crate::database::{AsrId, Database};
@@ -160,7 +162,7 @@ impl Database {
         self.write_design(&mut out);
         self.write_physical(&mut out);
         let _ = writeln!(out, "{BASE_MARKER}");
-        out.push_str(&snapshot::write_base(self.base()));
+        snapshot::write_base_into(&mut out, self.base());
         out
     }
 
@@ -172,7 +174,7 @@ impl Database {
         let _ = writeln!(out, "{MAGIC_V1}");
         self.write_design(&mut out);
         let _ = writeln!(out, "{BASE_MARKER}");
-        out.push_str(&snapshot::write_base(self.base()));
+        snapshot::write_base_into(&mut out, self.base());
         out
     }
 
@@ -212,23 +214,14 @@ impl Database {
             }
         }
         let _ = writeln!(out, "{BASE_MARKER}");
-        self.write_base_delta(&mut out);
-        Some(out)
-    }
-
-    /// The `GOMDELTA 1` section: the snapshot lines of every object
-    /// changed since the fence (exact `GOMSNAP` syntax, filtered from a
-    /// full serialization so the merge on the other side reproduces the
-    /// canonical text byte-for-byte), the deleted OIDs, and rebound
-    /// variables.
-    fn write_base_delta(&self, out: &mut String) {
         write_base_delta_from(
-            out,
+            &mut out,
             self.base(),
             self.dead_oids(),
             self.dirty_oids(),
             self.dirty_vars(),
         );
+        Some(out)
     }
 
     /// The base-checkpoint id named by an `ASRDB 3` document's `DELTA`
@@ -315,14 +308,13 @@ impl Database {
             )));
         }
         let mut merged = String::from("GOMSNAP 1\n");
-        for line in schema_lines {
-            let _ = writeln!(merged, "{line}");
-        }
-        for line in objects.values() {
-            let _ = writeln!(merged, "{line}");
-        }
-        for line in vars.values() {
-            let _ = writeln!(merged, "{line}");
+        let lines = schema_lines
+            .iter()
+            .chain(objects.values())
+            .chain(vars.values());
+        for line in lines {
+            merged.push_str(line);
+            merged.push('\n');
         }
         let base = snapshot::read_base(&merged)?;
 
@@ -421,21 +413,10 @@ impl Database {
             let _ = writeln!(out, "S {name} {size}");
         }
         for (_, asr) in self.asrs() {
-            let cuts: Vec<String> = asr
-                .config()
-                .decomposition
-                .cuts()
-                .iter()
-                .map(|c| c.to_string())
-                .collect();
-            let _ = writeln!(
-                out,
-                "A {} {} {} {}",
-                asr.path(),
-                asr.config().extension.name(),
-                cuts.join(","),
-                u8::from(asr.config().keep_set_oids)
-            );
+            let config = asr.config();
+            let _ = write!(out, "A {} {} ", asr.path(), config.extension.name());
+            push_csv(out, config.decomposition.cuts().iter().map(|&c| c as u64));
+            out.push_str(if config.keep_set_oids { " 1\n" } else { " 0\n" });
         }
     }
 
@@ -667,16 +648,23 @@ impl CheckpointSource {
     /// byte-identical to [`Database::save_to_string`] at the fence.
     pub fn save_full(&self) -> String {
         let mut out = String::new();
+        self.save_full_into(&mut out);
+        out
+    }
+
+    /// [`CheckpointSource::save_full`], appended to `out` — a caller that
+    /// frames the document (the durability layer's `CKPT` header) renders
+    /// it in place instead of copying it behind the frame.
+    pub fn save_full_into(&self, out: &mut String) {
         let _ = writeln!(out, "{MAGIC_V2}");
         out.push_str(&self.design);
         for (ordinal, images) in self.snapshot.asr_images().iter().enumerate() {
             for (pidx, img) in images.iter().enumerate() {
-                write_partition_image(&mut out, ordinal, pidx, img);
+                write_partition_image(out, ordinal, pidx, img);
             }
         }
         let _ = writeln!(out, "{BASE_MARKER}");
-        out.push_str(&snapshot::write_base(self.snapshot.base()));
-        out
+        snapshot::write_base_into(out, self.snapshot.base());
     }
 
     /// Render the `ASRDB 3` delta document on top of `base_id` — byte-
@@ -724,40 +712,57 @@ impl CheckpointSource {
     }
 }
 
-/// Encode an optional cell as a single space-free token (the GOM value
+/// Append an optional cell as a single space-free token (the GOM value
 /// codec escapes spaces and `=`).
-fn cell_token(cell: &Option<Cell>) -> String {
+fn push_cell(out: &mut String, cell: &Option<Cell>) {
     match cell {
-        None => snapshot::encode_value(&Value::Null),
-        Some(Cell::Oid(oid)) => snapshot::encode_value(&Value::Ref(*oid)),
-        Some(Cell::Value(v)) => snapshot::encode_value(v),
+        None => snapshot::encode_value_into(out, &Value::Null),
+        Some(Cell::Oid(oid)) => snapshot::encode_value_into(out, &Value::Ref(*oid)),
+        Some(Cell::Value(v)) => snapshot::encode_value_into(out, v),
     }
 }
 
-/// Decode a [`cell_token`] back to an optional cell.
+/// Decode a [`push_cell`] token back to an optional cell.
 fn parse_cell(tok: &str) -> Result<Option<Cell>> {
-    Ok(Cell::from_gom(&snapshot::decode_value(tok)?))
+    Ok(Cell::from_gom_owned(snapshot::decode_value(tok)?))
+}
+
+/// Append `a,b,c`, or `-` when empty.
+fn push_csv_or_dash(out: &mut String, items: impl IntoIterator<Item = u64>) {
+    let start = out.len();
+    push_csv(out, items);
+    if out.len() == start {
+        out.push('-');
+    }
+}
+
+/// Append the mirror rows as `R <rowid> <count> <cell> …` lines.
+fn write_rows<R: Borrow<Row>>(out: &mut String, rows: &[(R, u64, u64)]) {
+    for (row, rowid, count) in rows {
+        out.push_str("R ");
+        push_u64(out, *rowid);
+        out.push(' ');
+        push_u64(out, *count);
+        for cell in row.borrow().cells() {
+            out.push(' ');
+            push_cell(out, cell);
+        }
+        out.push('\n');
+    }
 }
 
 /// Emit one tree image as a `T` header plus one `N` line per live page.
 fn write_tree(out: &mut String, ordinal: usize, pidx: usize, dir: char, tree: &RawTreeImage) {
-    let free = if tree.free.is_empty() {
-        "-".to_string()
-    } else {
-        tree.free
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "T {ordinal} {pidx} {dir} {} {} {} {} {free}",
+        "T {ordinal} {pidx} {dir} {} {} {} {} ",
         tree.root,
         tree.height,
         tree.len,
         tree.nodes.len()
     );
+    push_csv_or_dash(out, tree.free.iter().map(|&f| f as u64));
+    out.push('\n');
     for (id, node) in tree.nodes.iter().enumerate() {
         write_node_line(out, dir, id, node, false);
     }
@@ -767,52 +772,54 @@ fn write_tree(out: &mut String, ordinal: usize, pidx: usize, dir: char, tree: &R
 /// (restore pre-fills the slab with `Free`) but named explicitly in delta
 /// sections when `emit_free` — a patch must overwrite released pages.
 fn write_node_line(out: &mut String, dir: char, id: usize, node: &RawNode, emit_free: bool) {
+    if matches!(node, RawNode::Free) && !emit_free {
+        return;
+    }
+    out.push_str("N ");
+    out.push(dir);
+    out.push(' ');
+    push_u64(out, id as u64);
     match node {
-        RawNode::Free => {
-            if emit_free {
-                let _ = writeln!(out, "N {dir} {id} F");
-            }
-        }
+        RawNode::Free => out.push_str(" F"),
         RawNode::Inner { keys, children } => {
-            let kids = children
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = write!(out, "N {dir} {id} I {kids}");
+            out.push_str(" I ");
+            push_csv(out, children.iter().map(|&c| c as u64));
             for (cell, rowid) in keys {
-                let _ = write!(out, " {}={rowid}", cell_token(cell));
+                out.push(' ');
+                push_cell(out, cell);
+                out.push('=');
+                push_u64(out, *rowid);
             }
-            out.push('\n');
         }
         RawNode::Leaf { rowids, next } => {
-            let next = next.map_or("-".to_string(), |n| n.to_string());
-            let ids = csv_or_dash(rowids.iter());
-            let _ = writeln!(out, "N {dir} {id} L {next} {ids}");
+            out.push_str(" L ");
+            match next {
+                Some(next) => push_u64(out, *next as u64),
+                None => out.push('-'),
+            }
+            out.push(' ');
+            push_csv_or_dash(out, rowids.iter().copied());
         }
     }
-}
-
-/// `a,b,c` or `-` when empty.
-fn csv_or_dash<T: std::fmt::Display>(items: impl ExactSizeIterator<Item = T>) -> String {
-    if items.len() == 0 {
-        "-".to_string()
-    } else {
-        items.map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-    }
+    out.push('\n');
 }
 
 /// One ASR's full physical section in the v2 grammar (`P`/`R`/`T`/`N`) —
 /// the whole-snapshot writer and the per-ASR fallback inside v3 deltas.
 fn write_asr_physical(out: &mut String, ordinal: usize, asr: &AccessSupportRelation) {
     for (pidx, part) in asr.partitions().iter().enumerate() {
-        write_partition_image(out, ordinal, pidx, &part.dump());
+        write_partition_image(out, ordinal, pidx, &part.view());
     }
 }
 
-/// One partition's `P`/`R`/`T`/`N` lines from an already-captured image —
-/// shared by the live writer and checkpoint-from-snapshot serialization.
-fn write_partition_image(out: &mut String, ordinal: usize, pidx: usize, img: &PartitionImage) {
+/// One partition's `P`/`R`/`T`/`N` lines from an image — a live
+/// partition's view or a checkpoint's captured version.
+fn write_partition_image<R: Borrow<Row>>(
+    out: &mut String,
+    ordinal: usize,
+    pidx: usize,
+    img: &PartitionImage<R>,
+) {
     let _ = writeln!(
         out,
         "P {ordinal} {pidx} {} {} {} {}",
@@ -821,13 +828,7 @@ fn write_partition_image(out: &mut String, ordinal: usize, pidx: usize, img: &Pa
         img.next_rowid,
         img.rows.len()
     );
-    for (row, rowid, count) in &img.rows {
-        let _ = write!(out, "R {rowid} {count}");
-        for cell in row.cells() {
-            let _ = write!(out, " {}", cell_token(cell));
-        }
-        out.push('\n');
-    }
+    write_rows(out, &img.rows);
     write_tree(out, ordinal, pidx, 'f', &img.fwd);
     write_tree(out, ordinal, pidx, 'b', &img.bwd);
 }
@@ -853,14 +854,10 @@ fn write_partition_delta(out: &mut String, ordinal: usize, pidx: usize, d: &Part
         d.nrows,
         d.upserts.len()
     );
-    for (row, rowid, count) in &d.upserts {
-        let _ = write!(out, "R {rowid} {count}");
-        for cell in row.cells() {
-            let _ = write!(out, " {}", cell_token(cell));
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "X {}", csv_or_dash(d.deletes.iter()));
+    write_rows(out, &d.upserts);
+    out.push_str("X ");
+    push_csv_or_dash(out, d.deletes.iter().copied());
+    out.push('\n');
     write_tree_delta(out, ordinal, pidx, 'f', &d.fwd);
     write_tree_delta(out, ordinal, pidx, 'b', &d.bwd);
 }
@@ -868,25 +865,27 @@ fn write_partition_delta(out: &mut String, ordinal: usize, pidx: usize, d: &Part
 /// Emit one tree delta as a `U` header plus one `N` line per changed page
 /// (freed pages included, as kind `F`).
 fn write_tree_delta(out: &mut String, ordinal: usize, pidx: usize, dir: char, d: &RawTreeDelta) {
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "U {ordinal} {pidx} {dir} {} {} {} {} {} {}",
+        "U {ordinal} {pidx} {dir} {} {} {} {} {} ",
         d.root,
         d.height,
         d.len,
         d.total_nodes,
-        d.pages.len(),
-        csv_or_dash(d.free.iter())
+        d.pages.len()
     );
+    push_csv_or_dash(out, d.free.iter().map(|&f| f as u64));
+    out.push('\n');
     for (id, node) in &d.pages {
         write_node_line(out, dir, *id, node, true);
     }
 }
 
-/// The `GOMDELTA 1` section from captured state: deleted OIDs, changed
-/// objects and rebound variables filtered out of a full serialization of
-/// `base` (exact `GOMSNAP` syntax, so the merge on the other side
-/// reproduces the canonical text byte-for-byte).
+/// The `GOMDELTA 1` section from captured state: deleted OIDs, then the
+/// `GOMSNAP` lines of the changed objects and rebound variables still in
+/// `base`, written by the same line writers as a full serialization (so
+/// the merge on the other side reproduces the canonical text
+/// byte-for-byte).
 fn write_base_delta_from(
     out: &mut String,
     base: &ObjectBase,
@@ -895,25 +894,24 @@ fn write_base_delta_from(
     dirty_vars: &BTreeSet<String>,
 ) {
     let _ = writeln!(out, "GOMDELTA 1 {}", base.object_count());
+    out.push_str("X ");
     if dead_oids.is_empty() {
-        let _ = writeln!(out, "X -");
-    } else {
-        let csv: Vec<String> = dead_oids
-            .iter()
-            .map(|o| format!("i{}", o.as_raw()))
-            .collect();
-        let _ = writeln!(out, "X {}", csv.join(","));
+        out.push('-');
     }
-    let full = snapshot::write_base(base);
-    for line in full.lines() {
-        if let Some(oid) = parse_o_line_oid(line) {
-            if dirty_oids.contains(&oid) {
-                let _ = writeln!(out, "{line}");
-            }
-        } else if let Some(name) = parse_v_line_name(line) {
-            if dirty_vars.contains(&name) {
-                let _ = writeln!(out, "{line}");
-            }
+    for (i, oid) in dead_oids.iter().enumerate() {
+        out.push_str(if i > 0 { ",i" } else { "i" });
+        push_u64(out, oid.as_raw());
+    }
+    out.push('\n');
+    // Ascending OID, then ascending name: the order `write_base` emits.
+    for oid in dirty_oids {
+        if let Ok(obj) = base.object(*oid) {
+            snapshot::write_object_line(out, base.schema(), obj);
+        }
+    }
+    for (name, value) in base.variables() {
+        if dirty_vars.contains(name) {
+            snapshot::write_variable_line(out, name, value);
         }
     }
     let _ = writeln!(out, "{END_MARKER}");
@@ -1017,36 +1015,47 @@ fn parse_r_line(line: &str, arity: usize) -> std::result::Result<(Row, u64, u64)
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or("R: bad witness count")?;
-    let cells: Vec<Option<Cell>> = it
-        .map(|tok| parse_cell(tok).map_err(|e| e.to_string()))
-        .collect::<std::result::Result<_, _>>()?;
+    let mut cells: Vec<Option<Cell>> = Vec::with_capacity(arity);
+    for tok in it {
+        cells.push(parse_cell(tok).map_err(|e| e.to_string())?);
+    }
     if cells.len() != arity {
         return Err(format!("R: {} cells for arity {arity}", cells.len()));
     }
     Ok((Row::new(cells), rowid, count))
 }
 
-/// Parse the page payload of an `N` line (whole token slice, kind at
-/// `t[3]`).  Kind `F` — an explicitly freed page — only occurs in delta
-/// sections.
-fn parse_node_body(t: &[&str]) -> std::result::Result<RawNode, String> {
-    match t[3] {
-        "F" => {
-            if t.len() != 4 {
-                return Err(format!("N F record has {} fields, expected 4", t.len()));
-            }
-            Ok(RawNode::Free)
-        }
+/// The leading fields every `N` line shares — `N f|b <page#> <kind>` —
+/// and the iterator over what follows them.  `None` when the line has
+/// fewer than `min_fields` space-separated fields.
+fn split_n_line(
+    line: &str,
+    min_fields: usize,
+) -> Option<(&str, &str, &str, std::str::Split<'_, char>)> {
+    let mut t = line.split(' ');
+    let (_n, dir, id, kind) = (t.next()?, t.next()?, t.next()?, t.next()?);
+    (min_fields <= 4 || t.clone().next().is_some()).then_some((dir, id, kind, t))
+}
+
+/// Parse the page payload of an `N` line: its kind (the line's fourth
+/// field) and the fields after it.  Kind `F` — an explicitly freed page —
+/// only occurs in delta sections.
+fn parse_node_body<'a>(
+    kind: &str,
+    mut rest: impl Iterator<Item = &'a str>,
+) -> std::result::Result<RawNode, String> {
+    match kind {
+        "F" => match rest.count() {
+            0 => Ok(RawNode::Free),
+            extra => Err(format!("N F record has {} fields, expected 4", 4 + extra)),
+        },
         "I" => {
-            if t.len() < 5 {
-                return Err("N I record too short".into());
-            }
-            let children: Vec<usize> = t[4]
+            let kids = rest.next().ok_or("N I record too short")?;
+            let children: Vec<usize> = kids
                 .split(',')
                 .map(|s| s.parse().map_err(|_| format!("bad child `{s}`")))
                 .collect::<std::result::Result<_, _>>()?;
-            let keys: Vec<(Option<Cell>, u64)> = t[5..]
-                .iter()
+            let keys: Vec<(Option<Cell>, u64)> = rest
                 .map(|tok| {
                     let (cell, rowid) = tok
                         .rsplit_once('=')
@@ -1061,21 +1070,26 @@ fn parse_node_body(t: &[&str]) -> std::result::Result<RawNode, String> {
             Ok(RawNode::Inner { keys, children })
         }
         "L" => {
-            if t.len() != 6 {
-                return Err(format!("N L record has {} fields, expected 6", t.len()));
-            }
-            let next = if t[4] == "-" {
+            let (sibling, ids) = (rest.next(), rest.next());
+            let extra = rest.count();
+            let (Some(sibling), Some(ids), 0) = (sibling, ids, extra) else {
+                let fields =
+                    4 + usize::from(sibling.is_some()) + usize::from(ids.is_some()) + extra;
+                return Err(format!("N L record has {fields} fields, expected 6"));
+            };
+            let next = if sibling == "-" {
                 None
             } else {
                 Some(
-                    t[4].parse()
-                        .map_err(|_| format!("bad sibling `{}`", t[4]))?,
+                    sibling
+                        .parse()
+                        .map_err(|_| format!("bad sibling `{sibling}`"))?,
                 )
             };
-            let rowids: Vec<u64> = if t[5] == "-" {
+            let rowids: Vec<u64> = if ids == "-" {
                 Vec::new()
             } else {
-                t[5].split(',')
+                ids.split(',')
                     .map(|s| s.parse().map_err(|_| format!("bad row id `{s}`")))
                     .collect::<std::result::Result<_, _>>()?
             };
@@ -1098,7 +1112,7 @@ fn parse_o_line_oid(line: &str) -> Option<Oid> {
 fn parse_v_line_name(line: &str) -> Option<String> {
     let rest = line.strip_prefix("V ")?;
     let (name, _) = rest.split_once(' ')?;
-    snapshot::unescape(name).ok()
+    snapshot::unescape(name).ok().map(Cow::into_owned)
 }
 
 /// One ASR's physical payload inside a v3 document.
@@ -1414,20 +1428,15 @@ impl DeltaPartBuilder {
                 Ok(())
             }
             "N" => {
-                let t: Vec<&str> = line.split(' ').collect();
-                if t.len() < 4 {
-                    return Err("N record too short".into());
-                }
-                let builder = match t[1] {
+                let (dir, id, kind, rest) = split_n_line(line, 4).ok_or("N record too short")?;
+                let builder = match dir {
                     "f" => self.fwd.as_mut(),
                     "b" => self.bwd.as_mut(),
                     other => return Err(format!("bad tree direction `{other}`")),
                 }
                 .ok_or("N record before its U header")?;
                 builder.bytes += line.len() + 1;
-                let id: usize = t[2]
-                    .parse()
-                    .map_err(|_| format!("bad page id `{}`", t[2]))?;
+                let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
                 if id >= builder.delta.total_nodes {
                     return Err(format!("page id {id} out of bounds"));
                 }
@@ -1435,7 +1444,7 @@ impl DeltaPartBuilder {
                     return Err(format!("page {id} written twice"));
                 }
                 builder.assigned[id] = true;
-                builder.delta.pages.push((id, parse_node_body(&t)?));
+                builder.delta.pages.push((id, parse_node_body(kind, rest)?));
                 Ok(())
             }
             other => Err(format!("unknown delta record `{other}`")),
@@ -1683,20 +1692,15 @@ impl PhysParser {
                 Ok(())
             }
             "N" => {
-                let t: Vec<&str> = line.split(' ').collect();
-                if t.len() < 5 {
-                    return Err("N record too short".into());
-                }
-                let builder = match t[1] {
+                let (dir, id, kind, rest) = split_n_line(line, 5).ok_or("N record too short")?;
+                let builder = match dir {
                     "f" => pb.fwd.as_mut(),
                     "b" => pb.bwd.as_mut(),
                     other => return Err(format!("bad tree direction `{other}`")),
                 }
                 .ok_or("N record before its T header")?;
                 builder.bytes += line.len() + 1;
-                let id: usize = t[2]
-                    .parse()
-                    .map_err(|_| format!("bad page id `{}`", t[2]))?;
+                let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
                 if id >= builder.tree.nodes.len() {
                     return Err(format!("page id {id} out of bounds"));
                 }
@@ -1704,7 +1708,7 @@ impl PhysParser {
                     return Err(format!("page {id} written twice"));
                 }
                 builder.assigned[id] = true;
-                builder.tree.nodes[id] = parse_node_body(&t)?;
+                builder.tree.nodes[id] = parse_node_body(kind, rest)?;
                 Ok(())
             }
             other => Err(format!("unknown physical record `{other}`")),
@@ -2050,6 +2054,68 @@ mod tests {
             db.insert_into_set(set, Value::Ref(p)).unwrap();
         }
         db
+    }
+
+    // ---- byte identity: the text formats are frozen ------------------
+
+    const PINNED_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pinned");
+
+    /// `ASRDB 2` of Figure 2 and of a two-level tree, then two `ASRDB 3`
+    /// documents on top of the latter.  The bulk database is deep enough
+    /// for inner `N … I` pages and carries a name with every escaped
+    /// byte; the first delta ships true `D`/`U` sections for one insert,
+    /// the second falls back to full sections and carries a deleted
+    /// object and two rebound variables.
+    fn pinned_texts() -> [String; 4] {
+        let mut bulk = bulk_db(300);
+        let part = bulk.instantiate("BasePart").unwrap();
+        bulk.set_attribute(part, "Name", Value::string("a b%c=d\ne"))
+            .unwrap();
+        bulk.set_attribute(part, "Price", Value::decimal(-3, 7))
+            .unwrap();
+        let (set, pepper) = sec_composition(&bulk);
+        bulk.insert_into_set(set, Value::Ref(part)).unwrap();
+        let (mut bulk, full) = settled(bulk);
+        bulk.insert_into_set(set, Value::Ref(pepper)).unwrap();
+        let small = bulk.save_delta_to_string(40).unwrap();
+        let doomed = bulk.instantiate("BasePart").unwrap();
+        bulk.mark_clean();
+        bulk.set_attribute(part, "Name", Value::string("renamed"))
+            .unwrap();
+        bulk.delete_object(doomed).unwrap();
+        bulk.bind_variable("epoch two", Value::Integer(-2));
+        bulk.bind_variable("Mercedes", Value::Null);
+        let mixed = bulk.save_delta_to_string(41).unwrap();
+        [sample_db().save_to_string(), full, small, mixed]
+    }
+
+    const PINNED_FILES: [&str; 4] = [
+        "figure2.asrdb2",
+        "bulk.asrdb2",
+        "bulk-insert.asrdb3",
+        "bulk-mixed.asrdb3",
+    ];
+
+    /// The writers' output byte for byte as the parent of the
+    /// allocation-free codec produced it, and the pinned source renders
+    /// the same bytes.
+    #[test]
+    fn serialized_text_is_pinned() {
+        let texts = pinned_texts();
+        for (text, file) in texts.iter().zip(PINNED_FILES) {
+            let want = std::fs::read_to_string(format!("{PINNED_DIR}/{file}")).unwrap();
+            assert!(*text == want, "{file} drifted:\n{text}");
+        }
+        assert_eq!(sample_db().begin_checkpoint().save_full(), texts[0]);
+    }
+
+    #[test]
+    #[ignore = "writes tests/fixtures/pinned; run only to re-freeze the text formats"]
+    fn regenerate_pinned_text() {
+        std::fs::create_dir_all(PINNED_DIR).unwrap();
+        for (text, file) in pinned_texts().iter().zip(PINNED_FILES) {
+            std::fs::write(format!("{PINNED_DIR}/{file}"), text).unwrap();
+        }
     }
 
     #[test]

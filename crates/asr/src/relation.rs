@@ -35,6 +35,13 @@ impl Relation {
         Ok(rel)
     }
 
+    /// Wrap an already-built row set (rows of `arity` columns, none of
+    /// them all-NULL).
+    pub(crate) fn from_set(arity: usize, rows: BTreeSet<Row>) -> Self {
+        debug_assert!(rows.iter().all(|r| r.arity() == arity && !r.is_all_null()));
+        Relation { arity, rows }
+    }
+
     /// Column count.
     pub fn arity(&self) -> usize {
         self.arity

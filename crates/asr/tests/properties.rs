@@ -1,16 +1,22 @@
 //! Cross-cutting property tests for access support relations:
 //!
 //! * **Theorem 3.9** — every decomposition of every extension is lossless
-//!   on randomly generated object bases;
+//!   on randomly generated object bases, and the one-walk reassembly
+//!   equals the fold of `chain_join`s (Definitions 3.4–3.7) on arbitrary
+//!   partitions too;
 //! * **extension containment** — canonical ⊆ left, right ⊆ full;
 //! * **query equivalence** — supported evaluation through any extension /
 //!   decomposition that formula (35) admits returns exactly what naive
 //!   object traversal returns;
 //! * **maintenance equivalence** — applying random update sequences
 //!   through [`asr_core::Database`] leaves every ASR identical to a
-//!   from-scratch rebuild.
+//!   from-scratch rebuild, and a database saved and physically reloaded
+//!   half way keeps up with a twin that never was.
 
-use asr_core::{AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension};
+use asr_core::join::{fold_left, fold_right};
+use asr_core::{
+    AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension, Relation, Row,
+};
 use asr_gom::{ObjectBase, Oid, PathExpression, Schema, TypeRef, Value};
 use asr_pagesim::IoStats;
 use proptest::prelude::*;
@@ -126,6 +132,16 @@ fn materialize(desc: &RandomBase) -> (ObjectBase, PathExpression) {
     (base, path)
 }
 
+/// Definitions 3.4–3.7 read as a reassembly: the fold of `chain_join`s
+/// in the extension's association order.
+fn join_fold(parts: &[Relation], ext: Extension) -> Relation {
+    match ext {
+        Extension::RightComplete => fold_right(parts, ext.join_kind()),
+        _ => fold_left(parts, ext.join_kind()),
+    }
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -142,9 +158,40 @@ proptest! {
                 for dec in Decomposition::enumerate_all(m) {
                     let parts = dec.decompose(&rel).unwrap();
                     let back = dec.reassemble(&parts, ext).unwrap();
+                    // `rel` is the fold of `chain_join`s over the
+                    // auxiliary relations: the oracle the walk answers to.
                     prop_assert_eq!(&back, &rel, "{} under {} keep={}", ext, dec, keep);
+                    prop_assert_eq!(&back, &join_fold(&parts, ext));
                 }
             }
+        }
+    }
+
+    /// The reassembly walk against the join fold on partitions that are
+    /// *not* projections of one relation: dangling borders, NULL borders
+    /// on either side, rows no neighbour continues.
+    #[test]
+    fn reassembly_walk_equals_the_join_fold(
+        dec_seed in any::<u8>(),
+        rows in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(0u8..4, 5..6)), 0..24),
+    ) {
+        let all_decs = Decomposition::enumerate_all(4);
+        let dec = &all_decs[dec_seed as usize % all_decs.len()];
+        let spans: Vec<(usize, usize)> = dec.partitions().collect();
+        let mut parts: Vec<Relation> =
+            spans.iter().map(|(a, b)| Relation::new(b - a + 1)).collect();
+        for (at, cells) in &rows {
+            let k = *at as usize % parts.len();
+            // 0 is NULL; three OIDs keep borders colliding.
+            let row = Row::new(cells.iter().take(parts[k].arity())
+                .map(|&c| (c > 0).then(|| Cell::Oid(Oid::from_raw(c as u64))))
+                .collect());
+            parts[k].insert(row).unwrap();
+        }
+        for ext in Extension::ALL {
+            let walked = dec.reassemble(&parts, ext).unwrap();
+            prop_assert_eq!(&walked, &join_fold(&parts, ext), "{} under {}", ext, dec);
         }
     }
 
@@ -352,8 +399,102 @@ fn apply_update(db: &mut Database, levels: &[Vec<Oid>], u: &Update) {
     }
 }
 
+/// `counts[l]` objects per level and one ASR per extension, each under a
+/// decomposition drawn from `dec_seed`.
+fn chain_db(counts: [u8; 4], dec_seed: u8, keep: bool) -> (Database, Vec<Vec<Oid>>) {
+    let schema = chain_schema();
+    let path = PathExpression::parse(&schema, PATH).unwrap();
+    let mut db = Database::new(schema);
+    let mut levels: Vec<Vec<Oid>> = Vec::new();
+    for (l, &count) in counts.iter().enumerate() {
+        let mut objs = Vec::new();
+        for _ in 0..count {
+            objs.push(db.instantiate(&format!("T{l}")).unwrap());
+        }
+        levels.push(objs);
+    }
+    let m = path.arity(keep) - 1;
+    let all_decs = Decomposition::enumerate_all(m);
+    for (e, ext) in Extension::ALL.into_iter().enumerate() {
+        let dec = all_decs[(dec_seed as usize + e) % all_decs.len()].clone();
+        db.create_asr(
+            path.clone(),
+            AsrConfig {
+                extension: ext,
+                decomposition: dec,
+                keep_set_oids: keep,
+            },
+        )
+        .unwrap();
+    }
+    (db, levels)
+}
+
+/// Every span answer of every ASR, supported or not: forward from each
+/// object of each level, backward to each object and each name.
+fn span_answers(db: &Database, levels: &[Vec<Oid>]) -> Vec<String> {
+    let mut out = Vec::new();
+    let names = (0..3).map(|n| Cell::Value(Value::string(format!("N{n}"))));
+    let ids: Vec<_> = db.asrs().map(|(id, _)| id).collect();
+    for id in ids {
+        for i in 0..4 {
+            for j in i + 1..=4 {
+                for &start in &levels[i] {
+                    let mut cells = db.forward(id, i, j, start).unwrap();
+                    cells.sort();
+                    out.push(format!("{id} fw {i}..{j} {start} {cells:?}"));
+                }
+                let targets: Vec<Cell> = match levels.get(j) {
+                    Some(objs) => objs.iter().map(|&o| Cell::Oid(o)).collect(),
+                    None => names.clone().collect(),
+                };
+                for target in targets {
+                    let mut oids = db.backward(id, i, j, &target).unwrap();
+                    oids.sort();
+                    out.push(format!("{id} bw {i}..{j} {target} {oids:?}"));
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A database saved, physically reloaded and updated further stays
+    /// indistinguishable from a twin that was never reloaded: the logical
+    /// mirror the first update after the load derives from the partition
+    /// mirrors (Theorem 3.9) is the one maintenance had been keeping.
+    #[test]
+    fn reloaded_database_tracks_its_never_reloaded_twin(
+        counts in proptest::array::uniform4(1u8..4),
+        before in proptest::collection::vec(update_strategy(), 1..24),
+        after in proptest::collection::vec(update_strategy(), 1..12),
+        dec_seed in any::<u8>(),
+        keep in any::<bool>(),
+    ) {
+        let (mut twin, levels) = chain_db(counts, dec_seed, keep);
+        for u in &before {
+            apply_update(&mut twin, &levels, u);
+        }
+        let (mut reloaded, report) =
+            Database::load_from_string_report(&twin.save_to_string()).unwrap();
+        prop_assert!(report.asrs.iter().all(|(_, mode)| mode.is_physical()), "{:?}", report);
+        for u in &after {
+            apply_update(&mut twin, &levels, u);
+            apply_update(&mut reloaded, &levels, u);
+        }
+        for ((_, got), (_, want)) in reloaded.asrs().zip(twin.asrs()) {
+            got.check_consistency().unwrap();
+            let got_rows: Vec<_> = got.full_rows().collect();
+            let want_rows: Vec<_> = want.full_rows().collect();
+            prop_assert_eq!(got_rows, want_rows, "{} under {} keep={}",
+                got.config().extension, got.config().decomposition, keep);
+        }
+        prop_assert_eq!(span_answers(&reloaded, &levels), span_answers(&twin, &levels));
+        prop_assert_eq!(reloaded.save_to_string(), twin.save_to_string());
+    }
 
     #[test]
     fn incremental_maintenance_equals_rebuild(
@@ -362,28 +503,7 @@ proptest! {
         dec_seed in any::<u8>(),
         keep in any::<bool>(),
     ) {
-        let schema = chain_schema();
-        let path = PathExpression::parse(&schema, PATH).unwrap();
-        let mut db = Database::new(schema);
-        let mut levels: Vec<Vec<Oid>> = Vec::new();
-        for (l, &count) in counts.iter().enumerate() {
-            let mut objs = Vec::new();
-            for _ in 0..count {
-                objs.push(db.instantiate(&format!("T{l}")).unwrap());
-            }
-            levels.push(objs);
-        }
-        // One ASR per extension with a random decomposition each.
-        let m = path.arity(keep) - 1;
-        let all_decs = Decomposition::enumerate_all(m);
-        for (e, ext) in Extension::ALL.into_iter().enumerate() {
-            let dec = all_decs[(dec_seed as usize + e) % all_decs.len()].clone();
-            db.create_asr(path.clone(), AsrConfig {
-                extension: ext,
-                decomposition: dec,
-                keep_set_oids: keep,
-            }).unwrap();
-        }
+        let (mut db, levels) = chain_db(counts, dec_seed, keep);
         for u in &updates {
             apply_update(&mut db, &levels, u);
         }

@@ -1019,7 +1019,12 @@ impl<S: Storage> DurableDatabase<S> {
             )));
         }
         let mut span = self.db.tracer().span("wal.checkpoint");
-        let full_body = source.save_full();
+        // The full document is rendered behind its header in one buffer
+        // (its length prices `pages_full` even when a delta is published).
+        let header = format!("{CKPT_MAGIC} {lsn}\n{ASRIDS_MAGIC} {}\n", ids.join(","));
+        let mut snap = header.clone();
+        source.save_full_into(&mut snap);
+        let full_snap_len = snap.len();
         let delta_body = if want_delta
             && self.manifest.checkpoints.contains(&base)
             && self.manifest.delta_depth(base) < DELTA_CHAIN_LIMIT
@@ -1028,13 +1033,11 @@ impl<S: Storage> DurableDatabase<S> {
         } else {
             None
         };
-        let (body, base_lsn) = match delta_body {
-            Some(body) => (body, Some(base)),
-            None => (full_body.clone(), None),
-        };
-        let header = format!("{CKPT_MAGIC} {lsn}\n{ASRIDS_MAGIC} {}\n", ids.join(","));
-        let snap = format!("{header}{body}");
-        let full_snap_len = header.len() + full_body.len();
+        let base_lsn = delta_body.map(|body| {
+            snap.truncate(header.len());
+            snap.push_str(&body);
+            base
+        });
         let res = self
             .storage
             .write_atomic(&checkpoint_archive_name(lsn), snap.as_bytes());
@@ -1596,8 +1599,18 @@ pub(crate) struct ParsedCheckpoint {
 pub(crate) struct CheckpointParts {
     pub(crate) lsn: u64,
     pub(crate) session_ids: Vec<AsrId>,
-    pub(crate) body: String,
+    /// The whole document; [`CheckpointParts::body`] borrows its tail.
+    snap: String,
+    /// Where the body starts: past the two header lines.
+    body_at: usize,
     pub(crate) total_bytes: usize,
+}
+
+impl CheckpointParts {
+    /// The snapshot body (full or delta), borrowed from the document.
+    pub(crate) fn body(&self) -> &str {
+        &self.snap[self.body_at..]
+    }
 }
 
 /// Split a `CKPT <lsn>` + `ASRIDS` + body document without loading it.
@@ -1627,10 +1640,12 @@ pub(crate) fn split_checkpoint(bytes: Vec<u8>, what: &str) -> Result<CheckpointP
                 .map_err(|_| DurableError::Corrupt(format!("bad ASR id `{t}` in ASRIDS")))
         })
         .collect::<Result<_>>()?;
+    let body_at = snap.len() - body.len();
     Ok(CheckpointParts {
         lsn,
         session_ids,
-        body: body.to_string(),
+        snap,
+        body_at,
         total_bytes,
     })
 }
@@ -1671,12 +1686,12 @@ fn assemble_parsed(
 /// (see [`parse_checkpoint_chain`]).
 pub(crate) fn parse_checkpoint(bytes: Vec<u8>, what: &str) -> Result<ParsedCheckpoint> {
     let parts = split_checkpoint(bytes, what)?;
-    if Database::is_delta_snapshot(&parts.body) {
+    if Database::is_delta_snapshot(parts.body()) {
         return Err(DurableError::Corrupt(format!(
             "{what} is a delta checkpoint; its base chain is required to load it"
         )));
     }
-    let (db, load) = Database::load_from_string_report(&parts.body)?;
+    let (db, load) = Database::load_from_string_report(parts.body())?;
     Ok(assemble_parsed(
         parts.lsn,
         &parts.session_ids,
@@ -1698,8 +1713,8 @@ pub(crate) fn parse_checkpoint_chain<S: Storage>(
     what: &str,
 ) -> Result<ParsedCheckpoint> {
     let top = split_checkpoint(snap, what)?;
-    if !Database::is_delta_snapshot(&top.body) {
-        let (db, load) = Database::load_from_string_report(&top.body)?;
+    if !Database::is_delta_snapshot(top.body()) {
+        let (db, load) = Database::load_from_string_report(top.body())?;
         return Ok(assemble_parsed(
             top.lsn,
             &top.session_ids,
@@ -1708,11 +1723,10 @@ pub(crate) fn parse_checkpoint_chain<S: Storage>(
             top.total_bytes,
         ));
     }
-    let mut total_bytes = top.total_bytes;
-    let mut delta_texts: Vec<String> = Vec::new(); // newest first
-    let mut visited = std::collections::BTreeSet::from([top.lsn]);
-    let mut base_id = Database::delta_base_id(&top.body)?;
-    delta_texts.push(top.body);
+    let (top_lsn, mut total_bytes) = (top.lsn, top.total_bytes);
+    let mut visited = std::collections::BTreeSet::from([top_lsn]);
+    let mut base_id = Database::delta_base_id(top.body())?;
+    let mut deltas: Vec<CheckpointParts> = vec![top]; // newest first
     let base_parts = loop {
         if !visited.insert(base_id) {
             return Err(DurableError::Corrupt(format!(
@@ -1733,19 +1747,18 @@ pub(crate) fn parse_checkpoint_chain<S: Storage>(
             )));
         }
         total_bytes += parts.total_bytes;
-        if Database::is_delta_snapshot(&parts.body) {
-            base_id = Database::delta_base_id(&parts.body)?;
-            delta_texts.push(parts.body);
+        if Database::is_delta_snapshot(parts.body()) {
+            base_id = Database::delta_base_id(parts.body())?;
+            deltas.push(parts);
         } else {
             break parts;
         }
     };
-    delta_texts.reverse();
-    let refs: Vec<&str> = delta_texts.iter().map(String::as_str).collect();
-    let (db, load) = Database::load_from_chain_report(&base_parts.body, &refs)?;
+    let refs: Vec<&str> = deltas.iter().rev().map(CheckpointParts::body).collect();
+    let (db, load) = Database::load_from_chain_report(base_parts.body(), &refs)?;
     Ok(assemble_parsed(
-        top.lsn,
-        &top.session_ids,
+        top_lsn,
+        &deltas[0].session_ids,
         db,
         load,
         total_bytes,

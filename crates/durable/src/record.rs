@@ -27,6 +27,8 @@
 //! bit-for-bit the state that was logged even when the OID generator or
 //! ASR slot table would naturally have chosen differently.
 
+use std::borrow::Cow;
+
 use asr_core::AsrId;
 use asr_gom::snapshot::{decode_value, encode_value, escape, unescape};
 use asr_gom::{Oid, Value};
@@ -205,7 +207,9 @@ impl Record {
             }
         };
         let un = |tok: &str| -> Result<String> {
-            unescape(tok).map_err(|e| bad(format!("bad token `{tok}`: {e}")))
+            unescape(tok)
+                .map(Cow::into_owned)
+                .map_err(|e| bad(format!("bad token `{tok}`: {e}")))
         };
         let op = match toks[1] {
             "NEW" => {
@@ -343,6 +347,48 @@ mod tests {
         }
     }
 
+    /// The payload text and its framed bytes, frozen: records share the
+    /// snapshot's value codec, whose writers were rebuilt to push into one
+    /// buffer.
+    #[test]
+    fn encoded_records_are_pinned() {
+        let lines: Vec<String> = samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| {
+                Record {
+                    lsn: i as u64 + 1,
+                    op,
+                }
+                .to_payload()
+            })
+            .collect();
+        assert_eq!(lines, PINNED_PAYLOADS);
+        let rec = Record {
+            lsn: u64::MAX,
+            op: LogOp::Bind {
+                name: "a b".into(),
+                value: Value::string("c%d=e\nf"),
+            },
+        };
+        assert_eq!(crate::wal::frame(rec.to_payload().as_bytes()), PINNED_FRAME);
+    }
+
+    const PINNED_PAYLOADS: [&str; 9] = [
+        "1 NEW ROBOT%20ARM i17",
+        "2 SET i3 Name S:a%20b%25c%3Dd",
+        "3 INS i9 R:i2",
+        "4 REM i9 N",
+        "5 DEL i0",
+        "6 VAR MyVar I:-5",
+        "7 SIZE Division 500",
+        "8 MKASR 2 ROBOT.Arm.MountedTool full 0,2,3 1",
+        "9 RMASR 2",
+    ];
+    /// `[len 46][crc32][payload]`.
+    const PINNED_FRAME: &[u8] =
+        b"\x2e\0\0\0\xc4\x77\xc0\x4218446744073709551615 VAR a%20b S:c%25d%3De%0Af";
+
     #[test]
     fn malformed_payloads_are_corrupt_errors() {
         for bad in [
@@ -357,6 +403,13 @@ mod tests {
             "5 MKASR nine P full 0 1",
             "5 BOGUS i1",
             "5 SIZE T many",
+            // Hostile bytes the encoder never writes: a bool that is
+            // neither 0 nor 1, an escape outside the five it emits.
+            "5 SET i1 Flag B:2",
+            "5 SET i1 Flag B:",
+            "5 INS i9 S:caf%E9",
+            "5 VAR My%41Var N",
+            "5 NEW ROBOT%0aARM i17",
         ] {
             let err = Record::from_payload(bad).unwrap_err();
             assert!(matches!(err, DurableError::Corrupt(_)), "`{bad}` → {err:?}");

@@ -291,7 +291,7 @@ impl ReplicaApplier {
         let Ok(parts) = split_checkpoint(bytes, "shipped delta checkpoint") else {
             return corrupt(&mut self.status);
         };
-        let Ok(base_id) = Database::delta_base_id(&parts.body) else {
+        let Ok(base_id) = Database::delta_base_id(parts.body()) else {
             return corrupt(&mut self.status);
         };
         if parts.lsn <= base_id {
@@ -322,7 +322,7 @@ impl ReplicaApplier {
         // from our own serialization): failure here is replica-local
         // state damage, which must stop replication loudly.
         let base_parsed = parse_checkpoint(base.snap.clone(), "retained base checkpoint")?;
-        let Ok(patched) = base_parsed.db.apply_delta_from_string(&parts.body) else {
+        let Ok(patched) = base_parsed.db.apply_delta_from_string(parts.body()) else {
             // Strict apply refused the delta (page damage, unknown ASR,
             // …): channel damage from the replica's point of view.
             return corrupt(&mut self.status);

@@ -542,8 +542,8 @@ impl<'a, S: Storage> LogShipper<'a, S> {
         let mut cur_lsn = st.ckpt_lsn;
         loop {
             let parts = split_checkpoint(cur.clone(), "checkpoint")?;
-            let base = if Database::is_delta_snapshot(&parts.body) {
-                Some(Database::delta_base_id(&parts.body)?)
+            let base = if Database::is_delta_snapshot(parts.body()) {
+                Some(Database::delta_base_id(parts.body())?)
             } else {
                 None
             };

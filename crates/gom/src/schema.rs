@@ -214,16 +214,22 @@ impl Schema {
     /// type's own attributes.  Detects name clashes arising from multiple
     /// inheritance.
     pub fn all_attributes(&self, id: TypeId) -> Result<Vec<AttrDef>> {
-        let mut out: Vec<AttrDef> = Vec::new();
+        Ok(self.attribute_refs(id)?.into_iter().cloned().collect())
+    }
+
+    /// [`Schema::all_attributes`] by reference: what per-update lookups
+    /// walk, so that finding one attribute clones no name.
+    fn attribute_refs(&self, id: TypeId) -> Result<Vec<&AttrDef>> {
+        let mut out = Vec::new();
         let mut visited = vec![false; self.defs.len()];
         self.collect_attributes(id, &mut out, &mut visited, &mut Vec::new())?;
         Ok(out)
     }
 
-    fn collect_attributes(
-        &self,
+    fn collect_attributes<'a>(
+        &'a self,
         id: TypeId,
-        out: &mut Vec<AttrDef>,
+        out: &mut Vec<&'a AttrDef>,
         visited: &mut [bool],
         stack: &mut Vec<TypeId>,
     ) -> Result<()> {
@@ -254,7 +260,7 @@ impl Schema {
                     attr: attr.name.clone(),
                 });
             }
-            out.push(attr.clone());
+            out.push(attr);
         }
         stack.pop();
         Ok(())
@@ -263,7 +269,7 @@ impl Schema {
     /// The declared domain of attribute `attr` on tuple type `id`
     /// (searching supertypes).
     pub fn attribute_type(&self, id: TypeId, attr: &str) -> Result<TypeRef> {
-        self.all_attributes(id)?
+        self.attribute_refs(id)?
             .into_iter()
             .find(|a| a.name == attr)
             .map(|a| a.ty)

@@ -17,11 +17,11 @@
 //! Values encode as `N` (NULL), `I:<i64>`, `F:<f64 bits>`, `D:<scaled>`,
 //! `S:<percent-escaped utf-8>`, `C:<char>`, `B:<0|1>`, `R:i<oid>`.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 
 use crate::base::ObjectBase;
 use crate::error::{GomError, Result};
-use crate::object::ObjectBody;
+use crate::object::{Object, ObjectBody};
 use crate::oid::Oid;
 use crate::schema::Schema;
 use crate::types::TypeKind;
@@ -38,58 +38,132 @@ const MAGIC: &str = "GOMSNAP 1";
 /// shares this encoding for its record payloads).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            '=' => out.push_str("%3D"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-/// Inverse of [`escape`].
-pub fn unescape(s: &str) -> Result<String> {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s
-                .get(i + 1..i + 3)
-                .ok_or_else(|| bad(format!("truncated escape in `{s}`")))?;
-            let code =
-                u8::from_str_radix(hex, 16).map_err(|_| bad(format!("bad escape %{hex}")))?;
-            out.push(code as char);
-            i += 3;
-        } else {
-            let c = s[i..].chars().next().expect("in-bounds char");
-            out.push(c);
-            i += c.len_utf8();
-        }
+/// [`escape`], appended to `out`: clean runs are copied whole and nothing
+/// is allocated beyond `out`'s own growth.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (at, c) in s.char_indices() {
+        let code = match c {
+            '%' => "%25",
+            ' ' => "%20",
+            '\n' => "%0A",
+            '\r' => "%0D",
+            '=' => "%3D",
+            _ => continue,
+        };
+        out.push_str(&s[clean..at]);
+        out.push_str(code);
+        clean = at + 1;
     }
-    Ok(out)
+    out.push_str(&s[clean..]);
+}
+
+/// Inverse of [`escape`].  Tokens without an escape are borrowed.  Only
+/// the five codes [`escape`] emits are accepted: any other `%XX` cannot
+/// have come from the writer and is damage.
+pub fn unescape(s: &str) -> Result<Cow<'_, str>> {
+    if !s.contains('%') {
+        return Ok(Cow::Borrowed(s));
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let code = rest
+            .get(at..at + 3)
+            .ok_or_else(|| bad(format!("truncated escape in `{s}`")))?;
+        out.push(match code {
+            "%25" => '%',
+            "%20" => ' ',
+            "%0A" => '\n',
+            "%0D" => '\r',
+            "%3D" => '=',
+            _ => return Err(bad(format!("bad escape {code}"))),
+        });
+        rest = &rest[at + 3..];
+    }
+    out.push_str(rest);
+    Ok(Cow::Owned(out))
 }
 
 fn bad(msg: String) -> GomError {
     GomError::InvalidPath(format!("snapshot: {msg}"))
 }
 
+/// Append `n` in decimal.
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Append `n` in decimal, `-` first when negative.
+fn push_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_u64(out, n.unsigned_abs());
+}
+
+/// Append `items` in decimal, comma-separated (nothing when empty).
+pub fn push_csv(out: &mut String, items: impl IntoIterator<Item = u64>) {
+    for (i, n) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, n);
+    }
+}
+
 /// Encode one [`Value`] in the snapshot's tagged text form
 /// (`N`, `I:<i64>`, `S:<escaped>`, `R:i<oid>`, …).
 pub fn encode_value(v: &Value) -> String {
+    let mut out = String::new();
+    encode_value_into(&mut out, v);
+    out
+}
+
+/// [`encode_value`], appended to `out`.
+pub fn encode_value_into(out: &mut String, v: &Value) {
     match v {
-        Value::Null => "N".into(),
-        Value::Integer(i) => format!("I:{i}"),
-        Value::Float(bits) => format!("F:{bits}"),
-        Value::Decimal(scaled) => format!("D:{scaled}"),
-        Value::String(s) => format!("S:{}", escape(s)),
-        Value::Char(c) => format!("C:{}", escape(&c.to_string())),
-        Value::Bool(b) => format!("B:{}", u8::from(*b)),
-        Value::Ref(oid) => format!("R:i{}", oid.as_raw()),
+        Value::Null => out.push('N'),
+        Value::Integer(i) => {
+            out.push_str("I:");
+            push_i64(out, *i);
+        }
+        Value::Float(bits) => {
+            out.push_str("F:");
+            push_u64(out, *bits);
+        }
+        Value::Decimal(scaled) => {
+            out.push_str("D:");
+            push_i64(out, *scaled);
+        }
+        Value::String(s) => {
+            out.push_str("S:");
+            escape_into(out, s);
+        }
+        Value::Char(c) => {
+            out.push_str("C:");
+            escape_into(out, c.encode_utf8(&mut [0; 4]));
+        }
+        Value::Bool(b) => out.push_str(if *b { "B:1" } else { "B:0" }),
+        Value::Ref(oid) => {
+            out.push_str("R:i");
+            push_u64(out, oid.as_raw());
+        }
     }
 }
 
@@ -112,12 +186,16 @@ pub fn decode_value(s: &str) -> Result<Value> {
                 .map_err(|_| bad(format!("bad float `{body}`")))?,
         ),
         "D" => Value::Decimal(parse_i64(body)?),
-        "S" => Value::String(unescape(body)?),
+        "S" => Value::String(unescape(body)?.into_owned()),
         "C" => {
             let s = unescape(body)?;
             Value::Char(s.chars().next().ok_or_else(|| bad("empty char".into()))?)
         }
-        "B" => Value::Bool(body == "1"),
+        "B" => match body {
+            "1" => Value::Bool(true),
+            "0" => Value::Bool(false),
+            _ => return Err(bad(format!("bad bool `{body}`"))),
+        },
         "R" => {
             let raw = body
                 .strip_prefix('i')
@@ -136,42 +214,39 @@ pub fn decode_value(s: &str) -> Result<Value> {
 /// Serialize a schema to snapshot lines.
 pub fn write_schema(schema: &Schema) -> String {
     let mut out = String::new();
-    for (id, def) in schema.types() {
-        let _ = id;
+    for (_, def) in schema.types() {
+        out.push_str("T ");
+        escape_into(&mut out, &def.name);
         match &def.kind {
             TypeKind::Tuple {
                 supertypes,
                 attributes,
             } => {
-                let sups: Vec<&str> = supertypes.iter().map(|&s| schema.name(s)).collect();
-                let mut line = format!("T {} TUPLE {}|", escape(&def.name), sups.join(","));
-                for a in attributes {
-                    let _ = write!(
-                        line,
-                        " {}={}",
-                        escape(&a.name),
-                        escape(&schema.ref_name(a.ty))
-                    );
+                out.push_str(" TUPLE ");
+                for (i, &sup) in supertypes.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(schema.name(sup));
                 }
-                let _ = writeln!(out, "{line}");
+                out.push('|');
+                for a in attributes {
+                    out.push(' ');
+                    escape_into(&mut out, &a.name);
+                    out.push('=');
+                    escape_into(&mut out, &schema.ref_name(a.ty));
+                }
             }
             TypeKind::Set { element } => {
-                let _ = writeln!(
-                    out,
-                    "T {} SET {}",
-                    escape(&def.name),
-                    escape(&schema.ref_name(*element))
-                );
+                out.push_str(" SET ");
+                escape_into(&mut out, &schema.ref_name(*element));
             }
             TypeKind::List { element } => {
-                let _ = writeln!(
-                    out,
-                    "T {} LIST {}",
-                    escape(&def.name),
-                    escape(&schema.ref_name(*element))
-                );
+                out.push_str(" LIST ");
+                escape_into(&mut out, &schema.ref_name(*element));
             }
         }
+        out.push('\n');
     }
     out
 }
@@ -179,38 +254,61 @@ pub fn write_schema(schema: &Schema) -> String {
 /// Serialize a whole object base (schema, objects, variables).
 pub fn write_base(base: &ObjectBase) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{MAGIC}");
+    write_base_into(&mut out, base);
+    out
+}
+
+/// [`write_base`], appended to `out`.
+pub fn write_base_into(out: &mut String, base: &ObjectBase) {
+    out.push_str(MAGIC);
+    out.push('\n');
     out.push_str(&write_schema(base.schema()));
     for obj in base.objects() {
-        let ty_name = escape(base.schema().name(obj.ty));
-        match &obj.body {
-            ObjectBody::Tuple(attrs) => {
-                let mut line = format!("O i{} {} TUPLE", obj.oid.as_raw(), ty_name);
-                for (k, v) in attrs {
-                    let _ = write!(line, " {}={}", escape(k), encode_value(v));
-                }
-                let _ = writeln!(out, "{line}");
-            }
-            ObjectBody::Set(elems) => {
-                let mut line = format!("O i{} {} SET", obj.oid.as_raw(), ty_name);
-                for v in elems {
-                    let _ = write!(line, " {}", encode_value(v));
-                }
-                let _ = writeln!(out, "{line}");
-            }
-            ObjectBody::List(elems) => {
-                let mut line = format!("O i{} {} LIST", obj.oid.as_raw(), ty_name);
-                for v in elems {
-                    let _ = write!(line, " {}", encode_value(v));
-                }
-                let _ = writeln!(out, "{line}");
-            }
-        }
+        write_object_line(out, base.schema(), obj);
     }
     for (name, value) in base.variables() {
-        let _ = writeln!(out, "V {} {}", escape(name), encode_value(value));
+        write_variable_line(out, name, value);
     }
-    out
+}
+
+/// One `O i<oid> <type> <structure> …` line.
+pub fn write_object_line(out: &mut String, schema: &Schema, obj: &Object) {
+    out.push_str("O i");
+    push_u64(out, obj.oid.as_raw());
+    out.push(' ');
+    escape_into(out, schema.name(obj.ty));
+    match &obj.body {
+        ObjectBody::Tuple(attrs) => {
+            out.push_str(" TUPLE");
+            for (k, v) in attrs {
+                out.push(' ');
+                escape_into(out, k);
+                out.push('=');
+                encode_value_into(out, v);
+            }
+        }
+        ObjectBody::Set(elems) => push_elements(out, " SET", elems),
+        ObjectBody::List(elems) => push_elements(out, " LIST", elems),
+    }
+    out.push('\n');
+}
+
+/// A collection's structure tag and its space-separated elements.
+fn push_elements<'a>(out: &mut String, tag: &str, elems: impl IntoIterator<Item = &'a Value>) {
+    out.push_str(tag);
+    for v in elems {
+        out.push(' ');
+        encode_value_into(out, v);
+    }
+}
+
+/// One `V <name> <value>` line.
+pub fn write_variable_line(out: &mut String, name: &str, value: &Value) {
+    out.push_str("V ");
+    escape_into(out, name);
+    out.push(' ');
+    encode_value_into(out, value);
+    out.push('\n');
 }
 
 // ----------------------------------------------------------------------
@@ -258,7 +356,7 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
     let mut base = ObjectBase::new(schema);
 
     // First pass: materialize every object shell so references resolve.
-    let mut parsed: Vec<(Oid, String, &str)> = Vec::new();
+    let mut parsed: Vec<(Oid, &str)> = Vec::with_capacity(object_lines.len());
     for line in &object_lines {
         let mut parts = line.splitn(4, ' ');
         let _o = parts.next();
@@ -271,10 +369,10 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
             .ok_or_else(|| bad(format!("bad oid `{oid_str}`")))?;
         let oid = Oid::from_raw(raw);
         base.restore_object(oid, &ty)?;
-        parsed.push((oid, ty, rest));
+        parsed.push((oid, rest));
     }
     // Second pass: contents.
-    for (oid, _ty, rest) in parsed {
+    for (oid, rest) in parsed {
         let mut fields = rest.split(' ');
         let kind = fields
             .next()
@@ -340,12 +438,12 @@ fn read_type_line(schema: &mut Schema, line: &str) -> Result<()> {
             let (sups, attrs) = rest
                 .split_once('|')
                 .ok_or_else(|| bad(format!("bad tuple line `{line}`")))?;
-            let supertypes: Vec<String> = sups
+            let supertypes: Vec<Cow<'_, str>> = sups
                 .split(',')
                 .filter(|s| !s.is_empty())
                 .map(unescape)
                 .collect::<Result<_>>()?;
-            let mut attributes: Vec<(String, String)> = Vec::new();
+            let mut attributes: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new();
             for field in attrs.split(' ').filter(|f| !f.is_empty()) {
                 let (a, t) = field
                     .split_once('=')
@@ -354,8 +452,8 @@ fn read_type_line(schema: &mut Schema, line: &str) -> Result<()> {
             }
             schema.define_tuple_sub(
                 &name,
-                supertypes.iter().map(String::as_str),
-                attributes.iter().map(|(a, t)| (a.as_str(), t.as_str())),
+                supertypes.iter().map(|s| &**s),
+                attributes.iter().map(|(a, t)| (&**a, &**t)),
             )?;
         }
         "SET" => {
@@ -410,6 +508,76 @@ mod tests {
         base.bind_variable("AllParts", Value::Ref(list));
         base
     }
+
+    /// One object per value kind the codec knows, with every escaped
+    /// byte in a name, a string and a char.
+    fn every_value_base() -> ObjectBase {
+        let mut s = Schema::new();
+        s.define_tuple(
+            "ALL KINDS",
+            [
+                ("Int", "INTEGER"),
+                ("Flt", "FLOAT"),
+                ("Dec", "DECIMAL"),
+                ("Str =%", "STRING"),
+                ("Chr", "CHAR"),
+                ("Yes", "BOOL"),
+                ("No", "BOOL"),
+                ("Peer", "ALL KINDS"),
+                ("Unset", "STRING"),
+            ],
+        )
+        .unwrap();
+        s.define_set("FLAGS", "BOOL").unwrap();
+        s.define_list("CHARS", "CHAR").unwrap();
+        s.validate().unwrap();
+        let mut base = ObjectBase::new(s);
+        let a = base.instantiate("ALL KINDS").unwrap();
+        let b = base.instantiate("ALL KINDS").unwrap();
+        base.set_attribute(a, "Int", Value::Integer(i64::MIN))
+            .unwrap();
+        base.set_attribute(a, "Flt", Value::float(-2.75)).unwrap();
+        base.set_attribute(a, "Dec", Value::decimal(-3, 7)).unwrap();
+        base.set_attribute(a, "Str =%", Value::string("a b%c=d\ne\rf \u{e9}"))
+            .unwrap();
+        base.set_attribute(a, "Chr", Value::Char(' ')).unwrap();
+        base.set_attribute(a, "Yes", Value::Bool(true)).unwrap();
+        base.set_attribute(a, "No", Value::Bool(false)).unwrap();
+        base.set_attribute(a, "Peer", Value::Ref(b)).unwrap();
+        base.set_attribute(b, "Int", Value::Integer(0)).unwrap();
+        base.set_attribute(b, "Str =%", Value::string("")).unwrap();
+        let flags = base.instantiate("FLAGS").unwrap();
+        base.insert_into_set(flags, Value::Bool(true)).unwrap();
+        base.insert_into_set(flags, Value::Bool(false)).unwrap();
+        let chars = base.instantiate("CHARS").unwrap();
+        for c in ['%', '=', '\n', 'x'] {
+            base.push_to_list(chars, Value::Char(c)).unwrap();
+        }
+        base.bind_variable("The Flags", Value::Ref(flags));
+        base.bind_variable("nothing", Value::Null);
+        base
+    }
+
+    /// The text the writer produced before it stopped building a `String`
+    /// per token: the format is frozen byte for byte.
+    #[test]
+    fn write_base_text_is_pinned() {
+        let text = write_base(&every_value_base());
+        assert_eq!(text, PINNED_BASE);
+        assert_eq!(write_base(&read_base(&text).unwrap()), text);
+    }
+
+    const PINNED_BASE: &str = "\
+GOMSNAP 1\n\
+T ALL%20KINDS TUPLE | Int=INTEGER Flt=FLOAT Dec=DECIMAL Str%20%3D%25=STRING Chr=CHAR Yes=BOOL No=BOOL Peer=ALL%20KINDS Unset=STRING\n\
+T FLAGS SET BOOL\n\
+T CHARS LIST CHAR\n\
+O i0 ALL%20KINDS TUPLE Chr=C:%20 Dec=D:-307 Flt=F:13836746905142427648 Int=I:-9223372036854775808 No=B:0 Peer=R:i1 Str%20%3D%25=S:a%20b%25c%3Dd%0Ae%0Df%20é Yes=B:1\n\
+O i1 ALL%20KINDS TUPLE Int=I:0 Str%20%3D%25=S:\n\
+O i2 FLAGS SET B:0 B:1\n\
+O i3 CHARS LIST C:%25 C:%3D C:%0A C:x\n\
+V The%20Flags R:i2\n\
+V nothing N\n";
 
     #[test]
     fn round_trip_preserves_everything() {
@@ -481,6 +649,21 @@ mod tests {
         assert!(decode_value("R:zebra").is_err());
         assert!(unescape("%zz").is_err());
         assert!(unescape("%2").is_err());
+        // Hostile bytes the writer can never have produced: a bool that
+        // is neither 0 nor 1, and escapes outside the five it emits
+        // (`%E9` used to decode to a Latin-1 `é`, `%41` to `A`).
+        for tok in [
+            "B:", "B:2", "B:true", "B:01", "S:caf%E9", "S:%41", "S:%0a", "C:%80",
+        ] {
+            let err = decode_value(tok).unwrap_err();
+            assert!(matches!(err, GomError::InvalidPath(_)), "`{tok}` → {err:?}");
+        }
+        assert!(read_base("GOMSNAP 1\nT A%FF TUPLE |").is_err());
+        assert!(read_base("GOMSNAP 1\nT A TUPLE | x=BOOL\nO i0 A TUPLE x=B:9").is_err());
+        assert!(read_base("GOMSNAP 1\nV a%00b N").is_err());
+        for (tok, want) in [("B:1", Value::Bool(true)), ("B:0", Value::Bool(false))] {
+            assert_eq!(decode_value(tok).unwrap(), want);
+        }
     }
 
     #[test]

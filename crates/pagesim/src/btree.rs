@@ -122,6 +122,46 @@ pub enum NodeImage<K, V> {
     Free,
 }
 
+/// One slab slot by reference — what [`NodeImage`] owns, borrowed from
+/// the live tree ([`BPlusTree::page`]), for serializers that keep only a
+/// part of each page (a leaf's row ids, say) and would discard a clone.
+#[derive(Debug)]
+pub enum PageRef<'a, K, V> {
+    /// An inner page: `keys.len() + 1` child page ids.
+    Inner {
+        /// Separator keys.
+        keys: &'a [K],
+        /// Child slab slots, one more than `keys`.
+        children: &'a [usize],
+    },
+    /// A leaf page with its right-sibling link.
+    Leaf {
+        /// Sorted `(key, value)` entries.
+        entries: &'a [(K, V)],
+        /// Slab slot of the right sibling leaf, if any.
+        next: Option<usize>,
+    },
+    /// A free slab slot.
+    Free,
+}
+
+impl<K: Clone, V: Clone> PageRef<'_, K, V> {
+    /// Clone the page out into an owned [`NodeImage`].
+    pub fn to_image(&self) -> NodeImage<K, V> {
+        match *self {
+            PageRef::Inner { keys, children } => NodeImage::Inner {
+                keys: keys.to_vec(),
+                children: children.to_vec(),
+            },
+            PageRef::Leaf { entries, next } => NodeImage::Leaf {
+                entries: entries.to_vec(),
+                next,
+            },
+            PageRef::Free => NodeImage::Free,
+        }
+    }
+}
+
 /// A page-faithful physical image of a B+ tree: the complete slab layout
 /// (including free slots), free list and geometry.  Produced by
 /// [`BPlusTree::dump_image`] and re-installed by
@@ -990,22 +1030,48 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             height: self.height,
             len: self.len,
             free: self.free.clone(),
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    Node::Inner { keys, children } => NodeImage::Inner {
-                        keys: keys.clone(),
-                        children: children.clone(),
-                    },
-                    Node::Leaf { entries, next } => NodeImage::Leaf {
-                        entries: entries.clone(),
-                        next: (*next != NO_NODE).then_some(*next),
-                    },
-                    Node::Free => NodeImage::Free,
-                })
+            nodes: (0..self.nodes.len())
+                .map(|slot| self.page(slot).to_image())
                 .collect(),
         }
+    }
+
+    /// Slab slot of the root page.
+    pub fn root_slot(&self) -> usize {
+        self.root
+    }
+
+    /// Free slab slots in pop order (the last element is reused first).
+    pub fn free_slots(&self) -> &[usize] {
+        &self.free
+    }
+
+    /// Slab slots the tree occupies, free ones included.
+    pub fn slot_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Slab slot `slot` by reference — [`BPlusTree::dump_image`] without
+    /// the clone.  Charges nothing.
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= self.slot_count()`.
+    pub fn page(&self, slot: usize) -> PageRef<'_, K, V> {
+        match &self.nodes[slot] {
+            Node::Inner { keys, children } => PageRef::Inner { keys, children },
+            Node::Leaf { entries, next } => PageRef::Leaf {
+                entries,
+                next: (*next != NO_NODE).then_some(*next),
+            },
+            Node::Free => PageRef::Free,
+        }
+    }
+
+    /// The slots stamped at or after `fence`, ascending — the pages a
+    /// delta image since that fence carries.
+    pub fn slots_since(&self, fence: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len()).filter(move |&slot| self.page_epoch(slot) >= fence)
     }
 
     /// The current dirty epoch.  Pages modified from now on are stamped
@@ -1040,30 +1106,16 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// [`BPlusTree::dump_image`].  Charges nothing, like `dump_image`:
     /// the writer layer prices the (delta) bytes it emits.
     pub fn dump_image_since(&self, fence: u64) -> TreeDelta<K, V> {
-        let pages = (0..self.nodes.len())
-            .filter(|&id| self.page_epoch(id) >= fence)
-            .map(|id| {
-                let img = match &self.nodes[id] {
-                    Node::Inner { keys, children } => NodeImage::Inner {
-                        keys: keys.clone(),
-                        children: children.clone(),
-                    },
-                    Node::Leaf { entries, next } => NodeImage::Leaf {
-                        entries: entries.clone(),
-                        next: (*next != NO_NODE).then_some(*next),
-                    },
-                    Node::Free => NodeImage::Free,
-                };
-                (id, img)
-            })
-            .collect();
         TreeDelta {
             root: self.root,
             height: self.height,
             len: self.len,
             free: self.free.clone(),
             total_nodes: self.nodes.len(),
-            pages,
+            pages: self
+                .slots_since(fence)
+                .map(|slot| (slot, self.page(slot).to_image()))
+                .collect(),
         }
     }
 

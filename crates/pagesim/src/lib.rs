@@ -31,7 +31,9 @@ pub mod constants;
 pub mod error;
 pub mod stats;
 
-pub use btree::{build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, TreeDelta, TreeImage};
+pub use btree::{
+    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageRef, TreeDelta, TreeImage,
+};
 pub use buffer::BufferPool;
 pub use clustered::ClusteredFile;
 pub use constants::{bplus_fan, OID_SIZE, PAGE_SIZE, PP_SIZE};
