@@ -549,11 +549,18 @@ impl StoredPartition {
                 img.rows.len()
             )));
         }
+        let listed = img.rows.len();
         p.rows = img
             .rows
             .into_iter()
             .map(|(row, rowid, count)| (row, RowMeta { rowid, count }))
             .collect();
+        if p.rows.len() != listed {
+            return Err(corrupt(format!(
+                "{} rows listed twice under different row ids",
+                listed - p.rows.len()
+            )));
+        }
         p.next_rowid = img.next_rowid;
         // A freshly restored partition is fully dirty relative to the
         // fence-0 default; the loader calls `mark_clean` once the whole

@@ -66,6 +66,17 @@
 //! base's partition page images and text-merges the object section, then
 //! reloads through the v2 restore machinery, so every structural invariant
 //! is re-validated; the input database is never modified.
+//!
+//! ## One writer, one reader
+//!
+//! Each layout is rendered and parsed in exactly one place.
+//! `render_full` writes every `ASRDB 2` document, whether its partition
+//! images are live views ([`Database::save_to_string`]) or pinned MVCC
+//! versions ([`CheckpointSource::save_full`]);
+//! [`CheckpointSource::save_delta`] writes every `ASRDB 3` document.  On
+//! the way in, `read_header` parses the magic (and `DELTA`) lines, one
+//! `Sections` reader parses both partition grammars, and `assemble` is
+//! the load tail both documents share.
 
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet};
@@ -158,11 +169,13 @@ impl Database {
     /// `ASRDB 2` snapshot format.
     pub fn save_to_string(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V2}");
-        self.write_design(&mut out);
-        self.write_physical(&mut out);
-        let _ = writeln!(out, "{BASE_MARKER}");
-        snapshot::write_base_into(&mut out, self.base());
+        render_full(
+            &mut out,
+            &self.design(),
+            self.asrs()
+                .map(|(_, asr)| asr.partitions().iter().map(StoredPartition::view)),
+            self.base(),
+        );
         out
     }
 
@@ -170,76 +183,15 @@ impl Database {
     /// ASRs rebuild on load).  Kept for format-compat tests and for
     /// benchmarking the physical restore against the rebuild path.
     pub fn save_to_string_v1(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V1}");
-        self.write_design(&mut out);
-        let _ = writeln!(out, "{BASE_MARKER}");
+        let mut out = format!("{MAGIC_V1}\n{}{BASE_MARKER}\n", self.design());
         snapshot::write_base_into(&mut out, self.base());
         out
-    }
-
-    /// Serialize only what changed since the last
-    /// [`Database::mark_clean`] fence as an `ASRDB 3` delta on top of the
-    /// checkpoint identified by `base_id` (an opaque caller token — the
-    /// durability layer uses the base checkpoint's LSN).
-    ///
-    /// Returns `None` when the physical design (ASRs, type sizes) changed
-    /// since the fence: deltas never span design changes, so the caller
-    /// must take a full checkpoint instead.  Individual ASRs whose delta
-    /// would exceed [`DELTA_FULL_FRACTION`] of their full section are
-    /// embedded in full v2 form.
-    pub fn save_delta_to_string(&self, base_id: u64) -> Option<String> {
-        if self.is_design_dirty() {
-            return None;
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V3}");
-        let _ = writeln!(out, "DELTA {base_id}");
-        self.write_design(&mut out);
-        for (ordinal, (_, asr)) in self.asrs().enumerate() {
-            let mut delta = String::new();
-            write_asr_delta(&mut delta, ordinal, asr);
-            // An unchanged ASR always ships as an (empty) delta — the size
-            // fraction only arbitrates when there is real change to carry.
-            if asr.changed_rows() == 0 {
-                out.push_str(&delta);
-                continue;
-            }
-            let mut full = String::new();
-            write_asr_physical(&mut full, ordinal, asr);
-            if (delta.len() as f64) <= (full.len() as f64) * DELTA_FULL_FRACTION {
-                out.push_str(&delta);
-            } else {
-                out.push_str(&full);
-            }
-        }
-        let _ = writeln!(out, "{BASE_MARKER}");
-        write_base_delta_from(
-            &mut out,
-            self.base(),
-            self.dead_oids(),
-            self.dirty_oids(),
-            self.dirty_vars(),
-        );
-        Some(out)
     }
 
     /// The base-checkpoint id named by an `ASRDB 3` document's `DELTA`
     /// header — how chain loaders resolve lineage without applying.
     pub fn delta_base_id(text: &str) -> Result<u64> {
-        let bad = |msg: String| AsrError::Snapshot(msg);
-        let mut lines = text.lines();
-        let first = lines.next().ok_or_else(|| bad("empty delta".into()))?;
-        if first.trim() != MAGIC_V3 {
-            return Err(bad(format!("bad magic `{first}` (expected `{MAGIC_V3}`)")));
-        }
-        let second = lines
-            .next()
-            .ok_or_else(|| bad("missing DELTA header".into()))?;
-        second
-            .strip_prefix("DELTA ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| bad(format!("bad DELTA header `{second}`")))
+        Ok(read_header(text, true)?.1)
     }
 
     /// `true` when `text` is an `ASRDB 3` delta document.
@@ -267,121 +219,24 @@ impl Database {
         text: &str,
         strict: bool,
     ) -> Result<(Database, LoadReport)> {
-        let doc = parse_delta_doc(text)?;
-        let mut want_design = String::new();
-        self.write_design(&mut want_design);
-        if doc.design != want_design {
+        let (head, base_text) = split_document(text)?;
+        let (version, _, lines) = read_header(head, true)?;
+        let (design, sections) = read_head(lines, version)?;
+        if let Some((ordinal, reason)) = sections.poisoned.iter().next() {
+            // Unlike the v2 loader there is no per-ASR second chance at
+            // parse time: a delta that cannot be parsed in full is rejected
+            // outright, and only the *apply* step below may rebuild.
+            return Err(AsrError::Snapshot(format!(
+                "partition section for ASR {ordinal}: {reason}"
+            )));
+        }
+        if design != self.design() {
             return Err(AsrError::Snapshot(
                 "delta design section does not match the base database".into(),
             ));
         }
-
-        // ---- base section: canonical text merge --------------------
-        let full = snapshot::write_base(self.base());
-        let mut schema_lines: Vec<&str> = Vec::new();
-        let mut objects: BTreeMap<u64, &str> = BTreeMap::new();
-        let mut vars: BTreeMap<String, &str> = BTreeMap::new();
-        for line in full.lines().skip(1) {
-            if let Some(oid) = parse_o_line_oid(line) {
-                objects.insert(oid.as_raw(), line);
-            } else if let Some(name) = parse_v_line_name(line) {
-                vars.insert(name, line);
-            } else {
-                schema_lines.push(line);
-            }
-        }
-        for oid in &doc.dead_oids {
-            // Rows deleted after the base may never have shipped: tolerate.
-            objects.remove(oid);
-        }
-        for (oid, line) in &doc.o_upserts {
-            objects.insert(*oid, *line);
-        }
-        for (name, line) in &doc.v_upserts {
-            vars.insert(name.clone(), *line);
-        }
-        if objects.len() != doc.object_count {
-            return Err(AsrError::Snapshot(format!(
-                "patched base has {} objects, delta expects {}",
-                objects.len(),
-                doc.object_count
-            )));
-        }
-        let mut merged = String::from("GOMSNAP 1\n");
-        let lines = schema_lines
-            .iter()
-            .chain(objects.values())
-            .chain(vars.values());
-        for line in lines {
-            merged.push_str(line);
-            merged.push('\n');
-        }
-        let base = snapshot::read_base(&merged)?;
-
-        // ---- reassemble, mirroring the v2 load tail ----------------
-        let stats = asr_pagesim::IoStats::new_handle();
-        let mut store = ObjectStore::new(Rc::clone(&stats));
-        for line in doc.design.lines() {
-            if let Some(rest) = line.strip_prefix("S ") {
-                let (name, size) = rest
-                    .split_once(' ')
-                    .and_then(|(n, s)| s.parse::<usize>().ok().map(|s| (n, s)))
-                    .ok_or_else(|| AsrError::Snapshot(format!("bad S line `{line}`")))?;
-                store.set_type_size(base.schema().require(name)?, size);
-            }
-        }
-        store.sync_with_base(&base)?;
-        let mut db = Database::from_parts(base, store, stats);
-
-        let mut report = LoadReport {
-            version: 3,
-            asrs: Vec::new(),
-            physical_bytes: 0,
-            delta_chain: 1,
-        };
-        let mut sections = doc.sections;
-        for (ordinal, (_, old_asr)) in self.asrs().enumerate() {
-            let path = old_asr.path().clone();
-            let config = old_asr.config().clone();
-            let outcome: std::result::Result<(AsrId, AsrLoadMode, usize), String> =
-                match sections.remove(&ordinal) {
-                    Some((DeltaSection::Full(images), bytes)) => {
-                        try_physical(&mut db, &path, &config, images)
-                            .map(|id| (id, AsrLoadMode::Physical, bytes))
-                            .map_err(|e| e.to_string())
-                    }
-                    Some((DeltaSection::Delta(deltas), bytes)) => {
-                        patch_and_restore(&mut db, old_asr, &deltas)
-                            .map(|(id, pages)| (id, AsrLoadMode::Delta { pages }, bytes))
-                            .map_err(|e| e.to_string())
-                    }
-                    None => Err("no delta section for this ASR".into()),
-                };
-            match outcome {
-                Ok((id, mode, bytes)) => {
-                    report.physical_bytes += bytes;
-                    report.asrs.push((id, mode));
-                }
-                Err(reason) if strict => {
-                    return Err(AsrError::Snapshot(format!(
-                        "delta section for ASR {ordinal} ({path}): {reason}"
-                    )));
-                }
-                Err(reason) => {
-                    charge_path_scans(&db, &path);
-                    let id = db.create_asr(path, config)?;
-                    report.asrs.push((id, AsrLoadMode::Rebuilt(reason)));
-                }
-            }
-        }
-        if let Some((&ordinal, _)) = sections.iter().next() {
-            return Err(AsrError::Snapshot(format!(
-                "delta section references ASR {ordinal} but the base has only {}",
-                self.asrs().count()
-            )));
-        }
-        db.mark_clean();
-        Ok((db, report))
+        let base = merge_base_delta(self.base(), base_text)?;
+        assemble(base, &design, sections, version, Some(self), strict)
     }
 
     /// Load a full snapshot plus a chain of deltas, each applied on top of
@@ -400,32 +255,29 @@ impl Database {
         Ok((db, report))
     }
 
-    /// The design section shared by both format versions: `S` lines
+    /// The design section every format version shares: `S` lines
     /// (clustered sizes) and `A` lines (ASR configurations).
-    fn write_design(&self, out: &mut String) {
+    fn design(&self) -> String {
         let mut sizes: Vec<(String, usize)> = self
             .store()
             .configured_sizes()
             .map(|(ty, size)| (self.base().schema().name(ty).to_string(), size))
             .collect();
         sizes.sort();
+        let mut out = String::new();
         for (name, size) in sizes {
             let _ = writeln!(out, "S {name} {size}");
         }
         for (_, asr) in self.asrs() {
             let config = asr.config();
             let _ = write!(out, "A {} {} ", asr.path(), config.extension.name());
-            push_csv(out, config.decomposition.cuts().iter().map(|&c| c as u64));
+            push_csv(
+                &mut out,
+                config.decomposition.cuts().iter().map(|&c| c as u64),
+            );
             out.push_str(if config.keep_set_oids { " 1\n" } else { " 0\n" });
         }
-    }
-
-    /// The v2 physical section: per partition, the row mirror and both
-    /// tree images.  ASRs are numbered by their `A`-line ordinal.
-    fn write_physical(&self, out: &mut String) {
-        for (ordinal, (_, asr)) in self.asrs().enumerate() {
-            write_asr_physical(out, ordinal, asr);
-        }
+        out
     }
 
     /// Restore a database from snapshot text: objects keep their OIDs,
@@ -438,96 +290,11 @@ impl Database {
     /// [`Database::load_from_string`] plus a [`LoadReport`] describing
     /// the format version and how each ASR was restored.
     pub fn load_from_string_report(text: &str) -> Result<(Database, LoadReport)> {
-        let bad = |msg: String| AsrError::Snapshot(msg);
-        let (head, base_text) = text
-            .split_once(&format!("{BASE_MARKER}\n"))
-            .ok_or_else(|| bad("missing --BASE-- marker".into()))?;
-        let mut lines = head.lines();
-        let first = lines.next().ok_or_else(|| bad("empty snapshot".into()))?;
-        let version: u32 = match first.trim() {
-            MAGIC_V1 => 1,
-            MAGIC_V2 => 2,
-            other => return Err(bad(format!("bad magic `{other}`"))),
-        };
+        let (head, base_text) = split_document(text)?;
+        let (version, _, lines) = read_header(head, false)?;
         let base = snapshot::read_base(base_text)?;
-
-        let stats = asr_pagesim::IoStats::new_handle();
-        let mut store = ObjectStore::new(Rc::clone(&stats));
-        let mut asr_lines: Vec<&str> = Vec::new();
-        let mut phys = PhysParser::default();
-        for line in lines {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match line.split(' ').next() {
-                Some("S") => {
-                    let mut parts = line.splitn(3, ' ');
-                    let _s = parts.next();
-                    let name = parts.next().ok_or_else(|| bad("S: missing type".into()))?;
-                    let size: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("S: bad size".into()))?;
-                    let ty = base.schema().require(name)?;
-                    store.set_type_size(ty, size);
-                }
-                Some("A") => asr_lines.push(line),
-                Some("P" | "R" | "T" | "N") if version == 2 => phys.feed(line)?,
-                other => return Err(bad(format!("unknown record `{other:?}`"))),
-            }
-        }
-        phys.finish();
-        if let Some(&k) = phys
-            .done
-            .keys()
-            .chain(phys.poisoned.keys())
-            .find(|&&k| k >= asr_lines.len())
-        {
-            return Err(bad(format!(
-                "physical section references ASR {k} but only {} declared",
-                asr_lines.len()
-            )));
-        }
-        store.sync_with_base(&base)?;
-        let mut db = Database::from_parts(base, store, stats);
-
-        let mut report = LoadReport {
-            version,
-            asrs: Vec::new(),
-            physical_bytes: 0,
-            delta_chain: 0,
-        };
-        for (ordinal, line) in asr_lines.into_iter().enumerate() {
-            let (path, config) = parse_a_line(&db, line)?;
-            let outcome: std::result::Result<AsrId, String> = if version == 1 {
-                Err("v1 snapshot".into())
-            } else if let Some(reason) = phys.poisoned.get(&ordinal) {
-                Err(reason.clone())
-            } else if let Some(images) = phys.done.remove(&ordinal) {
-                try_physical(&mut db, &path, &config, images).map_err(|e| e.to_string())
-            } else {
-                Err("no physical section for this ASR".into())
-            };
-            match outcome {
-                Ok(id) => {
-                    report.physical_bytes += phys.bytes.get(&ordinal).copied().unwrap_or(0);
-                    report.asrs.push((id, AsrLoadMode::Physical));
-                }
-                Err(reason) => {
-                    // Rebuild from configuration.  A cold recovery has to
-                    // read every extent along the path to recompute the
-                    // extension, so charge those scans explicitly.
-                    charge_path_scans(&db, &path);
-                    let id = db.create_asr(path, config)?;
-                    report.asrs.push((id, AsrLoadMode::Rebuilt(reason)));
-                }
-            }
-        }
-        // The loaded snapshot is the fence the next delta checkpoint is
-        // measured against.
-        db.mark_clean();
-        Ok((db, report))
+        let (design, sections) = read_head(lines, version)?;
+        assemble(base, &design, sections, version, None, false)
     }
 
     /// Save to a file.
@@ -554,16 +321,14 @@ impl Database {
     /// dirty sets — then advance the change-tracking fence
     /// ([`Database::mark_clean`]).
     ///
-    /// The returned [`CheckpointSource`] renders the `ASRDB 2` / `ASRDB 3`
-    /// documents **byte-identical** to what [`Database::save_to_string`] /
-    /// [`Database::save_delta_to_string`] would have produced at this
-    /// instant, but without holding the database: the session keeps
+    /// The returned [`CheckpointSource`] renders the `ASRDB 2` document
+    /// **byte-identical** to what [`Database::save_to_string`] would have
+    /// produced at this instant, and the `ASRDB 3` delta since the previous
+    /// fence, but without holding the database: the session keeps
     /// mutating (and serving snapshot readers) while the checkpoint text
     /// is composed and written out.
     pub fn begin_checkpoint(&mut self) -> CheckpointSource {
         let snap = self.snapshot();
-        let mut design = String::new();
-        self.write_design(&mut design);
         let asrs = self
             .asrs()
             .map(|(_, asr)| AsrCheckpoint {
@@ -577,7 +342,7 @@ impl Database {
             .collect();
         let source = CheckpointSource {
             snapshot: snap,
-            design,
+            design: self.design(),
             design_dirty: self.is_design_dirty(),
             asrs,
             dead_oids: self.dead_oids().clone(),
@@ -656,52 +421,46 @@ impl CheckpointSource {
     /// frames the document (the durability layer's `CKPT` header) renders
     /// it in place instead of copying it behind the frame.
     pub fn save_full_into(&self, out: &mut String) {
-        let _ = writeln!(out, "{MAGIC_V2}");
-        out.push_str(&self.design);
-        for (ordinal, images) in self.snapshot.asr_images().iter().enumerate() {
-            for (pidx, img) in images.iter().enumerate() {
-                write_partition_image(out, ordinal, pidx, img);
-            }
-        }
-        let _ = writeln!(out, "{BASE_MARKER}");
-        snapshot::write_base_into(out, self.snapshot.base());
+        render_full(
+            out,
+            &self.design,
+            self.snapshot.asr_images(),
+            self.snapshot.base(),
+        );
     }
 
-    /// Render the `ASRDB 3` delta document on top of `base_id` — byte-
-    /// identical to [`Database::save_delta_to_string`] at the fence.
-    /// `None` when the design changed since the previous fence.
+    /// Render the `ASRDB 3` delta document on top of `base_id`: what
+    /// changed between the previous fence and this one.  `None` when the
+    /// design changed since the previous fence.
+    ///
+    /// Individual ASRs whose delta would exceed [`DELTA_FULL_FRACTION`]
+    /// of their full section are embedded in full v2 form; an unchanged
+    /// ASR always ships as an (empty) delta — the size fraction only
+    /// arbitrates when there is real change to carry.
     pub fn save_delta(&self, base_id: u64) -> Option<String> {
         if self.design_dirty {
             return None;
         }
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V3}");
-        let _ = writeln!(out, "DELTA {base_id}");
-        out.push_str(&self.design);
+        let mut out = format!("{MAGIC_V3}\nDELTA {base_id}\n{}", self.design);
         let images = self.snapshot.asr_images();
-        for (ordinal, asr) in self.asrs.iter().enumerate() {
-            let mut delta = String::new();
+        for (ordinal, (asr, images)) in self.asrs.iter().zip(images).enumerate() {
+            let mut section = String::new();
             for (pidx, d) in asr.deltas.iter().enumerate() {
-                write_partition_delta(&mut delta, ordinal, pidx, d);
+                write_partition_delta(&mut section, ordinal, pidx, d);
             }
-            // Same arbitration as the live writer: unchanged ASRs always
-            // ship as (empty) deltas; otherwise size decides.
-            if asr.changed_rows == 0 {
-                out.push_str(&delta);
-                continue;
+            if asr.changed_rows > 0 {
+                let mut full = String::new();
+                for (pidx, img) in images.into_iter().enumerate() {
+                    write_partition_image(&mut full, ordinal, pidx, img);
+                }
+                if (section.len() as f64) > (full.len() as f64) * DELTA_FULL_FRACTION {
+                    section = full;
+                }
             }
-            let mut full = String::new();
-            for (pidx, img) in images[ordinal].iter().enumerate() {
-                write_partition_image(&mut full, ordinal, pidx, img);
-            }
-            if (delta.len() as f64) <= (full.len() as f64) * DELTA_FULL_FRACTION {
-                out.push_str(&delta);
-            } else {
-                out.push_str(&full);
-            }
+            out.push_str(&section);
         }
         let _ = writeln!(out, "{BASE_MARKER}");
-        write_base_delta_from(
+        write_base_delta(
             &mut out,
             self.snapshot.base(),
             &self.dead_oids,
@@ -710,6 +469,27 @@ impl CheckpointSource {
         );
         Some(out)
     }
+}
+
+/// The one `ASRDB 2` writer: header, design, every partition's `P`/`R`/
+/// `T`/`N` lines, base.  `asrs` yields each ASR's partition images in
+/// `A`-line order — live views or pinned MVCC versions, which therefore
+/// render the same bytes.
+fn render_full<R: Borrow<Row>>(
+    out: &mut String,
+    design: &str,
+    asrs: impl IntoIterator<Item = impl IntoIterator<Item = impl Borrow<PartitionImage<R>>>>,
+    base: &ObjectBase,
+) {
+    let _ = writeln!(out, "{MAGIC_V2}");
+    out.push_str(design);
+    for (ordinal, images) in asrs.into_iter().enumerate() {
+        for (pidx, img) in images.into_iter().enumerate() {
+            write_partition_image(out, ordinal, pidx, img.borrow());
+        }
+    }
+    let _ = writeln!(out, "{BASE_MARKER}");
+    snapshot::write_base_into(out, base);
 }
 
 /// Append an optional cell as a single space-free token (the GOM value
@@ -734,6 +514,19 @@ fn push_csv_or_dash(out: &mut String, items: impl IntoIterator<Item = u64>) {
     if out.len() == start {
         out.push('-');
     }
+}
+
+/// Parse a [`push_csv_or_dash`] token; `what` names an element in errors.
+fn parse_csv_or_dash<T: std::str::FromStr>(
+    tok: &str,
+    what: &str,
+) -> std::result::Result<Vec<T>, String> {
+    if tok == "-" {
+        return Ok(Vec::new());
+    }
+    tok.split(',')
+        .map(|s| s.parse().map_err(|_| format!("bad {what} `{s}`")))
+        .collect()
 }
 
 /// Append the mirror rows as `R <rowid> <count> <cell> …` lines.
@@ -804,14 +597,6 @@ fn write_node_line(out: &mut String, dir: char, id: usize, node: &RawNode, emit_
     out.push('\n');
 }
 
-/// One ASR's full physical section in the v2 grammar (`P`/`R`/`T`/`N`) —
-/// the whole-snapshot writer and the per-ASR fallback inside v3 deltas.
-fn write_asr_physical(out: &mut String, ordinal: usize, asr: &AccessSupportRelation) {
-    for (pidx, part) in asr.partitions().iter().enumerate() {
-        write_partition_image(out, ordinal, pidx, &part.view());
-    }
-}
-
 /// One partition's `P`/`R`/`T`/`N` lines from an image — a live
 /// partition's view or a checkpoint's captured version.
 fn write_partition_image<R: Borrow<Row>>(
@@ -833,17 +618,9 @@ fn write_partition_image<R: Borrow<Row>>(
     write_tree(out, ordinal, pidx, 'b', &img.bwd);
 }
 
-/// One ASR's delta section (`D`/`R`/`X`/`U`/`N`): rows changed since the
-/// fence, rows physically removed, and the pages each tree stamped.
-fn write_asr_delta(out: &mut String, ordinal: usize, asr: &AccessSupportRelation) {
-    for (pidx, part) in asr.partitions().iter().enumerate() {
-        write_partition_delta(out, ordinal, pidx, &part.dump_delta());
-    }
-}
-
-/// One partition's `D`/`R`/`X`/`U`/`N` lines from an already-captured
-/// delta — shared by the live writer and checkpoint-from-snapshot
-/// serialization.
+/// One partition's `D`/`R`/`X`/`U`/`N` lines from a captured delta: rows
+/// changed since the fence, rows physically removed, and the pages each
+/// tree stamped.
 fn write_partition_delta(out: &mut String, ordinal: usize, pidx: usize, d: &PartitionDelta) {
     let _ = writeln!(
         out,
@@ -886,7 +663,7 @@ fn write_tree_delta(out: &mut String, ordinal: usize, pidx: usize, dir: char, d:
 /// `base`, written by the same line writers as a full serialization (so
 /// the merge on the other side reproduces the canonical text
 /// byte-for-byte).
-fn write_base_delta_from(
+fn write_base_delta(
     out: &mut String,
     base: &ObjectBase,
     dead_oids: &BTreeSet<Oid>,
@@ -915,6 +692,241 @@ fn write_base_delta_from(
         }
     }
     let _ = writeln!(out, "{END_MARKER}");
+}
+
+/// Split a document at its `--BASE--` marker into head and base section.
+fn split_document(text: &str) -> Result<(&str, &str)> {
+    text.split_once(&format!("{BASE_MARKER}\n"))
+        .ok_or_else(|| AsrError::Snapshot("missing --BASE-- marker".into()))
+}
+
+/// The one header parse: the magic line — `ASRDB 1`/`2` for a full
+/// document, or `ASRDB 3` and its `DELTA <base-id>` line when `delta` —
+/// returning the version, the base id (0 for a full document) and the
+/// head lines after the header.
+fn read_header(text: &str, delta: bool) -> Result<(u32, u64, std::str::Lines<'_>)> {
+    let bad = |msg: String| AsrError::Snapshot(msg);
+    let mut lines = text.lines();
+    let first = lines.next().ok_or_else(|| bad("empty snapshot".into()))?;
+    let version = match (first.trim(), delta) {
+        (MAGIC_V1, false) => 1,
+        (MAGIC_V2, false) => 2,
+        (MAGIC_V3, true) => 3,
+        (_, true) => return Err(bad(format!("bad magic `{first}` (expected `{MAGIC_V3}`)"))),
+        (other, false) => return Err(bad(format!("bad magic `{other}`"))),
+    };
+    if !delta {
+        return Ok((version, 0, lines));
+    }
+    let second = lines
+        .next()
+        .ok_or_else(|| bad("missing DELTA header".into()))?;
+    let base_id = second
+        .strip_prefix("DELTA ")
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or_else(|| bad(format!("bad DELTA header `{second}`")))?;
+    Ok((version, base_id, lines))
+}
+
+/// Read a document head after its header: the design lines (`S`/`A`)
+/// verbatim, and every partition section through the one [`Sections`]
+/// reader — the full grammar from v2 on, the delta grammar in v3.
+fn read_head<'a>(lines: impl Iterator<Item = &'a str>, version: u32) -> Result<(String, Sections)> {
+    let mut design = String::new();
+    let mut sections = Sections::default();
+    for line in lines {
+        let line = line.trim_end();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let tag = line.split(' ').next().unwrap_or("");
+        match tag {
+            "S" | "A" => {
+                design.push_str(line);
+                design.push('\n');
+            }
+            "P" | "R" | "T" | "N" if version >= 2 => sections.feed(tag, line)?,
+            "D" | "X" | "U" if version == 3 => sections.feed(tag, line)?,
+            other => return Err(AsrError::Snapshot(format!("unknown record `{other}`"))),
+        }
+    }
+    sections.finalize_current();
+    Ok((design, sections))
+}
+
+/// The load tail both documents share: size the clustered files (`S`),
+/// attach the object base, restore each ASR (`A`, in order) from its
+/// section or rebuild it, and fence the result.  `patched` is the database
+/// an `ASRDB 3` delta applies to; `strict` turns an ASR that cannot be
+/// restored into an error instead of a rebuild.
+fn assemble(
+    base: ObjectBase,
+    design: &str,
+    mut sections: Sections,
+    version: u32,
+    patched: Option<&Database>,
+    strict: bool,
+) -> Result<(Database, LoadReport)> {
+    let bad = |msg: String| AsrError::Snapshot(msg);
+    let stats = asr_pagesim::IoStats::new_handle();
+    let mut store = ObjectStore::new(Rc::clone(&stats));
+    let mut asr_lines: Vec<&str> = Vec::new();
+    for line in design.lines() {
+        if !line.starts_with('S') {
+            asr_lines.push(line);
+            continue;
+        }
+        let mut parts = line.splitn(3, ' ');
+        let _s = parts.next();
+        let name = parts.next().ok_or_else(|| bad("S: missing type".into()))?;
+        let size: usize = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad("S: bad size".into()))?;
+        store.set_type_size(base.schema().require(name)?, size);
+    }
+    if let Some(&k) = sections
+        .done
+        .keys()
+        .chain(sections.poisoned.keys())
+        .find(|&&k| k >= asr_lines.len())
+    {
+        return Err(bad(format!(
+            "physical section references ASR {k} but only {} declared",
+            asr_lines.len()
+        )));
+    }
+    store.sync_with_base(&base)?;
+    let mut db = Database::from_parts(base, store, stats);
+    let patched: Vec<&AccessSupportRelation> =
+        patched.map_or_else(Vec::new, |p| p.asrs().map(|(_, asr)| asr).collect());
+
+    let mut report = LoadReport {
+        version,
+        asrs: Vec::new(),
+        physical_bytes: 0,
+        delta_chain: usize::from(version == 3),
+    };
+    for (ordinal, line) in asr_lines.into_iter().enumerate() {
+        let (path, config) = parse_a_line(&db, line)?;
+        let poisoned = sections.poisoned.remove(&ordinal);
+        let outcome = match (poisoned, sections.done.remove(&ordinal)) {
+            _ if version == 1 => Err("v1 snapshot".to_string()),
+            (Some(reason), _) => Err(reason),
+            (None, Some(section)) => {
+                let base = patched.get(ordinal).copied();
+                restore_asr(&mut db, &path, &config, section, base).map_err(|e| e.to_string())
+            }
+            (None, None) if version == 3 => Err("no delta section for this ASR".into()),
+            (None, None) => Err("no physical section for this ASR".into()),
+        };
+        match outcome {
+            Ok((id, mode)) => {
+                report.physical_bytes += sections.bytes.get(&ordinal).copied().unwrap_or(0);
+                report.asrs.push((id, mode));
+            }
+            Err(reason) if strict => {
+                return Err(bad(format!(
+                    "delta section for ASR {ordinal} ({path}): {reason}"
+                )));
+            }
+            Err(reason) => {
+                // Rebuild from configuration.  A cold recovery has to
+                // read every extent along the path to recompute the
+                // extension, so charge those scans explicitly.
+                charge_path_scans(&db, &path);
+                let id = db.create_asr(path, config)?;
+                report.asrs.push((id, AsrLoadMode::Rebuilt(reason)));
+            }
+        }
+    }
+    // The loaded snapshot is the fence the next delta checkpoint is
+    // measured against.
+    db.mark_clean();
+    Ok((db, report))
+}
+
+/// Apply a `GOMDELTA 1` section to `base` by canonical text merge: the
+/// base's `GOMSNAP` lines with dead objects dropped and changed objects
+/// and variables replaced, re-read as a fresh object base.
+fn merge_base_delta(base: &ObjectBase, text: &str) -> Result<ObjectBase> {
+    let bad = |msg: String| AsrError::Snapshot(msg);
+    let mut lines = text.lines();
+    let header = lines
+        .next()
+        .ok_or_else(|| bad("missing GOMDELTA header".into()))?;
+    let object_count: usize = header
+        .strip_prefix("GOMDELTA 1 ")
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or_else(|| bad(format!("bad GOMDELTA header `{header}`")))?;
+    let xline = lines
+        .next()
+        .ok_or_else(|| bad("missing deleted-OID record".into()))?;
+    let dead = xline
+        .strip_prefix("X ")
+        .ok_or_else(|| bad(format!("bad deleted-OID record `{xline}`")))?;
+
+    let full = snapshot::write_base(base);
+    let mut schema_lines: Vec<&str> = Vec::new();
+    let mut objects: BTreeMap<u64, &str> = BTreeMap::new();
+    let mut vars: BTreeMap<String, &str> = BTreeMap::new();
+    for line in full.lines().skip(1) {
+        if let Some(oid) = parse_o_line_oid(line) {
+            objects.insert(oid.as_raw(), line);
+        } else if let Some(name) = parse_v_line_name(line) {
+            vars.insert(name, line);
+        } else {
+            schema_lines.push(line);
+        }
+    }
+    if dead != "-" {
+        for tok in dead.split(',') {
+            let oid: u64 = tok
+                .strip_prefix('i')
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| bad(format!("bad deleted OID `{tok}`")))?;
+            // Rows deleted after the base may never have shipped: tolerate.
+            objects.remove(&oid);
+        }
+    }
+    let mut ended = false;
+    for line in lines {
+        let line = line.trim_end();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if ended {
+            return Err(bad(format!("record after {END_MARKER}: `{line}`")));
+        }
+        if line == END_MARKER {
+            ended = true;
+        } else if let Some(oid) = parse_o_line_oid(line) {
+            objects.insert(oid.as_raw(), line);
+        } else if let Some(name) = parse_v_line_name(line) {
+            vars.insert(name, line);
+        } else {
+            return Err(bad(format!("unknown base delta record `{line}`")));
+        }
+    }
+    if !ended {
+        return Err(bad(format!("truncated delta: missing {END_MARKER}")));
+    }
+    if objects.len() != object_count {
+        return Err(bad(format!(
+            "patched base has {} objects, delta expects {object_count}",
+            objects.len()
+        )));
+    }
+    let mut merged = String::from("GOMSNAP 1\n");
+    for line in schema_lines
+        .iter()
+        .chain(objects.values())
+        .chain(vars.values())
+    {
+        merged.push_str(line);
+        merged.push('\n');
+    }
+    Ok(snapshot::read_base(&merged)?)
 }
 
 /// Parse one `A` line into a path and configuration.
@@ -957,15 +969,42 @@ fn charge_path_scans(db: &Database, path: &PathExpression) {
     }
 }
 
-/// Physically restore one ASR from its partition images: tag + adopt both
-/// trees of every partition and attach the ASR.  No extension join runs —
-/// the logical mirror derives lazily on first maintenance use.
-fn try_physical(
+/// Physically restore one ASR from its section — a full section's images
+/// as they are, a delta section's after patching them onto the images of
+/// `base` (the ASR at the same ordinal in the database the delta applies
+/// to): tag + adopt both trees of every partition and attach the ASR.  No
+/// extension join runs — the logical mirror derives lazily on first
+/// maintenance use.
+fn restore_asr(
     db: &mut Database,
     path: &PathExpression,
     config: &AsrConfig,
-    images: Vec<PartitionImage>,
-) -> Result<AsrId> {
+    section: AsrSection,
+    base: Option<&AccessSupportRelation>,
+) -> Result<(AsrId, AsrLoadMode)> {
+    let (images, mode) = match section {
+        AsrSection::Full(images) => (images, AsrLoadMode::Physical),
+        AsrSection::Delta(deltas) => {
+            let parts = base.map_or(&[][..], |asr| asr.partitions());
+            if deltas.len() != parts.len() {
+                return Err(AsrError::Snapshot(format!(
+                    "delta has {} partitions, base has {}",
+                    deltas.len(),
+                    parts.len()
+                )));
+            }
+            let pages = deltas
+                .iter()
+                .map(|d| d.fwd.pages.len() + d.bwd.pages.len())
+                .sum();
+            let images = parts
+                .iter()
+                .zip(&deltas)
+                .map(|(part, d)| part.dump().apply_delta(d))
+                .collect::<Result<_>>()?;
+            (images, AsrLoadMode::Delta { pages })
+        }
+    };
     let stats = Rc::clone(db.stats());
     let mut parts = Vec::with_capacity(images.len());
     for img in images {
@@ -973,33 +1012,7 @@ fn try_physical(
         parts.push(StoredPartition::restore(img, Rc::clone(&stats), &label)?);
     }
     let asr = AccessSupportRelation::from_restored(path.clone(), config.clone(), parts, stats)?;
-    Ok(db.attach_asr(asr))
-}
-
-/// Patch one ASR's base images with its delta section and restore the
-/// result — the v3 counterpart of [`try_physical`].  Returns the new id
-/// and the number of tree pages the delta carried.
-fn patch_and_restore(
-    db: &mut Database,
-    base_asr: &AccessSupportRelation,
-    deltas: &[PartitionDelta],
-) -> Result<(AsrId, usize)> {
-    let parts = base_asr.partitions();
-    if deltas.len() != parts.len() {
-        return Err(AsrError::Snapshot(format!(
-            "delta has {} partitions, base has {}",
-            deltas.len(),
-            parts.len()
-        )));
-    }
-    let mut pages = 0;
-    let mut images = Vec::with_capacity(deltas.len());
-    for (part, d) in parts.iter().zip(deltas) {
-        pages += d.fwd.pages.len() + d.bwd.pages.len();
-        images.push(part.dump().apply_delta(d)?);
-    }
-    let id = try_physical(db, base_asr.path(), base_asr.config(), images)?;
-    Ok((id, pages))
+    Ok((db.attach_asr(asr), mode))
 }
 
 /// Parse an `R` line into a `(row, rowid, witness count)` triple for a
@@ -1015,10 +1028,9 @@ fn parse_r_line(line: &str, arity: usize) -> std::result::Result<(Row, u64, u64)
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or("R: bad witness count")?;
-    let mut cells: Vec<Option<Cell>> = Vec::with_capacity(arity);
-    for tok in it {
-        cells.push(parse_cell(tok).map_err(|e| e.to_string())?);
-    }
+    let cells: Vec<Option<Cell>> = it
+        .map(|tok| parse_cell(tok).map_err(|e| e.to_string()))
+        .collect::<std::result::Result<_, _>>()?;
     if cells.len() != arity {
         return Err(format!("R: {} cells for arity {arity}", cells.len()));
     }
@@ -1086,13 +1098,7 @@ fn parse_node_body<'a>(
                         .map_err(|_| format!("bad sibling `{sibling}`"))?,
                 )
             };
-            let rowids: Vec<u64> = if ids == "-" {
-                Vec::new()
-            } else {
-                ids.split(',')
-                    .map(|s| s.parse().map_err(|_| format!("bad row id `{s}`")))
-                    .collect::<std::result::Result<_, _>>()?
-            };
+            let rowids = parse_csv_or_dash(ids, "row id")?;
             Ok(RawNode::Leaf { rowids, next })
         }
         other => Err(format!("bad page kind `{other}`")),
@@ -1115,430 +1121,60 @@ fn parse_v_line_name(line: &str) -> Option<String> {
     snapshot::unescape(name).ok().map(Cow::into_owned)
 }
 
-/// One ASR's physical payload inside a v3 document.
-enum DeltaSection {
-    /// Full v2 `P`/`R`/`T`/`N` fallback — the delta was not worth it.
+/// One ASR's partition sections, all in one grammar.
+enum AsrSection {
+    /// Full `P`/`R`/`T`/`N` images — every ASR of an `ASRDB 2`, and a
+    /// delta document's fallback when the delta was not worth it.
     Full(Vec<PartitionImage>),
-    /// True `D`/`R`/`X`/`U`/`N` delta, one entry per partition.
+    /// `D`/`R`/`X`/`U`/`N` patches, one per partition.
     Delta(Vec<PartitionDelta>),
 }
 
-/// A parsed, not-yet-applied `ASRDB 3` document.
-struct DeltaDoc<'a> {
-    /// The design section verbatim (newline-terminated `S`/`A` lines),
-    /// compared byte-wise against the base database's own design.
-    design: String,
-    /// Physical payload and serialized byte count per `A`-line ordinal.
-    sections: BTreeMap<usize, (DeltaSection, usize)>,
-    /// Expected object count after patching the base section.
-    object_count: usize,
-    /// Raw OIDs deleted since the base checkpoint.
-    dead_oids: Vec<u64>,
-    /// Changed objects: `(raw oid, full O line)`.
-    o_upserts: Vec<(u64, &'a str)>,
-    /// Rebound variables: `(name, full V line)`.
-    v_upserts: Vec<(String, &'a str)>,
-}
-
-/// Parse a v3 document.  Unlike the v2 loader there is no per-ASR poison
-/// pool: a delta that cannot be parsed in full is rejected outright, and
-/// the *apply* step decides between failing (strict) and rebuilding
-/// (lenient).
-fn parse_delta_doc(text: &str) -> Result<DeltaDoc<'_>> {
-    let bad = |msg: String| AsrError::Snapshot(msg);
-    let (head, base_text) = text
-        .split_once(&format!("{BASE_MARKER}\n"))
-        .ok_or_else(|| bad("missing --BASE-- marker".into()))?;
-    let mut lines = head.lines();
-    let first = lines.next().ok_or_else(|| bad("empty delta".into()))?;
-    if first.trim() != MAGIC_V3 {
-        return Err(bad(format!("bad magic `{first}` (expected `{MAGIC_V3}`)")));
+impl AsrSection {
+    fn len(&self) -> usize {
+        match self {
+            AsrSection::Full(images) => images.len(),
+            AsrSection::Delta(deltas) => deltas.len(),
+        }
     }
-    let second = lines
-        .next()
-        .ok_or_else(|| bad("missing DELTA header".into()))?;
-    let _base_id: u64 = second
-        .strip_prefix("DELTA ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| bad(format!("bad DELTA header `{second}`")))?;
 
-    let mut design = String::new();
-    let mut phys = PhysParser::default();
-    let mut deltas: BTreeMap<usize, Vec<PartitionDelta>> = BTreeMap::new();
-    let mut delta_bytes: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut current: Option<DeltaPartBuilder> = None;
-    // Which grammar the shared `R`/`N` tags currently belong to.
-    let mut in_full = false;
-    let finalize = |cur: &mut Option<DeltaPartBuilder>,
-                    deltas: &mut BTreeMap<usize, Vec<PartitionDelta>>|
-     -> Result<()> {
-        if let Some(pb) = cur.take() {
-            let (asr, delta) = pb.finish().map_err(AsrError::Snapshot)?;
-            deltas.entry(asr).or_default().push(delta);
+    /// Append the next partition(s), which must be in the same grammar.
+    fn extend(&mut self, next: AsrSection) -> std::result::Result<(), String> {
+        match (self, next) {
+            (AsrSection::Full(images), AsrSection::Full(more)) => images.extend(more),
+            (AsrSection::Delta(deltas), AsrSection::Delta(more)) => deltas.extend(more),
+            _ => return Err("ASR has both a full and a delta section".into()),
         }
         Ok(())
-    };
-    for line in lines {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let tag = line.split(' ').next().unwrap_or("");
-        match tag {
-            "S" | "A" => {
-                let _ = writeln!(design, "{line}");
-            }
-            "P" => {
-                finalize(&mut current, &mut deltas)?;
-                in_full = true;
-                phys.feed(line)?;
-            }
-            "D" => {
-                phys.finish();
-                finalize(&mut current, &mut deltas)?;
-                in_full = false;
-                let pb = DeltaPartBuilder::parse(line, &deltas).map_err(AsrError::Snapshot)?;
-                *delta_bytes.entry(pb.asr).or_default() += line.len() + 1;
-                current = Some(pb);
-            }
-            "R" | "N" if in_full => phys.feed(line)?,
-            "T" => {
-                if !in_full {
-                    return Err(bad("T record outside a full section".into()));
-                }
-                phys.feed(line)?;
-            }
-            "R" | "N" | "X" | "U" => {
-                let pb = current
-                    .as_mut()
-                    .ok_or_else(|| bad(format!("`{tag}` record outside a delta partition")))?;
-                *delta_bytes.entry(pb.asr).or_default() += line.len() + 1;
-                pb.body_line(tag, line).map_err(AsrError::Snapshot)?;
-            }
-            other => return Err(bad(format!("unknown record `{other}`"))),
-        }
-    }
-    phys.finish();
-    finalize(&mut current, &mut deltas)?;
-    if let Some((ordinal, reason)) = phys.poisoned.iter().next() {
-        // v3 full fallbacks get no second chance at parse time: strictness
-        // is decided at apply.
-        return Err(bad(format!("full section for ASR {ordinal}: {reason}")));
-    }
-
-    let mut sections: BTreeMap<usize, (DeltaSection, usize)> = BTreeMap::new();
-    let phys_bytes = phys.bytes;
-    for (ordinal, images) in phys.done {
-        let bytes = phys_bytes.get(&ordinal).copied().unwrap_or(0);
-        sections.insert(ordinal, (DeltaSection::Full(images), bytes));
-    }
-    for (ordinal, parts) in deltas {
-        if sections.contains_key(&ordinal) {
-            return Err(bad(format!(
-                "ASR {ordinal} has both a full and a delta section"
-            )));
-        }
-        let bytes = delta_bytes.get(&ordinal).copied().unwrap_or(0);
-        sections.insert(ordinal, (DeltaSection::Delta(parts), bytes));
-    }
-
-    // ---- base section ----------------------------------------------
-    let mut blines = base_text.lines();
-    let header = blines
-        .next()
-        .ok_or_else(|| bad("missing GOMDELTA header".into()))?;
-    let object_count: usize = header
-        .strip_prefix("GOMDELTA 1 ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| bad(format!("bad GOMDELTA header `{header}`")))?;
-    let xline = blines
-        .next()
-        .ok_or_else(|| bad("missing deleted-OID record".into()))?;
-    let rest = xline
-        .strip_prefix("X ")
-        .ok_or_else(|| bad(format!("bad deleted-OID record `{xline}`")))?;
-    let mut dead_oids = Vec::new();
-    if rest != "-" {
-        for tok in rest.split(',') {
-            let oid: u64 = tok
-                .strip_prefix('i')
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(format!("bad deleted OID `{tok}`")))?;
-            dead_oids.push(oid);
-        }
-    }
-    let mut o_upserts = Vec::new();
-    let mut v_upserts = Vec::new();
-    let mut ended = false;
-    for line in blines {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if ended {
-            return Err(bad(format!("record after {END_MARKER}: `{line}`")));
-        }
-        if line == END_MARKER {
-            ended = true;
-        } else if let Some(oid) = parse_o_line_oid(line) {
-            o_upserts.push((oid.as_raw(), line));
-        } else if let Some(name) = parse_v_line_name(line) {
-            v_upserts.push((name, line));
-        } else {
-            return Err(bad(format!("unknown base delta record `{line}`")));
-        }
-    }
-    if !ended {
-        return Err(bad(format!("truncated delta: missing {END_MARKER}")));
-    }
-    Ok(DeltaDoc {
-        design,
-        sections,
-        object_count,
-        dead_oids,
-        o_upserts,
-        v_upserts,
-    })
-}
-
-/// A delta partition section under construction.
-struct DeltaPartBuilder {
-    asr: usize,
-    from: usize,
-    to: usize,
-    next_rowid: u64,
-    nrows: usize,
-    nupserts: usize,
-    upserts: Vec<(Row, u64, u64)>,
-    deletes: Vec<u64>,
-    seen_x: bool,
-    /// Bytes of the shared row payload (`D`/`R`/`X` lines), split between
-    /// the trees at finish like the v2 parser does.
-    row_bytes: usize,
-    fwd: Option<DeltaTreeBuilder>,
-    bwd: Option<DeltaTreeBuilder>,
-}
-
-/// One tree delta under construction; `assigned` guards duplicate pages.
-struct DeltaTreeBuilder {
-    delta: RawTreeDelta,
-    expected_pages: usize,
-    assigned: Vec<bool>,
-    bytes: usize,
-}
-
-impl DeltaPartBuilder {
-    fn parse(
-        line: &str,
-        done: &BTreeMap<usize, Vec<PartitionDelta>>,
-    ) -> std::result::Result<DeltaPartBuilder, String> {
-        let t: Vec<&str> = line.split(' ').collect();
-        if t.len() != 8 {
-            return Err(format!("D record has {} fields, expected 8", t.len()));
-        }
-        let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
-        let asr = num(t[1])?;
-        let pidx = num(t[2])?;
-        let expected = done.get(&asr).map_or(0, Vec::len);
-        if pidx != expected {
-            return Err(format!(
-                "delta partition {pidx} out of order (expected {expected})"
-            ));
-        }
-        Ok(DeltaPartBuilder {
-            asr,
-            from: num(t[3])?,
-            to: num(t[4])?,
-            next_rowid: t[5].parse().map_err(|_| format!("bad number `{}`", t[5]))?,
-            nrows: num(t[6])?,
-            nupserts: num(t[7])?,
-            upserts: Vec::new(),
-            deletes: Vec::new(),
-            seen_x: false,
-            row_bytes: line.len() + 1,
-            fwd: None,
-            bwd: None,
-        })
-    }
-
-    fn body_line(&mut self, tag: &str, line: &str) -> std::result::Result<(), String> {
-        match tag {
-            "R" => {
-                let arity = self.to - self.from + 1;
-                self.upserts.push(parse_r_line(line, arity)?);
-                self.row_bytes += line.len() + 1;
-                Ok(())
-            }
-            "X" => {
-                if self.seen_x {
-                    return Err("duplicate X record".into());
-                }
-                self.seen_x = true;
-                self.row_bytes += line.len() + 1;
-                let rest = line.strip_prefix("X ").ok_or("bad X record")?;
-                if rest != "-" {
-                    for tok in rest.split(',') {
-                        self.deletes
-                            .push(tok.parse().map_err(|_| format!("bad row id `{tok}`"))?);
-                    }
-                }
-                Ok(())
-            }
-            "U" => {
-                let t: Vec<&str> = line.split(' ').collect();
-                if t.len() != 10 {
-                    return Err(format!("U record has {} fields, expected 10", t.len()));
-                }
-                let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
-                let free: Vec<usize> = if t[9] == "-" {
-                    Vec::new()
-                } else {
-                    t[9].split(',')
-                        .map(num)
-                        .collect::<std::result::Result<_, _>>()?
-                };
-                let (root, height, len) = (num(t[4])?, num(t[5])?, num(t[6])?);
-                let (total, npages) = (num(t[7])?, num(t[8])?);
-                // Same slab-size plausibility bound as the v2 `T` record.
-                if total > 2 * len + free.len() + 8 {
-                    return Err(format!("implausible page count {total} for {len} entries"));
-                }
-                if npages > total {
-                    return Err(format!("delta ships {npages} of {total} pages"));
-                }
-                let builder = DeltaTreeBuilder {
-                    expected_pages: npages,
-                    assigned: vec![false; total],
-                    bytes: line.len() + 1,
-                    delta: RawTreeDelta {
-                        root,
-                        height,
-                        len,
-                        free,
-                        total_nodes: total,
-                        pages: Vec::new(),
-                    },
-                };
-                match t[3] {
-                    "f" if self.fwd.is_none() => self.fwd = Some(builder),
-                    "b" if self.bwd.is_none() => self.bwd = Some(builder),
-                    "f" | "b" => return Err(format!("duplicate {} tree delta", t[3])),
-                    other => return Err(format!("bad tree direction `{other}`")),
-                }
-                Ok(())
-            }
-            "N" => {
-                let (dir, id, kind, rest) = split_n_line(line, 4).ok_or("N record too short")?;
-                let builder = match dir {
-                    "f" => self.fwd.as_mut(),
-                    "b" => self.bwd.as_mut(),
-                    other => return Err(format!("bad tree direction `{other}`")),
-                }
-                .ok_or("N record before its U header")?;
-                builder.bytes += line.len() + 1;
-                let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
-                if id >= builder.delta.total_nodes {
-                    return Err(format!("page id {id} out of bounds"));
-                }
-                if builder.assigned[id] {
-                    return Err(format!("page {id} written twice"));
-                }
-                builder.assigned[id] = true;
-                builder.delta.pages.push((id, parse_node_body(kind, rest)?));
-                Ok(())
-            }
-            other => Err(format!("unknown delta record `{other}`")),
-        }
-    }
-
-    fn finish(self) -> std::result::Result<(usize, PartitionDelta), String> {
-        if self.upserts.len() != self.nupserts {
-            return Err(format!(
-                "delta partition has {} R rows, expected {}",
-                self.upserts.len(),
-                self.nupserts
-            ));
-        }
-        if !self.seen_x {
-            return Err("delta partition is missing its X record".into());
-        }
-        let (Some(fwd), Some(bwd)) = (self.fwd, self.bwd) else {
-            return Err("delta partition is missing a tree delta".into());
-        };
-        if fwd.delta.pages.len() != fwd.expected_pages
-            || bwd.delta.pages.len() != bwd.expected_pages
-        {
-            return Err("tree delta page count does not match its U header".into());
-        }
-        let half = self.row_bytes / 2;
-        Ok((
-            self.asr,
-            PartitionDelta {
-                from: self.from,
-                to: self.to,
-                next_rowid: self.next_rowid,
-                nrows: self.nrows,
-                upserts: self.upserts,
-                deletes: self.deletes,
-                fwd_bytes: fwd.bytes + half,
-                bwd_bytes: bwd.bytes + (self.row_bytes - half),
-                fwd: fwd.delta,
-                bwd: bwd.delta,
-            },
-        ))
     }
 }
 
-/// Stateful parser for the v2 physical section.  A malformed line poisons
-/// the ASR it belongs to — that ASR falls back to a rebuild with the
-/// recorded reason — instead of failing the whole load; only lines with
-/// no attributable ASR context abort.
+/// The one partition-section reader, for both grammars: full
+/// `P`/`R`/`T`/`N` images and `D`/`R`/`X`/`U`/`N` deltas.  A malformed
+/// line poisons the ASR it belongs to instead of failing at once — the v2
+/// loader rebuilds that ASR with the recorded reason, the v3 applier
+/// rejects the document — and only lines with no attributable ASR abort.
 #[derive(Default)]
-struct PhysParser {
-    /// Completed partition images per `A`-line ordinal.
-    done: BTreeMap<usize, Vec<PartitionImage>>,
-    /// Physical-section bytes per ordinal (newlines included).
+struct Sections {
+    /// Completed sections per `A`-line ordinal.
+    done: BTreeMap<usize, AsrSection>,
+    /// Section bytes per ordinal (newlines included).
     bytes: BTreeMap<usize, usize>,
     /// Poison reason per ordinal (first error wins).
     poisoned: BTreeMap<usize, String>,
     /// Partition currently being assembled.
     current: Option<PartBuilder>,
-    /// Skip body lines until the next `P` record (after a poisoning).
+    /// Skip body lines until the next `P`/`D` record (after a poisoning).
     skipping: bool,
-    /// Ordinal of the most recent `P` record.
+    /// Ordinal of the most recent `P`/`D` record.
     last_asr: Option<usize>,
 }
 
-/// A partition image under construction.
-struct PartBuilder {
-    asr: usize,
-    from: usize,
-    to: usize,
-    next_rowid: u64,
-    nrows: usize,
-    rows: Vec<(Row, u64, u64)>,
-    /// Serialized bytes of the shared row payload (`P` + `R` lines) —
-    /// split between the two trees for restore-read pricing.
-    row_bytes: usize,
-    fwd: Option<TreeBuilder>,
-    bwd: Option<TreeBuilder>,
-}
-
-/// A tree image under construction; `assigned` guards duplicate `N`
-/// lines (everything else is validated by the adopting tree).
-struct TreeBuilder {
-    tree: RawTreeImage,
-    assigned: Vec<bool>,
-    /// Serialized bytes of this tree's `T`/`N` lines.
-    bytes: usize,
-}
-
-impl PhysParser {
-    fn feed(&mut self, line: &str) -> Result<()> {
-        let tag = line.split(' ').next().unwrap_or("");
-        if tag == "P" {
+impl Sections {
+    fn feed(&mut self, tag: &str, line: &str) -> Result<()> {
+        if tag == "P" || tag == "D" {
             self.finalize_current();
-            match self.parse_p(line) {
+            match PartBuilder::open(line, tag == "D", &self.done) {
                 Ok(pb) => {
                     self.skipping = false;
                     self.last_asr = Some(pb.asr);
@@ -1549,7 +1185,7 @@ impl PhysParser {
                     Some(asr) => self.poison(asr, e),
                     None => {
                         return Err(AsrError::Snapshot(format!(
-                            "first P record unreadable: {e}"
+                            "first {tag} record unreadable: {e}"
                         )))
                     }
                 },
@@ -1565,15 +1201,14 @@ impl PhysParser {
         if self.skipping {
             return Ok(());
         }
-        if let Err(e) = self.body_line(tag, line) {
+        let fed = match self.current.as_mut() {
+            Some(pb) => pb.body_line(tag, line),
+            None => Err(format!("`{tag}` record outside a partition")),
+        };
+        if let Err(e) = fed {
             self.poison(asr, e);
         }
         Ok(())
-    }
-
-    /// Close the physical section: finalize the trailing partition.
-    fn finish(&mut self) {
-        self.finalize_current();
     }
 
     fn poison(&mut self, asr: usize, reason: String) {
@@ -1582,58 +1217,114 @@ impl PhysParser {
         self.skipping = true;
     }
 
+    /// Close the partition being assembled (at the next header and at the
+    /// end of the head).
     fn finalize_current(&mut self) {
         let Some(pb) = self.current.take() else {
             return;
         };
-        if pb.rows.len() != pb.nrows {
-            return self.poison(
-                pb.asr,
-                format!(
-                    "partition has {} R rows, expected {}",
-                    pb.rows.len(),
-                    pb.nrows
-                ),
-            );
+        let asr = pb.asr;
+        let merged = pb
+            .finish()
+            .and_then(|section| match self.done.get_mut(&asr) {
+                Some(done) => done.extend(section),
+                None => {
+                    self.done.insert(asr, section);
+                    Ok(())
+                }
+            });
+        if let Err(e) = merged {
+            self.poison(asr, e);
         }
-        let (Some(fwd), Some(bwd)) = (pb.fwd, pb.bwd) else {
-            return self.poison(pb.asr, "partition is missing a tree image".into());
-        };
-        // The row payload is each tree's leaf content, stored once for
-        // both: split it evenly for per-tree restore pricing.
-        let half = pb.row_bytes / 2;
-        self.done.entry(pb.asr).or_default().push(PartitionImage {
-            from: pb.from,
-            to: pb.to,
-            next_rowid: pb.next_rowid,
-            rows: pb.rows,
-            fwd_bytes: fwd.bytes + half,
-            bwd_bytes: bwd.bytes + (pb.row_bytes - half),
-            fwd: fwd.tree,
-            bwd: bwd.tree,
-        });
     }
+}
 
-    fn parse_p(&self, line: &str) -> std::result::Result<PartBuilder, String> {
+/// One partition section under construction: a full image (`P`, `R`
+/// rows, `T`/`N` trees) or a delta (`D`, `R` upserts, one `X`, `U`/`N`
+/// tree patches).
+struct PartBuilder {
+    asr: usize,
+    from: usize,
+    to: usize,
+    /// Cells per row, `to - from + 1`.
+    arity: usize,
+    next_rowid: u64,
+    /// Rows the partition holds (after patching, for a delta).
+    nrows: usize,
+    /// `Some` for a delta section: the `R` upserts its header promised.
+    upserts: Option<usize>,
+    /// A delta section's `X` record (removed row ids), once read.
+    deletes: Option<Vec<u64>>,
+    rows: Vec<(Row, u64, u64)>,
+    /// Serialized bytes of the shared row payload (header, `R` and `X`
+    /// lines) — split between the two trees for restore-read pricing.
+    row_bytes: usize,
+    fwd: Option<TreeBuilder>,
+    bwd: Option<TreeBuilder>,
+}
+
+/// A tree image (`T`) or patch (`U`) under construction: its header plus
+/// the pages read so far; `assigned` guards duplicate `N` lines
+/// (everything else is validated by the adopting tree).
+struct TreeBuilder {
+    root: usize,
+    height: usize,
+    len: usize,
+    free: Vec<usize>,
+    /// Slab size: every page id falls below it.
+    total: usize,
+    /// Pages a `U` header promised (`None` for a full image).
+    promised: Option<usize>,
+    pages: Vec<(usize, RawNode)>,
+    assigned: Vec<bool>,
+    /// Serialized bytes of this tree's header and `N` lines.
+    bytes: usize,
+}
+
+impl PartBuilder {
+    /// Open a section from its `P <asr#> <part#> <from> <to> <next_rowid>
+    /// <nrows>` or `D … <nupserts>` header.  Partitions arrive in order:
+    /// `done` says which index each ASR expects next.
+    fn open(
+        line: &str,
+        delta: bool,
+        done: &BTreeMap<usize, AsrSection>,
+    ) -> std::result::Result<PartBuilder, String> {
         let t: Vec<&str> = line.split(' ').collect();
-        if t.len() != 7 {
-            return Err(format!("P record has {} fields, expected 7", t.len()));
+        let (fields, kind) = if delta {
+            (8, "delta partition")
+        } else {
+            (7, "partition")
+        };
+        if t.len() != fields {
+            return Err(format!(
+                "{} record has {} fields, expected {fields}",
+                t[0],
+                t.len()
+            ));
         }
         let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
         let asr = num(t[1])?;
         let pidx = num(t[2])?;
-        let expected = self.done.get(&asr).map_or(0, Vec::len);
+        let expected = done.get(&asr).map_or(0, AsrSection::len);
         if pidx != expected {
-            return Err(format!(
-                "partition {pidx} out of order (expected {expected})"
-            ));
+            return Err(format!("{kind} {pidx} out of order (expected {expected})"));
         }
+        let (from, to) = (num(t[3])?, num(t[4])?);
+        let arity = to
+            .checked_sub(from)
+            .filter(|&width| width > 0)
+            .and_then(|width| width.checked_add(1))
+            .ok_or_else(|| format!("bad span ({from}, {to})"))?;
         Ok(PartBuilder {
             asr,
-            from: num(t[3])?,
-            to: num(t[4])?,
+            from,
+            to,
+            arity,
             next_rowid: t[5].parse().map_err(|_| format!("bad number `{}`", t[5]))?,
             nrows: num(t[6])?,
+            upserts: if delta { Some(num(t[7])?) } else { None },
+            deletes: None,
             rows: Vec::new(),
             row_bytes: line.len() + 1,
             fwd: None,
@@ -1641,77 +1332,201 @@ impl PhysParser {
         })
     }
 
+    /// One body line: `R` in both grammars, `T` in a full section, `X`
+    /// and `U` in a delta, and the `N` pages of the last tree header.
     fn body_line(&mut self, tag: &str, line: &str) -> std::result::Result<(), String> {
-        let Some(pb) = self.current.as_mut() else {
-            return Err(format!("`{tag}` record outside a partition"));
+        let delta = self.upserts.is_some();
+        match (tag, delta) {
+            ("R", _) => {
+                self.rows.push(parse_r_line(line, self.arity)?);
+                self.row_bytes += line.len() + 1;
+            }
+            ("X", true) => {
+                if self.deletes.is_some() {
+                    return Err("duplicate X record".into());
+                }
+                self.row_bytes += line.len() + 1;
+                let ids = line.strip_prefix("X ").ok_or("bad X record")?;
+                self.deletes = Some(parse_csv_or_dash(ids, "row id")?);
+            }
+            ("T", false) | ("U", true) => self.tree_header(line)?,
+            ("N", _) => self.page(line)?,
+            (other, true) => return Err(format!("unknown delta record `{other}`")),
+            (other, false) => return Err(format!("unknown physical record `{other}`")),
+        }
+        Ok(())
+    }
+
+    /// A `T <asr#> <part#> f|b <root> <height> <len> <pages> <free>` image
+    /// header, or a `U … <total-pages> <npages> <free>` patch header.
+    fn tree_header(&mut self, line: &str) -> std::result::Result<(), String> {
+        let delta = self.upserts.is_some();
+        let t: Vec<&str> = line.split(' ').collect();
+        let fields = if delta { 10 } else { 9 };
+        if t.len() != fields {
+            return Err(format!(
+                "{} record has {} fields, expected {fields}",
+                t[0],
+                t.len()
+            ));
+        }
+        let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
+        let free: Vec<usize> = parse_csv_or_dash(t[fields - 1], "number")?;
+        let (root, height, len, total) = (num(t[4])?, num(t[5])?, num(t[6])?, num(t[7])?);
+        // A full image's trees index exactly the rows listed before them,
+        // which ties `len` (and through it the slab) to the input's size.
+        if !delta && len != self.rows.len() {
+            return Err(format!("{len} tree entries for {} rows", self.rows.len()));
+        }
+        // Bound the slab allocation before trusting the field: a legal
+        // tree has at most ~2·len live pages plus its free slots.
+        if total > len.saturating_mul(2).saturating_add(free.len() + 8) {
+            return Err(format!("implausible page count {total} for {len} entries"));
+        }
+        let promised = if delta {
+            let npages = num(t[8])?;
+            if npages > total {
+                return Err(format!("delta ships {npages} of {total} pages"));
+            }
+            Some(npages)
+        } else {
+            None
         };
-        match tag {
-            "R" => {
-                let arity = pb.to - pb.from + 1;
-                pb.rows.push(parse_r_line(line, arity)?);
-                pb.row_bytes += line.len() + 1;
-                Ok(())
-            }
-            "T" => {
-                let t: Vec<&str> = line.split(' ').collect();
-                if t.len() != 9 {
-                    return Err(format!("T record has {} fields, expected 9", t.len()));
-                }
-                let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
-                let free: Vec<usize> = if t[8] == "-" {
-                    Vec::new()
-                } else {
-                    t[8].split(',')
-                        .map(num)
-                        .collect::<std::result::Result<_, _>>()?
-                };
-                let (root, height, len, pages) = (num(t[4])?, num(t[5])?, num(t[6])?, num(t[7])?);
-                // Bound the slab allocation before trusting the field: a
-                // legal tree has at most ~2·len live pages plus its free
-                // slots.
-                if pages > 2 * len + free.len() + 8 {
-                    return Err(format!("implausible page count {pages} for {len} entries"));
-                }
-                let builder = TreeBuilder {
-                    assigned: vec![false; pages],
-                    bytes: line.len() + 1,
-                    tree: RawTreeImage {
-                        root,
-                        height,
-                        len,
-                        free,
-                        nodes: vec![RawNode::Free; pages],
-                    },
-                };
-                match t[3] {
-                    "f" if pb.fwd.is_none() => pb.fwd = Some(builder),
-                    "b" if pb.bwd.is_none() => pb.bwd = Some(builder),
-                    "f" | "b" => return Err(format!("duplicate {} tree", t[3])),
-                    other => return Err(format!("bad tree direction `{other}`")),
-                }
-                Ok(())
-            }
-            "N" => {
-                let (dir, id, kind, rest) = split_n_line(line, 5).ok_or("N record too short")?;
-                let builder = match dir {
-                    "f" => pb.fwd.as_mut(),
-                    "b" => pb.bwd.as_mut(),
-                    other => return Err(format!("bad tree direction `{other}`")),
-                }
-                .ok_or("N record before its T header")?;
-                builder.bytes += line.len() + 1;
-                let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
-                if id >= builder.tree.nodes.len() {
-                    return Err(format!("page id {id} out of bounds"));
-                }
-                if builder.assigned[id] {
-                    return Err(format!("page {id} written twice"));
-                }
-                builder.assigned[id] = true;
-                builder.tree.nodes[id] = parse_node_body(kind, rest)?;
-                Ok(())
-            }
-            other => Err(format!("unknown physical record `{other}`")),
+        let slot = match t[3] {
+            "f" => &mut self.fwd,
+            "b" => &mut self.bwd,
+            other => return Err(format!("bad tree direction `{other}`")),
+        };
+        if slot.is_some() {
+            let what = if delta { "tree delta" } else { "tree" };
+            return Err(format!("duplicate {} {what}", t[3]));
+        }
+        *slot = Some(TreeBuilder {
+            root,
+            height,
+            len,
+            free,
+            total,
+            promised,
+            pages: Vec::new(),
+            assigned: vec![false; total],
+            bytes: line.len() + 1,
+        });
+        Ok(())
+    }
+
+    /// An `N f|b <page#> I|L|F …` page of the tree whose header preceded
+    /// it.  A freed page (`F`, four fields) only ships in a delta.
+    fn page(&mut self, line: &str) -> std::result::Result<(), String> {
+        let delta = self.upserts.is_some();
+        let (dir, id, kind, rest) =
+            split_n_line(line, if delta { 4 } else { 5 }).ok_or("N record too short")?;
+        let tree = match dir {
+            "f" => self.fwd.as_mut(),
+            "b" => self.bwd.as_mut(),
+            other => return Err(format!("bad tree direction `{other}`")),
+        };
+        let tree = tree.ok_or(if delta {
+            "N record before its U header"
+        } else {
+            "N record before its T header"
+        })?;
+        tree.bytes += line.len() + 1;
+        let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
+        if id >= tree.total {
+            return Err(format!("page id {id} out of bounds"));
+        }
+        if tree.assigned[id] {
+            return Err(format!("page {id} written twice"));
+        }
+        tree.assigned[id] = true;
+        tree.pages.push((id, parse_node_body(kind, rest)?));
+        Ok(())
+    }
+
+    /// Close the section: check the counts its headers promised and split
+    /// the shared row bytes evenly between the two trees (each tree's
+    /// restore read is priced on its share).
+    fn finish(self) -> std::result::Result<AsrSection, String> {
+        let kind = if self.upserts.is_some() {
+            "delta partition"
+        } else {
+            "partition"
+        };
+        let want = self.upserts.unwrap_or(self.nrows);
+        if self.rows.len() != want {
+            return Err(format!(
+                "{kind} has {} R rows, expected {want}",
+                self.rows.len()
+            ));
+        }
+        if self.upserts.is_some() && self.deletes.is_none() {
+            return Err("delta partition is missing its X record".into());
+        }
+        let (Some(fwd), Some(bwd)) = (self.fwd, self.bwd) else {
+            return Err(match self.upserts {
+                Some(_) => "delta partition is missing a tree delta".into(),
+                None => "partition is missing a tree image".into(),
+            });
+        };
+        let half = self.row_bytes / 2;
+        let (fwd_bytes, bwd_bytes) = (fwd.bytes + half, bwd.bytes + (self.row_bytes - half));
+        let Some(deletes) = self.deletes else {
+            return Ok(AsrSection::Full(vec![PartitionImage {
+                from: self.from,
+                to: self.to,
+                next_rowid: self.next_rowid,
+                rows: self.rows,
+                fwd: fwd.image(),
+                bwd: bwd.image(),
+                fwd_bytes,
+                bwd_bytes,
+            }]));
+        };
+        if fwd.promised != Some(fwd.pages.len()) || bwd.promised != Some(bwd.pages.len()) {
+            return Err("tree delta page count does not match its U header".into());
+        }
+        Ok(AsrSection::Delta(vec![PartitionDelta {
+            from: self.from,
+            to: self.to,
+            next_rowid: self.next_rowid,
+            nrows: self.nrows,
+            upserts: self.rows,
+            deletes,
+            fwd: fwd.delta(),
+            bwd: bwd.delta(),
+            fwd_bytes,
+            bwd_bytes,
+        }]))
+    }
+}
+
+impl TreeBuilder {
+    /// The full image: the listed pages in a slab of `total`, every other
+    /// slot free (full images do not write free pages).
+    fn image(self) -> RawTreeImage {
+        let mut nodes = vec![RawNode::Free; self.total];
+        for (id, node) in self.pages {
+            nodes[id] = node;
+        }
+        RawTreeImage {
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            free: self.free,
+            nodes,
+        }
+    }
+
+    /// The patch: the listed pages over a slab grown to `total`.
+    fn delta(self) -> RawTreeDelta {
+        RawTreeDelta {
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            free: self.free,
+            total_nodes: self.total,
+            pages: self.pages,
         }
     }
 }
@@ -2077,7 +1892,7 @@ mod tests {
         bulk.insert_into_set(set, Value::Ref(part)).unwrap();
         let (mut bulk, full) = settled(bulk);
         bulk.insert_into_set(set, Value::Ref(pepper)).unwrap();
-        let small = bulk.save_delta_to_string(40).unwrap();
+        let small = bulk.begin_checkpoint().save_delta(40).unwrap();
         let doomed = bulk.instantiate("BasePart").unwrap();
         bulk.mark_clean();
         bulk.set_attribute(part, "Name", Value::string("renamed"))
@@ -2085,7 +1900,7 @@ mod tests {
         bulk.delete_object(doomed).unwrap();
         bulk.bind_variable("epoch two", Value::Integer(-2));
         bulk.bind_variable("Mercedes", Value::Null);
-        let mixed = bulk.save_delta_to_string(41).unwrap();
+        let mixed = bulk.begin_checkpoint().save_delta(41).unwrap();
         [sample_db().save_to_string(), full, small, mixed]
     }
 
@@ -2125,7 +1940,7 @@ mod tests {
         primary.insert_into_set(set, Value::Ref(pepper)).unwrap();
         primary.bind_variable("epoch", Value::string("two"));
 
-        let delta = primary.save_delta_to_string(41).unwrap();
+        let delta = primary.begin_checkpoint().save_delta(41).unwrap();
         assert!(delta.starts_with("ASRDB 3\nDELTA 41\n"), "{delta}");
         assert_eq!(Database::delta_base_id(&delta).unwrap(), 41);
         assert!(Database::is_delta_snapshot(&delta));
@@ -2149,8 +1964,8 @@ mod tests {
 
     #[test]
     fn clean_database_ships_an_empty_delta() {
-        let (db, text) = settled(sample_db());
-        let delta = db.save_delta_to_string(7).unwrap();
+        let (mut db, text) = settled(sample_db());
+        let delta = db.begin_checkpoint().save_delta(7).unwrap();
         assert!(
             delta.len() * 2 < text.len(),
             "empty delta {} vs full {}",
@@ -2179,7 +1994,7 @@ mod tests {
         primary.insert_into_set(set, Value::Ref(p)).unwrap();
 
         let full = primary.save_to_string();
-        let delta = primary.save_delta_to_string(9).unwrap();
+        let delta = primary.begin_checkpoint().save_delta(9).unwrap();
         assert!(
             delta.len() * 4 < full.len(),
             "delta {} vs full {}",
@@ -2213,11 +2028,11 @@ mod tests {
     #[test]
     fn design_change_forces_a_full_checkpoint() {
         let (mut db, _) = settled(sample_db());
-        assert!(db.save_delta_to_string(1).is_some());
+        assert!(db.begin_checkpoint().save_delta(1).is_some());
         let div = db.base().schema().resolve("Division").unwrap();
         db.set_type_size(div, 300);
         assert!(
-            db.save_delta_to_string(1).is_none(),
+            db.begin_checkpoint().save_delta(1).is_none(),
             "deltas never span design changes"
         );
     }
@@ -2229,13 +2044,11 @@ mod tests {
         primary
             .set_attribute(washer, "Name", Value::string("Washer"))
             .unwrap();
-        let d1 = primary.save_delta_to_string(0).unwrap();
-        primary.mark_clean();
+        let d1 = primary.begin_checkpoint().save_delta(0).unwrap();
 
         primary.delete_object(washer).unwrap();
         primary.bind_variable("gone", Value::string("yes"));
-        let d2 = primary.save_delta_to_string(1).unwrap();
-        primary.mark_clean();
+        let d2 = primary.begin_checkpoint().save_delta(1).unwrap();
         assert!(
             d2.lines().any(|l| l.starts_with("X i")),
             "the delete must ship as a dead OID: {d2}"
@@ -2251,7 +2064,7 @@ mod tests {
         let (mut primary, base_text) = settled(bulk_db(400));
         let (set, pepper) = sec_composition(&primary);
         primary.insert_into_set(set, Value::Ref(pepper)).unwrap();
-        let delta = primary.save_delta_to_string(3).unwrap();
+        let delta = primary.begin_checkpoint().save_delta(3).unwrap();
 
         // Bump the expected row count of the first delta partition: the
         // document still parses, but the patched mirror cannot satisfy it.
@@ -2304,7 +2117,7 @@ mod tests {
         let (mut primary, base_text) = settled(bulk_db(60));
         let (set, pepper) = sec_composition(&primary);
         primary.insert_into_set(set, Value::Ref(pepper)).unwrap();
-        let delta = primary.save_delta_to_string(5).unwrap();
+        let delta = primary.begin_checkpoint().save_delta(5).unwrap();
         let replica = Database::load_from_string(&base_text).unwrap();
         let full = {
             let (patched, _) = replica
@@ -2332,18 +2145,22 @@ mod tests {
 
     #[test]
     fn checkpoint_source_matches_live_serialization_byte_for_byte() {
-        let (mut db, _) = settled(sample_db());
+        let (mut db, base_text) = settled(sample_db());
         let (set, pepper) = sec_composition(&db);
         db.insert_into_set(set, Value::Ref(pepper)).unwrap();
         db.bind_variable("epoch", Value::string("two"));
 
         let want_full = db.save_to_string();
-        let want_delta = db.save_delta_to_string(7).unwrap();
         let source = db.begin_checkpoint();
         assert!(!source.is_noop_delta());
         assert!(!source.is_design_dirty());
         assert_eq!(source.save_full(), want_full);
-        assert_eq!(source.save_delta(7).unwrap(), want_delta);
+        // The pinned delta carries exactly the live changes: applied to
+        // the base it reproduces the live document.
+        let want_delta = source.save_delta(7).unwrap();
+        let base = Database::load_from_string(&base_text).unwrap();
+        let patched = base.apply_delta_from_string(&want_delta).unwrap();
+        assert_eq!(patched.save_to_string(), want_full);
 
         // Fuzzy: the fence advanced and the writer moves on, but the
         // pinned source still renders the state as of the fence.
@@ -2370,7 +2187,6 @@ mod tests {
         let (mut db, _) = settled(sample_db());
         let id = db.asrs().next().unwrap().0;
         db.drop_asr(id).unwrap();
-        assert!(db.save_delta_to_string(1).is_none());
         let source = db.begin_checkpoint();
         assert!(source.is_design_dirty());
         assert!(source.save_delta(1).is_none());

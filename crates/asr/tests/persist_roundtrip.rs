@@ -298,10 +298,9 @@ proptest! {
             for &op in batch {
                 apply_op(&mut primary, op);
             }
-            let delta = primary.save_delta_to_string(deltas.len() as u64).unwrap();
+            let delta = primary.begin_checkpoint().save_delta(deltas.len() as u64).unwrap();
             prop_assert_eq!(Database::delta_base_id(&delta).unwrap(), deltas.len() as u64);
             deltas.push(delta);
-            primary.mark_clean();
         }
 
         let refs: Vec<&str> = deltas.iter().map(String::as_str).collect();

@@ -62,8 +62,11 @@ pub use segment::{
     checkpoint_archive_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
 };
 pub use ship::{
-    replicate, BackoffPolicy, Channel, ChannelStats, ChaosProfile, FaultyChannel, LogShipper,
-    LosslessChannel, Need, ReplicateOptions, ShipReport,
+    replicate, seeded_rng, BackoffPolicy, Channel, ChannelStats, ChaosProfile, FaultyChannel,
+    LogShipper, LosslessChannel, Need, ReplicateOptions, ShipReport,
 };
 pub use storage::{read_stable, FsStorage, MemStorage, Storage};
-pub use wal::{frame, scan_wal, FlushPolicy, TornReason, WalScan, WalWriter};
+pub use wal::{
+    frame, frame_len, scan_wal, split_frame, FlushPolicy, FrameError, TornReason, WalScan,
+    WalWriter,
+};

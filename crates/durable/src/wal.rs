@@ -36,7 +36,7 @@ use crate::storage::Storage;
 
 /// Maximum sane payload length (a frame claiming more is treated as torn
 /// garbage even if the file happens to be long enough).
-const MAX_PAYLOAD: u32 = 1 << 24;
+const MAX_PAYLOAD: usize = 1 << 24;
 
 /// When buffered records are forced to storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +68,49 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Why no intact frame could be taken off the front of some bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than the 8 header bytes.
+    ShortHeader,
+    /// The length word claims more payload than the reader's cap — a
+    /// corrupt or foreign header, never worth waiting for.
+    OverCap,
+    /// The length word claims more payload than the bytes at hand.
+    Truncated,
+    /// The payload does not match the header's CRC.
+    CrcMismatch,
+}
+
+/// The whole size (header + payload) of the frame at the front of `bytes`,
+/// read from its length word alone — the one reader of that word.  A
+/// byte stream is delimited by this; [`split_frame`] adds the CRC check.
+pub fn frame_len(bytes: &[u8], cap: usize) -> std::result::Result<usize, FrameError> {
+    if bytes.len() < 8 {
+        return Err(FrameError::ShortHeader);
+    }
+    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
+    if len > cap {
+        Err(FrameError::OverCap)
+    } else if len > bytes.len() - 8 {
+        Err(FrameError::Truncated)
+    } else {
+        Ok(8 + len)
+    }
+}
+
+/// Split the next intact frame off `bytes` — its payload and what follows
+/// it — refusing a payload longer than `cap`.
+pub fn split_frame(bytes: &[u8], cap: usize) -> std::result::Result<(&[u8], &[u8]), FrameError> {
+    let (frame, rest) = bytes.split_at(frame_len(bytes, cap)?);
+    let crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+    let payload = &frame[8..];
+    if crc32(payload) != crc {
+        return Err(FrameError::CrcMismatch);
+    }
+    Ok((payload, rest))
 }
 
 /// Why a WAL scan stopped before the end of the file.
@@ -115,31 +158,23 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut torn_reason = None;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            break;
-        }
-        if remaining < 8 {
-            torn_reason = Some(TornReason::PartialHeader);
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD || (len as usize) > remaining - 8 {
-            torn_reason = Some(TornReason::LengthBeyondEof);
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            torn_reason = Some(TornReason::CrcMismatch);
-            break;
-        }
+    while pos < bytes.len() {
+        let payload = match split_frame(&bytes[pos..], MAX_PAYLOAD) {
+            Ok((payload, _)) => payload,
+            Err(e) => {
+                torn_reason = Some(match e {
+                    FrameError::ShortHeader => TornReason::PartialHeader,
+                    FrameError::OverCap | FrameError::Truncated => TornReason::LengthBeyondEof,
+                    FrameError::CrcMismatch => TornReason::CrcMismatch,
+                });
+                break;
+            }
+        };
         let text = std::str::from_utf8(payload).map_err(|_| {
             DurableError::Corrupt(format!("CRC-valid record at offset {pos} is not UTF-8"))
         })?;
         records.push(Record::from_payload(text)?);
-        pos += 8 + len as usize;
+        pos += 8 + payload.len();
     }
     Ok(WalScan {
         records,

@@ -1,5 +1,9 @@
 //! The wire client: request ids, retries, NACK handling, and duplicate
-//! suppression over an arbitrary transport.
+//! suppression over any [`Channel`] — the one byte-queue trait, shared
+//! with log shipping.  In-process servers implement it by pumping their
+//! request queue inside `recv`; a TCP transport maps it onto socket
+//! writes/reads.  `recv` returns raw deliveries, so damage detection stays
+//! here and every channel gets it for free.
 //!
 //! The client never interprets a damaged frame: anything that fails
 //! [`decode_frame`] is counted and dropped, and the request is re-sent
@@ -11,22 +15,9 @@
 
 use std::fmt;
 
-use asr_durable::BackoffPolicy;
+use asr_durable::{BackoffPolicy, Channel};
 
 use crate::wire::{decode_frame, Request, RequestBody, Response, ResponseBody, WireMessage};
-
-/// A bidirectional framed transport: the client's view of one session.
-///
-/// In-process servers implement this by pumping their request queue
-/// inside [`Transport::poll`]; a TCP transport maps it onto socket
-/// writes/reads.  `poll` returns raw deliveries — damage detection stays
-/// in the client so every transport gets it for free.
-pub trait Transport {
-    /// Hand one frame to the server side (which may lose or damage it).
-    fn send(&mut self, frame: Vec<u8>);
-    /// Take the next server → client delivery, if one is available.
-    fn poll(&mut self) -> Option<Vec<u8>>;
-}
 
 /// Why a call gave up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +59,8 @@ pub struct ClientStats {
     pub backoff_ticks: u64,
 }
 
-/// One client session speaking the wire protocol over a [`Transport`].
-pub struct WireClient<T: Transport> {
+/// One client session speaking the wire protocol over a [`Channel`].
+pub struct WireClient<T: Channel> {
     transport: T,
     next_id: u64,
     backoff: BackoffPolicy,
@@ -77,7 +68,7 @@ pub struct WireClient<T: Transport> {
     stats: ClientStats,
 }
 
-impl<T: Transport> WireClient<T> {
+impl<T: Channel> WireClient<T> {
     /// A session over `transport` with the default retry budget.
     pub fn new(transport: T) -> Self {
         WireClient {
@@ -139,7 +130,7 @@ impl<T: Transport> WireClient<T> {
             }
             // Drain everything the transport has; the response for `id`
             // may be preceded by stale duplicates or damaged deliveries.
-            while let Some(delivery) = self.transport.poll() {
+            while let Some(delivery) = self.transport.recv() {
                 match decode_frame(&delivery) {
                     Some(WireMessage::Response(resp)) if resp.id == id => {
                         if let ResponseBody::Nack { .. } = resp.body {
@@ -176,18 +167,18 @@ mod tests {
 
     use super::*;
 
-    /// A scripted transport: the "server" side is a queue of canned
-    /// deliveries released one per poll after each send.
+    /// A scripted channel: the "server" side is a queue of canned
+    /// deliveries released one per receive after each send.
     struct Scripted {
         sent: Vec<Vec<u8>>,
         replies: std::collections::VecDeque<Vec<u8>>,
     }
 
-    impl Transport for Scripted {
+    impl Channel for Scripted {
         fn send(&mut self, frame: Vec<u8>) {
             self.sent.push(frame);
         }
-        fn poll(&mut self) -> Option<Vec<u8>> {
+        fn recv(&mut self) -> Option<Vec<u8>> {
             self.replies.pop_front()
         }
     }

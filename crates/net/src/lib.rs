@@ -20,7 +20,7 @@ mod client;
 mod codec;
 mod wire;
 
-pub use client::{ClientError, ClientStats, Transport, WireClient};
+pub use client::{ClientError, ClientStats, WireClient};
 pub use codec::{CodecError, Reader, Writer};
 pub use wire::{
     decode_frame, Request, RequestBody, Response, ResponseBody, ShardHealth, WireMessage,

@@ -498,21 +498,9 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// the receiver NACKs or retries, mirroring [`asr_durable::ShipMessage`]'s
 /// contract that damage is detected, never interpreted.
 pub fn decode_frame(delivery: &[u8]) -> Option<WireMessage> {
-    if delivery.len() < 8 {
+    let Ok((payload, [])) = asr_durable::split_frame(delivery, MAX_FRAME_LEN) else {
         return None;
-    }
-    let len = u32::from_le_bytes(delivery[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(delivery[4..8].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return None;
-    }
-    if delivery.len() != 8 + len {
-        return None;
-    }
-    let payload = &delivery[8..];
-    if asr_durable::crc32(payload) != crc {
-        return None;
-    }
+    };
     let mut r = Reader::new(payload);
     let dir = r.u8().ok()?;
     let id = r.u64().ok()?;

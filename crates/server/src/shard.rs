@@ -63,16 +63,15 @@ use std::hash::{Hash, Hasher};
 
 use asr_core::{AsrError, AsrId, Cell, Database, Row, Snapshot};
 use asr_durable::{
-    replicate, Channel, ChannelStats, ChaosProfile, DurableDatabase, FaultyChannel,
+    replicate, seeded_rng, Channel, ChannelStats, ChaosProfile, DurableDatabase, FaultyChannel,
     LosslessChannel, MemStorage, Need, ReplicaApplier, ReplicateOptions, ShipReport, Storage,
 };
 use asr_gom::{Oid, PathExpression};
-use asr_net::{
-    ClientError, ClientStats, RequestBody, ResponseBody, ShardHealth, Transport, Writer,
-};
+use asr_net::{ClientError, ClientStats, RequestBody, ResponseBody, ShardHealth, Writer};
 use asr_obs::Tracer;
 use asr_oql::SpanRouter;
 use asr_pagesim::IoSnapshot;
+use rand::RngCore;
 
 use crate::exec::ServerDb;
 use crate::session::NetServer;
@@ -164,16 +163,6 @@ pub fn placement_shard(asr: AsrId, partition: usize, row: &Row, n: usize) -> usi
     (h.finish() % n.max(1) as u64) as usize
 }
 
-/// The same SplitMix64 step the durable chaos harness uses — local so
-/// fault plans derive from a seed without widening `asr-durable`'s API.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic fault-injection plan for one [`ShardNode`] — the
 /// serving-process sibling of [`ChaosProfile`] (which damages the
 /// *links*; this crashes or stalls the *node*).  Ops are counted per
@@ -202,16 +191,15 @@ impl ShardFaultPlan {
     /// or a stall (sometimes both), a third lose their replica base,
     /// and a third crash again during the reseed.
     pub fn from_seed(seed: u64) -> Self {
-        let mut r = seed ^ 0x0FA7_A1D0;
-        let crash = !splitmix(&mut r).is_multiple_of(3);
-        let stall = !crash || splitmix(&mut r).is_multiple_of(3);
+        let mut r = seeded_rng(seed ^ 0x0FA7_A1D0);
+        let crash = !r.next_u64().is_multiple_of(3);
+        let stall = !crash || r.next_u64().is_multiple_of(3);
         ShardFaultPlan {
-            crash_at_op: crash.then(|| 1 + splitmix(&mut r) % 24),
-            stall_at_op: stall.then(|| 1 + splitmix(&mut r) % 24),
-            stall_ops: 4 + splitmix(&mut r) % 24,
-            lose_applier: splitmix(&mut r).is_multiple_of(3),
-            reseed_crashes: splitmix(&mut r).is_multiple_of(3) as u32
-                * (1 + (splitmix(&mut r) % 2) as u32),
+            crash_at_op: crash.then(|| 1 + r.next_u64() % 24),
+            stall_at_op: stall.then(|| 1 + r.next_u64() % 24),
+            stall_ops: 4 + r.next_u64() % 24,
+            lose_applier: r.next_u64().is_multiple_of(3),
+            reseed_crashes: r.next_u64().is_multiple_of(3) as u32 * (1 + (r.next_u64() % 2) as u32),
         }
     }
 
@@ -284,10 +272,10 @@ struct HealthRecord {
 
 /// One in-process shard: a placement-slice database behind its own
 /// exactly-once server, reached through a pair of (optionally chaotic)
-/// channels.  Implements [`Transport`], so a [`asr_net::WireClient`] can
+/// channels.  Implements [`Channel`], so a [`asr_net::WireClient`] can
 /// drive it like a remote peer: `send` enqueues the request frame,
-/// `poll` pumps the server once and dequeues a response frame.  An
-/// armed [`ShardFaultPlan`] makes `poll` crash or stall the node on a
+/// `recv` pumps the server once and dequeues a response frame.  An
+/// armed [`ShardFaultPlan`] makes `recv` crash or stall the node on a
 /// deterministic schedule.
 pub struct ShardNode {
     index: usize,
@@ -437,12 +425,12 @@ impl ShardNode {
     }
 }
 
-impl Transport for ShardNode {
+impl Channel for ShardNode {
     fn send(&mut self, frame: Vec<u8>) {
         self.inbox.send(frame);
     }
 
-    fn poll(&mut self) -> Option<Vec<u8>> {
+    fn recv(&mut self) -> Option<Vec<u8>> {
         if self.fault_gate() {
             return None;
         }
@@ -1384,5 +1372,37 @@ impl ShardedDatabase {
             tracer.metrics().inc_counter("shard.reseeds", 1);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The plans as the private SplitMix64 copy drew them before
+    /// `seeded_rng` replaced it: CI's pinned failover seed must keep
+    /// replaying the same crashes and stalls.
+    #[test]
+    fn seeded_fault_plans_are_pinned() {
+        assert_eq!(
+            ShardFaultPlan::from_seed(1337),
+            ShardFaultPlan {
+                crash_at_op: Some(21),
+                stall_at_op: None,
+                stall_ops: 20,
+                lose_applier: false,
+                reseed_crashes: 0,
+            }
+        );
+        assert_eq!(
+            ShardFaultPlan::from_seed(7),
+            ShardFaultPlan {
+                crash_at_op: Some(7),
+                stall_at_op: Some(3),
+                stall_ops: 24,
+                lose_applier: true,
+                reseed_crashes: 1,
+            }
+        );
     }
 }

@@ -16,35 +16,23 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use asr_durable::{Channel, LosslessChannel, Storage};
-use asr_net::Transport;
+use asr_durable::{frame_len, Channel, FrameError, LosslessChannel, Storage};
 
 use crate::exec::ServerDb;
 use crate::session::{NetServer, PumpReport};
 
-/// Refuse frames claiming more than this payload (a garbage length
-/// word would otherwise stall the stream waiting for terabytes).  Shared
-/// with [`asr_net::decode_frame`], which applies the same cap before
-/// interpreting a reassembled frame.
-const MAX_FRAME: usize = asr_net::MAX_FRAME_LEN;
-
 /// Pull one complete `[len][crc][payload]` frame off the front of
-/// `buf`, if the bytes for it have all arrived.  Returns `Err(())` on a
-/// ridiculous length word (protocol desync — the connection is dead).
+/// `buf`, if the bytes for it have all arrived.  The length word alone
+/// delimits — a frame failing its CRC still reaches the session, which
+/// NACKs it.  Returns `Err(())` on a length word over
+/// [`asr_net::MAX_FRAME_LEN`] (protocol desync — the connection is dead;
+/// waiting would stall the stream for terabytes).
 fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ()> {
-    if buf.len() < 8 {
-        return Ok(None);
+    match frame_len(buf, asr_net::MAX_FRAME_LEN) {
+        Ok(total) => Ok(Some(buf.drain(..total).collect())),
+        Err(FrameError::OverCap) => Err(()),
+        Err(_) => Ok(None),
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(());
-    }
-    let total = 8 + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let frame: Vec<u8> = buf.drain(..total).collect();
-    Ok(Some(frame))
 }
 
 struct Conn {
@@ -222,8 +210,8 @@ impl TcpServer {
     }
 }
 
-/// Client-side TCP adapter for [`asr_net::WireClient`]: blocking reads
-/// with a short timeout, so `poll` waits briefly for the response
+/// Client-side TCP channel for [`asr_net::WireClient`]: blocking reads
+/// with a short timeout, so `recv` waits briefly for the response
 /// instead of spinning the retry loop dry.
 pub struct TcpTransport {
     stream: TcpStream,
@@ -243,7 +231,7 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
+impl Channel for TcpTransport {
     fn send(&mut self, frame: Vec<u8>) {
         // Delivery failures surface as a missing response; the wire
         // client retries.
@@ -251,7 +239,7 @@ impl Transport for TcpTransport {
         let _ = self.stream.flush();
     }
 
-    fn poll(&mut self) -> Option<Vec<u8>> {
+    fn recv(&mut self) -> Option<Vec<u8>> {
         if let Ok(Some(frame)) = take_frame(&mut self.inbuf) {
             return Some(frame);
         }

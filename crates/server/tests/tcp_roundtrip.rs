@@ -12,10 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use asr_durable::MemStorage;
-use asr_net::{
-    decode_frame, Request, RequestBody, ResponseBody, Transport, WireClient, WireMessage,
-};
+use asr_durable::{Channel, MemStorage};
+use asr_net::{decode_frame, Request, RequestBody, ResponseBody, WireClient, WireMessage};
 use asr_server::{ServerDb, TcpServer, TcpTransport};
 
 #[test]
@@ -67,7 +65,7 @@ fn single_threaded_poll_serves_a_connection() {
         server
             .poll(&mut ServerDb::<MemStorage>::Plain(&mut db))
             .expect("polls");
-        if let Some(f) = transport.poll() {
+        if let Some(f) = transport.recv() {
             frame = Some(f);
             break;
         }

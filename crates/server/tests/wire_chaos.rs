@@ -15,7 +15,7 @@ mod common;
 use asr_core::{AsrConfig, Database, Decomposition, Extension};
 use asr_durable::{Channel, ChaosProfile, FaultyChannel, MemStorage};
 use asr_gom::Value;
-use asr_net::{RequestBody, ResponseBody, Transport, WireClient};
+use asr_net::{RequestBody, ResponseBody, WireClient};
 use asr_server::{NetServer, ServerDb};
 
 /// An in-process served database behind a chaotic request/response
@@ -42,12 +42,12 @@ impl ChaosServer {
     }
 }
 
-impl Transport for ChaosServer {
+impl Channel for ChaosServer {
     fn send(&mut self, frame: Vec<u8>) {
         self.inbox.send(frame);
     }
 
-    fn poll(&mut self) -> Option<Vec<u8>> {
+    fn recv(&mut self) -> Option<Vec<u8>> {
         let mut view = ServerDb::<MemStorage>::Plain(&mut self.db);
         self.server
             .pump_session(self.sid, &mut view, &mut self.inbox, &mut self.outbox);
