@@ -7,11 +7,12 @@
 //! [`asr_pagesim::IoStats`] counter.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_gom::{ObjectBase, Oid, PathExpression, Schema, TypeId, Value};
-use asr_obs::Tracer;
+use asr_obs::{Attrs, Tracer};
 use asr_pagesim::{IoStats, StatsHandle};
 
 use crate::cell::Cell;
@@ -31,6 +32,16 @@ pub type AsrId = usize;
 struct SetSites {
     slot: AsrId,
     steps: Vec<(usize, Vec<Oid>)>,
+}
+
+/// The `span` attribute of a query span, `i..j`: formatted only when the
+/// span's record is built.
+struct SpanLabel(usize, usize);
+
+impl fmt::Display for SpanLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}..{}", self.0, self.1)
+    }
 }
 
 /// An object base with maintained access support relations.
@@ -230,9 +241,8 @@ impl Database {
         id: AsrId,
         keep: impl FnMut(usize, &Row) -> bool,
     ) -> Result<u64> {
-        let mut span = self
-            .tracer
-            .span_with("shard.place", &[("asr", id.to_string())]);
+        let attrs: Attrs = &[("asr", &id)];
+        let mut span = self.tracer.span_with("shard.place", attrs);
         let asr = match self.asrs.get_mut(id) {
             Some(Some(asr)) => asr,
             _ => {
@@ -270,10 +280,9 @@ impl Database {
     /// Forward span query through an ASR, falling back to naive object
     /// traversal when formula (35) rules the extension out.
     pub fn forward(&self, id: AsrId, i: usize, j: usize, start: Oid) -> Result<Vec<Cell>> {
-        let mut span = self.tracer.span_with(
-            "query.forward",
-            &[("asr", id.to_string()), ("span", format!("{i}..{j}"))],
-        );
+        let cols = SpanLabel(i, j);
+        let attrs: Attrs = &[("asr", &id), ("span", &cols)];
+        let mut span = self.tracer.span_with("query.forward", attrs);
         self.tracer.metrics().inc_counter("query.forward", 1);
         let asr = self.asr(id)?;
         let before = self.stats.snapshot();
@@ -309,10 +318,9 @@ impl Database {
 
     /// Backward span query through an ASR, with naive fallback.
     pub fn backward(&self, id: AsrId, i: usize, j: usize, target: &Cell) -> Result<Vec<Oid>> {
-        let mut span = self.tracer.span_with(
-            "query.backward",
-            &[("asr", id.to_string()), ("span", format!("{i}..{j}"))],
-        );
+        let cols = SpanLabel(i, j);
+        let attrs: Attrs = &[("asr", &id), ("span", &cols)];
+        let mut span = self.tracer.span_with("query.backward", attrs);
         self.tracer.metrics().inc_counter("query.backward", 1);
         let asr = self.asr(id)?;
         let before = self.stats.snapshot();
@@ -353,13 +361,9 @@ impl Database {
         match self.find_supporting_asr(path, i, j) {
             Some(id) => self.forward(id, i, j, start),
             None => {
-                let mut span = self.tracer.span_with(
-                    "query.forward",
-                    &[
-                        ("span", format!("{i}..{j}")),
-                        ("fallback", "unindexed".to_string()),
-                    ],
-                );
+                let cols = SpanLabel(i, j);
+                let attrs: Attrs = &[("span", &cols), ("fallback", &"unindexed")];
+                let mut span = self.tracer.span_with("query.forward", attrs);
                 self.tracer.metrics().inc_counter("query.unindexed", 1);
                 let result = naive::forward_naive(&self.base, &self.store, path, i, j, start);
                 if let Ok(cells) = &result {
@@ -381,13 +385,9 @@ impl Database {
         match self.find_supporting_asr(path, i, j) {
             Some(id) => self.backward(id, i, j, target),
             None => {
-                let mut span = self.tracer.span_with(
-                    "query.backward",
-                    &[
-                        ("span", format!("{i}..{j}")),
-                        ("fallback", "unindexed".to_string()),
-                    ],
-                );
+                let cols = SpanLabel(i, j);
+                let attrs: Attrs = &[("span", &cols), ("fallback", &"unindexed")];
+                let mut span = self.tracer.span_with("query.backward", attrs);
                 self.tracer.metrics().inc_counter("query.unindexed", 1);
                 let result = naive::backward_naive(&self.base, &self.store, path, i, j, target);
                 if let Ok(oids) = &result {
@@ -465,9 +465,8 @@ impl Database {
         if old == value {
             return Ok(());
         }
-        let _span = self
-            .tracer
-            .span_with("maintain.set_attribute", &[("attr", attr.to_string())]);
+        let attrs: Attrs = &[("attr", &attr)];
+        let _span = self.tracer.span_with("maintain.set_attribute", attrs);
         self.base_mut().set_attribute(owner, attr, value.clone())?;
         self.dirty_oids.insert(owner);
         let owner_ty = self.base.type_of(owner)?;

@@ -59,6 +59,12 @@ pub enum AsrError {
     /// A scatter-gather shard operation failed: a shard link stayed down
     /// past its retry budget, or a shard answered with a remote error.
     Shard(String),
+    /// Probe keys offered as a [`crate::query::Frontier`] were not
+    /// strictly ascending: key `index` does not follow key `index − 1`.
+    FrontierOrder {
+        /// Position of the first key out of order.
+        index: usize,
+    },
 }
 
 impl fmt::Display for AsrError {
@@ -80,6 +86,11 @@ impl fmt::Display for AsrError {
             AsrError::BadUpdatePosition(msg) => write!(f, "bad update position: {msg}"),
             AsrError::Snapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
             AsrError::Shard(msg) => write!(f, "shard error: {msg}"),
+            AsrError::FrontierOrder { index } => write!(
+                f,
+                "probe keys must be strictly ascending: key {index} does not follow key {}",
+                index - 1
+            ),
         }
     }
 }

@@ -62,7 +62,8 @@ pub use error::{AsrError, Result};
 pub use extension::Extension;
 pub use manager::{AccessSupportRelation, AsrConfig};
 pub use persist::{AsrLoadMode, CheckpointSource, LoadReport};
+pub use query::Frontier;
 pub use relation::Relation;
 pub use row::Row;
-pub use snapshot::{Snapshot, TxnStatus};
+pub use snapshot::{PinnedPartition, Snapshot, TxnStatus};
 pub use store::ObjectStore;

@@ -24,6 +24,7 @@ use asr_pagesim::{
 
 use crate::cell::Cell;
 use crate::error::{AsrError, Result};
+use crate::query::Frontier;
 use crate::relation::Relation;
 use crate::row::Row;
 use crate::snapshot::PartitionVersion;
@@ -286,60 +287,24 @@ impl StoredPartition {
             .collect()
     }
 
-    /// Batched [`Self::lookup_first`] over **ascending** `cells`
-    /// (`BTreeSet` iteration order qualifies): one shared descent of the
-    /// forward tree, each page charged at most once for the whole batch.
-    /// Rows come back grouped per probe cell, in the same order the
-    /// per-cell lookups would have produced them.
-    pub fn lookup_first_grouped<'a>(
-        &self,
-        cells: impl IntoIterator<Item = &'a Cell>,
-    ) -> Vec<Vec<Row>> {
-        Self::lookup_grouped(&self.fwd, cells)
-    }
-
-    /// Batched [`Self::lookup_last`] over **ascending** `cells` — the
-    /// backward-tree counterpart of [`Self::lookup_first_grouped`].
-    pub fn lookup_last_grouped<'a>(
-        &self,
-        cells: impl IntoIterator<Item = &'a Cell>,
-    ) -> Vec<Vec<Row>> {
-        Self::lookup_grouped(&self.bwd, cells)
-    }
-
-    /// Flattened [`Self::lookup_first_grouped`]: the concatenation equals
-    /// `cells.flat_map(|c| lookup_first(c))` bit-for-bit.
-    pub fn lookup_first_many<'a>(&self, cells: impl IntoIterator<Item = &'a Cell>) -> Vec<Row> {
-        self.lookup_first_grouped(cells)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Flattened [`Self::lookup_last_grouped`].
-    pub fn lookup_last_many<'a>(&self, cells: impl IntoIterator<Item = &'a Cell>) -> Vec<Row> {
-        self.lookup_last_grouped(cells)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    fn lookup_grouped<'a>(
-        tree: &BPlusTree<PartitionKey, Row>,
-        cells: impl IntoIterator<Item = &'a Cell>,
-    ) -> Vec<Vec<Row>> {
-        let ranges: Vec<(PartitionKey, PartitionKey)> = cells
-            .into_iter()
-            .map(|c| ((Some(c.clone()), 0u64), (Some(c.clone()), u64::MAX)))
-            .collect();
-        let mut out: Vec<Vec<Row>> = vec![Vec::new(); ranges.len()];
+    /// The partition's one batched probe: visit, by reference, the rows
+    /// whose first (`forward`) or last column is in `frontier` — grouped
+    /// per cell in frontier order, the concatenation of the per-cell
+    /// [`Self::lookup_first`] / [`Self::lookup_last`] answers — through one
+    /// shared descent of that clustering tree, each page charged at most
+    /// once for the whole batch.
+    pub fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+        let tree = if forward { &self.fwd } else { &self.bwd };
         tree.scan_ranges_sorted(
-            ranges
-                .iter()
-                .map(|(lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
-            |idx, _, row| out[idx].push(row.clone()),
+            frontier.cells().iter().map(|c| {
+                let key = Some(c.clone());
+                (
+                    Bound::Included((key.clone(), 0u64)),
+                    Bound::Excluded((key, u64::MAX)),
+                )
+            }),
+            |_, _, row| visit(row),
         );
-        out
     }
 
     /// Exhaustively scan all rows (used when a query enters a partition in

@@ -11,6 +11,21 @@
 //!   relations evaluate interior spans so poorly, Figure 8);
 //! * subsequent partitions are probed per frontier value (the Yao terms).
 //!
+//! The walk is a chain of accesses whose inputs are bound by earlier
+//! outputs: between two partitions only one cell of each row matters, so
+//! it carries a [`Frontier`] of cells, never rows.
+//!
+//! # The `SpanSource` contract
+//!
+//! A [`SpanSource`] is one partition as the walk sees it: a live
+//! [`StoredPartition`] or a pinned MVCC version behind
+//! [`crate::Snapshot`].  Both accesses take a [`Frontier`] — ascending and
+//! duplicate-free by construction, which is what lets a batched probe
+//! share one descent and charge each tree page at most once — and hand
+//! every matching stored row to a visitor **by reference**: nothing is
+//! cloned on the way, and the visitor copies out only the cell it needs.
+//! Rows arrive in clustering order, grouped per frontier cell for a probe.
+//!
 //! The same partition-walking machinery collects complete **prefixes** and
 //! **suffixes** of stored rows, which is how incremental maintenance
 //! retrieves the paper's `I_l` / `I_r` relations from the access relation
@@ -20,47 +35,156 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cell::Cell;
 use crate::decomposition::Decomposition;
+use crate::error::{AsrError, Result};
 use crate::partition::StoredPartition;
 use crate::row::Row;
 
-/// One partition as the span-query walk sees it: batched border probes
-/// through a clustering direction, and exhaustive interior scans.
-/// Implemented by live [`StoredPartition`]s (page costs land on the shared
-/// stats handle) and by the immutable MVCC partition versions behind
-/// [`crate::Snapshot`] (modeled page costs land on the snapshot's own
-/// counter), so both evaluate `Q_{i,j}` through the same machinery.
-pub trait SpanSource {
-    /// Batched clustered probe over an **ascending** frontier: `forward`
-    /// probes the first-column clustering, otherwise the last-column one.
-    /// Rows come back grouped per probe cell in frontier order, matching
-    /// [`StoredPartition::lookup_first_many`] bit for bit.
-    fn probe_border(&self, forward: bool, frontier: &BTreeSet<Cell>) -> Vec<Row>;
+/// The bound input of one access: an ascending, duplicate-free list of
+/// cells.  The type is the invariant — every constructor either checks it
+/// ([`Frontier::ascending`]) or establishes it (sorting and deduplicating
+/// via [`FromIterator`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Frontier(Vec<Cell>);
 
-    /// Exhaustive scan keeping the rows whose column `offset` is in
-    /// `frontier`, in first-column clustering order.
-    fn scan_matching(&self, offset: usize, frontier: &BTreeSet<Cell>) -> Vec<Row>;
-}
-
-impl SpanSource for StoredPartition {
-    fn probe_border(&self, forward: bool, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        if forward {
-            self.lookup_first_many(frontier.iter())
-        } else {
-            self.lookup_last_many(frontier.iter())
+impl Frontier {
+    /// Adopt `cells` if they are strictly ascending; otherwise a
+    /// [`AsrError::FrontierOrder`] naming the first cell out of order.
+    /// This is the gate for probe keys that arrive from outside (the
+    /// wire's `ShardProbe`).
+    pub fn ascending(cells: Vec<Cell>) -> Result<Self> {
+        match cells.windows(2).position(|w| w[0] >= w[1]) {
+            Some(at) => Err(AsrError::FrontierOrder { index: at + 1 }),
+            None => Ok(Frontier(cells)),
         }
     }
 
-    fn scan_matching(&self, offset: usize, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        let mut hits = Vec::new();
-        self.scan(|row| {
-            if let Some(cell) = row.cell(offset) {
-                if frontier.contains(cell) {
-                    hits.push(row.clone());
-                }
+    /// The cells, ascending.
+    pub fn cells(&self) -> &[Cell] {
+        &self.0
+    }
+
+    /// `true` when there is nothing to probe.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Is `cell` in the frontier?  (NULL never is.)  Binary search.
+    pub fn contains(&self, cell: &Option<Cell>) -> bool {
+        cell.as_ref()
+            .is_some_and(|c| self.0.binary_search(c).is_ok())
+    }
+
+    /// Unwrap the cells, ascending.
+    pub fn into_cells(self) -> Vec<Cell> {
+        self.0
+    }
+
+    /// Refill in place, keeping the buffer: `fill` pushes cells in any
+    /// order, then they are sorted and deduplicated.
+    fn refill(&mut self, fill: impl FnOnce(&mut Vec<Cell>)) {
+        self.0.clear();
+        fill(&mut self.0);
+        self.0.sort_unstable();
+        self.0.dedup();
+    }
+}
+
+impl From<Cell> for Frontier {
+    fn from(cell: Cell) -> Self {
+        Frontier(vec![cell])
+    }
+}
+
+impl FromIterator<Cell> for Frontier {
+    fn from_iter<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
+        let mut frontier = Frontier::default();
+        frontier.refill(|buf| buf.extend(cells));
+        frontier
+    }
+}
+
+/// One partition as the span-query walk sees it (see the module doc for
+/// the contract).  Implemented by live [`StoredPartition`]s (page costs
+/// land on the shared stats handle) and by the immutable MVCC partition
+/// versions behind [`crate::Snapshot`] (modeled page costs land on the
+/// snapshot's own counter), so both evaluate `Q_{i,j}` through the same
+/// machinery.
+pub trait SpanSource {
+    /// Batched clustered probe: `forward` probes the first-column
+    /// clustering, otherwise the last-column one.  Visits the rows whose
+    /// clustering cell is in `frontier`, grouped per cell in frontier
+    /// order, each tree page charged at most once for the whole batch.
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row));
+
+    /// Exhaustive scan visiting the rows whose column `offset` is in
+    /// `frontier`, in first-column clustering order.
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row));
+}
+
+impl SpanSource for StoredPartition {
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+        StoredPartition::probe(self, forward, frontier, visit);
+    }
+
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+        StoredPartition::scan(self, |row| {
+            if frontier.contains(row.cell(offset)) {
+                visit(row);
             }
         });
-        hits
     }
+}
+
+/// One access of a span walk.
+struct Step {
+    part: usize,
+    /// `Some(offset)`: scan, matching the frontier at `offset`; `None`:
+    /// border probe.
+    scan_at: Option<usize>,
+    /// Column (partition-relative) whose cells the step hands on.
+    out: usize,
+    /// Does this step produce the answer?
+    last: bool,
+}
+
+/// Walk `steps` in order from `entry`, handing each step's `out` cells on
+/// as the next frontier; the cells of the `last` step are the answer,
+/// ascending.  Two frontier buffers alternate for the whole walk.
+fn walk<P: SpanSource>(
+    partitions: &[P],
+    steps: impl Iterator<Item = Step>,
+    forward: bool,
+    entry: &Cell,
+) -> Vec<Cell> {
+    let mut frontier = Frontier::from(entry.clone());
+    let mut next = Frontier::default();
+    for step in steps {
+        let part = &partitions[step.part];
+        next.refill(|out| {
+            let mut keep = |row: &Row| {
+                if let Some(cell) = row.cell(step.out) {
+                    out.push(cell.clone());
+                }
+            };
+            match step.scan_at {
+                // The walk enters the partition at an interior column:
+                // exhaustive scan.
+                Some(offset) => part.scan(offset, &frontier, &mut keep),
+                // It enters at the border: one batched clustered probe over
+                // the whole frontier — each tree page is read at most once
+                // however many frontier cells share it.
+                None => part.probe(forward, &frontier, &mut keep),
+            }
+        });
+        if step.last {
+            return next.into_cells();
+        }
+        if next.is_empty() {
+            break;
+        }
+        std::mem::swap(&mut frontier, &mut next);
+    }
+    Vec::new()
 }
 
 /// Evaluate a forward span query: all cells at column `cj` reachable from
@@ -73,35 +197,17 @@ pub fn forward_supported<P: SpanSource>(
     start: &Cell,
 ) -> Vec<Cell> {
     debug_assert!(ci < cj && cj <= dec.m());
-    let mut frontier: BTreeSet<Cell> = BTreeSet::from([start.clone()]);
-    for (idx, (a, b)) in dec.partitions().enumerate() {
-        if b <= ci {
-            continue;
-        }
-        if a >= cj {
-            break;
-        }
-        let part = &partitions[idx];
-        let rows: Vec<Row> = if a < ci {
-            // Entry column strictly inside the partition: exhaustive scan.
-            part.scan_matching(ci - a, &frontier)
-        } else {
-            // Entry at the partition border: one batched clustered probe
-            // over the whole (sorted) frontier — each tree page is read at
-            // most once however many frontier cells share it.
-            part.probe_border(true, &frontier)
-        };
-        if cj <= b {
-            let offset = cj - a;
-            let out: BTreeSet<Cell> = rows.iter().filter_map(|r| r.cell(offset).clone()).collect();
-            return out.into_iter().collect();
-        }
-        frontier = rows.iter().filter_map(|r| r.last().clone()).collect();
-        if frontier.is_empty() {
-            return Vec::new();
-        }
-    }
-    Vec::new()
+    let steps = dec
+        .partitions()
+        .enumerate()
+        .filter(|&(_, (a, b))| b > ci && a < cj)
+        .map(|(part, (a, b))| Step {
+            part,
+            scan_at: (a < ci).then(|| ci - a),
+            out: cj.min(b) - a,
+            last: cj <= b,
+        });
+    walk(partitions, steps, true, start)
 }
 
 /// Evaluate a backward span query: all cells at column `ci` from which the
@@ -114,35 +220,17 @@ pub fn backward_supported<P: SpanSource>(
     target: &Cell,
 ) -> Vec<Cell> {
     debug_assert!(ci < cj && cj <= dec.m());
-    let mut frontier: BTreeSet<Cell> = BTreeSet::from([target.clone()]);
-    let spans: Vec<(usize, usize)> = dec.partitions().collect();
-    for (idx, &(a, b)) in spans.iter().enumerate().rev() {
-        if a >= cj {
-            continue;
-        }
-        if b <= ci {
-            break;
-        }
-        let part = &partitions[idx];
-        let rows: Vec<Row> = if b > cj {
-            // Exit column strictly inside the partition: exhaustive scan.
-            part.scan_matching(cj - a, &frontier)
-        } else {
-            // Exit at the partition border: one batched reverse-clustered
-            // probe over the whole (sorted) frontier.
-            part.probe_border(false, &frontier)
-        };
-        if ci >= a {
-            let offset = ci - a;
-            let out: BTreeSet<Cell> = rows.iter().filter_map(|r| r.cell(offset).clone()).collect();
-            return out.into_iter().collect();
-        }
-        frontier = rows.iter().filter_map(|r| r.first().clone()).collect();
-        if frontier.is_empty() {
-            return Vec::new();
-        }
-    }
-    Vec::new()
+    let steps = (0..dec.partition_count())
+        .rev()
+        .map(|part| (part, dec.span(part)))
+        .filter(|&(_, (a, b))| a < cj && b > ci)
+        .map(|(part, (a, b))| Step {
+            part,
+            scan_at: (b > cj).then(|| cj - a),
+            out: ci.max(a) - a,
+            last: ci >= a,
+        });
+    walk(partitions, steps, false, target)
 }
 
 /// The partition index whose span *ends* at column `col` (preferred for
@@ -218,26 +306,26 @@ pub fn collect_prefixes(
 /// Probe `part` once for all distinct fragment boundaries (the cell
 /// `boundary_of` selects from each fragment), returning rows grouped by
 /// boundary.  `forward` picks the clustering tree: `true` probes the
-/// forward tree (`lookup_first`), `false` the backward tree
-/// (`lookup_last`).  The distinct boundaries form a sorted set, so the
-/// whole batch descends the tree once per run of adjacent keys.
-fn grouped_lookup<'a>(
+/// forward tree, `false` the backward tree — either way a row's own
+/// clustering cell is the boundary it was found under.
+fn grouped_lookup(
     part: &StoredPartition,
-    fragments: &'a BTreeSet<Row>,
-    boundary_of: impl Fn(&'a Row) -> &'a Option<Cell>,
+    fragments: &BTreeSet<Row>,
+    boundary_of: impl Fn(&Row) -> &Option<Cell>,
     forward: bool,
-) -> BTreeMap<&'a Cell, Vec<Row>> {
-    let boundaries: BTreeSet<&Cell> = fragments
+) -> BTreeMap<Cell, Vec<Row>> {
+    let boundaries: Frontier = fragments
         .iter()
-        .filter_map(|f| boundary_of(f).as_ref())
+        .filter_map(|f| boundary_of(f).clone())
         .collect();
-    let sorted: Vec<&Cell> = boundaries.into_iter().collect();
-    let grouped = if forward {
-        part.lookup_first_grouped(sorted.iter().copied())
-    } else {
-        part.lookup_last_grouped(sorted.iter().copied())
-    };
-    sorted.into_iter().zip(grouped).collect()
+    let mut grouped: BTreeMap<Cell, Vec<Row>> = BTreeMap::new();
+    part.probe(forward, &boundaries, &mut |row| {
+        let key = if forward { row.first() } else { row.last() };
+        if let Some(key) = key {
+            grouped.entry(key.clone()).or_default().push(row.clone());
+        }
+    });
+    grouped
 }
 
 /// Collect all stored **suffix rows** over columns `col ..= m` whose column

@@ -21,7 +21,7 @@
 //! plus distinct leaves per batched probe, leaf pages per scan — on an
 //! internal atomic counter exposed as [`Snapshot::pages_read`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -33,7 +33,7 @@ use crate::error::{AsrError, Result};
 use crate::manager::AsrConfig;
 use crate::naive::check_span;
 use crate::partition::{PartitionImage, StoredPartition};
-use crate::query::{self, SpanSource};
+use crate::query::{self, Frontier, SpanSource};
 use crate::row::Row;
 
 // ---------------------------------------------------------------------
@@ -180,74 +180,92 @@ impl PartitionVersion {
         &self.image.rows[idx as usize].0
     }
 
-    /// Batched clustered probe in the order `keys` arrive (ascending for
-    /// frontier probes), concatenating per-key hit runs — the immutable
-    /// counterpart of [`StoredPartition::lookup_first_many`].  Charges one
-    /// descent plus each distinct leaf page once per batch.
-    fn probe_cells<'a>(
+    /// Batched clustered probe over `frontier`, visiting per-key hit runs
+    /// in frontier order — the immutable counterpart of
+    /// [`StoredPartition::probe`].  Charges one descent plus each distinct
+    /// leaf page once per batch.
+    fn probe(
         &self,
         forward: bool,
-        keys: impl Iterator<Item = &'a Cell>,
+        frontier: &Frontier,
         reads: &AtomicU64,
-    ) -> Vec<Row> {
+        visit: &mut dyn FnMut(&Row),
+    ) {
+        if frontier.is_empty() {
+            return;
+        }
         let (list, height) = if forward {
             (&self.by_first, self.fwd_height)
         } else {
             (&self.by_last, self.bwd_height)
         };
-        let mut out = Vec::new();
-        let mut leaves: BTreeSet<u64> = BTreeSet::new();
-        let mut probed = false;
-        for cell in keys {
-            probed = true;
-            let key = Some(cell.clone());
-            let mut at = list.partition_point(|e| (&e.0, e.1) < (&key, 0));
-            while at < list.len() && list[at].0 == key {
-                leaves.insert(at as u64 / self.leaf_capacity);
-                out.push(self.row(list[at].2).clone());
+        // Hit runs ascend with the frontier, so distinct leaves are the
+        // changes of `index / leaf_capacity` along the visit.
+        let mut leaves = 0u64;
+        let mut last_leaf = None;
+        for cell in frontier.cells() {
+            let mut at = list.partition_point(|e| e.0.as_ref().is_none_or(|c| c < cell));
+            while at < list.len() && list[at].0.as_ref() == Some(cell) {
+                let leaf = at as u64 / self.leaf_capacity;
+                if last_leaf != Some(leaf) {
+                    last_leaf = Some(leaf);
+                    leaves += 1;
+                }
+                visit(self.row(list[at].2));
                 at += 1;
             }
         }
-        if probed {
-            reads.fetch_add(height + leaves.len() as u64, Ordering::Relaxed);
-        }
-        out
+        reads.fetch_add(height + leaves, Ordering::Relaxed);
     }
 
-    /// Exhaustive scan in forward clustering order, keeping rows whose
-    /// column `offset` matches `wanted` — the immutable counterpart of
+    /// Exhaustive scan in forward clustering order, visiting rows whose
+    /// column `offset` is in `frontier` — the immutable counterpart of
     /// [`StoredPartition::scan`].  Charges the leaf pages of one tree.
-    fn scan_cells(&self, offset: usize, wanted: &BTreeSet<&Cell>, reads: &AtomicU64) -> Vec<Row> {
+    fn scan(
+        &self,
+        offset: usize,
+        frontier: &Frontier,
+        reads: &AtomicU64,
+        visit: &mut dyn FnMut(&Row),
+    ) {
         reads.fetch_add(self.fwd_leaf_pages, Ordering::Relaxed);
-        let mut hits = Vec::new();
         for &(_, _, idx) in &self.by_first {
             let row = self.row(idx);
-            if let Some(cell) = row.cell(offset) {
-                if wanted.contains(cell) {
-                    hits.push(row.clone());
-                }
+            if frontier.contains(row.cell(offset)) {
+                visit(row);
             }
         }
-        hits
     }
 }
 
-/// A partition version bound to a snapshot's read counter, so the span
-/// query machinery can charge modeled I/O somewhere.
-struct SnapView<'a> {
-    version: &'a PartitionVersion,
-    reads: &'a AtomicU64,
+/// One stored partition as a [`Snapshot`] pins it: the immutable
+/// published version plus the meter its probes and scans charge modeled
+/// reads to.  The MVCC [`SpanSource`]: a snapshot walks a slice of these
+/// exactly as the live ASR walks its [`StoredPartition`]s.
+#[derive(Debug, Clone)]
+pub struct PinnedPartition {
+    version: Arc<PartitionVersion>,
+    reads: Arc<AtomicU64>,
 }
 
-impl SpanSource for SnapView<'_> {
-    fn probe_border(&self, forward: bool, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        self.version
-            .probe_cells(forward, frontier.iter(), self.reads)
+impl PinnedPartition {
+    /// Pin `part`'s current version (capturing a fresh one only if the
+    /// partition changed since its last publish) on a meter of its own.
+    pub fn pin(part: &mut StoredPartition) -> Self {
+        PinnedPartition {
+            version: part.publish_version().0,
+            reads: Arc::default(),
+        }
+    }
+}
+
+impl SpanSource for PinnedPartition {
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+        self.version.probe(forward, frontier, &self.reads, visit);
     }
 
-    fn scan_matching(&self, offset: usize, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        let wanted: BTreeSet<&Cell> = frontier.iter().collect();
-        self.version.scan_cells(offset, &wanted, self.reads)
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+        self.version.scan(offset, frontier, &self.reads, visit);
     }
 }
 
@@ -256,12 +274,12 @@ impl SpanSource for SnapView<'_> {
 // ---------------------------------------------------------------------
 
 /// One ASR as published into a snapshot: design (path + config) plus the
-/// pinned partition versions.
+/// pinned partition versions, all metered on the snapshot's counter.
 #[derive(Debug)]
 struct SnapAsr {
     path: PathExpression,
     config: AsrConfig,
-    versions: Vec<Arc<PartitionVersion>>,
+    versions: Vec<PinnedPartition>,
 }
 
 impl SnapAsr {
@@ -343,14 +361,13 @@ impl Snapshot {
 
     /// Columns of partition `part` of ASR `id`.
     pub fn partition_arity(&self, id: AsrId, part: usize) -> Result<usize> {
-        Ok(self.partition(id, part)?.arity())
+        Ok(self.partition(id, part)?.version.arity())
     }
 
-    fn partition(&self, id: AsrId, part: usize) -> Result<&PartitionVersion> {
+    fn partition(&self, id: AsrId, part: usize) -> Result<&PinnedPartition> {
         self.snap_asr(id)?
             .versions
             .get(part)
-            .map(Arc::as_ref)
             .ok_or_else(|| AsrError::InvalidDecomposition(format!("no partition {part}")))
     }
 
@@ -367,16 +384,8 @@ impl Snapshot {
                 n: asr.path.len(),
             });
         }
-        let views: Vec<SnapView<'_>> = asr
-            .versions
-            .iter()
-            .map(|v| SnapView {
-                version: v,
-                reads: &self.reads,
-            })
-            .collect();
         Ok(query::forward_supported(
-            &views,
+            &asr.versions,
             &asr.config.decomposition,
             asr.column_of(i),
             asr.column_of(j),
@@ -396,16 +405,8 @@ impl Snapshot {
                 n: asr.path.len(),
             });
         }
-        let views: Vec<SnapView<'_>> = asr
-            .versions
-            .iter()
-            .map(|v| SnapView {
-                version: v,
-                reads: &self.reads,
-            })
-            .collect();
         let cells = query::backward_supported(
-            &views,
+            &asr.versions,
             &asr.config.decomposition,
             asr.column_of(i),
             asr.column_of(j),
@@ -414,13 +415,20 @@ impl Snapshot {
         Ok(cells.into_iter().filter_map(|c| c.as_oid()).collect())
     }
 
-    /// Batched clustered probe of one partition in the order `keys`
-    /// arrive — the snapshot counterpart of the scatter-gather
-    /// `ShardProbe` request (`lookup_first_many` / `lookup_last_many`).
-    pub fn probe(&self, id: AsrId, part: usize, forward: bool, keys: &[Cell]) -> Result<Vec<Row>> {
-        Ok(self
-            .partition(id, part)?
-            .probe_cells(forward, keys.iter(), &self.reads))
+    /// Batched clustered probe of one partition — the snapshot
+    /// counterpart of the scatter-gather `ShardProbe` request
+    /// ([`StoredPartition::probe`]), rows copied out for the wire.
+    pub fn probe(
+        &self,
+        id: AsrId,
+        part: usize,
+        forward: bool,
+        frontier: &Frontier,
+    ) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.partition(id, part)?
+            .probe(forward, frontier, &mut |row| rows.push(row.clone()));
+        Ok(rows)
     }
 
     /// Exhaustive scan of one partition keeping rows whose column
@@ -431,21 +439,27 @@ impl Snapshot {
         id: AsrId,
         part: usize,
         offset: usize,
-        frontier: &[Cell],
+        frontier: &Frontier,
     ) -> Result<Vec<Row>> {
-        let version = self.partition(id, part)?;
-        if offset >= version.arity() {
+        let pinned = self.partition(id, part)?;
+        if offset >= pinned.version.arity() {
             return Err(AsrError::InvalidDecomposition(format!(
                 "offset {offset} outside partition"
             )));
         }
-        let wanted: BTreeSet<&Cell> = frontier.iter().collect();
-        Ok(version.scan_cells(offset, &wanted, &self.reads))
+        let mut rows = Vec::new();
+        pinned.scan(offset, frontier, &mut |row| rows.push(row.clone()));
+        Ok(rows)
     }
 
     /// Total distinct rows across all partitions of ASR `id`.
     pub fn total_rows(&self, id: AsrId) -> Result<usize> {
-        Ok(self.snap_asr(id)?.versions.iter().map(|v| v.len()).sum())
+        Ok(self
+            .snap_asr(id)?
+            .versions
+            .iter()
+            .map(|v| v.version.len())
+            .sum())
     }
 
     /// The pinned partition images of every present ASR, in `A`-line
@@ -455,7 +469,7 @@ impl Snapshot {
         self.asrs
             .iter()
             .flatten()
-            .map(|asr| asr.versions.iter().map(|v| v.image()).collect())
+            .map(|asr| asr.versions.iter().map(|v| v.version.image()).collect())
             .collect()
     }
 }
@@ -496,6 +510,7 @@ impl Database {
             self.snap_stale = false;
         }
         let mut published = 0u64;
+        let reads: Arc<AtomicU64> = Arc::default();
         let mut asrs: Vec<Option<Arc<SnapAsr>>> = Vec::with_capacity(self.asrs.len());
         for slot in self.asrs.iter_mut() {
             match slot {
@@ -508,7 +523,10 @@ impl Database {
                         .map(|p| {
                             let (version, fresh) = p.publish_version();
                             published += u64::from(fresh);
-                            version
+                            PinnedPartition {
+                                version,
+                                reads: Arc::clone(&reads),
+                            }
                         })
                         .collect();
                     asrs.push(Some(Arc::new(SnapAsr {
@@ -537,7 +555,7 @@ impl Database {
             epoch: self.commit_epoch,
             base: Arc::clone(&self.base),
             asrs,
-            reads: Arc::new(AtomicU64::new(0)),
+            reads,
             _pin: Arc::new(pin),
         }
     }
@@ -559,6 +577,7 @@ mod tests {
     use crate::decomposition::Decomposition;
     use crate::extension::Extension;
     use asr_gom::{Schema, Value};
+    use std::collections::BTreeSet;
 
     fn company_db() -> Database {
         let mut s = Schema::new();
@@ -694,9 +713,11 @@ mod tests {
                     firsts.insert(c.clone());
                 }
             });
-            let keys: Vec<Cell> = firsts.into_iter().collect();
+            let keys: Frontier = firsts.into_iter().collect();
+            let mut live = Vec::new();
+            part.probe(true, &keys, &mut |row| live.push(row.clone()));
             assert_eq!(
-                part.lookup_first_many(keys.iter()),
+                live,
                 snap.probe(id, pidx, true, &keys).unwrap(),
                 "forward probe partition {pidx}"
             );
@@ -706,16 +727,10 @@ mod tests {
                 part.scan(|r| v.push(r.clone()));
                 v
             };
-            let wanted: Vec<Cell> = keys.clone();
-            let scanned = snap.scan_filter(id, pidx, 0, &wanted).unwrap();
+            let scanned = snap.scan_filter(id, pidx, 0, &keys).unwrap();
             let expect: Vec<Row> = rows_live
                 .iter()
-                .filter(|r| {
-                    r.cell(0)
-                        .as_ref()
-                        .map(|c| wanted.contains(c))
-                        .unwrap_or(false)
-                })
+                .filter(|r| keys.contains(r.cell(0)))
                 .cloned()
                 .collect();
             assert_eq!(expect, scanned, "scan partition {pidx}");

@@ -1,10 +1,11 @@
 //! Batched sorted-probe properties:
 //!
-//! * **equivalence** — `lookup_first_many` / `lookup_last_many` return
-//!   exactly the concatenation of the per-cell lookups, and
-//!   `forward_supported` / `backward_supported` (which batch their
-//!   frontier probes) are bit-identical to per-cell reference
-//!   evaluations across every decomposition;
+//! * **equivalence** — `StoredPartition::probe` visits exactly the
+//!   concatenation of the per-cell lookups, `forward_supported` /
+//!   `backward_supported` (which batch their frontier probes) are
+//!   bit-identical to per-cell reference evaluations across every
+//!   decomposition, and the same walk over the partitions' pinned MVCC
+//!   versions answers exactly what the live walk answers;
 //! * **accounting** — a batch never charges more page reads than the
 //!   per-cell probes it replaces, and charges strictly fewer as soon as
 //!   two probe keys share a leaf page.
@@ -16,7 +17,7 @@ use asr_core::cell::Cell;
 use asr_core::partition::{fresh_stats, StoredPartition};
 use asr_core::query::{backward_supported, forward_supported};
 use asr_core::row::Row;
-use asr_core::{Decomposition, Relation};
+use asr_core::{Decomposition, Frontier, PinnedPartition, Relation};
 use asr_gom::Oid;
 use proptest::prelude::*;
 
@@ -38,6 +39,14 @@ fn load(rel: &Relation, dec: &Decomposition) -> Vec<StoredPartition> {
             sp
         })
         .collect()
+}
+
+/// The rows one batched probe visits, copied out.
+fn probed(part: &StoredPartition, forward: bool, cells: &[Cell]) -> Vec<Row> {
+    let frontier = Frontier::ascending(cells.to_vec()).expect("ascending probe keys");
+    let mut rows = Vec::new();
+    part.probe(forward, &frontier, &mut |row| rows.push(row.clone()));
+    rows
 }
 
 /// Per-cell reference of the border-probe arm of `forward_supported`:
@@ -183,7 +192,35 @@ proptest! {
         }
     }
 
-    /// `lookup_*_many` equals the concatenated per-cell lookups and never
+    /// Over every span of every decomposition, the walk over the pinned
+    /// MVCC versions answers exactly what the live walk answers.
+    #[test]
+    fn pinned_walk_matches_live_walk(rel in relation_strategy()) {
+        for dec in Decomposition::enumerate_all(4) {
+            let mut parts = load(&rel, &dec);
+            let pinned: Vec<PinnedPartition> = parts.iter_mut().map(PinnedPartition::pin).collect();
+            for ci in 0..4usize {
+                for cj in ci + 1..=4 {
+                    for v in 0..6u64 {
+                        let start = cell(100 * ci as u64 + v);
+                        prop_assert_eq!(
+                            forward_supported(&pinned, &dec, ci, cj, &start),
+                            forward_supported(&parts, &dec, ci, cj, &start),
+                            "forward {}..{} from {:?} under {}", ci, cj, start, dec
+                        );
+                        let target = cell(100 * cj as u64 + v);
+                        prop_assert_eq!(
+                            backward_supported(&pinned, &dec, ci, cj, &target),
+                            backward_supported(&parts, &dec, ci, cj, &target),
+                            "backward {}..{} to {:?} under {}", ci, cj, target, dec
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The batched probe equals the concatenated per-cell lookups and never
     /// charges more page reads; with ≥2 probes into a single-leaf tree it
     /// charges strictly fewer.
     #[test]
@@ -217,11 +254,7 @@ proptest! {
             };
 
             stats.reset();
-            let batched = if forward {
-                part.lookup_first_many(cells.iter())
-            } else {
-                part.lookup_last_many(cells.iter())
-            };
+            let batched = probed(&part, forward, &cells);
             let batched_reads = stats.reads();
 
             stats.reset();
@@ -266,7 +299,7 @@ fn adjacent_probes_save_reads_and_count_them() {
     let cells: Vec<Cell> = (100..140).map(cell).collect();
 
     stats.reset();
-    let batched = part.lookup_first_many(cells.iter());
+    let batched = probed(&part, true, &cells);
     let batched_reads = stats.reads();
     let probes = stats.batch_probes();
     let saved = stats.batch_pages_saved();

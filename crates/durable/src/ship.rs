@@ -58,7 +58,7 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use asr_obs::FlightRecorder;
+use asr_obs::{Attrs, FlightRecorder};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -767,7 +767,9 @@ pub fn replicate<S: Storage, C: Channel>(
             )));
         }
         report.rounds += 1;
-        let mut span = tracer.span_with("ship.round", &[("round", report.rounds.to_string())]);
+        let round = report.rounds;
+        let attrs: Attrs = &[("round", &round)];
+        let mut span = tracer.span_with("ship.round", attrs);
         let sent_before = report.deliveries_sent;
         let applied_before = report.records_applied;
         let mut need = applier.needed();

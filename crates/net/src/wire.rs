@@ -74,9 +74,11 @@ pub enum RequestBody {
     Stats,
     /// Durable checkpoint (`delta` = `\checkpoint delta`).
     Checkpoint { delta: bool },
-    /// Batched clustered probe against one stored partition of one ASR:
-    /// `lookup_first_many` when `forward`, else `lookup_last_many`.
-    /// Scatter-gather broadcasts this to every shard and unions the rows.
+    /// Batched clustered probe against one stored partition of one ASR
+    /// (`StoredPartition::probe`; first-column tree when `forward`).
+    /// `keys` must be strictly ascending — anything else is refused with
+    /// an error response.  Scatter-gather broadcasts this to every shard
+    /// and unions the rows.
     ShardProbe {
         asr: u32,
         part: u32,

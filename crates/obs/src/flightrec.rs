@@ -264,7 +264,7 @@ mod tests {
             let rec = FlightRecorder::new(4);
             let tracer = Tracer::new();
             for i in 0..7 {
-                rec.record(&tracer.span_with("step", &[("i", i.to_string())]).finish());
+                rec.record(&tracer.span_with("step", &[("i", &i)]).finish());
             }
             rec.note("fault.crash", &[("n", "3".to_string())]);
             rec.dump_jsonl()

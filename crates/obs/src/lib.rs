@@ -37,4 +37,4 @@ pub mod span;
 pub use flightrec::{FlightEvent, FlightRecorder, FlightStatus};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventSink, FnSink, RingBufferSink, WriterSink};
-pub use span::{SinkId, SpanGuard, SpanRecord, Tracer};
+pub use span::{Attrs, SinkId, SpanGuard, SpanRecord, Tracer};

@@ -153,14 +153,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `by` to the named counter (creating it at zero).
+    /// Add `by` to the named counter (creating it at zero).  Bumping a
+    /// counter that already exists allocates nothing.
     pub fn inc_counter(&self, name: &str, by: u64) {
-        *self
-            .inner
-            .borrow_mut()
-            .counters
-            .entry(name.to_string())
-            .or_insert(0) += by;
+        let counters = &mut self.inner.borrow_mut().counters;
+        match counters.get_mut(name) {
+            Some(value) => *value += by,
+            None => {
+                counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Current value of a counter (0 if never incremented).

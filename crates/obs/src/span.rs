@@ -9,9 +9,14 @@
 //! registered [`EventSink`]. Zero-duration [`Tracer::event`]s share the
 //! record type (with `event = true`) so subscribers like the advisor's
 //! usage recorder consume one stream.
+//!
+//! Watching is free when no one listens: a span borrows its name and
+//! attribute values and builds its [`SpanRecord`] (formatting the values,
+//! allocating the strings) only when a sink will receive it or the caller
+//! asks for it with [`SpanGuard::finish`].  Span ids advance either way.
 
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use asr_pagesim::{IoSnapshot, StatsHandle};
@@ -197,12 +202,14 @@ impl Tracer {
 
     /// Open a span. Close it with [`SpanGuard::finish`] to obtain the
     /// record, or let it drop.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    pub fn span<'a>(&self, name: &'a str) -> SpanGuard<'a> {
         self.span_with(name, &[])
     }
 
-    /// Open a span with initial attributes.
-    pub fn span_with(&self, name: &str, attrs: &[(&str, String)]) -> SpanGuard {
+    /// Open a span with initial attributes.  The guard borrows `name` and
+    /// the values; they are formatted into the record only if one is
+    /// built (a sink receives it, or the caller [`SpanGuard::finish`]es).
+    pub fn span_with<'a>(&self, name: &'a str, attrs: Attrs<'a>) -> SpanGuard<'a> {
         let inner = &self.inner;
         let id = inner.next_span.get() + 1;
         inner.next_span.set(id);
@@ -215,20 +222,14 @@ impl Tracer {
         SpanGuard {
             inner: Rc::clone(&self.inner),
             start,
-            record: Some(SpanRecord {
+            open: Some(OpenSpan {
                 id,
                 parent,
-                name: name.to_string(),
+                name,
                 depth,
-                attrs: attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-                reads: 0,
-                writes: 0,
-                buffer_hits: 0,
+                attrs,
+                added: Vec::new(),
                 rows: None,
-                event: false,
             }),
         }
     }
@@ -238,6 +239,9 @@ impl Tracer {
         let inner = &self.inner;
         let id = inner.next_span.get() + 1;
         inner.next_span.set(id);
+        if !inner.delivers() {
+            return;
+        }
         let stack = inner.stack.borrow();
         let record = SpanRecord {
             id,
@@ -259,6 +263,14 @@ impl Tracer {
     }
 }
 
+impl Inner {
+    /// Will a finished record reach a sink?  (Delivery is enabled and at
+    /// least one sink is attached.)
+    fn delivers(&self) -> bool {
+        self.enabled.get() && !self.sinks.borrow().is_empty()
+    }
+}
+
 fn emit(inner: &Inner, record: &SpanRecord) {
     if !inner.enabled.get() {
         return;
@@ -275,60 +287,98 @@ fn emit(inner: &Inner, record: &SpanRecord) {
     }
 }
 
+/// The attributes a span opens with: borrowed keys and values, formatted
+/// (`Display`) into the record's strings only when a record is built.
+pub type Attrs<'a> = &'a [(&'a str, &'a dyn fmt::Display)];
+
 /// RAII handle for an open span. Dropping it — on any path, including a
 /// panic unwind — closes the span, captures the I/O delta and notifies the
 /// sinks.
-pub struct SpanGuard {
+pub struct SpanGuard<'a> {
     inner: Rc<Inner>,
     start: Option<IoSnapshot>,
     /// `None` once finalized (guards against double-close from
     /// `finish` + `Drop`).
-    record: Option<SpanRecord>,
+    open: Option<OpenSpan<'a>>,
 }
 
-impl SpanGuard {
+/// What an open span knows before its record is built.
+struct OpenSpan<'a> {
+    id: u64,
+    parent: Option<u64>,
+    name: &'a str,
+    depth: usize,
+    attrs: Attrs<'a>,
+    /// Attributes added while open ([`SpanGuard::add_attr`]), after `attrs`.
+    added: Vec<(String, String)>,
+    rows: Option<u64>,
+}
+
+impl SpanGuard<'_> {
     /// Attach an attribute to the (still open) span.
     pub fn add_attr(&mut self, key: &str, value: impl Into<String>) {
-        if let Some(record) = self.record.as_mut() {
-            record.attrs.push((key.to_string(), value.into()));
+        if let Some(open) = self.open.as_mut() {
+            open.added.push((key.to_string(), value.into()));
         }
     }
 
     /// Report how many rows/objects the spanned operation produced.
     pub fn set_rows(&mut self, rows: u64) {
-        if let Some(record) = self.record.as_mut() {
-            record.rows = Some(rows);
+        if let Some(open) = self.open.as_mut() {
+            open.rows = Some(rows);
         }
     }
 
     /// Close the span now and return its record (also delivered to sinks).
     pub fn finish(mut self) -> SpanRecord {
-        self.finalize().expect("span can only finish once")
+        self.finalize(true).expect("span can only finish once")
     }
 
-    fn finalize(&mut self) -> Option<SpanRecord> {
-        let mut record = self.record.take()?;
+    /// Close the span; build its record only when `wanted` by the caller
+    /// or a sink will receive it.
+    fn finalize(&mut self, wanted: bool) -> Option<SpanRecord> {
+        let open = self.open.take()?;
+        // Pop this span; search from the innermost end so out-of-order
+        // drops (e.g. mid-unwind) stay consistent.
+        let mut stack = self.inner.stack.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|&id| id == open.id) {
+            stack.remove(pos);
+        }
+        drop(stack);
+        if !wanted && !self.inner.delivers() {
+            return None;
+        }
+        let mut record = SpanRecord {
+            id: open.id,
+            parent: open.parent,
+            name: open.name.to_string(),
+            depth: open.depth,
+            attrs: open
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .chain(open.added)
+                .collect(),
+            reads: 0,
+            writes: 0,
+            buffer_hits: 0,
+            rows: open.rows,
+            event: false,
+        };
         if let (Some(start), Some(stats)) = (self.start, self.inner.stats.borrow().as_ref()) {
             let now = stats.snapshot();
             record.reads = now.reads - start.reads;
             record.writes = now.writes - start.writes;
             record.buffer_hits = now.buffer_hits - start.buffer_hits;
         }
-        // Pop this span; search from the innermost end so out-of-order
-        // drops (e.g. mid-unwind) stay consistent.
-        let mut stack = self.inner.stack.borrow_mut();
-        if let Some(pos) = stack.iter().rposition(|&id| id == record.id) {
-            stack.remove(pos);
-        }
-        drop(stack);
         emit(&self.inner, &record);
         Some(record)
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let _ = self.finalize();
+        let _ = self.finalize(false);
     }
 }
 
@@ -444,7 +494,7 @@ mod tests {
     #[test]
     fn jsonl_rendering_is_stable() {
         let tracer = Tracer::new();
-        let mut span = tracer.span_with("q", &[("kind", "backward".to_string())]);
+        let mut span = tracer.span_with("q", &[("kind", &"backward")]);
         span.set_rows(2);
         let line = span.finish().to_jsonl();
         assert!(line.starts_with("{\"id\":1,\"name\":\"q\""));

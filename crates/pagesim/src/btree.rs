@@ -18,6 +18,7 @@
 //! Composite keys (e.g. `(column value, row id)`) are expressed through the
 //! ordinary `Ord` bound; prefix scans become half-open ranges.
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::fmt::Debug;
 use std::ops::Bound;
@@ -87,16 +88,32 @@ impl BatchReport {
 }
 
 /// Shared descent state of one batched probe run: the pinned root-to-leaf
-/// path and the set of pages already charged this batch.
+/// path and the set of pages already charged this batch.  A tree keeps
+/// one between batches ([`BPlusTree::fresh_batch`] / `end_batch`), so a
+/// probe allocates nothing once the buffers have grown.
+#[derive(Debug)]
 struct BatchState<K> {
     /// Inner nodes of the current descent path, root first, each with the
     /// exclusive upper separator bound of its subtree (`None` =
     /// unbounded).  The bound decides how far the next, larger probe key
     /// must pop before re-descending.
     path: Vec<(usize, Option<K>)>,
-    /// Pages charged so far this batch (`charged[node id]`).
+    /// Pages charged so far this batch (`charged[node id]`); all `false`
+    /// between batches.
     charged: Vec<bool>,
-    pages_read: u64,
+    /// The pages set in `charged`, in charge order: what the batch read,
+    /// and what `end_batch` resets.
+    touched: Vec<usize>,
+}
+
+impl<K> Default for BatchState<K> {
+    fn default() -> Self {
+        BatchState {
+            path: Vec::new(),
+            charged: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
 }
 
 /// One page of a [`TreeImage`]: the physical content of a single slab
@@ -382,6 +399,8 @@ pub struct BPlusTree<K, V> {
     /// Per-slot epoch stamps, parallel to `nodes` (`epochs[slot]` = epoch
     /// of the slot's last modification).
     epochs: RefCell<Vec<u64>>,
+    /// The batched-probe scratch, parked between batches.
+    batch: RefCell<BatchState<K>>,
 }
 
 impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
@@ -421,6 +440,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             buffer: RefCell::new(BufferPool::unbuffered()),
             epoch: Cell::new(0),
             epochs: RefCell::new(vec![0]),
+            batch: RefCell::default(),
         }
     }
 
@@ -686,7 +706,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     fn batch_charge(&self, st: &mut BatchState<K>, node: usize) {
         if !st.charged[node] {
             st.charged[node] = true;
-            st.pages_read += 1;
+            st.touched.push(node);
             self.charge_read(node);
         }
     }
@@ -735,12 +755,26 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
     }
 
+    /// Take the parked batch scratch, sized to the current slab.  (A
+    /// batch started inside another's visitor finds the slot empty and
+    /// grows its own.)
     fn fresh_batch(&self) -> BatchState<K> {
-        BatchState {
-            path: Vec::with_capacity(self.height),
-            charged: vec![false; self.nodes.len()],
-            pages_read: 0,
+        let mut st = self.batch.take();
+        st.charged.resize(self.nodes.len(), false);
+        st
+    }
+
+    /// Reset the pages a batch charged and park its scratch for the next;
+    /// returns the batch's page reads.
+    fn end_batch(&self, mut st: BatchState<K>) -> u64 {
+        let pages_read = st.touched.len() as u64;
+        for &node in &st.touched {
+            st.charged[node] = false;
         }
+        st.touched.clear();
+        st.path.clear();
+        *self.batch.borrow_mut() = st;
+        pages_read
     }
 
     /// Visit, in key order, the entries of each of `ranges` — a batch of
@@ -759,34 +793,36 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     ///
     /// An `Unbounded` lower bound restarts the descent at the leftmost
     /// leaf and is only meaningful as the first range of a batch.
-    pub fn scan_ranges_sorted<'q>(
+    ///
+    /// Bounds may be borrowed (`&K`) or owned (`K`, built on the fly by
+    /// the caller's iterator), so a batch needs no key array of its own.
+    pub fn scan_ranges_sorted<B: Borrow<K>>(
         &self,
-        ranges: impl IntoIterator<Item = (Bound<&'q K>, Bound<&'q K>)>,
+        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
         mut visit: impl FnMut(usize, &K, &V),
-    ) -> BatchReport
-    where
-        K: 'q,
-    {
+    ) -> BatchReport {
         let mut st = self.fresh_batch();
         let mut report = BatchReport::default();
-        let mut prev_lo: Option<&K> = None;
+        let mut prev_lo: Option<B> = None;
         for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
             report.probes += 1;
-            let key = match lo {
-                Bound::Included(k) | Bound::Excluded(k) => Some(k),
+            let key = match &lo {
+                Bound::Included(k) | Bound::Excluded(k) => Some(k.borrow()),
                 Bound::Unbounded => None,
             };
-            if let (Some(prev), Some(k)) = (prev_lo, key) {
-                debug_assert!(prev <= k, "scan_ranges_sorted: lower bounds must ascend");
+            if let (Some(prev), Some(k)) = (&prev_lo, key) {
+                debug_assert!(
+                    prev.borrow() <= k,
+                    "scan_ranges_sorted: lower bounds must ascend"
+                );
             }
-            prev_lo = key.or(prev_lo);
             let mut leaf = self.batch_descend(&mut st, key);
             let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
                 unreachable!()
             };
-            let mut start_idx = entries.partition_point(|(k, _)| match lo {
-                Bound::Included(key) => k < key,
-                Bound::Excluded(key) => k <= key,
+            let mut start_idx = entries.partition_point(|(k, _)| match &lo {
+                Bound::Included(key) => k < key.borrow(),
+                Bound::Excluded(key) => k <= key.borrow(),
                 Bound::Unbounded => false,
             });
             let mut leaves_visited = 1u64;
@@ -795,9 +831,9 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                     unreachable!()
                 };
                 for (k, v) in &entries[start_idx..] {
-                    let in_range = match hi {
-                        Bound::Included(h) => k <= h,
-                        Bound::Excluded(h) => k < h,
+                    let in_range = match &hi {
+                        Bound::Included(h) => k <= h.borrow(),
+                        Bound::Excluded(h) => k < h.borrow(),
                         Bound::Unbounded => true,
                     };
                     if !in_range {
@@ -816,8 +852,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             // A standalone scan of this range descends the full height and
             // then charges each additional leaf it walks.
             report.naive_pages += self.height as u64 + (leaves_visited - 1);
+            if let Bound::Included(k) | Bound::Excluded(k) = lo {
+                prev_lo = Some(k);
+            }
         }
-        report.pages_read = st.pages_read;
+        report.pages_read = self.end_batch(st);
         self.stats.count_batch(report.probes, report.pages_saved());
         report
     }
@@ -847,7 +886,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
         let report = BatchReport {
             probes: keys.len() as u64,
-            pages_read: st.pages_read,
+            pages_read: self.end_batch(st),
             naive_pages: keys.len() as u64 * self.height as u64,
         };
         self.stats.count_batch(report.probes, report.pages_saved());

@@ -7,11 +7,11 @@
 //! `Err(String)` for *request* failures — the session survives; only
 //! frame damage (handled a layer up) NACKs.
 
-use asr_core::{AsrConfig, Cell, Database, Decomposition, Extension, Row, Snapshot};
+use asr_core::query::SpanSource;
+use asr_core::{AsrConfig, Cell, Database, Decomposition, Extension, Frontier, Snapshot};
 use asr_durable::{DurableDatabase, Storage};
 use asr_gom::PathExpression;
 use asr_net::{RequestBody, ResponseBody, ShardHealth};
-use std::collections::BTreeSet;
 
 /// The serving view of a database: plain or durable.
 pub enum ServerDb<'a, S: Storage> {
@@ -51,6 +51,18 @@ pub(crate) fn is_snapshot_read(body: &RequestBody) -> bool {
     )
 }
 
+/// A `ShardProbe`'s wire keys as a [`Frontier`]: strictly ascending, or a
+/// typed error.  The batched probe shares one descent across its keys, so
+/// out-of-order keys would silently miss rows; they are refused instead.
+fn probe_frontier(keys: &[Cell]) -> Result<Frontier, String> {
+    Frontier::ascending(keys.to_vec()).map_err(|e| e.to_string())
+}
+
+/// A `ShardScan`'s wire frontier: a membership filter, so any order goes.
+fn scan_frontier(cells: &[Cell]) -> Frontier {
+    cells.iter().cloned().collect()
+}
+
 /// Execute a snapshot-eligible read against a pinned view, charging
 /// modeled page I/O to the snapshot's meter.  Returns `None` for bodies
 /// that need the live database (mutations, OQL plans, durable control) —
@@ -66,20 +78,25 @@ pub(crate) fn execute_snapshot(
             part,
             forward,
             keys,
-        } => Some(
-            snap.probe(*asr as usize, *part as usize, *forward, keys)
+        } => Some(probe_frontier(keys).and_then(|frontier| {
+            snap.probe(*asr as usize, *part as usize, *forward, &frontier)
                 .map(ResponseBody::Rows)
-                .map_err(|e| e.to_string()),
-        ),
+                .map_err(|e| e.to_string())
+        })),
         RequestBody::ShardScan {
             asr,
             part,
             offset,
             frontier,
         } => Some(
-            snap.scan_filter(*asr as usize, *part as usize, *offset as usize, frontier)
-                .map(ResponseBody::Rows)
-                .map_err(|e| e.to_string()),
+            snap.scan_filter(
+                *asr as usize,
+                *part as usize,
+                *offset as usize,
+                &scan_frontier(frontier),
+            )
+            .map(ResponseBody::Rows)
+            .map_err(|e| e.to_string()),
         ),
         _ => None,
     }
@@ -229,16 +246,14 @@ pub(crate) fn execute<S: Storage>(
             forward,
             keys,
         } => {
+            let frontier = probe_frontier(keys)?;
             let asr = db.db().asr(*asr as usize).map_err(|e| e.to_string())?;
             let part = asr
                 .partitions()
                 .get(*part as usize)
                 .ok_or_else(|| format!("no partition {part}"))?;
-            let rows = if *forward {
-                part.lookup_first_many(keys.iter())
-            } else {
-                part.lookup_last_many(keys.iter())
-            };
+            let mut rows = Vec::new();
+            part.probe(*forward, &frontier, &mut |row| rows.push(row.clone()));
             Ok(ResponseBody::Rows(rows))
         }
         RequestBody::ShardScan {
@@ -256,14 +271,9 @@ pub(crate) fn execute<S: Storage>(
             if offset >= part.arity() {
                 return Err(format!("offset {offset} outside partition"));
             }
-            let wanted: BTreeSet<&Cell> = frontier.iter().collect();
-            let mut hits: Vec<Row> = Vec::new();
-            part.scan(|row| {
-                if let Some(cell) = row.cell(offset) {
-                    if wanted.contains(cell) {
-                        hits.push(row.clone());
-                    }
-                }
+            let mut hits = Vec::new();
+            SpanSource::scan(part, offset, &scan_frontier(frontier), &mut |row| {
+                hits.push(row.clone())
             });
             Ok(ResponseBody::Rows(hits))
         }
