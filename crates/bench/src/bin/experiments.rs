@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run --release -p asr-bench --bin experiments -- all
-//! cargo run --release -p asr-bench --bin experiments -- all --jobs 4
 //! cargo run --release -p asr-bench --bin experiments -- fig6 fig11
 //! cargo run --release -p asr-bench --bin experiments -- --list
 //! ```
@@ -11,25 +10,17 @@
 //! with `--no-csv`).  `--metrics-out` additionally writes a
 //! machine-readable metrics snapshot (`<id>_metrics.jsonl`) per figure:
 //! run duration, table/row/note counts, one line per metric.
-//!
-//! `--jobs N` runs up to `N` figures concurrently, one thread per figure.
-//! Every runner builds its own database and [`asr_pagesim::IoStats`]
-//! counter (the stats handle is an `Rc` and never crosses threads), so
-//! page accounting stays exact per figure.  Outputs are collected and
-//! emitted in registry order afterwards, so stdout and the CSV files are
-//! byte-identical to a `--jobs 1` run.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use asr_bench::experiments::{registry, run_entries, ExperimentEntry, ExperimentOutput};
+use asr_bench::experiments::{registry, ExperimentOutput};
 use asr_obs::MetricsRegistry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir: Option<PathBuf> = Some(PathBuf::from("results"));
     let mut metrics_out = false;
-    let mut jobs: usize = 1;
     let mut selected: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -49,24 +40,12 @@ fn main() {
                 out_dir = Some(PathBuf::from(dir));
             }
             "--metrics-out" => metrics_out = true,
-            "--jobs" => {
-                let n = iter.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs needs a positive integer argument");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer argument");
-                    std::process::exit(2);
-                }
-                jobs = n;
-            }
             other => selected.push(other.to_string()),
         }
     }
     if selected.is_empty() {
         eprintln!(
-            "usage: experiments [--list] [--no-csv] [--out DIR] [--metrics-out] [--jobs N] \
-             <id>... | all"
+            "usage: experiments [--list] [--no-csv] [--out DIR] [--metrics-out] <id>... | all"
         );
         eprintln!("known experiments:");
         for (id, desc, _) in registry() {
@@ -84,64 +63,27 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let to_run: Vec<ExperimentEntry> = known
-        .into_iter()
-        .filter(|(id, _, _)| run_all || selected.iter().any(|s| s == id))
-        .collect();
+    let to_run = known
+        .iter()
+        .filter(|(id, _, _)| run_all || selected.iter().any(|s| s == id));
 
-    if jobs <= 1 {
-        // Streaming mode: emit each figure as soon as it finishes.
-        for (id, desc, runner) in &to_run {
-            let started = Instant::now();
-            let output = runner();
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            emit_one(
-                id,
-                desc,
-                &output,
-                elapsed_ms,
-                out_dir.as_deref(),
-                metrics_out,
-            );
-        }
-    } else {
-        for (i, (output, elapsed_ms)) in run_entries(&to_run, jobs).into_iter().enumerate() {
-            let (id, desc, _) = to_run[i];
-            emit_one(
-                id,
-                desc,
-                &output,
-                elapsed_ms,
-                out_dir.as_deref(),
-                metrics_out,
-            );
+    // Emit each figure as soon as it finishes.
+    for (id, desc, runner) in to_run {
+        let started = Instant::now();
+        let output = runner();
+        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        println!("### {id} — {desc}\n");
+        output.emit(id, out_dir.as_deref());
+        if metrics_out {
+            let dir = out_dir.clone().unwrap_or_else(|| PathBuf::from("results"));
+            match write_metrics(&dir, id, &output, elapsed_ms) {
+                Ok(path) => println!("metrics snapshot written to {}", path.display()),
+                Err(e) => eprintln!("warning: could not save metrics for {id}: {e}"),
+            }
         }
     }
     if let Some(dir) = &out_dir {
         println!("CSV series written to {}", dir.display());
-    }
-}
-
-/// Print one figure's header, tables and notes; save CSVs and the
-/// optional metrics snapshot.
-fn emit_one(
-    id: &str,
-    desc: &str,
-    output: &ExperimentOutput,
-    elapsed_ms: f64,
-    out_dir: Option<&std::path::Path>,
-    metrics_out: bool,
-) {
-    println!("### {id} — {desc}\n");
-    output.emit(id, out_dir);
-    if metrics_out {
-        let dir = out_dir
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results"));
-        match write_metrics(&dir, id, output, elapsed_ms) {
-            Ok(path) => println!("metrics snapshot written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not save metrics for {id}: {e}"),
-        }
     }
 }
 

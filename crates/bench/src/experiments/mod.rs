@@ -37,10 +37,7 @@ pub struct ExperimentOutput {
     /// Shape observations ("who wins, by what factor").
     pub notes: Vec<String>,
     /// Modeled page I/O this experiment performed against a real
-    /// generated database (zero for purely analytic figures).  Runners
-    /// count into a private, worker-local [`asr_pagesim::IoStats`] and
-    /// export the plain snapshot here; the harness folds the shards into
-    /// one aggregate when the worker scope joins.
+    /// generated database (zero for purely analytic figures).
     pub io: IoSnapshot,
 }
 
@@ -79,130 +76,6 @@ impl ExperimentOutput {
 
 /// One registry entry: `(id, description, runner)`.
 pub type ExperimentEntry = (&'static str, &'static str, fn() -> ExperimentOutput);
-
-/// Run every entry on a pool of `jobs` worker threads, returning
-/// `(output, elapsed_ms)` per entry **in input order**.
-///
-/// Convenience wrapper over [`run_entries_sharded`] that discards the
-/// merged I/O aggregate.
-pub fn run_entries(entries: &[ExperimentEntry], jobs: usize) -> Vec<(ExperimentOutput, f64)> {
-    run_entries_sharded(entries, jobs).0
-}
-
-/// Expected relative cost of a figure runner (measured release-build
-/// wall milliseconds, rounded).  Only the *ordering* matters: the
-/// scheduler runs heavy figures first so a straggler never starts last.
-/// Unknown ids weigh 0 and keep their input order at the tail.
-fn cost_hint(id: &str) -> u64 {
-    match id {
-        "validate" => 950,
-        "ablation" => 190,
-        "design" => 57,
-        "fig15" => 23,
-        "fig14" => 22,
-        "fig17" => 21,
-        "fig16" => 1,
-        _ => 0,
-    }
-}
-
-/// Longest-processing-time-first schedule: deal the entries (heaviest
-/// first) onto `workers` queues, always onto the least-loaded queue.
-/// Returns one run queue of entry indices per worker.
-fn lpt_schedule(entries: &[ExperimentEntry], workers: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    // Stable sort: equal-weight figures keep their registry order.
-    order.sort_by_key(|&i| std::cmp::Reverse(cost_hint(entries[i].0)));
-    let mut queues = vec![Vec::new(); workers];
-    let mut loads = vec![0u64; workers];
-    for i in order {
-        let w = (0..workers).min_by_key(|&w| loads[w]).expect(">= 1 worker");
-        loads[w] += cost_hint(entries[i].0).max(1);
-        queues[w].push(i);
-    }
-    queues
-}
-
-/// Run every entry on a pool of `jobs` worker threads, returning
-/// `(output, elapsed_ms)` per entry **in input order** plus the merged
-/// page-I/O aggregate across all figures.
-///
-/// Scheduling is longest-first work-stealing: entries are dealt onto
-/// per-worker queues heaviest-first ([`lpt_schedule`], weights from
-/// measured runner costs), so the expensive figures (`validate`,
-/// `ablation`, `design` — which the registry happens to list *last*)
-/// start immediately instead of serializing behind a tail of trivial
-/// ones.  A worker that drains its own queue steals from the back of the
-/// longest remaining queue, so a bad estimate costs balance, never
-/// idleness.  Every runner builds its own database and
-/// [`asr_pagesim::IoStats`] counter (the stats handle is an `Rc` and
-/// never crosses threads), so the hot counting path stays `Cell`-based
-/// with no atomics or locks.  Each worker folds the figures it ran into
-/// a private [`IoSnapshot`] shard; shards are merged into the shared
-/// aggregate exactly once per worker, under the mutex, when that worker
-/// exits — merging on scope join rather than per figure keeps lock
-/// traffic off the measurement path.  Nothing is printed or written
-/// here, which keeps downstream emission deterministic regardless of
-/// `jobs`.
-pub fn run_entries_sharded(
-    entries: &[ExperimentEntry],
-    jobs: usize,
-) -> (Vec<(ExperimentOutput, f64)>, IoSnapshot) {
-    use std::sync::Mutex;
-    use std::time::Instant;
-
-    let workers = jobs.max(1).min(entries.len().max(1));
-    let queues: Vec<Mutex<Vec<usize>>> = lpt_schedule(entries, workers)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-    let aggregate = Mutex::new(IoSnapshot::default());
-    let results: Vec<Mutex<Option<(ExperimentOutput, f64)>>> =
-        entries.iter().map(|_| Mutex::new(None)).collect();
-    // Claim the next index for worker `me`: the front of its own queue,
-    // else stolen from the back of the longest remaining queue.
-    let claim = |me: usize| -> Option<usize> {
-        {
-            let mut own = queues[me].lock().expect("queue poisoned");
-            if !own.is_empty() {
-                return Some(own.remove(0));
-            }
-        }
-        let victim = (0..queues.len())
-            .filter(|&w| w != me)
-            .max_by_key(|&w| queues[w].lock().expect("queue poisoned").len())?;
-        queues[victim].lock().expect("queue poisoned").pop()
-    };
-    std::thread::scope(|s| {
-        for me in 0..workers {
-            let claim = &claim;
-            let aggregate = &aggregate;
-            let results = &results;
-            s.spawn(move || {
-                let mut shard = IoSnapshot::default();
-                while let Some(i) = claim(me) {
-                    let (_, _, runner) = &entries[i];
-                    let started = Instant::now();
-                    let output = runner();
-                    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                    shard.merge(&output.io);
-                    *results[i].lock().expect("result slot poisoned") = Some((output, elapsed_ms));
-                }
-                aggregate.lock().expect("aggregate poisoned").merge(&shard);
-            });
-        }
-    });
-    let outputs = results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool finished every figure")
-        })
-        .collect();
-    let io = *aggregate.lock().expect("aggregate poisoned");
-    (outputs, io)
-}
 
 /// The registry of all experiments.
 pub fn registry() -> Vec<ExperimentEntry> {
@@ -280,50 +153,4 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         ("design", "physical-design optimizer (Sec 7)", design::run),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lpt_schedule_partitions_and_fronts_the_heavy_figures() {
-        let entries = registry();
-        for workers in [1usize, 2, 4, 7] {
-            let queues = lpt_schedule(&entries, workers);
-            assert_eq!(queues.len(), workers);
-            // A partition: every index exactly once.
-            let mut seen: Vec<usize> = queues.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..entries.len()).collect::<Vec<_>>());
-            // The heaviest figure heads a queue — it is never scheduled
-            // behind anything, so the straggler starts at t = 0.
-            let validate = entries
-                .iter()
-                .position(|(id, _, _)| *id == "validate")
-                .expect("validate is registered");
-            assert!(
-                queues.iter().any(|q| q.first() == Some(&validate)),
-                "workers={workers}: the heaviest figure must start first"
-            );
-        }
-    }
-
-    #[test]
-    fn lpt_schedule_balances_hinted_load() {
-        let entries = registry();
-        let queues = lpt_schedule(&entries, 4);
-        // `validate` dominates the total; LPT must isolate it rather than
-        // pairing it with the other heavy runners.
-        let loads: Vec<u64> = queues
-            .iter()
-            .map(|q| q.iter().map(|&i| cost_hint(entries[i].0)).sum())
-            .collect();
-        let heaviest = *loads.iter().max().expect("4 queues");
-        assert_eq!(
-            heaviest,
-            cost_hint("validate"),
-            "the heaviest queue must hold only the dominant figure: {loads:?}"
-        );
-    }
 }

@@ -16,11 +16,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod concurrency;
 pub mod experiments;
-pub mod recovery;
-pub mod serving;
 pub mod table;
-pub mod trend;
 
 pub use table::Table;

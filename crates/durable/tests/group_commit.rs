@@ -11,45 +11,50 @@ use asr_durable::{DurableDatabase, FlushPolicy, MemStorage};
 use common::*;
 
 /// Commits submitted under group commit seal exactly at the target, and
-/// the whole batch rides one fsync — `fsyncs_per_commit` lands at
-/// `1/target`, not `1`.
+/// the whole batch rides one fsync: over 64 commits, targets 1/2/4/8
+/// take exactly 64/32/16/8 fsyncs.
 #[test]
 fn group_commit_batches_sessions_into_one_fsync() {
+    const COMMITS: usize = 64;
     let s0 = seed_snapshot();
-    let script = make_script(&s0, fuzz_seed() ^ 0x96C0);
-    let disk = MemStorage::new();
-    let seed_db = Database::load_from_string(&s0).unwrap();
-    let mut dd = DurableDatabase::create(disk.clone(), seed_db, FlushPolicy::EveryRecord).unwrap();
-    const TARGET: usize = 4;
-    dd.enable_group_commit(TARGET);
-    for (i, op) in script.iter().enumerate() {
-        apply_durable(&mut dd, op).unwrap();
-        let sealed = dd.submit_commit().unwrap();
-        assert_eq!(
-            sealed,
-            (i + 1) % TARGET == 0,
-            "group must seal exactly when the {TARGET}th commit arrives (commit {i})"
+    let mut generator = Generator::new(&s0, fuzz_seed() ^ 0x96C0);
+    let script: Vec<Op> = (0..COMMITS).map(|_| generator.next_op()).collect();
+    for (target, fsyncs, per_commit) in [
+        (1, 64, "1.0000"),
+        (2, 32, "0.5000"),
+        (4, 16, "0.2500"),
+        (8, 8, "0.1250"),
+    ] {
+        let disk = MemStorage::new();
+        let seed_db = Database::load_from_string(&s0).unwrap();
+        let mut dd =
+            DurableDatabase::create(disk.clone(), seed_db, FlushPolicy::EveryRecord).unwrap();
+        dd.enable_group_commit(target);
+        for (i, op) in script.iter().enumerate() {
+            apply_durable(&mut dd, op).unwrap();
+            let sealed = dd.submit_commit().unwrap();
+            assert_eq!(
+                sealed,
+                (i + 1) % target == 0,
+                "group must seal exactly when the {target}th commit arrives (commit {i})"
+            );
+        }
+        let status = dd.group_commit_status().unwrap();
+        assert_eq!(status.commits, COMMITS as u64);
+        assert_eq!(status.records, COMMITS as u64, "one record per commit");
+        assert_eq!(status.fsyncs, fsyncs, "target {target}");
+        assert_eq!(status.groups, status.fsyncs);
+        assert_eq!(status.pending_sessions, 0);
+        assert_eq!(format!("{:.4}", status.fsyncs_per_commit()), per_commit);
+        assert_eq!(dd.wal_status().group, Some(status));
+        drop(dd);
+        let recovered = DurableDatabase::open(disk).unwrap();
+        assert_equivalent(
+            &recovered,
+            &oracle_at(&s0, &script, COMMITS),
+            "group-commit recovery",
         );
     }
-    let status = dd.group_commit_status().unwrap();
-    assert_eq!(status.commits, SCRIPT_LEN as u64);
-    assert_eq!(status.records, SCRIPT_LEN as u64, "one record per commit");
-    assert_eq!(status.fsyncs, (SCRIPT_LEN / TARGET) as u64);
-    assert_eq!(status.groups, status.fsyncs);
-    assert_eq!(status.pending_sessions, 0);
-    assert!(
-        (status.fsyncs_per_commit() - 1.0 / TARGET as f64).abs() < 1e-9,
-        "expected 1/{TARGET} fsyncs per commit, got {}",
-        status.fsyncs_per_commit()
-    );
-    assert_eq!(dd.wal_status().group, Some(status));
-    drop(dd);
-    let recovered = DurableDatabase::open(disk).unwrap();
-    assert_equivalent(
-        &recovered,
-        &oracle_at(&s0, &script, SCRIPT_LEN),
-        "group-commit recovery",
-    );
 }
 
 /// The op-count deadline: a group that never fills still flushes once

@@ -88,8 +88,9 @@ pub enum Literal {
     Str(String),
     /// Integer literal.
     Int(i64),
-    /// Decimal literal (whole, cents).
-    Dec(i64, i64),
+    /// Decimal literal as a signed count of hundredths (the scale of
+    /// [`asr_gom::Value::Decimal`]).
+    Dec(i64),
     /// Boolean literal.
     Bool(bool),
     /// `NULL`.
@@ -102,7 +103,7 @@ impl Literal {
         match self {
             Literal::Str(s) => asr_gom::Value::string(s.clone()),
             Literal::Int(i) => asr_gom::Value::Integer(*i),
-            Literal::Dec(w, c) => asr_gom::Value::decimal(*w, *c),
+            Literal::Dec(hundredths) => asr_gom::Value::Decimal(*hundredths),
             Literal::Bool(b) => asr_gom::Value::Bool(*b),
             Literal::Null => asr_gom::Value::Null,
         }
@@ -114,7 +115,11 @@ impl fmt::Display for Literal {
         match self {
             Literal::Str(s) => write!(f, "\"{s}\""),
             Literal::Int(i) => write!(f, "{i}"),
-            Literal::Dec(w, c) => write!(f, "{w}.{c:02}"),
+            Literal::Dec(hundredths) => {
+                let sign = if *hundredths < 0 { "-" } else { "" };
+                let magnitude = hundredths.unsigned_abs();
+                write!(f, "{sign}{}.{:02}", magnitude / 100, magnitude % 100)
+            }
             Literal::Bool(b) => write!(f, "{b}"),
             Literal::Null => f.write_str("NULL"),
         }
@@ -211,7 +216,7 @@ mod tests {
     fn literal_conversion() {
         assert_eq!(Literal::Int(5).to_value(), asr_gom::Value::Integer(5));
         assert_eq!(
-            Literal::Dec(1205, 50).to_value(),
+            Literal::Dec(120_550).to_value(),
             asr_gom::Value::decimal(1205, 50)
         );
         assert!(Literal::Null.to_value().is_null());

@@ -1,5 +1,6 @@
 //! Tokenizer for the SQL-like query notation.
 
+use crate::ast::Literal;
 use crate::error::{OqlError, Result};
 
 /// A token with its byte offset in the source.
@@ -30,8 +31,9 @@ pub enum TokenKind {
     Str(String),
     /// An integer literal.
     Int(i64),
-    /// A decimal literal (whole, cents) — e.g. `1205.50`.
-    Dec(i64, i64),
+    /// A decimal literal as a signed count of hundredths — `-0.5` is
+    /// `Dec(-50)`, the paper's `1205.50` is `Dec(120_550)`.
+    Dec(i64),
     /// `true` / `false`.
     Bool(bool),
     /// `NULL`.
@@ -63,7 +65,7 @@ impl TokenKind {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::Str(s) => format!("string \"{s}\""),
             TokenKind::Int(i) => format!("number {i}"),
-            TokenKind::Dec(w, c) => format!("number {w}.{c:02}"),
+            TokenKind::Dec(hundredths) => format!("number {}", Literal::Dec(*hundredths)),
             TokenKind::Eof => "end of input".to_string(),
             other => format!("{other:?}").to_lowercase(),
         }
@@ -169,19 +171,19 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             c if c.is_ascii_digit()
                 || (c == '-' && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())) =>
             {
-                if c == '-' {
-                    i += 1;
-                }
-                let num_start = i;
+                i += 1;
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
-                let whole: i64 = input[num_start..i].parse().map_err(|_| OqlError::Lex {
+                let out_of_range = || OqlError::Lex {
                     offset: start,
-                    message: "integer out of range".into(),
-                })?;
-                let whole = if c == '-' { -whole } else { whole };
-                if bytes.get(i) == Some(&b'.')
+                    message: "number out of range".into(),
+                };
+                // Parsing the signed text keeps `-9223372036854775808` in
+                // range; the fraction below takes the literal's sign, as
+                // `-0` parses to 0.
+                let whole: i64 = input[start..i].parse().map_err(|_| out_of_range())?;
+                let kind = if bytes.get(i) == Some(&b'.')
                     && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())
                 {
                     i += 1;
@@ -189,27 +191,29 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
-                    let frac_str = &input[frac_start..i];
-                    if frac_str.len() > 2 {
-                        return Err(OqlError::Lex {
-                            offset: start,
-                            message: "decimals support at most two fractional digits".into(),
-                        });
-                    }
-                    let mut cents: i64 = frac_str.parse().unwrap_or(0);
-                    if frac_str.len() == 1 {
-                        cents *= 10;
-                    }
-                    tokens.push(Token {
-                        offset: start,
-                        kind: TokenKind::Dec(whole, cents),
-                    });
+                    let cents: i64 = match &bytes[frac_start..i] {
+                        [d] => i64::from(d - b'0') * 10,
+                        [d, e] => i64::from(d - b'0') * 10 + i64::from(e - b'0'),
+                        _ => {
+                            return Err(OqlError::Lex {
+                                offset: start,
+                                message: "decimals support at most two fractional digits".into(),
+                            })
+                        }
+                    };
+                    let cents = if c == '-' { -cents } else { cents };
+                    let hundredths = whole
+                        .checked_mul(100)
+                        .and_then(|h| h.checked_add(cents))
+                        .ok_or_else(out_of_range)?;
+                    TokenKind::Dec(hundredths)
                 } else {
-                    tokens.push(Token {
-                        offset: start,
-                        kind: TokenKind::Int(whole),
-                    });
-                }
+                    TokenKind::Int(whole)
+                };
+                tokens.push(Token {
+                    offset: start,
+                    kind,
+                });
             }
             c if c.is_alphabetic() || c == '_' => {
                 while i < bytes.len() {
@@ -296,9 +300,37 @@ mod tests {
     fn numbers_and_decimals() {
         assert_eq!(kinds("42")[0], TokenKind::Int(42));
         assert_eq!(kinds("-7")[0], TokenKind::Int(-7));
-        assert_eq!(kinds("1205.50")[0], TokenKind::Dec(1205, 50));
-        assert_eq!(kinds("0.5")[0], TokenKind::Dec(0, 50));
+        assert_eq!(kinds("1205.50")[0], TokenKind::Dec(120_550));
+        assert_eq!(kinds("0.5")[0], TokenKind::Dec(50));
         assert!(tokenize("1.234").is_err(), "3 fractional digits rejected");
+    }
+
+    #[test]
+    fn negative_decimals_keep_the_sign_of_their_fraction() {
+        assert_eq!(kinds("-0.5")[0], TokenKind::Dec(-50));
+        assert_eq!(kinds("-0.05")[0], TokenKind::Dec(-5));
+        assert_eq!(kinds("-1205.50")[0], TokenKind::Dec(-120_550));
+        assert_eq!(kinds("x.Price = -0.50")[4], TokenKind::Dec(-50));
+        assert_eq!(Literal::Dec(-50).to_string(), "-0.50");
+        assert_eq!(Literal::Dec(-50).to_value(), asr_gom::Value::Decimal(-50));
+    }
+
+    #[test]
+    fn numbers_at_the_i64_extremes_lex_or_fail_typed() {
+        assert_eq!(kinds("-9223372036854775808")[0], TokenKind::Int(i64::MIN));
+        assert_eq!(kinds("92233720368547758.07")[0], TokenKind::Dec(i64::MAX));
+        assert_eq!(kinds("-92233720368547758.08")[0], TokenKind::Dec(i64::MIN));
+        for overflow in [
+            "92233720368547758.08",
+            "92233720368547759.5",
+            "-92233720368547758.09",
+            "9223372036854775808",
+        ] {
+            assert!(
+                matches!(tokenize(overflow), Err(OqlError::Lex { offset: 0, .. })),
+                "{overflow}"
+            );
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl Parser {
         let literal = match self.advance().kind {
             TokenKind::Str(s) => Literal::Str(s),
             TokenKind::Int(i) => Literal::Int(i),
-            TokenKind::Dec(w, c) => Literal::Dec(w, c),
+            TokenKind::Dec(hundredths) => Literal::Dec(hundredths),
             TokenKind::Bool(b) => Literal::Bool(b),
             TokenKind::Null => Literal::Null,
             other => {
@@ -211,7 +211,7 @@ mod tests {
                 .unwrap();
         assert_eq!(q.predicates.len(), 2);
         assert_eq!(q.predicates[0].op, Comparison::Ge);
-        assert_eq!(q.predicates[0].literal, Literal::Dec(100, 0));
+        assert_eq!(q.predicates[0].literal, Literal::Dec(10_000));
         assert_eq!(q.predicates[1].op, Comparison::Ne);
         // Bare-variable projection.
         assert!(q.projections[0].attrs.is_empty());

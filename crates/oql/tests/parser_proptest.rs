@@ -26,7 +26,14 @@ fn literal() -> impl Strategy<Value = Literal> {
     prop_oneof![
         "[a-zA-Z0-9 _.-]{0,12}".prop_map(Literal::Str),
         any::<i32>().prop_map(|i| Literal::Int(i as i64)),
-        (0i64..10_000, 0i64..100).prop_map(|(w, c)| Literal::Dec(w, c)),
+        prop_oneof![
+            -99i64..0,
+            -1_000_000i64..1_000_000,
+            any::<i64>(),
+            Just(i64::MIN),
+            Just(i64::MAX),
+        ]
+        .prop_map(Literal::Dec),
         any::<bool>().prop_map(Literal::Bool),
         Just(Literal::Null),
     ]
