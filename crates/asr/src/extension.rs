@@ -34,7 +34,8 @@ impl Extension {
         Extension::RightComplete,
     ];
 
-    /// Short name used in diagnostics and experiment tables.
+    /// Short name used in diagnostics, experiment tables, snapshots and
+    /// the WAL.
     pub const fn name(self) -> &'static str {
         match self {
             Extension::Canonical => "canonical",
@@ -42,6 +43,12 @@ impl Extension {
             Extension::LeftComplete => "left",
             Extension::RightComplete => "right",
         }
+    }
+
+    /// The extension whose [`Extension::name`] is `name`, if any — the one
+    /// parser of extension names.
+    pub fn from_name(name: &str) -> Option<Extension> {
+        Extension::ALL.into_iter().find(|e| e.name() == name)
     }
 
     /// The join flavour that assembles this extension from the auxiliary
@@ -250,5 +257,15 @@ mod tests {
     fn names_and_display() {
         assert_eq!(Extension::Canonical.to_string(), "canonical");
         assert_eq!(Extension::ALL.len(), 4);
+    }
+
+    #[test]
+    fn names_round_trip_and_unknown_names_are_rejected() {
+        for ext in Extension::ALL {
+            assert_eq!(Extension::from_name(ext.name()), Some(ext));
+        }
+        for name in ["", "can", "Full", "full ", "left-complete", "none"] {
+            assert_eq!(Extension::from_name(name), None, "{name:?}");
+        }
     }
 }

@@ -18,8 +18,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
-    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageRef, StatsHandle, TreeImage,
-    OID_SIZE, PAGE_SIZE,
+    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageRef, PageSlab, StatsHandle,
+    TreeImage, OID_SIZE, PAGE_SIZE,
 };
 
 use crate::cell::Cell;
@@ -27,7 +27,6 @@ use crate::error::{AsrError, Result};
 use crate::query::Frontier;
 use crate::relation::Relation;
 use crate::row::Row;
-use crate::snapshot::PartitionVersion;
 
 /// Tree key: clustering cell (first or last column) plus a row id making
 /// the key unique.  `None` (NULL) clusters before all defined cells.
@@ -42,8 +41,9 @@ pub struct StoredPartition {
     bwd: BPlusTree<PartitionKey, Row>,
     /// Logical multiset bookkeeping: row → (row id, witness count).
     /// This mirror is not charged; the physical operations on the trees
-    /// carry the page costs.
-    rows: HashMap<Row, RowMeta>,
+    /// carry the page costs.  Shared copy-on-write with the published
+    /// version, like the trees' pages.
+    rows: Arc<HashMap<Row, RowMeta>>,
     next_rowid: u64,
     /// Row ids whose mirror entry changed (inserted, or witness count
     /// bumped) since the last [`Self::mark_clean`] fence — the row half of
@@ -56,14 +56,11 @@ pub struct StoredPartition {
     fwd_fence: u64,
     /// Page-epoch fence of the backward tree.
     bwd_fence: u64,
-    /// The last published immutable MVCC version of this partition
-    /// ([`Self::publish_version`]) — shared with every snapshot pinned to
-    /// it.  Copy-on-write at partition granularity: any mutation marks it
-    /// stale and the next publish captures a fresh version; clean
-    /// partitions keep handing out the same `Arc`.
+    /// The published MVCC version of this partition
+    /// ([`Self::publish_version`]) while it is current.  Every mutation
+    /// drops it before writing, so the writer copies a page (or the
+    /// mirror) only while a snapshot still pins the version.
     version: Option<Arc<PartitionVersion>>,
-    /// Has the partition changed since `version` was captured?
-    version_stale: bool,
     stats: StatsHandle,
 }
 
@@ -84,31 +81,41 @@ impl StoredPartition {
             to,
             fwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
             bwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
-            rows: HashMap::new(),
+            rows: Arc::default(),
             next_rowid: 0,
             dirty_rows: BTreeSet::new(),
             dead_rows: BTreeSet::new(),
             fwd_fence: 0,
             bwd_fence: 0,
             version: None,
-            version_stale: true,
             stats,
         }
     }
 
-    /// The current immutable version of this partition, capturing a fresh
-    /// one only when the partition changed since the last publish (the
-    /// copy-on-write half of [`crate::Database::snapshot`]).  Returns the
-    /// version and whether it was freshly captured.
+    /// The current immutable version of this partition (the
+    /// copy-on-write half of [`crate::Database::snapshot`]): the one
+    /// already published if nothing changed since, otherwise a fresh
+    /// [`Self::freeze`].  Returns the version and whether it is fresh.
     pub(crate) fn publish_version(&mut self) -> (Arc<PartitionVersion>, bool) {
-        match &self.version {
-            Some(v) if !self.version_stale => (Arc::clone(v), false),
-            _ => {
-                let v = Arc::new(PartitionVersion::capture(self));
-                self.version = Some(Arc::clone(&v));
-                self.version_stale = false;
-                (v, true)
-            }
+        if let Some(v) = &self.version {
+            return (Arc::clone(v), false);
+        }
+        let v = Arc::new(self.freeze());
+        self.version = Some(Arc::clone(&v));
+        (v, true)
+    }
+
+    /// The partition as it is now, immutable: both trees' pages and the
+    /// row mirror, shared copy-on-write — page pointers are copied, rows
+    /// are not.  Charges nothing.
+    pub(crate) fn freeze(&self) -> PartitionVersion {
+        PartitionVersion {
+            from: self.from,
+            to: self.to,
+            next_rowid: self.next_rowid,
+            rows: Arc::clone(&self.rows),
+            fwd: self.fwd.freeze(),
+            bwd: self.bwd.freeze(),
         }
     }
 
@@ -137,15 +144,9 @@ impl StoredPartition {
         (self.len() * OID_SIZE * self.arity()) as u64
     }
 
-    /// Leaf pages of one clustering tree (the paper's `ap^{i,j}`,
-    /// formula 16).
-    pub fn leaf_pages(&self) -> u64 {
-        self.fwd.leaf_page_count()
-    }
-
     /// Total pages of both redundant trees.
     pub fn total_pages(&self) -> u64 {
-        self.fwd.page_count() + self.bwd.page_count()
+        self.fwd.pages().page_count() + self.bwd.pages().page_count()
     }
 
     /// The forward-clustered tree (keyed on the first column).
@@ -204,8 +205,8 @@ impl StoredPartition {
         if row.is_all_null() {
             return Ok(());
         }
-        self.version_stale = true;
-        match self.rows.get_mut(&row) {
+        self.version = None;
+        match Arc::make_mut(&mut self.rows).get_mut(&row) {
             Some(meta) => {
                 meta.count += 1;
                 self.dirty_rows.insert(meta.rowid);
@@ -223,7 +224,7 @@ impl StoredPartition {
                 self.dirty_rows.insert(rowid);
                 self.fwd.insert((row.first().clone(), rowid), row.clone())?;
                 self.bwd.insert((row.last().clone(), rowid), row.clone())?;
-                self.rows.insert(row, RowMeta { rowid, count: 1 });
+                Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count: 1 });
             }
         }
         Ok(())
@@ -239,10 +240,14 @@ impl StoredPartition {
     /// `false`) — incremental maintenance relies on this.
     pub fn remove(&mut self, row: &Row) -> Result<bool> {
         self.check_arity(row)?;
-        let Some(meta) = self.rows.get_mut(row) else {
+        // Look before `make_mut`: a no-op removal must not copy a mirror
+        // that a pinned version shares.
+        if !self.rows.contains_key(row) {
             return Ok(false);
-        };
-        self.version_stale = true;
+        }
+        self.version = None;
+        let rows = Arc::make_mut(&mut self.rows);
+        let meta = rows.get_mut(row).expect("checked above");
         if meta.count > 1 {
             meta.count -= 1;
             self.dirty_rows.insert(meta.rowid);
@@ -254,7 +259,7 @@ impl StoredPartition {
             self.charge_tree_write();
         } else {
             let rowid = meta.rowid;
-            self.rows.remove(row);
+            rows.remove(row);
             self.dirty_rows.remove(&rowid);
             self.dead_rows.insert(rowid);
             self.fwd.remove(&(row.first().clone(), rowid));
@@ -295,16 +300,7 @@ impl StoredPartition {
     /// once for the whole batch.
     pub fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
         let tree = if forward { &self.fwd } else { &self.bwd };
-        tree.scan_ranges_sorted(
-            frontier.cells().iter().map(|c| {
-                let key = Some(c.clone());
-                (
-                    Bound::Included((key.clone(), 0u64)),
-                    Bound::Excluded((key, u64::MAX)),
-                )
-            }),
-            |_, _, row| visit(row),
-        );
+        tree.scan_ranges_sorted(cell_ranges(frontier), |_, _, row| visit(row));
     }
 
     /// Exhaustively scan all rows (used when a query enters a partition in
@@ -341,7 +337,7 @@ impl StoredPartition {
     /// The partition must be empty; all-NULL rows are skipped.
     pub fn bulk_load(&mut self, rows: impl IntoIterator<Item = (Row, u64)>) -> Result<()> {
         assert!(self.is_empty(), "bulk_load requires an empty partition");
-        self.version_stale = true;
+        self.version = None;
         let mut fwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
         let mut bwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
         for (row, count) in rows {
@@ -354,7 +350,7 @@ impl StoredPartition {
             self.dirty_rows.insert(rowid);
             fwd_entries.push(((row.first().clone(), rowid), row.clone()));
             bwd_entries.push(((row.last().clone(), rowid), row.clone()));
-            self.rows.insert(row, RowMeta { rowid, count });
+            Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count });
         }
         // The two redundant clustering trees are independent: sort and
         // build both node slabs (a pure, stats-free computation) on two
@@ -362,7 +358,10 @@ impl StoredPartition {
         // the owning thread — page-write accounting stays identical to a
         // sequential fill because `adopt_bulk` charges one write per node
         // in creation order.
-        let (lc, ic) = (self.fwd.leaf_capacity(), self.fwd.inner_capacity());
+        let (lc, ic) = (
+            self.fwd.pages().leaf_capacity(),
+            self.fwd.pages().inner_capacity(),
+        );
         let (fwd_built, bwd_built) = if fwd_entries.len() >= PARALLEL_BUILD_THRESHOLD {
             std::thread::scope(|s| {
                 let bwd_handle = s.spawn(move || sort_and_build(bwd_entries, lc, ic));
@@ -381,34 +380,11 @@ impl StoredPartition {
         Ok(())
     }
 
-    /// The partition's complete physical state with the rows borrowed
-    /// from the mirror: the row mirror (sorted by row id) plus
-    /// page-faithful images of both clustering trees — everything the
-    /// snapshot writer needs, and nothing cloned but row ids and inner
-    /// keys.  Charges nothing — the writer prices the bytes it emits.
-    pub(crate) fn view(&self) -> PartitionImage<&Row> {
-        let mut rows: Vec<(&Row, u64, u64)> = self
-            .rows
-            .iter()
-            .map(|(row, meta)| (row, meta.rowid, meta.count))
-            .collect();
-        rows.sort_unstable_by_key(|&(_, rowid, _)| rowid);
-        PartitionImage {
-            from: self.from,
-            to: self.to,
-            next_rowid: self.next_rowid,
-            rows,
-            fwd: RawTreeImage::from_tree(&self.fwd),
-            bwd: RawTreeImage::from_tree(&self.bwd),
-            fwd_bytes: 0,
-            bwd_bytes: 0,
-        }
-    }
-
-    /// [`Self::view`] owning its rows — what outlives the partition (a
-    /// published MVCC version, a base image to patch).
+    /// The partition's physical image owning its rows — what outlives
+    /// the partition (a base image to patch).  Charges nothing.
     pub(crate) fn dump(&self) -> PartitionImage {
-        let view = self.view();
+        let version = self.freeze();
+        let view = version.view();
         PartitionImage {
             rows: view
                 .rows
@@ -506,20 +482,21 @@ impl StoredPartition {
         let bwd = img.bwd.materialize(&by_rowid, Row::last)?;
         p.fwd.adopt_image(fwd)?;
         p.bwd.adopt_image(bwd)?;
-        if p.fwd.len() != img.rows.len() || p.bwd.len() != img.rows.len() {
+        if p.fwd.pages().len() != img.rows.len() || p.bwd.pages().len() != img.rows.len() {
             return Err(corrupt(format!(
                 "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={}",
-                p.fwd.len(),
-                p.bwd.len(),
+                p.fwd.pages().len(),
+                p.bwd.pages().len(),
                 img.rows.len()
             )));
         }
         let listed = img.rows.len();
-        p.rows = img
-            .rows
-            .into_iter()
-            .map(|(row, rowid, count)| (row, RowMeta { rowid, count }))
-            .collect();
+        p.rows = Arc::new(
+            img.rows
+                .into_iter()
+                .map(|(row, rowid, count)| (row, RowMeta { rowid, count }))
+                .collect(),
+        );
         if p.rows.len() != listed {
             return Err(corrupt(format!(
                 "{} rows listed twice under different row ids",
@@ -554,12 +531,12 @@ impl StoredPartition {
     pub fn check_consistency(&self) -> Result<()> {
         self.fwd.check_invariants()?;
         self.bwd.check_invariants()?;
-        if self.fwd.len() != self.rows.len() || self.bwd.len() != self.rows.len() {
+        if self.fwd.pages().len() != self.rows.len() || self.bwd.pages().len() != self.rows.len() {
             return Err(AsrError::PageSim(
                 asr_pagesim::PageSimError::CorruptStructure(format!(
                     "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={}",
-                    self.fwd.len(),
-                    self.bwd.len(),
+                    self.fwd.pages().len(),
+                    self.bwd.pages().len(),
                     self.rows.len()
                 )),
             ));
@@ -579,11 +556,80 @@ impl StoredPartition {
     }
 }
 
+/// The batched probe's key ranges: for each frontier cell, the keys
+/// `(cell, 0) ..< (cell, u64::MAX)` of the rows clustered under it.  A
+/// live partition and a pinned version probe with the same ranges.
+pub(crate) fn cell_ranges(
+    frontier: &Frontier,
+) -> impl Iterator<Item = (Bound<PartitionKey>, Bound<PartitionKey>)> + '_ {
+    frontier.cells().iter().map(|c| {
+        let key = Some(c.clone());
+        (
+            Bound::Included((key.clone(), 0u64)),
+            Bound::Excluded((key, u64::MAX)),
+        )
+    })
+}
+
+/// An immutable version of one [`StoredPartition`]
+/// ([`StoredPartition::freeze`]): the frozen pages of both clustering
+/// trees plus the row mirror, each shared copy-on-write with the live
+/// partition.  A pinned reader walks `fwd` / `bwd` with the live
+/// partition's read code; every `ASRDB 2` image is rendered from one
+/// ([`Self::view`]).
+#[derive(Debug)]
+pub(crate) struct PartitionVersion {
+    from: usize,
+    to: usize,
+    next_rowid: u64,
+    rows: Arc<HashMap<Row, RowMeta>>,
+    /// The forward-clustered tree's pages (keyed on the first column).
+    pub fwd: PageSlab<PartitionKey, Row>,
+    /// The backward-clustered tree's pages (keyed on the last column).
+    pub bwd: PageSlab<PartitionKey, Row>,
+}
+
+impl PartitionVersion {
+    /// Columns spanned (`to − from + 1`).
+    pub fn arity(&self) -> usize {
+        self.to - self.from + 1
+    }
+
+    /// Distinct stored rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The version's complete physical state with the rows borrowed from
+    /// the mirror: the row mirror (sorted by row id) plus page-faithful
+    /// images of both clustering trees — everything the snapshot writer
+    /// needs, and nothing cloned but row ids and inner keys.  Charges
+    /// nothing — the writer prices the bytes it emits.
+    pub fn view(&self) -> PartitionImage<&Row> {
+        let mut rows: Vec<(&Row, u64, u64)> = self
+            .rows
+            .iter()
+            .map(|(row, meta)| (row, meta.rowid, meta.count))
+            .collect();
+        rows.sort_unstable_by_key(|&(_, rowid, _)| rowid);
+        PartitionImage {
+            from: self.from,
+            to: self.to,
+            next_rowid: self.next_rowid,
+            rows,
+            fwd: RawTreeImage::from_pages(&self.fwd),
+            bwd: RawTreeImage::from_pages(&self.bwd),
+            fwd_bytes: 0,
+            bwd_bytes: 0,
+        }
+    }
+}
+
 /// The serializable physical state of one [`StoredPartition`]: the row
 /// mirror with row ids and witness counts, plus raw page images of both
-/// clustering trees.  Produced by `StoredPartition::dump` / `view`,
-/// consumed by `StoredPartition::restore` and the `ASRDB 2` snapshot
-/// writer/reader.
+/// clustering trees.  Produced by `PartitionVersion::view` and
+/// `StoredPartition::dump`, consumed by `StoredPartition::restore` and
+/// the `ASRDB 2` snapshot writer/reader.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PartitionImage<R = Row> {
     /// First spanned column of the host relation.
@@ -593,7 +639,7 @@ pub(crate) struct PartitionImage<R = Row> {
     /// Row-id allocator position (preserves future id assignment).
     pub next_rowid: u64,
     /// `(row, rowid, witness count)`, sorted by row id; `R` is `Row`, or
-    /// `&Row` in a [`StoredPartition::view`].
+    /// `&Row` in a [`PartitionVersion::view`].
     pub rows: Vec<(R, u64, u64)>,
     /// Page image of the forward-clustered tree.
     pub fwd: RawTreeImage,
@@ -659,15 +705,16 @@ pub(crate) struct RawTreeDelta {
 
 impl RawTreeDelta {
     fn from_tree(tree: &BPlusTree<PartitionKey, Row>, fence: u64) -> Self {
+        let pages = tree.pages();
         RawTreeDelta {
-            root: tree.root_slot(),
-            height: tree.height(),
-            len: tree.len(),
-            free: tree.free_slots().to_vec(),
-            total_nodes: tree.slot_count(),
+            root: pages.root_slot(),
+            height: pages.height(),
+            len: pages.len(),
+            free: pages.free_slots().to_vec(),
+            total_nodes: pages.slot_count(),
             pages: tree
                 .slots_since(fence)
-                .map(|slot| (slot, RawNode::from_page(tree.page(slot))))
+                .map(|slot| (slot, RawNode::from_page(pages.page(slot))))
                 .collect(),
         }
     }
@@ -774,15 +821,16 @@ impl RawNode {
 }
 
 impl RawTreeImage {
-    /// A live tree's image in its raw, id-referencing form.
-    fn from_tree(tree: &BPlusTree<PartitionKey, Row>) -> Self {
+    /// A tree's pages — live or frozen — in their raw, id-referencing
+    /// form.
+    fn from_pages(pages: &PageSlab<PartitionKey, Row>) -> Self {
         RawTreeImage {
-            root: tree.root_slot(),
-            height: tree.height(),
-            len: tree.len(),
-            free: tree.free_slots().to_vec(),
-            nodes: (0..tree.slot_count())
-                .map(|slot| RawNode::from_page(tree.page(slot)))
+            root: pages.root_slot(),
+            height: pages.height(),
+            len: pages.len(),
+            free: pages.free_slots().to_vec(),
+            nodes: (0..pages.slot_count())
+                .map(|slot| RawNode::from_page(pages.page(slot)))
                 .collect(),
         }
     }
@@ -964,8 +1012,8 @@ mod tests {
     fn geometry_matches_formulas() {
         // Partition of 3 columns: tuple = 24 bytes, atpp = 4056/24 = 169.
         let p = part();
-        assert_eq!(p.forward_tree().leaf_capacity(), 169);
-        assert_eq!(p.forward_tree().inner_capacity(), 338);
+        assert_eq!(p.forward_tree().pages().leaf_capacity(), 169);
+        assert_eq!(p.forward_tree().pages().inner_capacity(), 338);
     }
 
     #[test]

@@ -70,9 +70,10 @@
 //! ## One writer, one reader
 //!
 //! Each layout is rendered and parsed in exactly one place.
-//! `render_full` writes every `ASRDB 2` document, whether its partition
-//! images are live views ([`Database::save_to_string`]) or pinned MVCC
-//! versions ([`CheckpointSource::save_full`]);
+//! `render_full` writes every `ASRDB 2` document from partition versions,
+//! whether frozen off the live partitions for the occasion
+//! ([`Database::save_to_string`]) or pinned by a checkpoint's snapshot
+//! ([`CheckpointSource::save_full`]);
 //! [`CheckpointSource::save_delta`] writes every `ASRDB 3` document.  On
 //! the way in, `read_header` parses the magic (and `DELTA`) lines, one
 //! `Sections` reader parses both partition grammars, and `assemble` is
@@ -94,7 +95,8 @@ use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::manager::{AccessSupportRelation, AsrConfig};
 use crate::partition::{
-    PartitionDelta, PartitionImage, RawNode, RawTreeDelta, RawTreeImage, StoredPartition,
+    PartitionDelta, PartitionImage, PartitionVersion, RawNode, RawTreeDelta, RawTreeImage,
+    StoredPartition,
 };
 use crate::row::Row;
 use crate::snapshot::Snapshot;
@@ -173,7 +175,7 @@ impl Database {
             &mut out,
             &self.design(),
             self.asrs()
-                .map(|(_, asr)| asr.partitions().iter().map(StoredPartition::view)),
+                .map(|(_, asr)| asr.partitions().iter().map(StoredPartition::freeze)),
             self.base(),
         );
         out
@@ -424,7 +426,7 @@ impl CheckpointSource {
         render_full(
             out,
             &self.design,
-            self.snapshot.asr_images(),
+            self.snapshot.asr_versions(),
             self.snapshot.base(),
         );
     }
@@ -442,16 +444,16 @@ impl CheckpointSource {
             return None;
         }
         let mut out = format!("{MAGIC_V3}\nDELTA {base_id}\n{}", self.design);
-        let images = self.snapshot.asr_images();
-        for (ordinal, (asr, images)) in self.asrs.iter().zip(images).enumerate() {
+        let versions = self.snapshot.asr_versions();
+        for (ordinal, (asr, versions)) in self.asrs.iter().zip(versions).enumerate() {
             let mut section = String::new();
             for (pidx, d) in asr.deltas.iter().enumerate() {
                 write_partition_delta(&mut section, ordinal, pidx, d);
             }
             if asr.changed_rows > 0 {
                 let mut full = String::new();
-                for (pidx, img) in images.into_iter().enumerate() {
-                    write_partition_image(&mut full, ordinal, pidx, img);
+                for (pidx, version) in versions.enumerate() {
+                    write_partition_image(&mut full, ordinal, pidx, &version.view());
                 }
                 if (section.len() as f64) > (full.len() as f64) * DELTA_FULL_FRACTION {
                     section = full;
@@ -472,20 +474,20 @@ impl CheckpointSource {
 }
 
 /// The one `ASRDB 2` writer: header, design, every partition's `P`/`R`/
-/// `T`/`N` lines, base.  `asrs` yields each ASR's partition images in
-/// `A`-line order — live views or pinned MVCC versions, which therefore
-/// render the same bytes.
-fn render_full<R: Borrow<Row>>(
+/// `T`/`N` lines, base.  `asrs` yields each ASR's partition versions in
+/// `A`-line order — frozen off live partitions or pinned by a snapshot,
+/// which therefore render the same bytes.
+fn render_full(
     out: &mut String,
     design: &str,
-    asrs: impl IntoIterator<Item = impl IntoIterator<Item = impl Borrow<PartitionImage<R>>>>,
+    asrs: impl IntoIterator<Item = impl IntoIterator<Item = impl Borrow<PartitionVersion>>>,
     base: &ObjectBase,
 ) {
     let _ = writeln!(out, "{MAGIC_V2}");
     out.push_str(design);
-    for (ordinal, images) in asrs.into_iter().enumerate() {
-        for (pidx, img) in images.into_iter().enumerate() {
-            write_partition_image(out, ordinal, pidx, img.borrow());
+    for (ordinal, versions) in asrs.into_iter().enumerate() {
+        for (pidx, version) in versions.into_iter().enumerate() {
+            write_partition_image(out, ordinal, pidx, &version.borrow().view());
         }
     }
     let _ = writeln!(out, "{BASE_MARKER}");
@@ -940,9 +942,7 @@ fn parse_a_line(db: &Database, line: &str) -> Result<(PathExpression, AsrConfig)
         .ok_or_else(|| bad("A: missing extension".into()))?;
     let cuts_str = parts.next().ok_or_else(|| bad("A: missing cuts".into()))?;
     let keep = parts.next().ok_or_else(|| bad("A: missing flag".into()))? == "1";
-    let extension = Extension::ALL
-        .into_iter()
-        .find(|e| e.name() == ext_name)
+    let extension = Extension::from_name(ext_name)
         .ok_or_else(|| bad(format!("unknown extension `{ext_name}`")))?;
     let cuts: Vec<usize> = cuts_str
         .split(',')

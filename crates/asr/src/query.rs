@@ -106,7 +106,7 @@ impl FromIterator<Cell> for Frontier {
 /// One partition as the span-query walk sees it (see the module doc for
 /// the contract).  Implemented by live [`StoredPartition`]s (page costs
 /// land on the shared stats handle) and by the immutable MVCC partition
-/// versions behind [`crate::Snapshot`] (modeled page costs land on the
+/// versions behind [`crate::Snapshot`] (the same page costs land on the
 /// snapshot's own counter), so both evaluate `Q_{i,j}` through the same
 /// machinery.
 pub trait SpanSource {

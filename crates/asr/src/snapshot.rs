@@ -3,23 +3,29 @@
 //!
 //! The paper prices ASRs as *shared* access paths; this module supplies
 //! the sharing.  [`Database::snapshot`] publishes every stored partition
-//! as an immutable [`PartitionVersion`] (copy-on-write: only partitions
-//! mutated since their last publish are re-captured — clean ones keep
-//! handing out the same `Arc`) and hands back a [`Snapshot`] that answers
-//! span queries, border probes, and partition scans with results
-//! bit-identical to the live database, while the single writer keeps
-//! mutating its private working set.
+//! as an immutable version — the frozen pages of its two clustering B+
+//! trees plus its row mirror, shared copy-on-write with the live
+//! partition, so a publish copies page pointers and never a row (clean
+//! partitions keep handing out the same version) — and hands back a
+//! [`Snapshot`] that answers span queries, border probes, and partition
+//! scans with results bit-identical to the live database, while the
+//! single writer keeps mutating its private working set.  The writer
+//! copies a page, or the mirror, the first time it writes one a pinned
+//! version still holds.
 //!
 //! Lifecycle: **publish** (a snapshot pins the current commit epoch),
 //! **pin** (clones share the pin; the epoch stays registered while any
 //! reader holds it), **reclaim** (the last reader's drop retires the
 //! epoch in the [`EpochRegistry`], visible as `txn.epochs_reclaimed`).
 //!
-//! Page accounting: the live database charges real modeled I/O to its
-//! shared [`asr_pagesim::IoStats`].  A snapshot is detached from that
-//! handle (it must be `Send`), so it meters its own reads — tree height
-//! plus distinct leaves per batched probe, leaf pages per scan — on an
-//! internal atomic counter exposed as [`Snapshot::pages_read`].
+//! Page accounting: a pinned read runs the live partition's read code —
+//! the same batched descent and full scan
+//! ([`asr_pagesim::PageSlab::scan_ranges_sorted`] / `scan_all`) over the
+//! same pages — and so charges exactly the pages a live read of the same
+//! state charges.  Only the meter differs: the live database charges its
+//! shared [`asr_pagesim::IoStats`] (an `Rc`, and optionally buffered),
+//! while a snapshot, which must be `Send`, charges every page to its own
+//! atomic counter, [`Snapshot::pages_read`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +38,7 @@ use crate::database::{AsrId, Database};
 use crate::error::{AsrError, Result};
 use crate::manager::AsrConfig;
 use crate::naive::check_span;
-use crate::partition::{PartitionImage, StoredPartition};
+use crate::partition::{cell_ranges, PartitionVersion, StoredPartition};
 use crate::query::{self, Frontier, SpanSource};
 use crate::row::Row;
 
@@ -109,139 +115,11 @@ impl Drop for EpochPin {
     }
 }
 
-// ---------------------------------------------------------------------
-// Immutable partition versions
-// ---------------------------------------------------------------------
-
-/// An immutable published version of one [`StoredPartition`]: the full
-/// physical image (reused verbatim by checkpoint serialization) plus two
-/// sorted access vectors standing in for the redundant clustering trees.
-/// `by_first`/`by_last` order is exactly the trees' key order
-/// `(cell, rowid)` with NULL first, so scans and probes reproduce the
-/// live partition's row order bit for bit.
-#[derive(Debug)]
-pub(crate) struct PartitionVersion {
-    /// `(clustering cell, rowid, index into image.rows)` sorted ascending
-    /// — the forward (first-column) clustering.
-    by_first: Vec<(Option<Cell>, u64, u32)>,
-    /// The backward (last-column) clustering.
-    by_last: Vec<(Option<Cell>, u64, u32)>,
-    fwd_height: u64,
-    bwd_height: u64,
-    /// Tuples per leaf page (formula 14) — converts hit runs into the
-    /// modeled leaf-page charge.
-    leaf_capacity: u64,
-    fwd_leaf_pages: u64,
-    /// The page-faithful physical image ([`StoredPartition::dump`]).
-    image: PartitionImage,
-}
-
-impl PartitionVersion {
-    /// Capture the partition's current state as an immutable version.
-    pub(crate) fn capture(part: &StoredPartition) -> Self {
-        let image = part.dump();
-        let order = |key: fn(&Row) -> &Option<Cell>| {
-            let mut v: Vec<(Option<Cell>, u64, u32)> = image
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(idx, (row, rowid, _))| (key(row).clone(), *rowid, idx as u32))
-                .collect();
-            v.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-            v
-        };
-        PartitionVersion {
-            by_first: order(Row::first),
-            by_last: order(Row::last),
-            fwd_height: image.fwd.height as u64,
-            bwd_height: image.bwd.height as u64,
-            leaf_capacity: (part.forward_tree().leaf_capacity() as u64).max(1),
-            fwd_leaf_pages: part.leaf_pages(),
-            image,
-        }
-    }
-
-    /// Columns spanned (`to − from + 1`).
-    pub(crate) fn arity(&self) -> usize {
-        self.image.to - self.image.from + 1
-    }
-
-    /// The captured physical image (checkpoint serialization).
-    pub(crate) fn image(&self) -> &PartitionImage {
-        &self.image
-    }
-
-    /// Distinct stored rows.
-    pub(crate) fn len(&self) -> usize {
-        self.image.rows.len()
-    }
-
-    fn row(&self, idx: u32) -> &Row {
-        &self.image.rows[idx as usize].0
-    }
-
-    /// Batched clustered probe over `frontier`, visiting per-key hit runs
-    /// in frontier order — the immutable counterpart of
-    /// [`StoredPartition::probe`].  Charges one descent plus each distinct
-    /// leaf page once per batch.
-    fn probe(
-        &self,
-        forward: bool,
-        frontier: &Frontier,
-        reads: &AtomicU64,
-        visit: &mut dyn FnMut(&Row),
-    ) {
-        if frontier.is_empty() {
-            return;
-        }
-        let (list, height) = if forward {
-            (&self.by_first, self.fwd_height)
-        } else {
-            (&self.by_last, self.bwd_height)
-        };
-        // Hit runs ascend with the frontier, so distinct leaves are the
-        // changes of `index / leaf_capacity` along the visit.
-        let mut leaves = 0u64;
-        let mut last_leaf = None;
-        for cell in frontier.cells() {
-            let mut at = list.partition_point(|e| e.0.as_ref().is_none_or(|c| c < cell));
-            while at < list.len() && list[at].0.as_ref() == Some(cell) {
-                let leaf = at as u64 / self.leaf_capacity;
-                if last_leaf != Some(leaf) {
-                    last_leaf = Some(leaf);
-                    leaves += 1;
-                }
-                visit(self.row(list[at].2));
-                at += 1;
-            }
-        }
-        reads.fetch_add(height + leaves, Ordering::Relaxed);
-    }
-
-    /// Exhaustive scan in forward clustering order, visiting rows whose
-    /// column `offset` is in `frontier` — the immutable counterpart of
-    /// [`StoredPartition::scan`].  Charges the leaf pages of one tree.
-    fn scan(
-        &self,
-        offset: usize,
-        frontier: &Frontier,
-        reads: &AtomicU64,
-        visit: &mut dyn FnMut(&Row),
-    ) {
-        reads.fetch_add(self.fwd_leaf_pages, Ordering::Relaxed);
-        for &(_, _, idx) in &self.by_first {
-            let row = self.row(idx);
-            if frontier.contains(row.cell(offset)) {
-                visit(row);
-            }
-        }
-    }
-}
-
 /// One stored partition as a [`Snapshot`] pins it: the immutable
-/// published version plus the meter its probes and scans charge modeled
+/// published version plus the meter its probes and scans charge page
 /// reads to.  The MVCC [`SpanSource`]: a snapshot walks a slice of these
-/// exactly as the live ASR walks its [`StoredPartition`]s.
+/// exactly as the live ASR walks its [`StoredPartition`]s, with the same
+/// read code over the same pages.
 #[derive(Debug, Clone)]
 pub struct PinnedPartition {
     version: Arc<PartitionVersion>,
@@ -249,7 +127,7 @@ pub struct PinnedPartition {
 }
 
 impl PinnedPartition {
-    /// Pin `part`'s current version (capturing a fresh one only if the
+    /// Pin `part`'s current version (publishing a fresh one only if the
     /// partition changed since its last publish) on a meter of its own.
     pub fn pin(part: &mut StoredPartition) -> Self {
         PinnedPartition {
@@ -257,15 +135,36 @@ impl PinnedPartition {
             reads: Arc::default(),
         }
     }
+
+    /// Pages charged to this pin's meter so far.
+    pub fn pages_read(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
+    /// How a read of the pinned pages is charged: one page on the meter.
+    fn charge(&self) -> impl Fn(usize) + '_ {
+        |_| {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl SpanSource for PinnedPartition {
     fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
-        self.version.probe(forward, frontier, &self.reads, visit);
+        let tree = if forward {
+            &self.version.fwd
+        } else {
+            &self.version.bwd
+        };
+        tree.scan_ranges_sorted(cell_ranges(frontier), self.charge(), |_, _, row| visit(row));
     }
 
     fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
-        self.version.scan(offset, frontier, &self.reads, visit);
+        self.version.fwd.scan_all(self.charge(), |_, row| {
+            if frontier.contains(row.cell(offset)) {
+                visit(row);
+            }
+        });
     }
 }
 
@@ -305,7 +204,7 @@ pub struct Snapshot {
     epoch: u64,
     base: Arc<ObjectBase>,
     asrs: Vec<Option<Arc<SnapAsr>>>,
-    /// Modeled page reads charged by this snapshot's queries.
+    /// Page reads charged by this snapshot's queries.
     reads: Arc<AtomicU64>,
     _pin: Arc<EpochPin>,
 }
@@ -316,7 +215,8 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Modeled page reads charged against this snapshot so far.
+    /// Page reads charged against this snapshot so far — what the same
+    /// reads would have charged the live database's unbuffered `IoStats`.
     pub fn pages_read(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
     }
@@ -462,15 +362,16 @@ impl Snapshot {
             .sum())
     }
 
-    /// The pinned partition images of every present ASR, in `A`-line
+    /// The pinned partition versions of every present ASR, in `A`-line
     /// ordinal order — what checkpoint serialization renders instead of
-    /// re-dumping the live trees.
-    pub(crate) fn asr_images(&self) -> Vec<Vec<&PartitionImage>> {
+    /// the live trees.
+    pub(crate) fn asr_versions(
+        &self,
+    ) -> impl Iterator<Item = impl Iterator<Item = &PartitionVersion>> {
         self.asrs
             .iter()
             .flatten()
-            .map(|asr| asr.versions.iter().map(|v| v.version.image()).collect())
-            .collect()
+            .map(|asr| asr.versions.iter().map(|v| &*v.version))
     }
 }
 
@@ -499,11 +400,12 @@ impl Database {
     /// Publish the current state as an immutable [`Snapshot`] pinned to
     /// the current commit epoch.
     ///
-    /// Copy-on-write at partition granularity: only partitions mutated
-    /// since their last publish are re-captured; repeated snapshots of an
-    /// unchanged database share every version (and the epoch).  The
-    /// object base travels as an `Arc` — the writer's next base mutation
-    /// clones it lazily (`Arc::make_mut`), never the readers.
+    /// Copy-on-write: only partitions mutated since their last publish get
+    /// a fresh version, and a fresh version shares the live partition's
+    /// pages and row mirror; repeated snapshots of an unchanged database
+    /// share every version (and the epoch).  The object base travels as
+    /// an `Arc` — the writer's next base mutation clones it lazily
+    /// (`Arc::make_mut`), never the readers.
     pub fn snapshot(&mut self) -> Snapshot {
         if self.snap_stale {
             self.commit_epoch += 1;

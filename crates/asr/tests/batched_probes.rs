@@ -8,14 +8,15 @@
 //!   versions answers exactly what the live walk answers;
 //! * **accounting** — a batch never charges more page reads than the
 //!   per-cell probes it replaces, and charges strictly fewer as soon as
-//!   two probe keys share a leaf page.
+//!   two probe keys share a leaf page; a pinned version's meter charges
+//!   exactly what the live `IoStats` charges for the same walk or scan.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use asr_core::cell::Cell;
 use asr_core::partition::{fresh_stats, StoredPartition};
-use asr_core::query::{backward_supported, forward_supported};
+use asr_core::query::{backward_supported, forward_supported, SpanSource};
 use asr_core::row::Row;
 use asr_core::{Decomposition, Frontier, PinnedPartition, Relation};
 use asr_gom::Oid;
@@ -139,6 +140,14 @@ fn backward_per_cell(
     Vec::new()
 }
 
+/// Run `read` and return its answer together with the pages it charged
+/// to `meter` (a running page count).
+fn metered<T>(meter: impl Fn() -> u64, read: impl FnOnce() -> T) -> (T, u64) {
+    let before = meter();
+    let answer = read();
+    (answer, meter() - before)
+}
+
 /// Random 5-column relations whose cells are namespaced per column
 /// (column `c` holds values `100·c …`), so rows chain through shared
 /// values exactly like a real extension.
@@ -193,29 +202,47 @@ proptest! {
     }
 
     /// Over every span of every decomposition, the walk over the pinned
-    /// MVCC versions answers exactly what the live walk answers.
+    /// MVCC versions answers exactly what the live walk answers and
+    /// charges the pinned meter exactly the pages the live walk charges
+    /// `IoStats`; so does a full scan of each partition (a `ShardScan`).
     #[test]
     fn pinned_walk_matches_live_walk(rel in relation_strategy()) {
         for dec in Decomposition::enumerate_all(4) {
             let mut parts = load(&rel, &dec);
             let pinned: Vec<PinnedPartition> = parts.iter_mut().map(PinnedPartition::pin).collect();
+            let stats = Rc::clone(parts[0].stats());
+            let live = || stats.reads();
+            let pinned_meter = || pinned.iter().map(PinnedPartition::pages_read).sum::<u64>();
             for ci in 0..4usize {
                 for cj in ci + 1..=4 {
                     for v in 0..6u64 {
                         let start = cell(100 * ci as u64 + v);
                         prop_assert_eq!(
-                            forward_supported(&pinned, &dec, ci, cj, &start),
-                            forward_supported(&parts, &dec, ci, cj, &start),
+                            metered(pinned_meter, || forward_supported(&pinned, &dec, ci, cj, &start)),
+                            metered(live, || forward_supported(&parts, &dec, ci, cj, &start)),
                             "forward {}..{} from {:?} under {}", ci, cj, start, dec
                         );
                         let target = cell(100 * cj as u64 + v);
                         prop_assert_eq!(
-                            backward_supported(&pinned, &dec, ci, cj, &target),
-                            backward_supported(&parts, &dec, ci, cj, &target),
+                            metered(pinned_meter, || backward_supported(&pinned, &dec, ci, cj, &target)),
+                            metered(live, || backward_supported(&parts, &dec, ci, cj, &target)),
                             "backward {}..{} to {:?} under {}", ci, cj, target, dec
                         );
                     }
                 }
+            }
+            for (idx, (a, _)) in dec.partitions().enumerate() {
+                let frontier: Frontier = (0..6).map(|v| cell(100 * (a as u64 + 1) + v)).collect();
+                let scan = |part: &dyn SpanSource| {
+                    let mut rows = Vec::new();
+                    part.scan(1, &frontier, &mut |row| rows.push(row.clone()));
+                    rows
+                };
+                prop_assert_eq!(
+                    metered(pinned_meter, || scan(&pinned[idx])),
+                    metered(live, || scan(&parts[idx])),
+                    "scan of partition {} under {}", idx, dec
+                );
             }
         }
     }
@@ -268,7 +295,7 @@ proptest! {
                 batched_reads, per_cell_reads, forward
             );
             let tree = if forward { part.forward_tree() } else { part.backward_tree() };
-            if cells.len() >= 2 && tree.leaf_page_count() == 1 {
+            if cells.len() >= 2 && tree.pages().leaf_page_count() == 1 {
                 // ≥2 probes into the same (single) leaf: the batch reads
                 // the page once, per-cell probes read it once each.
                 prop_assert!(

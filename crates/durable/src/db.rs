@@ -1535,12 +1535,9 @@ pub(crate) fn apply_op(
             cuts,
             keep_set_oids,
         } => {
-            let ext = Extension::ALL
-                .into_iter()
-                .find(|e| e.name() == extension)
-                .ok_or_else(|| {
-                    DurableError::Corrupt(format!("unknown extension `{extension}` in WAL"))
-                })?;
+            let ext = Extension::from_name(extension).ok_or_else(|| {
+                DurableError::Corrupt(format!("unknown extension `{extension}` in WAL"))
+            })?;
             let config = AsrConfig {
                 extension: ext,
                 decomposition: Decomposition::new(cuts.clone())?,

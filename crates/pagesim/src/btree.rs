@@ -15,6 +15,16 @@
 //! lookup, deletion with borrow/merge rebalancing, and ordered range scans
 //! over the linked leaf level.
 //!
+//! Pages are shared copy-on-write.  A tree keeps its pages in a
+//! [`PageSlab`] of `Arc`'d nodes and writes each one through
+//! `Arc::make_mut`, so [`BPlusTree::freeze`] is a copy of page pointers: an
+//! immutable, `Send + Sync` version that keeps the pages it was taken with,
+//! while the tree copies a page the first time it writes one the version
+//! still holds.  The reads a version serves — the batched descent and the
+//! full scan — are written once, over the slab; the caller passes in how a
+//! page read is charged (the live tree: its buffer pool and `IoStats`; a
+//! frozen version: its reader's meter), so both charge the same pages.
+//!
 //! Composite keys (e.g. `(column value, row id)`) are expressed through the
 //! ordinary `Ord` bound; prefix scans become half-open ranges.
 
@@ -22,6 +32,7 @@ use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::fmt::Debug;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::buffer::BufferPool;
 use crate::constants::{PAGE_SIZE, PP_SIZE};
@@ -61,8 +72,7 @@ fn chunk_plan(total: usize, target: usize, min: usize, capacity: usize) -> Vec<u
     sizes
 }
 
-/// Outcome of one batched probe run ([`BPlusTree::scan_ranges_sorted`] /
-/// [`BPlusTree::get_many`]).
+/// Outcome of one batched probe run ([`PageSlab::scan_ranges_sorted`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Probes (keys or ranges) answered by the batch.
@@ -88,9 +98,9 @@ impl BatchReport {
 }
 
 /// Shared descent state of one batched probe run: the pinned root-to-leaf
-/// path and the set of pages already charged this batch.  A tree keeps
-/// one between batches ([`BPlusTree::fresh_batch`] / `end_batch`), so a
-/// probe allocates nothing once the buffers have grown.
+/// path and the set of pages already charged this batch.  A live tree
+/// parks one between batches, so a probe allocates nothing once the
+/// buffers have grown; a frozen version's batch starts a fresh one.
 #[derive(Debug)]
 struct BatchState<K> {
     /// Inner nodes of the current descent path, root first, each with the
@@ -102,7 +112,7 @@ struct BatchState<K> {
     /// between batches.
     charged: Vec<bool>,
     /// The pages set in `charged`, in charge order: what the batch read,
-    /// and what `end_batch` resets.
+    /// and what its end resets.
     touched: Vec<usize>,
 }
 
@@ -112,6 +122,17 @@ impl<K> Default for BatchState<K> {
             path: Vec::new(),
             charged: Vec::new(),
             touched: Vec::new(),
+        }
+    }
+}
+
+impl<K> BatchState<K> {
+    /// Charge `node` unless this batch already has.
+    fn charge(&mut self, node: usize, charge: &impl Fn(usize)) {
+        if !self.charged[node] {
+            self.charged[node] = true;
+            self.touched.push(node);
+            charge(node);
         }
     }
 }
@@ -140,8 +161,8 @@ pub enum NodeImage<K, V> {
 }
 
 /// One slab slot by reference — what [`NodeImage`] owns, borrowed from
-/// the live tree ([`BPlusTree::page`]), for serializers that keep only a
-/// part of each page (a leaf's row ids, say) and would discard a clone.
+/// a slab ([`PageSlab::page`]), for serializers that keep only a part of
+/// each page (a leaf's row ids, say) and would discard a clone.
 #[derive(Debug)]
 pub enum PageRef<'a, K, V> {
     /// An inner page: `keys.len() + 1` child page ids.
@@ -376,12 +397,16 @@ enum Node<K, V> {
     Free,
 }
 
-/// A B+ tree with page-access accounting.
+/// A B+ tree's pages and geometry: everything a read walks, and nothing
+/// it charges to.  A [`BPlusTree`] keeps one and writes it in place;
+/// [`BPlusTree::freeze`] hands out a clone, an immutable version that
+/// shares each `Arc`'d page with the tree until the tree next writes it.
 ///
-/// Keys must be unique; composite keys give multi-map behaviour.
-#[derive(Debug)]
-pub struct BPlusTree<K, V> {
-    nodes: Vec<Node<K, V>>,
+/// The reads here take `charge`, called with the slab slot of every page
+/// the read is charged for.
+#[derive(Debug, Clone)]
+pub struct PageSlab<K, V> {
+    nodes: Vec<Arc<Node<K, V>>>,
     free: Vec<usize>,
     root: usize,
     /// Levels including the leaf level (empty tree = single empty leaf,
@@ -390,13 +415,487 @@ pub struct BPlusTree<K, V> {
     leaf_capacity: usize,
     inner_capacity: usize,
     len: usize,
+}
+
+impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
+    /// A single empty root leaf.
+    fn empty(leaf_capacity: usize, inner_capacity: usize) -> Self {
+        PageSlab {
+            nodes: vec![Arc::new(Node::Leaf {
+                entries: Vec::new(),
+                next: NO_NODE,
+            })],
+            free: Vec::new(),
+            root: 0,
+            height: 1,
+            leaf_capacity,
+            inner_capacity,
+            len: 0,
+        }
+    }
+
+    fn node(&self, id: usize) -> &Node<K, V> {
+        &self.nodes[id]
+    }
+
+    /// Page `id` for writing: copied first if a frozen version still
+    /// holds it, so every written page is copied at most once.
+    fn node_mut(&mut self, id: usize) -> &mut Node<K, V> {
+        Arc::make_mut(&mut self.nodes[id])
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the slab holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Tree height in levels, *including* the leaf level.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// Maximum entries per leaf page (the paper's `atpp`).
+    pub fn leaf_capacity(&self) -> usize {
+        self.leaf_capacity
+    }
+
+    /// Maximum children per inner page (the paper's `B⁺fan`).
+    pub fn inner_capacity(&self) -> usize {
+        self.inner_capacity
+    }
+
+    /// Number of leaf pages (the paper's `ap^{i,j}`).
+    pub fn leaf_page_count(&self) -> u64 {
+        self.nodes
+            .iter()
+            .filter(|n| matches!(***n, Node::Leaf { .. }))
+            .count() as u64
+    }
+
+    /// Number of inner pages (the paper's `pg^{i,j}` without leaves).
+    pub fn inner_page_count(&self) -> u64 {
+        self.nodes
+            .iter()
+            .filter(|n| matches!(***n, Node::Inner { .. }))
+            .count() as u64
+    }
+
+    /// Total pages occupied by the tree.
+    pub fn page_count(&self) -> u64 {
+        self.leaf_page_count() + self.inner_page_count()
+    }
+
+    /// Slab slot of the root page.
+    pub fn root_slot(&self) -> usize {
+        self.root
+    }
+
+    /// Free slab slots in pop order (the last element is reused first).
+    pub fn free_slots(&self) -> &[usize] {
+        &self.free
+    }
+
+    /// Slab slots the tree occupies, free ones included.
+    pub fn slot_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Slab slot `slot` by reference — [`BPlusTree::dump_image`] without
+    /// the clone.  Charges nothing.
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= self.slot_count()`.
+    pub fn page(&self, slot: usize) -> PageRef<'_, K, V> {
+        match self.node(slot) {
+            Node::Inner { keys, children } => PageRef::Inner { keys, children },
+            Node::Leaf { entries, next } => PageRef::Leaf {
+                entries,
+                next: (*next != NO_NODE).then_some(*next),
+            },
+            Node::Free => PageRef::Free,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Reads
+    // ------------------------------------------------------------------
+
+    /// Visit all entries with `lo <= key < hi` (half-open), in key order.
+    /// Charges one read per level of the descent to the first leaf, then
+    /// one per additional leaf.
+    fn scan_range(
+        &self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        charge: &impl Fn(usize),
+        mut visit: impl FnMut(&K, &V),
+    ) {
+        let mut node = self.root;
+        loop {
+            charge(node);
+            match self.node(node) {
+                Node::Inner { keys, children } => {
+                    let idx = match lo {
+                        Bound::Included(key) | Bound::Excluded(key) => {
+                            keys.partition_point(|k| k <= key)
+                        }
+                        // Walk down the left spine.
+                        Bound::Unbounded => 0,
+                    };
+                    node = children[idx];
+                }
+                Node::Leaf { .. } => break,
+                Node::Free => unreachable!("descended into freed node"),
+            }
+        }
+        let mut leaf = node;
+        let Node::Leaf { entries, .. } = self.node(leaf) else {
+            unreachable!()
+        };
+        let mut start_idx = entries.partition_point(|(k, _)| match lo {
+            Bound::Included(key) => k < key,
+            Bound::Excluded(key) => k <= key,
+            Bound::Unbounded => false,
+        });
+        loop {
+            let Node::Leaf { entries, next } = self.node(leaf) else {
+                unreachable!()
+            };
+            for (k, v) in &entries[start_idx..] {
+                let in_range = match hi {
+                    Bound::Included(h) => k <= h,
+                    Bound::Excluded(h) => k < h,
+                    Bound::Unbounded => true,
+                };
+                if !in_range {
+                    return;
+                }
+                visit(k, v);
+            }
+            if *next == NO_NODE {
+                return;
+            }
+            leaf = *next;
+            start_idx = 0;
+            charge(leaf);
+        }
+    }
+
+    /// Visit every entry in key order: the left spine, then the whole
+    /// leaf level, each page charged once.
+    pub fn scan_all(&self, charge: impl Fn(usize), visit: impl FnMut(&K, &V)) {
+        self.scan_range(Bound::Unbounded, Bound::Unbounded, &charge, visit)
+    }
+
+    /// Visit, in key order, the entries of each of `ranges` — a batch of
+    /// probes whose lower bounds must be **ascending** (`BTreeSet`
+    /// iteration order qualifies).  One logical root-to-leaf descent is
+    /// performed per run of adjacent probes, leaves are walked via sibling
+    /// links, and every internal/leaf page is charged **at most once for
+    /// the whole batch** — adjacent probes stop re-reading the same root,
+    /// inner, and leaf pages.
+    ///
+    /// `visit` receives the index of the originating range along with each
+    /// entry.  The returned [`BatchReport`] compares the pages actually
+    /// charged against what a standalone scan of each range would have
+    /// cost.
+    ///
+    /// An `Unbounded` lower bound restarts the descent at the leftmost
+    /// leaf and is only meaningful as the first range of a batch.
+    ///
+    /// Bounds may be borrowed (`&K`) or owned (`K`, built on the fly by
+    /// the caller's iterator), so a batch needs no key array of its own.
+    pub fn scan_ranges_sorted<B: Borrow<K>>(
+        &self,
+        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
+        charge: impl Fn(usize),
+        visit: impl FnMut(usize, &K, &V),
+    ) -> BatchReport {
+        self.scan_batch(&mut BatchState::default(), ranges, &charge, visit)
+    }
+
+    /// Descend to the leaf responsible for `key` (`None` = leftmost
+    /// leaf), reusing the surviving prefix of the previous probe's path
+    /// and charging only pages not yet touched this batch.
+    fn batch_descend(
+        &self,
+        st: &mut BatchState<K>,
+        key: Option<&K>,
+        charge: &impl Fn(usize),
+    ) -> usize {
+        match key {
+            Some(key) => {
+                // Pop frames whose subtree upper bound the key has passed.
+                while st
+                    .path
+                    .last()
+                    .is_some_and(|(_, hi)| hi.as_ref().is_some_and(|h| key >= h))
+                {
+                    st.path.pop();
+                }
+            }
+            None => st.path.clear(),
+        }
+        let (mut node, mut hi, mut on_path) = match st.path.last() {
+            Some((n, h)) => (*n, h.clone(), true),
+            None => (self.root, None, false),
+        };
+        loop {
+            st.charge(node, charge);
+            match self.node(node) {
+                Node::Inner { keys, children } => {
+                    if !on_path {
+                        st.path.push((node, hi.clone()));
+                    }
+                    on_path = false;
+                    let idx = match key {
+                        Some(key) => keys.partition_point(|k| k <= key),
+                        None => 0,
+                    };
+                    if idx < keys.len() {
+                        hi = Some(keys[idx].clone());
+                    }
+                    node = children[idx];
+                }
+                Node::Leaf { .. } => return node,
+                Node::Free => unreachable!("descended into freed node"),
+            }
+        }
+    }
+
+    /// [`PageSlab::scan_ranges_sorted`] on the caller's batch scratch.
+    fn scan_batch<B: Borrow<K>>(
+        &self,
+        st: &mut BatchState<K>,
+        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
+        charge: &impl Fn(usize),
+        mut visit: impl FnMut(usize, &K, &V),
+    ) -> BatchReport {
+        st.charged.resize(self.nodes.len(), false);
+        let mut report = BatchReport::default();
+        let mut prev_lo: Option<B> = None;
+        for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
+            report.probes += 1;
+            let key = match &lo {
+                Bound::Included(k) | Bound::Excluded(k) => Some(k.borrow()),
+                Bound::Unbounded => None,
+            };
+            if let (Some(prev), Some(k)) = (&prev_lo, key) {
+                debug_assert!(
+                    prev.borrow() <= k,
+                    "scan_ranges_sorted: lower bounds must ascend"
+                );
+            }
+            let mut leaf = self.batch_descend(st, key, charge);
+            let Node::Leaf { entries, .. } = self.node(leaf) else {
+                unreachable!()
+            };
+            let mut start_idx = entries.partition_point(|(k, _)| match &lo {
+                Bound::Included(key) => k < key.borrow(),
+                Bound::Excluded(key) => k <= key.borrow(),
+                Bound::Unbounded => false,
+            });
+            let mut leaves_visited = 1u64;
+            'walk: loop {
+                let Node::Leaf { entries, next } = self.node(leaf) else {
+                    unreachable!()
+                };
+                for (k, v) in &entries[start_idx..] {
+                    let in_range = match &hi {
+                        Bound::Included(h) => k <= h.borrow(),
+                        Bound::Excluded(h) => k < h.borrow(),
+                        Bound::Unbounded => true,
+                    };
+                    if !in_range {
+                        break 'walk;
+                    }
+                    visit(range_idx, k, v);
+                }
+                if *next == NO_NODE {
+                    break;
+                }
+                leaf = *next;
+                start_idx = 0;
+                st.charge(leaf, charge);
+                leaves_visited += 1;
+            }
+            // A standalone scan of this range descends the full height and
+            // then charges each additional leaf it walks.
+            report.naive_pages += self.height as u64 + (leaves_visited - 1);
+            if let Bound::Included(k) | Bound::Excluded(k) = lo {
+                prev_lo = Some(k);
+            }
+        }
+        // Reset only the pages this batch charged, and its path.
+        report.pages_read = st.touched.len() as u64;
+        for node in st.touched.drain(..) {
+            st.charged[node] = false;
+        }
+        st.path.clear();
+        report
+    }
+
+    // ------------------------------------------------------------------
+    // Invariant checking (tests / debugging)
+    // ------------------------------------------------------------------
+
+    fn min_leaf(&self) -> usize {
+        self.leaf_capacity / 2
+    }
+
+    fn min_children(&self) -> usize {
+        self.inner_capacity.div_ceil(2)
+    }
+
+    /// Verify all structural invariants; returns a descriptive error on the
+    /// first violation.  Charges no page accesses.
+    pub fn check_invariants(&self) -> Result<()> {
+        let mut leaf_depths = Vec::new();
+        let mut count = 0usize;
+        self.check_node(self.root, 1, None, None, &mut leaf_depths, &mut count)?;
+        if let Some(&d) = leaf_depths.first() {
+            if leaf_depths.iter().any(|&x| x != d) {
+                return Err(PageSimError::CorruptStructure(
+                    "leaves at differing depths".into(),
+                ));
+            }
+            if d != self.height {
+                return Err(PageSimError::CorruptStructure(format!(
+                    "height field {} != actual depth {d}",
+                    self.height
+                )));
+            }
+        }
+        if count != self.len {
+            return Err(PageSimError::CorruptStructure(format!(
+                "len field {} != actual entry count {count}",
+                self.len
+            )));
+        }
+        // Leaf chain must enumerate all entries in ascending order.
+        let mut chained = 0usize;
+        let mut prev: Option<K> = None;
+        let mut leaf = self.leftmost_leaf();
+        loop {
+            let Node::Leaf { entries, next } = self.node(leaf) else {
+                return Err(PageSimError::CorruptStructure(
+                    "leaf chain hit non-leaf".into(),
+                ));
+            };
+            for (k, _) in entries {
+                if let Some(p) = &prev {
+                    if p >= k {
+                        return Err(PageSimError::CorruptStructure(
+                            "leaf chain out of order".into(),
+                        ));
+                    }
+                }
+                prev = Some(k.clone());
+                chained += 1;
+            }
+            if *next == NO_NODE {
+                break;
+            }
+            leaf = *next;
+        }
+        if chained != self.len {
+            return Err(PageSimError::CorruptStructure(format!(
+                "leaf chain enumerates {chained} entries, len is {}",
+                self.len
+            )));
+        }
+        Ok(())
+    }
+
+    fn leftmost_leaf(&self) -> usize {
+        let mut node = self.root;
+        loop {
+            match self.node(node) {
+                Node::Inner { children, .. } => node = children[0],
+                Node::Leaf { .. } => return node,
+                Node::Free => unreachable!(),
+            }
+        }
+    }
+
+    fn check_node(
+        &self,
+        node: usize,
+        depth: usize,
+        lo: Option<&K>,
+        hi: Option<&K>,
+        leaf_depths: &mut Vec<usize>,
+        count: &mut usize,
+    ) -> Result<()> {
+        let corrupt = |msg: String| Err(PageSimError::CorruptStructure(msg));
+        match self.node(node) {
+            Node::Free => corrupt(format!("reachable node {node} is free")),
+            Node::Leaf { entries, .. } => {
+                if node != self.root && entries.len() < self.min_leaf() {
+                    return corrupt(format!("leaf {node} underfull: {}", entries.len()));
+                }
+                if entries.len() > self.leaf_capacity {
+                    return corrupt(format!("leaf {node} overfull: {}", entries.len()));
+                }
+                for w in entries.windows(2) {
+                    if w[0].0 >= w[1].0 {
+                        return corrupt(format!("leaf {node} keys unsorted"));
+                    }
+                }
+                for (k, _) in entries {
+                    if lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h) {
+                        return corrupt(format!("leaf {node} key outside separator bounds"));
+                    }
+                }
+                *count += entries.len();
+                leaf_depths.push(depth);
+                Ok(())
+            }
+            Node::Inner { keys, children } => {
+                if children.len() != keys.len() + 1 {
+                    return corrupt(format!("inner {node} arity mismatch"));
+                }
+                if node != self.root && children.len() < self.min_children() {
+                    return corrupt(format!("inner {node} underfull"));
+                }
+                if children.len() > self.inner_capacity {
+                    return corrupt(format!("inner {node} overfull"));
+                }
+                for w in keys.windows(2) {
+                    if w[0] >= w[1] {
+                        return corrupt(format!("inner {node} keys unsorted"));
+                    }
+                }
+                for (i, &child) in children.iter().enumerate() {
+                    let child_lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
+                    let child_hi = if i == keys.len() { hi } else { Some(&keys[i]) };
+                    self.check_node(child, depth + 1, child_lo, child_hi, leaf_depths, count)?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// A B+ tree with page-access accounting.
+///
+/// Keys must be unique; composite keys give multi-map behaviour.
+#[derive(Debug)]
+pub struct BPlusTree<K, V> {
+    pages: PageSlab<K, V>,
     stats: StatsHandle,
     buffer: RefCell<BufferPool>,
     /// Current dirty epoch; every page modification stamps the page with
     /// this value.  Interior-mutable because write charging happens behind
     /// `&self` (see [`BPlusTree::charge_write`]).
     epoch: Cell<u64>,
-    /// Per-slot epoch stamps, parallel to `nodes` (`epochs[slot]` = epoch
+    /// Per-slot epoch stamps, parallel to the slab (`epochs[slot]` = epoch
     /// of the slot's last modification).
     epochs: RefCell<Vec<u64>>,
     /// The batched-probe scratch, parked between batches.
@@ -424,18 +923,8 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     ) -> Self {
         assert!(leaf_capacity >= 2, "leaf capacity must be >= 2");
         assert!(inner_capacity >= 3, "inner capacity must be >= 3");
-        let root_leaf = Node::Leaf {
-            entries: Vec::new(),
-            next: NO_NODE,
-        };
         BPlusTree {
-            nodes: vec![root_leaf],
-            free: Vec::new(),
-            root: 0,
-            height: 1,
-            leaf_capacity,
-            inner_capacity,
-            len: 0,
+            pages: PageSlab::empty(leaf_capacity, inner_capacity),
             stats,
             buffer: RefCell::new(BufferPool::unbuffered()),
             epoch: Cell::new(0),
@@ -471,56 +960,17 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.buffer.borrow().structure()
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
+    /// The tree's pages, borrowed: geometry, page-by-page access, and the
+    /// reads a frozen version serves.
+    pub fn pages(&self) -> &PageSlab<K, V> {
+        &self.pages
     }
 
-    /// `true` when the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Tree height in levels, *including* the leaf level.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Height of the non-leaf part — the paper's `ht^{i,j}` (formula 19
-    /// counts the tree "not considering the leaves").
-    pub fn inner_height(&self) -> usize {
-        self.height - 1
-    }
-
-    /// Maximum entries per leaf page (the paper's `atpp`).
-    pub fn leaf_capacity(&self) -> usize {
-        self.leaf_capacity
-    }
-
-    /// Maximum children per inner page (the paper's `B⁺fan`).
-    pub fn inner_capacity(&self) -> usize {
-        self.inner_capacity
-    }
-
-    /// Number of leaf pages (the paper's `ap^{i,j}`).
-    pub fn leaf_page_count(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count() as u64
-    }
-
-    /// Number of inner pages (the paper's `pg^{i,j}` without leaves).
-    pub fn inner_page_count(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Inner { .. }))
-            .count() as u64
-    }
-
-    /// Total pages occupied by the tree.
-    pub fn page_count(&self) -> u64 {
-        self.leaf_page_count() + self.inner_page_count()
+    /// An immutable version of the tree as it is now: a copy of the slab's
+    /// page pointers, sharing every page with the tree until the tree
+    /// next writes it.  Copies no entry and charges nothing.
+    pub fn freeze(&self) -> PageSlab<K, V> {
+        self.pages.clone()
     }
 
     /// The shared statistics handle.
@@ -554,22 +1004,27 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn alloc(&mut self, node: Node<K, V>) -> usize {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id] = node;
-            self.stamp(id);
-            id
-        } else {
-            self.nodes.push(node);
-            let id = self.nodes.len() - 1;
-            self.stamp(id);
-            id
-        }
+        let node = Arc::new(node);
+        let id = match self.pages.free.pop() {
+            Some(id) => {
+                self.pages.nodes[id] = node;
+                id
+            }
+            None => {
+                self.pages.nodes.push(node);
+                self.pages.nodes.len() - 1
+            }
+        };
+        self.stamp(id);
+        id
     }
 
-    fn release(&mut self, id: usize) {
-        self.nodes[id] = Node::Free;
-        self.free.push(id);
+    /// Free slot `id`, returning the page it held.
+    fn release(&mut self, id: usize) -> Arc<Node<K, V>> {
+        let page = std::mem::replace(&mut self.pages.nodes[id], Arc::new(Node::Free));
+        self.pages.free.push(id);
         self.stamp(id);
+        page
     }
 
     // ------------------------------------------------------------------
@@ -580,11 +1035,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// read per level and recording `(node, child index)` for each inner
     /// node on the way.
     fn descend(&self, key: &K) -> (usize, Vec<(usize, usize)>) {
-        let mut path = Vec::with_capacity(self.height);
-        let mut node = self.root;
+        let mut path = Vec::with_capacity(self.pages.height);
+        let mut node = self.pages.root;
         loop {
             self.charge_read(node);
-            match &self.nodes[node] {
+            match self.pages.node(node) {
                 Node::Inner { keys, children } => {
                     let idx = keys.partition_point(|k| k <= key);
                     path.push((node, idx));
@@ -603,7 +1058,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Point lookup.  Charges `height` page reads.
     pub fn get(&self, key: &K) -> Option<V> {
         let (leaf, _) = self.descend(key);
-        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
+        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
             unreachable!()
         };
         entries
@@ -612,66 +1067,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             .map(|i| entries[i].1.clone())
     }
 
-    /// Does the tree contain `key`?
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Visit all entries with `lo <= key < hi` (half-open), in key order.
     /// Charges the initial descent plus one read per additional leaf.
-    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut visit: impl FnMut(&K, &V)) {
-        let mut leaf;
-        let mut start_idx;
-        match lo {
-            Bound::Included(key) | Bound::Excluded(key) => {
-                let (l, _) = self.descend(key);
-                leaf = l;
-                let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                start_idx = entries.partition_point(|(k, _)| match lo {
-                    Bound::Included(key) => k < key,
-                    Bound::Excluded(key) => k <= key,
-                    Bound::Unbounded => false,
-                });
-            }
-            Bound::Unbounded => {
-                // Walk down the left spine.
-                let mut node = self.root;
-                loop {
-                    self.charge_read(node);
-                    match &self.nodes[node] {
-                        Node::Inner { children, .. } => node = children[0],
-                        Node::Leaf { .. } => break,
-                        Node::Free => unreachable!(),
-                    }
-                }
-                leaf = node;
-                start_idx = 0;
-            }
-        }
-        loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            for (k, v) in &entries[start_idx..] {
-                let in_range = match hi {
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
-                    Bound::Unbounded => true,
-                };
-                if !in_range {
-                    return;
-                }
-                visit(k, v);
-            }
-            if *next == NO_NODE {
-                return;
-            }
-            leaf = *next;
-            start_idx = 0;
-            self.charge_read(leaf);
-        }
+    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, visit: impl FnMut(&K, &V)) {
+        self.pages
+            .scan_range(lo, hi, &|slot| self.charge_read(slot), visit)
     }
 
     /// Collect a half-open range `[lo, hi)` into a vector.
@@ -688,209 +1088,27 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.scan_range(Bound::Unbounded, Bound::Unbounded, visit)
     }
 
-    /// The smallest key, if any.  Charges a left-spine descent.
-    pub fn first_key(&self) -> Option<K> {
-        let mut out = None;
-        self.scan_range(Bound::Unbounded, Bound::Unbounded, |k, _| {
-            if out.is_none() {
-                out = Some(k.clone());
-            }
-        });
-        out
-    }
-
     // ------------------------------------------------------------------
     // Batched sorted probes
     // ------------------------------------------------------------------
 
-    fn batch_charge(&self, st: &mut BatchState<K>, node: usize) {
-        if !st.charged[node] {
-            st.charged[node] = true;
-            st.touched.push(node);
-            self.charge_read(node);
-        }
-    }
-
-    /// Descend to the leaf responsible for `key` (`None` = leftmost
-    /// leaf), reusing the surviving prefix of the previous probe's path
-    /// and charging only pages not yet touched this batch.
-    fn batch_descend(&self, st: &mut BatchState<K>, key: Option<&K>) -> usize {
-        match key {
-            Some(key) => {
-                // Pop frames whose subtree upper bound the key has passed.
-                while st
-                    .path
-                    .last()
-                    .is_some_and(|(_, hi)| hi.as_ref().is_some_and(|h| key >= h))
-                {
-                    st.path.pop();
-                }
-            }
-            None => st.path.clear(),
-        }
-        let (mut node, mut hi, mut on_path) = match st.path.last() {
-            Some((n, h)) => (*n, h.clone(), true),
-            None => (self.root, None, false),
-        };
-        loop {
-            self.batch_charge(st, node);
-            match &self.nodes[node] {
-                Node::Inner { keys, children } => {
-                    if !on_path {
-                        st.path.push((node, hi.clone()));
-                    }
-                    on_path = false;
-                    let idx = match key {
-                        Some(key) => keys.partition_point(|k| k <= key),
-                        None => 0,
-                    };
-                    if idx < keys.len() {
-                        hi = Some(keys[idx].clone());
-                    }
-                    node = children[idx];
-                }
-                Node::Leaf { .. } => return node,
-                Node::Free => unreachable!("descended into freed node"),
-            }
-        }
-    }
-
-    /// Take the parked batch scratch, sized to the current slab.  (A
-    /// batch started inside another's visitor finds the slot empty and
-    /// grows its own.)
-    fn fresh_batch(&self) -> BatchState<K> {
-        let mut st = self.batch.take();
-        st.charged.resize(self.nodes.len(), false);
-        st
-    }
-
-    /// Reset the pages a batch charged and park its scratch for the next;
-    /// returns the batch's page reads.
-    fn end_batch(&self, mut st: BatchState<K>) -> u64 {
-        let pages_read = st.touched.len() as u64;
-        for &node in &st.touched {
-            st.charged[node] = false;
-        }
-        st.touched.clear();
-        st.path.clear();
-        *self.batch.borrow_mut() = st;
-        pages_read
-    }
-
-    /// Visit, in key order, the entries of each of `ranges` — a batch of
-    /// probes whose lower bounds must be **ascending** (`BTreeSet`
-    /// iteration order qualifies).  One logical root-to-leaf descent is
-    /// performed per run of adjacent probes, leaves are walked via sibling
-    /// links, and every internal/leaf page is charged **at most once for
-    /// the whole batch** — adjacent probes stop re-reading the same root,
-    /// inner, and leaf pages.
-    ///
-    /// `visit` receives the index of the originating range along with each
-    /// entry.  The returned [`BatchReport`] compares the pages actually
-    /// charged against what per-range [`BPlusTree::scan_range`] calls
-    /// would have cost; the tallies also accumulate on the shared
-    /// [`IoStats`](crate::IoStats) batch counters.
-    ///
-    /// An `Unbounded` lower bound restarts the descent at the leftmost
-    /// leaf and is only meaningful as the first range of a batch.
-    ///
-    /// Bounds may be borrowed (`&K`) or owned (`K`, built on the fly by
-    /// the caller's iterator), so a batch needs no key array of its own.
+    /// [`PageSlab::scan_ranges_sorted`] on the live pages, charged through
+    /// the buffer pool on the shared [`IoStats`](crate::IoStats), whose
+    /// batch counters also accumulate the returned [`BatchReport`].
     pub fn scan_ranges_sorted<B: Borrow<K>>(
         &self,
         ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
-        mut visit: impl FnMut(usize, &K, &V),
+        visit: impl FnMut(usize, &K, &V),
     ) -> BatchReport {
-        let mut st = self.fresh_batch();
-        let mut report = BatchReport::default();
-        let mut prev_lo: Option<B> = None;
-        for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
-            report.probes += 1;
-            let key = match &lo {
-                Bound::Included(k) | Bound::Excluded(k) => Some(k.borrow()),
-                Bound::Unbounded => None,
-            };
-            if let (Some(prev), Some(k)) = (&prev_lo, key) {
-                debug_assert!(
-                    prev.borrow() <= k,
-                    "scan_ranges_sorted: lower bounds must ascend"
-                );
-            }
-            let mut leaf = self.batch_descend(&mut st, key);
-            let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            let mut start_idx = entries.partition_point(|(k, _)| match &lo {
-                Bound::Included(key) => k < key.borrow(),
-                Bound::Excluded(key) => k <= key.borrow(),
-                Bound::Unbounded => false,
-            });
-            let mut leaves_visited = 1u64;
-            'walk: loop {
-                let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                for (k, v) in &entries[start_idx..] {
-                    let in_range = match &hi {
-                        Bound::Included(h) => k <= h.borrow(),
-                        Bound::Excluded(h) => k < h.borrow(),
-                        Bound::Unbounded => true,
-                    };
-                    if !in_range {
-                        break 'walk;
-                    }
-                    visit(range_idx, k, v);
-                }
-                if *next == NO_NODE {
-                    break;
-                }
-                leaf = *next;
-                start_idx = 0;
-                self.batch_charge(&mut st, leaf);
-                leaves_visited += 1;
-            }
-            // A standalone scan of this range descends the full height and
-            // then charges each additional leaf it walks.
-            report.naive_pages += self.height as u64 + (leaves_visited - 1);
-            if let Bound::Included(k) | Bound::Excluded(k) = lo {
-                prev_lo = Some(k);
-            }
-        }
-        report.pages_read = self.end_batch(st);
+        // A batch started inside another's visitor finds the parked
+        // scratch taken and grows its own.
+        let mut st = self.batch.take();
+        let report = self
+            .pages
+            .scan_batch(&mut st, ranges, &|slot| self.charge_read(slot), visit);
+        *self.batch.borrow_mut() = st;
         self.stats.count_batch(report.probes, report.pages_saved());
         report
-    }
-
-    /// Batched point lookups over **ascending** `keys`: one shared
-    /// descent path, each page charged at most once per batch.  Returns
-    /// the values in input order (`None` for absent keys) plus a report
-    /// comparing against per-key [`BPlusTree::get`] descents (`height`
-    /// reads each).
-    pub fn get_many(&self, keys: &[&K]) -> (Vec<Option<V>>, BatchReport) {
-        for pair in keys.windows(2) {
-            debug_assert!(pair[0] <= pair[1], "get_many keys must ascend");
-        }
-        let mut st = self.fresh_batch();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let leaf = self.batch_descend(&mut st, Some(key));
-            let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            out.push(
-                entries
-                    .binary_search_by(|(k, _)| k.cmp(key))
-                    .ok()
-                    .map(|i| entries[i].1.clone()),
-            );
-        }
-        let report = BatchReport {
-            probes: keys.len() as u64,
-            pages_read: self.end_batch(st),
-            naive_pages: keys.len() as u64 * self.height as u64,
-        };
-        self.stats.count_batch(report.probes, report.pages_saved());
-        (out, report)
     }
 
     // ------------------------------------------------------------------
@@ -901,16 +1119,18 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// modified node (leaf, split siblings, updated ancestors).
     pub fn insert(&mut self, key: K, value: V) -> Result<()> {
         let (leaf, path) = self.descend(&key);
-        {
-            let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
-                unreachable!()
-            };
-            match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(_) => return Err(PageSimError::DuplicateKey(format!("{key:?}"))),
-                Err(pos) => entries.insert(pos, (key, value)),
-            }
-        }
-        self.len += 1;
+        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
+            unreachable!()
+        };
+        let pos = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(_) => return Err(PageSimError::DuplicateKey(format!("{key:?}"))),
+            Err(pos) => pos,
+        };
+        let Node::Leaf { entries, .. } = self.pages.node_mut(leaf) else {
+            unreachable!()
+        };
+        entries.insert(pos, (key, value));
+        self.pages.len += 1;
         self.charge_write(leaf);
 
         // Split propagation.
@@ -923,7 +1143,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             };
             match path.pop() {
                 Some((parent, child_idx)) => {
-                    let Node::Inner { keys, children } = &mut self.nodes[parent] else {
+                    let Node::Inner { keys, children } = self.pages.node_mut(parent) else {
                         unreachable!()
                     };
                     keys.insert(child_idx, split_key);
@@ -933,13 +1153,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 }
                 None => {
                     // Root split: grow the tree by one level.
-                    let old_root = self.root;
+                    let old_root = self.pages.root;
                     let new_root = self.alloc(Node::Inner {
                         keys: vec![split_key],
                         children: vec![old_root, new_node],
                     });
-                    self.root = new_root;
-                    self.height += 1;
+                    self.pages.root = new_root;
+                    self.pages.height += 1;
                     self.charge_write(new_root);
                     break;
                 }
@@ -948,12 +1168,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         Ok(())
     }
 
-    /// If `node` exceeds its capacity, split it and return the separator
-    /// key plus the new right sibling.
+    /// If the just-written `node` exceeds its capacity, split it and
+    /// return the separator key plus the new right sibling.
     fn split_if_overfull(&mut self, node: usize) -> Option<(K, usize)> {
-        match &mut self.nodes[node] {
+        let (leaf_capacity, inner_capacity) = (self.pages.leaf_capacity, self.pages.inner_capacity);
+        match self.pages.node_mut(node) {
             Node::Leaf { entries, next } => {
-                if entries.len() <= self.leaf_capacity {
+                if entries.len() <= leaf_capacity {
                     return None;
                 }
                 let mid = entries.len() / 2;
@@ -964,7 +1185,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                     entries: right_entries,
                     next: right_next,
                 });
-                let Node::Leaf { next, .. } = &mut self.nodes[node] else {
+                let Node::Leaf { next, .. } = self.pages.node_mut(node) else {
                     unreachable!()
                 };
                 *next = right;
@@ -973,7 +1194,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 Some((separator, right))
             }
             Node::Inner { keys, children } => {
-                if children.len() <= self.inner_capacity {
+                if children.len() <= inner_capacity {
                     return None;
                 }
                 let mid = keys.len() / 2;
@@ -1018,11 +1239,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Bulk-load into an (empty) tree with already-configured capacities.
     pub fn fill(&mut self, entries: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        assert!(self.is_empty(), "fill() requires an empty tree");
+        assert!(self.pages.is_empty(), "fill() requires an empty tree");
         let built = build_bulk(
             entries.into_iter().collect(),
-            self.leaf_capacity,
-            self.inner_capacity,
+            self.pages.leaf_capacity,
+            self.pages.inner_capacity,
         )?;
         self.adopt_bulk(built)
     }
@@ -1032,8 +1253,9 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// [`BPlusTree::fill`].  The slab must have been built with this
     /// tree's capacities.
     pub fn adopt_bulk(&mut self, built: BulkNodes<K, V>) -> Result<()> {
-        assert!(self.is_empty(), "adopt_bulk() requires an empty tree");
-        if built.leaf_capacity != self.leaf_capacity || built.inner_capacity != self.inner_capacity
+        assert!(self.pages.is_empty(), "adopt_bulk() requires an empty tree");
+        if built.leaf_capacity != self.pages.leaf_capacity
+            || built.inner_capacity != self.pages.inner_capacity
         {
             return Err(PageSimError::CorruptStructure(
                 "bulk-built slab capacities do not match the adopting tree".into(),
@@ -1043,13 +1265,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             return Ok(()); // stays the empty root leaf
         }
         self.buffer.borrow_mut().invalidate();
-        self.nodes = built.nodes;
-        self.free.clear();
-        self.root = built.root;
-        self.height = built.height;
-        self.len = built.len;
+        self.pages.nodes = built.nodes.into_iter().map(Arc::new).collect();
+        self.pages.free.clear();
+        self.pages.root = built.root;
+        self.pages.height = built.height;
+        self.pages.len = built.len;
         self.epochs.borrow_mut().clear();
-        for node in 0..self.nodes.len() {
+        for node in 0..self.pages.nodes.len() {
             self.charge_write(node);
         }
         Ok(())
@@ -1064,53 +1286,22 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// the serializer's concern; the writer layer prices the snapshot
     /// bytes it emits.
     pub fn dump_image(&self) -> TreeImage<K, V> {
+        let pages = &self.pages;
         TreeImage {
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            free: self.free.clone(),
-            nodes: (0..self.nodes.len())
-                .map(|slot| self.page(slot).to_image())
+            root: pages.root,
+            height: pages.height,
+            len: pages.len,
+            free: pages.free.clone(),
+            nodes: (0..pages.nodes.len())
+                .map(|slot| pages.page(slot).to_image())
                 .collect(),
-        }
-    }
-
-    /// Slab slot of the root page.
-    pub fn root_slot(&self) -> usize {
-        self.root
-    }
-
-    /// Free slab slots in pop order (the last element is reused first).
-    pub fn free_slots(&self) -> &[usize] {
-        &self.free
-    }
-
-    /// Slab slots the tree occupies, free ones included.
-    pub fn slot_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Slab slot `slot` by reference — [`BPlusTree::dump_image`] without
-    /// the clone.  Charges nothing.
-    ///
-    /// # Panics
-    ///
-    /// When `slot >= self.slot_count()`.
-    pub fn page(&self, slot: usize) -> PageRef<'_, K, V> {
-        match &self.nodes[slot] {
-            Node::Inner { keys, children } => PageRef::Inner { keys, children },
-            Node::Leaf { entries, next } => PageRef::Leaf {
-                entries,
-                next: (*next != NO_NODE).then_some(*next),
-            },
-            Node::Free => PageRef::Free,
         }
     }
 
     /// The slots stamped at or after `fence`, ascending — the pages a
     /// delta image since that fence carries.
     pub fn slots_since(&self, fence: u64) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nodes.len()).filter(move |&slot| self.page_epoch(slot) >= fence)
+        (0..self.pages.nodes.len()).filter(move |&slot| self.page_epoch(slot) >= fence)
     }
 
     /// The current dirty epoch.  Pages modified from now on are stamped
@@ -1145,15 +1336,16 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// [`BPlusTree::dump_image`].  Charges nothing, like `dump_image`:
     /// the writer layer prices the (delta) bytes it emits.
     pub fn dump_image_since(&self, fence: u64) -> TreeDelta<K, V> {
+        let pages = &self.pages;
         TreeDelta {
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            free: self.free.clone(),
-            total_nodes: self.nodes.len(),
+            root: pages.root,
+            height: pages.height,
+            len: pages.len,
+            free: pages.free.clone(),
+            total_nodes: pages.nodes.len(),
             pages: self
                 .slots_since(fence)
-                .map(|slot| (slot, self.page(slot).to_image()))
+                .map(|slot| (slot, pages.page(slot).to_image()))
                 .collect(),
         }
     }
@@ -1174,7 +1366,10 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// back to pristine empty state — nothing charged — so the caller
     /// can fall back to a rebuild.
     pub fn adopt_image(&mut self, image: TreeImage<K, V>) -> Result<()> {
-        assert!(self.is_empty(), "adopt_image() requires an empty tree");
+        assert!(
+            self.pages.is_empty(),
+            "adopt_image() requires an empty tree"
+        );
         self.validate_image(&image)?;
         let TreeImage {
             root,
@@ -1184,24 +1379,26 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             nodes,
         } = image;
         self.buffer.borrow_mut().invalidate();
-        self.nodes = nodes
+        self.pages.nodes = nodes
             .into_iter()
-            .map(|n| match n {
-                NodeImage::Inner { keys, children } => Node::Inner { keys, children },
-                NodeImage::Leaf { entries, next } => Node::Leaf {
-                    entries,
-                    next: next.unwrap_or(NO_NODE),
-                },
-                NodeImage::Free => Node::Free,
+            .map(|n| {
+                Arc::new(match n {
+                    NodeImage::Inner { keys, children } => Node::Inner { keys, children },
+                    NodeImage::Leaf { entries, next } => Node::Leaf {
+                        entries,
+                        next: next.unwrap_or(NO_NODE),
+                    },
+                    NodeImage::Free => Node::Free,
+                })
             })
             .collect();
-        self.free = free;
-        self.root = root;
-        self.height = height;
-        self.len = len;
+        self.pages.free = free;
+        self.pages.root = root;
+        self.pages.height = height;
+        self.pages.len = len;
         // Adoption rewrites the whole slab: every slot is dirty relative
         // to any pre-adoption fence.
-        *self.epochs.borrow_mut() = vec![self.epoch.get(); self.nodes.len()];
+        *self.epochs.borrow_mut() = vec![self.epoch.get(); self.pages.nodes.len()];
         if let Err(e) = self.check_invariants() {
             self.reset_to_empty();
             return Err(e);
@@ -1224,14 +1421,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Roll back to the pristine empty state (single empty root leaf),
     /// keeping stats handle, capacities and structure tag.
     fn reset_to_empty(&mut self) {
-        self.nodes = vec![Node::Leaf {
-            entries: Vec::new(),
-            next: NO_NODE,
-        }];
-        self.free.clear();
-        self.root = 0;
-        self.height = 1;
-        self.len = 0;
+        self.pages = PageSlab::empty(self.pages.leaf_capacity, self.pages.inner_capacity);
         *self.epochs.borrow_mut() = vec![self.epoch.get()];
         self.buffer.borrow_mut().invalidate();
     }
@@ -1299,7 +1489,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                             children.len()
                         ));
                     }
-                    if children.len() > self.inner_capacity {
+                    if children.len() > self.pages.inner_capacity {
                         return corrupt(format!("inner page {id} exceeds fan-out"));
                     }
                     for &c in children {
@@ -1317,7 +1507,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                     if depth != image.height {
                         return corrupt(format!("leaf page {id} at depth {depth}"));
                     }
-                    if entries.len() > self.leaf_capacity {
+                    if entries.len() > self.pages.leaf_capacity {
                         return corrupt(format!("leaf page {id} overfull"));
                     }
                     entry_count += entries.len();
@@ -1378,40 +1568,31 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// borrowing from or merging with siblings.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let (leaf, path) = self.descend(key);
-        let removed = {
-            let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
-                unreachable!()
-            };
-            match entries.binary_search_by(|(k, _)| k.cmp(key)) {
-                Ok(pos) => entries.remove(pos).1,
-                Err(_) => return None,
-            }
+        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
+            unreachable!()
         };
-        self.len -= 1;
+        let pos = entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        let Node::Leaf { entries, .. } = self.pages.node_mut(leaf) else {
+            unreachable!()
+        };
+        let removed = entries.remove(pos).1;
+        self.pages.len -= 1;
         self.charge_write(leaf);
         self.rebalance_upwards(leaf, path);
         Some(removed)
     }
 
-    fn min_leaf(&self) -> usize {
-        self.leaf_capacity / 2
-    }
-
-    fn min_children(&self) -> usize {
-        self.inner_capacity.div_ceil(2)
-    }
-
     fn node_is_deficient(&self, node: usize) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { entries, .. } => entries.len() < self.min_leaf(),
-            Node::Inner { children, .. } => children.len() < self.min_children(),
+        match self.pages.node(node) {
+            Node::Leaf { entries, .. } => entries.len() < self.pages.min_leaf(),
+            Node::Inner { children, .. } => children.len() < self.pages.min_children(),
             Node::Free => unreachable!(),
         }
     }
 
     fn rebalance_upwards(&mut self, mut node: usize, mut path: Vec<(usize, usize)>) {
         loop {
-            if node == self.root {
+            if node == self.pages.root {
                 self.collapse_root_if_needed();
                 return;
             }
@@ -1425,14 +1606,14 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn collapse_root_if_needed(&mut self) {
-        while let Node::Inner { children, .. } = &self.nodes[self.root] {
+        while let Node::Inner { children, .. } = self.pages.node(self.pages.root) {
             if children.len() > 1 {
                 return;
             }
             let only_child = children[0];
-            let old_root = self.root;
-            self.root = only_child;
-            self.height -= 1;
+            let old_root = self.pages.root;
+            self.pages.root = only_child;
+            self.pages.height -= 1;
             self.release(old_root);
         }
     }
@@ -1441,7 +1622,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// from a sibling or merging.
     fn fix_deficient_child(&mut self, parent: usize, child_idx: usize) {
         let (left_idx, right_idx) = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
+            let Node::Inner { children, .. } = self.pages.node(parent) else {
                 unreachable!()
             };
             let left = child_idx.checked_sub(1).map(|i| children[i]);
@@ -1472,9 +1653,9 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn has_surplus(&self, node: usize) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { entries, .. } => entries.len() > self.min_leaf(),
-            Node::Inner { children, .. } => children.len() > self.min_children(),
+        match self.pages.node(node) {
+            Node::Leaf { entries, .. } => entries.len() > self.pages.min_leaf(),
+            Node::Inner { children, .. } => children.len() > self.pages.min_children(),
             Node::Free => unreachable!(),
         }
     }
@@ -1482,33 +1663,33 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     fn borrow_from_left(&mut self, parent: usize, child_idx: usize, left: usize) {
         let sep_idx = child_idx - 1;
         let child = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
+            let Node::Inner { children, .. } = self.pages.node(parent) else {
                 unreachable!()
             };
             children[child_idx]
         };
-        if matches!(self.nodes[child], Node::Leaf { .. }) {
+        if matches!(self.pages.node(child), Node::Leaf { .. }) {
             // Move the left sibling's last entry over; separator becomes
             // the moved key.
             let (k, v) = {
-                let Node::Leaf { entries, .. } = &mut self.nodes[left] else {
+                let Node::Leaf { entries, .. } = self.pages.node_mut(left) else {
                     unreachable!()
                 };
                 entries.pop().expect("surplus sibling is non-empty")
             };
             let new_sep = k.clone();
-            let Node::Leaf { entries, .. } = &mut self.nodes[child] else {
+            let Node::Leaf { entries, .. } = self.pages.node_mut(child) else {
                 unreachable!()
             };
             entries.insert(0, (k, v));
-            let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
+            let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                 unreachable!()
             };
             keys[sep_idx] = new_sep;
         } else {
             // Rotate through the parent separator.
             let (moved_key, moved_child) = {
-                let Node::Inner { keys, children } = &mut self.nodes[left] else {
+                let Node::Inner { keys, children } = self.pages.node_mut(left) else {
                     unreachable!()
                 };
                 (
@@ -1517,12 +1698,12 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 )
             };
             let old_sep = {
-                let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
+                let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                     unreachable!()
                 };
                 std::mem::replace(&mut keys[sep_idx], moved_key)
             };
-            let Node::Inner { keys, children } = &mut self.nodes[child] else {
+            let Node::Inner { keys, children } = self.pages.node_mut(child) else {
                 unreachable!()
             };
             keys.insert(0, old_sep);
@@ -1536,46 +1717,41 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     fn borrow_from_right(&mut self, parent: usize, child_idx: usize, right: usize) {
         let sep_idx = child_idx;
         let child = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
+            let Node::Inner { children, .. } = self.pages.node(parent) else {
                 unreachable!()
             };
             children[child_idx]
         };
-        if matches!(self.nodes[child], Node::Leaf { .. }) {
-            let (k, v) = {
-                let Node::Leaf { entries, .. } = &mut self.nodes[right] else {
+        if matches!(self.pages.node(child), Node::Leaf { .. }) {
+            let ((k, v), new_sep) = {
+                let Node::Leaf { entries, .. } = self.pages.node_mut(right) else {
                     unreachable!()
                 };
-                entries.remove(0)
+                let moved = entries.remove(0);
+                (moved, entries[0].0.clone())
             };
-            let new_sep = {
-                let Node::Leaf { entries, .. } = &self.nodes[right] else {
-                    unreachable!()
-                };
-                entries[0].0.clone()
-            };
-            let Node::Leaf { entries, .. } = &mut self.nodes[child] else {
+            let Node::Leaf { entries, .. } = self.pages.node_mut(child) else {
                 unreachable!()
             };
             entries.push((k, v));
-            let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
+            let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                 unreachable!()
             };
             keys[sep_idx] = new_sep;
         } else {
             let (moved_key, moved_child) = {
-                let Node::Inner { keys, children } = &mut self.nodes[right] else {
+                let Node::Inner { keys, children } = self.pages.node_mut(right) else {
                     unreachable!()
                 };
                 (keys.remove(0), children.remove(0))
             };
             let old_sep = {
-                let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
+                let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                     unreachable!()
                 };
                 std::mem::replace(&mut keys[sep_idx], moved_key)
             };
-            let Node::Inner { keys, children } = &mut self.nodes[child] else {
+            let Node::Inner { keys, children } = self.pages.node_mut(child) else {
                 unreachable!()
             };
             keys.push(old_sep);
@@ -1589,7 +1765,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Merge `children[idx+1]` of `parent` into `children[idx]`.
     fn merge_children(&mut self, parent: usize, idx: usize) {
         let (left, right, separator) = {
-            let Node::Inner { keys, children } = &mut self.nodes[parent] else {
+            let Node::Inner { keys, children } = self.pages.node_mut(parent) else {
                 unreachable!()
             };
             let left = children[idx];
@@ -1597,13 +1773,12 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             let separator = keys.remove(idx);
             (left, right, separator)
         };
-        let right_node = std::mem::replace(&mut self.nodes[right], Node::Free);
-        match right_node {
+        match Arc::unwrap_or_clone(self.release(right)) {
             Node::Leaf { mut entries, next } => {
                 let Node::Leaf {
                     entries: left_entries,
                     next: left_next,
-                } = &mut self.nodes[left]
+                } = self.pages.node_mut(left)
                 else {
                     unreachable!()
                 };
@@ -1617,7 +1792,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 let Node::Inner {
                     keys: left_keys,
                     children: left_children,
-                } = &mut self.nodes[left]
+                } = self.pages.node_mut(left)
                 else {
                     unreachable!()
                 };
@@ -1627,143 +1802,14 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             }
             Node::Free => unreachable!(),
         }
-        self.free.push(right);
-        self.stamp(right);
         self.charge_write(left);
         self.charge_write(parent);
     }
 
-    // ------------------------------------------------------------------
-    // Invariant checking (tests / debugging)
-    // ------------------------------------------------------------------
-
     /// Verify all structural invariants; returns a descriptive error on the
     /// first violation.  Charges no page accesses.
     pub fn check_invariants(&self) -> Result<()> {
-        let mut leaf_depths = Vec::new();
-        let mut count = 0usize;
-        self.check_node(self.root, 1, None, None, &mut leaf_depths, &mut count)?;
-        if let Some(&d) = leaf_depths.first() {
-            if leaf_depths.iter().any(|&x| x != d) {
-                return Err(PageSimError::CorruptStructure(
-                    "leaves at differing depths".into(),
-                ));
-            }
-            if d != self.height {
-                return Err(PageSimError::CorruptStructure(format!(
-                    "height field {} != actual depth {d}",
-                    self.height
-                )));
-            }
-        }
-        if count != self.len {
-            return Err(PageSimError::CorruptStructure(format!(
-                "len field {} != actual entry count {count}",
-                self.len
-            )));
-        }
-        // Leaf chain must enumerate all entries in ascending order.
-        let mut chained = 0usize;
-        let mut prev: Option<K> = None;
-        let mut leaf = self.leftmost_leaf();
-        loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                return Err(PageSimError::CorruptStructure(
-                    "leaf chain hit non-leaf".into(),
-                ));
-            };
-            for (k, _) in entries {
-                if let Some(p) = &prev {
-                    if p >= k {
-                        return Err(PageSimError::CorruptStructure(
-                            "leaf chain out of order".into(),
-                        ));
-                    }
-                }
-                prev = Some(k.clone());
-                chained += 1;
-            }
-            if *next == NO_NODE {
-                break;
-            }
-            leaf = *next;
-        }
-        if chained != self.len {
-            return Err(PageSimError::CorruptStructure(format!(
-                "leaf chain enumerates {chained} entries, len is {}",
-                self.len
-            )));
-        }
-        Ok(())
-    }
-
-    fn leftmost_leaf(&self) -> usize {
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Inner { children, .. } => node = children[0],
-                Node::Leaf { .. } => return node,
-                Node::Free => unreachable!(),
-            }
-        }
-    }
-
-    fn check_node(
-        &self,
-        node: usize,
-        depth: usize,
-        lo: Option<&K>,
-        hi: Option<&K>,
-        leaf_depths: &mut Vec<usize>,
-        count: &mut usize,
-    ) -> Result<()> {
-        let corrupt = |msg: String| Err(PageSimError::CorruptStructure(msg));
-        match &self.nodes[node] {
-            Node::Free => corrupt(format!("reachable node {node} is free")),
-            Node::Leaf { entries, .. } => {
-                if node != self.root && entries.len() < self.min_leaf() {
-                    return corrupt(format!("leaf {node} underfull: {}", entries.len()));
-                }
-                if entries.len() > self.leaf_capacity {
-                    return corrupt(format!("leaf {node} overfull: {}", entries.len()));
-                }
-                for w in entries.windows(2) {
-                    if w[0].0 >= w[1].0 {
-                        return corrupt(format!("leaf {node} keys unsorted"));
-                    }
-                }
-                for (k, _) in entries {
-                    if lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h) {
-                        return corrupt(format!("leaf {node} key outside separator bounds"));
-                    }
-                }
-                *count += entries.len();
-                leaf_depths.push(depth);
-                Ok(())
-            }
-            Node::Inner { keys, children } => {
-                if children.len() != keys.len() + 1 {
-                    return corrupt(format!("inner {node} arity mismatch"));
-                }
-                if node != self.root && children.len() < self.min_children() {
-                    return corrupt(format!("inner {node} underfull"));
-                }
-                if children.len() > self.inner_capacity {
-                    return corrupt(format!("inner {node} overfull"));
-                }
-                for w in keys.windows(2) {
-                    if w[0] >= w[1] {
-                        return corrupt(format!("inner {node} keys unsorted"));
-                    }
-                }
-                for (i, &child) in children.iter().enumerate() {
-                    let child_lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
-                    let child_hi = if i == keys.len() { hi } else { Some(&keys[i]) };
-                    self.check_node(child, depth + 1, child_lo, child_hi, leaf_depths, count)?;
-                }
-                Ok(())
-            }
-        }
+        self.pages.check_invariants()
     }
 }
 
@@ -1771,6 +1817,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 mod tests {
     use super::*;
     use crate::stats::IoStats;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
 
     fn tiny_tree() -> BPlusTree<u32, u32> {
@@ -1781,8 +1828,8 @@ mod tests {
     #[test]
     fn capacities_derive_from_page_geometry() {
         let t: BPlusTree<u64, u64> = BPlusTree::new(16, 8, IoStats::new_handle());
-        assert_eq!(t.leaf_capacity(), 4056 / 16);
-        assert_eq!(t.inner_capacity(), 338);
+        assert_eq!(t.pages().leaf_capacity(), 4056 / 16);
+        assert_eq!(t.pages().inner_capacity(), 338);
     }
 
     #[test]
@@ -1792,12 +1839,15 @@ mod tests {
             t.insert(k, k * 10).unwrap();
         }
         t.check_invariants().unwrap();
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.pages().len(), 100);
         for k in 0..100u32 {
             assert_eq!(t.get(&k), Some(k * 10));
         }
         assert_eq!(t.get(&100), None);
-        assert!(t.height() > 2, "100 entries at capacity 4 must be deep");
+        assert!(
+            t.pages().height() > 2,
+            "100 entries at capacity 4 must be deep"
+        );
     }
 
     #[test]
@@ -1805,7 +1855,7 @@ mod tests {
         let mut t = tiny_tree();
         t.insert(1, 1).unwrap();
         assert!(matches!(t.insert(1, 2), Err(PageSimError::DuplicateKey(_))));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.pages().len(), 1);
     }
 
     #[test]
@@ -1844,7 +1894,6 @@ mod tests {
         );
         // Empty range.
         assert!(t.range_collect(&15, &15).is_empty());
-        assert_eq!(t.first_key(), Some(0));
     }
 
     #[test]
@@ -1858,13 +1907,17 @@ mod tests {
             assert_eq!(t.remove(&k), Some(k));
             t.check_invariants().unwrap();
         }
-        assert_eq!(t.len(), 150);
+        assert_eq!(t.pages().len(), 150);
         for k in (1..300).step_by(2) {
             assert_eq!(t.remove(&k), Some(k));
         }
         t.check_invariants().unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1, "tree collapses back to a single leaf");
+        assert!(t.pages().is_empty());
+        assert_eq!(
+            t.pages().height(),
+            1,
+            "tree collapses back to a single leaf"
+        );
         assert_eq!(t.remove(&5), None);
     }
 
@@ -1877,7 +1930,7 @@ mod tests {
         let stats = Rc::clone(t.stats());
         stats.reset();
         t.get(&250);
-        assert_eq!(stats.reads(), t.height() as u64);
+        assert_eq!(stats.reads(), t.pages().height() as u64);
         assert_eq!(stats.writes(), 0);
     }
 
@@ -1891,24 +1944,24 @@ mod tests {
         stats.reset();
         let r = t.range_collect(&0, &500);
         assert_eq!(r.len(), 500);
-        let expected = t.height() as u64 + (t.leaf_page_count() - 1);
+        let expected = t.pages().height() as u64 + (t.pages().leaf_page_count() - 1);
         assert_eq!(stats.reads(), expected);
     }
 
     #[test]
     fn page_counts_track_structure() {
         let mut t = tiny_tree();
-        assert_eq!(t.page_count(), 1);
+        assert_eq!(t.pages().page_count(), 1);
         for k in 0..100u32 {
             t.insert(k, k).unwrap();
         }
-        assert!(t.leaf_page_count() >= (100 / 4) as u64);
-        assert!(t.inner_page_count() >= 1);
+        assert!(t.pages().leaf_page_count() >= (100 / 4) as u64);
+        assert!(t.pages().inner_page_count() >= 1);
         // Pages are reclaimed on mass deletion.
         for k in 0..100u32 {
             t.remove(&k);
         }
-        assert_eq!(t.page_count(), 1);
+        assert_eq!(t.pages().page_count(), 1);
     }
 
     #[test]
@@ -1938,7 +1991,7 @@ mod tests {
         let cold = stats.reads();
         t.get(&1);
         assert_eq!(stats.reads(), cold, "warm lookup served from buffer");
-        assert!(stats.buffer_hits() >= t.height() as u64);
+        assert!(stats.buffer_hits() >= t.pages().height() as u64);
     }
 
     #[test]
@@ -1947,7 +2000,7 @@ mod tests {
             let entries = (0..n as u32).map(|k| (k, k * 2));
             let t: BPlusTree<u32, u32> =
                 BPlusTree::bulk_load(entries, 16, 8, IoStats::new_handle()).unwrap();
-            assert_eq!(t.len(), n, "n={n}");
+            assert_eq!(t.pages().len(), n, "n={n}");
             t.check_invariants().unwrap();
             if n > 0 {
                 assert_eq!(t.get(&0), Some(0));
@@ -1968,7 +2021,7 @@ mod tests {
                 t.fill((0..n as u32).map(|k| (k, ()))).unwrap();
                 t.check_invariants()
                     .unwrap_or_else(|e| panic!("leaf={leaf} inner={inner} n={n}: {e}"));
-                assert_eq!(t.len(), n);
+                assert_eq!(t.pages().len(), n);
             }
         }
     }
@@ -2003,7 +2056,7 @@ mod tests {
         let stats = IoStats::new_handle();
         let t: BPlusTree<u32, u32> =
             BPlusTree::bulk_load((0..10_000u32).map(|k| (k, k)), 16, 8, Rc::clone(&stats)).unwrap();
-        assert_eq!(stats.writes(), t.page_count());
+        assert_eq!(stats.writes(), t.pages().page_count());
         assert_eq!(stats.reads(), 0);
         // Far cheaper than item-at-a-time insertion.
         let stats2 = IoStats::new_handle();
@@ -2087,32 +2140,11 @@ mod tests {
             |_, _, _| {},
         );
         assert!(
-            report.pages_read <= t.page_count(),
+            report.pages_read <= t.pages().page_count(),
             "at most one charge per page: {} vs {} pages",
             report.pages_read,
-            t.page_count()
+            t.pages().page_count()
         );
-    }
-
-    #[test]
-    fn get_many_matches_per_key_gets_and_charges_less() {
-        let mut t = tiny_tree();
-        for k in 0..400u32 {
-            t.insert(k * 3, k).unwrap();
-        }
-        let keys: Vec<u32> = (0..200).map(|i| i * 2).collect();
-        let refs: Vec<&u32> = keys.iter().collect();
-        let stats = Rc::clone(t.stats());
-        stats.reset();
-        let (got, report) = t.get_many(&refs);
-        let batched_reads = stats.reads();
-        stats.reset();
-        let naive: Vec<Option<u32>> = keys.iter().map(|k| t.get(k)).collect();
-        let naive_reads = stats.reads();
-        assert_eq!(got, naive);
-        assert_eq!(report.pages_read, batched_reads);
-        assert_eq!(report.naive_pages, naive_reads);
-        assert!(batched_reads < naive_reads, "shared descents must pay off");
     }
 
     #[test]
@@ -2166,9 +2198,9 @@ mod tests {
         let mut b: BPlusTree<u32, u32> = BPlusTree::with_capacities(4, 4, Rc::clone(&stats_b));
         b.adopt_bulk(built).unwrap();
         b.check_invariants().unwrap();
-        assert_eq!(b.len(), a.len());
-        assert_eq!(b.height(), a.height());
-        assert_eq!(b.page_count(), a.page_count());
+        assert_eq!(b.pages().len(), a.pages().len());
+        assert_eq!(b.pages().height(), a.pages().height());
+        assert_eq!(b.pages().page_count(), a.pages().page_count());
         assert_eq!(stats_b.writes(), stats_a.writes());
         let mut va = Vec::new();
         a.scan_all(|k, v| va.push((*k, *v)));
@@ -2190,14 +2222,17 @@ mod tests {
         for k in 0..100u32 {
             t.insert(k, k).unwrap();
         }
-        let peak = t.nodes.len();
+        let peak = t.pages().slot_count();
         for k in 0..100u32 {
             t.remove(&k);
         }
         for k in 0..100u32 {
             t.insert(k, k).unwrap();
         }
-        assert!(t.nodes.len() <= peak + 1, "slab reuses freed pages");
+        assert!(
+            t.pages().slot_count() <= peak + 1,
+            "slab reuses freed pages"
+        );
         t.check_invariants().unwrap();
     }
 
@@ -2260,7 +2295,7 @@ mod tests {
         let mut r: BPlusTree<u32, u32> = tiny_tree();
         r.adopt_image(image.clone()).unwrap();
         assert_eq!(r.dump_image(), image);
-        assert!(r.is_empty());
+        assert!(r.pages().is_empty());
     }
 
     #[test]
@@ -2270,7 +2305,7 @@ mod tests {
             let mut r: BPlusTree<u32, u32> = tiny_tree();
             let err = r.adopt_image(img).unwrap_err();
             // The tree stays usable as an empty fallback target.
-            assert!(r.is_empty());
+            assert!(r.pages().is_empty());
             r.check_invariants().unwrap();
             match err {
                 PageSimError::CorruptStructure(msg) => msg,
@@ -2374,7 +2409,7 @@ mod tests {
         // Before any fence: everything is dirty.
         assert_eq!(
             t.dump_image_since(0).changed_pages() as u64,
-            t.page_count() + t.dump_image().free.len() as u64
+            t.pages().page_count() + t.dump_image().free.len() as u64
         );
         let fence = t.advance_epoch();
         assert!(t.dump_image_since(fence).pages.is_empty());
@@ -2384,10 +2419,10 @@ mod tests {
         let delta = t.dump_image_since(fence);
         assert!(!delta.pages.is_empty());
         assert!(
-            delta.changed_pages() <= 2 * t.height(),
+            delta.changed_pages() <= 2 * t.pages().height(),
             "point update dirtied {} of {} pages",
             delta.changed_pages(),
-            t.page_count()
+            t.pages().page_count()
         );
     }
 
@@ -2439,7 +2474,7 @@ mod tests {
         let mut r = tiny_tree();
         r.adopt_image(patched).unwrap();
         r.check_invariants().unwrap();
-        assert!(r.is_empty());
+        assert!(r.pages().is_empty());
     }
 
     #[test]
@@ -2459,5 +2494,99 @@ mod tests {
         );
         let fence = r.advance_epoch();
         assert!(r.dump_image_since(fence).pages.is_empty());
+    }
+
+    thread_local! {
+        /// `Counted` values cloned on this thread: copying a leaf page
+        /// clones each of its entries once.
+        static VALUE_CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A value that counts its clones.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counted(u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            VALUE_CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// One full scan and one batched probe of `slab`: what they visit,
+    /// and the pages they charge.
+    fn reads(slab: &PageSlab<u32, Counted>) -> (Vec<u32>, u64, Vec<(usize, u32)>, BatchReport) {
+        let pages = std::cell::Cell::new(0u64);
+        let charge = |_| pages.set(pages.get() + 1);
+        let mut all = Vec::new();
+        slab.scan_all(charge, |k, v| all.push(*k + v.0));
+        let scanned = pages.replace(0);
+        let mut hits = Vec::new();
+        let report = slab.scan_ranges_sorted(
+            [(10u32, 30u32), (31, 40), (200, 230)]
+                .map(|(lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
+            charge,
+            |idx, k, _| hits.push((idx, *k)),
+        );
+        assert_eq!(pages.get(), report.pages_read);
+        (all, scanned, hits, report)
+    }
+
+    #[test]
+    fn writes_copy_only_the_pages_a_frozen_version_shares() {
+        let mut t: BPlusTree<u32, Counted> =
+            BPlusTree::with_capacities(4, 4, IoStats::new_handle());
+        for k in 0..200u32 {
+            t.insert(k * 2, Counted(k)).unwrap();
+        }
+        let frozen = t.freeze();
+        let before = reads(&frozen);
+
+        // A frozen read charges exactly what the same live read charges.
+        let stats = Rc::clone(t.stats());
+        stats.reset();
+        t.scan_all(|_, _| {});
+        assert_eq!(stats.reads(), before.1);
+        stats.reset();
+        let live = t.scan_ranges_sorted(
+            [(10u32, 30u32), (31, 40), (200, 230)]
+                .map(|(lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
+            |_, _, _| {},
+        );
+        assert_eq!((live, stats.reads()), (before.3, before.3.pages_read));
+
+        // Inserts that split, removals that borrow and merge.
+        let fence = t.advance_epoch();
+        VALUE_CLONES.with(|c| c.set(0));
+        for k in (1..200u32).step_by(2).chain(400..480) {
+            t.insert(k, Counted(k)).unwrap();
+        }
+        assert!(
+            t.pages().slot_count() > frozen.slot_count(),
+            "splits grew the slab"
+        );
+        for k in (0..400u32).step_by(3).chain(150..300) {
+            t.remove(&k);
+        }
+        assert!(!t.pages().free_slots().is_empty(), "merges freed pages");
+        t.check_invariants().unwrap();
+
+        let written: BTreeSet<usize> = t.slots_since(fence).collect();
+        let mut copied_entries = 0;
+        for slot in 0..frozen.slot_count() {
+            let shared = Arc::ptr_eq(&frozen.nodes[slot], &t.pages.nodes[slot]);
+            assert_eq!(shared, !written.contains(&slot), "slot {slot}");
+            if let (false, PageRef::Leaf { entries, .. }) = (shared, frozen.page(slot)) {
+                copied_entries += entries.len();
+            }
+        }
+        // Every written leaf the version held was copied exactly once:
+        // the first write cloned its entries, later writes found it
+        // unshared.
+        assert_eq!(VALUE_CLONES.with(|c| c.get()), copied_entries);
+
+        // The version still reads, and charges, what it did at freeze time.
+        frozen.check_invariants().unwrap();
+        assert_eq!(reads(&frozen), before);
     }
 }

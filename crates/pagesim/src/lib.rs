@@ -32,7 +32,8 @@ pub mod error;
 pub mod stats;
 
 pub use btree::{
-    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageRef, TreeDelta, TreeImage,
+    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageRef, PageSlab, TreeDelta,
+    TreeImage,
 };
 pub use buffer::BufferPool;
 pub use clustered::ClusteredFile;

@@ -63,7 +63,7 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(tree.len(), model.len());
+            prop_assert_eq!(tree.pages().len(), model.len());
         }
         tree.check_invariants().unwrap();
 
@@ -82,13 +82,13 @@ proptest! {
             tree.insert(k, k.wrapping_mul(7)).unwrap();
         }
         tree.check_invariants().unwrap();
-        prop_assert_eq!(tree.len(), keys.len());
+        prop_assert_eq!(tree.pages().len(), keys.len());
         for &k in &keys {
             prop_assert_eq!(tree.remove(&k), Some(k.wrapping_mul(7)));
         }
         tree.check_invariants().unwrap();
-        prop_assert!(tree.is_empty());
-        prop_assert_eq!(tree.height(), 1);
+        prop_assert!(tree.pages().is_empty());
+        prop_assert_eq!(tree.pages().height(), 1);
     }
 
     #[test]
@@ -104,7 +104,7 @@ proptest! {
         stats.reset();
         let k = *keys.iter().next().unwrap();
         tree.get(&k);
-        prop_assert_eq!(stats.reads(), tree.height() as u64);
+        prop_assert_eq!(stats.reads(), tree.pages().height() as u64);
     }
 }
 
@@ -129,7 +129,7 @@ proptest! {
             incr.insert(*k, *v).unwrap();
         }
 
-        prop_assert_eq!(bulk.len(), incr.len());
+        prop_assert_eq!(bulk.pages().len(), incr.pages().len());
         let mut a = Vec::new();
         bulk.scan_all(|k, v| a.push((*k, *v)));
         let mut b = Vec::new();

@@ -102,18 +102,6 @@ pub(crate) fn execute_snapshot(
     }
 }
 
-fn parse_extension(name: &str) -> Result<Extension, String> {
-    match name {
-        "canonical" | "can" => Ok(Extension::Canonical),
-        "full" => Ok(Extension::Full),
-        "left" => Ok(Extension::LeftComplete),
-        "right" => Ok(Extension::RightComplete),
-        other => Err(format!(
-            "unknown extension {other:?} (canonical|full|left|right)"
-        )),
-    }
-}
-
 /// Execute one request body.  `Ok` carries the response; `Err` a
 /// request-level failure message.
 pub(crate) fn execute<S: Storage>(
@@ -180,7 +168,9 @@ pub(crate) fn execute<S: Storage>(
             extension,
             cuts,
         } => {
-            let extension = parse_extension(extension)?;
+            let extension = Extension::from_name(extension).ok_or_else(|| {
+                format!("unknown extension {extension:?} (canonical|full|left|right)")
+            })?;
             let path = PathExpression::parse(db.db().base().schema(), dotted)
                 .map_err(|e| e.to_string())?;
             let decomposition = if cuts.is_empty() {

@@ -4,7 +4,8 @@
 //! operations of a seeded mix must charge exactly the pages, batched
 //! probes and batch savings — and give exactly the answers — that it did
 //! before the span walk stopped copying rows.  A pinned MVCC snapshot
-//! must answer the same operations identically.
+//! must answer the same operations identically and charge the same pages:
+//! it walks the same B+ tree pages with the same read code.
 
 use asr_core::{AsrConfig, AsrId, Cell, Database, Decomposition, Extension, Snapshot};
 use asr_costmodel::profiles;
@@ -132,4 +133,10 @@ fn fig6_query_mix_pages_and_answers_are_pinned() {
     for (n, (op, answer)) in ops.iter().zip(&answers).enumerate() {
         assert_eq!(&pinned(&snap, asr, op), answer, "op {n}");
     }
+    assert_eq!(
+        snap.pages_read(),
+        io.reads,
+        "pinned and live reads charge alike"
+    );
+    assert_eq!(snap.pages_read(), 7162);
 }

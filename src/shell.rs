@@ -1266,13 +1266,6 @@ fn cmd_schema(state: &ShellState) -> Result<String, String> {
     Ok(out)
 }
 
-fn parse_extension(name: &str) -> Result<Extension, String> {
-    Extension::ALL
-        .into_iter()
-        .find(|e| e.name() == name)
-        .ok_or_else(|| format!("unknown extension `{name}` (canonical, full, left, right)"))
-}
-
 fn parse_decomposition(spec: &str, m: usize) -> Result<Decomposition, String> {
     match spec {
         "binary" | "bi" => Ok(Decomposition::binary(m)),
@@ -1299,7 +1292,8 @@ fn cmd_asr(state: &mut ShellState, rest: &str) -> Result<String, String> {
     let open = state.open_mut()?;
     let path =
         PathExpression::parse(open.as_db().base().schema(), dotted).map_err(|e| e.to_string())?;
-    let extension = parse_extension(ext)?;
+    let extension = Extension::from_name(ext)
+        .ok_or_else(|| format!("unknown extension `{ext}` (canonical, full, left, right)"))?;
     let m = path.arity(false) - 1;
     let decomposition = parse_decomposition(dec, m)?;
     let config = AsrConfig {
