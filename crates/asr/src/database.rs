@@ -20,6 +20,7 @@ use crate::error::{AsrError, Result};
 use crate::maintenance::{maintain_edge, EdgeEvent};
 use crate::manager::{AccessSupportRelation, AsrConfig};
 use crate::naive;
+use crate::partition::PartitionChanges;
 use crate::row::Row;
 use crate::snapshot::EpochRegistry;
 use crate::store::ObjectStore;
@@ -44,6 +45,19 @@ impl fmt::Display for SpanLabel {
     }
 }
 
+/// Everything a database changed since its base checkpoint — what
+/// [`Database::mark_clean`] forgets, and what a delta checkpoint carries.
+#[derive(Debug)]
+pub(crate) struct Changes {
+    /// Did the physical design change?
+    pub design: bool,
+    pub dirty_oids: BTreeSet<Oid>,
+    pub dead_oids: BTreeSet<Oid>,
+    pub dirty_vars: BTreeSet<String>,
+    /// Per present ASR, in `A`-line order, each partition's changes.
+    pub partitions: Vec<Vec<PartitionChanges>>,
+}
+
 /// An object base with maintained access support relations.
 #[derive(Debug)]
 pub struct Database {
@@ -55,15 +69,15 @@ pub struct Database {
     pub(crate) asrs: Vec<Option<AccessSupportRelation>>,
     stats: StatsHandle,
     tracer: Tracer,
-    /// OIDs whose object state changed since the last checkpoint fence
+    /// OIDs whose object state changed since the base checkpoint
     /// ([`Database::mark_clean`]) — the object half of a delta checkpoint.
     dirty_oids: BTreeSet<Oid>,
-    /// OIDs deleted since the fence.
+    /// OIDs deleted since the base.
     dead_oids: BTreeSet<Oid>,
-    /// Variables rebound since the fence.
+    /// Variables rebound since the base.
     dirty_vars: BTreeSet<String>,
     /// Did the physical design (registered ASRs, type sizes, schema) change
-    /// since the fence?  Delta checkpoints never span design changes.
+    /// since the base?  Delta checkpoints never span design changes.
     design_dirty: bool,
     /// MVCC commit epoch: bumped lazily by [`Database::snapshot`] when
     /// anything visible changed since the last publish.
@@ -807,28 +821,39 @@ impl Database {
     // Delta-checkpoint change tracking
     // ------------------------------------------------------------------
 
-    /// Forget all change tracking and fence every partition's page epochs:
-    /// the state as of *now* becomes the base the next delta checkpoint is
+    /// Forget all change tracking and mark every partition's pages: the
+    /// state as of *now* becomes the base the next delta checkpoint is
     /// measured against.  Called after a checkpoint is written (full or
     /// delta) and after a snapshot/delta chain is loaded.
     pub fn mark_clean(&mut self) {
-        self.dirty_oids.clear();
-        self.dead_oids.clear();
-        self.dirty_vars.clear();
-        self.design_dirty = false;
-        for asr in self.asrs.iter_mut().flatten() {
-            asr.mark_clean();
+        self.take_changes();
+    }
+
+    /// [`Database::mark_clean`], handing over what changed since the
+    /// previous base — what a delta checkpoint carries.
+    pub(crate) fn take_changes(&mut self) -> Changes {
+        Changes {
+            design: std::mem::take(&mut self.design_dirty),
+            dirty_oids: std::mem::take(&mut self.dirty_oids),
+            dead_oids: std::mem::take(&mut self.dead_oids),
+            dirty_vars: std::mem::take(&mut self.dirty_vars),
+            partitions: self
+                .asrs
+                .iter_mut()
+                .flatten()
+                .map(AccessSupportRelation::mark_clean)
+                .collect(),
         }
     }
 
     /// Did the physical design (registered ASRs, type sizes) change since
-    /// the last [`Database::mark_clean`] fence?  Delta checkpoints refuse
-    /// to span design changes — callers fall back to a full checkpoint.
+    /// the last [`Database::mark_clean`]?  Delta checkpoints refuse to
+    /// span design changes — callers fall back to a full checkpoint.
     pub fn is_design_dirty(&self) -> bool {
         self.design_dirty
     }
 
-    /// Change-tracking summary since the fence: `(dirty objects, deleted
+    /// Change-tracking summary since the base: `(dirty objects, deleted
     /// objects, rebound variables, changed partition rows)` — powers the
     /// shell's checkpoint-lineage display.
     pub fn dirty_summary(&self) -> (usize, usize, usize, usize) {
@@ -842,18 +867,6 @@ impl Database {
             self.dirty_vars.len(),
             rows,
         )
-    }
-
-    pub(crate) fn dirty_oids(&self) -> &BTreeSet<Oid> {
-        &self.dirty_oids
-    }
-
-    pub(crate) fn dead_oids(&self) -> &BTreeSet<Oid> {
-        &self.dead_oids
-    }
-
-    pub(crate) fn dirty_vars(&self) -> &BTreeSet<String> {
-        &self.dirty_vars
     }
 }
 

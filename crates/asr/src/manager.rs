@@ -12,7 +12,7 @@ use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::naive::check_span;
-use crate::partition::StoredPartition;
+use crate::partition::{PartitionChanges, StoredPartition};
 use crate::query;
 use crate::relation::Relation;
 
@@ -311,15 +311,17 @@ impl AccessSupportRelation {
         &mut self.partitions
     }
 
-    /// Fence every partition's delta change tracking (see
+    /// Make every partition's current state the base of the next delta,
+    /// handing over each one's changes since the previous base (see
     /// [`StoredPartition::mark_clean`]).
-    pub(crate) fn mark_clean(&mut self) {
-        for p in &mut self.partitions {
-            p.mark_clean();
-        }
+    pub(crate) fn mark_clean(&mut self) -> Vec<PartitionChanges> {
+        self.partitions
+            .iter_mut()
+            .map(StoredPartition::mark_clean)
+            .collect()
     }
 
-    /// Distinct rows changed across all partitions since the fence.
+    /// Distinct rows changed across all partitions since the base.
     pub(crate) fn changed_rows(&self) -> usize {
         self.partitions
             .iter()

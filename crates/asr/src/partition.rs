@@ -11,15 +11,22 @@
 //! rows may project to the same partition row; the partition therefore
 //! reference-counts its rows so that incremental maintenance can remove a
 //! projected row only when its last witness disappears.
+//!
+//! A delta checkpoint of a partition is its dirty rows plus the pages its
+//! checkpointed version does not share with the previous checkpoint's.
+//! Taking a checkpoint marks both trees' pages
+//! (`StoredPartition::mark_clean`); `PartitionVersion::delta` later lists
+//! the pages no longer the marked ones.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
-    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageRef, PageSlab, StatsHandle,
-    TreeImage, OID_SIZE, PAGE_SIZE,
+    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageMarks, PageRef, PageSlab,
+    StatsHandle, TreeImage, OID_SIZE, PAGE_SIZE,
 };
 
 use crate::cell::Cell;
@@ -45,17 +52,8 @@ pub struct StoredPartition {
     /// version, like the trees' pages.
     rows: Arc<HashMap<Row, RowMeta>>,
     next_rowid: u64,
-    /// Row ids whose mirror entry changed (inserted, or witness count
-    /// bumped) since the last [`Self::mark_clean`] fence — the row half of
-    /// a delta checkpoint.
-    dirty_rows: BTreeSet<u64>,
-    /// Row ids physically removed since the fence.
-    dead_rows: BTreeSet<u64>,
-    /// Page-epoch fence of the forward tree at the last checkpoint: pages
-    /// stamped at or after this epoch are part of the next delta.
-    fwd_fence: u64,
-    /// Page-epoch fence of the backward tree.
-    bwd_fence: u64,
+    /// What changed since the base checkpoint ([`Self::mark_clean`]).
+    changes: PartitionChanges,
     /// The published MVCC version of this partition
     /// ([`Self::publish_version`]) while it is current.  Every mutation
     /// drops it before writing, so the writer copies a page (or the
@@ -83,10 +81,7 @@ impl StoredPartition {
             bwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
             rows: Arc::default(),
             next_rowid: 0,
-            dirty_rows: BTreeSet::new(),
-            dead_rows: BTreeSet::new(),
-            fwd_fence: 0,
-            bwd_fence: 0,
+            changes: PartitionChanges::default(),
             version: None,
             stats,
         }
@@ -209,7 +204,7 @@ impl StoredPartition {
         match Arc::make_mut(&mut self.rows).get_mut(&row) {
             Some(meta) => {
                 meta.count += 1;
-                self.dirty_rows.insert(meta.rowid);
+                self.changes.dirty_rows.insert(meta.rowid);
                 // Touch the stored tuples to persist the new count.
                 let fkey = (row.first().clone(), meta.rowid);
                 let bkey = (row.last().clone(), meta.rowid);
@@ -221,7 +216,7 @@ impl StoredPartition {
             None => {
                 let rowid = self.next_rowid;
                 self.next_rowid += 1;
-                self.dirty_rows.insert(rowid);
+                self.changes.dirty_rows.insert(rowid);
                 self.fwd.insert((row.first().clone(), rowid), row.clone())?;
                 self.bwd.insert((row.last().clone(), rowid), row.clone())?;
                 Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count: 1 });
@@ -250,7 +245,7 @@ impl StoredPartition {
         let meta = rows.get_mut(row).expect("checked above");
         if meta.count > 1 {
             meta.count -= 1;
-            self.dirty_rows.insert(meta.rowid);
+            self.changes.dirty_rows.insert(meta.rowid);
             let fkey = (row.first().clone(), meta.rowid);
             let bkey = (row.last().clone(), meta.rowid);
             let _ = self.fwd.get(&fkey);
@@ -260,8 +255,8 @@ impl StoredPartition {
         } else {
             let rowid = meta.rowid;
             rows.remove(row);
-            self.dirty_rows.remove(&rowid);
-            self.dead_rows.insert(rowid);
+            self.changes.dirty_rows.remove(&rowid);
+            self.changes.dead_rows.insert(rowid);
             self.fwd.remove(&(row.first().clone(), rowid));
             self.bwd.remove(&(row.last().clone(), rowid));
         }
@@ -347,7 +342,7 @@ impl StoredPartition {
             }
             let rowid = self.next_rowid;
             self.next_rowid += 1;
-            self.dirty_rows.insert(rowid);
+            self.changes.dirty_rows.insert(rowid);
             fwd_entries.push(((row.first().clone(), rowid), row.clone()));
             bwd_entries.push(((row.last().clone(), rowid), row.clone()));
             Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count });
@@ -401,47 +396,23 @@ impl StoredPartition {
         }
     }
 
-    /// Capture only what changed since the last [`Self::mark_clean`]
-    /// fence: dirty/dead row-mirror entries plus the tree pages stamped at
-    /// or after each tree's fence epoch.  Charges nothing — the delta
-    /// writer prices the bytes it emits.
-    pub(crate) fn dump_delta(&self) -> PartitionDelta {
-        let mut upserts: Vec<(Row, u64, u64)> = self
-            .rows
-            .iter()
-            .filter(|(_, meta)| self.dirty_rows.contains(&meta.rowid))
-            .map(|(row, meta)| (row.clone(), meta.rowid, meta.count))
-            .collect();
-        upserts.sort_unstable_by_key(|&(_, rowid, _)| rowid);
-        PartitionDelta {
-            from: self.from,
-            to: self.to,
-            next_rowid: self.next_rowid,
-            nrows: self.rows.len(),
-            upserts,
-            deletes: self.dead_rows.iter().copied().collect(),
-            fwd: RawTreeDelta::from_tree(&self.fwd, self.fwd_fence),
-            bwd: RawTreeDelta::from_tree(&self.bwd, self.bwd_fence),
-            fwd_bytes: 0,
-            bwd_bytes: 0,
-        }
+    /// Make the partition as it is now the base of the next delta
+    /// checkpoint: mark both trees' pages and start new row sets.  Returns
+    /// the changes since the previous base.  Invoked when a checkpoint
+    /// (full or delta) of this partition is taken or loaded.
+    pub(crate) fn mark_clean(&mut self) -> PartitionChanges {
+        let base = PartitionChanges {
+            fwd: self.fwd.pages().marks(),
+            bwd: self.bwd.pages().marks(),
+            ..PartitionChanges::default()
+        };
+        std::mem::replace(&mut self.changes, base)
     }
 
-    /// Establish a new delta fence: forget the dirty/dead row sets and
-    /// advance both trees' page epochs, so the next [`Self::dump_delta`]
-    /// captures exactly the changes made after this call.  Invoked when a
-    /// checkpoint (full or delta) of this partition is taken or loaded.
-    pub(crate) fn mark_clean(&mut self) {
-        self.dirty_rows.clear();
-        self.dead_rows.clear();
-        self.fwd_fence = self.fwd.advance_epoch();
-        self.bwd_fence = self.bwd.advance_epoch();
-    }
-
-    /// How many distinct rows changed (dirty + dead) since the fence —
+    /// How many distinct rows changed (dirty + dead) since the base —
     /// the shell's "pages saved" summary uses this.
     pub(crate) fn changed_rows(&self) -> usize {
-        self.dirty_rows.len() + self.dead_rows.len()
+        self.changes.rows()
     }
 
     /// Physically re-attach a partition from its snapshot image: register
@@ -505,9 +476,9 @@ impl StoredPartition {
         }
         p.next_rowid = img.next_rowid;
         // A freshly restored partition is fully dirty relative to the
-        // fence-0 default; the loader calls `mark_clean` once the whole
+        // empty default marks; the loader calls `mark_clean` once the whole
         // database is attached, making the snapshot itself the base.
-        p.dirty_rows = p.rows.values().map(|m| m.rowid).collect();
+        p.changes.dirty_rows = p.rows.values().map(|m| m.rowid).collect();
         // Price the restore: pulling each tree's serialized pages in from
         // the snapshot, attributed per tree (at least one page each).
         p.fwd.charge_restore_reads(restore_pages(img.fwd_bytes));
@@ -623,6 +594,55 @@ impl PartitionVersion {
             bwd_bytes: 0,
         }
     }
+
+    /// What this version changed since the base `changes` was marked at:
+    /// the dirty rows read off the mirror (borrowed, sorted by row id),
+    /// the dead row ids, and each tree's pages not shared with the base.
+    /// Charges nothing — the delta writer prices the bytes it emits.
+    pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> PartitionDelta<&'a Row> {
+        let mut upserts: Vec<(&Row, u64, u64)> = self
+            .rows
+            .iter()
+            .filter(|(_, meta)| changes.dirty_rows.contains(&meta.rowid))
+            .map(|(row, meta)| (row, meta.rowid, meta.count))
+            .collect();
+        upserts.sort_unstable_by_key(|&(_, rowid, _)| rowid);
+        PartitionDelta {
+            from: self.from,
+            to: self.to,
+            next_rowid: self.next_rowid,
+            nrows: self.rows.len(),
+            upserts,
+            deletes: changes.dead_rows.iter().copied().collect(),
+            fwd: RawTreeDelta::changed(&self.fwd, &changes.fwd),
+            bwd: RawTreeDelta::changed(&self.bwd, &changes.bwd),
+            fwd_bytes: 0,
+            bwd_bytes: 0,
+        }
+    }
+}
+
+/// What a partition changed since its base checkpoint: the base's page
+/// marks for each clustering tree, and the rows written or removed since.
+/// [`StoredPartition::mark_clean`] hands it over and
+/// [`PartitionVersion::delta`] reads a delta off a version with it.  The
+/// default (empty marks) counts every page as changed.
+#[derive(Debug, Default)]
+pub(crate) struct PartitionChanges {
+    fwd: PageMarks<PartitionKey, Row>,
+    bwd: PageMarks<PartitionKey, Row>,
+    /// Row ids whose mirror entry changed (inserted, or witness count
+    /// bumped) — the row half of a delta checkpoint.
+    dirty_rows: BTreeSet<u64>,
+    /// Row ids physically removed.
+    dead_rows: BTreeSet<u64>,
+}
+
+impl PartitionChanges {
+    /// Distinct rows changed (dirty + dead).
+    pub fn rows(&self) -> usize {
+        self.dirty_rows.len() + self.dead_rows.len()
+    }
 }
 
 /// The serializable physical state of one [`StoredPartition`]: the row
@@ -660,12 +680,13 @@ fn restore_pages(bytes: usize) -> u64 {
 }
 
 /// The incremental counterpart of [`PartitionImage`]: only the rows and
-/// tree pages that changed since the partition's last clean fence, plus
+/// tree pages that changed since the partition's base checkpoint, plus
 /// enough geometry (root, height, free list, slab size) to patch a base
-/// image into the current state.  Produced by `StoredPartition::dump_delta`,
-/// consumed by the `ASRDB 3` snapshot writer and `PartitionImage::apply_delta`.
+/// image into the current state.  Produced by [`PartitionVersion::delta`]
+/// (rows borrowed) and the `ASRDB 3` reader, consumed by the `ASRDB 3`
+/// writer and `PartitionImage::apply_delta`.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PartitionDelta {
+pub(crate) struct PartitionDelta<R = Row> {
     pub from: usize,
     pub to: usize,
     pub next_rowid: u64,
@@ -673,9 +694,9 @@ pub(crate) struct PartitionDelta {
     /// check on the patched mirror).
     pub nrows: usize,
     /// `(row, rowid, witness count)` for rows inserted or re-counted since
-    /// the fence, sorted by row id.
-    pub upserts: Vec<(Row, u64, u64)>,
-    /// Row ids physically removed since the fence (ascending).
+    /// the base, sorted by row id.
+    pub upserts: Vec<(R, u64, u64)>,
+    /// Row ids physically removed since the base (ascending).
     pub deletes: Vec<u64>,
     /// Changed pages of the forward-clustered tree.
     pub fwd: RawTreeDelta,
@@ -687,8 +708,8 @@ pub(crate) struct PartitionDelta {
     pub bwd_bytes: usize,
 }
 
-/// Changed pages of one clustering tree since an epoch fence, with the
-/// full post-change geometry.
+/// Changed pages of one clustering tree since the base, with the full
+/// post-change geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RawTreeDelta {
     pub root: usize,
@@ -698,22 +719,22 @@ pub(crate) struct RawTreeDelta {
     /// Slab size after the change — a patched base image grows (never
     /// shrinks) to this many pages.
     pub total_nodes: usize,
-    /// `(page id, new content)` for every page stamped at or after the
-    /// fence, including pages that became `Free`.
+    /// `(page id, new content)` for every page not shared with the base,
+    /// including pages that became `Free`.
     pub pages: Vec<(usize, RawNode)>,
 }
 
 impl RawTreeDelta {
-    fn from_tree(tree: &BPlusTree<PartitionKey, Row>, fence: u64) -> Self {
-        let pages = tree.pages();
+    /// The pages of `pages` not shared with `base`, with the geometry.
+    fn changed(pages: &PageSlab<PartitionKey, Row>, base: &PageMarks<PartitionKey, Row>) -> Self {
         RawTreeDelta {
             root: pages.root_slot(),
             height: pages.height(),
             len: pages.len(),
             free: pages.free_slots().to_vec(),
             total_nodes: pages.slot_count(),
-            pages: tree
-                .slots_since(fence)
+            pages: pages
+                .changed_since(base)
                 .map(|slot| (slot, RawNode::from_page(pages.page(slot))))
                 .collect(),
         }
@@ -722,11 +743,14 @@ impl RawTreeDelta {
 
 impl PartitionImage {
     /// Patch this (base-checkpoint) image with a delta, yielding the image
-    /// the primary would have dumped at the delta's fence.  Rows are merged
+    /// the primary would have dumped when it took the delta.  Rows are merged
     /// by row id; tree slabs grow to the delta's size and changed pages are
     /// overwritten.  Fails with a descriptive error on any inconsistency —
     /// the caller falls back to a rebuild or NACKs the delivery.
-    pub(crate) fn apply_delta(self, d: &PartitionDelta) -> Result<PartitionImage> {
+    pub(crate) fn apply_delta<R: Borrow<Row>>(
+        self,
+        d: &PartitionDelta<R>,
+    ) -> Result<PartitionImage> {
         let corrupt = |msg: String| AsrError::Snapshot(format!("partition delta: {msg}"));
         if (self.from, self.to) != (d.from, d.to) {
             return Err(corrupt(format!(
@@ -750,7 +774,7 @@ impl PartitionImage {
             by_rowid.remove(rowid);
         }
         for (row, rowid, count) in &d.upserts {
-            by_rowid.insert(*rowid, (row.clone(), *count));
+            by_rowid.insert(*rowid, (row.borrow().clone(), *count));
         }
         if by_rowid.len() != d.nrows {
             return Err(corrupt(format!(
@@ -1047,7 +1071,8 @@ mod tests {
         for k in 0..4u64 {
             p.remove(&row![c(k), c(k + 10000), c(k % 7)]).unwrap();
         }
-        let delta = p.dump_delta();
+        let version = p.freeze();
+        let delta = version.delta(&p.mark_clean());
         assert!(
             delta.fwd.pages.len() < delta.fwd.total_nodes,
             "delta ships a strict subset of pages ({} of {})",
@@ -1069,7 +1094,8 @@ mod tests {
             p.insert(row![c(k), c(k + 100), c(k % 3)]).unwrap();
         }
         p.mark_clean();
-        let delta = p.dump_delta();
+        let version = p.freeze();
+        let delta = version.delta(&p.mark_clean());
         assert!(delta.upserts.is_empty());
         assert!(delta.deletes.is_empty());
         assert!(delta.fwd.pages.is_empty());
@@ -1087,10 +1113,12 @@ mod tests {
         let base = p.dump();
         p.mark_clean();
         p.insert(row![c(99), c(199), c(1)]).unwrap();
-        let mut delta = p.dump_delta();
-        delta.nrows += 1; // claim a row that never arrives
-        assert!(base.clone().apply_delta(&delta).is_err());
-        let mut delta = p.dump_delta();
+        let version = p.freeze();
+        let delta = version.delta(&p.mark_clean());
+        let mut wrong = delta.clone();
+        wrong.nrows += 1; // claim a row that never arrives
+        assert!(base.clone().apply_delta(&wrong).is_err());
+        let mut delta = delta;
         delta.fwd.total_nodes = 0; // slab cannot shrink
         assert!(base.apply_delta(&delta).is_err());
     }

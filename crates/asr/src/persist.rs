@@ -48,8 +48,8 @@
 //! R <rowid> <count> <cell> …                 (changed/new mirror rows)
 //! X <rowid-csv|->                            (rows physically removed)
 //! U <asr#> <part#> f|b <root> <height> <len> <total-pages> <npages> <free-csv|->
-//! N f|b <page#> I|L …                        (pages stamped since the fence)
-//! N f|b <page#> F                            (pages freed since the fence)
+//! N f|b <page#> I|L …                        (pages not shared with the base)
+//! N f|b <page#> F                            (pages freed since the base)
 //! --BASE--
 //! GOMDELTA 1 <object-count>
 //! X i<oid-csv>|-                             (objects deleted)
@@ -62,7 +62,11 @@
 //! whenever the delta would exceed [`DELTA_FULL_FRACTION`] of the full
 //! section — rebuilt or freshly created ASRs therefore ship full even
 //! inside a delta document.  The writer refuses entirely (returns `None`)
-//! when the physical design changed since the fence.  Applying patches the
+//! when the physical design changed since the base.  The changed pages are
+//! the pages the checkpoint's partition versions do not share with the
+//! previous checkpoint's: each partition marks its pages when a checkpoint
+//! is taken (`StoredPartition::mark_clean`), and a page written since
+//! is a different allocation.  Applying patches the
 //! base's partition page images and text-merges the object section, then
 //! reloads through the v2 restore machinery, so every structural invariant
 //! is re-validated; the input database is never modified.
@@ -89,7 +93,7 @@ use asr_gom::snapshot::{self, push_csv, push_u64};
 use asr_gom::{ObjectBase, Oid, PathExpression, TypeRef, Value};
 
 use crate::cell::Cell;
-use crate::database::{AsrId, Database};
+use crate::database::{AsrId, Changes, Database};
 use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
@@ -317,57 +321,30 @@ impl Database {
         Database::load_from_string_report(&text)
     }
 
-    /// Begin a fuzzy checkpoint: capture everything the serializers need
-    /// — a pinned [`Snapshot`] (partition images ride its published
-    /// versions), the design section, per-ASR change deltas and the base
-    /// dirty sets — then advance the change-tracking fence
-    /// ([`Database::mark_clean`]).
+    /// Begin a fuzzy checkpoint: pin a [`Snapshot`] (partition images
+    /// ride its published versions), render the design section, and take
+    /// the changes since the previous checkpoint, making this state the
+    /// base of the next one ([`Database::mark_clean`]).  Copies no row and
+    /// no page.
     ///
     /// The returned [`CheckpointSource`] renders the `ASRDB 2` document
     /// **byte-identical** to what [`Database::save_to_string`] would have
     /// produced at this instant, and the `ASRDB 3` delta since the previous
-    /// fence, but without holding the database: the session keeps
+    /// checkpoint, but without holding the database: the session keeps
     /// mutating (and serving snapshot readers) while the checkpoint text
     /// is composed and written out.
     pub fn begin_checkpoint(&mut self) -> CheckpointSource {
-        let snap = self.snapshot();
-        let asrs = self
-            .asrs()
-            .map(|(_, asr)| AsrCheckpoint {
-                deltas: asr
-                    .partitions()
-                    .iter()
-                    .map(StoredPartition::dump_delta)
-                    .collect(),
-                changed_rows: asr.changed_rows(),
-            })
-            .collect();
-        let source = CheckpointSource {
-            snapshot: snap,
+        CheckpointSource {
+            snapshot: self.snapshot(),
             design: self.design(),
-            design_dirty: self.is_design_dirty(),
-            asrs,
-            dead_oids: self.dead_oids().clone(),
-            dirty_oids: self.dirty_oids().clone(),
-            dirty_vars: self.dirty_vars().clone(),
-        };
-        self.mark_clean();
-        source
+            changes: self.take_changes(),
+        }
     }
 }
 
-/// One ASR's change payload captured at [`Database::begin_checkpoint`]:
-/// the per-partition deltas since the previous fence, plus how many
-/// mirror rows they carry (the full-vs-delta arbitration input).
-#[derive(Debug)]
-struct AsrCheckpoint {
-    deltas: Vec<PartitionDelta>,
-    changed_rows: usize,
-}
-
-/// Everything needed to serialize a checkpoint **after** the fence: a
-/// pinned [`Snapshot`] (immutable partition images + object base) and the
-/// change-tracking state that was current when the fence advanced.
+/// Everything needed to serialize a checkpoint after the session moved
+/// on: a pinned [`Snapshot`] (immutable partition versions + object base)
+/// and what changed between the previous checkpoint and this one.
 ///
 /// Produced by [`Database::begin_checkpoint`]; consumed by the durability
 /// layer, which composes the document and writes it out while the live
@@ -378,12 +355,9 @@ pub struct CheckpointSource {
     snapshot: Snapshot,
     /// The design section verbatim (`S`/`A` lines, newline-terminated).
     design: String,
-    design_dirty: bool,
-    /// Per `A`-line ordinal, matching the snapshot's ASR order.
-    asrs: Vec<AsrCheckpoint>,
-    dead_oids: BTreeSet<Oid>,
-    dirty_oids: BTreeSet<Oid>,
-    dirty_vars: BTreeSet<String>,
+    /// What changed between the previous checkpoint and this one; its
+    /// partitions are in the snapshot's ASR order.
+    changes: Changes,
 }
 
 impl CheckpointSource {
@@ -393,26 +367,27 @@ impl CheckpointSource {
         &self.snapshot
     }
 
-    /// `true` when the physical design changed since the previous fence —
-    /// [`CheckpointSource::save_delta`] will refuse and the caller must
-    /// take a full checkpoint.
+    /// `true` when the physical design changed since the previous
+    /// checkpoint — [`CheckpointSource::save_delta`] will refuse and the
+    /// caller must take a full checkpoint.
     pub fn is_design_dirty(&self) -> bool {
-        self.design_dirty
+        self.changes.design
     }
 
-    /// `true` when nothing changed since the previous fence: a delta
+    /// `true` when nothing changed since the previous checkpoint: a delta
     /// rendered from this source would carry no rows, pages, objects or
     /// variables.
     pub fn is_noop_delta(&self) -> bool {
-        !self.design_dirty
-            && self.dead_oids.is_empty()
-            && self.dirty_oids.is_empty()
-            && self.dirty_vars.is_empty()
-            && self.asrs.iter().all(|a| a.changed_rows == 0)
+        let c = &self.changes;
+        !c.design
+            && c.dead_oids.is_empty()
+            && c.dirty_oids.is_empty()
+            && c.dirty_vars.is_empty()
+            && c.partitions.iter().flatten().all(|p| p.rows() == 0)
     }
 
     /// Render the full `ASRDB 2` document from the captured state —
-    /// byte-identical to [`Database::save_to_string`] at the fence.
+    /// byte-identical to [`Database::save_to_string`] when it began.
     pub fn save_full(&self) -> String {
         let mut out = String::new();
         self.save_full_into(&mut out);
@@ -432,27 +407,31 @@ impl CheckpointSource {
     }
 
     /// Render the `ASRDB 3` delta document on top of `base_id`: what
-    /// changed between the previous fence and this one.  `None` when the
-    /// design changed since the previous fence.
+    /// changed between the previous checkpoint and this one — each
+    /// partition's dirty rows and the pages its pinned version does not
+    /// share with the previous checkpoint's.  `None` when the design
+    /// changed since the previous checkpoint.
     ///
     /// Individual ASRs whose delta would exceed [`DELTA_FULL_FRACTION`]
     /// of their full section are embedded in full v2 form; an unchanged
     /// ASR always ships as an (empty) delta — the size fraction only
     /// arbitrates when there is real change to carry.
     pub fn save_delta(&self, base_id: u64) -> Option<String> {
-        if self.design_dirty {
+        let c = &self.changes;
+        if c.design {
             return None;
         }
         let mut out = format!("{MAGIC_V3}\nDELTA {base_id}\n{}", self.design);
         let versions = self.snapshot.asr_versions();
-        for (ordinal, (asr, versions)) in self.asrs.iter().zip(versions).enumerate() {
+        for (ordinal, (changes, versions)) in c.partitions.iter().zip(versions).enumerate() {
+            let versions: Vec<&PartitionVersion> = versions.collect();
             let mut section = String::new();
-            for (pidx, d) in asr.deltas.iter().enumerate() {
-                write_partition_delta(&mut section, ordinal, pidx, d);
+            for (pidx, (version, changes)) in versions.iter().zip(changes).enumerate() {
+                write_partition_delta(&mut section, ordinal, pidx, &version.delta(changes));
             }
-            if asr.changed_rows > 0 {
+            if changes.iter().any(|p| p.rows() > 0) {
                 let mut full = String::new();
-                for (pidx, version) in versions.enumerate() {
+                for (pidx, version) in versions.iter().enumerate() {
                     write_partition_image(&mut full, ordinal, pidx, &version.view());
                 }
                 if (section.len() as f64) > (full.len() as f64) * DELTA_FULL_FRACTION {
@@ -465,9 +444,9 @@ impl CheckpointSource {
         write_base_delta(
             &mut out,
             self.snapshot.base(),
-            &self.dead_oids,
-            &self.dirty_oids,
-            &self.dirty_vars,
+            &c.dead_oids,
+            &c.dirty_oids,
+            &c.dirty_vars,
         );
         Some(out)
     }
@@ -620,10 +599,15 @@ fn write_partition_image<R: Borrow<Row>>(
     write_tree(out, ordinal, pidx, 'b', &img.bwd);
 }
 
-/// One partition's `D`/`R`/`X`/`U`/`N` lines from a captured delta: rows
-/// changed since the fence, rows physically removed, and the pages each
-/// tree stamped.
-fn write_partition_delta(out: &mut String, ordinal: usize, pidx: usize, d: &PartitionDelta) {
+/// One partition's `D`/`R`/`X`/`U`/`N` lines from a version's delta: rows
+/// changed since the base, rows physically removed, and the pages each
+/// tree does not share with the base.
+fn write_partition_delta<R: Borrow<Row>>(
+    out: &mut String,
+    ordinal: usize,
+    pidx: usize,
+    d: &PartitionDelta<R>,
+) {
     let _ = writeln!(
         out,
         "D {ordinal} {pidx} {} {} {} {} {}",
@@ -758,7 +742,8 @@ fn read_head<'a>(lines: impl Iterator<Item = &'a str>, version: u32) -> Result<(
 
 /// The load tail both documents share: size the clustered files (`S`),
 /// attach the object base, restore each ASR (`A`, in order) from its
-/// section or rebuild it, and fence the result.  `patched` is the database
+/// section or rebuild it, and mark the result as the next delta's base.
+/// `patched` is the database
 /// an `ASRDB 3` delta applies to; `strict` turns an ASR that cannot be
 /// restored into an error instead of a rebuild.
 fn assemble(
@@ -842,7 +827,7 @@ fn assemble(
             }
         }
     }
-    // The loaded snapshot is the fence the next delta checkpoint is
+    // The loaded snapshot is the base the next delta checkpoint is
     // measured against.
     db.mark_clean();
     Ok((db, report))
@@ -1828,7 +1813,7 @@ mod tests {
     // ---- ASRDB 3 delta snapshots -----------------------------------
 
     /// A clean database at its serialization fixed point: `db.save ==
-    /// text` exactly, and every dirty set is fenced.
+    /// text` exactly, and every dirty set is cleared.
     fn settled(db: Database) -> (Database, String) {
         let db = Database::load_from_string(&db.save_to_string()).unwrap();
         let text = db.save_to_string();
@@ -1957,7 +1942,7 @@ mod tests {
         for (_, asr) in patched.asrs() {
             asr.check_consistency().unwrap();
         }
-        // The delta fenced the patched replica: an immediate re-delta on
+        // The delta left the patched replica clean: an immediate re-delta on
         // the primary side applies cleanly on top of it.
         assert_eq!(patched.dirty_summary(), (0, 0, 0, 0));
     }
@@ -2145,7 +2130,7 @@ mod tests {
 
     #[test]
     fn checkpoint_source_matches_live_serialization_byte_for_byte() {
-        let (mut db, base_text) = settled(sample_db());
+        let (mut db, base_text) = settled(bulk_db(300));
         let (set, pepper) = sec_composition(&db);
         db.insert_into_set(set, Value::Ref(pepper)).unwrap();
         db.bind_variable("epoch", Value::string("two"));
@@ -2162,22 +2147,46 @@ mod tests {
         let patched = base.apply_delta_from_string(&want_delta).unwrap();
         assert_eq!(patched.save_to_string(), want_full);
 
-        // Fuzzy: the fence advanced and the writer moves on, but the
-        // pinned source still renders the state as of the fence.
+        // Fuzzy: the writer moves on — an object rename, and an insert on
+        // the ASR path that writes partition pages — but the pinned source
+        // still renders the state as of `begin_checkpoint`.
         db.set_attribute(pepper, "Name", Value::string("Salt"))
             .unwrap();
+        let bolt = db.instantiate("BasePart").unwrap();
+        db.set_attribute(bolt, "Name", Value::string("Bolt"))
+            .unwrap();
+        db.insert_into_set(set, Value::Ref(bolt)).unwrap();
         assert_eq!(source.save_full(), want_full);
         assert_eq!(source.save_delta(7).unwrap(), want_delta);
         assert_ne!(db.save_to_string(), want_full, "the live state moved on");
 
         // The rendered document is a real checkpoint: it loads.
         let restored = Database::load_from_string(&source.save_full()).unwrap();
-        assert_eq!(restored.base().object_count(), db.base().object_count());
+        assert_eq!(
+            restored.base().object_count(),
+            patched.base().object_count()
+        );
 
-        // And the fence is live: a fresh source right after one is a noop.
+        // The next checkpoint carries exactly the writes made after this
+        // one began, partition pages included: applied over the patched
+        // base it reproduces the live document.
         drop(source);
-        let idle = db.begin_checkpoint();
-        assert!(!idle.is_noop_delta(), "the Salt rename is still pending");
+        let next = db.begin_checkpoint();
+        assert!(!next.is_noop_delta(), "the Salt rename is still pending");
+        let next_delta = next.save_delta(8).unwrap();
+        let (replayed, report) = patched
+            .apply_delta_from_string_report(&next_delta, true)
+            .unwrap();
+        assert!(
+            report
+                .asrs
+                .iter()
+                .all(|(_, m)| matches!(m, AsrLoadMode::Delta { pages } if *pages > 0)),
+            "the Bolt insert ships changed pages, not full sections: {report:?}"
+        );
+        assert_eq!(replayed.save_to_string(), db.save_to_string());
+
+        // And a fresh source right after one is a noop.
         let idle2 = db.begin_checkpoint();
         assert!(idle2.is_noop_delta());
     }

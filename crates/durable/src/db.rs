@@ -1240,7 +1240,7 @@ impl<S: Storage> DurableDatabase<S> {
             return Ok(None);
         };
         let meta = SegmentMeta {
-            seqno: self.manifest.next_seqno(),
+            seqno: self.manifest.next_seqno()?,
             first_lsn: first.lsn,
             last_lsn: scan.records.last().expect("non-empty").lsn,
             bytes: bytes.len() as u64,

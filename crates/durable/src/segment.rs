@@ -236,14 +236,27 @@ impl SegmentManifest {
         storage.write_atomic(SEGMENT_MANIFEST_FILE, self.encode().as_bytes())
     }
 
-    /// The sequence number the next sealed segment should take.
-    pub fn next_seqno(&self) -> u64 {
-        self.segments.last().map_or(1, |s| s.seqno + 1)
+    /// The sequence number the next sealed segment should take.  A
+    /// manifest whose last segment already holds the largest seqno is
+    /// corrupt: no seqno is left to seal under.
+    pub fn next_seqno(&self) -> Result<u64> {
+        let Some(last) = self.segments.last() else {
+            return Ok(1);
+        };
+        last.seqno.checked_add(1).ok_or_else(|| {
+            DurableError::Corrupt(format!(
+                "segments.manifest: no seqno after segment {}",
+                last.seqno
+            ))
+        })
     }
 
-    /// Total bytes held in sealed segments.
+    /// Total bytes held in sealed segments (saturating: the sizes come
+    /// off disk).
     pub fn archived_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes).sum()
+        self.segments
+            .iter()
+            .fold(0u64, |sum, s| sum.saturating_add(s.bytes))
     }
 
     /// The newest archived checkpoint at or below `bound`, if any.
@@ -441,7 +454,7 @@ mod tests {
         let m = sample();
         m.store(&mut mem).unwrap();
         assert_eq!(SegmentManifest::load(&mem).unwrap(), m);
-        assert_eq!(m.next_seqno(), 3);
+        assert_eq!(m.next_seqno().unwrap(), 3);
         assert_eq!(m.archived_bytes(), 810);
         assert_eq!(m.newest_checkpoint_at_or_below(8), Some(0));
         assert_eq!(m.newest_checkpoint_at_or_below(100), Some(9));
@@ -449,6 +462,53 @@ mod tests {
             SegmentManifest::default().newest_checkpoint_at_or_below(5),
             None
         );
+    }
+
+    #[test]
+    fn the_last_seqno_has_no_successor() {
+        let text = format!("SEGS 1\nS {} 1 2 9 00\n", u64::MAX);
+        let m = SegmentManifest::decode(&text).unwrap();
+        assert!(matches!(m.next_seqno(), Err(DurableError::Corrupt(_))));
+        assert_eq!(SegmentManifest::default().next_seqno().unwrap(), 1);
+        let mut huge = m.clone();
+        huge.segments.push(SegmentMeta {
+            seqno: 1,
+            bytes: u64::MAX,
+            ..m.segments[0]
+        });
+        assert_eq!(huge.archived_bytes(), u64::MAX);
+    }
+
+    /// Every cut and every bit flip of an encoded manifest with `S`, `C`
+    /// and `D` lines decodes or fails with a typed error — never a panic.
+    #[test]
+    fn damaged_manifests_decode_or_error() {
+        let mut m = sample();
+        m.segments[1].seqno = u64::MAX;
+        m.segments[1].bytes = u64::MAX;
+        let bytes = m.encode().into_bytes();
+        let decode = |b: &[u8]| match std::str::from_utf8(b) {
+            Ok(text) => SegmentManifest::decode(text).map(|_| ()),
+            Err(_) => Err(DurableError::Corrupt("not UTF-8".into())),
+        };
+        for cut in 0..=bytes.len() {
+            if let Err(e) = decode(&bytes[..cut]) {
+                assert!(matches!(e, DurableError::Corrupt(_)), "cut {cut}: {e}");
+            }
+        }
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                match decode(&flipped) {
+                    Ok(()) => decoded += 1,
+                    Err(e) => assert!(matches!(e, DurableError::Corrupt(_)), "{i}/{bit}: {e}"),
+                }
+            }
+        }
+        // Digit flips that stay digits (and hex nibbles) still decode.
+        assert!(decoded > 0);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 mod common;
 
 use asr_core::Database;
-use asr_durable::{recover_to_lsn, DurableDatabase, DurableError, FlushPolicy, MemStorage};
+use asr_durable::{
+    recover_to_lsn, DurableDatabase, DurableError, FlushPolicy, MemStorage, SegmentManifest,
+    Storage,
+};
 use common::*;
 
 /// Build a primary with realistic durable topology: a checkpoint a third
@@ -171,4 +174,34 @@ fn pruning_fences_pitr_loudly() {
         &oracle_at(&s0, &script, SCRIPT_LEN),
         "primary after prune",
     );
+}
+
+/// A manifest whose last segment holds the largest seqno leaves nothing
+/// to seal the next segment under: rotation is a typed corruption error,
+/// not an overflow.
+#[test]
+fn rotation_past_the_last_seqno_is_corrupt() {
+    let s0 = seed_snapshot();
+    let script = make_script(&s0, fuzz_seed() ^ 0x5E90);
+    let disk = MemStorage::new();
+    let seed_db = Database::load_from_string(&s0).unwrap();
+    let mut dd = DurableDatabase::create(disk.clone(), seed_db, FlushPolicy::EveryRecord).unwrap();
+    apply_durable(&mut dd, &script[0]).unwrap();
+    dd.rotate_segment().unwrap().expect("one record to seal");
+    drop(dd);
+
+    // Renumber the sealed segment, file and manifest line alike.
+    let mut store = disk.clone();
+    let mut manifest = SegmentManifest::load(&disk).unwrap();
+    let seg = manifest.segments.last_mut().unwrap();
+    let sealed = store.read(&seg.file_name()).unwrap().unwrap();
+    store.remove(&seg.file_name()).unwrap();
+    seg.seqno = u64::MAX;
+    store.write_atomic(&seg.file_name(), &sealed).unwrap();
+    manifest.store(&mut store).unwrap();
+
+    let mut dd = DurableDatabase::open(disk).unwrap();
+    apply_durable(&mut dd, &script[1]).unwrap();
+    let err = dd.rotate_segment().unwrap_err();
+    assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
 }

@@ -497,8 +497,9 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Decode one delivery: verify the `[len][crc32][payload]` envelope, then
 /// the payload grammar.  `None` means the frame is damaged (or not ours) —
-/// the receiver NACKs or retries, mirroring [`asr_durable::ShipMessage`]'s
-/// contract that damage is detected, never interpreted.
+/// the receiver NACKs or retries, mirroring
+/// [`asr_durable::ship::ShipMessage`]'s contract that damage is detected,
+/// never interpreted.
 pub fn decode_frame(delivery: &[u8]) -> Option<WireMessage> {
     let Ok((payload, [])) = asr_durable::split_frame(delivery, MAX_FRAME_LEN) else {
         return None;

@@ -61,7 +61,7 @@ impl OpIo {
 
 /// Per-operator execution profile, indexed like the [`Plan`]'s vectors.
 /// Every page access an execution charges lands in exactly one slot, so
-/// the slots sum to the global [`asr_pagesim::IoStats`] delta.
+/// the slots sum to the global `asr_pagesim::IoStats` delta.
 #[derive(Debug, Default, Clone)]
 pub struct ExecProfile {
     /// One slot per binding: domain materialization (scan or navigate).

@@ -25,14 +25,20 @@
 //! page read is charged (the live tree: its buffer pool and `IoStats`; a
 //! frozen version: its reader's meter), so both charge the same pages.
 //!
+//! Page identity is also what a delta checkpoint is made of:
+//! [`PageSlab::marks`] records each slot's page by weak pointer, and
+//! [`PageSlab::changed_since`] lists the slots whose page is no longer the
+//! marked one — the pages a later version does not share with the marked
+//! one.
+//!
 //! Composite keys (e.g. `(column value, row id)`) are expressed through the
 //! ordinary `Ord` bound; prefix scans become half-open ranges.
 
 use std::borrow::Borrow;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::buffer::BufferPool;
 use crate::constants::{PAGE_SIZE, PP_SIZE};
@@ -227,42 +233,9 @@ impl<K, V> TreeImage<K, V> {
     }
 }
 
-/// A copy-on-write delta image: the pages of a tree written at or after a
-/// dirty-epoch fence, plus the full (cheap) geometry needed to patch a
-/// base [`TreeImage`] into the current physical state.  Produced by
-/// [`BPlusTree::dump_image_since`]; applying `pages` over a base image of
-/// the fence epoch — after growing its slab to `total_nodes` slots — and
-/// installing `root`/`height`/`len`/`free` reproduces
-/// [`BPlusTree::dump_image`] exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeDelta<K, V> {
-    /// Slab slot of the root page.
-    pub root: usize,
-    /// Tree height in levels, including the leaf level.
-    pub height: usize,
-    /// Number of stored entries.
-    pub len: usize,
-    /// Free slab slots in pop order (complete list, not a delta).
-    pub free: Vec<usize>,
-    /// Total slab slots the tree currently occupies (the slab never
-    /// shrinks, so this is ≥ the base image's slot count).
-    pub total_nodes: usize,
-    /// `(slot, page content)` for every page stamped at or after the
-    /// fence, ascending by slot.  Includes pages that became [`NodeImage::Free`]
-    /// since the fence.
-    pub pages: Vec<(usize, NodeImage<K, V>)>,
-}
-
-impl<K, V> TreeDelta<K, V> {
-    /// Pages carried by the delta.
-    pub fn changed_pages(&self) -> usize {
-        self.pages.len()
-    }
-}
-
 /// A node slab produced by [`build_bulk`]: the pure, stats-free output of
 /// a bottom-up bulk load.  Because it holds no
-/// [`StatsHandle`](crate::stats::StatsHandle), it can be built on a worker
+/// [`StatsHandle`], it can be built on a worker
 /// thread (for `Send` keys and values) while a sibling tree builds
 /// concurrently — e.g. the two redundant clustering trees of an
 /// access-support-relation partition — and then adopted on the owning
@@ -417,6 +390,23 @@ pub struct PageSlab<K, V> {
     len: usize,
 }
 
+/// A slab's pages as of [`PageSlab::marks`]: one weak pointer per slot.
+///
+/// Weak, so a mark keeps no page content alive — only the allocation,
+/// whose address therefore cannot be reused while the mark lives.  And
+/// while a mark holds a page, the tree's first write to it moves the page
+/// to a new allocation (`Arc::make_mut` never writes in place under a
+/// weak pointer), so a page written since the mark never compares equal
+/// to it.  The default marks are empty: every slot counts as changed.
+#[derive(Debug)]
+pub struct PageMarks<K, V>(Vec<Weak<Node<K, V>>>);
+
+impl<K, V> Default for PageMarks<K, V> {
+    fn default() -> Self {
+        PageMarks(Vec::new())
+    }
+}
+
 impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// A single empty root leaf.
     fn empty(leaf_capacity: usize, inner_capacity: usize) -> Self {
@@ -503,6 +493,32 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// Slab slots the tree occupies, free ones included.
     pub fn slot_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Mark the slab as it is now, so [`PageSlab::changed_since`] can later
+    /// tell which pages a version does not share with this one.  The marks
+    /// hold no page content.
+    pub fn marks(&self) -> PageMarks<K, V> {
+        PageMarks(self.nodes.iter().map(Arc::downgrade).collect())
+    }
+
+    /// The slots, ascending, whose page is not the one `marks` recorded:
+    /// pages written, allocated or freed since, and slots past the marked
+    /// slab's end.  Empty marks report every slot.
+    pub fn changed_since<'a>(
+        &'a self,
+        marks: &'a PageMarks<K, V>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(move |(slot, page)| {
+                let shared = marks
+                    .0
+                    .get(slot)
+                    .is_some_and(|mark| std::ptr::eq(Arc::as_ptr(page), mark.as_ptr()));
+                (!shared).then_some(slot)
+            })
     }
 
     /// Slab slot `slot` by reference — [`BPlusTree::dump_image`] without
@@ -891,13 +907,6 @@ pub struct BPlusTree<K, V> {
     pages: PageSlab<K, V>,
     stats: StatsHandle,
     buffer: RefCell<BufferPool>,
-    /// Current dirty epoch; every page modification stamps the page with
-    /// this value.  Interior-mutable because write charging happens behind
-    /// `&self` (see [`BPlusTree::charge_write`]).
-    epoch: Cell<u64>,
-    /// Per-slot epoch stamps, parallel to the slab (`epochs[slot]` = epoch
-    /// of the slot's last modification).
-    epochs: RefCell<Vec<u64>>,
     /// The batched-probe scratch, parked between batches.
     batch: RefCell<BatchState<K>>,
 }
@@ -927,8 +936,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             pages: PageSlab::empty(leaf_capacity, inner_capacity),
             stats,
             buffer: RefCell::new(BufferPool::unbuffered()),
-            epoch: Cell::new(0),
-            epochs: RefCell::new(vec![0]),
             batch: RefCell::default(),
         }
     }
@@ -987,25 +994,12 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn charge_write(&self, node: usize) {
-        self.stamp(node);
         self.buffer.borrow_mut().write(node as u64, &self.stats);
-    }
-
-    /// Record that `node` was modified in the current dirty epoch.  Buffer
-    /// hits may absorb the I/O charge, but the page content still changed,
-    /// so stamping is unconditional.
-    fn stamp(&self, node: usize) {
-        let mut epochs = self.epochs.borrow_mut();
-        let e = self.epoch.get();
-        if epochs.len() <= node {
-            epochs.resize(node + 1, e);
-        }
-        epochs[node] = e;
     }
 
     fn alloc(&mut self, node: Node<K, V>) -> usize {
         let node = Arc::new(node);
-        let id = match self.pages.free.pop() {
+        match self.pages.free.pop() {
             Some(id) => {
                 self.pages.nodes[id] = node;
                 id
@@ -1014,16 +1008,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 self.pages.nodes.push(node);
                 self.pages.nodes.len() - 1
             }
-        };
-        self.stamp(id);
-        id
+        }
     }
 
     /// Free slot `id`, returning the page it held.
     fn release(&mut self, id: usize) -> Arc<Node<K, V>> {
         let page = std::mem::replace(&mut self.pages.nodes[id], Arc::new(Node::Free));
         self.pages.free.push(id);
-        self.stamp(id);
         page
     }
 
@@ -1270,7 +1261,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.pages.root = built.root;
         self.pages.height = built.height;
         self.pages.len = built.len;
-        self.epochs.borrow_mut().clear();
         for node in 0..self.pages.nodes.len() {
             self.charge_write(node);
         }
@@ -1294,58 +1284,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             free: pages.free.clone(),
             nodes: (0..pages.nodes.len())
                 .map(|slot| pages.page(slot).to_image())
-                .collect(),
-        }
-    }
-
-    /// The slots stamped at or after `fence`, ascending — the pages a
-    /// delta image since that fence carries.
-    pub fn slots_since(&self, fence: u64) -> impl Iterator<Item = usize> + '_ {
-        (0..self.pages.nodes.len()).filter(move |&slot| self.page_epoch(slot) >= fence)
-    }
-
-    /// The current dirty epoch.  Pages modified from now on are stamped
-    /// with this value (until [`BPlusTree::advance_epoch`] bumps it).
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
-    /// Start a new dirty epoch and return it.  The typical checkpoint
-    /// protocol: serialize [`BPlusTree::dump_image_since`]`(fence)`, then
-    /// record `advance_epoch()` as the fence of the *next* checkpoint —
-    /// pages written afterwards carry the new epoch and fall inside it.
-    pub fn advance_epoch(&self) -> u64 {
-        let next = self.epoch.get() + 1;
-        self.epoch.set(next);
-        next
-    }
-
-    /// Epoch of `slot`'s last modification.  Slots the stamp vector has
-    /// not caught up with (freshly grown slab) count as modified in the
-    /// current epoch.
-    pub fn page_epoch(&self, slot: usize) -> u64 {
-        self.epochs
-            .borrow()
-            .get(slot)
-            .copied()
-            .unwrap_or_else(|| self.epoch.get())
-    }
-
-    /// Capture only the pages stamped at or after `fence`, plus the full
-    /// geometry — the copy-on-write counterpart of
-    /// [`BPlusTree::dump_image`].  Charges nothing, like `dump_image`:
-    /// the writer layer prices the (delta) bytes it emits.
-    pub fn dump_image_since(&self, fence: u64) -> TreeDelta<K, V> {
-        let pages = &self.pages;
-        TreeDelta {
-            root: pages.root,
-            height: pages.height,
-            len: pages.len,
-            free: pages.free.clone(),
-            total_nodes: pages.nodes.len(),
-            pages: self
-                .slots_since(fence)
-                .map(|slot| (slot, pages.page(slot).to_image()))
                 .collect(),
         }
     }
@@ -1396,9 +1334,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.pages.root = root;
         self.pages.height = height;
         self.pages.len = len;
-        // Adoption rewrites the whole slab: every slot is dirty relative
-        // to any pre-adoption fence.
-        *self.epochs.borrow_mut() = vec![self.epoch.get(); self.pages.nodes.len()];
         if let Err(e) = self.check_invariants() {
             self.reset_to_empty();
             return Err(e);
@@ -1422,7 +1357,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// keeping stats handle, capacities and structure tag.
     fn reset_to_empty(&mut self) {
         self.pages = PageSlab::empty(self.pages.leaf_capacity, self.pages.inner_capacity);
-        *self.epochs.borrow_mut() = vec![self.epoch.get()];
         self.buffer.borrow_mut().invalidate();
     }
 
@@ -2382,46 +2316,74 @@ mod tests {
         ));
     }
 
-    /// Patch `base` with `delta` the way a snapshot reader would: grow the
-    /// slab, overwrite changed pages, install geometry.
-    fn apply_delta(base: &TreeImage<u32, u32>, delta: &TreeDelta<u32, u32>) -> TreeImage<u32, u32> {
+    /// Patch `base` with the pages of `t` not shared with `marks`, the way
+    /// a snapshot reader applies a delta: grow the slab, overwrite the
+    /// changed pages, install the geometry.
+    fn apply_changes(
+        base: &TreeImage<u32, u32>,
+        t: &BPlusTree<u32, u32>,
+        marks: &PageMarks<u32, u32>,
+    ) -> TreeImage<u32, u32> {
+        let pages = t.pages();
         let mut nodes = base.nodes.clone();
-        assert!(delta.total_nodes >= nodes.len(), "slab never shrinks");
-        nodes.resize(delta.total_nodes, NodeImage::Free);
-        for (id, page) in &delta.pages {
-            nodes[*id] = page.clone();
+        assert!(pages.slot_count() >= nodes.len(), "slab never shrinks");
+        nodes.resize(pages.slot_count(), NodeImage::Free);
+        for slot in pages.changed_since(marks) {
+            nodes[slot] = pages.page(slot).to_image();
         }
         TreeImage {
-            root: delta.root,
-            height: delta.height,
-            len: delta.len,
-            free: delta.free.clone(),
+            root: pages.root_slot(),
+            height: pages.height(),
+            len: pages.len(),
+            free: pages.free_slots().to_vec(),
             nodes,
         }
     }
 
+    fn changed(t: &BPlusTree<u32, u32>, marks: &PageMarks<u32, u32>) -> usize {
+        t.pages().changed_since(marks).count()
+    }
+
     #[test]
-    fn epoch_fence_bounds_delta_pages() {
+    fn a_mark_moves_only_the_first_write() {
+        let mut t = tiny_tree();
+        t.insert(1, 1).unwrap();
+        let page = |t: &BPlusTree<u32, u32>| Arc::as_ptr(&t.pages.nodes[0]);
+        // No mark: writes stay in place.
+        let unmarked = page(&t);
+        t.insert(2, 2).unwrap();
+        assert_eq!(page(&t), unmarked);
+        // Under a mark the first write moves the page, later ones do not.
+        let marks = t.pages().marks();
+        t.insert(3, 3).unwrap();
+        let moved = page(&t);
+        assert_ne!(moved, unmarked);
+        t.insert(4, 4).unwrap();
+        assert_eq!(page(&t), moved);
+        assert_eq!(changed(&t, &marks), 1);
+    }
+
+    #[test]
+    fn marks_bound_delta_pages() {
         let mut t = tiny_tree();
         for k in 0..500u32 {
             t.insert(k, k).unwrap();
         }
-        // Before any fence: everything is dirty.
+        // Against empty marks: everything has changed.
         assert_eq!(
-            t.dump_image_since(0).changed_pages() as u64,
+            changed(&t, &PageMarks::default()) as u64,
             t.pages().page_count() + t.dump_image().free.len() as u64
         );
-        let fence = t.advance_epoch();
-        assert!(t.dump_image_since(fence).pages.is_empty());
+        let marks = t.pages().marks();
+        assert_eq!(changed(&t, &marks), 0);
         // One point update touches at most a root-to-leaf path of pages.
         t.remove(&250).unwrap();
         t.insert(250, 999).unwrap();
-        let delta = t.dump_image_since(fence);
-        assert!(!delta.pages.is_empty());
+        let n = changed(&t, &marks);
+        assert!(n > 0);
         assert!(
-            delta.changed_pages() <= 2 * t.pages().height(),
-            "point update dirtied {} of {} pages",
-            delta.changed_pages(),
+            n <= 2 * t.pages().height(),
+            "point update changed {n} of {} pages",
             t.pages().page_count()
         );
     }
@@ -2433,7 +2395,7 @@ mod tests {
             t.insert(k, k).unwrap();
         }
         let base = t.dump_image();
-        let fence = t.advance_epoch();
+        let marks = t.pages().marks();
         // A mixed workload: inserts (splits grow the slab), removals
         // (merges free pages), and value updates.
         for k in 400..480u32 {
@@ -2444,31 +2406,28 @@ mod tests {
         }
         t.remove(&399).unwrap();
         t.insert(399, 1).unwrap();
-        let delta = t.dump_image_since(fence);
-        assert!(delta.changed_pages() < delta.total_nodes);
-        assert_eq!(apply_delta(&base, &delta), t.dump_image());
+        assert!(changed(&t, &marks) < t.pages().slot_count());
+        assert_eq!(apply_changes(&base, &t, &marks), t.dump_image());
     }
 
     #[test]
-    fn delta_covers_pages_freed_since_fence() {
+    fn delta_covers_pages_freed_since_the_marks() {
         let mut t = tiny_tree();
         for k in 0..300u32 {
             t.insert(k, k).unwrap();
         }
         let base = t.dump_image();
-        let fence = t.advance_epoch();
+        let marks = t.pages().marks();
         for k in 0..300u32 {
             t.remove(&k).unwrap();
         }
-        let delta = t.dump_image_since(fence);
         assert!(
-            delta
-                .pages
-                .iter()
-                .any(|(_, p)| matches!(p, NodeImage::Free)),
+            t.pages()
+                .changed_since(&marks)
+                .any(|slot| matches!(t.pages().page(slot), PageRef::Free)),
             "mass deletion must report freed pages"
         );
-        let patched = apply_delta(&base, &delta);
+        let patched = apply_changes(&base, &t, &marks);
         assert_eq!(patched, t.dump_image());
         // The patched image adopts cleanly into a fresh tree.
         let mut r = tiny_tree();
@@ -2478,22 +2437,19 @@ mod tests {
     }
 
     #[test]
-    fn epochs_reset_on_adoption() {
+    fn adoption_changes_every_marked_page() {
         let mut t = tiny_tree();
         for k in 0..100u32 {
             t.insert(k, k).unwrap();
         }
         let img = t.dump_image();
         let mut r = tiny_tree();
-        let fence = r.advance_epoch();
+        let marks = r.pages().marks();
         r.adopt_image(img).unwrap();
-        // Every adopted page is dirty relative to the pre-adoption fence.
-        assert_eq!(
-            r.dump_image_since(fence).changed_pages(),
-            r.dump_image().nodes.len()
-        );
-        let fence = r.advance_epoch();
-        assert!(r.dump_image_since(fence).pages.is_empty());
+        // Every adopted page is changed relative to the pre-adoption marks.
+        assert_eq!(changed(&r, &marks), r.dump_image().nodes.len());
+        let marks = r.pages().marks();
+        assert_eq!(changed(&r, &marks), 0);
     }
 
     thread_local! {
@@ -2556,7 +2512,7 @@ mod tests {
         assert_eq!((live, stats.reads()), (before.3, before.3.pages_read));
 
         // Inserts that split, removals that borrow and merge.
-        let fence = t.advance_epoch();
+        let marks = t.pages().marks();
         VALUE_CLONES.with(|c| c.set(0));
         for k in (1..200u32).step_by(2).chain(400..480) {
             t.insert(k, Counted(k)).unwrap();
@@ -2571,7 +2527,7 @@ mod tests {
         assert!(!t.pages().free_slots().is_empty(), "merges freed pages");
         t.check_invariants().unwrap();
 
-        let written: BTreeSet<usize> = t.slots_since(fence).collect();
+        let written: BTreeSet<usize> = t.pages().changed_since(&marks).collect();
         let mut copied_entries = 0;
         for slot in 0..frozen.slot_count() {
             let shared = Arc::ptr_eq(&frozen.nodes[slot], &t.pages.nodes[slot]);

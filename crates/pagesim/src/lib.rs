@@ -32,7 +32,7 @@ pub mod error;
 pub mod stats;
 
 pub use btree::{
-    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageRef, PageSlab, TreeDelta,
+    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageMarks, PageRef, PageSlab,
     TreeImage,
 };
 pub use buffer::BufferPool;

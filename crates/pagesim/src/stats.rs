@@ -297,10 +297,10 @@ impl IoStats {
 
     /// Add a snapshot's totals into this counter's global tallies.
     ///
-    /// This is the cheap half of the sharding contract (see [`absorb`]
-    /// [`IoStats::absorb`]): worker threads count into private handles and
-    /// ship plain [`IoSnapshot`] values (which are `Send`) back to the
-    /// coordinator, which folds them in here when the scope joins.
+    /// This is the cheap half of the sharding contract (see
+    /// [`absorb`](IoStats::absorb)): worker threads count into private
+    /// handles and ship plain [`IoSnapshot`] values (which are `Send`) back
+    /// to the coordinator, which folds them in here when the scope joins.
     pub fn absorb_snapshot(&self, shard: &IoSnapshot) {
         self.reads.set(self.reads.get() + shard.reads);
         self.writes.set(self.writes.get() + shard.writes);
@@ -320,10 +320,10 @@ impl IoStats {
     /// private handle that never crosses threads, so the hot counting
     /// path stays free of atomics), then merges the shards into one
     /// aggregate when the scope joins.  Structures are matched by
-    /// `(kind, label)` — the same identity [`register_structure`]
-    /// [`IoStats::register_structure`] dedups on — and registered here on
-    /// first sight, so shard-local [`StructureId`]s never leak across
-    /// counters.
+    /// `(kind, label)` — the same identity
+    /// [`register_structure`](IoStats::register_structure) dedups on — and
+    /// registered here on first sight, so shard-local [`StructureId`]s
+    /// never leak across counters.
     pub fn absorb(&self, shard: &IoStats) {
         self.absorb_snapshot(&shard.snapshot());
         for io in shard.structures() {

@@ -1,11 +1,12 @@
 //! Property tests: the page-granular B+ tree behaves exactly like
 //! `std::collections::BTreeMap` under arbitrary operation sequences, while
-//! maintaining all structural invariants.
+//! maintaining all structural invariants; and a delta — the pages not
+//! shared with a mark — patches the marked image into the current one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use asr_pagesim::stats::IoStats;
-use asr_pagesim::BPlusTree;
+use asr_pagesim::{BPlusTree, NodeImage, PageSlab, TreeImage};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -141,5 +142,82 @@ proptest! {
             prop_assert_eq!(bulk.remove(&k), Some(k.wrapping_mul(31)));
         }
         bulk.check_invariants().unwrap();
+    }
+}
+
+/// `base` patched with the pages of `pages` in `changed`, under the
+/// current geometry — how a snapshot reader applies a delta.
+fn patch(
+    base: &TreeImage<u16, u32>,
+    pages: &PageSlab<u16, u32>,
+    changed: &BTreeSet<usize>,
+) -> TreeImage<u16, u32> {
+    let mut nodes = base.nodes.clone();
+    nodes.resize(pages.slot_count(), NodeImage::Free);
+    for &slot in changed {
+        nodes[slot] = pages.page(slot).to_image();
+    }
+    TreeImage {
+        root: pages.root_slot(),
+        height: pages.height(),
+        len: pages.len(),
+        free: pages.free_slots().to_vec(),
+        nodes,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Across several marks — each with a frozen version kept alive, one
+    /// frozen and dropped at once, or none — the pages changed since the
+    /// mark patch the marked image into the current one, and every other
+    /// page is the marked page.
+    #[test]
+    fn pages_not_shared_with_the_marks_patch_the_base(
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((any::<bool>(), any::<u16>()), 0..120), any::<u8>()),
+            3..7,
+        ),
+        leaf_cap in 2usize..6, inner_cap in 3usize..6,
+    ) {
+        let mut tree: BPlusTree<u16, u32> =
+            BPlusTree::with_capacities(leaf_cap, inner_cap, IoStats::new_handle());
+        let mut kept = Vec::new();
+        for (round, (batch, keep)) in rounds.into_iter().enumerate() {
+            let base = tree.dump_image();
+            let marks = tree.pages().marks();
+            match keep % 3 {
+                0 => kept.push((tree.freeze(), base.clone())),
+                1 => drop(tree.freeze()),
+                _ => {}
+            }
+            let mut wrote = false;
+            for (insert, k) in batch {
+                let k = k % 256;
+                wrote |= if insert {
+                    tree.insert(k, u32::from(k) * 8 + round as u32).is_ok()
+                } else {
+                    tree.remove(&k).is_some()
+                };
+            }
+            let now = tree.dump_image();
+            let changed: BTreeSet<usize> = tree.pages().changed_since(&marks).collect();
+            prop_assert!(wrote || changed.is_empty(), "no write, yet {changed:?} changed");
+            prop_assert!(now.nodes.len() >= base.nodes.len(), "slab never shrinks");
+            prop_assert_eq!(patch(&base, tree.pages(), &changed), now.clone());
+            for (slot, page) in now.nodes.iter().enumerate() {
+                if !changed.contains(&slot) {
+                    prop_assert_eq!(Some(page), base.nodes.get(slot), "slot {}", slot);
+                }
+            }
+        }
+        // The versions kept across later marks still hold what they froze.
+        for (version, image) in &kept {
+            version.check_invariants().unwrap();
+            let all: BTreeSet<usize> = (0..version.slot_count()).collect();
+            let empty = TreeImage { nodes: Vec::new(), ..image.clone() };
+            prop_assert_eq!(&patch(&empty, version, &all), image);
+        }
     }
 }

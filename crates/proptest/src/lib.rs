@@ -3,9 +3,10 @@
 //!
 //! The build environment is fully offline (no registry access), so the
 //! external `proptest` crate is replaced by this local implementation. It
-//! keeps the same *names and shapes* — the [`Strategy`] trait with
-//! `prop_map` / `prop_filter` / `prop_filter_map` / `prop_flat_map` /
-//! `boxed`, [`arbitrary::any`], range and tuple and `&str`-pattern
+//! keeps the same *names and shapes* — the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter`
+//! / `prop_filter_map` / `prop_flat_map` / `boxed`, [`arbitrary::any`],
+//! range and tuple and `&str`-pattern
 //! strategies, `collection::{vec, btree_set}`, `array::uniform4`, the
 //! [`proptest!`] / [`prop_oneof!`] / [`prop_assert!`] / [`prop_assert_eq!`]
 //! macros and [`test_runner::ProptestConfig`] — but generates inputs from a
