@@ -116,9 +116,7 @@ mod tests {
     use crate::testutil::figure2_base;
 
     fn oid_of(base: &ObjectBase, name: &str) -> Oid {
-        base.objects()
-            .find(|o| o.attribute("Name") == &Value::string(name))
-            .map(|o| o.oid)
+        base.find_by_attribute("Name", &Value::string(name))
             .unwrap_or_else(|| panic!("no object named {name}"))
     }
 

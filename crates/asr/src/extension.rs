@@ -106,9 +106,8 @@ mod tests {
     use asr_gom::{ObjectBase, Value};
 
     fn oid_of(base: &ObjectBase, name: &str) -> Option<Cell> {
-        base.objects()
-            .find(|o| o.attribute("Name") == &Value::string(name))
-            .map(|o| Some(Cell::Oid(o.oid)))
+        base.find_by_attribute("Name", &Value::string(name))
+            .map(|oid| Some(Cell::Oid(oid)))
             .unwrap_or_else(|| panic!("no object named {name}"))
     }
 

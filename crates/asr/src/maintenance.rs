@@ -432,9 +432,7 @@ mod tests {
     use std::rc::Rc;
 
     fn oid_of(base: &ObjectBase, name: &str) -> Oid {
-        base.objects()
-            .find(|o| o.attribute("Name") == &Value::string(name))
-            .map(|o| o.oid)
+        base.find_by_attribute("Name", &Value::string(name))
             .unwrap()
     }
 

@@ -478,9 +478,7 @@ mod tests {
     use asr_pagesim::IoStats;
 
     fn oid_of(base: &ObjectBase, name: &str) -> Oid {
-        base.objects()
-            .find(|o| o.attribute("Name") == &Value::string(name))
-            .map(|o| o.oid)
+        base.find_by_attribute("Name", &Value::string(name))
             .unwrap()
     }
 

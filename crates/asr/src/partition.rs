@@ -426,7 +426,11 @@ impl StoredPartition {
     /// [`Self::insert`] and [`Self::bulk_load`].  Any inconsistency
     /// (unknown row ids, cardinality mismatches, corrupt page layouts)
     /// yields a descriptive error and never panics.
-    pub(crate) fn restore(img: PartitionImage, stats: StatsHandle, label: &str) -> Result<Self> {
+    pub(crate) fn restore(
+        mut img: PartitionImage,
+        stats: StatsHandle,
+        label: &str,
+    ) -> Result<Self> {
         let corrupt = |msg: String| AsrError::Snapshot(format!("partition image: {msg}"));
         if img.from >= img.to {
             return Err(corrupt(format!("bad span ({}, {})", img.from, img.to)));
@@ -434,7 +438,6 @@ impl StoredPartition {
         let mut p = StoredPartition::new(img.from, img.to, stats);
         p.tag(label);
         let arity = p.arity();
-        let mut by_rowid: HashMap<u64, &Row> = HashMap::with_capacity(img.rows.len());
         for (row, rowid, count) in &img.rows {
             if row.arity() != arity {
                 return Err(corrupt(format!("row {row} has arity {}", row.arity())));
@@ -445,6 +448,10 @@ impl StoredPartition {
             if *rowid >= img.next_rowid {
                 return Err(corrupt(format!("row id {rowid} >= next_rowid")));
             }
+        }
+        allocate_in_backward_order(&mut img.rows);
+        let mut by_rowid: HashMap<u64, &Row> = HashMap::with_capacity(img.rows.len());
+        for (row, rowid, _) in &img.rows {
             if by_rowid.insert(*rowid, row).is_some() {
                 return Err(corrupt(format!("row id {rowid} appears twice")));
             }
@@ -475,10 +482,6 @@ impl StoredPartition {
             )));
         }
         p.next_rowid = img.next_rowid;
-        // A freshly restored partition is fully dirty relative to the
-        // empty default marks; the loader calls `mark_clean` once the whole
-        // database is attached, making the snapshot itself the base.
-        p.changes.dirty_rows = p.rows.values().map(|m| m.rowid).collect();
         // Price the restore: pulling each tree's serialized pages in from
         // the snapshot, attributed per tree (at least one page each).
         p.fwd.charge_restore_reads(restore_pages(img.fwd_bytes));
@@ -489,7 +492,7 @@ impl StoredPartition {
     /// The partition's logical content read off the uncharged row mirror,
     /// in no particular order — the restore path's counterpart of
     /// [`Self::to_relation`], which scans the tree and charges pages.
-    pub(crate) fn mirror_rows(&self) -> impl Iterator<Item = &Row> {
+    pub fn mirror_rows(&self) -> impl Iterator<Item = &Row> {
         self.rows.keys()
     }
 
@@ -926,6 +929,24 @@ impl RawTreeImage {
             free: self.free.clone(),
             nodes,
         })
+    }
+}
+
+/// Give each row of a restored image a fresh allocation, made in
+/// backward clustering order (last cell, then image order) before any old
+/// one is freed.  The image lists rows by row id, so they were parsed in
+/// forward order; the backward span walks that follow a restart (three
+/// quarters of the query mixes) then visit rows in the order they sit in
+/// memory.
+fn allocate_in_backward_order(rows: &mut [(Row, u64, u64)]) {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| rows[a].0.last().cmp(rows[b].0.last()));
+    let fresh: Vec<Row> = order
+        .iter()
+        .map(|&k| Row::from(rows[k].0.cells()))
+        .collect();
+    for (k, row) in order.into_iter().zip(fresh) {
+        rows[k].0 = row;
     }
 }
 

@@ -1629,18 +1629,7 @@ mod tests {
         let db = sample_db();
         let mut restored = Database::load_from_string(&db.save_to_string()).unwrap();
         // Apply a maintained update post-restore.
-        let pepper = restored
-            .base()
-            .objects()
-            .find(|o| o.attribute("Name") == &Value::string("Pepper"))
-            .map(|o| o.oid)
-            .unwrap();
-        let sec_set = restored
-            .base()
-            .objects()
-            .find(|o| o.attribute("Name") == &Value::string("560 SEC"))
-            .and_then(|o| o.attribute("Composition").as_ref_oid())
-            .unwrap();
+        let (sec_set, pepper) = sec_composition(&restored);
         restored
             .insert_into_set(sec_set, Value::Ref(pepper))
             .unwrap();
@@ -1825,17 +1814,14 @@ mod tests {
     fn sec_composition(db: &Database) -> (Oid, Oid) {
         let pepper = db
             .base()
-            .objects()
-            .find(|o| o.attribute("Name") == &Value::string("Pepper"))
-            .map(|o| o.oid)
+            .find_by_attribute("Name", &Value::string("Pepper"))
             .unwrap();
-        let set = db
+        let sec = db
             .base()
-            .objects()
-            .find(|o| o.attribute("Name") == &Value::string("560 SEC"))
-            .and_then(|o| o.attribute("Composition").as_ref_oid())
+            .find_by_attribute("Name", &Value::string("560 SEC"))
             .unwrap();
-        (set, pepper)
+        let set = db.base().deref_attribute(sec, "Composition").unwrap();
+        (set.unwrap(), pepper)
     }
 
     /// Figure 2 grown by `extra` additional base parts in the 560 SEC

@@ -1,23 +1,26 @@
 //! Rows (tuples) of access support relations.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cell::Cell;
 
 /// A relation tuple: a fixed-arity sequence of optional cells, where `None`
-/// is the paper's `NULL`.
+/// is the paper's `NULL`.  The cells are one immutable shared allocation,
+/// so a clone is a reference-count bump: a stored partition's mirror and
+/// both of its clustering trees hold the same row.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Row(Vec<Option<Cell>>);
+pub struct Row(Arc<[Option<Cell>]>);
 
 impl Row {
     /// Construct a row from its cells.
     pub fn new(cells: Vec<Option<Cell>>) -> Self {
-        Row(cells)
+        Row(cells.into())
     }
 
     /// A row of `arity` NULLs.
     pub fn nulls(arity: usize) -> Self {
-        Row(vec![None; arity])
+        Row::new(vec![None; arity])
     }
 
     /// Number of columns.
@@ -53,16 +56,14 @@ impl Row {
     /// Project onto the inclusive column range `[from, to]` — the paper's
     /// partition `[S_from, …, S_to]`.
     pub fn project(&self, from: usize, to: usize) -> Row {
-        Row(self.0[from..=to].to_vec())
+        Row::from(&self.0[from..=to])
     }
 
     /// Concatenate with another row, fusing the shared boundary column
     /// (this row's last column equals `other`'s first): the result is
     /// `self ++ other[1..]`.
     pub fn join_concat(&self, other: &Row) -> Row {
-        let mut cells = self.0.clone();
-        cells.extend_from_slice(&other.0[1..]);
-        Row(cells)
+        Row(self.0.iter().chain(&other.0[1..]).cloned().collect())
     }
 
     /// Number of leading NULL columns.
@@ -105,6 +106,13 @@ impl fmt::Display for Row {
 impl From<Vec<Option<Cell>>> for Row {
     fn from(cells: Vec<Option<Cell>>) -> Self {
         Row::new(cells)
+    }
+}
+
+impl From<&[Option<Cell>]> for Row {
+    /// A copy of `cells` in a fresh allocation.
+    fn from(cells: &[Option<Cell>]) -> Self {
+        Row(cells.into())
     }
 }
 

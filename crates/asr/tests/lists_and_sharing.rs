@@ -251,11 +251,14 @@ fn shared_content_stays_identical_under_updates() {
         .unwrap();
 
     // Update inside the shared segment: add a part to the product.
+    let sec = db
+        .base()
+        .find_by_attribute("Name", &Value::string("560 SEC"))
+        .unwrap();
     let parts_set = db
         .base()
-        .objects()
-        .find(|o| o.attribute("Name") == &Value::string("560 SEC"))
-        .and_then(|o| o.attribute("Composition").as_ref_oid())
+        .deref_attribute(sec, "Composition")
+        .unwrap()
         .unwrap();
     let hinge = db.instantiate("BasePart").unwrap();
     db.set_attribute(hinge, "Name", Value::string("Hinge"))

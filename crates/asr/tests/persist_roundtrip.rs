@@ -215,7 +215,8 @@ proptest! {
                     let targets: Vec<Cell> = if j == n {
                         db.base()
                             .objects()
-                            .filter_map(|o| Cell::from_gom(o.attribute("Name")))
+                            .filter_map(|o| db.base().get_attribute(o.oid, "Name").ok())
+                            .filter_map(Cell::from_gom_owned)
                             .collect()
                     } else {
                         let TypeRef::Named(tj) = path.type_at(j) else { unreachable!() };

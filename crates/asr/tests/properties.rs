@@ -254,7 +254,8 @@ proptest! {
                             .flat_map(|_| Vec::new())
                             .chain(
                                 base.objects()
-                                    .filter_map(|o| Cell::from_gom(o.attribute("Name"))),
+                                    .filter_map(|o| base.get_attribute(o.oid, "Name").ok())
+                                    .filter_map(Cell::from_gom_owned),
                             )
                             .collect()
                     } else {

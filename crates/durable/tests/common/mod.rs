@@ -439,7 +439,7 @@ pub fn assert_equivalent(recovered: &Database, oracle: &Database, ctx: &str) {
         .base()
         .objects()
         .filter(|o| oracle.base().schema().name(o.ty) == "BasePart")
-        .map(|o| o.attribute("Name").clone())
+        .map(|o| oracle.base().get_attribute(o.oid, "Name").unwrap())
         .filter(|v| *v != Value::Null)
         .collect();
     for ((rid, ra), (oid, oa)) in rec.iter().zip(ora.iter()) {

@@ -57,11 +57,6 @@ impl ObjectBase {
         &self.schema
     }
 
-    /// Mutable schema access (for incremental schema evolution).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
-    }
-
     /// Total number of living objects.
     pub fn object_count(&self) -> usize {
         self.objects.len()
@@ -77,21 +72,25 @@ impl ObjectBase {
     /// (Section 2, *instantiation*).
     pub fn instantiate(&mut self, type_name: &str) -> Result<Oid> {
         let ty = self.schema.require(type_name)?;
-        self.instantiate_id(ty)
+        self.schema.def(ty)?; // an undefined type takes no OID
+        let oid = self.oidgen.fresh();
+        self.insert_fresh(oid, ty)?;
+        Ok(oid)
     }
 
-    /// Instantiate by [`TypeId`].
-    pub fn instantiate_id(&mut self, ty: TypeId) -> Result<Oid> {
-        let def = self.schema.def(ty)?;
-        let oid = self.oidgen.fresh();
-        let object = match &def.kind {
-            TypeKind::Tuple { .. } => Object::new_tuple(oid, ty),
+    /// File a fresh instance of `ty` under `oid`.
+    fn insert_fresh(&mut self, oid: Oid, ty: TypeId) -> Result<()> {
+        let object = match &self.schema.def(ty)?.kind {
+            TypeKind::Tuple { .. } => {
+                let slots = self.schema.layout(ty).map_or(0, <[_]>::len);
+                Object::new_tuple(oid, ty, slots)
+            }
             TypeKind::Set { .. } => Object::new_set(oid, ty),
             TypeKind::List { .. } => Object::new_list(oid, ty),
         };
         self.objects.insert(oid, object);
         self.extents.entry(ty).or_default().push(oid);
-        Ok(oid)
+        Ok(())
     }
 
     /// Re-create an object with a **specific** OID — snapshot restoration
@@ -103,15 +102,7 @@ impl ObjectBase {
                 "object {oid} already exists"
             )));
         }
-        let ty = self.schema.require(type_name)?;
-        let def = self.schema.def(ty)?;
-        let object = match &def.kind {
-            TypeKind::Tuple { .. } => Object::new_tuple(oid, ty),
-            TypeKind::Set { .. } => Object::new_set(oid, ty),
-            TypeKind::List { .. } => Object::new_list(oid, ty),
-        };
-        self.objects.insert(oid, object);
-        self.extents.entry(ty).or_default().push(oid);
+        self.insert_fresh(oid, self.schema.require(type_name)?)?;
         if self.oidgen.issued() <= oid.as_raw() {
             self.oidgen = OidGenerator::starting_at(oid.as_raw() + 1);
         }
@@ -129,10 +120,8 @@ impl ObjectBase {
         if let Some(extent) = self.extents.get_mut(&obj.ty) {
             extent.retain(|&o| o != oid);
         }
-        if let ObjectBody::Tuple(attrs) = &obj.body {
-            for target in attrs.values().filter_map(Value::as_ref_oid) {
-                self.referrers.remove(&(target, oid));
-            }
+        for target in obj.slots().iter().filter_map(Value::as_ref_oid) {
+            self.referrers.remove(&(target, oid));
         }
         Ok(())
     }
@@ -160,9 +149,24 @@ impl ObjectBase {
     /// Returns `NULL` for never-assigned attributes.
     pub fn get_attribute(&self, oid: Oid, attr: &str) -> Result<Value> {
         let obj = self.object(oid)?;
-        // Validate the attribute exists on the type (catches typos).
-        self.schema.attribute_type(obj.ty, attr)?;
-        Ok(obj.attribute(attr).clone())
+        let (slot, _) = self.schema.slot(obj.ty, attr)?;
+        Ok(obj.slots()[slot].clone())
+    }
+
+    /// The first object, in OID order, whose tuple attribute `attr`
+    /// holds `value`.
+    pub fn find_by_attribute(&self, attr: &str, value: &Value) -> Option<Oid> {
+        self.objects()
+            .find(|o| {
+                // Sets and lists have no layout: skip them before `slot`
+                // works out the error it would report.
+                self.schema.layout(o.ty).is_some()
+                    && self
+                        .schema
+                        .slot(o.ty, attr)
+                        .is_ok_and(|(slot, _)| o.slots()[slot] == *value)
+            })
+            .map(|o| o.oid)
     }
 
     /// Iterate over all objects (ascending OID order — deterministic).
@@ -179,15 +183,12 @@ impl ObjectBase {
             .range((target, Oid::from_raw(0))..=(target, Oid::from_raw(u64::MAX)))
             .filter_map(|(_, owner)| self.objects.get(owner))
             .flat_map(move |obj| {
-                let attrs = match &obj.body {
-                    ObjectBody::Tuple(attrs) => Some(attrs),
-                    _ => None,
-                };
-                attrs
-                    .into_iter()
-                    .flatten()
+                let layout = self.schema.layout(obj.ty).unwrap_or_default();
+                layout
+                    .iter()
+                    .zip(obj.slots())
                     .filter(move |(_, value)| **value == Value::Ref(target))
-                    .map(|(attr, _)| (obj.oid, attr.as_str()))
+                    .map(|(attr, _)| (obj.oid, attr.name.as_str()))
             })
     }
 
@@ -216,24 +217,19 @@ impl ObjectBase {
     /// attribute's declared upper bound.  Assigning `NULL` always succeeds.
     pub fn set_attribute(&mut self, oid: Oid, attr: &str, value: Value) -> Result<()> {
         let ty = self.type_of(oid)?;
-        let declared = self.schema.attribute_type(ty, attr)?;
-        self.check_conformance(&value, declared)?;
+        let (slot, declared) = self.schema.slot(ty, attr)?;
+        self.check_conformance(&value, declared.ty)?;
         let obj = self
             .objects
             .get_mut(&oid)
             .ok_or(GomError::UnknownObject(oid))?;
         match &mut obj.body {
-            ObjectBody::Tuple(attrs) => {
+            ObjectBody::Tuple(slots) => {
                 let new_ref = value.as_ref_oid();
-                let old = if value.is_null() {
-                    attrs.remove(attr)
-                } else {
-                    attrs.insert(attr.to_string(), value)
-                };
-                let old_ref = old.as_ref().and_then(Value::as_ref_oid);
+                let old_ref = std::mem::replace(&mut slots[slot], value).as_ref_oid();
                 if old_ref != new_ref {
                     if let Some(target) = old_ref {
-                        let still_held = attrs.values().any(|v| v.as_ref_oid() == Some(target));
+                        let still_held = slots.iter().any(|v| v.as_ref_oid() == Some(target));
                         if !still_held {
                             self.referrers.remove(&(target, oid));
                         }

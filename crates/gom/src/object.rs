@@ -4,7 +4,6 @@
 //! identifier, `v` the object value and `t` the type of the object
 //! (Section 2.2 of the paper).
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use crate::oid::Oid;
@@ -15,9 +14,9 @@ use crate::value::Value;
 /// outermost type constructor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjectBody {
-    /// Tuple object: a mapping from attribute names to values.  Attributes
-    /// not present in the map are `NULL` (they are materialized lazily).
-    Tuple(BTreeMap<String, Value>),
+    /// Tuple object: one value per slot of its type's layout
+    /// ([`crate::Schema::layout`]), `NULL` included.
+    Tuple(Box<[Value]>),
     /// Set object: an unordered, duplicate-free collection.
     Set(BTreeSet<Value>),
     /// List object: an ordered collection (duplicates allowed).
@@ -37,7 +36,7 @@ impl ObjectBody {
     /// Number of elements (set/list) or non-NULL attributes (tuple).
     pub fn len(&self) -> usize {
         match self {
-            ObjectBody::Tuple(m) => m.values().filter(|v| !v.is_null()).count(),
+            ObjectBody::Tuple(slots) => slots.iter().filter(|v| !v.is_null()).count(),
             ObjectBody::Set(s) => s.len(),
             ObjectBody::List(l) => l.len(),
         }
@@ -61,12 +60,12 @@ pub struct Object {
 }
 
 impl Object {
-    /// A fresh tuple object with all attributes `NULL`.
-    pub fn new_tuple(oid: Oid, ty: TypeId) -> Self {
+    /// A fresh tuple object with all `slots` attributes `NULL`.
+    pub fn new_tuple(oid: Oid, ty: TypeId, slots: usize) -> Self {
         Object {
             oid,
             ty,
-            body: ObjectBody::Tuple(BTreeMap::new()),
+            body: ObjectBody::Tuple(vec![Value::Null; slots].into()),
         }
     }
 
@@ -88,11 +87,11 @@ impl Object {
         }
     }
 
-    /// Attribute value, treating absent attributes as `NULL`.
-    pub fn attribute(&self, name: &str) -> &Value {
+    /// The attribute slots of a tuple object (empty for sets and lists).
+    pub fn slots(&self) -> &[Value] {
         match &self.body {
-            ObjectBody::Tuple(attrs) => attrs.get(name).unwrap_or(&Value::Null),
-            _ => &Value::Null,
+            ObjectBody::Tuple(slots) => slots,
+            _ => &[],
         }
     }
 
@@ -109,22 +108,10 @@ impl Object {
     /// set/list elements that are references).
     pub fn referenced_oids(&self) -> Vec<Oid> {
         match &self.body {
-            ObjectBody::Tuple(attrs) => attrs.values().filter_map(Value::as_ref_oid).collect(),
+            ObjectBody::Tuple(slots) => slots.iter().filter_map(Value::as_ref_oid).collect(),
             ObjectBody::Set(s) => s.iter().filter_map(Value::as_ref_oid).collect(),
             ObjectBody::List(l) => l.iter().filter_map(Value::as_ref_oid).collect(),
         }
-    }
-
-    /// Approximate stored size of the object's value in bytes (used as the
-    /// default when no per-type `size_i` is configured in the simulator).
-    pub fn stored_size(&self) -> usize {
-        let payload: usize = match &self.body {
-            ObjectBody::Tuple(attrs) => attrs.iter().map(|(k, v)| k.len() + v.stored_size()).sum(),
-            ObjectBody::Set(s) => s.iter().map(Value::stored_size).sum(),
-            ObjectBody::List(l) => l.iter().map(Value::stored_size).sum(),
-        };
-        // OID + type tag overhead.
-        payload + 12
     }
 }
 
@@ -138,24 +125,24 @@ mod tests {
 
     #[test]
     fn fresh_tuple_attributes_are_null() {
-        let o = Object::new_tuple(oid(1), TypeId::from_index(0));
-        assert!(o.attribute("anything").is_null());
+        let o = Object::new_tuple(oid(1), TypeId::from_index(0), 3);
+        assert_eq!(o.slots(), &[Value::Null, Value::Null, Value::Null]);
         assert_eq!(o.body.len(), 0);
         assert!(o.body.is_empty());
     }
 
     #[test]
     fn elements_of_tuple_is_empty() {
-        let o = Object::new_tuple(oid(1), TypeId::from_index(0));
+        let o = Object::new_tuple(oid(1), TypeId::from_index(0), 2);
         assert_eq!(o.elements().count(), 0);
     }
 
     #[test]
     fn referenced_oids_finds_refs_everywhere() {
-        let mut o = Object::new_tuple(oid(1), TypeId::from_index(0));
-        if let ObjectBody::Tuple(attrs) = &mut o.body {
-            attrs.insert("a".into(), Value::Ref(oid(7)));
-            attrs.insert("b".into(), Value::Integer(3));
+        let mut o = Object::new_tuple(oid(1), TypeId::from_index(0), 2);
+        if let ObjectBody::Tuple(slots) = &mut o.body {
+            slots[0] = Value::Ref(oid(7));
+            slots[1] = Value::Integer(3);
         }
         assert_eq!(o.referenced_oids(), vec![oid(7)]);
 
@@ -168,19 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn stored_size_grows_with_content() {
-        let empty = Object::new_tuple(oid(1), TypeId::from_index(0));
-        let mut full = empty.clone();
-        if let ObjectBody::Tuple(attrs) = &mut full.body {
-            attrs.insert("Name".into(), Value::string("R2D2"));
-        }
-        assert!(full.stored_size() > empty.stored_size());
-    }
-
-    #[test]
     fn structure_names() {
         assert_eq!(
-            Object::new_tuple(oid(1), TypeId::from_index(0))
+            Object::new_tuple(oid(1), TypeId::from_index(0), 0)
                 .body
                 .structure(),
             "tuple"

@@ -88,7 +88,7 @@ impl PathExpression {
         while let Some(attr) = attrs.next() {
             rendered.push('.');
             rendered.push_str(attr);
-            let declared = schema.attribute_type(domain, attr)?;
+            let declared = schema.slot(domain, attr)?.1.ty;
             let step = match declared {
                 TypeRef::Atomic(a) => {
                     if attrs.peek().is_some() {

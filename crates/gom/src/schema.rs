@@ -21,6 +21,9 @@ pub struct Schema {
     defs: Vec<Option<TypeDef>>,
     names: Vec<String>,
     by_name: HashMap<String, TypeId>,
+    /// [`Schema::layout`] of every type, indexed by type id and rebuilt
+    /// by every definition.
+    layouts: Vec<Option<Vec<AttrDef>>>,
 }
 
 impl Schema {
@@ -139,6 +142,18 @@ impl Schema {
             name: name.to_string(),
             kind,
         });
+        // A definition can give types defined before it inherited
+        // attributes (or resolve their forward-declared supertypes).
+        self.layouts = (0..self.defs.len())
+            .map(|i| {
+                let tuple = self.defs[i].as_ref().is_some_and(|d| d.kind.is_tuple());
+                let mut attrs = tuple
+                    .then(|| self.all_attributes(TypeId::from_index(i)).ok())
+                    .flatten()?;
+                attrs.sort_by(|a, b| a.name.cmp(&b.name));
+                Some(attrs)
+            })
+            .collect();
         Ok(id)
     }
 
@@ -214,16 +229,36 @@ impl Schema {
     /// type's own attributes.  Detects name clashes arising from multiple
     /// inheritance.
     pub fn all_attributes(&self, id: TypeId) -> Result<Vec<AttrDef>> {
-        Ok(self.attribute_refs(id)?.into_iter().cloned().collect())
-    }
-
-    /// [`Schema::all_attributes`] by reference: what per-update lookups
-    /// walk, so that finding one attribute clones no name.
-    fn attribute_refs(&self, id: TypeId) -> Result<Vec<&AttrDef>> {
         let mut out = Vec::new();
         let mut visited = vec![false; self.defs.len()];
         self.collect_attributes(id, &mut out, &mut visited, &mut Vec::new())?;
-        Ok(out)
+        Ok(out.into_iter().cloned().collect())
+    }
+
+    /// The slot layout of tuple type `id`: its flattened attributes
+    /// sorted by name (the order the snapshot writer emits), the one in
+    /// slot `k` of every instance at index `k`.  `None` for set and list
+    /// types and for tuple types whose attributes do not resolve.
+    pub fn layout(&self, id: TypeId) -> Option<&[AttrDef]> {
+        self.layouts.get(id.index())?.as_deref()
+    }
+
+    /// The slot of attribute `attr` (inherited ones included) in
+    /// instances of tuple type `id`, with its definition (whose `ty` is
+    /// the attribute's declared domain).
+    pub fn slot(&self, id: TypeId, attr: &str) -> Result<(usize, &AttrDef)> {
+        let found = match self.layout(id) {
+            Some(layout) => layout
+                .binary_search_by(|a| a.name.as_str().cmp(attr))
+                .ok()
+                .map(|slot| (slot, &layout[slot])),
+            // No layout: report what keeps the type from having one.
+            None => self.all_attributes(id).map(|_| None)?,
+        };
+        found.ok_or_else(|| GomError::UnknownAttribute {
+            ty: self.name(id).to_string(),
+            attr: attr.to_string(),
+        })
     }
 
     fn collect_attributes<'a>(
@@ -264,19 +299,6 @@ impl Schema {
         }
         stack.pop();
         Ok(())
-    }
-
-    /// The declared domain of attribute `attr` on tuple type `id`
-    /// (searching supertypes).
-    pub fn attribute_type(&self, id: TypeId, attr: &str) -> Result<TypeRef> {
-        self.attribute_refs(id)?
-            .into_iter()
-            .find(|a| a.name == attr)
-            .map(|a| a.ty)
-            .ok_or_else(|| GomError::UnknownAttribute {
-                ty: self.name(id).to_string(),
-                attr: attr.to_string(),
-            })
     }
 
     /// Reflexive-transitive subtype test: is `sub` a subtype of `sup`?
@@ -361,10 +383,10 @@ mod tests {
     fn attribute_lookup() {
         let s = robot_schema();
         let robot = s.resolve("ROBOT").unwrap();
-        let arm_ty = s.attribute_type(robot, "Arm").unwrap();
+        let arm_ty = s.slot(robot, "Arm").unwrap().1.ty;
         assert_eq!(s.ref_name(arm_ty), "ARM");
         assert!(matches!(
-            s.attribute_type(robot, "Wheels"),
+            s.slot(robot, "Wheels"),
             Err(GomError::UnknownAttribute { .. })
         ));
     }
@@ -421,7 +443,7 @@ mod tests {
             vec!["Speed", "Doors"]
         );
         // Inherited attribute resolves through the subtype.
-        assert!(s.attribute_type(car, "Speed").is_ok());
+        assert!(s.slot(car, "Speed").is_ok());
     }
 
     #[test]
@@ -441,6 +463,33 @@ mod tests {
             attrs.iter().map(|a| a.name.as_str()).collect::<Vec<_>>(),
             vec!["Name", "Price", "Serial", "Weight"]
         );
+    }
+
+    #[test]
+    fn layouts_flatten_inheritance_into_name_ordered_slots() {
+        let mut s = Schema::new();
+        // CAR is defined before its supertype: its layout appears once
+        // VEHICLE is defined.
+        s.define_tuple_sub("CAR", ["VEHICLE"], [("Doors", "INTEGER")])
+            .unwrap();
+        let car = s.resolve("CAR").unwrap();
+        assert!(s.layout(car).is_none());
+        s.define_tuple("VEHICLE", [("Speed", "INTEGER"), ("Brand", "STRING")])
+            .unwrap();
+        let names: Vec<&str> = s
+            .layout(car)
+            .unwrap()
+            .iter()
+            .map(|a| a.name.as_str())
+            .collect();
+        assert_eq!(names, ["Brand", "Doors", "Speed"]);
+        assert_eq!(s.slot(car, "Speed").unwrap().0, 2);
+        assert!(matches!(
+            s.slot(car, "Wheels"),
+            Err(GomError::UnknownAttribute { .. })
+        ));
+        s.define_set("CARS", "CAR").unwrap();
+        assert!(s.layout(s.resolve("CARS").unwrap()).is_none());
     }
 
     #[test]

@@ -278,13 +278,16 @@ pub fn write_object_line(out: &mut String, schema: &Schema, obj: &Object) {
     out.push(' ');
     escape_into(out, schema.name(obj.ty));
     match &obj.body {
-        ObjectBody::Tuple(attrs) => {
+        ObjectBody::Tuple(slots) => {
             out.push_str(" TUPLE");
-            for (k, v) in attrs {
-                out.push(' ');
-                escape_into(out, k);
-                out.push('=');
-                encode_value_into(out, v);
+            let layout = schema.layout(obj.ty).unwrap_or_default();
+            for (attr, value) in layout.iter().zip(slots.iter()) {
+                if !value.is_null() {
+                    out.push(' ');
+                    escape_into(out, &attr.name);
+                    out.push('=');
+                    encode_value_into(out, value);
+                }
             }
         }
         ObjectBody::Set(elems) => push_elements(out, " SET", elems),

@@ -104,19 +104,6 @@ impl Value {
             Value::Null | Value::Ref(_) => None,
         }
     }
-
-    /// Approximate stored size of the value in bytes.  References and
-    /// numeric values occupy 8 bytes (= `OIDsize`); strings occupy their
-    /// UTF-8 length.  Used by the page simulator for clustered object files.
-    pub fn stored_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Integer(_) | Value::Float(_) | Value::Decimal(_) | Value::Ref(_) => 8,
-            Value::Char(_) => 4,
-            Value::Bool(_) => 1,
-            Value::String(s) => s.len(),
-        }
-    }
 }
 
 impl PartialOrd for Value {
@@ -267,11 +254,5 @@ mod tests {
         );
         assert!(Value::Null.is_null());
         assert_eq!(Value::string("x").as_integer(), None);
-    }
-
-    #[test]
-    fn stored_sizes() {
-        assert_eq!(Value::Ref(Oid::from_raw(0)).stored_size(), 8);
-        assert_eq!(Value::string("abcd").stored_size(), 4);
     }
 }

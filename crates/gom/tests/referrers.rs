@@ -2,7 +2,7 @@
 //! any sequence of mutations, snapshot round trips and clones,
 //! `referrers(x)` lists exactly the tuple attributes holding `Ref(x)`.
 
-use asr_gom::{snapshot, ObjectBase, ObjectBody, Oid, Schema, Value};
+use asr_gom::{snapshot, ObjectBase, Oid, Schema, Value};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -28,11 +28,10 @@ fn schema() -> Schema {
 fn scan(base: &ObjectBase, target: Oid) -> Vec<(Oid, String)> {
     let mut out = Vec::new();
     for obj in base.objects() {
-        if let ObjectBody::Tuple(attrs) = &obj.body {
-            for (attr, value) in attrs {
-                if *value == Value::Ref(target) {
-                    out.push((obj.oid, attr.clone()));
-                }
+        let layout = base.schema().layout(obj.ty).unwrap_or_default();
+        for (attr, value) in layout.iter().zip(obj.slots()) {
+            if *value == Value::Ref(target) {
+                out.push((obj.oid, attr.name.clone()));
             }
         }
     }

@@ -214,10 +214,7 @@ fn indexed_predicate_respects_updates() {
     let door = ex
         .db
         .base()
-        .objects()
-        .filter(|o| o.attribute("Name") == &Value::string("Door"))
-        .map(|o| o.oid)
-        .min()
+        .find_by_attribute("Name", &Value::string("Door"))
         .unwrap();
     ex.db
         .set_attribute(door, "Name", Value::string("Hatch"))

@@ -74,9 +74,7 @@ fn script_and_oracle() -> (Vec<RequestBody>, Database) {
         .expect("set");
     let product = oracle
         .base()
-        .objects()
-        .find(|o| o.attribute("Name") == &Value::string("560 SEC"))
-        .map(|o| o.oid)
+        .find_by_attribute("Name", &Value::string("560 SEC"))
         .expect("560 SEC product exists");
     oracle
         .insert_into_attr_set(product, "Composition", Value::Ref(new_part))

@@ -26,9 +26,7 @@ impl ExampleDb {
     pub fn by_name(&self, name: &str) -> Option<Oid> {
         self.db
             .base()
-            .objects()
-            .find(|o| o.attribute("Name") == &Value::string(name))
-            .map(|o| o.oid)
+            .find_by_attribute("Name", &Value::string(name))
     }
 }
 

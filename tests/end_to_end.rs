@@ -182,9 +182,7 @@ fn robot_scenario_with_shared_subobjects() {
     let gripper = ex
         .db
         .base()
-        .objects()
-        .find(|o| o.attribute("Function") == &Value::string("gripping"))
-        .map(|o| o.oid)
+        .find_by_attribute("Function", &Value::string("gripping"))
         .unwrap();
     let local = ex.db.instantiate("MANUFACTURER").unwrap();
     ex.db
