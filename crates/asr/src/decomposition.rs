@@ -9,8 +9,10 @@
 //! same join flavour that defined the extension recovers the original
 //! relation exactly.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::iter::repeat_n;
+use std::ops::Range;
 
 use crate::cell::Cell;
 use crate::error::{AsrError, Result};
@@ -159,8 +161,12 @@ impl Decomposition {
     }
 
     /// [`Decomposition::reassemble`] over borrowed rows, one slice per
-    /// partition — what a stored ASR's row mirrors hand over without
-    /// being copied into [`Relation`]s first.
+    /// partition — what a stored ASR's clustering trees hand over without
+    /// being copied into [`Relation`]s first.  Each partition's rows
+    /// should come in the order of the cell a path enters them through:
+    /// first cell (the forward tree's clustering), or last cell for the
+    /// right-complete extension (the backward tree's); rows in any other
+    /// order are sorted first.
     ///
     /// One walk instead of a fold of joins.  The fold joins the
     /// partitions in order (right to left for the right-complete
@@ -213,8 +219,12 @@ impl Decomposition {
             width: self.m() + 1,
         };
         // Partitions in the fold's order.
-        let mut stages: Vec<Stage<'_>> = parts.iter().map(|rows| walk.stage(rows)).collect();
         let mut spans: Vec<(usize, usize)> = self.partitions().collect();
+        let mut stages: Vec<Stage> = parts
+            .iter()
+            .zip(&spans)
+            .map(|(rows, &(from, to))| walk.stage(rows, to - from + 1))
+            .collect();
         if backward {
             stages.reverse();
             spans.reverse();
@@ -227,14 +237,13 @@ impl Decomposition {
         for k in 0..starting {
             let (walked, ahead) = stages.split_at_mut(k + 1);
             let stage = &walked[k];
-            for (at, &row) in stage.rows.iter().enumerate() {
+            for at in 0..stage.len() {
                 if k > 0 && stage.reached[at] {
                     continue;
                 }
                 prefix.clear();
                 prefix.resize(lead, None);
-                prefix.push(walk.entry(row).clone());
-                walk.push_tail(&mut prefix, row);
+                prefix.extend_from_slice(stage.row(at));
                 walk.extend(&mut prefix, ahead, &mut out);
             }
             lead += spans[k].1 - spans[k].0;
@@ -243,17 +252,48 @@ impl Decomposition {
     }
 }
 
-/// End of a [`Stage`] chain.
-const END: usize = usize::MAX;
-
-/// One partition as the walk sees it: its rows, chained by entry cell
-/// (`head[cell]` is the first row entered through `cell`, `next[at]` the
-/// one after row `at`), and which of them a path has reached.
-struct Stage<'a> {
-    rows: Vec<&'a Row>,
-    head: HashMap<&'a Cell, usize>,
-    next: Vec<usize>,
+/// One partition as the walk sees it: its rows in entry-cell order, each
+/// turned to walk order (entry cell first), their cells copied into one
+/// buffer so the walk never chases a row pointer; the rows a path enters
+/// through one cell are one run, found by binary search.  `reached`
+/// records which rows a path has reached.
+struct Stage {
+    /// Cells per row.
+    arity: usize,
+    cells: Vec<Option<Cell>>,
     reached: Vec<bool>,
+}
+
+impl Stage {
+    fn len(&self) -> usize {
+        self.reached.len()
+    }
+
+    /// Row `at`'s cells in walk order.
+    fn row(&self, at: usize) -> &[Option<Cell>] {
+        &self.cells[at * self.arity..(at + 1) * self.arity]
+    }
+
+    fn entry(&self, at: usize) -> Option<&Cell> {
+        self.cells[at * self.arity].as_ref()
+    }
+
+    /// The rows entered through `cell`.
+    fn run(&self, cell: &Cell) -> Range<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.entry(mid) < Some(cell) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let end = (lo..self.len())
+            .find(|&at| self.entry(at) != Some(cell))
+            .unwrap_or(self.len());
+        lo..end
+    }
 }
 
 /// The shape of one reassembly walk (see
@@ -269,23 +309,26 @@ struct Walk {
 }
 
 impl Walk {
-    /// Index one partition's rows by entry cell.  All-NULL rows carry
-    /// nothing (a [`Relation`] never holds one); a `NULL` entry matches
-    /// nothing and stays off the chains.
-    fn stage<'a>(&self, rows: &[&'a Row]) -> Stage<'a> {
-        let rows: Vec<&Row> = rows.iter().copied().filter(|r| !r.is_all_null()).collect();
-        let mut head = HashMap::with_capacity(rows.len());
-        let mut next = vec![END; rows.len()];
-        for (at, &row) in rows.iter().enumerate() {
-            if let Some(cell) = self.entry(row) {
-                next[at] = head.insert(cell, at).unwrap_or(END);
+    /// One partition of `arity` columns as a stage.  All-NULL rows carry
+    /// nothing (a [`Relation`] never holds one); a `NULL` entry sorts
+    /// first and matches nothing.
+    fn stage(&self, rows: &[&Row], arity: usize) -> Stage {
+        let mut rows: Vec<&Row> = rows.iter().copied().filter(|r| !r.is_all_null()).collect();
+        if !rows.is_sorted_by(|a, b| self.entry(a) <= self.entry(b)) {
+            rows.sort_by(|a, b| self.entry(a).cmp(self.entry(b)));
+        }
+        let mut cells = Vec::with_capacity(rows.len() * arity);
+        for row in &rows {
+            if self.backward {
+                cells.extend(row.cells().iter().rev().cloned());
+            } else {
+                cells.extend_from_slice(row.cells());
             }
         }
         Stage {
+            arity,
+            cells,
             reached: vec![false; rows.len()],
-            rows,
-            head,
-            next,
         }
     }
 
@@ -298,43 +341,31 @@ impl Walk {
         }
     }
 
-    /// Append `row`'s cells past its entry cell, in walk order.
-    fn push_tail(&self, prefix: &mut Vec<Option<Cell>>, row: &Row) {
-        let cells = row.cells();
-        if self.backward {
-            prefix.extend(cells[..cells.len() - 1].iter().rev().cloned());
-        } else {
-            prefix.extend_from_slice(&cells[1..]);
-        }
-    }
-
     /// Extend `prefix` through the partitions still `ahead` and emit
     /// every full-width row it grows into.
-    fn extend(&self, prefix: &mut Vec<Option<Cell>>, ahead: &mut [Stage<'_>], out: &mut Vec<Row>) {
+    fn extend(&self, prefix: &mut Vec<Option<Cell>>, ahead: &mut [Stage], out: &mut Vec<Row>) {
         let done = ahead.is_empty();
         let continued = ahead.split_first_mut().and_then(|(stage, rest)| {
-            let border = prefix.last()?.as_ref()?;
-            Some((*stage.head.get(border)?, stage, rest))
+            let run = stage.run(prefix.last()?.as_ref()?);
+            (!run.is_empty()).then_some((run, stage, rest))
         });
         match continued {
-            Some((mut at, stage, rest)) => {
+            Some((run, stage, rest)) => {
                 let len = prefix.len();
-                while at != END {
+                for at in run {
                     stage.reached[at] = true;
-                    self.push_tail(prefix, stage.rows[at]);
+                    prefix.extend_from_slice(&stage.row(at)[1..]);
                     self.extend(prefix, rest, out);
                     prefix.truncate(len);
-                    at = stage.next[at];
                 }
             }
             None if done || self.pad => {
-                let mut cells = Vec::with_capacity(self.width);
-                cells.extend_from_slice(prefix);
-                cells.resize(self.width, None);
-                if self.backward {
-                    cells.reverse();
-                }
-                out.push(Row::new(cells));
+                let pad = repeat_n(None, self.width - prefix.len());
+                out.push(if self.backward {
+                    pad.chain(prefix.iter().rev().cloned()).collect()
+                } else {
+                    prefix.iter().cloned().chain(pad).collect()
+                });
             }
             None => {}
         }

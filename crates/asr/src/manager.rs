@@ -136,13 +136,18 @@ impl AccessSupportRelation {
         })
     }
 
-    /// Reassemble the logical extension from the partition mirrors
-    /// (Theorem 3.9) — the deferred half of [`Self::from_restored`].
+    /// Reassemble the logical extension from the partitions (Theorem
+    /// 3.9) — the deferred half of [`Self::from_restored`].  Each stage
+    /// of the walk is read, uncharged, off the partition's tree clustered
+    /// on the cell the walk enters it through: the forward tree for a
+    /// left-to-right walk, the backward tree for the right-complete
+    /// extension's right-to-left one.
     fn derive_rows(&self) -> Result<std::collections::BTreeSet<crate::row::Row>> {
+        let backward = self.config.extension == Extension::RightComplete;
         let parts: Vec<Vec<&crate::row::Row>> = self
             .partitions
             .iter()
-            .map(|p| p.mirror_rows().collect())
+            .map(|p| p.clustered_rows(backward))
             .collect();
         self.config
             .decomposition

@@ -18,15 +18,14 @@
 //! (`StoredPartition::mark_clean`); `PartitionVersion::delta` later lists
 //! the pages no longer the marked ones.
 
-use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
     build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageMarks, PageRef, PageSlab,
-    StatsHandle, TreeImage, OID_SIZE, PAGE_SIZE,
+    StatsHandle, TreeImage, WordBuildHasher, OID_SIZE, PAGE_SIZE,
 };
 
 use crate::cell::Cell;
@@ -50,7 +49,7 @@ pub struct StoredPartition {
     /// This mirror is not charged; the physical operations on the trees
     /// carry the page costs.  Shared copy-on-write with the published
     /// version, like the trees' pages.
-    rows: Arc<HashMap<Row, RowMeta>>,
+    rows: Arc<Mirror>,
     next_rowid: u64,
     /// What changed since the base checkpoint ([`Self::mark_clean`]).
     changes: PartitionChanges,
@@ -61,6 +60,9 @@ pub struct StoredPartition {
     version: Option<Arc<PartitionVersion>>,
     stats: StatsHandle,
 }
+
+/// The row mirror: row → (row id, witness count).
+type Mirror = HashMap<Row, RowMeta, WordBuildHasher>;
 
 #[derive(Debug, Clone, Copy)]
 struct RowMeta {
@@ -381,11 +383,7 @@ impl StoredPartition {
         let version = self.freeze();
         let view = version.view();
         PartitionImage {
-            rows: view
-                .rows
-                .into_iter()
-                .map(|(row, rowid, count)| (row.clone(), rowid, count))
-                .collect(),
+            rows: RowTable::copied(self.arity(), &view.rows),
             from: view.from,
             to: view.to,
             next_rowid: view.next_rowid,
@@ -421,11 +419,18 @@ impl StoredPartition {
     /// page images — each tree charged one read per page of its share of
     /// the serialized physical section, no extension join, no bulk build.
     ///
-    /// Leaf keys are not stored in the image; they are re-derived from the
-    /// row mirror as `(row.first|last, rowid)` — an invariant of both
-    /// [`Self::insert`] and [`Self::bulk_load`].  Any inconsistency
-    /// (unknown row ids, cardinality mismatches, corrupt page layouts)
-    /// yields a descriptive error and never panics.
+    /// Each row is allocated once, its cells moved out of the image, in
+    /// backward clustering order (the order of the backward tree's leaf
+    /// chain): the image lists rows by row id, so they were parsed in
+    /// forward order, and the backward span walks that follow a restart
+    /// (three quarters of the query mixes) then visit rows in the order
+    /// they sit in memory.  Leaf keys are not stored in the image; they
+    /// are re-derived from the rows as `(row.first|last, rowid)` — an
+    /// invariant of both [`Self::insert`] and [`Self::bulk_load`] — and
+    /// each leaf's row ids resolve through the rows in ascending row-id
+    /// order.  Any inconsistency (unknown row ids, cardinality
+    /// mismatches, corrupt page layouts) yields a descriptive error and
+    /// never panics.
     pub(crate) fn restore(
         mut img: PartitionImage,
         stats: StatsHandle,
@@ -437,48 +442,66 @@ impl StoredPartition {
         }
         let mut p = StoredPartition::new(img.from, img.to, stats);
         p.tag(label);
-        let arity = p.arity();
-        for (row, rowid, count) in &img.rows {
-            if row.arity() != arity {
-                return Err(corrupt(format!("row {row} has arity {}", row.arity())));
-            }
-            if *count == 0 {
+        let rows = &mut img.rows;
+        if rows.arity != p.arity() || rows.cells.len() != rows.ids.len() * rows.arity {
+            return Err(corrupt(format!("rows have arity {}", rows.arity)));
+        }
+        for (k, &(rowid, count)) in rows.ids.iter().enumerate() {
+            if count == 0 {
+                let row = Row::from(rows.row(k));
                 return Err(corrupt(format!("row {row} has witness count 0")));
             }
-            if *rowid >= img.next_rowid {
+            if rowid >= img.next_rowid {
                 return Err(corrupt(format!("row id {rowid} >= next_rowid")));
             }
         }
-        allocate_in_backward_order(&mut img.rows);
-        let mut by_rowid: HashMap<u64, &Row> = HashMap::with_capacity(img.rows.len());
-        for (row, rowid, _) in &img.rows {
-            if by_rowid.insert(*rowid, row).is_some() {
-                return Err(corrupt(format!("row id {rowid} appears twice")));
+        let by_rowid = RowIds::new(&rows.ids).map_err(corrupt)?;
+        // Allocate in the backward tree's key order: along its leaves, then
+        // (in a damaged image only) whatever rows they do not name.  `at[k]`
+        // is where the row listed `k`th lands in `made`, `listed[i]` the
+        // inverse.
+        let mut at = vec![usize::MAX; rows.len()];
+        let mut listed = Vec::with_capacity(rows.len());
+        let mut made = Vec::with_capacity(rows.len());
+        let chain = img.bwd.leaf_chain();
+        let named = chain
+            .iter()
+            .flat_map(|leaf| leaf.iter())
+            .filter_map(|&id| by_rowid.get(id));
+        for k in named.chain(0..rows.len()) {
+            if at[k] == usize::MAX {
+                at[k] = made.len();
+                listed.push(k);
+                made.push(Row::take(rows.row_mut(k)));
             }
         }
-        let fwd = img.fwd.materialize(&by_rowid, Row::first)?;
-        let bwd = img.bwd.materialize(&by_rowid, Row::last)?;
+        let row_of = |rowid| by_rowid.get(rowid).map(|k| &made[at[k]]);
+        let fwd = img.fwd.materialize(row_of, Row::first)?;
+        let bwd = img.bwd.materialize(row_of, Row::last)?;
         p.fwd.adopt_image(fwd)?;
         p.bwd.adopt_image(bwd)?;
-        if p.fwd.pages().len() != img.rows.len() || p.bwd.pages().len() != img.rows.len() {
+        let n = made.len();
+        if p.fwd.pages().len() != n || p.bwd.pages().len() != n {
             return Err(corrupt(format!(
-                "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={}",
+                "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={n}",
                 p.fwd.pages().len(),
                 p.bwd.pages().len(),
-                img.rows.len()
             )));
         }
-        let listed = img.rows.len();
+        let ids = &img.rows.ids;
         p.rows = Arc::new(
-            img.rows
-                .into_iter()
-                .map(|(row, rowid, count)| (row, RowMeta { rowid, count }))
+            made.into_iter()
+                .zip(listed)
+                .map(|(row, k)| {
+                    let (rowid, count) = ids[k];
+                    (row, RowMeta { rowid, count })
+                })
                 .collect(),
         );
-        if p.rows.len() != listed {
+        if p.rows.len() != n {
             return Err(corrupt(format!(
                 "{} rows listed twice under different row ids",
-                listed - p.rows.len()
+                n - p.rows.len()
             )));
         }
         p.next_rowid = img.next_rowid;
@@ -489,8 +512,18 @@ impl StoredPartition {
         Ok(p)
     }
 
+    /// The partition's rows in clustering order, read off the pages of
+    /// the backward tree (by last cell) or the forward tree (by first
+    /// cell).  Charges nothing: the logical mirror's derivation reads it.
+    pub(crate) fn clustered_rows(&self, backward: bool) -> Vec<&Row> {
+        let tree = if backward { &self.bwd } else { &self.fwd };
+        let mut rows = Vec::with_capacity(tree.pages().len());
+        tree.pages().scan_all(|_| {}, |_, row| rows.push(row));
+        rows
+    }
+
     /// The partition's logical content read off the uncharged row mirror,
-    /// in no particular order — the restore path's counterpart of
+    /// in no particular order — an uncharged counterpart of
     /// [`Self::to_relation`], which scans the tree and charges pages.
     pub fn mirror_rows(&self) -> impl Iterator<Item = &Row> {
         self.rows.keys()
@@ -556,7 +589,7 @@ pub(crate) struct PartitionVersion {
     from: usize,
     to: usize,
     next_rowid: u64,
-    rows: Arc<HashMap<Row, RowMeta>>,
+    rows: Arc<Mirror>,
     /// The forward-clustered tree's pages (keyed on the first column).
     pub fwd: PageSlab<PartitionKey, Row>,
     /// The backward-clustered tree's pages (keyed on the last column).
@@ -579,8 +612,8 @@ impl PartitionVersion {
     /// images of both clustering trees — everything the snapshot writer
     /// needs, and nothing cloned but row ids and inner keys.  Charges
     /// nothing — the writer prices the bytes it emits.
-    pub fn view(&self) -> PartitionImage<&Row> {
-        let mut rows: Vec<(&Row, u64, u64)> = self
+    pub fn view(&self) -> PartitionImage<RowRefs<'_>> {
+        let mut rows: RowRefs<'_> = self
             .rows
             .iter()
             .map(|(row, meta)| (row, meta.rowid, meta.count))
@@ -602,8 +635,8 @@ impl PartitionVersion {
     /// the dirty rows read off the mirror (borrowed, sorted by row id),
     /// the dead row ids, and each tree's pages not shared with the base.
     /// Charges nothing — the delta writer prices the bytes it emits.
-    pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> PartitionDelta<&'a Row> {
-        let mut upserts: Vec<(&Row, u64, u64)> = self
+    pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> PartitionDelta<RowRefs<'a>> {
+        let mut upserts: RowRefs<'a> = self
             .rows
             .iter()
             .filter(|(_, meta)| changes.dirty_rows.contains(&meta.rowid))
@@ -650,20 +683,20 @@ impl PartitionChanges {
 
 /// The serializable physical state of one [`StoredPartition`]: the row
 /// mirror with row ids and witness counts, plus raw page images of both
-/// clustering trees.  Produced by `PartitionVersion::view` and
-/// `StoredPartition::dump`, consumed by `StoredPartition::restore` and
-/// the `ASRDB 2` snapshot writer/reader.
+/// clustering trees.  Produced by `PartitionVersion::view` (rows
+/// borrowed), `StoredPartition::dump` and the `ASRDB 2` reader (rows in
+/// a [`RowTable`]), consumed by `StoredPartition::restore` and the
+/// `ASRDB 2` writer.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PartitionImage<R = Row> {
+pub(crate) struct PartitionImage<Rows = RowTable> {
     /// First spanned column of the host relation.
     pub from: usize,
     /// Last spanned column (inclusive).
     pub to: usize,
     /// Row-id allocator position (preserves future id assignment).
     pub next_rowid: u64,
-    /// `(row, rowid, witness count)`, sorted by row id; `R` is `Row`, or
-    /// `&Row` in a [`PartitionVersion::view`].
-    pub rows: Vec<(R, u64, u64)>,
+    /// `(row, rowid, witness count)`, listed by row id.
+    pub rows: Rows,
     /// Page image of the forward-clustered tree.
     pub fwd: RawTreeImage,
     /// Page image of the backward-clustered tree.
@@ -674,6 +707,104 @@ pub(crate) struct PartitionImage<R = Row> {
     pub fwd_bytes: usize,
     /// Serialized snapshot bytes backing the backward tree.
     pub bwd_bytes: usize,
+}
+
+/// A version's rows borrowed from its mirror: `(row, rowid, witness
+/// count)`, sorted by row id.
+pub(crate) type RowRefs<'a> = Vec<(&'a Row, u64, u64)>;
+
+/// Rows that are not allocated yet: each row's `(rowid, witness count)`
+/// in listing order, and the cells of all of them in one buffer, `arity`
+/// per row.  What the snapshot reader parses `R` lines into, so that
+/// [`StoredPartition::restore`] allocates every row exactly once.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RowTable {
+    /// Cells per row.
+    pub arity: usize,
+    /// `(rowid, witness count)` per row.
+    pub ids: Vec<(u64, u64)>,
+    /// Every row's cells, row after row.
+    pub cells: Vec<Option<Cell>>,
+}
+
+impl RowTable {
+    /// No rows of `arity` cells yet.
+    pub fn new(arity: usize) -> Self {
+        RowTable::with_capacity(arity, 0)
+    }
+
+    /// No rows of `arity` cells yet, with room for `rows` of them.
+    pub fn with_capacity(arity: usize, rows: usize) -> Self {
+        RowTable {
+            arity,
+            ids: Vec::with_capacity(rows),
+            cells: Vec::with_capacity(rows * arity),
+        }
+    }
+
+    /// Rows listed.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Copies of borrowed rows of `arity` cells.
+    pub fn copied(arity: usize, rows: &RowRefs<'_>) -> Self {
+        let mut table = RowTable::new(arity);
+        for &(row, rowid, count) in rows {
+            table.push(rowid, count, row.cells().iter().cloned());
+        }
+        table
+    }
+
+    /// List one row; `cells` must yield `arity` cells.
+    pub fn push(&mut self, rowid: u64, count: u64, cells: impl IntoIterator<Item = Option<Cell>>) {
+        self.ids.push((rowid, count));
+        self.cells.extend(cells);
+    }
+
+    /// The cells of the row listed `k`th.
+    pub fn row(&self, k: usize) -> &[Option<Cell>] {
+        &self.cells[k * self.arity..(k + 1) * self.arity]
+    }
+
+    fn row_mut(&mut self, k: usize) -> &mut [Option<Cell>] {
+        &mut self.cells[k * self.arity..(k + 1) * self.arity]
+    }
+}
+
+/// Row ids in ascending order, each with the listing position of its
+/// row — how a leaf's row ids find their rows.
+struct RowIds(Vec<(u64, usize)>);
+
+impl RowIds {
+    /// Index `ids` (listing order); a row id listed twice is an error.
+    fn new(ids: &[(u64, u64)]) -> std::result::Result<Self, String> {
+        let mut by_rowid: Vec<(u64, usize)> = ids
+            .iter()
+            .enumerate()
+            .map(|(k, &(rowid, _))| (rowid, k))
+            .collect();
+        by_rowid.sort_unstable();
+        if let Some(twice) = by_rowid.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("row id {} appears twice", twice[0].0));
+        }
+        Ok(RowIds(by_rowid))
+    }
+
+    /// The listing position of the row with id `rowid`.  Row ids are
+    /// issued densely, so a row id's offset from the first one is nearly
+    /// always its position; a binary search finds the others.
+    fn get(&self, rowid: u64) -> Option<usize> {
+        let first = self.0.first()?.0;
+        let guess = usize::try_from(rowid.wrapping_sub(first)).ok();
+        match guess.and_then(|at| self.0.get(at)) {
+            Some(&(id, k)) if id == rowid => Some(k),
+            _ => {
+                let at = self.0.binary_search_by_key(&rowid, |&(id, _)| id).ok()?;
+                Some(self.0[at].1)
+            }
+        }
+    }
 }
 
 /// Pages a restored tree is charged for `bytes` of serialized image
@@ -689,7 +820,7 @@ fn restore_pages(bytes: usize) -> u64 {
 /// (rows borrowed) and the `ASRDB 3` reader, consumed by the `ASRDB 3`
 /// writer and `PartitionImage::apply_delta`.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PartitionDelta<R = Row> {
+pub(crate) struct PartitionDelta<Rows = RowTable> {
     pub from: usize,
     pub to: usize,
     pub next_rowid: u64,
@@ -697,8 +828,8 @@ pub(crate) struct PartitionDelta<R = Row> {
     /// check on the patched mirror).
     pub nrows: usize,
     /// `(row, rowid, witness count)` for rows inserted or re-counted since
-    /// the base, sorted by row id.
-    pub upserts: Vec<(R, u64, u64)>,
+    /// the base, listed by row id.
+    pub upserts: Rows,
     /// Row ids physically removed since the base (ascending).
     pub deletes: Vec<u64>,
     /// Changed pages of the forward-clustered tree.
@@ -750,10 +881,7 @@ impl PartitionImage {
     /// by row id; tree slabs grow to the delta's size and changed pages are
     /// overwritten.  Fails with a descriptive error on any inconsistency —
     /// the caller falls back to a rebuild or NACKs the delivery.
-    pub(crate) fn apply_delta<R: Borrow<Row>>(
-        self,
-        d: &PartitionDelta<R>,
-    ) -> Result<PartitionImage> {
+    pub(crate) fn apply_delta(mut self, d: &PartitionDelta) -> Result<PartitionImage> {
         let corrupt = |msg: String| AsrError::Snapshot(format!("partition delta: {msg}"));
         if (self.from, self.to) != (d.from, d.to) {
             return Err(corrupt(format!(
@@ -767,22 +895,36 @@ impl PartitionImage {
                 self.next_rowid, d.next_rowid
             )));
         }
-        let mut by_rowid: std::collections::BTreeMap<u64, (Row, u64)> = self
-            .rows
-            .into_iter()
-            .map(|(row, rowid, count)| (rowid, (row, count)))
+        // Row id → where its row comes from: the base's rows less the
+        // deleted ones (which may predate the base, never shipped:
+        // tolerated), then the upserts, a later listing winning.
+        let mut merged: BTreeMap<u64, (bool, usize)> = (self.rows.ids.iter().enumerate())
+            .map(|(k, &(rowid, _))| (rowid, (false, k)))
             .collect();
-        // Deleted rows may predate the base (never shipped): tolerate.
         for rowid in &d.deletes {
-            by_rowid.remove(rowid);
+            merged.remove(rowid);
         }
-        for (row, rowid, count) in &d.upserts {
-            by_rowid.insert(*rowid, (row.borrow().clone(), *count));
+        for (k, &(rowid, _)) in d.upserts.ids.iter().enumerate() {
+            merged.insert(rowid, (true, k));
         }
-        if by_rowid.len() != d.nrows {
+        let mut rows = RowTable::new(self.rows.arity);
+        for (rowid, (upsert, k)) in merged {
+            if upsert {
+                let (_, count) = d.upserts.ids[k];
+                rows.push(rowid, count, d.upserts.row(k).iter().cloned());
+            } else {
+                let (_, count) = self.rows.ids[k];
+                rows.push(
+                    rowid,
+                    count,
+                    self.rows.row_mut(k).iter_mut().map(Option::take),
+                );
+            }
+        }
+        if rows.len() != d.nrows {
             return Err(corrupt(format!(
                 "patched mirror has {} rows, delta expects {}",
-                by_rowid.len(),
+                rows.len(),
                 d.nrows
             )));
         }
@@ -790,10 +932,7 @@ impl PartitionImage {
             from: d.from,
             to: d.to,
             next_rowid: d.next_rowid,
-            rows: by_rowid
-                .into_iter()
-                .map(|(rowid, (row, count))| (row, rowid, count))
-                .collect(),
+            rows,
             fwd: self.fwd.apply_delta(&d.fwd)?,
             bwd: self.bwd.apply_delta(&d.bwd)?,
             fwd_bytes: d.fwd_bytes,
@@ -889,12 +1028,41 @@ impl RawTreeImage {
         Ok(self)
     }
 
-    /// Rehydrate into a full [`TreeImage`], deriving each leaf entry's key
-    /// from the referenced row via `key_cell` (`Row::first` for the
-    /// forward tree, `Row::last` for the backward one).
-    fn materialize(
+    /// The row ids of the leaves along the leftmost leaf's sibling chain
+    /// — every entry in key order.  Stops where the image does not hold
+    /// one well-formed chain (the adopting tree reports what is wrong).
+    fn leaf_chain(&self) -> Vec<&[u64]> {
+        let mut node = self.root;
+        for _ in 0..self.height.min(self.nodes.len()) {
+            match self.nodes.get(node) {
+                Some(RawNode::Inner { children, .. }) if !children.is_empty() => {
+                    node = children[0];
+                }
+                _ => break,
+            }
+        }
+        let mut seen = vec![false; self.nodes.len()];
+        let mut leaves = Vec::new();
+        while let Some(RawNode::Leaf { rowids, next }) = self.nodes.get(node) {
+            if std::mem::replace(&mut seen[node], true) {
+                break;
+            }
+            leaves.push(rowids.as_slice());
+            match next {
+                Some(next) => node = *next,
+                None => break,
+            }
+        }
+        leaves
+    }
+
+    /// Rehydrate into a full [`TreeImage`], each leaf entry's row found
+    /// by `row_of(rowid)` and its key derived from the row via `key_cell`
+    /// (`Row::first` for the forward tree, `Row::last` for the backward
+    /// one).
+    fn materialize<'r>(
         &self,
-        by_rowid: &HashMap<u64, &Row>,
+        row_of: impl Fn(u64) -> Option<&'r Row>,
         key_cell: impl Fn(&Row) -> &Option<Cell>,
     ) -> Result<TreeImage<PartitionKey, Row>> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
@@ -907,7 +1075,7 @@ impl RawTreeImage {
                 RawNode::Leaf { rowids, next } => {
                     let mut entries = Vec::with_capacity(rowids.len());
                     for &rowid in rowids {
-                        let Some(&row) = by_rowid.get(&rowid) else {
+                        let Some(row) = row_of(rowid) else {
                             return Err(AsrError::Snapshot(format!(
                                 "partition image: leaf references unknown row id {rowid}"
                             )));
@@ -929,24 +1097,6 @@ impl RawTreeImage {
             free: self.free.clone(),
             nodes,
         })
-    }
-}
-
-/// Give each row of a restored image a fresh allocation, made in
-/// backward clustering order (last cell, then image order) before any old
-/// one is freed.  The image lists rows by row id, so they were parsed in
-/// forward order; the backward span walks that follow a restart (three
-/// quarters of the query mixes) then visit rows in the order they sit in
-/// memory.
-fn allocate_in_backward_order(rows: &mut [(Row, u64, u64)]) {
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| rows[a].0.last().cmp(rows[b].0.last()));
-    let fresh: Vec<Row> = order
-        .iter()
-        .map(|&k| Row::from(rows[k].0.cells()))
-        .collect();
-    for (k, row) in order.into_iter().zip(fresh) {
-        rows[k].0 = row;
     }
 }
 
@@ -978,6 +1128,23 @@ mod tests {
 
     fn part() -> StoredPartition {
         StoredPartition::new(0, 2, fresh_stats())
+    }
+
+    /// A version's delta of 3-cell rows with its rows copied, as the
+    /// snapshot reader hands one over.
+    fn owned(d: PartitionDelta<RowRefs<'_>>) -> PartitionDelta {
+        PartitionDelta {
+            from: d.from,
+            to: d.to,
+            next_rowid: d.next_rowid,
+            nrows: d.nrows,
+            upserts: RowTable::copied(3, &d.upserts),
+            deletes: d.deletes,
+            fwd: d.fwd,
+            bwd: d.bwd,
+            fwd_bytes: d.fwd_bytes,
+            bwd_bytes: d.bwd_bytes,
+        }
     }
 
     #[test]
@@ -1093,7 +1260,7 @@ mod tests {
             p.remove(&row![c(k), c(k + 10000), c(k % 7)]).unwrap();
         }
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean());
+        let delta = owned(version.delta(&p.mark_clean()));
         assert!(
             delta.fwd.pages.len() < delta.fwd.total_nodes,
             "delta ships a strict subset of pages ({} of {})",
@@ -1116,8 +1283,8 @@ mod tests {
         }
         p.mark_clean();
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean());
-        assert!(delta.upserts.is_empty());
+        let delta = owned(version.delta(&p.mark_clean()));
+        assert_eq!(delta.upserts.len(), 0);
         assert!(delta.deletes.is_empty());
         assert!(delta.fwd.pages.is_empty());
         assert!(delta.bwd.pages.is_empty());
@@ -1135,7 +1302,7 @@ mod tests {
         p.mark_clean();
         p.insert(row![c(99), c(199), c(1)]).unwrap();
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean());
+        let delta = owned(version.delta(&p.mark_clean()));
         let mut wrong = delta.clone();
         wrong.nrows += 1; // claim a row that never arrives
         assert!(base.clone().apply_delta(&wrong).is_err());

@@ -27,12 +27,21 @@
 //! Loading a v2 snapshot restores each ASR **physically**: both trees are
 //! re-registered under their original `(kind, label)` structure ids and
 //! re-attached page by page (one charged read per live node) — no
-//! extension join runs.  Leaf keys are not stored; they are re-derived
-//! from the row mirror as `(row.first|last, rowid)`, an invariant of the
-//! maintenance engine.  Version negotiation: the loader accepts `ASRDB 1`
-//! (ASRs rebuilt from their configuration, as before) and `ASRDB 2`; the
-//! writer emits v2.  A corrupt physical section degrades per ASR to the
-//! v1 rebuild path with a recorded reason — never a panic.
+//! extension join runs.  Every structure is built once, from the order
+//! the document already has: a partition's `R` rows are parsed into one
+//! cell buffer (a `RowTable`, listed by row id), and the restore
+//! allocates each row exactly once, in the backward tree's key order.
+//! Leaf keys are not stored; they are re-derived from the rows as
+//! `(row.first|last, rowid)`, an invariant of the maintenance engine, and
+//! each leaf's row ids find their rows through the ascending row-id
+//! order.  The object base comes back through `gom::snapshot`'s bulk
+//! reader, the clustered object files are filled from its extents, and
+//! the logical extension mirror derives on the first maintenance use,
+//! walking each partition's clustering tree.  Version negotiation: the
+//! loader accepts `ASRDB 1` (ASRs rebuilt from their configuration, as
+//! before) and `ASRDB 2`; the writer emits v2.  A corrupt physical
+//! section degrades per ASR to the v1 rebuild path with a recorded
+//! reason — never a panic.
 //!
 //! ## `ASRDB 3` — delta snapshots
 //!
@@ -99,10 +108,9 @@ use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::manager::{AccessSupportRelation, AsrConfig};
 use crate::partition::{
-    PartitionDelta, PartitionImage, PartitionVersion, RawNode, RawTreeDelta, RawTreeImage,
-    StoredPartition,
+    PartitionDelta, PartitionImage, PartitionVersion, RawNode, RawTreeDelta, RawTreeImage, RowRefs,
+    RowTable, StoredPartition,
 };
-use crate::row::Row;
 use crate::snapshot::Snapshot;
 use crate::store::ObjectStore;
 
@@ -227,7 +235,7 @@ impl Database {
     ) -> Result<(Database, LoadReport)> {
         let (head, base_text) = split_document(text)?;
         let (version, _, lines) = read_header(head, true)?;
-        let (design, sections) = read_head(lines, version)?;
+        let (design, sections) = read_head(lines, version, head.len())?;
         if let Some((ordinal, reason)) = sections.poisoned.iter().next() {
             // Unlike the v2 loader there is no per-ASR second chance at
             // parse time: a delta that cannot be parsed in full is rejected
@@ -299,7 +307,7 @@ impl Database {
         let (head, base_text) = split_document(text)?;
         let (version, _, lines) = read_header(head, false)?;
         let base = snapshot::read_base(base_text)?;
-        let (design, sections) = read_head(lines, version)?;
+        let (design, sections) = read_head(lines, version, head.len())?;
         assemble(base, &design, sections, version, None, false)
     }
 
@@ -511,13 +519,13 @@ fn parse_csv_or_dash<T: std::str::FromStr>(
 }
 
 /// Append the mirror rows as `R <rowid> <count> <cell> …` lines.
-fn write_rows<R: Borrow<Row>>(out: &mut String, rows: &[(R, u64, u64)]) {
+fn write_rows(out: &mut String, rows: &RowRefs<'_>) {
     for (row, rowid, count) in rows {
         out.push_str("R ");
         push_u64(out, *rowid);
         out.push(' ');
         push_u64(out, *count);
-        for cell in row.borrow().cells() {
+        for cell in row.cells() {
             out.push(' ');
             push_cell(out, cell);
         }
@@ -580,11 +588,11 @@ fn write_node_line(out: &mut String, dir: char, id: usize, node: &RawNode, emit_
 
 /// One partition's `P`/`R`/`T`/`N` lines from an image — a live
 /// partition's view or a checkpoint's captured version.
-fn write_partition_image<R: Borrow<Row>>(
+fn write_partition_image(
     out: &mut String,
     ordinal: usize,
     pidx: usize,
-    img: &PartitionImage<R>,
+    img: &PartitionImage<RowRefs<'_>>,
 ) {
     let _ = writeln!(
         out,
@@ -602,11 +610,11 @@ fn write_partition_image<R: Borrow<Row>>(
 /// One partition's `D`/`R`/`X`/`U`/`N` lines from a version's delta: rows
 /// changed since the base, rows physically removed, and the pages each
 /// tree does not share with the base.
-fn write_partition_delta<R: Borrow<Row>>(
+fn write_partition_delta(
     out: &mut String,
     ordinal: usize,
     pidx: usize,
-    d: &PartitionDelta<R>,
+    d: &PartitionDelta<RowRefs<'_>>,
 ) {
     let _ = writeln!(
         out,
@@ -714,12 +722,20 @@ fn read_header(text: &str, delta: bool) -> Result<(u32, u64, std::str::Lines<'_>
     Ok((version, base_id, lines))
 }
 
-/// Read a document head after its header: the design lines (`S`/`A`)
-/// verbatim, and every partition section through the one [`Sections`]
-/// reader — the full grammar from v2 on, the delta grammar in v3.
-fn read_head<'a>(lines: impl Iterator<Item = &'a str>, version: u32) -> Result<(String, Sections)> {
+/// Read a document head of `head_len` bytes after its header: the design
+/// lines (`S`/`A`) verbatim, and every partition section through the one
+/// [`Sections`] reader — the full grammar from v2 on, the delta grammar
+/// in v3.
+fn read_head<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    version: u32,
+    head_len: usize,
+) -> Result<(String, Sections)> {
     let mut design = String::new();
-    let mut sections = Sections::default();
+    let mut sections = Sections {
+        head_len,
+        ..Sections::default()
+    };
     for line in lines {
         let line = line.trim_end();
         if line.is_empty() || line.starts_with('#') {
@@ -958,8 +974,8 @@ fn charge_path_scans(db: &Database, path: &PathExpression) {
 /// as they are, a delta section's after patching them onto the images of
 /// `base` (the ASR at the same ordinal in the database the delta applies
 /// to): tag + adopt both trees of every partition and attach the ASR.  No
-/// extension join runs — the logical mirror derives lazily on first
-/// maintenance use.
+/// extension join runs — the logical mirror derives lazily, off the
+/// clustering trees, on first maintenance use.
 fn restore_asr(
     db: &mut Database,
     path: &PathExpression,
@@ -1000,9 +1016,9 @@ fn restore_asr(
     Ok((db.attach_asr(asr), mode))
 }
 
-/// Parse an `R` line into a `(row, rowid, witness count)` triple for a
-/// partition spanning `arity` columns.
-fn parse_r_line(line: &str, arity: usize) -> std::result::Result<(Row, u64, u64), String> {
+/// Parse an `R` line into `rows`: its row id, witness count and cells.
+/// A line that does not parse adds nothing.
+fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), String> {
     let mut it = line.split(' ');
     it.next();
     let rowid: u64 = it
@@ -1013,13 +1029,19 @@ fn parse_r_line(line: &str, arity: usize) -> std::result::Result<(Row, u64, u64)
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or("R: bad witness count")?;
-    let cells: Vec<Option<Cell>> = it
-        .map(|tok| parse_cell(tok).map_err(|e| e.to_string()))
-        .collect::<std::result::Result<_, _>>()?;
-    if cells.len() != arity {
-        return Err(format!("R: {} cells for arity {arity}", cells.len()));
+    let start = rows.cells.len();
+    let parsed = it
+        .try_for_each(|tok| parse_cell(tok).map(|cell| rows.cells.push(cell)))
+        .map_err(|e| e.to_string())
+        .and_then(|()| match rows.cells.len() - start {
+            cells if cells == rows.arity => Ok(()),
+            cells => Err(format!("R: {cells} cells for arity {}", rows.arity)),
+        });
+    match parsed {
+        Ok(()) => rows.ids.push((rowid, count)),
+        Err(_) => rows.cells.truncate(start),
     }
-    Ok((Row::new(cells), rowid, count))
+    parsed
 }
 
 /// The leading fields every `N` line shares — `N f|b <page#> <kind>` —
@@ -1153,17 +1175,21 @@ struct Sections {
     skipping: bool,
     /// Ordinal of the most recent `P`/`D` record.
     last_asr: Option<usize>,
+    /// Bytes of `last_asr`'s lines not yet added to `bytes`.
+    pending_bytes: usize,
+    /// Bytes in the document head, which bound the rows a section lists.
+    head_len: usize,
 }
 
 impl Sections {
     fn feed(&mut self, tag: &str, line: &str) -> Result<()> {
         if tag == "P" || tag == "D" {
             self.finalize_current();
-            match PartBuilder::open(line, tag == "D", &self.done) {
+            match PartBuilder::open(line, tag == "D", &self.done, self.head_len) {
                 Ok(pb) => {
                     self.skipping = false;
                     self.last_asr = Some(pb.asr);
-                    *self.bytes.entry(pb.asr).or_default() += line.len() + 1;
+                    self.pending_bytes = line.len() + 1;
                     self.current = Some(pb);
                 }
                 Err(e) => match self.last_asr {
@@ -1182,7 +1208,7 @@ impl Sections {
                 "physical record `{tag}` before any P record"
             )));
         };
-        *self.bytes.entry(asr).or_default() += line.len() + 1;
+        self.pending_bytes += line.len() + 1;
         if self.skipping {
             return Ok(());
         }
@@ -1205,6 +1231,9 @@ impl Sections {
     /// Close the partition being assembled (at the next header and at the
     /// end of the head).
     fn finalize_current(&mut self) {
+        if let Some(asr) = self.last_asr {
+            *self.bytes.entry(asr).or_default() += std::mem::take(&mut self.pending_bytes);
+        }
         let Some(pb) = self.current.take() else {
             return;
         };
@@ -1231,8 +1260,6 @@ struct PartBuilder {
     asr: usize,
     from: usize,
     to: usize,
-    /// Cells per row, `to - from + 1`.
-    arity: usize,
     next_rowid: u64,
     /// Rows the partition holds (after patching, for a delta).
     nrows: usize,
@@ -1240,7 +1267,7 @@ struct PartBuilder {
     upserts: Option<usize>,
     /// A delta section's `X` record (removed row ids), once read.
     deletes: Option<Vec<u64>>,
-    rows: Vec<(Row, u64, u64)>,
+    rows: RowTable,
     /// Serialized bytes of the shared row payload (header, `R` and `X`
     /// lines) — split between the two trees for restore-read pricing.
     row_bytes: usize,
@@ -1269,11 +1296,15 @@ struct TreeBuilder {
 impl PartBuilder {
     /// Open a section from its `P <asr#> <part#> <from> <to> <next_rowid>
     /// <nrows>` or `D … <nupserts>` header.  Partitions arrive in order:
-    /// `done` says which index each ASR expects next.
+    /// `done` says which index each ASR expects next.  The rows the header
+    /// promises get room up front, as far as a head of `head_len` bytes
+    /// can hold them (an `R` line spends at least two bytes a cell), so
+    /// the row buffer is not copied as it fills.
     fn open(
         line: &str,
         delta: bool,
         done: &BTreeMap<usize, AsrSection>,
+        head_len: usize,
     ) -> std::result::Result<PartBuilder, String> {
         let t: Vec<&str> = line.split(' ').collect();
         let (fields, kind) = if delta {
@@ -1301,16 +1332,20 @@ impl PartBuilder {
             .filter(|&width| width > 0)
             .and_then(|width| width.checked_add(1))
             .ok_or_else(|| format!("bad span ({from}, {to})"))?;
+        let nrows = num(t[6])?;
+        let upserts = if delta { Some(num(t[7])?) } else { None };
+        let listed = upserts
+            .unwrap_or(nrows)
+            .min(head_len / arity.saturating_mul(2));
         Ok(PartBuilder {
             asr,
             from,
             to,
-            arity,
             next_rowid: t[5].parse().map_err(|_| format!("bad number `{}`", t[5]))?,
-            nrows: num(t[6])?,
-            upserts: if delta { Some(num(t[7])?) } else { None },
+            nrows,
+            upserts,
             deletes: None,
-            rows: Vec::new(),
+            rows: RowTable::with_capacity(arity, listed),
             row_bytes: line.len() + 1,
             fwd: None,
             bwd: None,
@@ -1323,7 +1358,7 @@ impl PartBuilder {
         let delta = self.upserts.is_some();
         match (tag, delta) {
             ("R", _) => {
-                self.rows.push(parse_r_line(line, self.arity)?);
+                parse_r_line(line, &mut self.rows)?;
                 self.row_bytes += line.len() + 1;
             }
             ("X", true) => {

@@ -18,6 +18,12 @@ impl Row {
         Row(cells.into())
     }
 
+    /// A row of `cells`, moved into one fresh allocation (the cells are
+    /// left `NULL`).
+    pub(crate) fn take(cells: &mut [Option<Cell>]) -> Self {
+        Row(cells.iter_mut().map(Option::take).collect())
+    }
+
     /// A row of `arity` NULLs.
     pub fn nulls(arity: usize) -> Self {
         Row::new(vec![None; arity])
@@ -100,6 +106,13 @@ impl fmt::Display for Row {
             }
         }
         write!(f, ")")
+    }
+}
+
+impl FromIterator<Option<Cell>> for Row {
+    /// One allocation when the iterator knows its exact length.
+    fn from_iter<I: IntoIterator<Item = Option<Cell>>>(cells: I) -> Self {
+        Row(cells.into_iter().collect())
     }
 }
 

@@ -10,6 +10,7 @@
 //! cost formulas never charge separate accesses for set objects); reading
 //! a set-valued attribute therefore costs only the owner's page access.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -110,21 +111,51 @@ impl ObjectStore {
     /// Register every object of `base` that the store does not know yet.
     /// Call after bulk loading; [`ObjectStore::register_object`] keeps the
     /// store current for single creations.
+    ///
+    /// Each type's file is filled from the type's extent in OID order,
+    /// and files are created in the order of their lowest OID — the slots
+    /// and structure ids a pass over all objects in OID order assigns.
     pub fn sync_with_base(&mut self, base: &ObjectBase) -> Result<()> {
-        for obj in base.objects() {
-            self.register(obj.ty, obj.oid)?;
+        let mut extents: Vec<(TypeId, Cow<'_, [Oid]>)> = base
+            .schema()
+            .types()
+            .filter(|&(ty, _)| !base.extent(ty).is_empty())
+            .map(|(ty, _)| {
+                let mut oids = Cow::Borrowed(base.extent(ty));
+                if !oids.is_sorted() {
+                    oids.to_mut().sort_unstable();
+                }
+                (ty, oids)
+            })
+            .collect();
+        extents.sort_unstable_by_key(|(_, oids)| oids[0]);
+        for (ty, oids) in extents {
+            let file = self.file(ty)?;
+            let fresh = file.is_empty();
+            file.reserve(oids.len());
+            for oid in oids.iter() {
+                if fresh || !file.contains(oid.as_raw()) {
+                    file.insert(oid.as_raw(), ())?;
+                }
+            }
         }
         Ok(())
     }
 
     /// Register one freshly created object.
     pub fn register_object(&mut self, ty: TypeId, oid: Oid) -> Result<()> {
-        self.register(ty, oid)
+        let file = self.file(ty)?;
+        if !file.contains(oid.as_raw()) {
+            file.insert(oid.as_raw(), ())?;
+        }
+        Ok(())
     }
 
-    fn register(&mut self, ty: TypeId, oid: Oid) -> Result<()> {
+    /// The type's clustered file, created (sized, buffered and labelled)
+    /// on first use.
+    fn file(&mut self, ty: TypeId) -> Result<&mut ClusteredFile<()>> {
         let size = self.type_size(ty);
-        let file = match self.files.entry(ty) {
+        Ok(match self.files.entry(ty) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let mut file = ClusteredFile::new(size, Rc::clone(&self.stats))?;
@@ -139,11 +170,7 @@ impl ObjectStore {
                 file.tag(label);
                 e.insert(file)
             }
-        };
-        if !file.contains(oid.as_raw()) {
-            file.insert(oid.as_raw(), ())?;
-        }
-        Ok(())
+        })
     }
 
     /// Charge the page access(es) for reading object `oid` of type `ty`.

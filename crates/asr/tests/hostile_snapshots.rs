@@ -8,6 +8,9 @@
 //! sits inside an `R` row.  A bit flip that keeps a row token well-formed
 //! (an OID digit, a witness count, a string byte) is the one damage the
 //! text format cannot see: it carries no checksum (ROADMAP item 5).
+//!
+//! Seed: `ASR_FUZZ_SEED` (decimal u64), when set, is mixed into each
+//! sweep's default seed, so CI can widen coverage with a rotating seed.
 
 use asr_core::{AsrLoadMode, Cell, Database, LoadReport};
 use asr_gom::{Oid, Value};
@@ -44,6 +47,15 @@ fn answers(db: &Database) -> Vec<Vec<Vec<Oid>>> {
                 .collect()
         })
         .collect()
+}
+
+/// The seed of one sweep: `default`, or `default` mixed with
+/// `ASR_FUZZ_SEED` when that is set (the two sweeps still differ).
+fn fuzz_seed(default: u64) -> u64 {
+    std::env::var("ASR_FUZZ_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .map_or(default, |seed| seed ^ default)
 }
 
 /// One damaged copy of a fixture.
@@ -128,7 +140,7 @@ fn damaged_full_snapshot_errors_or_falls_back_soundly() {
     let text = fixture("bulk.asrdb2");
     let want = answers(&Database::load_from_string(&text).unwrap());
     let mut fallbacks = 0;
-    for damage in damaged(&text, 0xB0_2026) {
+    for damage in damaged(&text, fuzz_seed(0xB0_2026)) {
         // Bytes that are not UTF-8 stop at the caller's text conversion.
         let Ok(bad) = std::str::from_utf8(&damage.bytes) else {
             continue;
@@ -153,7 +165,7 @@ fn damaged_delta_errors_or_falls_back_soundly() {
     let text = fixture("bulk-mixed.asrdb3");
     let want = answers(&base.apply_delta_from_string(&text).unwrap());
     let mut fallbacks = 0;
-    for damage in damaged(&text, 0xD3_2026) {
+    for damage in damaged(&text, fuzz_seed(0xD3_2026)) {
         let Ok(bad) = std::str::from_utf8(&damage.bytes) else {
             continue;
         };

@@ -93,14 +93,57 @@ impl ObjectBase {
         Ok(())
     }
 
+    /// Assemble a base from a snapshot's objects, in the order the
+    /// snapshot lists them (OIDs distinct, every body built and
+    /// type-checked by the reader): the object map, the extents (each in
+    /// listing order) and the referrer index are each built once from
+    /// sorted input.  The OID generator resumes past every OID the
+    /// snapshot names, dangling reference targets included, so a later
+    /// instantiation cannot revive a dangling reference.
+    pub(crate) fn from_snapshot(
+        schema: Schema,
+        objects: Vec<Object>,
+        variables: HashMap<String, Value>,
+    ) -> Self {
+        let mut extents: Vec<Vec<Oid>> = vec![Vec::new(); schema.len()];
+        let mut referrers = Vec::new();
+        let mut next = 0;
+        for obj in &objects {
+            extents[obj.ty.index()].push(obj.oid);
+            next = next.max(obj.oid.as_raw().saturating_add(1));
+            for target in obj.slots().iter().filter_map(Value::as_ref_oid) {
+                referrers.push((target, obj.oid));
+            }
+            for target in obj.elements().filter_map(Value::as_ref_oid) {
+                next = next.max(target.as_raw().saturating_add(1));
+            }
+        }
+        for &(target, _) in &referrers {
+            next = next.max(target.as_raw().saturating_add(1));
+        }
+        referrers.sort_unstable();
+        let extents = extents
+            .into_iter()
+            .enumerate()
+            .filter(|(_, oids)| !oids.is_empty())
+            .map(|(ty, oids)| (TypeId::from_index(ty), oids))
+            .collect();
+        ObjectBase {
+            schema,
+            objects: objects.into_iter().map(|o| (o.oid, o)).collect(),
+            extents,
+            variables,
+            oidgen: OidGenerator::starting_at(next),
+            referrers: referrers.into_iter().collect(),
+        }
+    }
+
     /// Re-create an object with a **specific** OID — snapshot restoration
     /// only.  Fails when the OID is already live; advances the generator
     /// past the restored OID so future instantiations cannot collide.
     pub fn restore_object(&mut self, oid: Oid, type_name: &str) -> Result<()> {
         if self.contains(oid) {
-            return Err(GomError::DuplicateType(format!(
-                "object {oid} already exists"
-            )));
+            return Err(GomError::DuplicateObject(oid));
         }
         self.insert_fresh(oid, self.schema.require(type_name)?)?;
         if self.oidgen.issued() <= oid.as_raw() {
@@ -323,22 +366,11 @@ impl ObjectBase {
     }
 
     fn check_conformance(&self, value: &Value, declared: TypeRef) -> Result<()> {
-        let actual = match value {
-            Value::Null => return Ok(()),
-            Value::Ref(oid) => TypeRef::Named(self.type_of(*oid)?),
-            atomic => match atomic.atomic_type() {
-                Some(a) => TypeRef::Atomic(a),
-                None => unreachable!("non-atomic, non-ref, non-null value"),
-            },
+        let target = match value {
+            Value::Ref(oid) => Some(self.type_of(*oid)?),
+            _ => None,
         };
-        if self.schema.conforms(actual, declared) {
-            Ok(())
-        } else {
-            Err(GomError::TypeViolation {
-                expected: self.schema.ref_name(declared),
-                actual: self.schema.ref_name(actual),
-            })
-        }
+        check_conformance(&self.schema, value, target, declared)
     }
 
     // ------------------------------------------------------------------
@@ -388,6 +420,38 @@ impl ObjectBase {
             .filter_map(Value::as_ref_oid)
             .filter(|o| self.contains(*o))
             .collect())
+    }
+}
+
+/// Strong typing: does `value` conform to the declared upper bound
+/// `declared`?  `target` is the type of the object a reference names;
+/// `None` for a reference means the target does not exist (a dangling
+/// reference, which reads as `NULL` and so conforms).  `NULL` always
+/// conforms.
+pub(crate) fn check_conformance(
+    schema: &Schema,
+    value: &Value,
+    target: Option<TypeId>,
+    declared: TypeRef,
+) -> Result<()> {
+    let actual = match value {
+        Value::Null => return Ok(()),
+        Value::Ref(_) => match target {
+            Some(ty) => TypeRef::Named(ty),
+            None => return Ok(()),
+        },
+        atomic => match atomic.atomic_type() {
+            Some(a) => TypeRef::Atomic(a),
+            None => unreachable!("non-atomic, non-ref, non-null value"),
+        },
+    };
+    if schema.conforms(actual, declared) {
+        Ok(())
+    } else {
+        Err(GomError::TypeViolation {
+            expected: schema.ref_name(declared),
+            actual: schema.ref_name(actual),
+        })
     }
 }
 

@@ -41,6 +41,9 @@ pub enum GomError {
     InheritanceCycle(String),
     /// An object with this OID does not exist in the object base.
     UnknownObject(Oid),
+    /// An object with this OID already exists (a snapshot listing one OID
+    /// twice, or restoring over a live object).
+    DuplicateObject(Oid),
     /// The object exists but has the wrong structure for the operation
     /// (e.g. `insert_into_set` on a tuple object).
     WrongStructure {
@@ -83,6 +86,7 @@ impl fmt::Display for GomError {
                 write!(f, "inheritance cycle detected through type `{name}`")
             }
             GomError::UnknownObject(oid) => write!(f, "object {oid} does not exist"),
+            GomError::DuplicateObject(oid) => write!(f, "object {oid} already exists"),
             GomError::WrongStructure { oid, expected } => {
                 write!(f, "object {oid} is not a {expected} instance")
             }

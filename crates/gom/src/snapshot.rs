@@ -16,15 +16,28 @@
 //!
 //! Values encode as `N` (NULL), `I:<i64>`, `F:<f64 bits>`, `D:<scaled>`,
 //! `S:<percent-escaped utf-8>`, `C:<char>`, `B:<0|1>`, `R:i<oid>`.
+//!
+//! [`read_base`] builds the base in bulk rather than replaying the
+//! mutation API object by object: it builds each object's body in one
+//! piece, resolves each type name and each (type, attribute) slot once,
+//! and assembles the object map, the extents and the referrer index each
+//! once from sorted input.  It checks strong typing as
+//! [`ObjectBase::set_attribute`] and [`ObjectBase::insert_into_set`] do,
+//! and a bad line gets the error those give.  A reference to an object
+//! the snapshot does not hold is not an error: the model lets a
+//! referenced object be deleted, so the reader keeps the reference as the
+//! live base held it — indexed as a referrer, read as `NULL` by
+//! navigation, and type-checked only when its target is present.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 
-use crate::base::ObjectBase;
+use crate::base::{check_conformance, ObjectBase};
 use crate::error::{GomError, Result};
 use crate::object::{Object, ObjectBody};
 use crate::oid::Oid;
 use crate::schema::Schema;
-use crate::types::TypeKind;
+use crate::types::{TypeId, TypeKind, TypeRef};
 use crate::value::Value;
 
 const MAGIC: &str = "GOMSNAP 1";
@@ -169,6 +182,10 @@ pub fn encode_value_into(out: &mut String, v: &Value) {
 
 /// Inverse of [`encode_value`].
 pub fn decode_value(s: &str) -> Result<Value> {
+    // References, the commonest token, skip the dispatch on the tag.
+    if let Some(raw) = s.strip_prefix("R:i").and_then(|r| r.parse::<u64>().ok()) {
+        return Ok(Value::Ref(Oid::from_raw(raw)));
+    }
     if s == "N" {
         return Ok(Value::Null);
     }
@@ -335,11 +352,12 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match line.split(' ').next() {
-            Some("T") => type_lines.push(line),
-            Some("O") => object_lines.push(line),
-            Some("V") => var_lines.push(line),
-            other => return Err(bad(format!("unknown record `{other:?}`"))),
+        let tag = line.split_once(' ').map_or(line, |(tag, _)| tag);
+        match tag {
+            "T" => type_lines.push(line),
+            "O" => object_lines.push(line),
+            "V" => var_lines.push(line),
+            other => return Err(bad(format!("unknown record `{:?}`", Some(other)))),
         }
     }
     // Two passes: declare every type name in file order first, so that
@@ -356,52 +374,8 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
         read_type_line(&mut schema, line)?;
     }
     schema.validate()?;
-    let mut base = ObjectBase::new(schema);
-
-    // First pass: materialize every object shell so references resolve.
-    let mut parsed: Vec<(Oid, &str)> = Vec::with_capacity(object_lines.len());
-    for line in &object_lines {
-        let mut parts = line.splitn(4, ' ');
-        let _o = parts.next();
-        let oid_str = parts.next().ok_or_else(|| bad("missing oid".into()))?;
-        let ty = unescape(parts.next().ok_or_else(|| bad("missing type".into()))?)?;
-        let rest = parts.next().unwrap_or("");
-        let raw = oid_str
-            .strip_prefix('i')
-            .and_then(|r| r.parse::<u64>().ok())
-            .ok_or_else(|| bad(format!("bad oid `{oid_str}`")))?;
-        let oid = Oid::from_raw(raw);
-        base.restore_object(oid, &ty)?;
-        parsed.push((oid, rest));
-    }
-    // Second pass: contents.
-    for (oid, rest) in parsed {
-        let mut fields = rest.split(' ');
-        let kind = fields
-            .next()
-            .ok_or_else(|| bad("missing structure tag".into()))?;
-        match kind {
-            "TUPLE" => {
-                for field in fields.filter(|f| !f.is_empty()) {
-                    let (attr, value) = field
-                        .split_once('=')
-                        .ok_or_else(|| bad(format!("bad attribute `{field}`")))?;
-                    base.set_attribute(oid, &unescape(attr)?, decode_value(value)?)?;
-                }
-            }
-            "SET" => {
-                for field in fields.filter(|f| !f.is_empty()) {
-                    base.insert_into_set(oid, decode_value(field)?)?;
-                }
-            }
-            "LIST" => {
-                for field in fields.filter(|f| !f.is_empty()) {
-                    base.push_to_list(oid, decode_value(field)?)?;
-                }
-            }
-            other => return Err(bad(format!("unknown structure `{other}`"))),
-        }
-    }
+    let objects = read_objects(&schema, &object_lines)?;
+    let mut variables = HashMap::new();
     for line in var_lines {
         let mut parts = line.splitn(3, ' ');
         let _v = parts.next();
@@ -415,9 +389,145 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
                 .next()
                 .ok_or_else(|| bad("missing variable value".into()))?,
         )?;
-        base.bind_variable(&name, value);
+        variables.insert(name.into_owned(), value);
     }
-    Ok(base)
+    Ok(ObjectBase::from_snapshot(schema, objects, variables))
+}
+
+/// One `O` line's header: the object's identity and type, and the rest of
+/// the line (its structure tag and contents).
+struct ObjectHeader<'a> {
+    oid: Oid,
+    ty: TypeId,
+    rest: &'a str,
+}
+
+/// Build every object of the `O` lines, in listing order, each body in
+/// one piece.  Two passes, so that references resolve whatever the
+/// order: the headers first (identity and type), then the contents.
+/// Type names and (type, attribute) slots are resolved once each.  A bad
+/// line gets the error the object-at-a-time API
+/// ([`ObjectBase::restore_object`], [`ObjectBase::set_attribute`],
+/// [`ObjectBase::insert_into_set`], [`ObjectBase::push_to_list`]) gives
+/// it, with one exception that is not an error: a reference to an object
+/// the snapshot does not hold is kept as the live base holds it,
+/// dangling, and is type-checked only when its target is present.
+fn read_objects(schema: &Schema, lines: &[&str]) -> Result<Vec<Object>> {
+    let mut headers: Vec<ObjectHeader<'_>> = Vec::with_capacity(lines.len());
+    let mut types: Vec<(Cow<'_, str>, TypeId)> = Vec::new();
+    for line in lines {
+        let mut parts = line.splitn(4, ' ');
+        let _o = parts.next();
+        let oid_str = parts.next().ok_or_else(|| bad("missing oid".into()))?;
+        let name = unescape(parts.next().ok_or_else(|| bad("missing type".into()))?)?;
+        let rest = parts.next().unwrap_or("");
+        let oid = oid_str
+            .strip_prefix('i')
+            .and_then(|r| r.parse::<u64>().ok())
+            .map(Oid::from_raw)
+            .ok_or_else(|| bad(format!("bad oid `{oid_str}`")))?;
+        let ty = match types.iter().find(|(known, _)| *known == name) {
+            Some(&(_, ty)) => ty,
+            None => {
+                let ty = schema.require(&name)?;
+                types.push((name, ty));
+                ty
+            }
+        };
+        headers.push(ObjectHeader { oid, ty, rest });
+    }
+    // The type of every listed object by OID, for conformance checks; an
+    // OID listed twice shows up next to itself.
+    let mut type_of: Vec<(Oid, TypeId)> = headers.iter().map(|h| (h.oid, h.ty)).collect();
+    type_of.sort_unstable_by_key(|&(oid, _)| oid);
+    if let Some(twice) = type_of.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(GomError::DuplicateObject(twice[0].0));
+    }
+    // OIDs are issued densely, so an OID's offset from the first one is
+    // nearly always its position; a binary search finds the others.
+    let first = type_of.first().map_or(0, |&(oid, _)| oid.as_raw());
+    let target = |oid: Oid| {
+        let guess = usize::try_from(oid.as_raw().wrapping_sub(first)).ok();
+        match guess.and_then(|at| type_of.get(at)) {
+            Some(&(o, ty)) if o == oid => Some(ty),
+            _ => type_of
+                .binary_search_by_key(&oid, |&(o, _)| o)
+                .ok()
+                .map(|at| type_of[at].1),
+        }
+    };
+    let mut attr_slots: Vec<(TypeId, Cow<'_, str>, usize, TypeRef)> = Vec::new();
+    let mut objects = Vec::with_capacity(headers.len());
+    for ObjectHeader { oid, ty, rest } in headers {
+        let kind = &schema.def(ty)?.kind;
+        let mut fields = rest.split(' ');
+        let tag = fields
+            .next()
+            .ok_or_else(|| bad("missing structure tag".into()))?;
+        let fields = fields.filter(|f| !f.is_empty());
+        // A tuple's slots, or a collection's elements in listing order.
+        let mut values = match kind {
+            TypeKind::Tuple { .. } => vec![Value::Null; schema.layout(ty).map_or(0, <[_]>::len)],
+            TypeKind::Set { .. } | TypeKind::List { .. } => Vec::new(),
+        };
+        match tag {
+            "TUPLE" => {
+                for field in fields {
+                    let (attr, value) = field
+                        .split_once('=')
+                        .ok_or_else(|| bad(format!("bad attribute `{field}`")))?;
+                    let attr = unescape(attr)?;
+                    let value = decode_value(value)?;
+                    let known = attr_slots
+                        .iter()
+                        .find(|(t, known, ..)| *t == ty && *known == attr);
+                    let (slot, declared) = match known {
+                        Some(&(.., slot, declared)) => (slot, declared),
+                        None => {
+                            let (slot, def) = schema.slot(ty, &attr)?;
+                            let declared = def.ty;
+                            attr_slots.push((ty, attr, slot, declared));
+                            (slot, declared)
+                        }
+                    };
+                    check_conformance(
+                        schema,
+                        &value,
+                        value.as_ref_oid().and_then(target),
+                        declared,
+                    )?;
+                    values[slot] = value;
+                }
+            }
+            "SET" | "LIST" => {
+                let expected = if tag == "SET" { "set" } else { "list" };
+                let wrong = GomError::WrongStructure { oid, expected };
+                for field in fields {
+                    let value = decode_value(field)?;
+                    let element = kind.element().ok_or_else(|| wrong.clone())?;
+                    check_conformance(
+                        schema,
+                        &value,
+                        value.as_ref_oid().and_then(target),
+                        element,
+                    )?;
+                    match (kind, expected) {
+                        (TypeKind::Set { .. }, "set") | (TypeKind::List { .. }, "list") => {}
+                        _ => return Err(wrong),
+                    }
+                    values.push(value);
+                }
+            }
+            other => return Err(bad(format!("unknown structure `{other}`"))),
+        }
+        let body = match kind {
+            TypeKind::Tuple { .. } => ObjectBody::Tuple(values.into()),
+            TypeKind::Set { .. } => ObjectBody::Set(values.into_iter().collect()),
+            TypeKind::List { .. } => ObjectBody::List(values),
+        };
+        objects.push(Object { oid, ty, body });
+    }
+    Ok(objects)
 }
 
 fn read_type_line(schema: &mut Schema, line: &str) -> Result<()> {

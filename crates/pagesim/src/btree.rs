@@ -545,12 +545,12 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// Visit all entries with `lo <= key < hi` (half-open), in key order.
     /// Charges one read per level of the descent to the first leaf, then
     /// one per additional leaf.
-    fn scan_range(
-        &self,
+    fn scan_range<'a>(
+        &'a self,
         lo: Bound<&K>,
         hi: Bound<&K>,
         charge: &impl Fn(usize),
-        mut visit: impl FnMut(&K, &V),
+        mut visit: impl FnMut(&'a K, &'a V),
     ) {
         let mut node = self.root;
         loop {
@@ -605,7 +605,7 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
 
     /// Visit every entry in key order: the left spine, then the whole
     /// leaf level, each page charged once.
-    pub fn scan_all(&self, charge: impl Fn(usize), visit: impl FnMut(&K, &V)) {
+    pub fn scan_all<'a>(&'a self, charge: impl Fn(usize), visit: impl FnMut(&'a K, &'a V)) {
         self.scan_range(Bound::Unbounded, Bound::Unbounded, &charge, visit)
     }
 
@@ -796,7 +796,7 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
         }
         // Leaf chain must enumerate all entries in ascending order.
         let mut chained = 0usize;
-        let mut prev: Option<K> = None;
+        let mut prev: Option<&K> = None;
         let mut leaf = self.leftmost_leaf();
         loop {
             let Node::Leaf { entries, next } = self.node(leaf) else {
@@ -805,14 +805,12 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
                 ));
             };
             for (k, _) in entries {
-                if let Some(p) = &prev {
-                    if p >= k {
-                        return Err(PageSimError::CorruptStructure(
-                            "leaf chain out of order".into(),
-                        ));
-                    }
+                if prev.is_some_and(|p| p >= k) {
+                    return Err(PageSimError::CorruptStructure(
+                        "leaf chain out of order".into(),
+                    ));
                 }
-                prev = Some(k.clone());
+                prev = Some(k);
                 chained += 1;
             }
             if *next == NO_NODE {

@@ -17,6 +17,7 @@ use std::rc::Rc;
 use crate::buffer::BufferPool;
 use crate::constants::PAGE_SIZE;
 use crate::error::{PageSimError, Result};
+use crate::hash::WordBuildHasher;
 use crate::stats::{IoStats, StatsHandle};
 
 /// A clustered file of fixed-size objects keyed by `u64` (OID raw values).
@@ -27,7 +28,7 @@ pub struct ClusteredFile<T> {
     /// slot -> (key, payload); `None` marks a deleted slot (tombstone).
     slots: Vec<Option<(u64, T)>>,
     /// key -> slot
-    index: std::collections::HashMap<u64, usize>,
+    index: std::collections::HashMap<u64, usize, WordBuildHasher>,
     stats: StatsHandle,
     buffer: RefCell<BufferPool>,
 }
@@ -51,7 +52,7 @@ impl<T> ClusteredFile<T> {
             object_size,
             opp,
             slots: Vec::new(),
-            index: std::collections::HashMap::new(),
+            index: std::collections::HashMap::default(),
             stats,
             buffer: RefCell::new(BufferPool::unbuffered()),
         })
@@ -123,15 +124,25 @@ impl<T> ClusteredFile<T> {
         }
     }
 
+    /// Make room for `additional` more objects.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+        self.index.reserve(additional);
+    }
+
     /// Append an object.  Returns its slot.
     pub fn insert(&mut self, key: u64, payload: T) -> Result<usize> {
-        if self.index.contains_key(&key) {
-            return Err(PageSimError::DuplicateKey(format!("object {key}")));
-        }
         let slot = self.slots.len();
-        self.slots.push(Some((key, payload)));
-        self.index.insert(key, slot);
-        Ok(slot)
+        match self.index.entry(key) {
+            std::collections::hash_map::Entry::Occupied(_) => {
+                Err(PageSimError::DuplicateKey(format!("object {key}")))
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(slot);
+                self.slots.push(Some((key, payload)));
+                Ok(slot)
+            }
+        }
     }
 
     /// Fetch an object, charging one page access per page it spans.

@@ -29,6 +29,7 @@ pub mod buffer;
 pub mod clustered;
 pub mod constants;
 pub mod error;
+pub mod hash;
 pub mod stats;
 
 pub use btree::{
@@ -39,4 +40,5 @@ pub use buffer::BufferPool;
 pub use clustered::ClusteredFile;
 pub use constants::{bplus_fan, OID_SIZE, PAGE_SIZE, PP_SIZE};
 pub use error::{PageSimError, Result};
+pub use hash::{WordBuildHasher, WordHasher};
 pub use stats::{IoSnapshot, IoStats, StatsHandle, StructureId, StructureIo, StructureKind};
