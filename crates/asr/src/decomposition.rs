@@ -151,9 +151,9 @@ impl Decomposition {
 
     /// Reassemble decomposed partitions with the join flavour of the given
     /// extension.  By Theorem 3.9 this recovers the original extension
-    /// exactly (property-tested in `tests/lossless.rs` against the
-    /// [`chain_join`](crate::join::chain_join) folds of Definitions
-    /// 3.4–3.7).
+    /// exactly (property-tested in `tests/properties.rs` against
+    /// [`Extension::fold`], the [`chain_join`](crate::join::chain_join)
+    /// folds of Definitions 3.4–3.7).
     pub fn reassemble(&self, parts: &[Relation], extension: Extension) -> Result<Relation> {
         let rows: Vec<Vec<&Row>> = parts.iter().map(|p| p.iter().collect()).collect();
         let set = self.reassemble_rows(&rows, extension)?;
@@ -450,7 +450,7 @@ mod tests {
         // the Division.Manufactures.Composition.Name path with set OIDs.
         let (base, path) = crate::testutil::figure2_base();
         let aux = build_auxiliary_relations(&base, &path, true).unwrap();
-        let can = Extension::Canonical.compute(&aux).unwrap();
+        let can = Extension::Canonical.fold(&aux).unwrap();
         let dec = Decomposition::binary(can.arity() - 1);
         let parts = dec.decompose(&can).unwrap();
         assert_eq!(parts.len(), 5);
@@ -466,7 +466,7 @@ mod tests {
         for keep in [false, true] {
             let aux = build_auxiliary_relations(&base, &path, keep).unwrap();
             for ext in Extension::ALL {
-                let rel = ext.compute(&aux).unwrap();
+                let rel = ext.fold(&aux).unwrap();
                 for dec in Decomposition::enumerate_all(rel.arity() - 1) {
                     let parts = dec.decompose(&rel).unwrap();
                     let back = dec.reassemble(&parts, ext).unwrap();

@@ -4,6 +4,7 @@
 
 use std::fmt;
 
+use crate::decomposition::Decomposition;
 use crate::error::Result;
 use crate::join::{fold_left, fold_right, JoinKind};
 use crate::relation::Relation;
@@ -63,10 +64,28 @@ impl Extension {
     }
 
     /// Compute the extension from the auxiliary relations `E_0 … E_{n-1}`
-    /// (Definitions 3.4–3.7).  Note the association: left-complete folds
-    /// left-associatively, right-complete right-associatively, exactly as
-    /// the definitions parenthesize.
+    /// (Definitions 3.4–3.7) by the reassembly walk of Theorem 3.9: the
+    /// auxiliary relations are the partitions of the extension under the
+    /// decomposition that cuts at every step (binary, but for the
+    /// three-column relations of set occurrences when set OIDs are kept),
+    /// so reassembling them is [`Self::fold`] without its intermediate
+    /// relations.
     pub fn compute(self, aux: &[Relation]) -> Result<Relation> {
+        let ends = aux.iter().scan(0, |end, rel| {
+            *end += rel.arity().saturating_sub(1);
+            Some(*end)
+        });
+        let cuts: Vec<usize> = std::iter::once(0).chain(ends).collect();
+        Decomposition::new(cuts)?.reassemble(aux, self)
+    }
+
+    /// Definitions 3.4–3.7 as written: the fold of `chain_join`s over the
+    /// auxiliary relations in the extension's association order —
+    /// left-complete folds left-associatively, right-complete
+    /// right-associatively, exactly as the definitions parenthesize.  The
+    /// definitional oracle [`Self::compute`] and
+    /// [`Decomposition::reassemble`] are tested against.
+    pub fn fold(self, aux: &[Relation]) -> Result<Relation> {
         match self {
             Extension::RightComplete => fold_right(aux, self.join_kind()),
             _ => fold_left(aux, self.join_kind()),
@@ -120,12 +139,11 @@ mod tests {
     fn extensions() -> (ObjectBase, [Relation; 4]) {
         let (base, path) = crate::testutil::figure2_base();
         let aux = build_auxiliary_relations(&base, &path, false).unwrap();
-        let e = [
-            Extension::Canonical.compute(&aux).unwrap(),
-            Extension::Full.compute(&aux).unwrap(),
-            Extension::LeftComplete.compute(&aux).unwrap(),
-            Extension::RightComplete.compute(&aux).unwrap(),
-        ];
+        let e = Extension::ALL.map(|ext| {
+            let folded = ext.fold(&aux).unwrap();
+            assert_eq!(ext.compute(&aux).unwrap(), folded, "{ext}");
+            folded
+        });
         (base, e)
     }
 
@@ -244,12 +262,15 @@ mod tests {
     fn set_oid_form_has_wider_arity() {
         let (base, path) = crate::testutil::figure2_base();
         let aux = build_auxiliary_relations(&base, &path, true).unwrap();
-        let can = Extension::Canonical.compute(&aux).unwrap();
+        let can = Extension::Canonical.fold(&aux).unwrap();
         assert_eq!(can.arity(), 6, "n + k + 1 = 3 + 2 + 1");
         assert_eq!(can.len(), 2);
-        let full = Extension::Full.compute(&aux).unwrap();
+        let full = Extension::Full.fold(&aux).unwrap();
         assert_eq!(full.arity(), 6);
         assert!(full.len() >= 4);
+        for ext in Extension::ALL {
+            assert_eq!(ext.compute(&aux).unwrap(), ext.fold(&aux).unwrap(), "{ext}");
+        }
     }
 
     #[test]

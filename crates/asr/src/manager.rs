@@ -222,14 +222,11 @@ impl AccessSupportRelation {
         let mut placed = 0u64;
         for (idx, &(a, b)) in spans.iter().enumerate() {
             let mut kept: Vec<(crate::row::Row, u64)> = Vec::new();
-            {
-                let old = &self.partitions[idx];
-                old.scan(|row| {
-                    if keep(idx, row) {
-                        kept.push((row.clone(), old.witness_count(row)));
-                    }
-                });
-            }
+            self.partitions[idx].scan_counted(|row, count| {
+                if keep(idx, row) {
+                    kept.push((row.clone(), count));
+                }
+            });
             placed += kept.len() as u64;
             let mut sp = StoredPartition::new(a, b, Rc::clone(&self.stats));
             sp.tag(&format!("asr[{}].{a}-{b}", self.path));
@@ -585,7 +582,7 @@ mod tests {
                 )
                 .unwrap();
                 let aux = build_auxiliary_relations(&base, &path, false).unwrap();
-                let direct = ext.compute(&aux).unwrap();
+                let direct = ext.fold(&aux).unwrap();
                 assert_eq!(asr.to_relation().unwrap(), direct, "{ext}");
             }
         }

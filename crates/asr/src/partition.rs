@@ -7,10 +7,15 @@
 //! key sizes follow the paper's geometry: a tuple occupies `OIDsize ·
 //! (j − i + 1)` bytes (formula 13), keys occupy `OIDsize`.
 //!
+//! A row lives only in its two clustering trees: each holds it once,
+//! under `(first|last cell, row id)`, and both hold the same allocation.
+//! Finding a row's id is an uncharged search of one tree's cluster.
+//!
 //! Because partitions are *projections* of the extension, several extension
 //! rows may project to the same partition row; the partition therefore
-//! reference-counts its rows so that incremental maintenance can remove a
-//! projected row only when its last witness disappears.
+//! counts each row's witnesses so that incremental maintenance can remove
+//! a projected row only when its last witness disappears.  Only counts
+//! above one are kept, by row id.
 //!
 //! A delta checkpoint of a partition is its dirty rows plus the pages its
 //! checkpointed version does not share with the previous checkpoint's.
@@ -38,6 +43,9 @@ use crate::row::Row;
 /// the key unique.  `None` (NULL) clusters before all defined cells.
 pub type PartitionKey = (Option<Cell>, u64);
 
+const _: () = assert!(std::mem::size_of::<Option<Cell>>() == 16);
+const _: () = assert!(std::mem::size_of::<PartitionKey>() == 24);
+
 /// A partition `[S_from, …, S_to]` stored in two clustered B+ trees.
 #[derive(Debug)]
 pub struct StoredPartition {
@@ -45,29 +53,29 @@ pub struct StoredPartition {
     to: usize,
     fwd: BPlusTree<PartitionKey, Row>,
     bwd: BPlusTree<PartitionKey, Row>,
-    /// Logical multiset bookkeeping: row → (row id, witness count).
-    /// This mirror is not charged; the physical operations on the trees
-    /// carry the page costs.  Shared copy-on-write with the published
-    /// version, like the trees' pages.
-    rows: Arc<Mirror>,
+    /// Witness counts above one.  Not charged: the physical operations
+    /// on the trees carry the page costs.  Shared copy-on-write with the
+    /// published version, like the trees' pages.
+    counts: Arc<Witnesses>,
     next_rowid: u64,
     /// What changed since the base checkpoint ([`Self::mark_clean`]).
     changes: PartitionChanges,
     /// The published MVCC version of this partition
     /// ([`Self::publish_version`]) while it is current.  Every mutation
     /// drops it before writing, so the writer copies a page (or the
-    /// mirror) only while a snapshot still pins the version.
+    /// witness counts) only while a snapshot still pins the version.
     version: Option<Arc<PartitionVersion>>,
     stats: StatsHandle,
 }
 
-/// The row mirror: row → (row id, witness count).
-type Mirror = HashMap<Row, RowMeta, WordBuildHasher>;
+/// Row id → witness count, for the rows counted more than once; a stored
+/// row absent here has one witness.  Filled only from stored rows, so it
+/// never outgrows the trees.
+type Witnesses = HashMap<u64, u64, WordBuildHasher>;
 
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    rowid: u64,
-    count: u64,
+/// The witness count of the stored row `rowid`.
+fn witnesses(counts: &Witnesses, rowid: u64) -> u64 {
+    counts.get(&rowid).copied().unwrap_or(1)
 }
 
 impl StoredPartition {
@@ -81,7 +89,7 @@ impl StoredPartition {
             to,
             fwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
             bwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
-            rows: Arc::default(),
+            counts: Arc::default(),
             next_rowid: 0,
             changes: PartitionChanges::default(),
             version: None,
@@ -103,14 +111,14 @@ impl StoredPartition {
     }
 
     /// The partition as it is now, immutable: both trees' pages and the
-    /// row mirror, shared copy-on-write — page pointers are copied, rows
-    /// are not.  Charges nothing.
+    /// witness counts, shared copy-on-write — page pointers are copied,
+    /// rows are not.  Charges nothing.
     pub(crate) fn freeze(&self) -> PartitionVersion {
         PartitionVersion {
             from: self.from,
             to: self.to,
             next_rowid: self.next_rowid,
-            rows: Arc::clone(&self.rows),
+            counts: Arc::clone(&self.counts),
             fwd: self.fwd.freeze(),
             bwd: self.bwd.freeze(),
         }
@@ -128,12 +136,12 @@ impl StoredPartition {
 
     /// Number of distinct rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.fwd.pages().len()
     }
 
     /// `true` when the partition holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Bytes of tuple data (the paper's `as^{i,j}`, formula 15).
@@ -192,6 +200,42 @@ impl StoredPartition {
         Ok(())
     }
 
+    /// The id `row` is stored under, if it is stored: an uncharged search
+    /// of the forward tree's cluster of its first cell, or, when that is
+    /// NULL, of the backward tree's cluster of its last cell.  A row NULL
+    /// at both ends is searched for in the forward tree's NULL cluster.
+    /// Reads the pages directly: no page is charged, and no buffer-pool or
+    /// batch state changes.
+    fn rowid_of(&self, row: &Row) -> Option<u64> {
+        let (tree, cell) = match (row.first(), row.last()) {
+            (None, Some(_)) => (&self.bwd, row.last()),
+            _ => (&self.fwd, row.first()),
+        };
+        let lo = (cell.clone(), 0);
+        let hi = (cell.clone(), u64::MAX);
+        let mut found = None;
+        tree.pages().scan_range(
+            Bound::Included(&lo),
+            Bound::Excluded(&hi),
+            &|_| {},
+            |&(_, rowid), stored| {
+                if found.is_none() && stored == row {
+                    found = Some(rowid);
+                }
+            },
+        );
+        found
+    }
+
+    /// Charge the read and write-back of the stored tuple in each tree —
+    /// what persisting a changed witness count costs.
+    fn touch(&self, row: &Row, rowid: u64) {
+        let _ = self.fwd.get(&(row.first().clone(), rowid));
+        self.charge_tree_write();
+        let _ = self.bwd.get(&(row.last().clone(), rowid));
+        self.charge_tree_write();
+    }
+
     /// Insert one witness of `row`.  New rows go into both trees; repeated
     /// witnesses only bump the reference count (charged as a read/write of
     /// the resident tuple in each tree).
@@ -203,25 +247,18 @@ impl StoredPartition {
             return Ok(());
         }
         self.version = None;
-        match Arc::make_mut(&mut self.rows).get_mut(&row) {
-            Some(meta) => {
-                meta.count += 1;
-                self.changes.dirty_rows.insert(meta.rowid);
-                // Touch the stored tuples to persist the new count.
-                let fkey = (row.first().clone(), meta.rowid);
-                let bkey = (row.last().clone(), meta.rowid);
-                let _ = self.fwd.get(&fkey);
-                self.charge_tree_write();
-                let _ = self.bwd.get(&bkey);
-                self.charge_tree_write();
+        match self.rowid_of(&row) {
+            Some(rowid) => {
+                *Arc::make_mut(&mut self.counts).entry(rowid).or_insert(1) += 1;
+                self.changes.dirty_rows.insert(rowid);
+                self.touch(&row, rowid);
             }
             None => {
                 let rowid = self.next_rowid;
                 self.next_rowid += 1;
                 self.changes.dirty_rows.insert(rowid);
                 self.fwd.insert((row.first().clone(), rowid), row.clone())?;
-                self.bwd.insert((row.last().clone(), rowid), row.clone())?;
-                Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count: 1 });
+                self.bwd.insert((row.last().clone(), rowid), row)?;
             }
         }
         Ok(())
@@ -237,30 +274,27 @@ impl StoredPartition {
     /// `false`) — incremental maintenance relies on this.
     pub fn remove(&mut self, row: &Row) -> Result<bool> {
         self.check_arity(row)?;
-        // Look before `make_mut`: a no-op removal must not copy a mirror
-        // that a pinned version shares.
-        if !self.rows.contains_key(row) {
+        let Some(rowid) = self.rowid_of(row) else {
             return Ok(false);
-        }
+        };
         self.version = None;
-        let rows = Arc::make_mut(&mut self.rows);
-        let meta = rows.get_mut(row).expect("checked above");
-        if meta.count > 1 {
-            meta.count -= 1;
-            self.changes.dirty_rows.insert(meta.rowid);
-            let fkey = (row.first().clone(), meta.rowid);
-            let bkey = (row.last().clone(), meta.rowid);
-            let _ = self.fwd.get(&fkey);
-            self.charge_tree_write();
-            let _ = self.bwd.get(&bkey);
-            self.charge_tree_write();
-        } else {
-            let rowid = meta.rowid;
-            rows.remove(row);
-            self.changes.dirty_rows.remove(&rowid);
-            self.changes.dead_rows.insert(rowid);
-            self.fwd.remove(&(row.first().clone(), rowid));
-            self.bwd.remove(&(row.last().clone(), rowid));
+        match witnesses(&self.counts, rowid) {
+            1 => {
+                self.changes.dirty_rows.remove(&rowid);
+                self.changes.dead_rows.insert(rowid);
+                self.fwd.remove(&(row.first().clone(), rowid));
+                self.bwd.remove(&(row.last().clone(), rowid));
+            }
+            count => {
+                let counts = Arc::make_mut(&mut self.counts);
+                if count == 2 {
+                    counts.remove(&rowid);
+                } else {
+                    counts.insert(rowid, count - 1);
+                }
+                self.changes.dirty_rows.insert(rowid);
+                self.touch(row, rowid);
+            }
         }
         Ok(true)
     }
@@ -306,6 +340,12 @@ impl StoredPartition {
         self.fwd.scan_all(|_, row| visit(row));
     }
 
+    /// [`Self::scan`], visiting each row with its witness count.
+    pub fn scan_counted(&self, mut visit: impl FnMut(&Row, u64)) {
+        self.fwd
+            .scan_all(|&(_, rowid), row| visit(row, witnesses(&self.counts, rowid)));
+    }
+
     /// Rebuild the partition's logical content as an in-memory relation
     /// (charges a full scan).
     pub fn to_relation(&self) -> Result<Relation> {
@@ -331,7 +371,8 @@ impl StoredPartition {
     /// clustered B+ trees bottom-up (one page write per created node —
     /// the fast path of [`crate::AccessSupportRelation::rebuild`]).
     ///
-    /// The partition must be empty; all-NULL rows are skipped.
+    /// The partition must be empty and the rows distinct; all-NULL rows
+    /// are skipped.
     pub fn bulk_load(&mut self, rows: impl IntoIterator<Item = (Row, u64)>) -> Result<()> {
         assert!(self.is_empty(), "bulk_load requires an empty partition");
         self.version = None;
@@ -345,9 +386,11 @@ impl StoredPartition {
             let rowid = self.next_rowid;
             self.next_rowid += 1;
             self.changes.dirty_rows.insert(rowid);
+            if count > 1 {
+                Arc::make_mut(&mut self.counts).insert(rowid, count);
+            }
             fwd_entries.push(((row.first().clone(), rowid), row.clone()));
-            bwd_entries.push(((row.last().clone(), rowid), row.clone()));
-            Arc::make_mut(&mut self.rows).insert(row, RowMeta { rowid, count });
+            bwd_entries.push(((row.last().clone(), rowid), row));
         }
         // The two redundant clustering trees are independent: sort and
         // build both node slabs (a pure, stats-free computation) on two
@@ -428,9 +471,9 @@ impl StoredPartition {
     /// are re-derived from the rows as `(row.first|last, rowid)` — an
     /// invariant of both [`Self::insert`] and [`Self::bulk_load`] — and
     /// each leaf's row ids resolve through the rows in ascending row-id
-    /// order.  Any inconsistency (unknown row ids, cardinality
-    /// mismatches, corrupt page layouts) yields a descriptive error and
-    /// never panics.
+    /// order.  Any inconsistency (unknown row ids, a row listed twice,
+    /// cardinality mismatches, corrupt page layouts) yields a descriptive
+    /// error and never panics.
     pub(crate) fn restore(
         mut img: PartitionImage,
         stats: StatsHandle,
@@ -458,10 +501,8 @@ impl StoredPartition {
         let by_rowid = RowIds::new(&rows.ids).map_err(corrupt)?;
         // Allocate in the backward tree's key order: along its leaves, then
         // (in a damaged image only) whatever rows they do not name.  `at[k]`
-        // is where the row listed `k`th lands in `made`, `listed[i]` the
-        // inverse.
+        // is where the row listed `k`th lands in `made`.
         let mut at = vec![usize::MAX; rows.len()];
-        let mut listed = Vec::with_capacity(rows.len());
         let mut made = Vec::with_capacity(rows.len());
         let chain = img.bwd.leaf_chain();
         let named = chain
@@ -471,7 +512,6 @@ impl StoredPartition {
         for k in named.chain(0..rows.len()) {
             if at[k] == usize::MAX {
                 at[k] = made.len();
-                listed.push(k);
                 made.push(Row::take(rows.row_mut(k)));
             }
         }
@@ -481,29 +521,30 @@ impl StoredPartition {
         p.fwd.adopt_image(fwd)?;
         p.bwd.adopt_image(bwd)?;
         let n = made.len();
+        drop(made);
         if p.fwd.pages().len() != n || p.bwd.pages().len() != n {
             return Err(corrupt(format!(
-                "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={n}",
+                "tree cardinality mismatch: fwd={} bwd={} rows={n}",
                 p.fwd.pages().len(),
                 p.bwd.pages().len(),
             )));
         }
-        let ids = &img.rows.ids;
-        p.rows = Arc::new(
-            made.into_iter()
-                .zip(listed)
-                .map(|(row, k)| {
-                    let (rowid, count) = ids[k];
-                    (row, RowMeta { rowid, count })
-                })
-                .collect(),
-        );
-        if p.rows.len() != n {
+        // Each tree now names every listed row id once, so the rows are
+        // the trees' rows; a row must still not be listed twice.
+        let twice = duplicate_rows(&p.fwd);
+        if twice > 0 {
             return Err(corrupt(format!(
-                "{} rows listed twice under different row ids",
-                n - p.rows.len()
+                "{twice} rows listed twice under different row ids"
             )));
         }
+        p.counts = Arc::new(
+            img.rows
+                .ids
+                .iter()
+                .filter(|&&(_, count)| count > 1)
+                .copied()
+                .collect(),
+        );
         p.next_rowid = img.next_rowid;
         // Price the restore: pulling each tree's serialized pages in from
         // the snapshot, attributed per tree (at least one page each).
@@ -514,7 +555,7 @@ impl StoredPartition {
 
     /// The partition's rows in clustering order, read off the pages of
     /// the backward tree (by last cell) or the forward tree (by first
-    /// cell).  Charges nothing: the logical mirror's derivation reads it.
+    /// cell).  Charges nothing: the extension mirror's derivation reads it.
     pub(crate) fn clustered_rows(&self, backward: bool) -> Vec<&Row> {
         let tree = if backward { &self.bwd } else { &self.fwd };
         let mut rows = Vec::with_capacity(tree.pages().len());
@@ -522,45 +563,82 @@ impl StoredPartition {
         rows
     }
 
-    /// The partition's logical content read off the uncharged row mirror,
-    /// in no particular order — an uncharged counterpart of
-    /// [`Self::to_relation`], which scans the tree and charges pages.
-    pub fn mirror_rows(&self) -> impl Iterator<Item = &Row> {
-        self.rows.keys()
-    }
-
     /// Witness count of a row (0 when absent) — for tests.
     pub fn witness_count(&self, row: &Row) -> u64 {
-        self.rows.get(row).map(|m| m.count).unwrap_or(0)
+        self.rowid_of(row)
+            .map_or(0, |rowid| witnesses(&self.counts, rowid))
     }
 
-    /// Verify the two trees and the mirror agree; used by tests.
+    /// Verify the partition's invariants; used by tests.  Both trees are
+    /// well-formed B+ trees holding the same rows under the same row ids,
+    /// each keyed by its clustering cell; no row is stored twice; and
+    /// every kept witness count belongs to a stored row and exceeds one.
     pub fn check_consistency(&self) -> Result<()> {
+        let corrupt = |msg: String| {
+            Err(AsrError::PageSim(
+                asr_pagesim::PageSimError::CorruptStructure(msg),
+            ))
+        };
         self.fwd.check_invariants()?;
         self.bwd.check_invariants()?;
-        if self.fwd.pages().len() != self.rows.len() || self.bwd.pages().len() != self.rows.len() {
-            return Err(AsrError::PageSim(
-                asr_pagesim::PageSimError::CorruptStructure(format!(
-                    "tree/mirror cardinality mismatch: fwd={} bwd={} mirror={}",
-                    self.fwd.pages().len(),
-                    self.bwd.pages().len(),
-                    self.rows.len()
-                )),
+        /// A tree's `(rowid, row)` entries sorted by row id, and whether
+        /// every key is its row's clustering cell.
+        fn by_rowid(
+            tree: &BPlusTree<PartitionKey, Row>,
+            key_cell: fn(&Row) -> &Option<Cell>,
+        ) -> (Vec<(u64, &Row)>, bool) {
+            let mut entries = Vec::with_capacity(tree.pages().len());
+            let mut keyed = true;
+            tree.pages().scan_all(
+                |_| {},
+                |(cell, rowid), row| {
+                    keyed &= cell == key_cell(row);
+                    entries.push((*rowid, row));
+                },
+            );
+            entries.sort_unstable_by_key(|&(rowid, _)| rowid);
+            (entries, keyed)
+        }
+        let (fwd, fwd_keyed) = by_rowid(&self.fwd, Row::first);
+        let (bwd, bwd_keyed) = by_rowid(&self.bwd, Row::last);
+        if !fwd_keyed || !bwd_keyed {
+            return corrupt("a tree key is not its row's clustering cell".into());
+        }
+        if fwd != bwd {
+            return corrupt(format!(
+                "the trees hold different rows: fwd={} bwd={}",
+                fwd.len(),
+                bwd.len()
             ));
         }
-        let mut fwd_rows: Vec<Row> = Vec::new();
-        self.fwd.scan_all(|_, r| fwd_rows.push(r.clone()));
-        for row in &fwd_rows {
-            if !self.rows.contains_key(row) {
-                return Err(AsrError::PageSim(
-                    asr_pagesim::PageSimError::CorruptStructure(format!(
-                        "row {row} in fwd tree but not in mirror"
-                    )),
-                ));
+        if fwd.windows(2).any(|w| w[0].0 == w[1].0) {
+            return corrupt("a row id is stored twice".into());
+        }
+        let twice = duplicate_rows(&self.fwd);
+        if twice > 0 {
+            return corrupt(format!("{twice} rows stored twice"));
+        }
+        for (&rowid, &count) in self.counts.iter() {
+            if count < 2 || fwd.binary_search_by_key(&rowid, |&(id, _)| id).is_err() {
+                return corrupt(format!("row id {rowid} has stray witness count {count}"));
             }
         }
         Ok(())
     }
+}
+
+/// How many of `tree`'s rows equal an earlier one.  Equal rows share
+/// their clustering cell, so each cluster is checked on its own.
+/// Charges nothing.
+fn duplicate_rows(tree: &BPlusTree<PartitionKey, Row>) -> usize {
+    let mut rows = Vec::with_capacity(tree.pages().len());
+    tree.pages().scan_all(|_| {}, |_, row| rows.push(row));
+    rows.chunk_by_mut(|a, b| a.first() == b.first())
+        .map(|cluster| {
+            cluster.sort_unstable();
+            cluster.windows(2).filter(|w| w[0] == w[1]).count()
+        })
+        .sum()
 }
 
 /// The batched probe's key ranges: for each frontier cell, the keys
@@ -580,7 +658,7 @@ pub(crate) fn cell_ranges(
 
 /// An immutable version of one [`StoredPartition`]
 /// ([`StoredPartition::freeze`]): the frozen pages of both clustering
-/// trees plus the row mirror, each shared copy-on-write with the live
+/// trees plus the witness counts, each shared copy-on-write with the live
 /// partition.  A pinned reader walks `fwd` / `bwd` with the live
 /// partition's read code; every `ASRDB 2` image is rendered from one
 /// ([`Self::view`]).
@@ -589,7 +667,7 @@ pub(crate) struct PartitionVersion {
     from: usize,
     to: usize,
     next_rowid: u64,
-    rows: Arc<Mirror>,
+    counts: Arc<Witnesses>,
     /// The forward-clustered tree's pages (keyed on the first column).
     pub fwd: PageSlab<PartitionKey, Row>,
     /// The backward-clustered tree's pages (keyed on the last column).
@@ -604,26 +682,37 @@ impl PartitionVersion {
 
     /// Distinct stored rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.fwd.len()
+    }
+
+    /// The rows whose id `keep` accepts, read off the forward tree's
+    /// leaves: `(row, rowid, witness count)`, sorted by row id.
+    fn rows_by_id(&self, keep: impl Fn(u64) -> bool) -> RowRefs<'_> {
+        let mut rows = Vec::new();
+        self.fwd.scan_all(
+            |_| {},
+            |&(_, rowid), row| {
+                if keep(rowid) {
+                    rows.push((row, rowid, witnesses(&self.counts, rowid)));
+                }
+            },
+        );
+        rows.sort_unstable_by_key(|&(_, rowid, _)| rowid);
+        rows
     }
 
     /// The version's complete physical state with the rows borrowed from
-    /// the mirror: the row mirror (sorted by row id) plus page-faithful
-    /// images of both clustering trees — everything the snapshot writer
-    /// needs, and nothing cloned but row ids and inner keys.  Charges
-    /// nothing — the writer prices the bytes it emits.
+    /// the trees: the rows (sorted by row id) with their witness counts,
+    /// plus page-faithful images of both clustering trees — everything
+    /// the snapshot writer needs, and nothing cloned but row ids and
+    /// inner keys.  Charges nothing — the writer prices the bytes it
+    /// emits.
     pub fn view(&self) -> PartitionImage<RowRefs<'_>> {
-        let mut rows: RowRefs<'_> = self
-            .rows
-            .iter()
-            .map(|(row, meta)| (row, meta.rowid, meta.count))
-            .collect();
-        rows.sort_unstable_by_key(|&(_, rowid, _)| rowid);
         PartitionImage {
             from: self.from,
             to: self.to,
             next_rowid: self.next_rowid,
-            rows,
+            rows: self.rows_by_id(|_| true),
             fwd: RawTreeImage::from_pages(&self.fwd),
             bwd: RawTreeImage::from_pages(&self.bwd),
             fwd_bytes: 0,
@@ -632,23 +721,17 @@ impl PartitionVersion {
     }
 
     /// What this version changed since the base `changes` was marked at:
-    /// the dirty rows read off the mirror (borrowed, sorted by row id),
-    /// the dead row ids, and each tree's pages not shared with the base.
-    /// Charges nothing — the delta writer prices the bytes it emits.
+    /// the dirty rows read off the forward tree (borrowed, sorted by row
+    /// id), the dead row ids, and each tree's pages not shared with the
+    /// base.  Charges nothing — the delta writer prices the bytes it
+    /// emits.
     pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> PartitionDelta<RowRefs<'a>> {
-        let mut upserts: RowRefs<'a> = self
-            .rows
-            .iter()
-            .filter(|(_, meta)| changes.dirty_rows.contains(&meta.rowid))
-            .map(|(row, meta)| (row, meta.rowid, meta.count))
-            .collect();
-        upserts.sort_unstable_by_key(|&(_, rowid, _)| rowid);
         PartitionDelta {
             from: self.from,
             to: self.to,
             next_rowid: self.next_rowid,
-            nrows: self.rows.len(),
-            upserts,
+            nrows: self.len(),
+            upserts: self.rows_by_id(|rowid| changes.dirty_rows.contains(&rowid)),
             deletes: changes.dead_rows.iter().copied().collect(),
             fwd: RawTreeDelta::changed(&self.fwd, &changes.fwd),
             bwd: RawTreeDelta::changed(&self.bwd, &changes.bwd),
@@ -667,8 +750,8 @@ impl PartitionVersion {
 pub(crate) struct PartitionChanges {
     fwd: PageMarks<PartitionKey, Row>,
     bwd: PageMarks<PartitionKey, Row>,
-    /// Row ids whose mirror entry changed (inserted, or witness count
-    /// bumped) — the row half of a delta checkpoint.
+    /// Row ids stored or re-counted since the base — the row half of a
+    /// delta checkpoint.
     dirty_rows: BTreeSet<u64>,
     /// Row ids physically removed.
     dead_rows: BTreeSet<u64>,
@@ -681,8 +764,8 @@ impl PartitionChanges {
     }
 }
 
-/// The serializable physical state of one [`StoredPartition`]: the row
-/// mirror with row ids and witness counts, plus raw page images of both
+/// The serializable physical state of one [`StoredPartition`]: its rows
+/// with row ids and witness counts, plus raw page images of both
 /// clustering trees.  Produced by `PartitionVersion::view` (rows
 /// borrowed), `StoredPartition::dump` and the `ASRDB 2` reader (rows in
 /// a [`RowTable`]), consumed by `StoredPartition::restore` and the
@@ -709,8 +792,8 @@ pub(crate) struct PartitionImage<Rows = RowTable> {
     pub bwd_bytes: usize,
 }
 
-/// A version's rows borrowed from its mirror: `(row, rowid, witness
-/// count)`, sorted by row id.
+/// A version's rows borrowed from its forward tree: `(row, rowid,
+/// witness count)`, sorted by row id.
 pub(crate) type RowRefs<'a> = Vec<(&'a Row, u64, u64)>;
 
 /// Rows that are not allocated yet: each row's `(rowid, witness count)`
@@ -825,7 +908,7 @@ pub(crate) struct PartitionDelta<Rows = RowTable> {
     pub to: usize,
     pub next_rowid: u64,
     /// Expected distinct-row count *after* applying this delta (integrity
-    /// check on the patched mirror).
+    /// check on the patched rows).
     pub nrows: usize,
     /// `(row, rowid, witness count)` for rows inserted or re-counted since
     /// the base, listed by row id.
@@ -923,7 +1006,7 @@ impl PartitionImage {
         }
         if rows.len() != d.nrows {
             return Err(corrupt(format!(
-                "patched mirror has {} rows, delta expects {}",
+                "patched image has {} rows, delta expects {}",
                 rows.len(),
                 d.nrows
             )));

@@ -4,7 +4,7 @@
 //!
 //! 1. **Design** — clustered type sizes (`S`) and access-support-relation
 //!    configurations (`A`), unchanged from v1;
-//! 2. **Physical** — every stored partition's row mirror (`P`/`R`) and
+//! 2. **Physical** — every stored partition's rows (`P`/`R`) and
 //!    page-faithful images of its two clustering B+ trees (`T`/`N`):
 //!    node layout, separator keys, row ids, witness counts, leaf sibling
 //!    links, free list and tree geometry;
@@ -54,7 +54,7 @@
 //! DELTA <base-id>
 //! S … / A …                                  (design, must match the base)
 //! D <asr#> <part#> <from> <to> <next_rowid> <nrows> <nupserts>
-//! R <rowid> <count> <cell> …                 (changed/new mirror rows)
+//! R <rowid> <count> <cell> …                 (changed/new rows)
 //! X <rowid-csv|->                            (rows physically removed)
 //! U <asr#> <part#> f|b <root> <height> <len> <total-pages> <npages> <free-csv|->
 //! N f|b <page#> I|L …                        (pages not shared with the base)
@@ -518,7 +518,7 @@ fn parse_csv_or_dash<T: std::str::FromStr>(
         .collect()
 }
 
-/// Append the mirror rows as `R <rowid> <count> <cell> …` lines.
+/// Append the rows as `R <rowid> <count> <cell> …` lines.
 fn write_rows(out: &mut String, rows: &RowRefs<'_>) {
     for (row, rowid, count) in rows {
         out.push_str("R ");

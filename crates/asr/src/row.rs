@@ -7,8 +7,8 @@ use crate::cell::Cell;
 
 /// A relation tuple: a fixed-arity sequence of optional cells, where `None`
 /// is the paper's `NULL`.  The cells are one immutable shared allocation,
-/// so a clone is a reference-count bump: a stored partition's mirror and
-/// both of its clustering trees hold the same row.
+/// so a clone is a reference-count bump: both clustering trees of a
+/// stored partition hold the same row.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Row(Arc<[Option<Cell>]>);
 

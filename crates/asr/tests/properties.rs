@@ -13,7 +13,6 @@
 //!   from-scratch rebuild, and a database saved and physically reloaded
 //!   half way keeps up with a twin that never was.
 
-use asr_core::join::{fold_left, fold_right};
 use asr_core::{
     AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension, Relation, Row,
 };
@@ -135,11 +134,7 @@ fn materialize(desc: &RandomBase) -> (ObjectBase, PathExpression) {
 /// Definitions 3.4–3.7 read as a reassembly: the fold of `chain_join`s
 /// in the extension's association order.
 fn join_fold(parts: &[Relation], ext: Extension) -> Relation {
-    match ext {
-        Extension::RightComplete => fold_right(parts, ext.join_kind()),
-        _ => fold_left(parts, ext.join_kind()),
-    }
-    .unwrap()
+    ext.fold(parts).unwrap()
 }
 
 proptest! {
@@ -153,7 +148,8 @@ proptest! {
         for keep in [false, true] {
             let aux = asr_core::build_auxiliary_relations(&base, &path, keep).unwrap();
             for ext in Extension::ALL {
-                let rel = ext.compute(&aux).unwrap();
+                let rel = join_fold(&aux, ext);
+                prop_assert_eq!(&ext.compute(&aux).unwrap(), &rel, "{} keep={}", ext, keep);
                 let m = rel.arity() - 1;
                 for dec in Decomposition::enumerate_all(m) {
                     let parts = dec.decompose(&rel).unwrap();

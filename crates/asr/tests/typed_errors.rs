@@ -268,3 +268,31 @@ fn leaf_naming_an_unknown_row_id() {
         )
     );
 }
+
+#[test]
+fn one_row_listed_under_two_row_ids() {
+    let text = checkpoint();
+    let rows = last_partition_rows(&text);
+    let bad = damaged(&text, rows[1], "R 1 1 R:i4 S:Door");
+    assert_eq!(
+        asr_mode(&bad),
+        AsrLoadMode::Rebuilt(
+            "corrupt snapshot: partition image: 1 rows listed twice under different row ids".into()
+        )
+    );
+    let db = Database::load_from_string(&bad).unwrap();
+    assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
+}
+
+#[test]
+fn leaves_naming_a_row_id_twice() {
+    let text = checkpoint();
+    let at = text.find("T 0 2 b ").unwrap();
+    let bad = spliced(&text, at, "N b 0 L - 0,1\n", "N b 0 L - 0,0\n");
+    assert_eq!(
+        asr_mode(&bad),
+        AsrLoadMode::Rebuilt("storage error: corrupt structure: leaf 0 keys unsorted".into())
+    );
+    let db = Database::load_from_string(&bad).unwrap();
+    assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
+}

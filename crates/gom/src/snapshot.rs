@@ -203,7 +203,7 @@ pub fn decode_value(s: &str) -> Result<Value> {
                 .map_err(|_| bad(format!("bad float `{body}`")))?,
         ),
         "D" => Value::Decimal(parse_i64(body)?),
-        "S" => Value::String(unescape(body)?.into_owned()),
+        "S" => Value::string(unescape(body)?),
         "C" => {
             let s = unescape(body)?;
             Value::Char(s.chars().next().ok_or_else(|| bad("empty char".into()))?)

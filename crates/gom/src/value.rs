@@ -15,7 +15,8 @@ use crate::oid::Oid;
 /// examples such as `1205.50`).
 pub const DECIMAL_SCALE: i64 = 100;
 
-/// A GOM value.
+/// A GOM value.  Two words: a tag and an 8-byte payload (a string is
+/// one pointer to its heap buffer).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// The undefined value.  Freshly instantiated tuple attributes are NULL.
@@ -27,8 +28,10 @@ pub enum Value {
     Float(u64),
     /// `DECIMAL` value scaled by [`DECIMAL_SCALE`].
     Decimal(i64),
-    /// `STRING` value.
-    String(String),
+    /// `STRING` value, boxed so that a `Value` is two words: every
+    /// attribute slot, ASR cell and tree key is sized by the largest
+    /// variant, and a `String` inline would make it three.
+    String(Box<String>),
     /// `CHAR` value.
     Char(char),
     /// `BOOL` value.
@@ -37,10 +40,12 @@ pub enum Value {
     Ref(Oid),
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
-    /// Build a string value (convenience over `Value::String(s.into())`).
+    /// Build a string value.
     pub fn string(s: impl Into<String>) -> Value {
-        Value::String(s.into())
+        Value::String(Box::new(s.into()))
     }
 
     /// Build a float value from an `f64`.
@@ -152,12 +157,12 @@ impl fmt::Display for Value {
             Value::Integer(i) => write!(f, "{i}"),
             Value::Float(bits) => write!(f, "{}", f64::from_bits(*bits)),
             Value::Decimal(scaled) => {
-                write!(
-                    f,
-                    "{}.{:02}",
-                    scaled / DECIMAL_SCALE,
-                    (scaled % DECIMAL_SCALE).abs()
-                )
+                // The sign is written on its own: the whole part of a
+                // value in (-1, 0) is `0`, which has none.
+                let sign = if *scaled < 0 { "-" } else { "" };
+                let abs = scaled.unsigned_abs();
+                let scale = DECIMAL_SCALE.unsigned_abs();
+                write!(f, "{sign}{}.{:02}", abs / scale, abs % scale)
             }
             Value::String(s) => write!(f, "\"{s}\""),
             Value::Char(c) => write!(f, "'{c}'"),
@@ -199,6 +204,19 @@ mod tests {
     fn decimal_display_matches_paper() {
         assert_eq!(Value::decimal(1205, 50).to_string(), "1205.50");
         assert_eq!(Value::decimal(0, 12).to_string(), "0.12");
+    }
+
+    #[test]
+    fn decimal_display_keeps_the_sign_below_one() {
+        assert_eq!(Value::Decimal(-5).to_string(), "-0.05");
+        assert_eq!(Value::Decimal(-105).to_string(), "-1.05");
+        assert_eq!(Value::Decimal(5).to_string(), "0.05");
+        assert_eq!(Value::Decimal(-100).to_string(), "-1.00");
+        assert_eq!(Value::decimal(-1, 5).to_string(), "-1.05");
+        assert_eq!(
+            Value::Decimal(i64::MIN).to_string(),
+            "-92233720368547758.08"
+        );
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl<'a> Reader<'a> {
             1 => Ok(Value::Integer(self.i64()?)),
             2 => Ok(Value::Float(self.u64()?)),
             3 => Ok(Value::Decimal(self.i64()?)),
-            4 => Ok(Value::String(self.str()?)),
+            4 => Ok(Value::string(self.str()?)),
             5 => {
                 let raw = self.u32()?;
                 char::from_u32(raw)

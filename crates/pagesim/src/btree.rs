@@ -545,7 +545,7 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// Visit all entries with `lo <= key < hi` (half-open), in key order.
     /// Charges one read per level of the descent to the first leaf, then
     /// one per additional leaf.
-    fn scan_range<'a>(
+    pub fn scan_range<'a>(
         &'a self,
         lo: Bound<&K>,
         hi: Bound<&K>,

@@ -140,3 +140,16 @@ fn fig6_query_mix_pages_and_answers_are_pinned() {
     );
     assert_eq!(snap.pages_read(), 7162);
 }
+
+/// The reassembly walk that builds the fig6 population's Full extension
+/// computes the fold of `chain_join`s that Definitions 3.4–3.7 write down.
+#[test]
+fn fig6_full_extension_is_the_join_fold() {
+    let spec = GeneratorSpec::from_profile(&profiles::fig6_profile().profile, 1.0);
+    let g = generate(&spec, 7);
+    let aux = asr_core::build_auxiliary_relations(g.db.base(), &g.path, false).unwrap();
+    let walked = Extension::Full.compute(&aux).unwrap();
+    assert!(walked.iter().any(|row| row.first().is_none()));
+    assert!(walked.iter().any(|row| row.last().is_none()));
+    assert_eq!(walked, Extension::Full.fold(&aux).unwrap());
+}

@@ -1,7 +1,7 @@
 //! What the object base and the stored partitions cost in live heap on
 //! Figure 6's population at 1/5 scale, and the invariant behind the row
-//! figure: a partition's mirror row and its entries in both clustering
-//! trees are one allocation, however the partition was filled.
+//! figure: a partition row is one allocation, held by both of its
+//! clustering trees, however the partition was filled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -82,30 +82,32 @@ fn stored_rows(db: &Database) -> usize {
     db.asrs().map(|(_, asr)| asr.total_rows()).sum()
 }
 
-/// Every entry of both clustering trees of every partition is a mirror
-/// row's allocation, and each tree holds each row once.
+/// Each row of every partition is one allocation, held once by each of
+/// its two clustering trees.
 fn assert_rows_stored_once(db: &Database) {
     for (_, asr) in db.asrs() {
         for p in asr.partitions() {
-            let mirror: HashSet<_> = p.mirror_rows().map(|r| r.cells().as_ptr()).collect();
-            assert_eq!(mirror.len(), p.len(), "one allocation per mirror row");
-            for tree in [p.forward_tree(), p.backward_tree()] {
-                let mut entries = 0;
-                tree.scan_all(|_, row| {
-                    assert!(mirror.contains(&row.cells().as_ptr()), "{row} copied");
-                    entries += 1;
-                });
-                assert_eq!(entries, p.len());
-            }
+            let mut fwd = HashSet::new();
+            p.forward_tree().scan_all(|_, row| {
+                assert!(fwd.insert(row.cells().as_ptr()), "{row} twice in fwd");
+            });
+            assert_eq!(fwd.len(), p.len(), "one allocation per row");
+            let mut entries = 0;
+            p.backward_tree().scan_all(|_, row| {
+                assert!(fwd.contains(&row.cells().as_ptr()), "{row} copied");
+                entries += 1;
+            });
+            assert_eq!(entries, p.len());
         }
     }
 }
 
 /// Live heap per object of a restored base and per stored partition row
 /// of a restored database (whose extension mirror is not yet derived),
-/// against ceilings ~15 % over the measured 187 B and 297 B.  A
-/// `BTreeMap` per tuple and three copies of each row measured 533 B and
-/// 457 B.
+/// against ceilings ~15 % over the measured 116 B and 209 B.  A
+/// three-word `Value` and a row mirror beside the trees measured 137 B
+/// and 295 B; a `BTreeMap` per tuple and three copies of each row 533 B
+/// and 457 B.
 #[test]
 fn objects_and_rows_fit_their_heap_budget() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -122,12 +124,12 @@ fn objects_and_rows_fit_their_heap_budget() {
     let per_row = (db_bytes - base_bytes) / rows;
     assert_eq!(stored_rows(&db), rows);
     println!("{per_object} B per object, {per_row} B per stored partition row");
-    assert!(per_object <= 216, "{per_object} B per object");
-    assert!(per_row <= 342, "{per_row} B per stored partition row");
+    assert!(per_object <= 135, "{per_object} B per object");
+    assert!(per_row <= 240, "{per_row} B per stored partition row");
 }
 
 #[test]
-fn mirror_and_trees_share_one_row_after_bulk_load_insert_and_restore() {
+fn both_trees_hold_one_allocation_per_row_after_bulk_load_insert_and_restore() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut g = fig6_fifth();
     assert_rows_stored_once(&g.db);
