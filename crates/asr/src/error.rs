@@ -65,6 +65,14 @@ pub enum AsrError {
         /// Position of the first key out of order.
         index: usize,
     },
+    /// An update would have to maintain an access support relation that
+    /// holds only one placement's share of its rows
+    /// ([`crate::AccessSupportRelation::retain_partition_rows`]).  Raised
+    /// before the object base changes.
+    PlacementSlice {
+        /// The path of the sliced ASR.
+        path: String,
+    },
 }
 
 impl fmt::Display for AsrError {
@@ -90,6 +98,10 @@ impl fmt::Display for AsrError {
                 f,
                 "probe keys must be strictly ascending: key {index} does not follow key {}",
                 index - 1
+            ),
+            AsrError::PlacementSlice { path } => write!(
+                f,
+                "the ASR over {path} is a placement slice and cannot be maintained"
             ),
         }
     }

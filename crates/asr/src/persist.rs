@@ -6,8 +6,8 @@
 //!    configurations (`A`), unchanged from v1;
 //! 2. **Physical** — every stored partition's rows (`P`/`R`) and
 //!    page-faithful images of its two clustering B+ trees (`T`/`N`):
-//!    node layout, separator keys, row ids, witness counts, leaf sibling
-//!    links, free list and tree geometry;
+//!    node layout, separator keys, row ids, leaf sibling links, free list
+//!    and tree geometry;
 //! 3. **Base** — the GOM object snapshot after `--BASE--`.
 //!
 //! ```text
@@ -15,7 +15,7 @@
 //! S ROBOT 500
 //! A ROBOT.Arm.MountedTool.ManufacturedBy.Location canonical 0,1,2,3,4 0
 //! P <asr#> <part#> <from> <to> <next_rowid> <nrows>
-//! R <rowid> <count> <cell> <cell> …
+//! R <rowid> 1 <cell> <cell> …
 //! T <asr#> <part#> f|b <root> <height> <len> <pages> <free-csv|->
 //! N f|b <page#> I <children-csv> <cell>=<rowid> …
 //! N f|b <page#> L <next|-> <rowid-csv|->
@@ -35,9 +35,12 @@
 //! `(row.first|last, rowid)`, an invariant of the maintenance engine, and
 //! each leaf's row ids find their rows through the ascending row-id
 //! order.  The object base comes back through `gom::snapshot`'s bulk
-//! reader, the clustered object files are filled from its extents, and
-//! the logical extension mirror derives on the first maintenance use,
-//! walking each partition's clustering tree.  Version negotiation: the
+//! reader, and the clustered object files are filled from its extents.
+//! Nothing is derived from the partitions: maintenance works on them
+//! directly.  The `R` line's second field is a retired witness count: the
+//! writer puts `1`, and the reader checks that it is a positive number
+//! and otherwise ignores it, so documents written with counts load
+//! unchanged.  Version negotiation: the
 //! loader accepts `ASRDB 1` (ASRs rebuilt from their configuration, as
 //! before) and `ASRDB 2`; the writer emits v2.  A corrupt physical
 //! section degrades per ASR to the v1 rebuild path with a recorded
@@ -54,7 +57,7 @@
 //! DELTA <base-id>
 //! S … / A …                                  (design, must match the base)
 //! D <asr#> <part#> <from> <to> <next_rowid> <nrows> <nupserts>
-//! R <rowid> <count> <cell> …                 (changed/new rows)
+//! R <rowid> 1 <cell> …                     (new rows)
 //! X <rowid-csv|->                            (rows physically removed)
 //! U <asr#> <part#> f|b <root> <height> <len> <total-pages> <npages> <free-csv|->
 //! N f|b <page#> I|L …                        (pages not shared with the base)
@@ -518,13 +521,13 @@ fn parse_csv_or_dash<T: std::str::FromStr>(
         .collect()
 }
 
-/// Append the rows as `R <rowid> <count> <cell> …` lines.
+/// Append the rows as `R <rowid> 1 <cell> …` lines (the `1` is the
+/// retired witness count; see the module doc).
 fn write_rows(out: &mut String, rows: &RowRefs<'_>) {
-    for (row, rowid, count) in rows {
+    for (row, rowid) in rows {
         out.push_str("R ");
         push_u64(out, *rowid);
-        out.push(' ');
-        push_u64(out, *count);
+        out.push_str(" 1");
         for cell in row.cells() {
             out.push(' ');
             push_cell(out, cell);
@@ -1016,8 +1019,9 @@ fn restore_asr(
     Ok((db.attach_asr(asr), mode))
 }
 
-/// Parse an `R` line into `rows`: its row id, witness count and cells.
-/// A line that does not parse adds nothing.
+/// Parse an `R` line into `rows`: its row id and cells.  The retired
+/// witness count must be a positive number and is otherwise ignored.  A
+/// line that does not parse adds nothing.
 fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), String> {
     let mut it = line.split(' ');
     it.next();
@@ -1025,9 +1029,9 @@ fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), Stri
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or("R: bad row id")?;
-    let count: u64 = it
-        .next()
-        .and_then(|s| s.parse().ok())
+    it.next()
+        .and_then(|s| s.parse::<u64>().ok())
+        .filter(|&count| count > 0)
         .ok_or("R: bad witness count")?;
     let start = rows.cells.len();
     let parsed = it
@@ -1038,7 +1042,7 @@ fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), Stri
             cells => Err(format!("R: {cells} cells for arity {}", rows.arity)),
         });
     match parsed {
-        Ok(()) => rows.ids.push((rowid, count)),
+        Ok(()) => rows.ids.push(rowid),
         Err(_) => rows.cells.truncate(start),
     }
     parsed
@@ -1928,6 +1932,38 @@ mod tests {
             assert!(*text == want, "{file} drifted:\n{text}");
         }
         assert_eq!(sample_db().begin_checkpoint().save_full(), texts[0]);
+    }
+
+    /// Rewrite the retired witness-count field of every `R` line.
+    fn with_counts(text: &str, count: &str) -> String {
+        text.lines()
+            .map(|line| match line.strip_prefix("R ") {
+                Some(rest) => {
+                    let mut fields: Vec<&str> = rest.split(' ').collect();
+                    fields[1] = count;
+                    format!("R {}\n", fields.join(" "))
+                }
+                None => format!("{line}\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retired_witness_counts_are_read_and_ignored() {
+        let text = sample_db().save_to_string();
+        assert!(text.lines().any(|l| l.starts_with("R ")));
+        // Documents written while counts were kept load unchanged.
+        let (db, report) = Database::load_from_string_report(&with_counts(&text, "7")).unwrap();
+        assert!(report.asrs.iter().all(|(_, mode)| mode.is_physical()));
+        assert_eq!(db.save_to_string(), text);
+        // A zero or malformed count is still damage.
+        for bad in ["0", "x", "-1"] {
+            let (_, report) = Database::load_from_string_report(&with_counts(&text, bad)).unwrap();
+            assert!(
+                report.asrs.iter().all(|(_, mode)| !mode.is_physical()),
+                "count {bad}: {report:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! The paper prices ASRs as *shared* access paths; this module supplies
 //! the sharing.  [`Database::snapshot`] publishes every stored partition
 //! as an immutable version — the frozen pages of its two clustering B+
-//! trees plus its witness counts, shared copy-on-write with the live
+//! trees, shared copy-on-write with the live
 //! partition, so a publish copies page pointers and never a row (clean
 //! partitions keep handing out the same version) — and hands back a
 //! [`Snapshot`] that answers span queries, border probes, and partition
 //! scans with results bit-identical to the live database, while the
 //! single writer keeps mutating its private working set.  The writer
-//! copies a page, or the witness counts, the first time it writes one a
-//! pinned version still holds.
+//! copies a page the first time it writes one a pinned version still
+//! holds.
 //!
 //! Lifecycle: **publish** (a snapshot pins the current commit epoch),
 //! **pin** (clones share the pin; the epoch stays registered while any
@@ -402,7 +402,7 @@ impl Database {
     ///
     /// Copy-on-write: only partitions mutated since their last publish get
     /// a fresh version, and a fresh version shares the live partition's
-    /// pages and witness counts; repeated snapshots of an unchanged database
+    /// pages; repeated snapshots of an unchanged database
     /// share every version (and the epoch).  The object base travels as
     /// an `Arc` — the writer's next base mutation clones it lazily
     /// (`Arc::make_mut`), never the readers.

@@ -14,5 +14,5 @@ fn figure_suite_io_is_pinned() {
     for (_, _, run) in entries {
         io.merge(&run().io);
     }
-    assert_eq!((io.reads, io.writes, io.buffer_hits), (44_806, 392, 46_292));
+    assert_eq!((io.reads, io.writes, io.buffer_hits), (44_341, 168, 46_292));
 }

@@ -29,7 +29,10 @@ pub mod test_runner {
         }
 
         /// Seed derived from the fully-qualified test name, so every test
-        /// gets a distinct but stable input sequence.
+        /// gets a distinct but stable input sequence.  When
+        /// `ASR_FUZZ_SEED` holds a decimal `u64` (the variable every seeded
+        /// sweep reads) it is XORed in, so a sweep can rotate the inputs;
+        /// unset, the sequences never change.
         pub fn for_test(name: &str) -> Self {
             // FNV-1a.
             let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -37,7 +40,11 @@ pub mod test_runner {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
-            TestRng::from_seed(h)
+            let sweep: u64 = std::env::var("ASR_FUZZ_SEED")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(0);
+            TestRng::from_seed(h ^ sweep)
         }
 
         pub fn next_u64(&mut self) -> u64 {

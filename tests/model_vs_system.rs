@@ -1,7 +1,7 @@
 //! The analytical model and the measured system must agree on the paper's
 //! qualitative claims (shape-level validation at test-friendly scale).
 
-use access_support::costmodel::{profiles, CostModel, Ext, Mix, Op};
+use access_support::costmodel::{profiles, CostModel, Dec, Ext, Mix, Op};
 use access_support::prelude::*;
 use access_support::workload::scale_profile;
 
@@ -102,6 +102,32 @@ fn figure11_shape_empirically() {
         "left {:.1} must beat canonical {:.1}",
         costs["left"],
         costs["canonical"]
+    );
+}
+
+/// Beyond the shape, the magnitude: a Full/binary `ins_3` charges within
+/// ±3 pages of formula (36) plus `aup` (`update_cost`) for the same
+/// scaled profile — the object update, one partition's two trees, and
+/// the neighbour probes that decide whether anything else changes.
+#[test]
+fn figure11_full_ins3_magnitude_matches_update_cost() {
+    let scaled = scale_profile(&profiles::fig11_profile().profile, 25.0);
+    let model = CostModel::new(scaled.clone());
+    let spec = GeneratorSpec::from_profile(&scaled, 1.0);
+    let mix = Mix::new(vec![], vec![(1.0, Op::ins(3))], 1.0);
+    let mut g = generate(&spec, 31);
+    let m = g.path.arity(false) - 1;
+    let id =
+        g.db.create_asr(g.path.clone(), AsrConfig::binary(Extension::Full, &g.path))
+            .unwrap();
+    let trace = generate_trace(&g, &mix, 12, 77);
+    g.db.stats().reset();
+    let path = g.path.clone();
+    let measured = execute_trace(&mut g.db, Some(id), &path, &trace).mean_cost();
+    let predicted = model.update_cost(Ext::Full, 3, &Dec::binary(m));
+    assert!(
+        (measured - predicted).abs() <= 3.0,
+        "ins_3 measured {measured:.2} pages vs update_cost {predicted:.2}"
     );
 }
 
