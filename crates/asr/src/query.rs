@@ -423,7 +423,9 @@ mod tests {
             .zip(dec.partitions())
             .map(|(p, (a, b))| {
                 let mut sp = StoredPartition::new(a, b, Rc::clone(&stats));
-                sp.load(&p).unwrap();
+                for row in p.iter() {
+                    sp.insert(row.clone()).unwrap();
+                }
                 sp
             })
             .collect()

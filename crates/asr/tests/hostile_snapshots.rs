@@ -6,7 +6,8 @@
 //! page-sound, whose rebuilt ASRs answer exactly like the undamaged
 //! fixture, and whose physically restored ASRs do too — unless the damage
 //! sits inside an `R` row.  A bit flip that keeps a row token well-formed
-//! (an OID digit, a witness count, a string byte) is the one damage the
+//! (an OID digit, a string byte, or the retired count field, which is
+//! ignored as long as it stays positive) is the one damage the
 //! text format cannot see: it carries no checksum (ROADMAP item 5).
 //!
 //! Seed: `ASR_FUZZ_SEED` (decimal u64), when set, is mixed into each

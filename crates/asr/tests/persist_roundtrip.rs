@@ -235,7 +235,7 @@ proptest! {
 
         // Maintenance composes with physical restore: identical updates
         // applied to the original and the restored database leave them in
-        // identical states (witness counts and page images included),
+        // identical states (rows, row ids and page images included),
         // because restored trees are bit-for-bit the originals.
         let resolve = |ty: &str| db.base().schema().resolve(ty).unwrap();
         let t1s: Vec<Oid> = db.base().extent_closure(resolve("T1")).into_iter().collect();

@@ -103,7 +103,7 @@ fn assert_rows_stored_once(db: &Database) {
 }
 
 /// Live heap per object of a restored base and per stored partition row
-/// of a restored database (whose extension mirror is not yet derived),
+/// of a restored database,
 /// against ceilings ~15 % over the measured 116 B and 209 B.  A
 /// three-word `Value` and a row mirror beside the trees measured 137 B
 /// and 295 B; a `BTreeMap` per tuple and three copies of each row 533 B
