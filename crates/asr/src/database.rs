@@ -21,7 +21,6 @@ use crate::maintenance::{maintain_edge, EdgeEvent};
 use crate::manager::{AccessSupportRelation, AsrConfig};
 use crate::naive;
 use crate::partition::PartitionChanges;
-use crate::row::Row;
 use crate::snapshot::EpochRegistry;
 use crate::store::ObjectStore;
 
@@ -178,15 +177,6 @@ impl Database {
         &self.tracer
     }
 
-    /// Replace this database's tracer with `tracer`, re-binding span I/O
-    /// capture to this database's own stats handle.  Coordinators that
-    /// rebuild their catalog from a fresh snapshot use this to carry
-    /// accumulated metrics and attached sinks across the rebuild.
-    pub fn adopt_tracer(&mut self, tracer: Tracer) {
-        tracer.attach_stats(Rc::clone(&self.stats));
-        self.tracer = tracer;
-    }
-
     /// Configure the clustered size `size_i` for a type's objects.
     /// Only affects objects registered afterwards.
     pub fn set_type_size(&mut self, ty: TypeId, size: usize) {
@@ -244,31 +234,6 @@ impl Database {
                 "no ASR with id {id}"
             ))),
         }
-    }
-
-    /// Restrict one ASR's stored partitions to the rows `keep` accepts —
-    /// shard placement (see
-    /// [`AccessSupportRelation::retain_partition_rows`]).  Returns the
-    /// number of stored rows placed here.
-    pub fn retain_asr_rows(
-        &mut self,
-        id: AsrId,
-        keep: impl FnMut(usize, &Row) -> bool,
-    ) -> Result<u64> {
-        let attrs: Attrs = &[("asr", &id)];
-        let mut span = self.tracer.span_with("shard.place", attrs);
-        let asr = match self.asrs.get_mut(id) {
-            Some(Some(asr)) => asr,
-            _ => {
-                return Err(AsrError::InvalidDecomposition(format!(
-                    "no ASR with id {id}"
-                )))
-            }
-        };
-        let placed = asr.retain_partition_rows(keep)?;
-        self.snap_stale = true;
-        span.set_rows(placed);
-        Ok(placed)
     }
 
     /// Access a registered ASR.
@@ -463,27 +428,6 @@ impl Database {
         Ok(())
     }
 
-    /// Fail with [`AsrError::PlacementSlice`] if a placement slice has a
-    /// path step `touches` accepts: maintenance would run on partial
-    /// partitions.  Checked before the base changes.
-    fn refuse_slices(&self, touches: impl Fn(&asr_gom::PathStep) -> bool) -> Result<()> {
-        match self
-            .asrs()
-            .find(|(_, asr)| asr.is_slice() && asr.path().steps().iter().any(&touches))
-        {
-            Some((_, asr)) => Err(AsrError::PlacementSlice {
-                path: asr.path().to_string(),
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// [`Self::refuse_slices`] for a change to the members of `set`.
-    fn refuse_set_slices(&self, set: Oid) -> Result<()> {
-        let set_ty = self.base.type_of(set)?;
-        self.refuse_slices(|step| step.set_type == Some(set_ty))
-    }
-
     /// Count one multi-position rebuild fallback (recursive-schema updates
     /// that incremental maintenance cannot handle position-by-position).
     fn note_rebuild_fallback(&self, slot: AsrId, cause: &str) {
@@ -501,9 +445,6 @@ impl Database {
             return Ok(());
         }
         let owner_ty = self.base.type_of(owner)?;
-        self.refuse_slices(|step| {
-            step.attr == attr && self.base.schema().is_subtype(owner_ty, step.domain)
-        })?;
         let attrs: Attrs = &[("attr", &attr)];
         let _span = self.tracer.span_with("maintain.set_attribute", attrs);
         self.base_mut().set_attribute(owner, attr, value.clone())?;
@@ -653,7 +594,6 @@ impl Database {
     /// included) have their paths maintained.  Returns `false` when the
     /// element was already a member.
     pub fn insert_into_set(&mut self, set: Oid, elem: Value) -> Result<bool> {
-        self.refuse_set_slices(set)?;
         if !self.base_mut().insert_into_set(set, elem.clone())? {
             return Ok(false);
         }
@@ -669,7 +609,6 @@ impl Database {
 
     /// Remove `elem` from the set instance `set`, maintaining all ASRs.
     pub fn remove_from_set(&mut self, set: Oid, elem: &Value) -> Result<bool> {
-        self.refuse_set_slices(set)?;
         if !self.base_mut().remove_from_set(set, elem)? {
             return Ok(false);
         }
@@ -813,7 +752,6 @@ impl Database {
     /// referenced from arbitrarily many places, so every registered ASR is
     /// rebuilt (documented trade-off; see DESIGN.md).
     pub fn delete_object(&mut self, oid: Oid) -> Result<()> {
-        self.refuse_slices(|_| true)?;
         self.base_mut().delete(oid)?;
         self.dirty_oids.remove(&oid);
         self.dead_oids.insert(oid);

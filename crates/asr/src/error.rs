@@ -56,22 +56,11 @@ pub enum AsrError {
     /// files, garbled headers, bad `A`-lines, a missing `--BASE--`
     /// marker.  Loading corrupt input returns this — it never panics.
     Snapshot(String),
-    /// A scatter-gather shard operation failed: a shard link stayed down
-    /// past its retry budget, or a shard answered with a remote error.
-    Shard(String),
     /// Probe keys offered as a [`crate::query::Frontier`] were not
     /// strictly ascending: key `index` does not follow key `index − 1`.
     FrontierOrder {
         /// Position of the first key out of order.
         index: usize,
-    },
-    /// An update would have to maintain an access support relation that
-    /// holds only one placement's share of its rows
-    /// ([`crate::AccessSupportRelation::retain_partition_rows`]).  Raised
-    /// before the object base changes.
-    PlacementSlice {
-        /// The path of the sliced ASR.
-        path: String,
     },
 }
 
@@ -93,15 +82,10 @@ impl fmt::Display for AsrError {
             }
             AsrError::BadUpdatePosition(msg) => write!(f, "bad update position: {msg}"),
             AsrError::Snapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
-            AsrError::Shard(msg) => write!(f, "shard error: {msg}"),
             AsrError::FrontierOrder { index } => write!(
                 f,
                 "probe keys must be strictly ascending: key {index} does not follow key {}",
                 index - 1
-            ),
-            AsrError::PlacementSlice { path } => write!(
-                f,
-                "the ASR over {path} is a placement slice and cannot be maintained"
             ),
         }
     }

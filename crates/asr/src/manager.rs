@@ -66,10 +66,6 @@ pub struct AccessSupportRelation {
     path: PathExpression,
     config: AsrConfig,
     partitions: Vec<StoredPartition>,
-    /// Set by [`Self::retain_partition_rows`]: the partitions hold one
-    /// placement's share of the rows, so maintenance must not run on
-    /// them.
-    slice: bool,
     stats: StatsHandle,
 }
 
@@ -87,7 +83,6 @@ impl AccessSupportRelation {
             path,
             config,
             partitions: Vec::new(),
-            slice: false,
             stats,
         };
         asr.rebuild(base)?;
@@ -115,7 +110,6 @@ impl AccessSupportRelation {
             path,
             config,
             partitions,
-            slice: false,
             stats,
         })
     }
@@ -142,45 +136,7 @@ impl AccessSupportRelation {
                 self.loaded(a, b, rows)
             })
             .collect::<Result<_>>()?;
-        self.slice = false;
         Ok(())
-    }
-
-    /// Restrict every stored partition to the rows `keep` accepts — the
-    /// shard-placement primitive.  `keep` sees the partition index and the
-    /// stored (projected) row.
-    ///
-    /// The result is a *placement slice*, not a smaller extension: span
-    /// queries against a slice return exactly the slice's fragments, and a
-    /// scatter-gather coordinator that broadcasts each partition probe to
-    /// every slice and unions the fragments reconstructs the unrestricted
-    /// answer (placement partitions each partition's row set, so the union
-    /// over slices is the original partition content).  Incremental
-    /// maintenance is **not** supported on a slice: the ASR remembers that
-    /// it is one ([`Self::is_slice`]), and an update that would maintain it
-    /// fails with [`AsrError::PlacementSlice`] before the base changes.
-    /// Mutations flow through the primary and re-seed placements via the
-    /// replication substrate.
-    ///
-    /// Returns the number of stored rows retained across all partitions.
-    pub fn retain_partition_rows(
-        &mut self,
-        mut keep: impl FnMut(usize, &Row) -> bool,
-    ) -> Result<u64> {
-        let mut placed = 0u64;
-        for idx in 0..self.partitions.len() {
-            let (a, b) = self.partitions[idx].span();
-            let mut kept: Vec<Row> = Vec::new();
-            self.partitions[idx].scan(|row| {
-                if keep(idx, row) {
-                    kept.push(row.clone());
-                }
-            });
-            placed += kept.len() as u64;
-            self.partitions[idx] = self.loaded(a, b, kept)?;
-        }
-        self.slice = true;
-        Ok(placed)
     }
 
     /// A partition over columns `a ..= b`, tagged for I/O attribution and
@@ -195,11 +151,6 @@ impl AccessSupportRelation {
         sp.tag(&format!("asr[{}].{a}-{b}", self.path));
         sp.bulk_load(rows)?;
         Ok(sp)
-    }
-
-    /// Is this ASR a placement slice ([`Self::retain_partition_rows`])?
-    pub fn is_slice(&self) -> bool {
-        self.slice
     }
 
     /// Reassemble the logical extension from the partitions (Theorem

@@ -50,7 +50,7 @@ impl Frontier {
     /// Adopt `cells` if they are strictly ascending; otherwise a
     /// [`AsrError::FrontierOrder`] naming the first cell out of order.
     /// This is the gate for probe keys that arrive from outside (the
-    /// wire's `ShardProbe`).
+    /// wire's `PartitionProbe`).
     pub fn ascending(cells: Vec<Cell>) -> Result<Self> {
         match cells.windows(2).position(|w| w[0] >= w[1]) {
             Some(at) => Err(AsrError::FrontierOrder { index: at + 1 }),
@@ -110,6 +110,9 @@ impl FromIterator<Cell> for Frontier {
 /// snapshot's own counter), so both evaluate `Q_{i,j}` through the same
 /// machinery.
 pub trait SpanSource {
+    /// Columns per stored row.
+    fn arity(&self) -> usize;
+
     /// Batched clustered probe: `forward` probes the first-column
     /// clustering, otherwise the last-column one.  Visits the rows whose
     /// clustering cell is in `frontier`, grouped per cell in frontier
@@ -122,6 +125,10 @@ pub trait SpanSource {
 }
 
 impl SpanSource for StoredPartition {
+    fn arity(&self) -> usize {
+        StoredPartition::arity(self)
+    }
+
     fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
         StoredPartition::probe(self, forward, frontier, visit);
     }

@@ -150,6 +150,10 @@ impl PinnedPartition {
 }
 
 impl SpanSource for PinnedPartition {
+    fn arity(&self) -> usize {
+        self.version.arity()
+    }
+
     fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
         let tree = if forward {
             &self.version.fwd
@@ -254,21 +258,9 @@ impl Snapshot {
         Ok(&self.snap_asr(id)?.path)
     }
 
-    /// Stored partitions of ASR `id`.
-    pub fn partition_count(&self, id: AsrId) -> Result<usize> {
-        Ok(self.snap_asr(id)?.versions.len())
-    }
-
-    /// Columns of partition `part` of ASR `id`.
-    pub fn partition_arity(&self, id: AsrId, part: usize) -> Result<usize> {
-        Ok(self.partition(id, part)?.version.arity())
-    }
-
-    fn partition(&self, id: AsrId, part: usize) -> Result<&PinnedPartition> {
-        self.snap_asr(id)?
-            .versions
-            .get(part)
-            .ok_or_else(|| AsrError::InvalidDecomposition(format!("no partition {part}")))
+    /// The pinned partitions of ASR `id`, in decomposition order.
+    pub fn partitions(&self, id: AsrId) -> Result<&[PinnedPartition]> {
+        Ok(&self.snap_asr(id)?.versions)
     }
 
     /// Forward span query `Q_{i,j}(fw)` against the pinned versions —
@@ -313,43 +305,6 @@ impl Snapshot {
             target,
         );
         Ok(cells.into_iter().filter_map(|c| c.as_oid()).collect())
-    }
-
-    /// Batched clustered probe of one partition — the snapshot
-    /// counterpart of the scatter-gather `ShardProbe` request
-    /// ([`StoredPartition::probe`]), rows copied out for the wire.
-    pub fn probe(
-        &self,
-        id: AsrId,
-        part: usize,
-        forward: bool,
-        frontier: &Frontier,
-    ) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        self.partition(id, part)?
-            .probe(forward, frontier, &mut |row| rows.push(row.clone()));
-        Ok(rows)
-    }
-
-    /// Exhaustive scan of one partition keeping rows whose column
-    /// `offset` is in `frontier` — the snapshot counterpart of the
-    /// scatter-gather `ShardScan` request.
-    pub fn scan_filter(
-        &self,
-        id: AsrId,
-        part: usize,
-        offset: usize,
-        frontier: &Frontier,
-    ) -> Result<Vec<Row>> {
-        let pinned = self.partition(id, part)?;
-        if offset >= pinned.version.arity() {
-            return Err(AsrError::InvalidDecomposition(format!(
-                "offset {offset} outside partition"
-            )));
-        }
-        let mut rows = Vec::new();
-        pinned.scan(offset, frontier, &mut |row| rows.push(row.clone()));
-        Ok(rows)
     }
 
     /// Total distinct rows across all partitions of ASR `id`.
@@ -607,7 +562,10 @@ mod tests {
         let (mut db, id, division, _) = populated();
         let snap = db.snapshot();
         let asr = db.asr(id).unwrap();
-        for (pidx, part) in asr.partitions().iter().enumerate() {
+        let pinned = snap.partitions(id).unwrap();
+        assert_eq!(pinned.len(), asr.partitions().len());
+        for (pidx, (part, pin)) in asr.partitions().iter().zip(pinned).enumerate() {
+            assert_eq!(part.arity(), pin.arity());
             // Probe on every first-column cell that exists.
             let mut firsts: BTreeSet<Cell> = BTreeSet::new();
             part.scan(|row| {
@@ -618,18 +576,17 @@ mod tests {
             let keys: Frontier = firsts.into_iter().collect();
             let mut live = Vec::new();
             part.probe(true, &keys, &mut |row| live.push(row.clone()));
-            assert_eq!(
-                live,
-                snap.probe(id, pidx, true, &keys).unwrap(),
-                "forward probe partition {pidx}"
-            );
+            let mut probed = Vec::new();
+            pin.probe(true, &keys, &mut |row| probed.push(row.clone()));
+            assert_eq!(live, probed, "forward probe partition {pidx}");
             // Full scan parity at offset 0 with a frontier of everything.
             let rows_live: Vec<Row> = {
                 let mut v = Vec::new();
                 part.scan(|r| v.push(r.clone()));
                 v
             };
-            let scanned = snap.scan_filter(id, pidx, 0, &keys).unwrap();
+            let mut scanned = Vec::new();
+            pin.scan(0, &keys, &mut |row| scanned.push(row.clone()));
             let expect: Vec<Row> = rows_live
                 .iter()
                 .filter(|r| keys.contains(r.cell(0)))

@@ -206,7 +206,7 @@ proptest! {
     /// Over every span of every decomposition, the walk over the pinned
     /// MVCC versions answers exactly what the live walk answers and
     /// charges the pinned meter exactly the pages the live walk charges
-    /// `IoStats`; so does a full scan of each partition (a `ShardScan`).
+    /// `IoStats`; so does a full scan of each partition (a `PartitionScan`).
     #[test]
     fn pinned_walk_matches_live_walk(rel in relation_strategy()) {
         for dec in Decomposition::enumerate_all(4) {

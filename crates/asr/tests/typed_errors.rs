@@ -296,48 +296,3 @@ fn leaves_naming_a_row_id_twice() {
     let db = Database::load_from_string(&bad).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
 }
-
-/// A `USER.Tracks.Title` base with one track, and a Full/binary ASR.
-fn tracks_db() -> (Database, asr_core::AsrId, Oid) {
-    let mut s = Schema::new();
-    s.define_tuple("USER", [("Tracks", "TRACKSET")]).unwrap();
-    s.define_set("TRACKSET", "TRACK").unwrap();
-    s.define_tuple("TRACK", [("Title", "STRING")]).unwrap();
-    s.validate().unwrap();
-    let path = asr_gom::PathExpression::parse(&s, "USER.Tracks.Title").unwrap();
-    let mut db = Database::new(s);
-    let user = db.instantiate("USER").unwrap();
-    let tracks = db.instantiate("TRACKSET").unwrap();
-    db.set_attribute(user, "Tracks", Value::Ref(tracks))
-        .unwrap();
-    let track = db.instantiate("TRACK").unwrap();
-    db.set_attribute(track, "Title", Value::string("One"))
-        .unwrap();
-    db.insert_into_set(tracks, Value::Ref(track)).unwrap();
-    let config = AsrConfig::binary(Extension::Full, &path);
-    let id = db.create_asr(path, config).unwrap();
-    (db, id, tracks)
-}
-
-#[test]
-fn updates_refuse_to_maintain_a_placement_slice() {
-    let (mut db, id, tracks) = tracks_db();
-    let track = db.instantiate("TRACK").unwrap();
-    db.retain_asr_rows(id, |part, _| part == 0).unwrap();
-    assert!(db.asr(id).unwrap().is_slice());
-    // Maintenance would write partition 1, which the slice dropped: the
-    // insert is refused before the set changes.
-    let err = db.insert_into_set(tracks, Value::Ref(track)).unwrap_err();
-    assert!(matches!(err, AsrError::PlacementSlice { .. }), "{err}");
-    assert_eq!(db.base().object(tracks).unwrap().body.len(), 1);
-    assert_eq!(db.asr(id).unwrap().partitions()[1].len(), 0);
-    for err in [
-        db.remove_from_set(tracks, &Value::Ref(track)).unwrap_err(),
-        db.set_attribute(track, "Title", Value::string("Two"))
-            .unwrap_err(),
-        db.delete_object(track).unwrap_err(),
-    ] {
-        assert!(matches!(err, AsrError::PlacementSlice { .. }), "{err}");
-    }
-    assert!(db.base().get_attribute(track, "Title").unwrap().is_null());
-}

@@ -62,8 +62,8 @@ pub use segment::{
     checkpoint_archive_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
 };
 pub use ship::{
-    replicate, seeded_rng, BackoffPolicy, Channel, ChannelStats, ChaosProfile, FaultyChannel,
-    LogShipper, LosslessChannel, Need, ReplicateOptions, ShipReport,
+    replicate, BackoffPolicy, Channel, ChannelStats, ChaosProfile, FaultyChannel, LogShipper,
+    LosslessChannel, Need, ReplicateOptions, ShipReport,
 };
 pub use storage::{read_stable, FsStorage, MemStorage, Storage};
 pub use wal::{

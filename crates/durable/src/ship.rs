@@ -421,7 +421,7 @@ impl Channel for FaultyChannel {
 /// `seed_from_u64` XORs its seed with the golden-ratio increment, so undo
 /// that here — the schedules pinned before this generator was shared
 /// replay bit for bit.
-pub fn seeded_rng(state: u64) -> SmallRng {
+fn seeded_rng(state: u64) -> SmallRng {
     SmallRng::seed_from_u64(state ^ 0x9E37_79B9_7F4A_7C15)
 }
 

@@ -22,8 +22,8 @@ use crate::wire::{decode_frame, Request, RequestBody, Response, ResponseBody, Wi
 /// Why a call gave up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// No intact response after the configured number of attempts — the
-    /// link is effectively down (e.g. a blackout chaos profile).
+    /// No intact response after 64 attempts — the link is effectively
+    /// down (e.g. a blackout chaos profile).
     Exhausted {
         /// Attempts made (send + poll rounds).
         attempts: u32,
@@ -59,43 +59,26 @@ pub struct ClientStats {
     pub backoff_ticks: u64,
 }
 
+/// Attempts per request before [`ClientError::Exhausted`].
+const MAX_ATTEMPTS: u32 = 64;
+
 /// One client session speaking the wire protocol over a [`Channel`].
 pub struct WireClient<T: Channel> {
     transport: T,
     next_id: u64,
     backoff: BackoffPolicy,
-    max_attempts: u32,
     stats: ClientStats,
 }
 
 impl<T: Channel> WireClient<T> {
-    /// A session over `transport` with the default retry budget.
+    /// A session over `transport` with a 64-attempt retry budget.
     pub fn new(transport: T) -> Self {
         WireClient {
             transport,
             next_id: 1,
             backoff: BackoffPolicy::default(),
-            max_attempts: 64,
             stats: ClientStats::default(),
         }
-    }
-
-    /// Override the retry budget (attempts before [`ClientError::Exhausted`]).
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Re-budget an existing session.  The coordinator uses this as its
-    /// per-request deadline: a short budget detects a dead shard in a few
-    /// attempts instead of grinding through the default 64.
-    pub fn set_max_attempts(&mut self, max_attempts: u32) {
-        self.max_attempts = max_attempts.max(1);
-    }
-
-    /// The current attempt budget.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
     }
 
     /// Session accounting so far.
@@ -106,11 +89,6 @@ impl<T: Channel> WireClient<T> {
     /// The transport, e.g. to reach the chaos channel underneath.
     pub fn transport(&self) -> &T {
         &self.transport
-    }
-
-    /// Mutable transport access.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
     }
 
     /// Issue `body`, retrying through damage until an intact response for
@@ -153,7 +131,7 @@ impl<T: Channel> WireClient<T> {
                     }
                 }
             }
-            if attempts >= self.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 return Err(ClientError::Exhausted { attempts });
             }
             self.stats.backoff_ticks += self.backoff.delay_for(attempts);
@@ -184,7 +162,12 @@ mod tests {
     }
 
     fn ok_response(id: u64) -> Vec<u8> {
-        Response::complete(id, ResponseBody::Ok, IoSnapshot::default()).encode()
+        Response {
+            id,
+            body: ResponseBody::Ok,
+            io: IoSnapshot::default(),
+        }
+        .encode()
     }
 
     #[test]
@@ -205,11 +188,11 @@ mod tests {
 
     #[test]
     fn nack_triggers_resend() {
-        let nack = Response::complete(
-            0,
-            ResponseBody::Nack { last_executed: 0 },
-            IoSnapshot::default(),
-        )
+        let nack = Response {
+            id: 0,
+            body: ResponseBody::Nack { last_executed: 0 },
+            io: IoSnapshot::default(),
+        }
         .encode();
         let transport = Scripted {
             sent: Vec::new(),
@@ -231,9 +214,14 @@ mod tests {
             sent: Vec::new(),
             replies: [].into(),
         };
-        let mut client = WireClient::new(transport).with_max_attempts(5);
+        let mut client = WireClient::new(transport);
         let err = client.call(RequestBody::Ping).unwrap_err();
-        assert_eq!(err, ClientError::Exhausted { attempts: 5 });
-        assert_eq!(client.stats().frames_sent, 5);
+        assert_eq!(
+            err,
+            ClientError::Exhausted {
+                attempts: MAX_ATTEMPTS
+            }
+        );
+        assert_eq!(client.stats().frames_sent, u64::from(MAX_ATTEMPTS));
     }
 }

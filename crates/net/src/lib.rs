@@ -1,4 +1,4 @@
-//! `asr-net`: the binary wire protocol for scale-out serving.
+//! `asr-net`: the binary wire protocol for client/server serving.
 //!
 //! Every message travels as one WAL-style frame — `[len][crc32][payload]`,
 //! built by [`asr_durable::frame`] and verified on receipt exactly the way
@@ -13,16 +13,14 @@
 //! The payload grammar (see DESIGN.md "Wire protocol") is a direction byte
 //! (`Q` request / `R` response), a little-endian request id, and a tagged
 //! body covering the shell grammar — OQL queries, `\analyze`, mutations,
-//! admin ops — plus the shard-internal probe/scan ops the scatter-gather
-//! coordinator issues.
+//! admin ops — plus two reads of one stored partition (probe and scan),
+//! the requests the server's snapshot worker pool answers.
 
 mod client;
 mod codec;
 mod wire;
 
 pub use client::{ClientError, ClientStats, WireClient};
-pub use codec::{CodecError, Reader, Writer};
 pub use wire::{
-    decode_frame, Request, RequestBody, Response, ResponseBody, ShardHealth, WireMessage,
-    MAX_FRAME_LEN,
+    decode_frame, Request, RequestBody, Response, ResponseBody, WireMessage, MAX_FRAME_LEN,
 };

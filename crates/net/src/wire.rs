@@ -34,7 +34,7 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-/// The request taxonomy — the shell grammar plus the shard-internal ops.
+/// The request taxonomy — the shell grammar plus two partition reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
     /// Liveness / round-trip check.
@@ -75,27 +75,25 @@ pub enum RequestBody {
     /// Durable checkpoint (`delta` = `\checkpoint delta`).
     Checkpoint { delta: bool },
     /// Batched clustered probe against one stored partition of one ASR
-    /// (`StoredPartition::probe`; first-column tree when `forward`).
-    /// `keys` must be strictly ascending — anything else is refused with
-    /// an error response.  Scatter-gather broadcasts this to every shard
-    /// and unions the rows.
-    ShardProbe {
+    /// (`StoredPartition::probe`): an access with the partition's first
+    /// column bound when `forward`, its last otherwise.  `keys` must be
+    /// strictly ascending — anything else is refused with an error
+    /// response.
+    PartitionProbe {
         asr: u32,
         part: u32,
         forward: bool,
         keys: Vec<Cell>,
     },
-    /// Exhaustive scan of one stored partition, keeping rows whose cell
-    /// at `offset` is in `frontier` (the interior-entry case of the span
-    /// walk).  Broadcast like [`RequestBody::ShardProbe`].
-    ShardScan {
+    /// Exhaustive scan of one stored partition — an access with no
+    /// column bound — keeping rows whose cell at `offset` is in
+    /// `frontier` (the interior-entry case of the span walk).
+    PartitionScan {
         asr: u32,
         part: u32,
         offset: u32,
         frontier: Vec<Cell>,
     },
-    /// Shard liveness + placement accounting.
-    ShardStatus,
     /// Close the session.
     Shutdown,
 }
@@ -116,9 +114,8 @@ impl RequestBody {
             RequestBody::ListAsrs => "list_asrs",
             RequestBody::Stats => "stats",
             RequestBody::Checkpoint { .. } => "checkpoint",
-            RequestBody::ShardProbe { .. } => "shard_probe",
-            RequestBody::ShardScan { .. } => "shard_scan",
-            RequestBody::ShardStatus => "shard_status",
+            RequestBody::PartitionProbe { .. } => "partition_probe",
+            RequestBody::PartitionScan { .. } => "partition_scan",
             RequestBody::Shutdown => "shutdown",
         }
     }
@@ -139,20 +136,6 @@ impl RequestBody {
     }
 }
 
-/// Per-shard placement/health figures carried by
-/// [`ResponseBody::ShardStatusReply`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardHealth {
-    /// Stored-partition rows placed on this shard across all ASRs.
-    pub placed_rows: u64,
-    /// Modeled pages across the shard's partition trees.
-    pub pages: u64,
-    /// Replication LSN the shard's applier has reached.
-    pub applied_lsn: u64,
-    /// Requests the shard node has executed.
-    pub requests: u64,
-}
-
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -161,27 +144,8 @@ pub struct Response {
     pub id: u64,
     /// The outcome.
     pub body: ResponseBody,
-    /// Page I/O charged on the server while executing this request —
-    /// merged shard-side costs via [`IoSnapshot::merge`].
+    /// Page I/O charged on the server while executing this request.
     pub io: IoSnapshot,
-    /// Shard indices whose contribution is *missing* from this answer.
-    /// Empty means the answer is complete; non-empty marks a degraded
-    /// scatter-gather result that only covers the surviving shards — the
-    /// coordinator flags partiality explicitly rather than returning a
-    /// silently wrong union.
-    pub partial: Vec<u32>,
-}
-
-impl Response {
-    /// A complete (non-degraded) response.
-    pub fn complete(id: u64, body: ResponseBody, io: IoSnapshot) -> Self {
-        Response {
-            id,
-            body,
-            io,
-            partial: Vec::new(),
-        }
-    }
 }
 
 /// The response taxonomy.
@@ -206,10 +170,8 @@ pub enum ResponseBody {
     Id(u64),
     /// Set-insert result (`true` when the element was new).
     Flag(bool),
-    /// Stored-partition rows (shard probe/scan).
+    /// Stored-partition rows (partition probe/scan).
     Rows(Vec<Row>),
-    /// Shard health (shard-status).
-    ShardStatusReply(ShardHealth),
 }
 
 impl ResponseBody {
@@ -224,7 +186,6 @@ impl ResponseBody {
             ResponseBody::Id(_) => "id",
             ResponseBody::Flag(_) => "flag",
             ResponseBody::Rows(_) => "rows",
-            ResponseBody::ShardStatusReply(_) => "shard_status",
         }
     }
 }
@@ -296,7 +257,7 @@ impl Request {
                 w.u8(11);
                 w.bool(*delta);
             }
-            RequestBody::ShardProbe {
+            RequestBody::PartitionProbe {
                 asr,
                 part,
                 forward,
@@ -308,7 +269,7 @@ impl Request {
                 w.bool(*forward);
                 w.cells(keys);
             }
-            RequestBody::ShardScan {
+            RequestBody::PartitionScan {
                 asr,
                 part,
                 offset,
@@ -320,7 +281,6 @@ impl Request {
                 w.u32(*offset);
                 w.cells(frontier);
             }
-            RequestBody::ShardStatus => w.u8(14),
             RequestBody::Shutdown => w.u8(15),
         }
         asr_durable::frame(&w.into_bytes())
@@ -366,19 +326,19 @@ impl Request {
             9 => RequestBody::ListAsrs,
             10 => RequestBody::Stats,
             11 => RequestBody::Checkpoint { delta: r.bool()? },
-            12 => RequestBody::ShardProbe {
+            12 => RequestBody::PartitionProbe {
                 asr: r.u32()?,
                 part: r.u32()?,
                 forward: r.bool()?,
                 keys: r.cells()?,
             },
-            13 => RequestBody::ShardScan {
+            13 => RequestBody::PartitionScan {
                 asr: r.u32()?,
                 part: r.u32()?,
                 offset: r.u32()?,
                 frontier: r.cells()?,
             },
-            14 => RequestBody::ShardStatus,
+            // 14 is retired and falls through to `BadTag`.
             15 => RequestBody::Shutdown,
             t => return Err(CodecError::BadTag(t)),
         })
@@ -431,19 +391,8 @@ impl Response {
                 w.u8(7);
                 w.rows(rows);
             }
-            ResponseBody::ShardStatusReply(h) => {
-                w.u8(8);
-                w.u64(h.placed_rows);
-                w.u64(h.pages);
-                w.u64(h.applied_lsn);
-                w.u64(h.requests);
-            }
         }
         w.io(&self.io);
-        w.u32(self.partial.len() as u32);
-        for shard in &self.partial {
-            w.u32(*shard);
-        }
         asr_durable::frame(&w.into_bytes())
     }
 
@@ -478,12 +427,6 @@ impl Response {
             5 => ResponseBody::Id(r.u64()?),
             6 => ResponseBody::Flag(r.bool()?),
             7 => ResponseBody::Rows(r.rows()?),
-            8 => ResponseBody::ShardStatusReply(ShardHealth {
-                placed_rows: r.u64()?,
-                pages: r.u64()?,
-                applied_lsn: r.u64()?,
-                requests: r.u64()?,
-            }),
             t => return Err(CodecError::BadTag(t)),
         })
     }
@@ -516,21 +459,8 @@ pub fn decode_frame(delivery: &[u8]) -> Option<WireMessage> {
         DIR_RESPONSE => {
             let body = Response::decode_body(&mut r).ok()?;
             let io = r.io().ok()?;
-            let missing = r.u32().ok()? as usize;
-            if missing > r.remaining() {
-                return None;
-            }
-            let partial = (0..missing)
-                .map(|_| r.u32())
-                .collect::<Result<_, _>>()
-                .ok()?;
             r.finish().ok()?;
-            Some(WireMessage::Response(Response {
-                id,
-                body,
-                io,
-                partial,
-            }))
+            Some(WireMessage::Response(Response { id, body, io }))
         }
         _ => None,
     }
@@ -575,19 +505,18 @@ mod tests {
             RequestBody::ListAsrs,
             RequestBody::Stats,
             RequestBody::Checkpoint { delta: true },
-            RequestBody::ShardProbe {
+            RequestBody::PartitionProbe {
                 asr: 0,
                 part: 1,
                 forward: true,
                 keys: cells.clone(),
             },
-            RequestBody::ShardScan {
+            RequestBody::PartitionScan {
                 asr: 0,
                 part: 2,
                 offset: 1,
                 frontier: cells,
             },
-            RequestBody::ShardStatus,
             RequestBody::Shutdown,
         ];
         bodies
@@ -621,12 +550,6 @@ mod tests {
             ResponseBody::Id(77),
             ResponseBody::Flag(true),
             ResponseBody::Rows(vec![row]),
-            ResponseBody::ShardStatusReply(ShardHealth {
-                placed_rows: 100,
-                pages: 12,
-                applied_lsn: 9,
-                requests: 55,
-            }),
         ];
         bodies
             .into_iter()
@@ -635,8 +558,6 @@ mod tests {
                 id: i as u64 + 1,
                 body,
                 io,
-                // Exercise both complete and degraded answers.
-                partial: if i % 3 == 0 { vec![1, 3] } else { Vec::new() },
             })
             .collect()
     }
@@ -689,25 +610,16 @@ mod tests {
     }
 
     #[test]
-    fn partial_flag_round_trips_and_defaults_empty() {
-        let degraded = Response {
-            id: 12,
-            body: ResponseBody::Rows(vec![Row::new(vec![Some(Cell::Oid(Oid::from_raw(8)))])]),
-            io: IoSnapshot::default(),
-            partial: vec![0, 2, 5],
-        };
-        match decode_frame(&degraded.encode()) {
-            Some(WireMessage::Response(back)) => {
-                assert_eq!(back.partial, vec![0, 2, 5]);
-                assert_eq!(back, degraded);
-            }
-            other => panic!("bad decode: {other:?}"),
-        }
-        let complete = Response::complete(13, ResponseBody::Ok, IoSnapshot::default());
-        match decode_frame(&complete.encode()) {
-            Some(WireMessage::Response(back)) => assert!(back.partial.is_empty()),
-            other => panic!("bad decode: {other:?}"),
-        }
+    fn retired_tag_decodes_as_bad_tag() {
+        assert_eq!(
+            Request::decode_body(&mut Reader::new(&[14])),
+            Err(CodecError::BadTag(14))
+        );
+        let mut w = Writer::new();
+        w.u8(DIR_REQUEST);
+        w.u64(1);
+        w.u8(14);
+        assert!(decode_frame(&asr_durable::frame(&w.into_bytes())).is_none());
     }
 
     #[test]
@@ -737,7 +649,7 @@ mod tests {
         }
         .is_mutation());
         assert!(!RequestBody::Query("q".into()).is_mutation());
-        assert!(!RequestBody::ShardProbe {
+        assert!(!RequestBody::PartitionProbe {
             asr: 0,
             part: 0,
             forward: true,

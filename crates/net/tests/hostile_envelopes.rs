@@ -128,7 +128,6 @@ fn deliveries_reject_every_truncation_and_bit_flip() {
             reads: 3,
             ..IoSnapshot::default()
         },
-        partial: vec![1],
     };
     for (what, clean) in [
         ("request", request.encode()),

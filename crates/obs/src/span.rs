@@ -150,13 +150,8 @@ impl Tracer {
     /// A tracer capturing I/O deltas from `stats`.
     pub fn with_stats(stats: StatsHandle) -> Self {
         let tracer = Tracer::new();
-        tracer.attach_stats(stats);
+        *tracer.inner.stats.borrow_mut() = Some(stats);
         tracer
-    }
-
-    /// Attach (or replace) the stats handle spans snapshot.
-    pub fn attach_stats(&self, stats: StatsHandle) {
-        *self.inner.stats.borrow_mut() = Some(stats);
     }
 
     /// The bundled metrics registry.

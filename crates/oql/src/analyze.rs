@@ -19,7 +19,6 @@ use asr_gom::PathExpression;
 use crate::error::Result;
 use crate::exec::{run_plan, ExecProfile, OpIo, ResultSet};
 use crate::plan::{analyze, Domain};
-use crate::route::LocalRouter;
 
 /// One row of the `EXPLAIN ANALYZE` table.
 #[derive(Debug, Clone)]
@@ -125,7 +124,7 @@ pub fn explain_analyze(db: &Database, text: &str) -> Result<AnalyzeReport> {
     let before = db.stats().snapshot();
     let result = {
         let mut span = db.tracer().span("oql.explain_analyze");
-        let result = run_plan(db, &plan, Some(&mut profile), &mut LocalRouter)?;
+        let result = run_plan(db, &plan, Some(&mut profile))?;
         span.set_rows(result.rows.len() as u64);
         result
     };

@@ -9,7 +9,6 @@ use asr_gom::{Oid, Value};
 use crate::ast::{Comparison, Query};
 use crate::error::{OqlError, Result};
 use crate::plan::{analyze, Domain, Plan, ResolvedPredicate};
-use crate::route::{LocalRouter, SpanRouter};
 
 /// A query result: column labels plus value rows (duplicates removed,
 /// deterministic order).
@@ -157,21 +156,14 @@ impl RowCount for Result<bool> {
 
 /// Parse, analyze, plan and execute a query text.
 pub fn execute(db: &Database, text: &str) -> Result<ResultSet> {
-    execute_routed(db, text, &mut LocalRouter)
-}
-
-/// Parse, analyze, plan and execute a query text, running every span
-/// navigation through `router` (single-node or scatter-gather).
-pub fn execute_routed(db: &Database, text: &str, router: &mut dyn SpanRouter) -> Result<ResultSet> {
     let query = crate::parser::parse(text)?;
-    let plan = analyze(db, &query)?;
-    run_plan(db, &plan, None, router)
+    execute_query(db, &query)
 }
 
 /// Execute an already parsed query.
 pub fn execute_query(db: &Database, query: &Query) -> Result<ResultSet> {
     let plan = analyze(db, query)?;
-    run_plan(db, &plan, None, &mut LocalRouter)
+    run_plan(db, &plan, None)
 }
 
 /// Execute a query and return the per-operator execution profile next to
@@ -179,7 +171,7 @@ pub fn execute_query(db: &Database, query: &Query) -> Result<ResultSet> {
 pub fn execute_profiled(db: &Database, query: &Query) -> Result<(ResultSet, ExecProfile)> {
     let plan = analyze(db, query)?;
     let mut profile = ExecProfile::sized(&plan);
-    let result = run_plan(db, &plan, Some(&mut profile), &mut LocalRouter)?;
+    let result = run_plan(db, &plan, Some(&mut profile))?;
     Ok((result, profile))
 }
 
@@ -188,7 +180,6 @@ pub(crate) fn run_plan(
     db: &Database,
     plan: &Plan,
     mut profile: Option<&mut ExecProfile>,
-    router: &mut dyn SpanRouter,
 ) -> Result<ResultSet> {
     emit_usage_events(db, plan);
     let mut span = db.tracer().span("oql.query");
@@ -203,8 +194,8 @@ pub(crate) fn run_plan(
                 .ok_or_else(|| OqlError::Semantic("indexed predicate against NULL".to_string()))?;
             let slot = profile.as_deref_mut().map(|p| &mut p.predicates[k]);
             let (hits, _) = charge(db, slot, || -> Result<BTreeSet<Oid>> {
-                Ok(router
-                    .backward_span(db, asr, 0, pred.path.len(), &target)?
+                Ok(db
+                    .backward(asr, 0, pred.path.len(), &target)?
                     .into_iter()
                     .collect())
             });
@@ -228,7 +219,6 @@ pub(crate) fn run_plan(
         &mut env,
         &mut rows,
         &mut profile,
-        router,
     )?;
     span.set_rows(rows.len() as u64);
     Ok(ResultSet {
@@ -266,10 +256,9 @@ fn eval_bindings(
     env: &mut Vec<Option<Oid>>,
     rows: &mut BTreeSet<Vec<Value>>,
     profile: &mut Option<&mut ExecProfile>,
-    router: &mut dyn SpanRouter,
 ) -> Result<()> {
     if idx == plan.bindings.len() {
-        return emit(db, plan, env, rows, profile, router);
+        return emit(db, plan, env, rows, profile);
     }
     let binding = &plan.bindings[idx];
     let slot = profile.as_deref_mut().map(|p| &mut p.bindings[idx]);
@@ -279,8 +268,7 @@ fn eval_bindings(
             Domain::Extent(ty) => db.base().extent_closure(*ty),
             Domain::Navigate { from, path } => {
                 let start = env[*from].expect("earlier binding is bound");
-                router
-                    .forward_span(db, path, 0, path.len(), start)?
+                db.navigate_forward(path, 0, path.len(), start)?
                     .into_iter()
                     .filter_map(|c| c.as_oid())
                     .collect()
@@ -305,14 +293,14 @@ fn eval_bindings(
             .filter(|(_, p)| p.binding == idx && p.asr.is_none())
         {
             let slot = profile.as_deref_mut().map(|p| &mut p.predicates[k]);
-            let (holds, _) = charge(db, slot, || eval_predicate(db, pred, obj, router));
+            let (holds, _) = charge(db, slot, || eval_predicate(db, pred, obj));
             if !holds? {
                 ok = false;
                 break;
             }
         }
         if ok {
-            eval_bindings(db, plan, candidates, idx + 1, env, rows, profile, router)?;
+            eval_bindings(db, plan, candidates, idx + 1, env, rows, profile)?;
         }
         env[idx] = None;
     }
@@ -322,13 +310,8 @@ fn eval_bindings(
 /// Does `obj` satisfy the predicate?  Paths through sets use existential
 /// semantics: the predicate holds when *any* reached value satisfies the
 /// comparison (NULL tests invert: `= NULL` holds when nothing is reached).
-fn eval_predicate(
-    db: &Database,
-    pred: &ResolvedPredicate,
-    obj: Oid,
-    router: &mut dyn SpanRouter,
-) -> Result<bool> {
-    let reached = router.forward_span(db, &pred.path, 0, pred.path.len(), obj)?;
+fn eval_predicate(db: &Database, pred: &ResolvedPredicate, obj: Oid) -> Result<bool> {
+    let reached = db.navigate_forward(&pred.path, 0, pred.path.len(), obj)?;
     if pred.value.is_null() {
         return Ok(match pred.op {
             Comparison::Eq => reached.is_empty(),
@@ -382,7 +365,6 @@ fn emit(
     env: &[Option<Oid>],
     rows: &mut BTreeSet<Vec<Value>>,
     profile: &mut Option<&mut ExecProfile>,
-    router: &mut dyn SpanRouter,
 ) -> Result<()> {
     let mut per_column: Vec<Vec<Value>> = Vec::with_capacity(plan.projections.len());
     for (k, proj) in plan.projections.iter().enumerate() {
@@ -391,8 +373,8 @@ fn emit(
         let (values, _) = charge(db, slot, || -> Result<Vec<Value>> {
             Ok(match &proj.path {
                 None => vec![Value::Ref(obj)],
-                Some(path) => router
-                    .forward_span(db, path, 0, path.len(), obj)?
+                Some(path) => db
+                    .navigate_forward(path, 0, path.len(), obj)?
                     .into_iter()
                     .map(|c| match c {
                         Cell::Value(v) => v,

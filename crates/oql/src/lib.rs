@@ -57,14 +57,10 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
-pub mod route;
 
 pub use analyze::{explain_analyze, AnalyzeReport, OperatorReport};
 pub use ast::{Binding, Comparison, Literal, PathRef, Predicate, Query};
 pub use error::{OqlError, Result};
-pub use exec::{
-    execute, execute_profiled, execute_query, execute_routed, ExecProfile, OpIo, ResultSet,
-};
+pub use exec::{execute, execute_profiled, execute_query, ExecProfile, OpIo, ResultSet};
 pub use parser::parse;
 pub use plan::{explain, Plan};
-pub use route::{LocalRouter, SpanRouter};

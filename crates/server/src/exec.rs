@@ -1,21 +1,23 @@
 //! Request execution against the serving database.
 //!
-//! [`ServerDb`] abstracts over a plain in-memory [`Database`] (shard
-//! nodes, tests) and a [`DurableDatabase`] (the primary behind `\serve`):
+//! [`ServerDb`] abstracts over a plain in-memory [`Database`] (the
+//! `serve-query` benchmark, the shell without a WAL, tests) and a
+//! [`DurableDatabase`] (the WAL-backed primary behind `\serve`):
 //! mutations on the durable flavour flow through its WAL-logging wrappers
 //! so served writes are as durable as shell writes.  Execution returns
 //! `Err(String)` for *request* failures — the session survives; only
 //! frame damage (handled a layer up) NACKs.
 
 use asr_core::query::SpanSource;
-use asr_core::{AsrConfig, Cell, Database, Decomposition, Extension, Frontier, Snapshot};
+use asr_core::{AsrConfig, AsrId, Database, Decomposition, Extension, Frontier, Row, Snapshot};
 use asr_durable::{DurableDatabase, Storage};
 use asr_gom::PathExpression;
-use asr_net::{RequestBody, ResponseBody, ShardHealth};
+use asr_net::{RequestBody, ResponseBody};
 
 /// The serving view of a database: plain or durable.
 pub enum ServerDb<'a, S: Storage> {
-    /// An in-memory database (shard slices, chaos tests).
+    /// An in-memory database (`serve-query`, the shell without a WAL,
+    /// tests).
     Plain(&'a mut Database),
     /// A WAL-backed database (the served primary).
     Durable(&'a mut DurableDatabase<S>),
@@ -47,20 +49,62 @@ impl<S: Storage> ServerDb<'_, S> {
 pub(crate) fn is_snapshot_read(body: &RequestBody) -> bool {
     matches!(
         body,
-        RequestBody::Ping | RequestBody::ShardProbe { .. } | RequestBody::ShardScan { .. }
+        RequestBody::Ping | RequestBody::PartitionProbe { .. } | RequestBody::PartitionScan { .. }
     )
 }
 
-/// A `ShardProbe`'s wire keys as a [`Frontier`]: strictly ascending, or a
-/// typed error.  The batched probe shares one descent across its keys, so
-/// out-of-order keys would silently miss rows; they are refused instead.
-fn probe_frontier(keys: &[Cell]) -> Result<Frontier, String> {
-    Frontier::ascending(keys.to_vec()).map_err(|e| e.to_string())
-}
-
-/// A `ShardScan`'s wire frontier: a membership filter, so any order goes.
-fn scan_frontier(cells: &[Cell]) -> Frontier {
-    cells.iter().cloned().collect()
+/// Answer a `PartitionProbe`/`PartitionScan` off one ASR's partitions,
+/// looked up by `partitions`: the live
+/// [`StoredPartition`](asr_core::partition::StoredPartition)s or a
+/// snapshot's pinned ones.  The serial pump and the snapshot pool share
+/// this one implementation, so they share its bounds checks and error
+/// texts.  `None` for any other body.
+fn read_partition<'a, P: SpanSource + 'a>(
+    body: &RequestBody,
+    partitions: impl FnOnce(AsrId) -> asr_core::Result<&'a [P]>,
+) -> Option<Result<ResponseBody, String>> {
+    let nth = |asr: u32, part: u32| -> Result<&'a P, String> {
+        partitions(asr as usize)
+            .map_err(|e| e.to_string())?
+            .get(part as usize)
+            .ok_or_else(|| format!("no partition {part}"))
+    };
+    let mut rows = Vec::new();
+    let mut keep = |row: &Row| rows.push(row.clone());
+    let read = match body {
+        RequestBody::PartitionProbe {
+            asr,
+            part,
+            forward,
+            keys,
+        } => {
+            // The batched probe shares one descent across its keys, so
+            // out-of-order keys would silently miss rows; they are
+            // refused instead.
+            Frontier::ascending(keys.clone())
+                .map_err(|e| e.to_string())
+                .and_then(|frontier| {
+                    nth(*asr, *part)?.probe(*forward, &frontier, &mut keep);
+                    Ok(())
+                })
+        }
+        RequestBody::PartitionScan {
+            asr,
+            part,
+            offset,
+            frontier,
+        } => nth(*asr, *part).and_then(|part| {
+            let offset = *offset as usize;
+            if offset >= part.arity() {
+                return Err(format!("offset {offset} outside partition"));
+            }
+            // A membership filter, so any frontier order goes.
+            part.scan(offset, &frontier.iter().cloned().collect(), &mut keep);
+            Ok(())
+        }),
+        _ => return None,
+    };
+    Some(read.map(|()| ResponseBody::Rows(rows)))
 }
 
 /// Execute a snapshot-eligible read against a pinned view, charging
@@ -73,32 +117,7 @@ pub(crate) fn execute_snapshot(
 ) -> Option<Result<ResponseBody, String>> {
     match body {
         RequestBody::Ping => Some(Ok(ResponseBody::Ok)),
-        RequestBody::ShardProbe {
-            asr,
-            part,
-            forward,
-            keys,
-        } => Some(probe_frontier(keys).and_then(|frontier| {
-            snap.probe(*asr as usize, *part as usize, *forward, &frontier)
-                .map(ResponseBody::Rows)
-                .map_err(|e| e.to_string())
-        })),
-        RequestBody::ShardScan {
-            asr,
-            part,
-            offset,
-            frontier,
-        } => Some(
-            snap.scan_filter(
-                *asr as usize,
-                *part as usize,
-                *offset as usize,
-                &scan_frontier(frontier),
-            )
-            .map(ResponseBody::Rows)
-            .map_err(|e| e.to_string()),
-        ),
-        _ => None,
+        _ => read_partition(body, |asr| snap.partitions(asr)),
     }
 }
 
@@ -230,53 +249,9 @@ pub(crate) fn execute<S: Storage>(
                 Ok(ResponseBody::Ok)
             }
         },
-        RequestBody::ShardProbe {
-            asr,
-            part,
-            forward,
-            keys,
-        } => {
-            let frontier = probe_frontier(keys)?;
-            let asr = db.db().asr(*asr as usize).map_err(|e| e.to_string())?;
-            let part = asr
-                .partitions()
-                .get(*part as usize)
-                .ok_or_else(|| format!("no partition {part}"))?;
-            let mut rows = Vec::new();
-            part.probe(*forward, &frontier, &mut |row| rows.push(row.clone()));
-            Ok(ResponseBody::Rows(rows))
-        }
-        RequestBody::ShardScan {
-            asr,
-            part,
-            offset,
-            frontier,
-        } => {
-            let asr = db.db().asr(*asr as usize).map_err(|e| e.to_string())?;
-            let part = asr
-                .partitions()
-                .get(*part as usize)
-                .ok_or_else(|| format!("no partition {part}"))?;
-            let offset = *offset as usize;
-            if offset >= part.arity() {
-                return Err(format!("offset {offset} outside partition"));
-            }
-            let mut hits = Vec::new();
-            SpanSource::scan(part, offset, &scan_frontier(frontier), &mut |row| {
-                hits.push(row.clone())
-            });
-            Ok(ResponseBody::Rows(hits))
-        }
-        RequestBody::ShardStatus => {
-            let d = db.db();
-            let mut health = ShardHealth::default();
-            for (_, asr) in d.asrs() {
-                health.placed_rows += asr.total_rows() as u64;
-                health.pages += asr.total_pages();
-            }
-            // `applied_lsn` and `requests` are stamped by the session
-            // layer, which knows the replication position and counters.
-            Ok(ResponseBody::ShardStatusReply(health))
+        RequestBody::PartitionProbe { .. } | RequestBody::PartitionScan { .. } => {
+            let live = db.db();
+            read_partition(body, |asr| Ok(live.asr(asr)?.partitions())).expect("a partition read")
         }
         RequestBody::Shutdown => Ok(ResponseBody::Ok),
     }

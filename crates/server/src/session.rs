@@ -1,7 +1,7 @@
 //! The multi-client session multiplexer.
 //!
 //! [`NetServer`] owns no database and no channels — the host (shell,
-//! shard node, TCP loop) hands it a [`ServerDb`] view and the session's
+//! TCP loop, tests) hands it a [`ServerDb`] view and the session's
 //! receive/send channels each pump.  What it does own is the per-session
 //! exactly-once state: the highest executed request id and the encoded
 //! response it produced.  The rules, in request-id space:
@@ -18,7 +18,6 @@
 //! `last_executed`, so the client re-sends — damage delays a request but
 //! can never mis-execute it.
 
-use asr_core::Snapshot;
 use asr_durable::{Channel, Storage};
 use asr_net::{decode_frame, Request, RequestBody, Response, ResponseBody, WireMessage};
 use asr_obs::Tracer;
@@ -55,7 +54,6 @@ pub struct PumpReport {
 pub struct NetServer {
     sessions: Vec<SessionState>,
     requests_executed: u64,
-    applied_lsn: u64,
 }
 
 impl NetServer {
@@ -85,13 +83,6 @@ impl NetServer {
         self.requests_executed
     }
 
-    /// Record the replication LSN this server's database has applied —
-    /// stamped into `ShardStatus` replies (shard nodes set it after each
-    /// reseed; a served primary leaves it 0).
-    pub fn set_applied_lsn(&mut self, lsn: u64) {
-        self.applied_lsn = lsn;
-    }
-
     /// Settle a decoded request against the session's exactly-once
     /// state: closed sessions refuse, duplicates replay the cache, stale
     /// ids drop.  Returns the request only when it is fresh and must
@@ -109,11 +100,11 @@ impl NetServer {
         let sess = self.sessions.get_mut(sid)?;
         if sess.closed {
             tx.send(
-                Response::complete(
-                    req.id,
-                    ResponseBody::Err("session closed".to_string()),
-                    IoSnapshot::default(),
-                )
+                Response {
+                    id: req.id,
+                    body: ResponseBody::Err("session closed".to_string()),
+                    io: IoSnapshot::default(),
+                }
                 .encode(),
             );
             return None;
@@ -158,13 +149,13 @@ impl NetServer {
                     &[("session", sid.to_string()), ("last", last.to_string())],
                 );
                 tx.send(
-                    Response::complete(
-                        0,
-                        ResponseBody::Nack {
+                    Response {
+                        id: 0,
+                        body: ResponseBody::Nack {
                             last_executed: last,
                         },
-                        IoSnapshot::default(),
-                    )
+                        io: IoSnapshot::default(),
+                    }
                     .encode(),
                 );
                 return None;
@@ -175,9 +166,7 @@ impl NetServer {
 
     /// Exactly-once bookkeeping for a fresh request whose outcome is
     /// already computed: stamp, cache, count, respond.  Shared by the
-    /// serial execution path, both snapshot-read paths, and the sharded
-    /// front door (the only caller passing a non-empty `partial` set —
-    /// the shards missing from a degraded scatter-gather answer).
+    /// serial execution path and the snapshot worker pool.
     #[allow(clippy::too_many_arguments)]
     fn finish_fresh(
         &mut self,
@@ -189,29 +178,18 @@ impl NetServer {
         outcome: Result<ResponseBody, String>,
         io: IoSnapshot,
         from_snapshot: bool,
-        partial: Vec<u32>,
         tx: &mut dyn Channel,
         report: &mut PumpReport,
     ) {
         let metrics = tracer.metrics();
-        let body = match outcome {
-            Ok(mut body) => {
-                if let ResponseBody::ShardStatusReply(health) = &mut body {
-                    health.applied_lsn = self.applied_lsn;
-                    health.requests = self.requests_executed + 1;
-                }
-                body
-            }
-            Err(msg) => {
-                metrics.inc_counter("server.errors", 1);
-                ResponseBody::Err(msg)
-            }
-        };
+        let body = outcome.unwrap_or_else(|msg| {
+            metrics.inc_counter("server.errors", 1);
+            ResponseBody::Err(msg)
+        });
         let frame = Response {
             id: req_id,
             body,
             io,
-            partial,
         }
         .encode();
         let sess = self
@@ -265,7 +243,6 @@ impl NetServer {
             outcome,
             io,
             false,
-            Vec::new(),
             tx,
             report,
         );
@@ -291,142 +268,11 @@ impl NetServer {
         report
     }
 
-    /// Like [`NetServer::pump_session`], but fresh snapshot-eligible
-    /// reads (`Ping`, `ShardProbe`, `ShardScan`) are answered from the
-    /// pinned `snap` — charging modeled pages to the snapshot's meter,
-    /// which rides back in the response envelope — while everything else
-    /// still executes against the live `db`.
-    pub fn pump_session_snapshot<S: Storage>(
-        &mut self,
-        sid: usize,
-        db: &mut ServerDb<'_, S>,
-        snap: &Snapshot,
-        rx: &mut dyn Channel,
-        tx: &mut dyn Channel,
-    ) -> PumpReport {
-        let tracer = db.db().tracer().clone();
-        let mut report = PumpReport::default();
-        while let Some(delivery) = rx.recv() {
-            let Some(req) = self.triage(sid, &delivery, &tracer, tx, &mut report) else {
-                continue;
-            };
-            if exec::is_snapshot_read(&req.body) {
-                let before = snap.pages_read();
-                let outcome =
-                    exec::execute_snapshot(snap, &req.body).expect("eligibility checked above");
-                let io = IoSnapshot {
-                    reads: snap.pages_read() - before,
-                    ..IoSnapshot::default()
-                };
-                self.finish_fresh(
-                    sid,
-                    &tracer,
-                    req.id,
-                    req.body.label(),
-                    false,
-                    outcome,
-                    io,
-                    true,
-                    Vec::new(),
-                    tx,
-                    &mut report,
-                );
-            } else {
-                self.respond_fresh(sid, db, req, tx, &mut report);
-            }
-        }
-        report
-    }
-
-    /// Serve one session as the **sharded front door**: OQL queries run
-    /// scatter-gather over the fleet, and a degraded answer (surviving
-    /// shards only) carries the missing shard set in the response's
-    /// `partial` field — on the wire, never silently wrong.  Mutations
-    /// are refused: they flow through the primary and reach the fleet
-    /// via reseed, so the coordinator can never fork from the durable
-    /// timeline.
-    pub fn pump_session_sharded(
-        &mut self,
-        sid: usize,
-        sharded: &mut crate::shard::ShardedDatabase,
-        rx: &mut dyn Channel,
-        tx: &mut dyn Channel,
-    ) -> PumpReport {
-        let tracer = sharded.catalog().tracer().clone();
-        let mut report = PumpReport::default();
-        while let Some(delivery) = rx.recv() {
-            let Some(req) = self.triage(sid, &delivery, &tracer, tx, &mut report) else {
-                continue;
-            };
-            let shutdown = matches!(req.body, RequestBody::Shutdown);
-            let label = req.body.label();
-            let (outcome, io, partial) = match &req.body {
-                RequestBody::Ping | RequestBody::Shutdown => {
-                    (Ok(ResponseBody::Ok), IoSnapshot::default(), Vec::new())
-                }
-                RequestBody::Query(text) => {
-                    // Clear any degraded carry-over so the partial set
-                    // brands exactly this query's answer.
-                    sharded.take_degraded();
-                    match sharded.query(text) {
-                        Ok(rs) => {
-                            let (merged, _) = sharded.fleet_mut().take_io();
-                            let partial: Vec<u32> = sharded.take_degraded().into_iter().collect();
-                            (
-                                Ok(ResponseBody::Table {
-                                    columns: rs.columns,
-                                    rows: rs.rows,
-                                }),
-                                merged,
-                                partial,
-                            )
-                        }
-                        Err(e) => (
-                            Err(e.to_string()),
-                            IoSnapshot::default(),
-                            sharded.take_degraded().into_iter().collect(),
-                        ),
-                    }
-                }
-                body if body.is_mutation() => (
-                    Err(
-                        "sharded front door is read-only; mutate the primary and reseed"
-                            .to_string(),
-                    ),
-                    IoSnapshot::default(),
-                    Vec::new(),
-                ),
-                other => (
-                    Err(format!(
-                        "{} is not served by the sharded front door",
-                        other.label()
-                    )),
-                    IoSnapshot::default(),
-                    Vec::new(),
-                ),
-            };
-            self.finish_fresh(
-                sid,
-                &tracer,
-                req.id,
-                label,
-                shutdown,
-                outcome,
-                io,
-                false,
-                partial,
-                tx,
-                &mut report,
-            );
-        }
-        report
-    }
-
     /// Pump many sessions in one pass, executing each session's leading
     /// run of snapshot-eligible reads **concurrently** on a pool of
-    /// `workers` OS threads against a single pinned [`Snapshot`], then
-    /// the remaining requests (mutations, plans, durable control)
-    /// serially in arrival order.
+    /// `workers` OS threads against a single pinned
+    /// [`Snapshot`](asr_core::Snapshot), then the remaining requests
+    /// (mutations, plans, durable control) serially in arrival order.
     ///
     /// Per-session ordering is exactly what serial execution would give:
     /// a session's concurrent reads all precede its first non-read, so
@@ -537,7 +383,6 @@ impl NetServer {
                 outcome,
                 IoSnapshot::default(),
                 true,
-                Vec::new(),
                 &mut **tx,
                 &mut report,
             );

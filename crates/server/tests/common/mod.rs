@@ -3,9 +3,8 @@
 //! Shared staging for the serving tests: durable primaries over the
 //! company example and over randomly decomposed generated chains.
 
-use asr_core::{AsrConfig, AsrId, Database, Decomposition, Extension};
+use asr_core::{AsrConfig, AsrId, Decomposition, Extension};
 use asr_durable::{DurableDatabase, FlushPolicy, MemStorage};
-use asr_gom::Oid;
 use asr_workload::{generate, GeneratorSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -36,10 +35,6 @@ pub fn company_primary() -> (DurableDatabase<MemStorage>, AsrId) {
 pub struct ChainPrimary {
     pub durable: DurableDatabase<MemStorage>,
     pub asr: AsrId,
-    /// Path length `n` (spans run over `0..=n`).
-    pub n: usize,
-    /// Level-by-level object lists (span query starts/targets).
-    pub levels: Vec<Vec<Oid>>,
 }
 
 /// Generate a chain database and decompose its ASR randomly — path
@@ -92,41 +87,5 @@ pub fn stage_chain(seed: u64) -> ChainPrimary {
         .expect("ASR builds");
     let durable =
         DurableDatabase::create(MemStorage::new(), db, FlushPolicy::EveryRecord).expect("creates");
-    ChainPrimary {
-        durable,
-        asr,
-        n,
-        levels: g.levels,
-    }
-}
-
-/// Compare a sharded span answer against the single-node oracle for
-/// every span of the chain and a bounded sample of starts and targets.
-/// `label` contextualizes assertion failures.
-pub fn assert_spans_match(
-    oracle: &Database,
-    sharded: &mut asr_server::ShardedDatabase,
-    staged: &ChainPrimary,
-    label: &str,
-) {
-    const SAMPLE: usize = 6;
-    for i in 0..staged.n {
-        for j in (i + 1)..=staged.n {
-            for &start in staged.levels[i].iter().take(SAMPLE) {
-                let want = oracle.forward(staged.asr, i, j, start).expect("oracle fw");
-                let got = sharded
-                    .forward(staged.asr, i, j, start)
-                    .expect("sharded fw");
-                assert_eq!(got, want, "{label}: forward Q_{{{i},{j}}} from {start:?}");
-            }
-            for &target in staged.levels[j].iter().take(SAMPLE) {
-                let cell = asr_core::Cell::Oid(target);
-                let want = oracle.backward(staged.asr, i, j, &cell).expect("oracle bw");
-                let got = sharded
-                    .backward(staged.asr, i, j, &cell)
-                    .expect("sharded bw");
-                assert_eq!(got, want, "{label}: backward Q_{{{i},{j}}} to {target:?}");
-            }
-        }
-    }
+    ChainPrimary { durable, asr }
 }

@@ -1,5 +1,5 @@
 //! Metric-coverage audit for the serving subsystem, mirroring the
-//! durable layer's: every `server.*` / `shard.*` metric emitted anywhere
+//! durable layer's: every `server.*` metric emitted anywhere
 //! in `crates/server`'s sources must be declared in the registry below,
 //! and every registered metric must actually show up in the rendered
 //! `\stats` table and the Prometheus exposition after a serving
@@ -7,12 +7,10 @@
 //! are emitted through a computed name and are deliberately outside the
 //! literal-scan registry.)
 
-mod common;
-
-use asr_durable::{ChaosProfile, MemStorage};
+use asr_core::{AsrConfig, Decomposition, Extension};
+use asr_durable::MemStorage;
 use asr_net::{Request, RequestBody};
-use asr_server::{NetServer, ServerDb, ShardedDatabase};
-use common::*;
+use asr_server::{NetServer, ServerDb};
 
 const SERVER_COUNTERS: &[&str] = &[
     "server.requests",
@@ -25,29 +23,7 @@ const SERVER_COUNTERS: &[&str] = &[
     "server.snapshot.batches",
 ];
 const SERVER_GAUGES: &[&str] = &["server.snapshot.epoch"];
-const SHARD_COUNTERS: &[&str] = &[
-    "shard.place.rows",
-    "shard.reseeds",
-    "shard.scatter.broadcasts",
-    "shard.scatter.queries",
-    "shard.scatter.rows",
-    "shard.fault.crashes",
-    "shard.fault.stalls",
-    "shard.health.suspects",
-    "shard.health.downs",
-    "shard.health.degraded_reads",
-    "shard.health.ticks",
-    "shard.health.reseed_attempts",
-    "shard.health.reseed_failures",
-    "shard.health.recoveries",
-];
-const SHARD_GAUGES: &[&str] = &["shard.count", "shard.health.up"];
-const HISTOGRAMS: &[&str] = &[
-    "server.request.pages",
-    "server.snapshot.batch_pages",
-    "shard.scatter.pages",
-    "shard.health.ticks_to_recover",
-];
+const HISTOGRAMS: &[&str] = &["server.request.pages", "server.snapshot.batch_pages"];
 
 /// Extract the first string literal argument of every `method(` call in
 /// `source` (computed names are skipped by construction).
@@ -72,7 +48,6 @@ fn registry_matches_every_emit_site_in_the_sources() {
     let sources = concat!(
         include_str!("../src/exec.rs"),
         include_str!("../src/session.rs"),
-        include_str!("../src/shard.rs"),
         include_str!("../src/tcp.rs"),
     );
     let check = |method: &str, expected: Vec<&str>| {
@@ -86,18 +61,8 @@ fn registry_matches_every_emit_site_in_the_sources() {
             "`{method}` emit sites diverged from the registry"
         );
     };
-    check(
-        "inc_counter",
-        SERVER_COUNTERS
-            .iter()
-            .chain(SHARD_COUNTERS)
-            .copied()
-            .collect(),
-    );
-    check(
-        "set_gauge",
-        SERVER_GAUGES.iter().chain(SHARD_GAUGES).copied().collect(),
-    );
+    check("inc_counter", SERVER_COUNTERS.to_vec());
+    check("set_gauge", SERVER_GAUGES.to_vec());
     check("observe", HISTOGRAMS.to_vec());
 }
 
@@ -115,12 +80,21 @@ fn assert_all_present(names: &[&str], table: &str, prometheus: &str, ctx: &str) 
 }
 
 /// Drive a session through every accounting path (execute, replay,
-/// NACK, stale drop, error) plus a sharded query and a reseed; every
-/// registered metric must then be visible on the tracer that owns it.
+/// NACK, stale drop, error) plus partition reads on the snapshot pool;
+/// every registered metric must then be visible on the served database.
 #[test]
 fn every_registered_metric_is_exposed_after_a_serving_workload() {
-    // server.* metrics (except tcp) land on the served database.
     let mut db = asr_workload::company_database().db;
+    let asr = db
+        .create_asr_on(
+            "Division.Manufactures.Composition.Name",
+            AsrConfig {
+                extension: Extension::Full,
+                decomposition: Decomposition::binary(3),
+                keep_set_oids: false,
+            },
+        )
+        .expect("ASR builds") as u32;
     let mut server = NetServer::new();
     let sid = server.open_session();
     let (mut rx, mut tx) = (
@@ -153,8 +127,8 @@ fn every_registered_metric_is_exposed_after_a_serving_workload() {
         &mut rx,
         &mut tx,
     );
-    // server.snapshot.*: a parallel pump whose two sessions' read
-    // prefixes ride one pinned snapshot on the worker pool.
+    // server.snapshot.*: a parallel pump whose two sessions' partition
+    // reads ride one pinned snapshot on the worker pool.
     let sid2 = server.open_session();
     let (mut rx2, mut tx2) = (
         asr_durable::LosslessChannel::new(),
@@ -163,14 +137,24 @@ fn every_registered_metric_is_exposed_after_a_serving_workload() {
     rx.send(
         Request {
             id: 3,
-            body: RequestBody::Ping,
+            body: RequestBody::PartitionProbe {
+                asr,
+                part: 0,
+                forward: true,
+                keys: Vec::new(),
+            },
         }
         .encode(),
     );
     rx2.send(
         Request {
             id: 1,
-            body: RequestBody::Ping,
+            body: RequestBody::PartitionScan {
+                asr,
+                part: 1,
+                offset: 0,
+                frontier: Vec::new(),
+            },
         }
         .encode(),
     );
@@ -207,73 +191,16 @@ fn every_registered_metric_is_exposed_after_a_serving_workload() {
         "served database",
     );
     assert_all_present(
-        &["server.request.pages", "server.snapshot.batch_pages"],
+        HISTOGRAMS,
         &metrics.render_table(),
         &metrics.to_prometheus(),
         "served database",
     );
-
-    // shard.* metrics land on the coordinator's catalog.
-    let (primary, _) = company_primary();
-    let mut sharded =
-        ShardedDatabase::from_primary(&primary, 2, Some((ChaosProfile::from_seed(3), 3)))
-            .expect("seeds");
-    sharded
-        .query(r#"select d.Name from d in Division where d.Manufactures.Composition.Name = "Door""#)
-        .expect("query");
-    sharded.reseed(&primary).expect("reseed");
-    // shard.fault.* / shard.health.*: crash one shard (with a crash
-    // during its reseed, for the failure counter), stall the other, then
-    // let the tick loop heal the fleet.  The stock 64-attempt deadline
-    // stays: these faults swallow polls outright, so they miss any
-    // budget, while the chaotic-but-alive links keep making it.
-    sharded.set_fault_plan(
-        0,
-        asr_server::ShardFaultPlan {
-            crash_at_op: Some(1),
-            reseed_crashes: 1,
-            ..asr_server::ShardFaultPlan::default()
-        },
-    );
-    sharded.set_fault_plan(
-        1,
-        asr_server::ShardFaultPlan {
-            stall_at_op: Some(1),
-            // The node has served polls already; an unbounded window
-            // guarantees the stall engages on its very next poll.
-            stall_ops: u64::MAX,
-            ..asr_server::ShardFaultPlan::default()
-        },
-    );
-    for _ in 0..3 {
-        // Both shards may be out at once; degraded/unavailable answers
-        // are fine here — the ticks drive every health transition.
-        let _ = sharded.query(
-            r#"select d.Name from d in Division where d.Manufactures.Composition.Name = "Door""#,
+    for label in ["partition_probe", "partition_scan"] {
+        assert_eq!(
+            metrics.counter(&format!("server.requests.{label}")),
+            1,
+            "{label}"
         );
-        sharded.tick(&primary);
     }
-    for _ in 0..8 {
-        sharded.tick(&primary);
-    }
-    assert!(sharded.all_up(), "tick loop must heal the faulted fleet");
-    let metrics = sharded.catalog().tracer().metrics();
-    assert_all_present(
-        SHARD_COUNTERS,
-        &metrics.render_table(),
-        &metrics.to_prometheus(),
-        "coordinator catalog",
-    );
-    assert_all_present(
-        SHARD_GAUGES,
-        &metrics.render_table(),
-        &metrics.to_prometheus(),
-        "coordinator catalog",
-    );
-    assert_all_present(
-        &["shard.scatter.pages"],
-        &metrics.render_table(),
-        &metrics.to_prometheus(),
-        "coordinator catalog",
-    );
 }

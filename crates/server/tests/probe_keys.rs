@@ -1,9 +1,10 @@
-//! Hostile probe keys.  A `ShardProbe` shares one B+-tree descent across
-//! its keys, which is only sound for strictly ascending keys: descending
-//! keys used to trip the batch's order assertion (debug) or silently miss
-//! rows on deep trees (release).  Both the live and the snapshot path
-//! now refuse them with an error response, and ascending keys still
-//! answer exactly the per-key lookups.
+//! Hostile partition reads.  A `PartitionProbe` shares one B+-tree
+//! descent across its keys, which is only sound for strictly ascending
+//! keys: descending keys used to trip the batch's order assertion (debug)
+//! or silently miss rows on deep trees (release).  Both the live and the
+//! snapshot path refuse them with an error response, and ascending keys
+//! still answer exactly the per-key lookups.  Out-of-range ASR,
+//! partition and offset numbers get the same refusal on both paths.
 
 use std::collections::BTreeSet;
 
@@ -37,7 +38,7 @@ fn company() -> (Database, u32, Vec<Cell>) {
 }
 
 fn probe(asr: u32, keys: Vec<Cell>) -> RequestBody {
-    RequestBody::ShardProbe {
+    RequestBody::PartitionProbe {
         asr,
         part: 0,
         forward: true,
@@ -113,4 +114,47 @@ fn out_of_order_probe_keys_are_refused_on_both_paths() {
         db.tracer().metrics().counter("server.snapshot.reads") >= 3,
         "the second pass must have answered off the snapshot"
     );
+}
+
+/// The live arm and the snapshot arm share one implementation, so a bad
+/// `asr`, `part` or `offset` is refused with the same text on both.
+#[test]
+fn bad_partition_reads_answer_alike_on_both_paths() {
+    let (mut db, asr, keys) = company();
+    let parts = db.asr(asr as usize).unwrap().partitions().len() as u32;
+    let scan = |asr, part, offset| RequestBody::PartitionScan {
+        asr,
+        part,
+        offset,
+        frontier: keys.clone(),
+    };
+    let bodies = [
+        RequestBody::PartitionProbe {
+            asr,
+            part: 99,
+            forward: true,
+            keys: keys.clone(),
+        },
+        probe(asr + 7, keys.clone()),
+        scan(asr, 99, 0),
+        scan(asr, 0, 99),
+        scan(asr + 7, 0, 0),
+        scan(asr, parts - 1, 0),
+    ];
+    let live = answer(&mut db, &bodies, false);
+    let pooled = answer(&mut db, &bodies, true);
+    assert_eq!(live, pooled);
+    let errors: Vec<&str> = live[..5]
+        .iter()
+        .map(|body| match body {
+            ResponseBody::Err(msg) => msg.as_str(),
+            other => panic!("expected a refusal, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(errors[0], "no partition 99");
+    assert_eq!(errors[2], "no partition 99");
+    assert_eq!(errors[3], "offset 99 outside partition");
+    assert!(errors[1].contains("no ASR with id"), "{}", errors[1]);
+    assert_eq!(errors[1], errors[4]);
+    assert!(matches!(live[5], ResponseBody::Rows(_)));
 }

@@ -1,19 +1,19 @@
-//! MVCC serving: snapshot-isolated reads in the session multiplexer and
-//! the scatter-gather fleet.  Reads answered from a pinned
-//! [`asr_core::Snapshot`] must be bit-identical to live execution, the
+//! MVCC serving: snapshot-isolated reads in the session multiplexer.
+//! Partition reads answered from a pinned [`asr_core::Snapshot`] must be
+//! bit-identical to live execution, the
 //! parallel multi-session pump must be indistinguishable from the serial
 //! one, and exactly-once semantics must survive duplicated and deferred
 //! frames.
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use asr_core::{AsrConfig, Cell, Database, Decomposition, Extension};
-use asr_durable::{
-    Channel, ChaosProfile, DurableDatabase, FlushPolicy, LosslessChannel, MemStorage,
-};
+use asr_durable::{Channel, DurableDatabase, FlushPolicy, LosslessChannel, MemStorage, Storage};
 use asr_gom::Value;
 use asr_net::{decode_frame, Request, RequestBody, Response, ResponseBody, WireMessage};
-use asr_server::{NetServer, ServerDb, ShardedDatabase};
+use asr_server::{NetServer, ServerDb};
 use common::*;
 
 fn send(ch: &mut LosslessChannel, id: u64, body: RequestBody) {
@@ -66,107 +66,116 @@ fn serving_company() -> (Database, u32, Vec<Cell>, Vec<Cell>) {
     (db, id as u32, divisions, products)
 }
 
-/// Every span answer off a snapshot-serving fleet must equal the
-/// single-node oracle, across randomly decomposed chains and chaotic
-/// shard links — and the shards must actually be answering from their
-/// pinned views.
+/// Answer `bodies` on one session, live (`pump_session`) or off one
+/// pinned snapshot (`pump_sessions_parallel`, whose all-read script rides
+/// the pin whole).
+fn answer<S: Storage>(
+    db: &mut ServerDb<'_, S>,
+    bodies: &[RequestBody],
+    snapshot: bool,
+) -> Vec<ResponseBody> {
+    let mut server = NetServer::new();
+    let sid = server.open_session();
+    let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
+    for (i, body) in bodies.iter().enumerate() {
+        send(&mut rx, i as u64 + 1, body.clone());
+    }
+    if snapshot {
+        let mut sessions: Vec<(usize, &mut dyn Channel, &mut dyn Channel)> =
+            vec![(sid, &mut rx, &mut tx)];
+        server.pump_sessions_parallel(db, &mut sessions, 3);
+    } else {
+        server.pump_session(sid, db, &mut rx, &mut tx);
+    }
+    drain(&mut tx).into_iter().map(|r| r.body).collect()
+}
+
+/// Every partition read the pool serves must equal the live answer,
+/// across randomly decomposed chains under every extension: probes from
+/// both ends keyed on every stored cell, and scans at every offset.
 #[test]
-fn sharded_snapshot_reads_answer_every_span_bit_identically() {
+fn pinned_partition_reads_match_live_on_random_chains() {
     for seed in [11u64, 29, 47] {
-        let staged = stage_chain(seed);
-        let mut sharded = ShardedDatabase::from_primary(
-            &staged.durable,
-            3,
-            Some((ChaosProfile::from_seed(seed), seed)),
-        )
-        .expect("seeds");
-        sharded.enable_snapshot_reads();
-        assert_spans_match(
-            staged.durable.database(),
-            &mut sharded,
-            &staged,
-            &format!("snapshot reads, seed {seed}"),
-        );
-        let snapshot_served: u64 = (0..sharded.shard_count())
-            .map(|i| {
-                sharded
-                    .fleet()
-                    .node(i)
-                    .db()
-                    .tracer()
-                    .metrics()
-                    .counter("server.snapshot.reads")
-            })
-            .sum();
-        assert!(
-            snapshot_served > 0,
-            "seed {seed}: probes and scans must ride the pinned snapshots"
-        );
-        for i in 0..sharded.shard_count() {
-            assert!(
-                sharded.fleet().node(i).snapshot_epoch().is_some(),
-                "seed {seed}: shard {i} must stay pinned"
-            );
+        let mut staged = stage_chain(seed);
+        let asr = staged.asr as u32;
+        let mut bodies = Vec::new();
+        for (part, stored) in staged
+            .durable
+            .database()
+            .asr(staged.asr)
+            .unwrap()
+            .partitions()
+            .iter()
+            .enumerate()
+        {
+            let (mut firsts, mut lasts, mut cells) =
+                (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+            stored.scan(|row| {
+                firsts.extend(row.first().clone());
+                lasts.extend(row.last().clone());
+                cells.extend(row.cells().iter().flatten().cloned());
+            });
+            let part = part as u32;
+            for (forward, keys) in [(true, firsts), (false, lasts)] {
+                bodies.push(RequestBody::PartitionProbe {
+                    asr,
+                    part,
+                    forward,
+                    keys: keys.into_iter().collect(),
+                });
+            }
+            for offset in 0..stored.arity() as u32 {
+                bodies.push(RequestBody::PartitionScan {
+                    asr,
+                    part,
+                    offset,
+                    frontier: cells.iter().cloned().collect(),
+                });
+            }
         }
+        let mut db = ServerDb::Durable(&mut staged.durable);
+        let live = answer(&mut db, &bodies, false);
+        let pooled = answer(&mut db, &bodies, true);
+        assert_eq!(live, pooled, "seed {seed}");
+        assert!(
+            live.iter()
+                .any(|b| matches!(b, ResponseBody::Rows(rows) if !rows.is_empty())),
+            "seed {seed}: the reads must find rows"
+        );
+        let metrics = db.db().tracer().metrics();
+        assert_eq!(
+            metrics.counter("server.snapshot.reads"),
+            bodies.len() as u64,
+            "seed {seed}: every read must ride the pin"
+        );
     }
 }
 
-/// A reseed must move every shard's pin to the new slice: answers after
-/// the reseed reflect primary mutations, not the old epoch.
+/// Each pool batch pins the epoch current at its start: a read after a
+/// committed mutation sees it, on a durable primary as on the live path.
 #[test]
-fn reseed_refreshes_snapshot_pins_to_the_new_slice() {
+fn each_batch_pins_the_current_epoch() {
     let (mut primary, asr) = company_primary();
-    let mut sharded = ShardedDatabase::from_primary(&primary, 2, None).expect("seeds");
-    sharded.enable_snapshot_reads();
-    let door = Cell::Value(Value::string("Door"));
-    let before = primary.database().backward(asr, 0, 3, &door).expect("bw");
-    assert_eq!(
-        sharded.backward(asr, 0, 3, &door).expect("sharded bw"),
-        before
-    );
-
-    // Extend the primary with a new division whose product also uses a
-    // part named "Door".
-    let div = primary.instantiate("Division").unwrap();
-    primary
-        .set_attribute(div, "Name", Value::string("Marine"))
-        .unwrap();
-    let prods = primary.instantiate("ProdSET").unwrap();
-    primary
-        .set_attribute(div, "Manufactures", Value::Ref(prods))
-        .unwrap();
-    let boat = primary.instantiate("Product").unwrap();
-    primary
-        .set_attribute(boat, "Name", Value::string("Boat"))
-        .unwrap();
-    primary
-        .insert_into_attr_set(div, "Manufactures", Value::Ref(boat))
-        .unwrap();
-    let comp = primary.instantiate("BasePartSET").unwrap();
-    primary
-        .set_attribute(boat, "Composition", Value::Ref(comp))
-        .unwrap();
+    let names = primary.database().asr(asr).unwrap().partitions().len() - 1;
+    let doors = vec![RequestBody::PartitionProbe {
+        asr: asr as u32,
+        part: names as u32,
+        forward: false,
+        keys: vec![Cell::Value(Value::string("Door"))],
+    }];
+    let rows = |resp: &[ResponseBody]| match &resp[0] {
+        ResponseBody::Rows(rows) => rows.len(),
+        other => panic!("expected rows, got {other:?}"),
+    };
+    let before = rows(&answer(&mut ServerDb::Durable(&mut primary), &doors, true));
     let part = primary.instantiate("BasePart").unwrap();
     primary
         .set_attribute(part, "Name", Value::string("Door"))
         .unwrap();
-    primary
-        .insert_into_attr_set(boat, "Composition", Value::Ref(part))
-        .unwrap();
-    let after = primary.database().backward(asr, 0, 3, &door).expect("bw");
-    assert!(after.len() > before.len(), "the mutation must show up");
-
-    sharded.reseed(&primary).expect("reseed");
-    assert_eq!(
-        sharded
-            .backward(asr, 0, 3, &door)
-            .expect("sharded bw after reseed"),
-        after,
-        "pins must move to the reseeded slice"
-    );
-    for i in 0..sharded.shard_count() {
-        assert!(sharded.fleet().node(i).snapshot_epoch().is_some());
-    }
+    let mut db = ServerDb::Durable(&mut primary);
+    let pooled = answer(&mut db, &doors, true);
+    assert_eq!(rows(&pooled), before + 1, "the new part must show up");
+    assert_eq!(pooled, answer(&mut db, &doors, false));
 }
 
 /// The parallel pump must be client-indistinguishable from pumping the
@@ -182,13 +191,13 @@ fn parallel_pump_matches_serial_execution() {
 
     let scripts: Vec<Vec<RequestBody>> = vec![
         vec![
-            RequestBody::ShardProbe {
+            RequestBody::PartitionProbe {
                 asr,
                 part: 0,
                 forward: true,
                 keys: divisions.clone(),
             },
-            RequestBody::ShardScan {
+            RequestBody::PartitionScan {
                 asr,
                 part: 1,
                 offset: 0,
@@ -208,7 +217,7 @@ fn parallel_pump_matches_serial_execution() {
             },
         ],
         vec![
-            RequestBody::ShardProbe {
+            RequestBody::PartitionProbe {
                 asr,
                 part: 2,
                 forward: false,
@@ -322,7 +331,7 @@ fn duplicated_read_frame_never_double_executes() {
     let mut server = NetServer::new();
     let sid = server.open_session();
     let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
-    let probe = RequestBody::ShardProbe {
+    let probe = RequestBody::PartitionProbe {
         asr,
         part: 0,
         forward: true,
@@ -364,7 +373,7 @@ fn durable_parallel_pump_logs_tail_writes() {
     send(
         &mut read_rx,
         1,
-        RequestBody::ShardProbe {
+        RequestBody::PartitionProbe {
             asr,
             part: 0,
             forward: true,

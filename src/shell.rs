@@ -25,8 +25,6 @@
 //! \serve <addr>            serve the open database over TCP until shutdown
 //! \connect [chaos <seed>]  loopback wire mode: route queries through an
 //!                          in-process server over (chaotic) channels
-//! \shards on <n> [chaos <seed>]|off|status|reseed  scatter-gather serving
-//!                          over a hash-partitioned in-process fleet
 //! \help / \quit
 //! ```
 //!
@@ -54,7 +52,7 @@ use asr_gom::PathExpression;
 use asr_net::{decode_frame, Request, RequestBody, Response, ResponseBody, WireMessage};
 use asr_obs::{FlightRecorder, RingBufferSink, SinkId};
 use asr_oql as oql;
-use asr_server::{NetServer, ServerDb, ShardFaultPlan, ShardedDatabase, TcpServer};
+use asr_server::{NetServer, ServerDb, TcpServer};
 use asr_workload::{company_database, robot_database};
 
 /// The session's open database: plain in-memory, or write-ahead logged.
@@ -98,8 +96,6 @@ pub struct ShellState {
     /// Loopback wire mode, while `\connect` (queries route through an
     /// in-process server session over possibly chaotic channels).
     wire: Option<WireSession>,
-    /// The scatter-gather fleet, while `\shards on` (WAL mode only).
-    sharded: Option<ShardedDatabase>,
     /// Should the REPL terminate?
     pub done: bool,
 }
@@ -217,7 +213,6 @@ impl ShellState {
     /// Serving modes bound to the previous database are torn down.
     fn install_db(&mut self, db: OpenDb, origin: &str) {
         self.wire = None;
-        self.sharded = None;
         db.as_db()
             .tracer()
             .add_sink(Rc::new(RecorderSink::new(Rc::clone(&self.recorder))));
@@ -301,7 +296,6 @@ fn run_command(state: &mut ShellState, input: &str) -> Result<String, String> {
         "flightrec" => cmd_flightrec(state, rest),
         "serve" => cmd_serve(state, rest),
         "connect" => cmd_connect(state, rest),
-        "shards" => cmd_shards(state, rest),
         other => Err(format!("unknown command `\\{other}` — try `\\help`")),
     }
 }
@@ -969,9 +963,6 @@ fn cmd_connect(state: &mut ShellState, rest: &str) -> Result<String, String> {
     match parts.next() {
         None => {
             state.db()?;
-            if state.sharded.is_some() {
-                return Err("sharding is on — `\\shards off` first".to_string());
-            }
             if state.wire.is_some() {
                 return Ok("already connected — `\\connect status`".to_string());
             }
@@ -984,9 +975,6 @@ fn cmd_connect(state: &mut ShellState, rest: &str) -> Result<String, String> {
         }
         Some("chaos") => {
             state.db()?;
-            if state.sharded.is_some() {
-                return Err("sharding is on — `\\shards off` first".to_string());
-            }
             let seed: u64 = parts
                 .next()
                 .ok_or("usage: \\connect chaos <seed>")?
@@ -1057,165 +1045,6 @@ fn cmd_connect(state: &mut ShellState, rest: &str) -> Result<String, String> {
         Some(other) => Err(format!(
             "usage: \\connect [chaos <seed>]|off|status (got `{other}`)"
         )),
-    }
-}
-
-/// `\shards on <n> [chaos <seed>]|off|status|reseed|tick [n]|fault
-/// <shard> <seed>|deadline <attempts>`: scatter-gather serving with
-/// fault domains.  Requires WAL mode — the fleet is seeded from the
-/// durable primary through the replication substrate, `reseed` replays
-/// the WAL suffix after mutations, `fault` arms a deterministic
-/// crash/stall plan on one shard, and `tick` drives the coordinator's
-/// health check + self-healing reseed loop.
-fn cmd_shards(state: &mut ShellState, rest: &str) -> Result<String, String> {
-    let mut parts = rest.split_whitespace();
-    match parts.next() {
-        Some("on") => {
-            if state.wire.is_some() {
-                return Err("wire mode is on — `\\connect off` first".to_string());
-            }
-            let n: usize = parts
-                .next()
-                .ok_or("usage: \\shards on <n> [chaos <seed>]")?
-                .parse()
-                .map_err(|_| "usage: \\shards on <n> [chaos <seed>]".to_string())?;
-            let chaos = match parts.next() {
-                Some("chaos") => {
-                    let seed: u64 = parts
-                        .next()
-                        .ok_or("usage: \\shards on <n> chaos <seed>")?
-                        .parse()
-                        .map_err(|_| "usage: \\shards on <n> chaos <seed>".to_string())?;
-                    Some((ChaosProfile::from_seed(seed), seed))
-                }
-                Some(other) => return Err(format!("unknown option `{other}`")),
-                None => None,
-            };
-            let d = state.durable_mut()?;
-            let sharded = ShardedDatabase::from_primary(d, n, chaos).map_err(|e| e.to_string())?;
-            let placed: u64 = (0..n).map(|i| sharded.fleet().node(i).placed_rows()).sum();
-            state.sharded = Some(sharded);
-            Ok(format!(
-                "sharding on: {n} shard(s) seeded via replication, {placed} row(s) \
-                 hash-placed{}; queries now run scatter-gather — `\\shards reseed` \
-                 after mutations",
-                match chaos {
-                    Some((_, seed)) => format!(", serving channels under chaos seed {seed}"),
-                    None => String::new(),
-                }
-            ))
-        }
-        Some("off") => match state.sharded.take() {
-            Some(_) => Ok("sharding off — queries run on the primary again".to_string()),
-            None => Ok("sharding already off".to_string()),
-        },
-        Some("status") => match &mut state.sharded {
-            Some(s) => s.render_status().map_err(|e| e.to_string()),
-            None => Err("sharding is off — `\\shards on <n>` first".to_string()),
-        },
-        Some("reseed") => {
-            let Some(mut sharded) = state.sharded.take() else {
-                return Err("sharding is off — `\\shards on <n>` first".to_string());
-            };
-            let d = match state.durable_mut() {
-                Ok(d) => d,
-                Err(e) => {
-                    state.sharded = Some(sharded);
-                    return Err(e);
-                }
-            };
-            let res = sharded.reseed(d).map_err(|e| e.to_string());
-            let out = res.map(|()| {
-                let lsn = sharded.fleet().node(0).applied_lsn();
-                format!("fleet reseeded: every shard caught up to LSN {lsn}")
-            });
-            state.sharded = Some(sharded);
-            out
-        }
-        Some("tick") => {
-            let n: u64 = match parts.next() {
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| "usage: \\shards tick [n]".to_string())?,
-                None => 1,
-            };
-            let Some(mut sharded) = state.sharded.take() else {
-                return Err("sharding is off — `\\shards on <n>` first".to_string());
-            };
-            let d = match state.durable_mut() {
-                Ok(d) => d,
-                Err(e) => {
-                    state.sharded = Some(sharded);
-                    return Err(e);
-                }
-            };
-            for _ in 0..n.max(1) {
-                sharded.tick(d);
-            }
-            let states: Vec<String> = sharded
-                .health_states()
-                .iter()
-                .map(|s| s.label().to_string())
-                .collect();
-            let verdict = if sharded.all_up() {
-                "fleet healthy".to_string()
-            } else {
-                format!("[{}]", states.join(", "))
-            };
-            let out = format!("ticked {n} time(s): {verdict}");
-            state.sharded = Some(sharded);
-            Ok(out)
-        }
-        Some("fault") => {
-            let usage = "usage: \\shards fault <shard> <seed>";
-            let shard: usize = parts
-                .next()
-                .ok_or(usage)?
-                .parse()
-                .map_err(|_| usage.to_string())?;
-            let seed: u64 = parts
-                .next()
-                .ok_or(usage)?
-                .parse()
-                .map_err(|_| usage.to_string())?;
-            let Some(sharded) = state.sharded.as_mut() else {
-                return Err("sharding is off — `\\shards on <n>` first".to_string());
-            };
-            if shard >= sharded.shard_count() {
-                return Err(format!(
-                    "shard {shard} out of range (fleet has {})",
-                    sharded.shard_count()
-                ));
-            }
-            let plan = ShardFaultPlan::from_seed(seed);
-            let desc = plan.describe();
-            sharded.set_fault_plan(shard, plan);
-            Ok(format!(
-                "fault plan armed on shard {shard} (seed {seed}): {desc}; \
-                 run queries then `\\shards tick` to watch it heal"
-            ))
-        }
-        Some("deadline") => {
-            let attempts: u32 = parts
-                .next()
-                .ok_or("usage: \\shards deadline <attempts>")?
-                .parse()
-                .map_err(|_| "usage: \\shards deadline <attempts>".to_string())?;
-            let Some(sharded) = state.sharded.as_mut() else {
-                return Err("sharding is off — `\\shards on <n>` first".to_string());
-            };
-            sharded.set_deadline(attempts);
-            Ok(format!(
-                "per-shard request deadline set to {} attempt(s); a shard that \
-                 misses it goes suspect, then down",
-                attempts.max(1)
-            ))
-        }
-        _ => Err(
-            "usage: \\shards on <n> [chaos <seed>]|off|status|reseed|tick [n]|\
-             fault <shard> <seed>|deadline <attempts>"
-                .to_string(),
-        ),
     }
 }
 
@@ -1410,9 +1239,6 @@ fn cmd_advise(state: &mut ShellState, rest: &str) -> Result<String, String> {
 }
 
 fn run_query(state: &mut ShellState, text: &str) -> Result<String, String> {
-    if state.sharded.is_some() {
-        return run_query_sharded(state, text);
-    }
     if state.wire.is_some() {
         return run_query_wire(state, text);
     }
@@ -1460,35 +1286,6 @@ fn run_query_wire(state: &mut ShellState, text: &str) -> Result<String, String> 
     }
 }
 
-/// A query line while `\shards on`: execute on the coordinator, every
-/// span scattered across the fleet and gathered back.
-fn run_query_sharded(state: &mut ShellState, text: &str) -> Result<String, String> {
-    let sharded = state.sharded.as_mut().expect("checked by run_query");
-    sharded.take_degraded(); // clear carry-over from a prior query
-    let result = sharded.query(text).map_err(|e| e.to_string())?;
-    let (merged, max_shard) = sharded.fleet_mut().take_io();
-    let missing = sharded.take_degraded();
-    let mut out = result.to_string();
-    let _ = writeln!(
-        out,
-        "({} row(s) scatter-gathered over {} shard(s): {} merged page accesses, \
-         {max_shard} on the hottest shard)",
-        result.rows.len(),
-        sharded.shard_count(),
-        merged.accesses()
-    );
-    if !missing.is_empty() {
-        let ids: Vec<String> = missing.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "partial: missing shards {{{}}} — answer is a subset; \
-             `\\shards tick` to heal",
-            ids.join(", ")
-        );
-    }
-    Ok(out)
-}
-
 const HELP: &str = r#"commands:
   \open <company|robots>     load a built-in example database
   \load <file|dir> / \save <file>  snapshot persistence; a directory
@@ -1528,15 +1325,6 @@ const HELP: &str = r#"commands:
                              in-process server session; `chaos` injects
                              frame damage (CRC-caught, retried, never
                              mis-executed).  \connect off|status
-  \shards on <n> [chaos <seed>]  scatter-gather serving over n shards
-                             seeded from the WAL-mode primary; queries
-                             fan out and union.  \shards off|status|reseed
-  \shards fault <i> <seed>   arm a deterministic crash/stall plan on one
-                             shard; degraded reads print `partial: missing
-                             shards {…}` until the fleet heals
-  \shards tick [n]           drive the coordinator health check: probe,
-                             mark suspect/down, reseed replacements
-  \shards deadline <k>       per-shard request deadline in wire attempts
   \quit
 anything else is executed as a query:
   select d.Name from d in Mercedes, b in d.Manufactures.Composition
@@ -2048,121 +1836,6 @@ mod tests {
         assert!(run_line(&mut s, "\\connect off").contains("already off"));
         assert!(run_line(&mut s, "\\connect status").starts_with("error:"));
         assert!(run_line(&mut s, "\\connect sideways").starts_with("error:"));
-    }
-
-    #[test]
-    fn shards_mode_scatter_gathers_and_reseeds() {
-        let query =
-            r#"select d.Name from d in Division where d.Manufactures.Composition.Name = "Door""#;
-        let dir = std::env::temp_dir().join("asrdb_shell_shards_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_str = dir.to_str().unwrap().to_string();
-        let mut s = ShellState::new();
-        run_line(&mut s, "\\open company");
-        // Sharding needs a durable primary to seed from.
-        assert!(run_line(&mut s, "\\shards on 2").starts_with("error: WAL is off"));
-        run_line(&mut s, &format!("\\wal on {dir_str}"));
-        run_line(
-            &mut s,
-            "\\asr Division.Manufactures.Composition.Name full binary",
-        );
-        let direct = run_line(&mut s, query);
-
-        let on = run_line(&mut s, "\\shards on 2 chaos 5");
-        assert!(on.contains("2 shard(s) seeded"), "{on}");
-        assert!(on.contains("chaos seed 5"), "{on}");
-        let sharded = run_line(&mut s, query);
-        assert!(
-            sharded.contains("scatter-gathered over 2 shard(s)"),
-            "{sharded}"
-        );
-        assert_eq!(
-            sharded.lines().next(),
-            direct.lines().next(),
-            "sharded rows must match the primary"
-        );
-        let status = run_line(&mut s, "\\shards status");
-        assert!(status.contains("shard 0:"), "{status}");
-        assert!(status.contains("shard 1:"), "{status}");
-        assert!(status.contains("applied_lsn"), "{status}");
-
-        // Mutate through the primary (a logged ASR drop + re-create),
-        // then catch the fleet up.
-        run_line(&mut s, "\\drop 0");
-        run_line(
-            &mut s,
-            "\\asr Division.Manufactures.Composition.Name full binary",
-        );
-        let reseed = run_line(&mut s, "\\shards reseed");
-        assert!(reseed.contains("caught up to LSN"), "{reseed}");
-        assert!(run_line(&mut s, query).contains("Auto"));
-
-        assert!(run_line(&mut s, "\\shards off").contains("sharding off"));
-        assert!(run_line(&mut s, "\\shards off").contains("already off"));
-        assert!(run_line(&mut s, "\\shards status").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards reseed").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards tick").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards fault 0 1").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards deadline 2").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards sideways").starts_with("error:"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shards_fault_degrades_then_ticks_back_to_healthy() {
-        let query =
-            r#"select d.Name from d in Division where d.Manufactures.Composition.Name = "Door""#;
-        let dir = std::env::temp_dir().join("asrdb_shell_shard_fault_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_str = dir.to_str().unwrap().to_string();
-        let mut s = ShellState::new();
-        run_line(&mut s, "\\open company");
-        run_line(&mut s, &format!("\\wal on {dir_str}"));
-        run_line(
-            &mut s,
-            "\\asr Division.Manufactures.Composition.Name full binary",
-        );
-        let direct = run_line(&mut s, query);
-        run_line(&mut s, "\\shards on 2");
-        assert!(run_line(&mut s, "\\shards fault 9 1").starts_with("error:"));
-        assert!(run_line(&mut s, "\\shards fault 0").starts_with("error:"));
-        let deadline = run_line(&mut s, "\\shards deadline 2");
-        assert!(deadline.contains("2 attempt(s)"), "{deadline}");
-
-        // A seed whose plan crashes shard 0 on its very first poll.
-        let seed = (0..500)
-            .find(|&sd| ShardFaultPlan::from_seed(sd).crash_at_op == Some(1))
-            .expect("some seed crashes at op 1");
-        let armed = run_line(&mut s, &format!("\\shards fault 0 {seed}"));
-        assert!(armed.contains("crash at op 1"), "{armed}");
-
-        // The crashed shard drops out of the scatter; the answer is
-        // explicitly partial, never silently wrong.
-        let degraded = run_line(&mut s, query);
-        assert!(
-            degraded.contains("partial: missing shards {0}"),
-            "{degraded}"
-        );
-        let status = run_line(&mut s, "\\shards status");
-        assert!(!status.contains("shard 0: state=up"), "{status}");
-        assert!(status.contains("(unreachable"), "{status}");
-
-        // Ticking the health loop marks it down, reseeds a replacement
-        // and converges back to all-Up ...
-        let healed = run_line(&mut s, "\\shards tick 8");
-        assert!(healed.contains("fleet healthy"), "{healed}");
-        let status = run_line(&mut s, "\\shards status");
-        assert!(status.contains("shard 0: state=up"), "{status}");
-
-        // ... after which answers are bit-identical to the primary again.
-        let recovered = run_line(&mut s, query);
-        assert!(!recovered.contains("partial:"), "{recovered}");
-        assert_eq!(
-            recovered.lines().next(),
-            direct.lines().next(),
-            "post-recovery rows must match the primary"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
