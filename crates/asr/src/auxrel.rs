@@ -34,15 +34,40 @@ pub fn build_auxiliary_relations(
     path: &PathExpression,
     keep_set_oids: bool,
 ) -> Result<Vec<Relation>> {
+    auxiliary_runs(base, path, keep_set_oids)?
+        .into_iter()
+        .map(|run| Relation::from_rows(run.arity, run.rows))
+        .collect()
+}
+
+/// One auxiliary relation as a sorted run: its distinct rows of `arity`
+/// cells, in ascending order — the input [`crate::AccessSupportRelation`]
+/// builds from.
+pub(crate) struct SortedRun {
+    /// Cells per row.
+    pub arity: usize,
+    /// Distinct rows, ascending.
+    pub rows: Vec<Row>,
+}
+
+/// [`build_auxiliary_relations`] as sorted runs: each relation's rows are
+/// collected into a vector, then sorted and deduplicated once.  No row is
+/// all-NULL (the first cell is always the owner's OID) and every row has
+/// its relation's arity, so nothing [`Relation::insert`] refuses or drops
+/// is ever made.
+pub(crate) fn auxiliary_runs(
+    base: &ObjectBase,
+    path: &PathExpression,
+    keep_set_oids: bool,
+) -> Result<Vec<SortedRun>> {
     let mut out = Vec::with_capacity(path.len());
-    for (idx, step) in path.steps().iter().enumerate() {
-        let _ = idx;
+    for step in path.steps() {
         let arity = if keep_set_oids && step.is_set_occurrence() {
             3
         } else {
             2
         };
-        let mut rel = Relation::new(arity);
+        let mut rows = Vec::new();
         for &oid in &base.extent_closure(step.domain) {
             let attr_value = base.get_attribute(oid, &step.attr)?;
             match &attr_value {
@@ -52,45 +77,37 @@ pub fn build_auxiliary_relations(
                         continue; // dangling set reference ≡ NULL
                     }
                     let set_obj = base.object(*target)?;
-                    let members: Vec<Option<Cell>> = set_obj
-                        .elements()
-                        .map(Cell::from_gom)
-                        .filter(|c| {
-                            // Dangling member references degrade to NULL and
-                            // are dropped (they carry no navigable target).
-                            match c {
-                                Some(Cell::Oid(o)) => base.contains(*o),
-                                _ => true,
-                            }
-                        })
-                        .collect();
-                    let rows: Vec<Row> = if members.is_empty() {
+                    let before = rows.len();
+                    // Dangling member references degrade to NULL and are
+                    // dropped (they carry no navigable target).
+                    let members = set_obj.elements().map(Cell::from_gom).filter(|c| match c {
+                        Some(Cell::Oid(o)) => base.contains(*o),
+                        _ => true,
+                    });
+                    for member in members {
+                        rows.push(make_set_row(oid, *target, member, keep_set_oids));
+                    }
+                    if rows.len() == before {
                         // The empty-set marker tuple of Definition 3.3.
-                        vec![make_set_row(oid, *target, None, keep_set_oids)]
-                    } else {
-                        members
-                            .into_iter()
-                            .map(|m| make_set_row(oid, *target, m, keep_set_oids))
-                            .collect()
-                    };
-                    for row in rows {
-                        rel.insert(row)?;
+                        rows.push(make_set_row(oid, *target, None, keep_set_oids));
                     }
                 }
                 Value::Ref(target) => {
                     if base.contains(*target) {
-                        rel.insert(Row::new(vec![
+                        rows.push(Row::new(vec![
                             Some(Cell::Oid(oid)),
                             Some(Cell::Oid(*target)),
-                        ]))?;
+                        ]));
                     }
                 }
                 atomic => {
-                    rel.insert(Row::new(vec![Some(Cell::Oid(oid)), Cell::from_gom(atomic)]))?;
+                    rows.push(Row::new(vec![Some(Cell::Oid(oid)), Cell::from_gom(atomic)]));
                 }
             }
         }
-        out.push(rel);
+        rows.sort_unstable();
+        rows.dedup();
+        out.push(SortedRun { arity, rows });
     }
     Ok(out)
 }

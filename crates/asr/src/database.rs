@@ -6,10 +6,12 @@
 //! object representation and access relations alike — lands in one shared
 //! [`asr_pagesim::IoStats`] counter.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use asr_gom::{ObjectBase, Oid, PathExpression, Schema, TypeId, Value};
 use asr_obs::{Attrs, Tracer};
@@ -42,6 +44,43 @@ impl fmt::Display for SpanLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}..{}", self.0, self.1)
     }
+}
+
+/// Bucket bounds of the `asr.build_us` histogram: 100 µs to 10 s.
+const BUILD_US_BOUNDS: [f64; 6] = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
+
+/// Run `build` — one ASR built or rebuilt from the object base — under an
+/// `asr.build` span that carries the rows and partitions it stored (and,
+/// like every span, the page writes of its bulk loads), and record its
+/// wall time in the `asr.build_us` histogram.
+fn traced_build<A: Borrow<AccessSupportRelation>>(
+    tracer: &Tracer,
+    build: impl FnOnce() -> Result<A>,
+) -> Result<A> {
+    let mut span = tracer.span("asr.build");
+    let started = Instant::now();
+    let built = build()?;
+    let micros = started.elapsed().as_secs_f64() * 1e6;
+    tracer
+        .metrics()
+        .observe("asr.build_us", &BUILD_US_BOUNDS, micros);
+    let asr = built.borrow();
+    span.add_attr("rows", asr.total_rows().to_string());
+    span.add_attr("partitions", asr.partitions().len().to_string());
+    Ok(built)
+}
+
+/// Rebuild `asr` from `base` through [`traced_build`].
+fn traced_rebuild(
+    tracer: &Tracer,
+    asr: &mut AccessSupportRelation,
+    base: &ObjectBase,
+) -> Result<()> {
+    traced_build(tracer, move || {
+        asr.rebuild(base)?;
+        Ok(asr)
+    })?;
+    Ok(())
 }
 
 /// Everything a database changed since its base checkpoint — what
@@ -200,7 +239,9 @@ impl Database {
 
     /// Build and register an access support relation.
     pub fn create_asr(&mut self, path: PathExpression, config: AsrConfig) -> Result<AsrId> {
-        let asr = AccessSupportRelation::build(&self.base, path, config, Rc::clone(&self.stats))?;
+        let asr = traced_build(&self.tracer, || {
+            AccessSupportRelation::build(&self.base, path, config, Rc::clone(&self.stats))
+        })?;
         self.design_dirty = true;
         self.snap_stale = true;
         self.asrs.push(Some(asr));
@@ -470,10 +511,8 @@ impl Database {
                 // deltas are unsound; rebuild instead (page writes are
                 // charged through the bulk load).
                 self.note_rebuild_fallback(slot, "set_attribute");
-                self.asrs[slot]
-                    .as_mut()
-                    .expect("slot checked above")
-                    .rebuild(&self.base)?;
+                let asr = self.asrs[slot].as_mut().expect("slot checked above");
+                traced_rebuild(&self.tracer, asr, &self.base)?;
                 continue;
             }
             for p in positions {
@@ -706,10 +745,8 @@ impl Database {
                 // Recursive path: one set insertion affects several
                 // positions — rebuild (see `set_attribute`).
                 self.note_rebuild_fallback(slot, "set_change");
-                self.asrs[slot]
-                    .as_mut()
-                    .expect("sites name live slots")
-                    .rebuild(&self.base)?;
+                let asr = self.asrs[slot].as_mut().expect("sites name live slots");
+                traced_rebuild(&self.tracer, asr, &self.base)?;
                 continue;
             }
             for (p, owners) in steps {
@@ -755,8 +792,8 @@ impl Database {
         self.base_mut().delete(oid)?;
         self.dirty_oids.remove(&oid);
         self.dead_oids.insert(oid);
-        for slot in self.asrs.iter_mut().flatten() {
-            slot.rebuild(&self.base)?;
+        for asr in self.asrs.iter_mut().flatten() {
+            traced_rebuild(&self.tracer, asr, &self.base)?;
         }
         Ok(())
     }

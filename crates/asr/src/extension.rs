@@ -2,12 +2,14 @@
 //! (Definitions 3.4–3.7) and their query-applicability rules
 //! (Section 5.3 / formula 35).
 
+use std::borrow::Borrow;
 use std::fmt;
 
-use crate::decomposition::Decomposition;
+use crate::decomposition::{CellRows, Decomposition};
 use crate::error::Result;
 use crate::join::{fold_left, fold_right, JoinKind};
 use crate::relation::Relation;
+use crate::row::Row;
 
 /// Which tuples an access support relation materializes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,12 +73,36 @@ impl Extension {
     /// so reassembling them is [`Self::fold`] without its intermediate
     /// relations.
     pub fn compute(self, aux: &[Relation]) -> Result<Relation> {
-        let ends = aux.iter().scan(0, |end, rel| {
-            *end += rel.arity().saturating_sub(1);
+        let arities: Vec<usize> = aux.iter().map(Relation::arity).collect();
+        let width = 1 + arities.iter().map(|a| a - 1).sum::<usize>();
+        let rows = self.walk(
+            &arities,
+            aux.iter().map(|rel| rel.iter().collect::<Vec<_>>()),
+        )?;
+        Ok(Relation::from_set(
+            width,
+            rows.into_rows().into_iter().collect(),
+        ))
+    }
+
+    /// [`Self::compute`]'s walk over the auxiliary relations' rows, owned
+    /// or borrowed (`arities[k]` cells each in the `k`th): the
+    /// extension's rows in walk order.
+    pub(crate) fn walk<P, R>(
+        self,
+        arities: &[usize],
+        aux: impl IntoIterator<Item = P>,
+    ) -> Result<CellRows>
+    where
+        P: AsRef<[R]>,
+        R: Borrow<Row>,
+    {
+        let ends = arities.iter().scan(0, |end, arity| {
+            *end += arity.saturating_sub(1);
             Some(*end)
         });
         let cuts: Vec<usize> = std::iter::once(0).chain(ends).collect();
-        Decomposition::new(cuts)?.reassemble(aux, self)
+        Decomposition::new(cuts)?.reassemble_cells(aux, self)
     }
 
     /// Definitions 3.4–3.7 as written: the fold of `chain_join`s over the
@@ -121,7 +147,6 @@ mod tests {
     use super::*;
     use crate::auxrel::build_auxiliary_relations;
     use crate::cell::Cell;
-    use crate::row::Row;
     use asr_gom::{ObjectBase, Value};
 
     fn oid_of(base: &ObjectBase, name: &str) -> Option<Cell> {

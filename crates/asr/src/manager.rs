@@ -7,9 +7,9 @@ use std::rc::Rc;
 use asr_gom::{ObjectBase, Oid, PathExpression};
 use asr_pagesim::StatsHandle;
 
-use crate::auxrel::build_auxiliary_relations;
+use crate::auxrel::auxiliary_runs;
 use crate::cell::Cell;
-use crate::decomposition::Decomposition;
+use crate::decomposition::{CellRows, Decomposition};
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::naive::check_span;
@@ -116,37 +116,37 @@ impl AccessSupportRelation {
 
     /// Recompute the whole ASR from scratch (used after bulk loads, for
     /// updates maintenance does not handle step by step, and as the unit
-    /// of comparison for incremental maintenance tests).  Each partition
-    /// is bulk-loaded bottom-up from its distinct projections.
+    /// of comparison for incremental maintenance tests).
+    ///
+    /// Everything runs on sorted runs, on the calling thread: the
+    /// auxiliary relations are sorted, deduplicated vectors; the
+    /// reassembly walk frees each one as it takes it in and writes the
+    /// extension into one buffer of cells; each partition's distinct
+    /// projections are found by sorting borrowed column slices and
+    /// allocated once; the extension is dropped; then each partition is
+    /// bulk-loaded bottom-up, its rows numbered in ascending row order.
     pub fn rebuild(&mut self, base: &ObjectBase) -> Result<()> {
-        let extension = self.config.extension.compute(&build_auxiliary_relations(
-            base,
-            &self.path,
-            self.config.keep_set_oids,
-        )?)?;
-        self.partitions = self
-            .config
-            .decomposition
-            .partitions()
-            .map(|(a, b)| {
-                let mut rows = BTreeSet::new();
-                for row in extension.iter() {
-                    rows.insert(row.project(a, b));
-                }
-                self.loaded(a, b, rows)
-            })
+        let aux = auxiliary_runs(base, &self.path, self.config.keep_set_oids)?;
+        let arities: Vec<usize> = aux.iter().map(|run| run.arity).collect();
+        let runs = aux.into_iter().map(|run| run.rows);
+        let extension = self.config.extension.walk(&arities, runs)?;
+        let spans: Vec<(usize, usize)> = self.config.decomposition.partitions().collect();
+        let projections: Vec<Vec<Row>> = spans
+            .iter()
+            .map(|&(a, b)| distinct_projections(&extension, a, b))
+            .collect();
+        drop(extension);
+        self.partitions = spans
+            .into_iter()
+            .zip(projections)
+            .map(|((a, b), rows)| self.loaded(a, b, rows))
             .collect::<Result<_>>()?;
         Ok(())
     }
 
     /// A partition over columns `a ..= b`, tagged for I/O attribution and
     /// bulk-loaded with the distinct `rows`.
-    fn loaded(
-        &self,
-        a: usize,
-        b: usize,
-        rows: impl IntoIterator<Item = Row>,
-    ) -> Result<StoredPartition> {
+    fn loaded(&self, a: usize, b: usize, rows: Vec<Row>) -> Result<StoredPartition> {
         let mut sp = StoredPartition::new(a, b, Rc::clone(&self.stats));
         sp.tag(&format!("asr[{}].{a}-{b}", self.path));
         sp.bulk_load(rows)?;
@@ -158,20 +158,24 @@ impl AccessSupportRelation {
     /// partition's tree clustered on the cell the walk enters it through:
     /// the forward tree for a left-to-right walk, the backward tree for
     /// the right-complete extension's right-to-left one.
-    fn reassemble(&self) -> Result<BTreeSet<Row>> {
+    fn reassemble(&self) -> Result<Vec<Row>> {
         let backward = self.config.extension == Extension::RightComplete;
         let parts: Vec<Vec<&Row>> = self
             .partitions
             .iter()
             .map(|p| p.clustered_rows(backward))
             .collect();
-        self.config
+        let mut rows = self
+            .config
             .decomposition
-            .reassemble_rows(&parts, self.config.extension)
+            .reassemble_rows(&parts, self.config.extension)?;
+        rows.sort_unstable();
+        Ok(rows)
     }
 
-    /// The logical extension rows, reassembled from the partitions on
-    /// every call (uncharged; for tests and inspection).
+    /// The logical extension rows in ascending order, reassembled from
+    /// the partitions on every call (uncharged; for tests and
+    /// inspection).
     ///
     /// # Panics
     ///
@@ -341,6 +345,25 @@ impl AccessSupportRelation {
     }
 }
 
+/// The distinct projections of the extension's rows onto columns
+/// `a ..= b`, in ascending order, all-NULL ones dropped (Definition 3.8):
+/// the column slices are sorted and deduplicated in place, and only the
+/// survivors are allocated as rows.
+fn distinct_projections(extension: &CellRows, a: usize, b: usize) -> Vec<Row> {
+    let mut slices: Vec<&[Option<Cell>]> = extension
+        .iter()
+        .map(|row| &row[a..=b])
+        .filter(|cells| cells.iter().any(Option::is_some))
+        .collect();
+    slices.sort_unstable();
+    slices.dedup();
+    // Sized to the survivors: collecting in place would keep a slot for
+    // every extension row.
+    let mut rows = Vec::with_capacity(slices.len());
+    rows.extend(slices.into_iter().map(Row::from));
+    rows
+}
+
 /// Does the decomposition span the relation width `m`?
 fn check_width(path: &PathExpression, config: &AsrConfig) -> Result<()> {
     let m = path.arity(config.keep_set_oids) - 1;
@@ -356,6 +379,7 @@ fn check_width(path: &PathExpression, config: &AsrConfig) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auxrel::build_auxiliary_relations;
     use asr_gom::Value;
     use asr_pagesim::IoStats;
 

@@ -25,13 +25,13 @@
 //! the pages no longer the marked ones.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
-    build_bulk, BPlusTree, BulkNodes, IoStats, NodeImage, PageMarks, PageRef, PageSlab,
-    StatsHandle, TreeImage, OID_SIZE, PAGE_SIZE,
+    BPlusTree, IoStats, NodeImage, PageMarks, PageRef, PageSlab, StatsHandle, TreeImage, OID_SIZE,
+    PAGE_SIZE,
 };
 
 use crate::cell::Cell;
@@ -236,7 +236,9 @@ impl StoredPartition {
             return Ok(false);
         };
         self.version = None;
-        self.changes.dirty_rows.remove(&rowid);
+        if !self.changes.bulk_rows.contains(&rowid) {
+            self.changes.dirty_rows.remove(&rowid);
+        }
         self.changes.dead_rows.insert(rowid);
         self.fwd.remove(&(row.first().clone(), rowid));
         self.bwd.remove(&(row.last().clone(), rowid));
@@ -286,51 +288,38 @@ impl StoredPartition {
 
     /// Bulk-load distinct rows, building both clustered B+ trees
     /// bottom-up (one page write per created node — the fast path of
-    /// [`crate::AccessSupportRelation::rebuild`]).
+    /// [`crate::AccessSupportRelation::rebuild`]).  Row ids are issued in
+    /// the order the rows come, so rows in ascending order fill the
+    /// forward tree already in key order; the backward tree's entries are
+    /// sorted by last cell.  The forward tree is built before the
+    /// backward one, on the calling thread, and the partition counts as
+    /// wholly dirty until its next checkpoint.
     ///
     /// The partition must be empty and the rows distinct; all-NULL rows
     /// are skipped.
     pub fn bulk_load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
         assert!(self.is_empty(), "bulk_load requires an empty partition");
-        self.version = None;
-        let mut fwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
-        let mut bwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
-        for row in rows {
-            self.check_arity(&row)?;
-            if row.is_all_null() {
-                continue;
-            }
-            let rowid = self.next_rowid;
-            self.next_rowid += 1;
-            self.changes.dirty_rows.insert(rowid);
-            fwd_entries.push(((row.first().clone(), rowid), row.clone()));
-            bwd_entries.push(((row.last().clone(), rowid), row));
+        let mut rows: Vec<Row> = rows.into_iter().collect();
+        if let Some(row) = rows.iter().find(|row| row.arity() != self.arity()) {
+            return self.check_arity(row);
         }
-        // The two redundant clustering trees are independent: sort and
-        // build both node slabs (a pure, stats-free computation) on two
-        // threads when the partition is large, then adopt them here on
-        // the owning thread — page-write accounting stays identical to a
-        // sequential fill because `adopt_bulk` charges one write per node
-        // in creation order.
-        let (lc, ic) = (
-            self.fwd.pages().leaf_capacity(),
-            self.fwd.pages().inner_capacity(),
-        );
-        let (fwd_built, bwd_built) = if fwd_entries.len() >= PARALLEL_BUILD_THRESHOLD {
-            std::thread::scope(|s| {
-                let bwd_handle = s.spawn(move || sort_and_build(bwd_entries, lc, ic));
-                let fwd_built = sort_and_build(fwd_entries, lc, ic);
-                let bwd_built = bwd_handle.join().expect("bulk-build thread panicked");
-                (fwd_built, bwd_built)
-            })
-        } else {
-            (
-                sort_and_build(fwd_entries, lc, ic),
-                sort_and_build(bwd_entries, lc, ic),
-            )
-        };
-        self.fwd.adopt_bulk(fwd_built?)?;
-        self.bwd.adopt_bulk(bwd_built?)?;
+        rows.retain(|row| !row.is_all_null());
+        self.version = None;
+        let first = self.next_rowid;
+        self.next_rowid += rows.len() as u64;
+        self.changes.bulk_rows = first..self.next_rowid;
+        let mut fwd: Vec<(PartitionKey, Row)> = (first..)
+            .zip(&rows)
+            .map(|(rowid, row)| ((row.first().clone(), rowid), row.clone()))
+            .collect();
+        fwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.fwd.fill(fwd)?;
+        let mut bwd: Vec<(PartitionKey, Row)> = (first..)
+            .zip(rows)
+            .map(|(rowid, row)| ((row.last().clone(), rowid), row))
+            .collect();
+        bwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.bwd.fill(bwd)?;
         Ok(())
     }
 
@@ -619,7 +608,7 @@ impl PartitionVersion {
             to: self.to,
             next_rowid: self.next_rowid,
             nrows: self.len(),
-            upserts: self.rows_by_id(|rowid| changes.dirty_rows.contains(&rowid)),
+            upserts: self.rows_by_id(|rowid| changes.is_dirty(rowid)),
             deletes: changes.dead_rows.iter().copied().collect(),
             fwd: RawTreeDelta::changed(&self.fwd, &changes.fwd),
             bwd: RawTreeDelta::changed(&self.bwd, &changes.bwd),
@@ -638,17 +627,27 @@ impl PartitionVersion {
 pub(crate) struct PartitionChanges {
     fwd: PageMarks<PartitionKey, Row>,
     bwd: PageMarks<PartitionKey, Row>,
-    /// Row ids stored since the base — the row half of a delta
-    /// checkpoint.
+    /// The row ids a bulk load issued since the base: every one of them
+    /// is dirty until it is removed, without a set entry each.
+    bulk_rows: Range<u64>,
+    /// Row ids otherwise stored since the base — with `bulk_rows`, the
+    /// row half of a delta checkpoint.
     dirty_rows: BTreeSet<u64>,
     /// Row ids physically removed.
     dead_rows: BTreeSet<u64>,
 }
 
 impl PartitionChanges {
+    /// Was the live row `rowid` stored since the base?
+    fn is_dirty(&self, rowid: u64) -> bool {
+        self.bulk_rows.contains(&rowid) || self.dirty_rows.contains(&rowid)
+    }
+
     /// Distinct rows changed (dirty + dead).
     pub fn rows(&self) -> usize {
-        self.dirty_rows.len() + self.dead_rows.len()
+        let bulk_dead = self.dead_rows.range(self.bulk_rows.clone()).count();
+        let bulk_live = self.bulk_rows.end - self.bulk_rows.start - bulk_dead as u64;
+        bulk_live as usize + self.dirty_rows.len() + self.dead_rows.len()
     }
 }
 
@@ -1063,21 +1062,6 @@ impl RawTreeImage {
     }
 }
 
-/// Partitions at or above this many rows bulk-load their two clustering
-/// trees on concurrent threads.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
-
-/// Sort entries by key and build a stats-free node slab — the per-tree
-/// half of a (possibly parallel) dual-tree bulk load.
-fn sort_and_build(
-    mut entries: Vec<(PartitionKey, Row)>,
-    leaf_capacity: usize,
-    inner_capacity: usize,
-) -> asr_pagesim::Result<BulkNodes<PartitionKey, Row>> {
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    build_bulk(entries, leaf_capacity, inner_capacity)
-}
-
 /// Convenience: a fresh stats handle.
 pub fn fresh_stats() -> StatsHandle {
     IoStats::new_handle()
@@ -1226,6 +1210,31 @@ mod tests {
         assert_eq!(restored.len(), p.len());
         let five = Cell::Oid(asr_gom::Oid::from_raw(5));
         assert_eq!(restored.lookup_first(&five), p.lookup_first(&five));
+    }
+
+    #[test]
+    fn a_bulk_loaded_partition_is_wholly_dirty_until_marked_clean() {
+        let mut p = part();
+        p.bulk_load((0..100u64).map(|k| row![c(k), c(k + 1000), c(k % 7)]))
+            .unwrap();
+        for k in 0..3u64 {
+            assert!(p.remove(&row![c(k), c(k + 1000), c(k % 7)]).unwrap());
+        }
+        for k in 100..102u64 {
+            assert!(p.insert(row![c(k), c(k + 1000), c(k % 7)]).unwrap());
+        }
+        assert_eq!(
+            p.changed_rows(),
+            99 + 3,
+            "live rows dirty, removed ones dead"
+        );
+        let version = p.freeze();
+        let changes = p.mark_clean();
+        let delta = version.delta(&changes);
+        let upserts: Vec<u64> = delta.upserts.iter().map(|&(_, rowid)| rowid).collect();
+        assert_eq!(upserts, (3..102).collect::<Vec<_>>());
+        assert_eq!(delta.deletes, vec![0, 1, 2]);
+        assert_eq!(p.changed_rows(), 0, "clean after the checkpoint");
     }
 
     #[test]

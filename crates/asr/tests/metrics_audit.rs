@@ -1,12 +1,17 @@
 //! Metric-coverage audit for the core engine, mirroring the durable and
-//! server layers': every metric emitted anywhere in `crates/asr`'s
-//! sources must be declared in the registry below, and every registered
-//! metric must actually show up in the rendered `\stats` table and the
-//! Prometheus exposition after a workload that walks the query,
-//! maintenance, and MVCC paths.
+//! server layers': every metric and span emitted anywhere in
+//! `crates/asr`'s sources must be declared in the registry below, every
+//! registered metric must actually show up in the rendered `\stats` table
+//! and the Prometheus exposition after a workload that walks the query,
+//! maintenance, and MVCC paths, and every ASR build must leave one
+//! `asr.build` span and one `asr.build_us` sample.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use asr_core::{AsrConfig, Cell, Database, Decomposition, Extension};
 use asr_gom::{PathExpression, Schema, Value};
+use asr_obs::{FnSink, SpanRecord};
 
 const COUNTERS: &[&str] = &[
     "query.forward",
@@ -24,6 +29,15 @@ const GAUGES: &[&str] = &[
     "txn.commit_epoch",
     "txn.active_snapshots",
     "txn.oldest_pinned_epoch",
+];
+const HISTOGRAMS: &[&str] = &["asr.build_us"];
+const SPANS: &[&str] = &[
+    "query.forward",
+    "query.backward",
+    "maintain.set_attribute",
+    "maintain.insert_into_set",
+    "maintain.remove_from_set",
+    "asr.build",
 ];
 
 /// Extract the first string literal argument of every `method(` call in
@@ -68,8 +82,12 @@ fn registry_matches_every_emit_site_in_the_sources() {
         include_str!("../src/store.rs"),
         include_str!("../src/testutil.rs"),
     );
-    let check = |method: &str, expected: &[&str]| {
-        let mut emitted = emitted_names(sources, method);
+    let check = |methods: &[&str], expected: &[&str]| {
+        let method = methods.join("`/`");
+        let mut emitted: Vec<String> = methods
+            .iter()
+            .flat_map(|m| emitted_names(sources, m))
+            .collect();
         emitted.sort_unstable();
         emitted.dedup();
         let mut expected: Vec<String> = expected.iter().map(|s| s.to_string()).collect();
@@ -79,9 +97,10 @@ fn registry_matches_every_emit_site_in_the_sources() {
             "`{method}` emit sites diverged from the registry"
         );
     };
-    check("inc_counter", COUNTERS);
-    check("set_gauge", GAUGES);
-    check("observe", &[]);
+    check(&["inc_counter"], COUNTERS);
+    check(&["set_gauge"], GAUGES);
+    check(&["observe"], HISTOGRAMS);
+    check(&["span", "span_with"], SPANS);
 }
 
 /// The recursive boss chain: one Full ASR answers any span, one
@@ -165,7 +184,7 @@ fn every_registered_metric_is_exposed_after_a_workload() {
     let metrics = db.tracer().metrics();
     let table = metrics.render_table();
     let prometheus = metrics.to_prometheus();
-    for name in COUNTERS.iter().chain(GAUGES) {
+    for name in COUNTERS.iter().chain(GAUGES).chain(HISTOGRAMS) {
         assert!(
             table.contains(name),
             "`{name}` missing from \\stats table:\n{table}"
@@ -179,4 +198,59 @@ fn every_registered_metric_is_exposed_after_a_workload() {
     assert!(metrics.counter("txn.epochs_reclaimed") > 0);
     assert!(metrics.counter("asr.rebuild_fallback") > 0);
     assert!(metrics.counter("btree.batch.probes") > 0);
+}
+
+/// `create_asr`, the rebuild fallback of a recursive update and an object
+/// deletion each build an ASR from the base: each records one `asr.build`
+/// span, naming the rows and partitions it stored, and one `asr.build_us`
+/// sample.
+#[test]
+fn every_build_records_one_span_and_one_sample() {
+    let (mut db, indexed, _) = emp_db();
+    let builds: Rc<RefCell<Vec<SpanRecord>>> = Rc::default();
+    let seen = Rc::clone(&builds);
+    db.tracer()
+        .add_sink(Rc::new(FnSink::new(move |r: &SpanRecord| {
+            if r.name == "asr.build" {
+                seen.borrow_mut().push(r.clone());
+            }
+        })));
+    let samples = |db: &Database| {
+        db.tracer()
+            .metrics()
+            .histogram("asr.build_us")
+            .map_or(0, |h| h.total)
+    };
+    let emps: Vec<_> = (0..3).map(|_| db.instantiate("EMP").unwrap()).collect();
+    for pair in emps.windows(2) {
+        db.set_attribute(pair[0], "Boss", Value::Ref(pair[1]))
+            .unwrap();
+    }
+    let config = AsrConfig::binary(Extension::Full, &indexed);
+    let id = db.create_asr(indexed, config).unwrap();
+    assert_eq!((builds.borrow().len(), samples(&db)), (1, 1), "create_asr");
+
+    // Closing the loop is a multi-position update: the rebuild fallback.
+    db.set_attribute(emps[2], "Boss", Value::Ref(emps[0]))
+        .unwrap();
+    assert_eq!(db.tracer().metrics().counter("asr.rebuild_fallback"), 1);
+    assert_eq!((builds.borrow().len(), samples(&db)), (2, 2), "fallback");
+
+    db.delete_object(emps[1]).unwrap();
+    assert_eq!((builds.borrow().len(), samples(&db)), (3, 3), "delete");
+
+    let asr = db.asr(id).unwrap();
+    let last = builds.borrow().last().cloned().unwrap();
+    assert_eq!(
+        last.attr("rows"),
+        Some(asr.total_rows().to_string().as_str())
+    );
+    assert_eq!(
+        last.attr("partitions"),
+        Some(asr.partitions().len().to_string().as_str())
+    );
+    assert!(
+        last.writes > 0,
+        "the bulk loads' page writes land in the span"
+    );
 }

@@ -4,6 +4,9 @@
 //!   on randomly generated object bases, and the one-walk reassembly
 //!   equals the fold of `chain_join`s (Definitions 3.4–3.7) on arbitrary
 //!   partitions too;
+//! * **build ≡ fold** — every partition of a built ASR holds, in row-id
+//!   order, exactly the definitional decomposition of the folded
+//!   extension in row order (the numbering checkpoints are written in);
 //! * **extension containment** — canonical ⊆ left, right ⊆ full;
 //! * **query equivalence** — supported evaluation through any extension /
 //!   decomposition that formula (35) admits returns exactly what naive
@@ -159,6 +162,44 @@ proptest! {
                     // auxiliary relations: the oracle the walk answers to.
                     prop_assert_eq!(&back, &rel, "{} under {} keep={}", ext, dec, keep);
                     prop_assert_eq!(&back, &join_fold(&parts, ext));
+                    // The walk emits each row once.
+                    let borrowed: Vec<Vec<&Row>> = parts.iter().map(|p| p.iter().collect()).collect();
+                    prop_assert_eq!(dec.reassemble_rows(&borrowed, ext).unwrap().len(), rel.len());
+                }
+            }
+        }
+    }
+
+    /// The product build against Definitions 3.4–3.8 as written, row ids
+    /// included: each partition of a built ASR lists, in row-id order,
+    /// `dec.decompose(&ext.fold(&aux))` in row order, its ids issued
+    /// densely from 0.  That numbering is what keeps checkpoints
+    /// byte-identical however the build finds the rows.
+    #[test]
+    fn build_equals_the_definitional_oracle(desc in random_base_strategy()) {
+        let (base, path) = materialize(&desc);
+        for keep in [false, true] {
+            let aux = asr_core::build_auxiliary_relations(&base, &path, keep).unwrap();
+            for ext in Extension::ALL {
+                let rel = ext.fold(&aux).unwrap();
+                for dec in Decomposition::enumerate_all(rel.arity() - 1) {
+                    let want = dec.decompose(&rel).unwrap();
+                    let config = AsrConfig {
+                        extension: ext,
+                        decomposition: dec.clone(),
+                        keep_set_oids: keep,
+                    };
+                    let asr = AccessSupportRelation::build(
+                        &base, path.clone(), config, IoStats::new_handle(),
+                    ).unwrap();
+                    prop_assert_eq!(asr.partitions().len(), want.len());
+                    for (p, want) in asr.partitions().iter().zip(&want) {
+                        let mut got: Vec<(u64, Row)> = Vec::new();
+                        p.forward_tree().scan_all(|(_, rowid), row| got.push((*rowid, row.clone())));
+                        got.sort_unstable_by_key(|(rowid, _)| *rowid);
+                        let want: Vec<(u64, Row)> = (0..).zip(want.iter().cloned()).collect();
+                        prop_assert_eq!(got, want, "{} under {} keep={}", ext, dec, keep);
+                    }
                 }
             }
         }

@@ -242,3 +242,53 @@ fn recursive_set_path_maintenance_equals_rebuild() {
     db.remove_from_set(s_frame, &Value::Ref(bolt)).unwrap();
     check_all(&db);
 }
+
+/// FNV-1a over a document's bytes: pins a checkpoint without a literal
+/// the size of the checkpoint.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The rebuild fallback bulk-loads every partition afresh, so each one is
+/// wholly dirty until the next checkpoint, and a rename after it removes
+/// bulk-loaded rows and stores new ones.  The delta checkpoint that
+/// follows must apply onto the previous checkpoint to reproduce the
+/// primary byte for byte.  Each changed section exceeds
+/// `DELTA_FULL_FRACTION` of its full form and ships in full, and the
+/// document's bytes are pinned: they are what the build wrote when it
+/// listed every bulk-loaded row id as dirty one by one.
+#[test]
+fn delta_checkpoint_after_the_rebuild_fallback_reproduces_the_primary() {
+    let (mut db, path) = emp_db();
+    db.create_asr(path.clone(), AsrConfig::binary(Extension::Full, &path))
+        .unwrap();
+    let emps: Vec<Oid> = (0..12).map(|_| db.instantiate("EMP").unwrap()).collect();
+    for (k, &e) in emps.iter().enumerate() {
+        db.set_attribute(e, "Name", Value::string(format!("emp{k}")))
+            .unwrap();
+    }
+    for pair in emps.windows(2) {
+        db.set_attribute(pair[0], "Boss", Value::Ref(pair[1]))
+            .unwrap();
+    }
+    let base = db.begin_checkpoint().save_full();
+
+    db.set_attribute(emps[11], "Boss", Value::Ref(emps[11]))
+        .unwrap();
+    assert!(db.tracer().metrics().counter("asr.rebuild_fallback") > 0);
+    db.set_attribute(emps[10], "Name", Value::string("renamed"))
+        .unwrap();
+    let delta = db.begin_checkpoint().save_delta(1).unwrap();
+    assert!(
+        delta.lines().any(|l| l.starts_with("P ")) && !delta.lines().any(|l| l.starts_with("D ")),
+        "every changed section ships in full:\n{delta}"
+    );
+    let applied = Database::load_from_string(&base)
+        .unwrap()
+        .apply_delta_from_string(&delta)
+        .unwrap();
+    assert_eq!(applied.save_to_string(), db.save_to_string());
+    assert_eq!((delta.len(), fnv1a(&delta)), (1209, 0x5808_f13e_937d_1a51));
+}

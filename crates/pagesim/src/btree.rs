@@ -233,46 +233,21 @@ impl<K, V> TreeImage<K, V> {
     }
 }
 
-/// A node slab produced by [`build_bulk`]: the pure, stats-free output of
-/// a bottom-up bulk load.  Because it holds no
-/// [`StatsHandle`], it can be built on a worker
-/// thread (for `Send` keys and values) while a sibling tree builds
-/// concurrently — e.g. the two redundant clustering trees of an
-/// access-support-relation partition — and then adopted on the owning
-/// thread via [`BPlusTree::adopt_bulk`], which charges the page writes.
+/// A node slab produced by [`build_bulk`]: the stats-free output of a
+/// bottom-up bulk load, which [`BPlusTree::fill`] adopts and charges.
 #[derive(Debug)]
-pub struct BulkNodes<K, V> {
+struct BulkNodes<K, V> {
     nodes: Vec<Node<K, V>>,
     root: usize,
     height: usize,
     len: usize,
-    leaf_capacity: usize,
-    inner_capacity: usize,
-}
-
-impl<K, V> BulkNodes<K, V> {
-    /// Number of entries in the built slab.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the slab holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pages (nodes) occupied by the slab.
-    pub fn page_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Build a B+ tree node slab bottom-up from **strictly ascending**
 /// `(key, value)` pairs without charging any page accesses (see
 /// [`BulkNodes`]).  Leaves are packed to ~90% occupancy with the tail
-/// adjusted to respect minimum fill — the same plan as [`BPlusTree::fill`],
-/// which is a thin wrapper over this function.
-pub fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
+/// adjusted to respect minimum fill.
+fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
     entries: Vec<(K, V)>,
     leaf_capacity: usize,
     inner_capacity: usize,
@@ -298,8 +273,6 @@ pub fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
             root: 0,
             height: 1,
             len: 0,
-            leaf_capacity,
-            inner_capacity,
         });
     }
     let target = ((leaf_capacity * 9) / 10).max(2);
@@ -349,8 +322,6 @@ pub fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
         root,
         height,
         len: count,
-        leaf_capacity,
-        inner_capacity,
     })
 }
 
@@ -1226,7 +1197,8 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         Ok(tree)
     }
 
-    /// Bulk-load into an (empty) tree with already-configured capacities.
+    /// Bulk-load into an (empty) tree with already-configured capacities,
+    /// charging one page write per node built.
     pub fn fill(&mut self, entries: impl IntoIterator<Item = (K, V)>) -> Result<()> {
         assert!(self.pages.is_empty(), "fill() requires an empty tree");
         let built = build_bulk(
@@ -1234,22 +1206,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             self.pages.leaf_capacity,
             self.pages.inner_capacity,
         )?;
-        self.adopt_bulk(built)
-    }
-
-    /// Adopt a slab built by [`build_bulk`] into this empty tree, charging
-    /// one page write per node — the same accounting as
-    /// [`BPlusTree::fill`].  The slab must have been built with this
-    /// tree's capacities.
-    pub fn adopt_bulk(&mut self, built: BulkNodes<K, V>) -> Result<()> {
-        assert!(self.pages.is_empty(), "adopt_bulk() requires an empty tree");
-        if built.leaf_capacity != self.pages.leaf_capacity
-            || built.inner_capacity != self.pages.inner_capacity
-        {
-            return Err(PageSimError::CorruptStructure(
-                "bulk-built slab capacities do not match the adopting tree".into(),
-            ));
-        }
         if built.len == 0 {
             return Ok(()); // stays the empty root leaf
         }
@@ -2115,37 +2071,6 @@ mod tests {
             seen,
             vec![(0, 0), (0, 1), (0, 2), (1, 47), (1, 48), (1, 49)]
         );
-    }
-
-    #[test]
-    fn adopted_bulk_build_matches_fill() {
-        let entries: Vec<(u32, u32)> = (0..1000).map(|k| (k, k * 7)).collect();
-        let stats_a = IoStats::new_handle();
-        let mut a: BPlusTree<u32, u32> = BPlusTree::with_capacities(4, 4, Rc::clone(&stats_a));
-        a.fill(entries.clone()).unwrap();
-
-        let built = build_bulk(entries, 4, 4).unwrap();
-        assert_eq!(built.len(), 1000);
-        let stats_b = IoStats::new_handle();
-        let mut b: BPlusTree<u32, u32> = BPlusTree::with_capacities(4, 4, Rc::clone(&stats_b));
-        b.adopt_bulk(built).unwrap();
-        b.check_invariants().unwrap();
-        assert_eq!(b.pages().len(), a.pages().len());
-        assert_eq!(b.pages().height(), a.pages().height());
-        assert_eq!(b.pages().page_count(), a.pages().page_count());
-        assert_eq!(stats_b.writes(), stats_a.writes());
-        let mut va = Vec::new();
-        a.scan_all(|k, v| va.push((*k, *v)));
-        let mut vb = Vec::new();
-        b.scan_all(|k, v| vb.push((*k, *v)));
-        assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn adopt_bulk_rejects_capacity_mismatch() {
-        let built = build_bulk((0..10u32).map(|k| (k, ())).collect(), 4, 4).unwrap();
-        let mut t: BPlusTree<u32, ()> = BPlusTree::with_capacities(8, 8, IoStats::new_handle());
-        assert!(t.adopt_bulk(built).is_err());
     }
 
     #[test]

@@ -32,10 +32,7 @@ pub mod error;
 pub mod hash;
 pub mod stats;
 
-pub use btree::{
-    build_bulk, BPlusTree, BatchReport, BulkNodes, NodeImage, PageMarks, PageRef, PageSlab,
-    TreeImage,
-};
+pub use btree::{BPlusTree, BatchReport, NodeImage, PageMarks, PageRef, PageSlab, TreeImage};
 pub use buffer::BufferPool;
 pub use clustered::ClusteredFile;
 pub use constants::{bplus_fan, OID_SIZE, PAGE_SIZE, PP_SIZE};
