@@ -35,6 +35,8 @@
 
 pub mod auxrel;
 pub mod cell;
+pub mod codec;
+pub mod crc;
 pub mod database;
 pub mod decomposition;
 pub mod error;
@@ -56,12 +58,13 @@ pub(crate) mod testutil;
 
 pub use auxrel::build_auxiliary_relations;
 pub use cell::Cell;
+pub use crc::crc32;
 pub use database::{AsrId, Database};
 pub use decomposition::Decomposition;
 pub use error::{AsrError, Result};
 pub use extension::Extension;
 pub use manager::{AccessSupportRelation, AsrConfig};
-pub use persist::{AsrLoadMode, CheckpointSource, LoadReport};
+pub use persist::{AsrLoadMode, CheckpointHeader, CheckpointSource, LoadReport};
 pub use query::Frontier;
 pub use relation::Relation;
 pub use row::Row;

@@ -89,8 +89,8 @@ impl AccessSupportRelation {
         Ok(asr)
     }
 
-    /// Assemble an ASR from physically restored partitions — the `ASRDB 2`
-    /// load path.  No extension join runs: queries and maintenance work
+    /// Assemble an ASR from physically restored partitions — the
+    /// checkpoint load path.  No extension join runs: queries and maintenance work
     /// straight off the adopted trees.
     pub(crate) fn from_restored(
         path: PathExpression,

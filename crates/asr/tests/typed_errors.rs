@@ -1,9 +1,10 @@
-//! Malformed object and partition sections get typed errors, the same
-//! ones the object-at-a-time readers gave: each case below damages one
-//! line of a small checkpoint and pins exactly what the load reports.
-//! Object sections fail the load with the [`GomError`] of the first bad
-//! line; a partition section that cannot be restored sends its ASR down
-//! the rebuild path with the reason recorded.
+//! Malformed object and partition sections of a text checkpoint get
+//! typed errors, the same ones the object-at-a-time readers gave: each
+//! case below damages one line of a small `ASRDB 2` checkpoint (the text
+//! format the binary one replaced, still read) and pins exactly what the
+//! load reports.  Object sections fail the load with the [`GomError`] of
+//! the first bad line; a partition section that cannot be restored sends
+//! its ASR down the rebuild path with the reason recorded.
 
 use asr_core::{AsrConfig, AsrError, AsrLoadMode, Cell, Database, Decomposition, Extension};
 use asr_gom::{snapshot, GomError, ObjectBase, Oid, Schema, Value};
@@ -13,7 +14,7 @@ const PATH: &str = "Division.Manufactures.Composition.Name";
 /// Division `i0` manufactures the set `i1` = {product `i2`}, whose
 /// composition `i3` = {part `i4` "Door", part `i5` "Roof"}; one
 /// Full/binary ASR on [`PATH`].
-fn checkpoint() -> String {
+fn database() -> Database {
     let mut s = Schema::new();
     s.define_tuple(
         "Division",
@@ -55,7 +56,50 @@ fn checkpoint() -> String {
         },
     )
     .unwrap();
-    db.save_to_string()
+    db
+}
+
+/// [`database`] as the text writer rendered it.
+const CHECKPOINT: &str = "\
+ASRDB 2\n\
+A Division.Manufactures.Composition.Name full 0,1,2,3 0\n\
+P 0 0 0 1 1 1\n\
+R 0 1 R:i0 R:i2\n\
+T 0 0 f 0 1 1 1 -\n\
+N f 0 L - 0\n\
+T 0 0 b 0 1 1 1 -\n\
+N b 0 L - 0\n\
+P 0 1 1 2 2 2\n\
+R 0 1 R:i2 R:i4\n\
+R 1 1 R:i2 R:i5\n\
+T 0 1 f 0 1 2 1 -\n\
+N f 0 L - 0,1\n\
+T 0 1 b 0 1 2 1 -\n\
+N b 0 L - 0,1\n\
+P 0 2 2 3 2 2\n\
+R 0 1 R:i4 S:Door\n\
+R 1 1 R:i5 S:Roof\n\
+T 0 2 f 0 1 2 1 -\n\
+N f 0 L - 0,1\n\
+T 0 2 b 0 1 2 1 -\n\
+N b 0 L - 0,1\n\
+--BASE--\n\
+GOMSNAP 1\n\
+T ProdSET SET Product\n\
+T Division TUPLE | Name=STRING Manufactures=ProdSET\n\
+T Product TUPLE | Name=STRING Composition=BasePartSET\n\
+T BasePartSET SET BasePart\n\
+T BasePart TUPLE | Name=STRING\n\
+O i0 Division TUPLE Manufactures=R:i1 Name=S:Auto\n\
+O i1 ProdSET SET R:i2\n\
+O i2 Product TUPLE Composition=R:i3 Name=S:560%20SEC\n\
+O i3 BasePartSET SET R:i4 R:i5\n\
+O i4 BasePart TUPLE Name=S:Door\n\
+O i5 BasePart TUPLE Name=S:Roof\n\
+";
+
+fn checkpoint() -> String {
+    CHECKPOINT.to_string()
 }
 
 /// `text` with its one line equal to `line` replaced by `with`.
@@ -85,7 +129,7 @@ fn spliced(text: &str, from: usize, old: &str, new: &str) -> String {
 fn object_error(text: &str) -> GomError {
     let base = &text[text.find("--BASE--\n").unwrap() + 9..];
     let err = snapshot::read_base(base).unwrap_err();
-    match Database::load_from_string(text) {
+    match Database::load_from_string(text.as_bytes()) {
         Err(AsrError::Gom(e)) => assert_eq!(e, err),
         other => panic!("load gave {other:?}, the object reader {err:?}"),
     }
@@ -94,7 +138,7 @@ fn object_error(text: &str) -> GomError {
 
 /// How the one ASR came back from a load that succeeded.
 fn asr_mode(text: &str) -> AsrLoadMode {
-    let (_, report) = Database::load_from_string_report(text).unwrap();
+    let (_, report) = Database::load_from_string_report(text.as_bytes()).unwrap();
     report.asrs[0].1.clone()
 }
 
@@ -108,8 +152,9 @@ fn door_divisions(db: &Database) -> Vec<Oid> {
 fn the_fixture_loads_physically() {
     let text = checkpoint();
     assert_eq!(asr_mode(&text), AsrLoadMode::Physical);
-    let db = Database::load_from_string(&text).unwrap();
+    let db = Database::load_from_string(text.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
+    assert_eq!(db.save_to_string(), database().save_to_string());
 }
 
 #[test]
@@ -236,7 +281,7 @@ fn duplicate_row_id() {
         asr_mode(&bad),
         AsrLoadMode::Rebuilt("corrupt snapshot: partition image: row id 0 appears twice".into())
     );
-    let db = Database::load_from_string(&bad).unwrap();
+    let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
 }
 
@@ -250,9 +295,9 @@ fn out_of_order_row_ids_load_as_listed() {
         "R 0 1 R:i4 S:Door\nR 1 1 R:i5 S:Roof\n",
         "R 1 1 R:i5 S:Roof\nR 0 1 R:i4 S:Door\n",
     );
-    let (db, report) = Database::load_from_string_report(&swapped).unwrap();
+    let (db, report) = Database::load_from_string_report(swapped.as_bytes()).unwrap();
     assert_eq!(report.asrs[0].1, AsrLoadMode::Physical);
-    assert_eq!(db.save_to_string(), text);
+    assert_eq!(db.save_to_string(), database().save_to_string());
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
 }
 
@@ -280,7 +325,7 @@ fn one_row_listed_under_two_row_ids() {
             "corrupt snapshot: partition image: 1 rows listed twice under different row ids".into()
         )
     );
-    let db = Database::load_from_string(&bad).unwrap();
+    let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
 }
 
@@ -293,6 +338,6 @@ fn leaves_naming_a_row_id_twice() {
         asr_mode(&bad),
         AsrLoadMode::Rebuilt("storage error: corrupt structure: leaf 0 keys unsorted".into())
     );
-    let db = Database::load_from_string(&bad).unwrap();
+    let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
 }

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod crc;
 pub mod db;
 pub mod error;
 pub mod fault;
@@ -48,7 +47,7 @@ pub mod ship;
 pub mod storage;
 pub mod wal;
 
-pub use crc::crc32;
+pub use asr_core::crc32;
 pub use db::{
     recover_to_lsn, DeltaCheckpointReport, DurableDatabase, GroupCommitStatus, OpenDurable,
     PendingCheckpoint, PitrReport, PruneReport, RecoveryReport, WalStatus, CHECKPOINT_FILE,

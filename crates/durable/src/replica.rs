@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 
 use asr_core::{AsrId, Database};
 
-use crate::db::{apply_op, parse_checkpoint, remap_from_ids, split_checkpoint};
-use crate::db::{ASRIDS_MAGIC, CKPT_MAGIC};
+use crate::db::{apply_op, checkpoint_parts, parse_checkpoint, remap_from_ids};
 use crate::error::Result;
 use crate::ship::{Need, ShipMessage};
 use crate::wal::scan_wal;
@@ -152,7 +151,7 @@ impl ReplicaApplier {
 
     /// The replica's snapshot serialization — the byte-identity oracle
     /// tests compare against the primary's.
-    pub fn snapshot(&self) -> Option<String> {
+    pub fn snapshot(&self) -> Option<Vec<u8>> {
         self.db.as_ref().map(Database::save_to_string)
     }
 
@@ -176,7 +175,7 @@ impl ReplicaApplier {
         };
         let outcome = match msg {
             ShipMessage::Checkpoint(bytes) => {
-                let parsed = match parse_checkpoint(bytes.clone(), "shipped checkpoint") {
+                let parsed = match parse_checkpoint(&bytes, "shipped checkpoint") {
                     Ok(p) => p,
                     Err(_) => {
                         // The envelope CRC passed but the snapshot does
@@ -288,13 +287,13 @@ impl ReplicaApplier {
             status.corrupt += 1;
             Ok(OfferOutcome::Corrupt)
         };
-        let Ok(parts) = split_checkpoint(bytes, "shipped delta checkpoint") else {
+        let Ok((header, _)) = checkpoint_parts(&bytes, "shipped delta checkpoint") else {
             return corrupt(&mut self.status);
         };
-        let Ok(base_id) = Database::delta_base_id(parts.body()) else {
+        let Some(base_id) = header.base else {
             return corrupt(&mut self.status);
         };
-        if parts.lsn <= base_id {
+        if header.lsn <= base_id {
             // A delta claiming to cover no more history than its own
             // base is self-referential damage, not valid lineage.
             return corrupt(&mut self.status);
@@ -303,49 +302,42 @@ impl ReplicaApplier {
             self.status.gaps += 1;
             return Ok(OfferOutcome::Gap {
                 have: 0,
-                got: parts.lsn,
+                got: header.lsn,
             });
         };
         if base.lsn != base_id {
-            return Ok(if parts.lsn <= self.applied_lsn {
+            return Ok(if header.lsn <= self.applied_lsn {
                 self.status.duplicates += 1;
                 OfferOutcome::Duplicate
             } else {
                 self.status.gaps += 1;
                 OfferOutcome::Gap {
                     have: base.lsn,
-                    got: parts.lsn,
+                    got: header.lsn,
                 }
             });
         }
         // The retained base came from a delivery that already parsed (or
         // from our own serialization): failure here is replica-local
         // state damage, which must stop replication loudly.
-        let base_parsed = parse_checkpoint(base.snap.clone(), "retained base checkpoint")?;
-        let Ok(patched) = base_parsed.db.apply_delta_from_string(parts.body()) else {
+        let base_parsed = parse_checkpoint(&base.snap, "retained base checkpoint")?;
+        let Ok(patched) = base_parsed.db.apply_delta(&bytes) else {
             // Strict apply refused the delta (page damage, unknown ASR,
             // …): channel damage from the replica's point of view.
             return corrupt(&mut self.status);
         };
-        self.applied_lsn = parts.lsn;
-        self.asr_remap = remap_from_ids(&parts.session_ids);
+        self.applied_lsn = header.lsn;
+        self.asr_remap = remap_from_ids(&header.asr_ids);
         // Re-synthesize the retained base from the patched database so
         // the next delta in the chain lands on full-state bytes — and so
         // byte-identity with the primary's serialization keeps holding.
-        let ids: Vec<String> = parts.session_ids.iter().map(AsrId::to_string).collect();
-        let snap = format!(
-            "{CKPT_MAGIC} {}\n{ASRIDS_MAGIC} {}\n{}",
-            parts.lsn,
-            ids.join(","),
-            patched.save_to_string()
-        );
         self.base = Some(RetainedBase {
-            lsn: parts.lsn,
-            snap: snap.into_bytes(),
+            lsn: header.lsn,
+            snap: patched.save_to_string(),
         });
         self.db = Some(patched);
         self.status.bootstraps += 1;
         self.status.delta_bootstraps += 1;
-        Ok(OfferOutcome::Bootstrapped { lsn: parts.lsn })
+        Ok(OfferOutcome::Bootstrapped { lsn: header.lsn })
     }
 }

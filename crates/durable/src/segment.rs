@@ -28,7 +28,7 @@
 //!
 //! `S` lines are sealed segments in rotation (= LSN) order; `C` lines
 //! are archived checkpoints in ascending LSN order.  A `D` line marks an
-//! archived checkpoint as an `ASRDB 3` *delta* whose application needs
+//! archived checkpoint as a *delta* whose application needs
 //! the archived checkpoint at `base_lsn` (which may itself be a delta —
 //! lineage chains down to a full snapshot).  The manifest is
 //! replaced atomically, *before* the new `checkpoint.snap` is published
@@ -40,7 +40,8 @@
 //! database: recovery treats it as an empty manifest (checkpoint +
 //! `wal.log` only), which keeps the v1 golden fixtures loading.
 
-use crate::crc::crc32;
+use asr_core::crc32;
+
 use crate::error::{DurableError, Result};
 use crate::storage::{read_stable, Storage};
 
@@ -519,7 +520,7 @@ mod tests {
             first_lsn: 1,
             last_lsn: 2,
             bytes: data.len() as u64,
-            crc: crate::crc::crc32(data),
+            crc: crc32(data),
         };
         meta.verify(data).unwrap();
         assert!(meta.verify(b"framed byteX").is_err());

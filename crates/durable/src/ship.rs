@@ -31,9 +31,9 @@
 //!                               `needed()`, after exponential backoff
 //! ```
 //!
-//! A `DeltaCheckpoint` delivery carries an `ASRDB 3` checkpoint whose
-//! `DELTA <base>` header names the checkpoint state it patches.  The
-//! applier retains its last full-state checkpoint text; a delta whose
+//! A `DeltaCheckpoint` delivery carries a delta checkpoint whose header
+//! names the checkpoint state it patches.  The applier retains its last
+//! full-state checkpoint; a delta whose
 //! base matches is applied strictly (any inconsistency NACKs — the
 //! replica never silently rebuilds), a delta over an unknown base NACKs
 //! as a gap, and the shipper answers a base it no longer has in its
@@ -62,9 +62,7 @@ use asr_obs::{Attrs, FlightRecorder};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use asr_core::Database;
-
-use crate::db::{split_checkpoint, DurableDatabase, CHECKPOINT_FILE, FLIGHT_TAIL_EVENTS, WAL_FILE};
+use crate::db::{checkpoint_parts, DurableDatabase, CHECKPOINT_FILE, FLIGHT_TAIL_EVENTS, WAL_FILE};
 use crate::error::{DurableError, Result};
 use crate::replica::{OfferOutcome, ReplicaApplier};
 use crate::segment::{checkpoint_archive_name, SegmentManifest, READ_RETRIES};
@@ -86,9 +84,9 @@ pub enum ShipMessage {
     /// A full checkpoint snapshot (`checkpoint.snap` bytes) seeding or
     /// re-seeding the replica.
     Checkpoint(Vec<u8>),
-    /// An `ASRDB 3` delta checkpoint (same `CKPT`/`ASRIDS` header) that
-    /// patches the checkpoint state its `DELTA` header names — shipped
-    /// instead of a full snapshot when the replica holds the base.
+    /// A delta checkpoint that patches the checkpoint state its header
+    /// names as its base — shipped instead of a full snapshot when the
+    /// replica holds the base.
     DeltaCheckpoint(Vec<u8>),
     /// A sealed segment: its manifest coordinates plus the raw frames.
     Segment {
@@ -474,7 +472,7 @@ impl<'a, S: Storage> LogShipper<'a, S> {
         let ckpt_bytes = read_stable(self.storage, CHECKPOINT_FILE, READ_RETRIES)?;
         let ckpt_lsn = match &ckpt_bytes {
             None => 0,
-            Some(bytes) => checkpoint_header_lsn(bytes)?,
+            Some(bytes) => checkpoint_parts(bytes, "checkpoint")?.0.lsn,
         };
         let wal_bytes = read_stable(self.storage, WAL_FILE, READ_RETRIES)?.unwrap_or_default();
         let scan = scan_wal(&wal_bytes)?;
@@ -529,12 +527,7 @@ impl<'a, S: Storage> LogShipper<'a, S> {
         };
         let mut cur_lsn = st.ckpt_lsn;
         loop {
-            let parts = split_checkpoint(cur.clone(), "checkpoint")?;
-            let base = if Database::is_delta_snapshot(parts.body()) {
-                Some(Database::delta_base_id(parts.body())?)
-            } else {
-                None
-            };
+            let base = checkpoint_parts(&cur, "checkpoint")?.0.base;
             chain.push((cur_lsn, cur));
             let Some(base) = base else { break };
             if chain.iter().any(|(l, _)| *l == base) {
@@ -623,20 +616,6 @@ impl<'a, S: Storage> LogShipper<'a, S> {
         }
         Ok(out)
     }
-}
-
-fn checkpoint_header_lsn(bytes: &[u8]) -> Result<u64> {
-    let nl = bytes
-        .iter()
-        .position(|b| *b == b'\n')
-        .ok_or_else(|| DurableError::Corrupt("checkpoint has no header line".into()))?;
-    let header = std::str::from_utf8(&bytes[..nl])
-        .map_err(|_| DurableError::Corrupt("checkpoint header is not UTF-8".into()))?;
-    header
-        .strip_prefix("CKPT")
-        .map(str::trim)
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| DurableError::Corrupt(format!("bad checkpoint header `{header}`")))
 }
 
 // ----------------------------------------------------------------------
@@ -877,7 +856,7 @@ mod tests {
     #[test]
     fn ship_message_round_trips() {
         let msgs = vec![
-            ShipMessage::Checkpoint(b"CKPT 3\nASRIDS \nbody".to_vec()),
+            ShipMessage::Checkpoint(b"checkpoint body".to_vec()),
             ShipMessage::Segment {
                 seqno: 2,
                 first_lsn: 4,

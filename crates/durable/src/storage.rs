@@ -110,6 +110,13 @@ impl Storage for FsStorage {
         }
     }
 
+    /// Write-temp-then-rename.  Neither the temporary file nor the
+    /// directory is fsynced, so "the old or the new content, never a
+    /// prefix" holds only where the file system writes a renamed file's
+    /// data before the rename itself (ext4's `auto_da_alloc` does); a
+    /// crash elsewhere can leave `name` empty or short.  A short
+    /// checkpoint then fails its frame checksums and recovery refuses to
+    /// open, detected but not repaired.
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<()> {
         let tmp = self.path(&format!("{name}.tmp"));
         std::fs::write(&tmp, data)

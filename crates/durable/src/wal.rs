@@ -29,7 +29,8 @@
 //! or a logic bug, and recovery fails with [`DurableError::Corrupt`]
 //! rather than silently dropping acknowledged history.
 
-use crate::crc::crc32;
+use asr_core::crc32;
+
 use crate::error::{DurableError, Result};
 use crate::record::Record;
 use crate::storage::Storage;

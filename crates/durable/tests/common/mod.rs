@@ -55,7 +55,7 @@ pub fn company_schema() -> Schema {
 /// through save/load so type-id assignment is at its fixed point and
 /// every copy loaded from this text behaves identically (including OID
 /// generation order).
-pub fn seed_snapshot() -> String {
+pub fn seed_snapshot() -> Vec<u8> {
     let mut db = Database::from_base(ObjectBase::new(company_schema()));
     let d = db.instantiate("Division").unwrap();
     db.set_attribute(d, "Name", Value::string("Auto")).unwrap();
@@ -182,7 +182,7 @@ pub struct Generator {
 pub const TYPES: [&str; 5] = ["Division", "ProdSET", "Product", "BasePartSET", "BasePart"];
 
 impl Generator {
-    pub fn new(s0: &str, seed: u64) -> Self {
+    pub fn new(s0: &[u8], seed: u64) -> Self {
         let db = Database::load_from_string(s0).unwrap();
         let mut pools: [Vec<Oid>; 5] = Default::default();
         let mut referenced = BTreeSet::new();
@@ -414,7 +414,7 @@ impl Generator {
     }
 }
 
-pub fn make_script(s0: &str, seed: u64) -> Vec<Op> {
+pub fn make_script(s0: &[u8], seed: u64) -> Vec<Op> {
     let mut g = Generator::new(s0, seed);
     (0..SCRIPT_LEN).map(|_| g.next_op()).collect()
 }
@@ -461,7 +461,7 @@ pub fn assert_equivalent(recovered: &Database, oracle: &Database, ctx: &str) {
 }
 
 /// Build the oracle: seed snapshot plus the first `m` script operations.
-pub fn oracle_at(s0: &str, script: &[Op], m: usize) -> Database {
+pub fn oracle_at(s0: &[u8], script: &[Op], m: usize) -> Database {
     let mut db = Database::load_from_string(s0).unwrap();
     for op in &script[..m] {
         apply_plain(&mut db, op);

@@ -43,7 +43,7 @@ struct RunOutcome {
 /// recovered state against the oracle.  Returns what happened for the
 /// caller's policy-specific assertions.
 fn run_crash_case(
-    s0: &str,
+    s0: &[u8],
     script: &[Op],
     plan: FaultPlan,
     policy: FlushPolicy,

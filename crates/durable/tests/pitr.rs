@@ -19,7 +19,7 @@ use common::*;
 /// Build a primary with realistic durable topology: a checkpoint a third
 /// of the way in, another at two thirds, and a small rotation threshold
 /// so sealed segments appear between them.
-fn build_primary(s0: &str, script: &[Op], disk: &MemStorage) -> (usize, usize) {
+fn build_primary(s0: &[u8], script: &[Op], disk: &MemStorage) -> (usize, usize) {
     let ckpt_a = SCRIPT_LEN / 3;
     let ckpt_b = 2 * SCRIPT_LEN / 3;
     let seed_db = Database::load_from_string(s0).unwrap();

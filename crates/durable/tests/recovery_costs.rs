@@ -86,8 +86,8 @@ struct Recovery {
     records_replayed: u64,
     /// Loading the checkpoint: ASRs restored from their page images.
     checkpoint_load: Phase,
-    /// Loading the same state as an `ASRDB 1` snapshot, which rebuilds
-    /// every ASR from the base.
+    /// Loading the same state without its ASR section, rebuilding the
+    /// ASR from the base instead.
     rebuild_load: Phase,
     /// Replaying the log tail through incremental maintenance.
     wal_replay: Phase,
@@ -107,20 +107,14 @@ fn measure_recovery(delta_ops: usize) -> Recovery {
     let report = recovered.recovery_report().clone();
     let recovered_io = recovered.stats().snapshot();
 
-    // The checkpoint body follows the `CKPT` and `ASRIDS` header lines.
+    // The checkpoint file on its own: what restoring its ASR physically
+    // charges.
     let file = mem
         .read(CHECKPOINT_FILE)
         .expect("storage readable")
         .expect("checkpoint exists");
-    let text = String::from_utf8(file).expect("checkpoint is UTF-8");
-    let body = text.splitn(3, '\n').nth(2).expect("two header lines");
-    let loaded = Database::load_from_string(body).expect("checkpoint loads");
+    let loaded = Database::load_from_string(&file).expect("checkpoint loads");
     let load_io = loaded.stats().snapshot();
-
-    // Recovery would read the v1 file too: charge it beside the rebuild.
-    let v1 = loaded.save_to_string_v1();
-    let rebuilt = Database::load_from_string(&v1).expect("v1 snapshot loads");
-    let v1_io = rebuilt.stats().snapshot();
 
     // An in-memory build walks the base for free; a cold rebuild must
     // read every extent along the path, so those scans are charged.
@@ -141,7 +135,11 @@ fn measure_recovery(delta_ops: usize) -> Recovery {
         applied,
         records_replayed: report.records_replayed,
         checkpoint_load: (load_io.reads + report.checkpoint_pages_read, load_io.writes),
-        rebuild_load: (v1_io.reads + pages(v1.len() as u64), v1_io.writes),
+        // Reading the file less its ASR section, then rebuilding.
+        rebuild_load: (
+            report.checkpoint_pages_read + after.reads - before.reads,
+            after.writes - before.writes,
+        ),
         wal_replay: (
             recovered_io.reads - load_io.reads - report.checkpoint_pages_read,
             recovered_io.writes - load_io.writes,
@@ -152,20 +150,20 @@ fn measure_recovery(delta_ops: usize) -> Recovery {
 
 /// Replaying 16 records costs about a seventh of a rebuild (129 vs 915
 /// pages: each `ins_3` writes only the partition holding its step),
-/// and restoring the checkpoint physically about a quarter of rebuilding
-/// on load (269 vs 1 060).
+/// and restoring the checkpoint physically about a sixth of rebuilding
+/// on load (171 vs 994).
 #[test]
 fn recovery_phases_charge_pinned_pages() {
     let r = measure_recovery(16);
     assert_eq!((r.applied, r.records_replayed), (16, 16));
-    assert_eq!(r.checkpoint_load, (269, 0));
-    assert_eq!(r.rebuild_load, (920, 140));
+    assert_eq!(r.checkpoint_load, (171, 0));
+    assert_eq!(r.rebuild_load, (854, 140));
     assert_eq!(r.wal_replay, (81, 48));
     assert_eq!(r.full_rebuild, (775, 140));
     assert_eq!(ratio(total(r.wal_replay), total(r.full_rebuild)), "0.1410");
     assert_eq!(
         ratio(total(r.checkpoint_load), total(r.rebuild_load)),
-        "0.2538"
+        "0.1720"
     );
 }
 
@@ -231,8 +229,8 @@ fn replica_catch_up_and_bootstrap_ship_pinned_bytes() {
     let catch_up = shipped(&primary, &mut warm);
 
     assert_eq!(catch_up, (476, 1, 1, 16));
-    assert_eq!(bootstrap, (1_070_510, 264, 2, 16));
-    assert_eq!(ratio(catch_up.1, bootstrap.1), "0.0038");
+    assert_eq!(bootstrap, (670_123, 166, 2, 16));
+    assert_eq!(ratio(catch_up.1, bootstrap.1), "0.0060");
 }
 
 /// A delta checkpoint writes the pages the delta dirtied, not the
@@ -250,9 +248,9 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
     let report = primary.checkpoint_delta().expect("delta checkpoint");
     assert!(report.is_delta(), "an ins_3 delta takes the delta path");
     assert_eq!(report.chain_depth, 1);
-    assert_eq!((report.pages_written, report.pages_full), (17, 528));
-    assert_eq!(report.snapshot_bytes, 34_176);
-    assert_eq!(ratio(report.pages_written, report.pages_full), "0.0322");
+    assert_eq!((report.pages_written, report.pages_full), (8, 331));
+    assert_eq!(report.snapshot_bytes, 14_627);
+    assert_eq!(ratio(report.pages_written, report.pages_full), "0.0242");
     primary.prune_segments().expect("prunes");
 
     let delta = shipped(&primary, &mut warm);
@@ -262,8 +260,8 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
 
     assert_eq!(delta, (476, 1, 1, 16));
     assert_eq!(warm.status().delta_bootstraps, 0);
-    assert_eq!(full, (1_104_219, 273, 2, 0));
-    assert_eq!(ratio(delta.1, full.1), "0.0037");
+    assert_eq!(full, (684_283, 169, 2, 0));
+    assert_eq!(ratio(delta.1, full.1), "0.0059");
 }
 
 /// Point-in-time recovery over 64 logged inserts spread across
@@ -287,11 +285,11 @@ fn pitr_cost_grows_with_bound_distance() {
     assert_eq!(
         curve,
         [
-            (0, 264, 0, 0),
-            (16, 267, 16, 3),
-            (32, 269, 32, 5),
-            (48, 271, 48, 7),
-            (64, 274, 64, 9),
+            (0, 166, 0, 0),
+            (16, 169, 16, 3),
+            (32, 171, 32, 5),
+            (48, 173, 48, 7),
+            (64, 176, 64, 9),
         ]
     );
 }

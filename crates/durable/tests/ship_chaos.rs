@@ -27,7 +27,7 @@ use common::*;
 
 /// A primary with checkpoints and sealed segments, plus a live tail.
 fn build_primary(
-    s0: &str,
+    s0: &[u8],
     script: &[Op],
     upto: usize,
     ckpt_at: Option<usize>,
@@ -47,7 +47,7 @@ fn build_primary(
 
 /// The replica must either match the primary byte for byte (converged)
 /// or sit on an exact prefix of its history (stalled) — never elsewhere.
-fn assert_replica_on_history(applier: &ReplicaApplier, s0: &str, script: &[Op], ctx: &str) {
+fn assert_replica_on_history(applier: &ReplicaApplier, s0: &[u8], script: &[Op], ctx: &str) {
     if !applier.is_bootstrapped() {
         return; // an empty replica trivially has not diverged
     }
@@ -286,11 +286,11 @@ fn pruned_history_forces_a_rebootstrap() {
 /// catch-up must renegotiate.  Also returns per-LSN oracle snapshots
 /// (index = LSN) so a stalled replica can be placed on the history.
 fn stage_delta_reseed(
-    s0: &str,
+    s0: &[u8],
     script: &[Op],
     extra_ops: usize,
     tail_ops: usize,
-) -> (DurableDatabase<MemStorage>, ReplicaApplier, Vec<String>) {
+) -> (DurableDatabase<MemStorage>, ReplicaApplier, Vec<Vec<u8>>) {
     let half = SCRIPT_LEN / 2;
     let mut primary = build_primary(s0, script, half, None);
     primary.checkpoint().unwrap(); // full base at LSN `half`
@@ -343,7 +343,7 @@ fn stage_delta_reseed(
 
 /// Converged or stalled, the replica must sit exactly on one of the
 /// oracle snapshots for its claimed LSN.
-fn assert_on_oracles(applier: &ReplicaApplier, oracles: &[String], ctx: &str) {
+fn assert_on_oracles(applier: &ReplicaApplier, oracles: &[Vec<u8>], ctx: &str) {
     if !applier.is_bootstrapped() {
         return;
     }

@@ -1,19 +1,23 @@
-//! Version-2 checkpoint recovery.
+//! Checkpoint recovery.
 //!
 //! * The clean path restores every ASR **physically** (page images, no
 //!   re-join) and charges strictly fewer checkpoint pages than the file
-//!   occupies, because the physical section's bytes are charged to the
+//!   occupies, because the ASR sections' bytes are charged to the
 //!   restored trees instead.
-//! * Corruption inside the physical section degrades to a **per-ASR
-//!   rebuild** — recovery still succeeds and is query-equivalent.
-//! * A bit-flip sweep over the whole checkpoint must never panic.
+//! * The binary checkpoint is CRC-framed: a bit flipped anywhere in it
+//!   makes recovery fail with a typed error, never open damaged data.
+//! * A text checkpoint written before the binary format (`CKPT` and
+//!   `ASRIDS` lines over an `ASRDB 2` snapshot) still recovers, and
+//!   corruption inside its physical section degrades to a **per-ASR
+//!   rebuild** that is query-equivalent.
 //! * The frozen **v1 golden fixture** (committed under
-//!   `tests/fixtures/v1_golden/`) must keep recovering byte-for-byte on
-//!   current code, pinning backward compatibility in CI.
+//!   `tests/fixtures/v1_golden/`) must keep recovering to its frozen
+//!   state on current code, pinning backward compatibility in CI.
 
 use asr_core::{AsrConfig, AsrLoadMode, Cell, Database, Decomposition, Extension};
 use asr_durable::{
-    DurableDatabase, FlushPolicy, MemStorage, Storage, CHECKPOINT_FILE, MANIFEST_FILE, WAL_FILE,
+    DurableDatabase, DurableError, FlushPolicy, MemStorage, Storage, CHECKPOINT_FILE,
+    MANIFEST_FILE, WAL_FILE,
 };
 use asr_gom::{ObjectBase, Schema, Value};
 use asr_pagesim::PAGE_SIZE;
@@ -42,7 +46,7 @@ fn company_schema() -> Schema {
 /// A small populated company database with all four extensions
 /// materialized over the full path, serialized through save/load once so
 /// every copy loaded from this text behaves identically.
-fn seed_snapshot() -> String {
+fn seed_snapshot() -> Vec<u8> {
     let mut db = Database::from_base(ObjectBase::new(company_schema()));
     let d = db.instantiate("Division").unwrap();
     db.set_attribute(d, "Name", Value::string("Auto")).unwrap();
@@ -77,7 +81,7 @@ fn seed_snapshot() -> String {
 /// A larger seed whose checkpoint spans several pages, so the charging
 /// split between the physical section and the rest of the file is
 /// observable at page granularity.
-fn seed_snapshot_scaled() -> String {
+fn seed_snapshot_scaled() -> Vec<u8> {
     let mut db = Database::from_base(ObjectBase::new(company_schema()));
     let d = db.instantiate("Division").unwrap();
     db.set_attribute(d, "Name", Value::string("Auto")).unwrap();
@@ -114,7 +118,7 @@ fn seed_snapshot_scaled() -> String {
 }
 
 /// Checkpoint the seed into a fresh `MemStorage` and return it.
-fn checkpointed_disk(s0: &str) -> MemStorage {
+fn checkpointed_disk(s0: &[u8]) -> MemStorage {
     let disk = MemStorage::new();
     let seed = Database::load_from_string(s0).unwrap();
     let dd = DurableDatabase::create(disk.clone(), seed, FlushPolicy::EveryRecord).unwrap();
@@ -175,9 +179,10 @@ fn clean_v2_recovery_restores_asrs_physically() {
 // ----------------------------------------------------------------------
 
 #[test]
-fn corrupt_physical_checkpoint_falls_back_per_asr() {
-    let s0 = seed_snapshot();
+fn corrupt_text_checkpoint_falls_back_per_asr() {
+    let s0 = golden("expected_state.snap");
     let oracle = Database::load_from_string(&s0).unwrap();
+    let text = format!("CKPT 0\nASRIDS 0,1,2,3\n{}", String::from_utf8(s0).unwrap());
 
     // Each mangler edits the checkpoint *text* (CKPT + ASRIDS + v2
     // snapshot) to corrupt one physical section in a different way.
@@ -247,13 +252,12 @@ fn corrupt_physical_checkpoint_falls_back_per_asr() {
     ];
 
     for (what, mangle) in manglers {
-        let disk = checkpointed_disk(&s0);
-        let text = String::from_utf8(disk.read(CHECKPOINT_FILE).unwrap().unwrap()).unwrap();
         let mangled = mangle(&text);
         assert_ne!(text, mangled, "{what}: mangler must change the file");
-        let mut writer = disk.clone();
-        writer
-            .write_atomic(CHECKPOINT_FILE, mangled.as_bytes())
+        let mut disk = MemStorage::new();
+        disk.write_atomic(CHECKPOINT_FILE, mangled.as_bytes())
+            .unwrap();
+        disk.write_atomic(MANIFEST_FILE, &golden("MANIFEST"))
             .unwrap();
 
         let recovered = DurableDatabase::open(disk)
@@ -289,19 +293,18 @@ fn corrupt_physical_checkpoint_falls_back_per_asr() {
     }
 }
 
-/// Sweep a bit flip across the whole checkpoint file (header, physical
-/// section, GOM base): recovery either succeeds with internally
-/// consistent ASRs or reports a descriptive error — it must never panic.
+/// Flip one bit at a time across the whole binary checkpoint (every
+/// frame header, the ASR sections, the objects): every flip is caught by
+/// a frame checksum, so recovery fails with a typed error — it never
+/// panics and never opens damaged data.
 #[test]
-fn bit_flip_sweep_over_v2_checkpoint_never_panics() {
+fn bit_flip_sweep_over_checkpoint_always_errors() {
     let s0 = seed_snapshot();
     let base = checkpointed_disk(&s0);
     let ckpt = base.read(CHECKPOINT_FILE).unwrap().unwrap();
     let manifest = base.read(MANIFEST_FILE).unwrap().unwrap();
     let wal = base.read(WAL_FILE).unwrap().unwrap_or_default();
 
-    let mut opened = 0usize;
-    let mut errored = 0usize;
     for byte in (0..ckpt.len()).step_by(13) {
         let mut flipped = ckpt.clone();
         flipped[byte] ^= 1 << (byte % 8);
@@ -312,27 +315,13 @@ fn bit_flip_sweep_over_v2_checkpoint_never_panics() {
         disk.write_atomic(WAL_FILE, &wal).unwrap();
 
         match DurableDatabase::open(disk) {
-            Ok(recovered) => {
-                opened += 1;
-                // A flip inside a row payload can alter data while staying
-                // structurally valid (the checkpoint text carries no CRC),
-                // so consistency may legitimately fail here — but checking
-                // it must not panic either.
-                for (_, asr) in recovered.asrs() {
-                    let _ = asr.check_consistency();
-                }
-            }
-            Err(e) => {
-                errored += 1;
-                assert!(!format!("{e}").is_empty(), "flip@{byte}: silent error");
-            }
+            Ok(_) => panic!("flip@{byte}: damaged checkpoint opened"),
+            Err(e) => assert!(
+                matches!(e, DurableError::Corrupt(_) | DurableError::Asr(_)),
+                "flip@{byte}: {e}"
+            ),
         }
     }
-    // The sweep must actually exercise both outcomes: flips in the GOM
-    // base reject the snapshot, flips in the physical section mostly
-    // degrade to a rebuild and still open.
-    assert!(opened > 0, "no flip recovered ({errored} errors)");
-    assert!(errored > 0, "no flip errored ({opened} opens)");
 }
 
 // ----------------------------------------------------------------------
@@ -341,17 +330,18 @@ fn bit_flip_sweep_over_v2_checkpoint_never_panics() {
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v1_golden");
 
-/// Recover the committed v1 fixture (an `ASRDB 1` checkpoint plus a short
-/// WAL tail) on current code: every ASR rebuilds, the replayed tail
-/// applies, and the final state matches the frozen expectation
-/// byte-for-byte.
+fn golden(name: &str) -> Vec<u8> {
+    std::fs::read(format!("{GOLDEN_DIR}/{name}"))
+        .unwrap_or_else(|e| panic!("missing golden fixture file {name}: {e}"))
+}
+
+/// Recover the committed v1 fixture (a text `ASRDB 1` checkpoint plus a
+/// short WAL tail) on current code: every ASR rebuilds, the replayed tail
+/// applies, and the final state is the frozen expectation (an `ASRDB 2`
+/// text snapshot), the two compared through the binary writer.
 #[test]
 fn golden_v1_fixture_recovers_on_current_code() {
-    let read = |name: &str| -> Vec<u8> {
-        std::fs::read(format!("{GOLDEN_DIR}/{name}"))
-            .unwrap_or_else(|e| panic!("missing golden fixture file {name}: {e}"))
-    };
-    let ckpt = read("checkpoint.snap");
+    let ckpt = golden("checkpoint.snap");
     let ckpt_text = String::from_utf8(ckpt.clone()).unwrap();
     assert!(
         ckpt_text.lines().nth(2) == Some("ASRDB 1"),
@@ -360,8 +350,9 @@ fn golden_v1_fixture_recovers_on_current_code() {
 
     let mut disk = MemStorage::new();
     disk.write_atomic(CHECKPOINT_FILE, &ckpt).unwrap();
-    disk.write_atomic(MANIFEST_FILE, &read("MANIFEST")).unwrap();
-    disk.write_atomic(WAL_FILE, &read("wal.log")).unwrap();
+    disk.write_atomic(MANIFEST_FILE, &golden("MANIFEST"))
+        .unwrap();
+    disk.write_atomic(WAL_FILE, &golden("wal.log")).unwrap();
 
     let recovered = DurableDatabase::open(disk).unwrap();
     let report = recovered.recovery_report().clone();
@@ -381,73 +372,13 @@ fn golden_v1_fixture_recovers_on_current_code() {
         }
     }
 
-    let expected = String::from_utf8(read("expected_state.snap")).unwrap();
+    let expected = Database::load_from_string(&golden("expected_state.snap")).unwrap();
     assert_eq!(
         recovered.save_to_string(),
-        expected,
+        expected.save_to_string(),
         "golden v1 recovery diverged from the frozen expectation"
     );
     for (_, asr) in recovered.asrs() {
         asr.check_consistency().unwrap();
     }
-}
-
-/// Regenerates the golden fixture.  Run explicitly when the fixture must
-/// be re-frozen (`cargo test -p asr-durable --test v2_checkpoints -- --ignored`);
-/// never runs in CI.
-#[test]
-#[ignore = "writes tests/fixtures/v1_golden; run only to re-freeze the fixture"]
-fn regenerate_v1_golden_fixture() {
-    let s0 = seed_snapshot();
-    let disk = MemStorage::new();
-    let seed = Database::load_from_string(&s0).unwrap();
-    let mut dd = DurableDatabase::create(disk.clone(), seed, FlushPolicy::EveryRecord).unwrap();
-    // A short deterministic WAL tail past the checkpoint.
-    let d2 = dd.instantiate("Division").unwrap();
-    dd.set_attribute(d2, "Name", Value::string("Trucks"))
-        .unwrap();
-    dd.bind_variable("Golden", Value::string("fixture"))
-        .unwrap();
-    drop(dd);
-
-    // Rewrite the checkpoint body as a v1 snapshot, keeping the CKPT and
-    // ASRIDS header lines untouched.
-    let text = String::from_utf8(disk.read(CHECKPOINT_FILE).unwrap().unwrap()).unwrap();
-    let (ckpt_line, rest) = text.split_once('\n').unwrap();
-    let (ids_line, body) = rest.split_once('\n').unwrap();
-    let v1_body = Database::load_from_string(body)
-        .unwrap()
-        .save_to_string_v1();
-    let v1_ckpt = format!("{ckpt_line}\n{ids_line}\n{v1_body}");
-
-    std::fs::create_dir_all(GOLDEN_DIR).unwrap();
-    std::fs::write(format!("{GOLDEN_DIR}/checkpoint.snap"), &v1_ckpt).unwrap();
-    std::fs::write(
-        format!("{GOLDEN_DIR}/MANIFEST"),
-        disk.read(MANIFEST_FILE).unwrap().unwrap(),
-    )
-    .unwrap();
-    std::fs::write(
-        format!("{GOLDEN_DIR}/wal.log"),
-        disk.read(WAL_FILE).unwrap().unwrap(),
-    )
-    .unwrap();
-
-    // Freeze the expected post-recovery state from this very recovery.
-    let mut fixture = MemStorage::new();
-    fixture
-        .write_atomic(CHECKPOINT_FILE, v1_ckpt.as_bytes())
-        .unwrap();
-    fixture
-        .write_atomic(MANIFEST_FILE, &disk.read(MANIFEST_FILE).unwrap().unwrap())
-        .unwrap();
-    fixture
-        .write_atomic(WAL_FILE, &disk.read(WAL_FILE).unwrap().unwrap())
-        .unwrap();
-    let recovered = DurableDatabase::open(fixture).unwrap();
-    std::fs::write(
-        format!("{GOLDEN_DIR}/expected_state.snap"),
-        recovered.save_to_string(),
-    )
-    .unwrap();
 }

@@ -57,7 +57,7 @@ pub fn escape(s: &str) -> String {
 
 /// [`escape`], appended to `out`: clean runs are copied whole and nothing
 /// is allocated beyond `out`'s own growth.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     let mut clean = 0;
     for (at, c) in s.char_indices() {
         let code = match c {
@@ -108,7 +108,7 @@ fn bad(msg: String) -> GomError {
 }
 
 /// Append `n` in decimal.
-pub fn push_u64(out: &mut String, mut n: u64) {
+fn push_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
@@ -130,16 +130,6 @@ fn push_i64(out: &mut String, n: i64) {
     push_u64(out, n.unsigned_abs());
 }
 
-/// Append `items` in decimal, comma-separated (nothing when empty).
-pub fn push_csv(out: &mut String, items: impl IntoIterator<Item = u64>) {
-    for (i, n) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_u64(out, n);
-    }
-}
-
 /// Encode one [`Value`] in the snapshot's tagged text form
 /// (`N`, `I:<i64>`, `S:<escaped>`, `R:i<oid>`, …).
 pub fn encode_value(v: &Value) -> String {
@@ -149,7 +139,7 @@ pub fn encode_value(v: &Value) -> String {
 }
 
 /// [`encode_value`], appended to `out`.
-pub fn encode_value_into(out: &mut String, v: &Value) {
+fn encode_value_into(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push('N'),
         Value::Integer(i) => {
@@ -276,7 +266,7 @@ pub fn write_base(base: &ObjectBase) -> String {
 }
 
 /// [`write_base`], appended to `out`.
-pub fn write_base_into(out: &mut String, base: &ObjectBase) {
+fn write_base_into(out: &mut String, base: &ObjectBase) {
     out.push_str(MAGIC);
     out.push('\n');
     out.push_str(&write_schema(base.schema()));
@@ -289,7 +279,7 @@ pub fn write_base_into(out: &mut String, base: &ObjectBase) {
 }
 
 /// One `O i<oid> <type> <structure> …` line.
-pub fn write_object_line(out: &mut String, schema: &Schema, obj: &Object) {
+fn write_object_line(out: &mut String, schema: &Schema, obj: &Object) {
     out.push_str("O i");
     push_u64(out, obj.oid.as_raw());
     out.push(' ');
@@ -323,7 +313,7 @@ fn push_elements<'a>(out: &mut String, tag: &str, elems: impl IntoIterator<Item 
 }
 
 /// One `V <name> <value>` line.
-pub fn write_variable_line(out: &mut String, name: &str, value: &Value) {
+fn write_variable_line(out: &mut String, name: &str, value: &Value) {
     out.push_str("V ");
     escape_into(out, name);
     out.push(' ');

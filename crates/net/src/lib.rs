@@ -17,7 +17,6 @@
 //! the requests the server's snapshot worker pool answers.
 
 mod client;
-mod codec;
 mod wire;
 
 pub use client::{ClientError, ClientStats, WireClient};

@@ -20,7 +20,7 @@ use asr_core::{Cell, Row};
 use asr_gom::{Oid, Value};
 use asr_pagesim::IoSnapshot;
 
-use crate::codec::{CodecError, Reader, Writer};
+use asr_core::codec::{CodecError, Reader, Writer};
 
 const DIR_REQUEST: u8 = b'Q';
 const DIR_RESPONSE: u8 = b'R';

@@ -279,10 +279,16 @@ fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
     let plan = chunk_plan(count, target, leaf_capacity / 2, leaf_capacity);
     // `level` carries (node id, min key of its subtree) so separator keys
     // are known without re-walking the slab.
+    // Cut each leaf off the tail of `entries`, which then gives those
+    // bytes back, so no entry is held twice while the leaves are built.
+    let mut entries = entries;
+    let mut chunks: Vec<Vec<(K, V)>> = Vec::with_capacity(plan.len());
+    for &size in plan.iter().rev() {
+        chunks.push(entries.split_off(entries.len() - size));
+        entries.shrink_to_fit();
+    }
     let mut level: Vec<(usize, K)> = Vec::with_capacity(plan.len());
-    let mut iter = entries.into_iter();
-    for size in plan {
-        let chunk: Vec<(K, V)> = iter.by_ref().take(size).collect();
+    for chunk in chunks.into_iter().rev() {
         let min = chunk[0].0.clone();
         let id = nodes.len();
         nodes.push(Node::Leaf {
@@ -375,6 +381,14 @@ pub struct PageMarks<K, V>(Vec<Weak<Node<K, V>>>);
 impl<K, V> Default for PageMarks<K, V> {
     fn default() -> Self {
         PageMarks(Vec::new())
+    }
+}
+
+impl<K, V> PageMarks<K, V> {
+    /// No slot marked: the default marks, which no live slab leaves (a
+    /// tree always has its root page).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 

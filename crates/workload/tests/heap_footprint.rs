@@ -154,10 +154,11 @@ fn objects_and_rows_fit_their_heap_budget() {
 
 /// The build transient: the most live heap `create_asr` holds at once
 /// while it builds the Full/binary ASR, over the heap the ASR holds
-/// afterwards, against a ceiling of 1.3.  Sorted runs, an extension in
-/// cell blocks dropped before bulk loading and one tree built at a time
-/// measure 1.19; row sets, with the extension alive through the bulk
-/// loads, measured 1.83.
+/// afterwards, against a ceiling of 1.28.  Sorted runs, an extension in
+/// cell blocks dropped before bulk loading, one tree built at a time and
+/// each leaf cut off the tail of its entries measure 1.16; copying the
+/// leaves out of the whole entries vector measured 1.19, and row sets,
+/// with the extension alive through the bulk loads, 1.83.
 #[test]
 fn create_asr_peaks_within_its_build_budget() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -167,7 +168,7 @@ fn create_asr_peaks_within_its_build_budget() {
     let (_, peak, held) = peak_and_held_of(|| g.db.create_asr(path, config).expect("ASR builds"));
     let ratio = peak as f64 / held as f64;
     println!("create_asr peaks at {peak} B for {held} B held: {ratio:.2}x");
-    assert!(ratio <= 1.3, "build peak {ratio:.2}x what the ASR holds");
+    assert!(ratio <= 1.28, "build peak {ratio:.2}x what the ASR holds");
 }
 
 #[test]

@@ -1437,7 +1437,7 @@ mod tests {
         let mut s2 = ShellState::new();
         let out = run_line(&mut s2, &format!("\\load {file_str}"));
         assert!(out.contains("1 access relations"), "{out}");
-        assert!(out.contains("(snapshot v2)"), "{out}");
+        assert!(out.contains("(snapshot v4)"), "{out}");
         assert!(out.contains("asr 0: physical"), "{out}");
         let q = run_line(
             &mut s2,
@@ -1499,7 +1499,7 @@ mod tests {
         assert!(run_line(&mut s2, "\\wal status").starts_with("error:"));
 
         // Reloading the checkpointed directory restores the ASR from its
-        // page images (the v2 physical section), not by re-joining.
+        // page images (the checkpoint's ASR sections), not by re-joining.
         let mut s4 = ShellState::new();
         let out = run_line(&mut s4, &format!("\\load {dir_str}"));
         assert!(out.contains("0 record(s) replayed"), "{out}");
