@@ -547,6 +547,18 @@ impl Database {
     ) -> Result<Vec<(EdgeEvent, bool, bool, bool)>> {
         let step = &path.steps()[p - 1];
         let mut events = Vec::new();
+        // A reference to a deleted object is NULL, as in the build: the
+        // rebuild on deletion already dropped its edges.
+        let old = if self.is_dangling(old) {
+            &Value::Null
+        } else {
+            old
+        };
+        let new = if self.is_dangling(new) {
+            &Value::Null
+        } else {
+            new
+        };
         // Additions run *before* removals: the maintenance algorithm
         // collects the owner's prefixes from the access relation itself
         // (for full/left extensions), and those prefixes are only stored
@@ -599,16 +611,7 @@ impl Database {
         if !self.base.contains(*set) {
             return Ok(Vec::new());
         }
-        let members: Vec<Cell> = self
-            .base
-            .object(*set)?
-            .elements()
-            .filter_map(Cell::from_gom)
-            .filter(|c| match c {
-                Cell::Oid(o) => self.base.contains(*o),
-                Cell::Value(_) => true,
-            })
-            .collect();
+        let members: Vec<Cell> = self.live_members(*set)?.collect();
         if members.is_empty() {
             return Ok(vec![EdgeEvent {
                 step: p,
@@ -628,6 +631,20 @@ impl Database {
             .collect())
     }
 
+    /// Is `value` a reference to a deleted object?
+    fn is_dangling(&self, value: &Value) -> bool {
+        matches!(value, Value::Ref(o) if !self.base.contains(*o))
+    }
+
+    /// The members of set `set` that maintenance sees: as in the build,
+    /// a reference to a deleted object is no member.
+    fn live_members(&self, set: Oid) -> Result<impl Iterator<Item = Cell> + '_> {
+        let elements = self.base.object(set)?.elements();
+        Ok(elements
+            .filter(|v| !self.is_dangling(v))
+            .filter_map(Cell::from_gom))
+    }
+
     /// The paper's characteristic update `ins_i`: insert `elem` into the
     /// set instance `set`.  All owners referencing the set (set sharing
     /// included) have their paths maintained.  Returns `false` when the
@@ -638,7 +655,7 @@ impl Database {
         }
         self.dirty_oids.insert(set);
         let _span = self.tracer.span("maintain.insert_into_set");
-        let was_empty = self.base.object(set)?.body.len() == 1;
+        let was_empty = self.live_members(set)?.take(2).count() == 1;
         let sites = self.set_sites(set)?;
         self.charge_set_update(set, &sites)?;
         let elem_cell = Cell::from_gom(&elem);
@@ -653,9 +670,14 @@ impl Database {
         }
         self.dirty_oids.insert(set);
         let _span = self.tracer.span("maintain.remove_from_set");
-        let now_empty = self.base.object(set)?.body.is_empty();
+        let now_empty = self.live_members(set)?.next().is_none();
         let sites = self.set_sites(set)?;
         self.charge_set_update(set, &sites)?;
+        if self.is_dangling(elem) {
+            // The rebuild on deletion already dropped the member's edges,
+            // and it counted the set's emptiness without it.
+            return Ok(true);
+        }
         let elem_cell = Cell::from_gom(elem);
         self.maintain_set_change(set, sites, elem_cell, false, now_empty)?;
         Ok(true)

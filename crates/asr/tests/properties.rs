@@ -25,7 +25,7 @@
 use asr_core::{
     AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension, Relation, Row,
 };
-use asr_gom::{ObjectBase, ObjectBody, Oid, PathExpression, Schema, TypeRef, Value};
+use asr_gom::{ObjectBase, Oid, PathExpression, Schema, TypeRef, Value};
 use asr_pagesim::IoStats;
 use proptest::prelude::*;
 
@@ -566,16 +566,109 @@ proptest! {
         for u in &updates {
             apply_update(&mut db, &levels, u);
         }
-        for (_, asr) in db.asrs() {
-            asr.check_consistency().unwrap();
-            let reference = AccessSupportRelation::build(
-                db.base(), asr.path().clone(), asr.config().clone(), IoStats::new_handle(),
-            ).unwrap();
-            prop_assert_eq!(partition_rows(asr), partition_rows(&reference),
-                "{} under {} keep={} after {:?}",
-                asr.config().extension, asr.config().decomposition, keep, updates);
+        assert_matches_rebuild(&db, &format!("keep={keep} after {updates:?}"));
+    }
+}
+
+/// `t0.A1 = {t1}`, `t1.A2 = t2`, `t2.A3 = {t3}`, `t2b.A3 = {t3}`,
+/// `t3.Name = "N0"`, with one ASR per extension over the binary
+/// decomposition and over the mid cut `(0, 2, 4)`; returns the database
+/// and `[t0, t1, t2, t2b, t3]`.
+fn dangling_db() -> (Database, [Oid; 5]) {
+    let schema = chain_schema();
+    let path = PathExpression::parse(&schema, PATH).unwrap();
+    let mut db = Database::new(schema);
+    let [t0, t1, t2, t2b, t3] =
+        ["T0", "T1", "T2", "T2", "T3"].map(|ty| db.instantiate(ty).unwrap());
+    let s1 = db.instantiate("S1").unwrap();
+    db.set_attribute(t0, "A1", Value::Ref(s1)).unwrap();
+    db.insert_into_set(s1, Value::Ref(t1)).unwrap();
+    db.set_attribute(t1, "A2", Value::Ref(t2)).unwrap();
+    for owner in [t2, t2b] {
+        let s3 = db.instantiate("S3").unwrap();
+        db.set_attribute(owner, "A3", Value::Ref(s3)).unwrap();
+        db.insert_into_set(s3, Value::Ref(t3)).unwrap();
+    }
+    db.set_attribute(t3, "Name", Value::string("N0")).unwrap();
+    let m = path.arity(false) - 1;
+    for ext in Extension::ALL {
+        for dec in [
+            Decomposition::binary(m),
+            Decomposition::new([0, 2, m]).unwrap(),
+        ] {
+            let config = AsrConfig {
+                extension: ext,
+                decomposition: dec,
+                keep_set_oids: false,
+            };
+            db.create_asr(path.clone(), config).unwrap();
         }
     }
+    (db, [t0, t1, t2, t2b, t3])
+}
+
+/// Every ASR of `db` is consistent and holds the rows of a rebuild.
+fn assert_matches_rebuild(db: &Database, what: &str) {
+    for (_, asr) in db.asrs() {
+        asr.check_consistency().unwrap();
+        let reference = AccessSupportRelation::build(
+            db.base(),
+            asr.path().clone(),
+            asr.config().clone(),
+            IoStats::new_handle(),
+        )
+        .unwrap();
+        assert_eq!(
+            partition_rows(asr),
+            partition_rows(&reference),
+            "{what}: {} under {}",
+            asr.config().extension,
+            asr.config().decomposition
+        );
+    }
+}
+
+/// Overwriting a reference to a deleted object treats the old value as
+/// NULL: the update succeeds and every extension keeps up with a rebuild.
+#[test]
+fn overwriting_a_dangling_reference_maintains_every_extension() {
+    for new in ["t2b", "NULL"] {
+        let (mut db, [_, t1, t2, t2b, _]) = dangling_db();
+        db.delete_object(t2).unwrap();
+        let value = if new == "NULL" {
+            Value::Null
+        } else {
+            Value::Ref(t2b)
+        };
+        db.set_attribute(t1, "A2", value).unwrap();
+        assert_matches_rebuild(&db, &format!("t1.A2 = {new} over a deleted t2"));
+    }
+}
+
+/// A deleted set member is no member: removing it changes no row, and a
+/// set left holding only deleted members is empty (its marker rows), on
+/// removal and on insertion alike.
+#[test]
+fn dangling_set_members_are_no_members() {
+    let (mut db, [t0, t1, ..]) = dangling_db();
+    let s1 = db
+        .base()
+        .get_attribute(t0, "A1")
+        .unwrap()
+        .as_ref_oid()
+        .unwrap();
+    let t1b = db.instantiate("T1").unwrap();
+    db.insert_into_set(s1, Value::Ref(t1b)).unwrap();
+    db.delete_object(t1b).unwrap();
+    db.remove_from_set(s1, &Value::Ref(t1)).unwrap();
+    assert_matches_rebuild(&db, "remove t1 from {t1, deleted t1b}");
+    db.insert_into_set(s1, Value::Ref(t1)).unwrap();
+    assert_matches_rebuild(&db, "insert t1 into {deleted t1b}");
+    assert!(db.remove_from_set(s1, &Value::Ref(t1b)).unwrap());
+    assert_matches_rebuild(&db, "remove the deleted t1b from {t1, t1b}");
+    db.delete_object(t1).unwrap();
+    assert!(db.remove_from_set(s1, &Value::Ref(t1)).unwrap());
+    assert_matches_rebuild(&db, "remove the deleted t1 from {t1}");
 }
 
 // ----------------------------------------------------------------------
@@ -623,21 +716,6 @@ fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) {
             let Some(oid) = pick(*level, *i) else {
                 return;
             };
-            // Unlink first: maintenance does not yet step over a dangling
-            // reference it has to replace.
-            let dead = Value::Ref(oid);
-            let sets: Vec<Oid> = (db.base().objects())
-                .filter(|o| matches!(&o.body, ObjectBody::Set(elems) if elems.contains(&dead)))
-                .map(|o| o.oid)
-                .collect();
-            for set in sets {
-                db.remove_from_set(set, &dead).unwrap();
-            }
-            for &t1 in &alive[1] {
-                if db.base().get_attribute(t1, "A2").unwrap() == dead {
-                    db.set_attribute(t1, "A2", Value::Null).unwrap();
-                }
-            }
             db.delete_object(oid).unwrap();
         }
         Step::Bind { var, level, i } => {
