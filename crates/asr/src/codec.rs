@@ -6,9 +6,10 @@
 //! can treat the whole frame as damaged.  Fixed-width integers are
 //! little-endian, matching the WAL frame header; a string is its `u32`
 //! length and its UTF-8 bytes; a wire sequence is its `u32` count and its
-//! elements.  Checkpoint structure (counts, row ids, page ids) uses
-//! unsigned LEB128 varints ([`Writer::varint`]); values and cells are
-//! encoded the same way in both formats.
+//! elements.  Checkpoint structure (counts, page ids) uses unsigned
+//! LEB128 varints ([`Writer::varint`]) and a tree page's cells are packed
+//! ([`Writer::packed_cell`]); values are encoded the same way in both
+//! formats.
 
 use std::fmt;
 
@@ -200,6 +201,23 @@ impl Writer {
         }
     }
 
+    /// One row column, packed for the checkpoint's tree pages: NULL
+    /// (`0`), an OID (`1` + its raw value as a varint), or a value (`2` +
+    /// [`Writer::value`]).
+    pub fn packed_cell(&mut self, c: &Option<Cell>) {
+        match c {
+            None => self.u8(0),
+            Some(Cell::Oid(oid)) => {
+                self.u8(1);
+                self.varint(oid.as_raw());
+            }
+            Some(Cell::Value(v)) => {
+                self.u8(2);
+                self.value(v);
+            }
+        }
+    }
+
     /// A row: arity, then each column as [`Writer::opt_cell`].
     pub fn row(&mut self, row: &Row) {
         self.u32(row.arity() as u32);
@@ -377,6 +395,16 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.cell()?)),
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+
+    /// A [`Writer::packed_cell`] row column.
+    pub fn packed_cell(&mut self) -> Result<Option<Cell>, CodecError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(Cell::Oid(Oid::from_raw(self.varint()?)))),
+            2 => Ok(Some(Cell::Value(self.value()?))),
             t => Err(CodecError::BadTag(t)),
         }
     }

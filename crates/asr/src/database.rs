@@ -497,6 +497,7 @@ impl Database {
                 continue;
             };
             let path = asr.path().clone();
+            let keep = asr.config().keep_set_oids;
             let positions: Vec<usize> = (1..=path.len())
                 .filter(|&p| {
                     let step = &path.steps()[p - 1];
@@ -516,7 +517,7 @@ impl Database {
                 continue;
             }
             for p in positions {
-                let events = self.attr_events(&path, p, owner, &old, &value)?;
+                let events = self.attr_events(&path, p, owner, &old, &value, keep)?;
                 let asr = self.asrs[slot].as_mut().expect("slot checked above");
                 for (event, added, bare_before, bare_after) in events {
                     maintain_edge(
@@ -535,7 +536,8 @@ impl Database {
     }
 
     /// Expand an attribute assignment at step `p` into edge events:
-    /// `(event, added, owner_bare_before, owner_bare_after)`.
+    /// `(event, added, owner_bare_before, owner_bare_after)`.  `keep` is
+    /// whether the ASR stores set OIDs.
     #[allow(clippy::type_complexity)]
     fn attr_events(
         &self,
@@ -544,6 +546,7 @@ impl Database {
         owner: Oid,
         old: &Value,
         new: &Value,
+        keep: bool,
     ) -> Result<Vec<(EdgeEvent, bool, bool, bool)>> {
         let step = &path.steps()[p - 1];
         let mut events = Vec::new();
@@ -564,7 +567,23 @@ impl Database {
         // (for full/left extensions), and those prefixes are only stored
         // as long as some row through the owner survives.
         if step.is_set_occurrence() {
-            let new_parts = self.set_edges(p, owner, new)?;
+            let mut new_parts = self.set_edges(p, owner, new)?;
+            let mut old_parts = self.set_edges(p, owner, old)?;
+            if !keep {
+                // Without set OIDs an edge's rows name the owner and the
+                // target only, so an edge through both sets (a shared
+                // member, or the marker of two empty sets) writes the
+                // same rows before and after: adding it and then
+                // retracting it would lose them.
+                let old_targets: BTreeSet<Option<Cell>> =
+                    old_parts.iter().map(|ev| ev.target.clone()).collect();
+                let shared: BTreeSet<Option<Cell>> = (new_parts.iter())
+                    .map(|ev| ev.target.clone())
+                    .filter(|target| old_targets.contains(target))
+                    .collect();
+                new_parts.retain(|ev| !shared.contains(&ev.target));
+                old_parts.retain(|ev| !shared.contains(&ev.target));
+            }
             for (k, ev) in new_parts.into_iter().enumerate() {
                 let bare_before = old.is_null() && k == 0;
                 events.push((ev, true, bare_before, false));
@@ -573,7 +592,6 @@ impl Database {
             // while rows through the old set still carry the owner's
             // prefixes (with set OIDs kept and a cut on the set column,
             // the first removal already detaches the owner's side).
-            let old_parts = self.set_edges(p, owner, old)?;
             for (k, ev) in old_parts.into_iter().enumerate() {
                 let bare_after = new.is_null() && k == 0;
                 events.push((ev, false, false, bare_after));
@@ -863,18 +881,18 @@ impl Database {
     }
 
     /// Change-tracking summary since the base: `(dirty objects, deleted
-    /// objects, rebound variables, changed partition rows)` — powers the
-    /// shell's checkpoint-lineage display.
+    /// objects, rebound variables, changed partition pages)` — what the
+    /// next delta checkpoint would carry.
     pub fn dirty_summary(&self) -> (usize, usize, usize, usize) {
-        let rows = self
+        let pages = self
             .asrs()
-            .map(|(_, asr)| asr.changed_rows())
+            .map(|(_, asr)| asr.changed_pages())
             .sum::<usize>();
         (
             self.dirty_oids.len(),
             self.dead_oids.len(),
             self.dirty_vars.len(),
-            rows,
+            pages,
         )
     }
 }

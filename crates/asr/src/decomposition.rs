@@ -196,7 +196,8 @@ impl Decomposition {
     /// allocation each.  Each partition's rows (owned or borrowed) are
     /// copied into the walk's stage, in order, and then dropped, so a
     /// caller that hands its rows over frees each partition before the
-    /// walk starts.
+    /// walk starts; the walk frees each stage once every path that starts
+    /// in it has been walked.
     pub(crate) fn reassemble_cells<P, R>(
         &self,
         parts: impl IntoIterator<Item = P>,
@@ -268,6 +269,9 @@ impl Decomposition {
                 walk.extend(&mut prefix, ahead, &mut out);
             }
             lead += spans[k].1 - spans[k].0;
+            // No later path starts in or passes through this stage.
+            walked[k].cells = Vec::new();
+            walked[k].reached = Vec::new();
         }
         Ok(out)
     }
@@ -313,6 +317,25 @@ impl CellRows {
         self.blocks
             .iter()
             .flat_map(|block| block.chunks_exact(self.width))
+    }
+
+    /// Drop each row's first `columns` cells, in place, block by block,
+    /// each block shrunk to the cells it keeps.
+    pub fn drop_leading(&mut self, columns: usize) {
+        if columns == 0 {
+            return;
+        }
+        assert!(columns < self.width, "a row keeps at least one cell");
+        let width = self.width;
+        for block in &mut self.blocks {
+            let mut at = 0;
+            block.retain(|_| {
+                at += 1;
+                (at - 1) % width >= columns
+            });
+            block.shrink_to_fit();
+        }
+        self.width -= columns;
     }
 
     /// Each row moved into an allocation of its own.

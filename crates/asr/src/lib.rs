@@ -67,6 +67,6 @@ pub use manager::{AccessSupportRelation, AsrConfig};
 pub use persist::{AsrLoadMode, CheckpointHeader, CheckpointSource, LoadReport};
 pub use query::Frontier;
 pub use relation::Relation;
-pub use row::Row;
+pub use row::{Row, RowRef};
 pub use snapshot::{PinnedPartition, Snapshot, TxnStatus};
 pub use store::ObjectStore;

@@ -196,7 +196,7 @@ fn rows_at(part: &StoredPartition, offset: usize, cell: &Cell) -> Vec<Row> {
         let mut rows = Vec::new();
         part.scan(|row| {
             if row.cell(offset).as_ref() == Some(cell) {
-                rows.push(row.clone());
+                rows.push(row.to_row());
             }
         });
         rows

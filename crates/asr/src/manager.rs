@@ -121,35 +121,41 @@ impl AccessSupportRelation {
     /// Everything runs on sorted runs, on the calling thread: the
     /// auxiliary relations are sorted, deduplicated vectors; the
     /// reassembly walk frees each one as it takes it in and writes the
-    /// extension into one buffer of cells; each partition's distinct
-    /// projections are found by sorting borrowed column slices and
-    /// allocated once; the extension is dropped; then each partition is
-    /// bulk-loaded bottom-up, its rows numbered in ascending row order.
+    /// extension into blocks of cells; partition by partition, the
+    /// extension drops the columns before the partition's span (no later
+    /// partition reads them) and the distinct projections are found by
+    /// sorting borrowed column slices and copied once, into one buffer
+    /// of cells per partition; the extension is dropped; then each
+    /// partition is bulk-loaded bottom-up, its forward tree's leaves cut
+    /// out of that buffer.
     pub fn rebuild(&mut self, base: &ObjectBase) -> Result<()> {
         let aux = auxiliary_runs(base, &self.path, self.config.keep_set_oids)?;
         let arities: Vec<usize> = aux.iter().map(|run| run.arity).collect();
         let runs = aux.into_iter().map(|run| run.rows);
-        let extension = self.config.extension.walk(&arities, runs)?;
+        let mut extension = self.config.extension.walk(&arities, runs)?;
         let spans: Vec<(usize, usize)> = self.config.decomposition.partitions().collect();
-        let projections: Vec<Vec<Row>> = spans
-            .iter()
-            .map(|&(a, b)| distinct_projections(&extension, a, b))
-            .collect();
+        let mut projections: Vec<Vec<Option<Cell>>> = Vec::with_capacity(spans.len());
+        let mut dropped = 0;
+        for &(a, b) in &spans {
+            extension.drop_leading(a - dropped);
+            dropped = a;
+            projections.push(distinct_projections(&extension, b - a + 1));
+        }
         drop(extension);
         self.partitions = spans
             .into_iter()
             .zip(projections)
-            .map(|((a, b), rows)| self.loaded(a, b, rows))
+            .map(|((a, b), cells)| self.loaded(a, b, cells))
             .collect::<Result<_>>()?;
         Ok(())
     }
 
     /// A partition over columns `a ..= b`, tagged for I/O attribution and
-    /// bulk-loaded with the distinct `rows`.
-    fn loaded(&self, a: usize, b: usize, rows: Vec<Row>) -> Result<StoredPartition> {
+    /// bulk-loaded with the cells of distinct ascending rows.
+    fn loaded(&self, a: usize, b: usize, cells: Vec<Option<Cell>>) -> Result<StoredPartition> {
         let mut sp = StoredPartition::new(a, b, Rc::clone(&self.stats));
         sp.tag(&format!("asr[{}].{a}-{b}", self.path));
-        sp.bulk_load(rows)?;
+        sp.bulk_load_sorted(cells)?;
         Ok(sp)
     }
 
@@ -160,15 +166,10 @@ impl AccessSupportRelation {
     /// the right-complete extension's right-to-left one.
     fn reassemble(&self) -> Result<Vec<Row>> {
         let backward = self.config.extension == Extension::RightComplete;
-        let parts: Vec<Vec<&Row>> = self
-            .partitions
-            .iter()
-            .map(|p| p.clustered_rows(backward))
-            .collect();
-        let mut rows = self
-            .config
-            .decomposition
-            .reassemble_rows(&parts, self.config.extension)?;
+        let parts = (self.partitions.iter()).map(|p| p.clustered_rows(backward));
+        let mut rows = (self.config.decomposition)
+            .reassemble_cells::<_, Row>(parts, self.config.extension)?
+            .into_rows();
         rows.sort_unstable();
         Ok(rows)
     }
@@ -218,11 +219,11 @@ impl AccessSupportRelation {
             .collect()
     }
 
-    /// Distinct rows changed across all partitions since the base.
-    pub(crate) fn changed_rows(&self) -> usize {
+    /// Pages changed across all partitions since the base.
+    pub(crate) fn changed_pages(&self) -> usize {
         self.partitions
             .iter()
-            .map(StoredPartition::changed_rows)
+            .map(StoredPartition::changed_pages)
             .sum()
     }
 
@@ -329,7 +330,7 @@ impl AccessSupportRelation {
                 .map(|row| row.project(a, b))
                 .filter(|row| !row.is_all_null())
                 .collect();
-            let stored: BTreeSet<Row> = p.clustered_rows(false).into_iter().cloned().collect();
+            let stored: BTreeSet<Row> = p.clustered_rows(false).into_iter().collect();
             if stored != want {
                 return Err(AsrError::PageSim(
                     asr_pagesim::PageSimError::CorruptStructure(format!(
@@ -345,23 +346,23 @@ impl AccessSupportRelation {
     }
 }
 
-/// The distinct projections of the extension's rows onto columns
-/// `a ..= b`, in ascending order, all-NULL ones dropped (Definition 3.8):
-/// the column slices are sorted and deduplicated in place, and only the
-/// survivors are allocated as rows.
-fn distinct_projections(extension: &CellRows, a: usize, b: usize) -> Vec<Row> {
+/// The distinct projections of the extension's rows onto their first
+/// `w` columns, in ascending order, all-NULL ones dropped (Definition
+/// 3.8), as one buffer of cells: the column slices are sorted and
+/// deduplicated in place, and only the survivors are copied.
+fn distinct_projections(extension: &CellRows, w: usize) -> Vec<Option<Cell>> {
     let mut slices: Vec<&[Option<Cell>]> = extension
         .iter()
-        .map(|row| &row[a..=b])
+        .map(|row| &row[..w])
         .filter(|cells| cells.iter().any(Option::is_some))
         .collect();
     slices.sort_unstable();
     slices.dedup();
-    // Sized to the survivors: collecting in place would keep a slot for
-    // every extension row.
-    let mut rows = Vec::with_capacity(slices.len());
-    rows.extend(slices.into_iter().map(Row::from));
-    rows
+    let mut cells = Vec::with_capacity(slices.len() * w);
+    for slice in slices {
+        cells.extend_from_slice(slice);
+    }
+    cells
 }
 
 /// Does the decomposition span the relation width `m`?

@@ -7,9 +7,11 @@
 //! key sizes follow the paper's geometry: a tuple occupies `OIDsize ·
 //! (j − i + 1)` bytes (formula 13), keys occupy `OIDsize`.
 //!
-//! A row lives only in its two clustering trees: each holds it once,
-//! under `(first|last cell, row id)`, and both hold the same allocation.
-//! Finding a row's id is an uncharged search of one tree's cluster.
+//! A row is its own key, stored inline in both trees: the forward tree's
+//! leaves hold its cells in column order, the backward tree's the same
+//! cells rotated last column first.  Neither tree holds a value or a row
+//! id, and no row is an allocation of its own.  A cluster — the rows with
+//! one first (or last) cell — is a prefix range of one tree.
 //!
 //! A partition is a *set*: the distinct projections of the extension
 //! rows onto its span (Definition 3.8).  Several extension rows may
@@ -18,43 +20,50 @@
 //! probing (see `maintenance`), so inserting a stored row or removing an
 //! absent one is a no-op.
 //!
-//! A delta checkpoint of a partition is its dirty rows plus the pages its
-//! checkpointed version does not share with the previous checkpoint's.
-//! Taking a checkpoint marks both trees' pages
+//! A delta checkpoint of a partition is the pages its checkpointed
+//! version does not share with the previous checkpoint's, and those pages
+//! carry their rows.  Taking a checkpoint marks both trees' pages
 //! (`StoredPartition::mark_clean`); `PartitionVersion::delta` later lists
 //! the pages no longer the marked ones.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::{Bound, Range};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use asr_pagesim::{
-    BPlusTree, IoStats, NodeImage, PageMarks, PageRef, PageSlab, StatsHandle, TreeImage, OID_SIZE,
-    PAGE_SIZE,
+    IoStats, NodeImage, PageMarks, PageSlab, Prefix, RowTree, Rows, StatsHandle, TreeImage,
+    WordBuildHasher, OID_SIZE, PAGE_SIZE,
 };
 
 use crate::cell::Cell;
 use crate::error::{AsrError, Result};
 use crate::query::Frontier;
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 
-/// Tree key: clustering cell (first or last column) plus a row id making
-/// the key unique.  `None` (NULL) clusters before all defined cells.
-pub type PartitionKey = (Option<Cell>, u64);
+/// The layout of a clustering tree: rows of cells, each its own key.
+pub type Cells = Rows<Option<Cell>>;
+
+/// One of a partition's two clustering trees.
+pub type ClusterTree = RowTree<Option<Cell>>;
 
 const _: () = assert!(std::mem::size_of::<Option<Cell>>() == 16);
-const _: () = assert!(std::mem::size_of::<PartitionKey>() == 24);
+
+/// A row's cells rotated last column first: its backward-tree key.
+fn rotated(cells: &[Option<Cell>]) -> Vec<Option<Cell>> {
+    let (last, rest) = cells.split_last().expect("rows are never 0-ary");
+    std::iter::once(last).chain(rest).cloned().collect()
+}
 
 /// A partition `[S_from, …, S_to]` stored in two clustered B+ trees.
 #[derive(Debug)]
 pub struct StoredPartition {
     from: usize,
     to: usize,
-    fwd: BPlusTree<PartitionKey, Row>,
-    bwd: BPlusTree<PartitionKey, Row>,
-    next_rowid: u64,
-    /// What changed since the base checkpoint ([`Self::mark_clean`]).
+    /// Rows in column order, clustered on the first column.
+    fwd: ClusterTree,
+    /// Rows rotated last column first, clustered on the last column.
+    bwd: ClusterTree,
+    /// Both trees' pages as of the base checkpoint ([`Self::mark_clean`]).
     changes: PartitionChanges,
     /// The published MVCC version of this partition
     /// ([`Self::publish_version`]) while it is current.  Every mutation
@@ -69,13 +78,13 @@ impl StoredPartition {
     /// `[from, to]` of the host relation.
     pub fn new(from: usize, to: usize, stats: StatsHandle) -> Self {
         assert!(from < to, "partitions span at least two columns");
-        let tuple_size = OID_SIZE * (to - from + 1); // formula (13)
+        let arity = to - from + 1;
+        let tuple_size = OID_SIZE * arity; // formula (13)
         StoredPartition {
             from,
             to,
-            fwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
-            bwd: BPlusTree::new(tuple_size, OID_SIZE, Rc::clone(&stats)),
-            next_rowid: 0,
+            fwd: RowTree::new(arity, tuple_size, OID_SIZE, Rc::clone(&stats)),
+            bwd: RowTree::new(arity, tuple_size, OID_SIZE, Rc::clone(&stats)),
             changes: PartitionChanges::default(),
             version: None,
             stats,
@@ -102,7 +111,6 @@ impl StoredPartition {
         PartitionVersion {
             from: self.from,
             to: self.to,
-            next_rowid: self.next_rowid,
             fwd: self.fwd.freeze(),
             bwd: self.bwd.freeze(),
         }
@@ -138,13 +146,13 @@ impl StoredPartition {
         self.fwd.pages().page_count() + self.bwd.pages().page_count()
     }
 
-    /// The forward-clustered tree (keyed on the first column).
-    pub fn forward_tree(&self) -> &BPlusTree<PartitionKey, Row> {
+    /// The forward-clustered tree (rows in column order).
+    pub fn forward_tree(&self) -> &ClusterTree {
         &self.fwd
     }
 
-    /// The backward-clustered tree (keyed on the last column).
-    pub fn backward_tree(&self) -> &BPlusTree<PartitionKey, Row> {
+    /// The backward-clustered tree (rows rotated last column first).
+    pub fn backward_tree(&self) -> &ClusterTree {
         &self.bwd
     }
 
@@ -184,31 +192,10 @@ impl StoredPartition {
         Ok(())
     }
 
-    /// The id `row` is stored under, if it is stored: an uncharged search
-    /// of the forward tree's cluster of its first cell, or, when that is
-    /// NULL, of the backward tree's cluster of its last cell.  A row NULL
-    /// at both ends is searched for in the forward tree's NULL cluster.
-    /// Reads the pages directly: no page is charged, and no buffer-pool or
-    /// batch state changes.
-    fn rowid_of(&self, row: &Row) -> Option<u64> {
-        let (tree, cell) = match (row.first(), row.last()) {
-            (None, Some(_)) => (&self.bwd, row.last()),
-            _ => (&self.fwd, row.first()),
-        };
-        let lo = (cell.clone(), 0);
-        let hi = (cell.clone(), u64::MAX);
-        let mut found = None;
-        tree.pages().scan_range(
-            Bound::Included(&lo),
-            Bound::Excluded(&hi),
-            &|_| {},
-            |&(_, rowid), stored| {
-                if found.is_none() && stored == row {
-                    found = Some(rowid);
-                }
-            },
-        );
-        found
+    /// Is `row` stored?  An uncharged point lookup in the forward tree:
+    /// no page is charged, and no buffer-pool or batch state changes.
+    fn contains(&self, row: &Row) -> bool {
+        self.fwd.pages().get_entry(row.cells(), &|_| {}).is_some()
     }
 
     /// Store `row` in both trees unless it is stored already.  Returns
@@ -216,15 +203,12 @@ impl StoredPartition {
     /// nothing.  All-NULL rows are ignored (partitions never store them).
     pub fn insert(&mut self, row: Row) -> Result<bool> {
         self.check_arity(&row)?;
-        if row.is_all_null() || self.rowid_of(&row).is_some() {
+        if row.is_all_null() || self.contains(&row) {
             return Ok(false);
         }
         self.version = None;
-        let rowid = self.next_rowid;
-        self.next_rowid += 1;
-        self.changes.dirty_rows.insert(rowid);
-        self.fwd.insert((row.first().clone(), rowid), row.clone())?;
-        self.bwd.insert((row.last().clone(), rowid), row)?;
+        self.fwd.insert(row.cells())?;
+        self.bwd.insert(&rotated(row.cells()))?;
         Ok(true)
     }
 
@@ -232,41 +216,33 @@ impl StoredPartition {
     /// (returns `false`) that charges nothing.
     pub fn remove(&mut self, row: &Row) -> Result<bool> {
         self.check_arity(row)?;
-        let Some(rowid) = self.rowid_of(row) else {
+        if !self.contains(row) {
             return Ok(false);
-        };
-        self.version = None;
-        if !self.changes.bulk_rows.contains(&rowid) {
-            self.changes.dirty_rows.remove(&rowid);
         }
-        self.changes.dead_rows.insert(rowid);
-        self.fwd.remove(&(row.first().clone(), rowid));
-        self.bwd.remove(&(row.last().clone(), rowid));
+        self.version = None;
+        self.fwd.remove(row.cells());
+        self.bwd.remove(&rotated(row.cells()));
         Ok(true)
     }
 
     /// All rows whose *first* column equals `cell` — a forward cluster
     /// lookup (`ht + nlp` page accesses in the paper's terms).
     pub fn lookup_first(&self, cell: &Cell) -> Vec<Row> {
-        let lo = (Some(cell.clone()), 0u64);
-        let hi = (Some(cell.clone()), u64::MAX);
-        self.fwd
-            .range_collect(&lo, &hi)
-            .into_iter()
-            .map(|(_, row)| row)
-            .collect()
+        let mut rows = Vec::new();
+        (self.fwd).scan_entries(&Prefix(Some(cell.clone())), |cells| {
+            rows.push(RowRef::new(cells).to_row())
+        });
+        rows
     }
 
     /// All rows whose *last* column equals `cell` — a backward cluster
     /// lookup on the second tree.
     pub fn lookup_last(&self, cell: &Cell) -> Vec<Row> {
-        let lo = (Some(cell.clone()), 0u64);
-        let hi = (Some(cell.clone()), u64::MAX);
-        self.bwd
-            .range_collect(&lo, &hi)
-            .into_iter()
-            .map(|(_, row)| row)
-            .collect()
+        let mut rows = Vec::new();
+        (self.bwd).scan_entries(&Prefix(Some(cell.clone())), |cells| {
+            rows.push(RowRef::rotated(cells).to_row())
+        });
+        rows
     }
 
     /// The partition's one batched probe: visit, by reference, the rows
@@ -275,78 +251,91 @@ impl StoredPartition {
     /// [`Self::lookup_first`] / [`Self::lookup_last`] answers — through one
     /// shared descent of that clustering tree, each page charged at most
     /// once for the whole batch.
-    pub fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
-        let tree = if forward { &self.fwd } else { &self.bwd };
-        tree.scan_ranges_sorted(cell_ranges(frontier), |_, _, row| visit(row));
+    pub fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>)) {
+        if forward {
+            (self.fwd).probe_sorted(cell_ranges(frontier), |_, cells| visit(RowRef::new(cells)));
+        } else {
+            (self.bwd).probe_sorted(cell_ranges(frontier), |_, cells| {
+                visit(RowRef::rotated(cells))
+            });
+        }
     }
 
     /// Exhaustively scan all rows (used when a query enters a partition in
     /// the middle — the paper's `ap^{i,j}` full-scan term in formula 33).
-    pub fn scan(&self, mut visit: impl FnMut(&Row)) {
-        self.fwd.scan_all(|_, row| visit(row));
+    pub fn scan(&self, mut visit: impl FnMut(RowRef<'_>)) {
+        self.fwd.visit_all(|cells| visit(RowRef::new(cells)));
     }
 
     /// Bulk-load distinct rows, building both clustered B+ trees
     /// bottom-up (one page write per created node — the fast path of
-    /// [`crate::AccessSupportRelation::rebuild`]).  Row ids are issued in
-    /// the order the rows come, so rows in ascending order fill the
-    /// forward tree already in key order; the backward tree's entries are
-    /// sorted by last cell.  The forward tree is built before the
-    /// backward one, on the calling thread, and the partition counts as
-    /// wholly dirty until its next checkpoint.
-    ///
-    /// The partition must be empty and the rows distinct; all-NULL rows
-    /// are skipped.
+    /// [`crate::AccessSupportRelation::rebuild`]).  The partition must be
+    /// empty and the rows distinct; all-NULL rows are skipped.
     pub fn bulk_load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        assert!(self.is_empty(), "bulk_load requires an empty partition");
         let mut rows: Vec<Row> = rows.into_iter().collect();
         if let Some(row) = rows.iter().find(|row| row.arity() != self.arity()) {
             return self.check_arity(row);
         }
         rows.retain(|row| !row.is_all_null());
+        rows.sort_unstable();
+        let cells = rows.iter().flat_map(Row::cells).cloned().collect();
+        self.bulk_load_sorted(cells)
+    }
+
+    /// [`Self::bulk_load`] of the cells of strictly ascending rows, none
+    /// all-NULL, row after row.  The forward tree's leaves are cut out of
+    /// `cells` as they are; the backward tree's are the rows rotated and
+    /// ordered by last cell, rows with the same last cell in forward
+    /// order — exactly the rotated rows' order.  The forward tree is built
+    /// first, on the calling thread.
+    pub(crate) fn bulk_load_sorted(&mut self, cells: Vec<Option<Cell>>) -> Result<()> {
+        assert!(self.is_empty(), "bulk_load requires an empty partition");
+        let w = self.arity();
+        let row = |k: usize| &cells[k * w..(k + 1) * w];
+        let mut order: Vec<usize> = (0..cells.len() / w).collect();
+        order.sort_by(|&a, &b| row(a)[w - 1].cmp(&row(b)[w - 1]));
+        let mut bwd = Vec::with_capacity(cells.len());
+        for k in order {
+            let (last, rest) = row(k).split_last().expect("rows are never 0-ary");
+            bwd.push(last.clone());
+            bwd.extend_from_slice(rest);
+        }
         self.version = None;
-        let first = self.next_rowid;
-        self.next_rowid += rows.len() as u64;
-        self.changes.bulk_rows = first..self.next_rowid;
-        let mut fwd: Vec<(PartitionKey, Row)> = (first..)
-            .zip(&rows)
-            .map(|(rowid, row)| ((row.first().clone(), rowid), row.clone()))
-            .collect();
-        fwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.fwd.fill(fwd)?;
-        let mut bwd: Vec<(PartitionKey, Row)> = (first..)
-            .zip(rows)
-            .map(|(rowid, row)| ((row.last().clone(), rowid), row))
-            .collect();
-        bwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.bwd.fill(bwd)?;
+        self.fwd.fill_entries(cells)?;
+        self.bwd.fill_entries(bwd)?;
         Ok(())
     }
 
-    /// The partition's physical image owning its rows — what outlives
-    /// the partition (a base image to patch).  Charges nothing.
+    /// The partition's physical image — what outlives the partition (a
+    /// base image to patch).  Charges nothing.
     pub(crate) fn dump(&self) -> PartitionImage {
-        let everything = PartitionChanges::everything();
-        self.freeze().delta(&everything).owned().into_image()
+        PartitionImage {
+            from: self.from,
+            to: self.to,
+            fwd: self.fwd.dump_image(),
+            bwd: self.bwd.dump_image(),
+            fwd_bytes: 0,
+            bwd_bytes: 0,
+        }
     }
 
     /// Make the partition as it is now the base of the next delta
-    /// checkpoint: mark both trees' pages and start new row sets.  Returns
-    /// the changes since the previous base.  Invoked when a checkpoint
-    /// (full or delta) of this partition is taken or loaded.
+    /// checkpoint: mark both trees' pages.  Returns the marks of the
+    /// previous base.  Invoked when a checkpoint (full or delta) of this
+    /// partition is taken or loaded.
     pub(crate) fn mark_clean(&mut self) -> PartitionChanges {
         let base = PartitionChanges {
             fwd: self.fwd.pages().marks(),
             bwd: self.bwd.pages().marks(),
-            ..PartitionChanges::default()
         };
         std::mem::replace(&mut self.changes, base)
     }
 
-    /// How many distinct rows changed (dirty + dead) since the base —
-    /// the shell's "pages saved" summary uses this.
-    pub(crate) fn changed_rows(&self) -> usize {
-        self.changes.rows()
+    /// How many pages of both trees changed since the base — the shell's
+    /// checkpoint-lineage summary uses this.
+    pub(crate) fn changed_pages(&self) -> usize {
+        self.fwd.pages().changed_since(&self.changes.fwd).count()
+            + self.bwd.pages().changed_since(&self.changes.bwd).count()
     }
 
     /// Physically re-attach a partition from its snapshot image: register
@@ -355,78 +344,26 @@ impl StoredPartition {
     /// page images — each tree charged one read per page of its share of
     /// the serialized physical section, no extension join, no bulk build.
     ///
-    /// Each row is allocated once, its cells moved out of the image, in
-    /// backward clustering order (the order of the backward tree's leaf
-    /// chain): the image lists rows by row id, so they were parsed in
-    /// forward order, and the backward span walks that follow a restart
-    /// (three quarters of the query mixes) then visit rows in the order
-    /// they sit in memory.  Leaf keys are not stored in the image; they
-    /// are re-derived from the rows as `(row.first|last, rowid)` — an
-    /// invariant of both [`Self::insert`] and [`Self::bulk_load`] — and
-    /// each leaf's row ids resolve through the rows in ascending row-id
-    /// order.  Any inconsistency (unknown row ids, a row listed twice,
-    /// cardinality mismatches, corrupt page layouts) yields a descriptive
-    /// error and never panics.
-    pub(crate) fn restore(
-        mut img: PartitionImage,
-        stats: StatsHandle,
-        label: &str,
-    ) -> Result<Self> {
+    /// [`asr_pagesim::BTree::adopt_image`] validates each tree (page
+    /// layout, rows of the partition's width, keys strictly ascending);
+    /// then both trees must hold the same rows.  Any inconsistency yields
+    /// a descriptive error and never panics.
+    pub(crate) fn restore(img: PartitionImage, stats: StatsHandle, label: &str) -> Result<Self> {
         let corrupt = |msg: String| AsrError::Snapshot(format!("partition image: {msg}"));
         if img.from >= img.to {
             return Err(corrupt(format!("bad span ({}, {})", img.from, img.to)));
         }
         let mut p = StoredPartition::new(img.from, img.to, stats);
         p.tag(label);
-        let rows = &mut img.rows;
-        if rows.arity != p.arity() || rows.cells.len() != rows.ids.len() * rows.arity {
-            return Err(corrupt(format!("rows have arity {}", rows.arity)));
-        }
-        for &rowid in &rows.ids {
-            if rowid >= img.next_rowid {
-                return Err(corrupt(format!("row id {rowid} >= next_rowid")));
-            }
-        }
-        let by_rowid = RowIds::new(&rows.ids).map_err(corrupt)?;
-        // Allocate in the backward tree's key order: along its leaves, then
-        // (in a damaged image only) whatever rows they do not name.  `at[k]`
-        // is where the row listed `k`th lands in `made`.
-        let mut at = vec![usize::MAX; rows.len()];
-        let mut made = Vec::with_capacity(rows.len());
-        let chain = img.bwd.leaf_chain();
-        let named = chain
-            .iter()
-            .flat_map(|leaf| leaf.iter())
-            .filter_map(|&id| by_rowid.get(id));
-        for k in named.chain(0..rows.len()) {
-            if at[k] == usize::MAX {
-                at[k] = made.len();
-                made.push(Row::take(rows.row_mut(k)));
-            }
-        }
-        let row_of = |rowid| by_rowid.get(rowid).map(|k| &made[at[k]]);
-        let fwd = img.fwd.materialize(row_of, Row::first)?;
-        let bwd = img.bwd.materialize(row_of, Row::last)?;
-        p.fwd.adopt_image(fwd)?;
-        p.bwd.adopt_image(bwd)?;
-        let n = made.len();
-        drop(made);
-        if p.fwd.pages().len() != n || p.bwd.pages().len() != n {
+        p.fwd.adopt_image(img.fwd)?;
+        p.bwd.adopt_image(img.bwd)?;
+        if !same_rows(p.fwd.pages(), p.bwd.pages()) {
             return Err(corrupt(format!(
-                "tree cardinality mismatch: fwd={} bwd={} rows={n}",
+                "the trees hold different rows: fwd={} bwd={}",
                 p.fwd.pages().len(),
-                p.bwd.pages().len(),
+                p.bwd.pages().len()
             )));
         }
-        // Each tree now names every listed row id once, so the rows are
-        // the trees' rows; a row must still not be listed twice.
-        let twice = duplicate_rows(&p.fwd);
-        if twice > 0 {
-            return Err(corrupt(format!(
-                "{twice} rows listed twice under different row ids"
-            )));
-        }
-        p.next_rowid = img.next_rowid;
         // Price the restore: pulling each tree's serialized pages in from
         // the snapshot, attributed per tree (at least one page each).
         p.fwd.charge_restore_reads(restore_pages(img.fwd_bytes));
@@ -438,92 +375,91 @@ impl StoredPartition {
     /// the backward tree (by last cell) or the forward tree (by first
     /// cell).  Charges nothing: the inspection-only reassembly of
     /// [`crate::AccessSupportRelation::full_rows`] reads it.
-    pub(crate) fn clustered_rows(&self, backward: bool) -> Vec<&Row> {
+    pub(crate) fn clustered_rows(&self, backward: bool) -> Vec<Row> {
         let tree = if backward { &self.bwd } else { &self.fwd };
         let mut rows = Vec::with_capacity(tree.pages().len());
-        tree.pages().scan_all(|_| {}, |_, row| rows.push(row));
+        tree.pages().scan_all(
+            |_| {},
+            |cells| {
+                let row = if backward {
+                    RowRef::rotated(cells)
+                } else {
+                    RowRef::new(cells)
+                };
+                rows.push(row.to_row());
+            },
+        );
         rows
     }
 
     /// Verify the partition's invariants; used by tests.  Both trees are
-    /// well-formed B+ trees holding the same rows under the same row ids,
-    /// each keyed by its clustering cell; and no row is stored twice.
+    /// well-formed B+ trees of rows of the partition's width, keyed
+    /// strictly ascending (so no row is stored twice), holding the same
+    /// rows.
     pub fn check_consistency(&self) -> Result<()> {
-        let corrupt = |msg: String| {
-            Err(AsrError::PageSim(
-                asr_pagesim::PageSimError::CorruptStructure(msg),
-            ))
-        };
         self.fwd.check_invariants()?;
         self.bwd.check_invariants()?;
-        /// A tree's `(rowid, row)` entries sorted by row id, and whether
-        /// every key is its row's clustering cell.
-        fn by_rowid(
-            tree: &BPlusTree<PartitionKey, Row>,
-            key_cell: fn(&Row) -> &Option<Cell>,
-        ) -> (Vec<(u64, &Row)>, bool) {
-            let mut entries = Vec::with_capacity(tree.pages().len());
-            let mut keyed = true;
-            tree.pages().scan_all(
-                |_| {},
-                |(cell, rowid), row| {
-                    keyed &= cell == key_cell(row);
-                    entries.push((*rowid, row));
-                },
-            );
-            entries.sort_unstable_by_key(|&(rowid, _)| rowid);
-            (entries, keyed)
-        }
-        let (fwd, fwd_keyed) = by_rowid(&self.fwd, Row::first);
-        let (bwd, bwd_keyed) = by_rowid(&self.bwd, Row::last);
-        if !fwd_keyed || !bwd_keyed {
-            return corrupt("a tree key is not its row's clustering cell".into());
-        }
-        if fwd != bwd {
-            return corrupt(format!(
-                "the trees hold different rows: fwd={} bwd={}",
-                fwd.len(),
-                bwd.len()
+        if !same_rows(self.fwd.pages(), self.bwd.pages()) {
+            return Err(AsrError::PageSim(
+                asr_pagesim::PageSimError::CorruptStructure(format!(
+                    "the trees hold different rows: fwd={} bwd={}",
+                    self.fwd.pages().len(),
+                    self.bwd.pages().len()
+                )),
             ));
-        }
-        if fwd.windows(2).any(|w| w[0].0 == w[1].0) {
-            return corrupt("a row id is stored twice".into());
-        }
-        let twice = duplicate_rows(&self.fwd);
-        if twice > 0 {
-            return corrupt(format!("{twice} rows stored twice"));
         }
         Ok(())
     }
 }
 
-/// How many of `tree`'s rows equal an earlier one.  Equal rows share
-/// their clustering cell, so each cluster is checked on its own.
-/// Charges nothing.
-fn duplicate_rows(tree: &BPlusTree<PartitionKey, Row>) -> usize {
-    let mut rows = Vec::with_capacity(tree.pages().len());
-    tree.pages().scan_all(|_| {}, |_, row| rows.push(row));
-    rows.chunk_by_mut(|a, b| a.first() == b.first())
-        .map(|cluster| {
-            cluster.sort_unstable();
-            cluster.windows(2).filter(|w| w[0] == w[1]).count()
-        })
-        .sum()
+/// Do the forward tree's rows and the backward tree's rotated rows form
+/// the same set?  Each tree's keys ascend strictly, so each holds
+/// distinct rows, and equal counts plus a one-to-one match settle it.
+/// The backward tree lists the rows ending in a cell `z` as one cluster,
+/// in forward order; so, walking the forward rows in order, a row ending
+/// in `z` must be the next unmatched row of cluster `z`.  Charges
+/// nothing.  The cluster map hashes with [`asr_pagesim::WordHasher`], as
+/// the clustered files' OID index rebuilt from the same document does:
+/// cells a writer chose to collide could make it slow, never wrong, and
+/// SipHash took 3–4× as long (≈4 ms against ≈1.3 ms for one partition of
+/// 29 000 rows).
+fn same_rows(fwd: &PageSlab<Cells>, bwd: &PageSlab<Cells>) -> bool {
+    if fwd.len() != bwd.len() || fwd.stride() != bwd.stride() {
+        return false;
+    }
+    let mut rotated: Vec<&[Option<Cell>]> = Vec::with_capacity(bwd.len());
+    bwd.scan_all(|_| {}, |cells| rotated.push(cells));
+    let clusters = 1 + rotated.windows(2).filter(|w| w[0][0] != w[1][0]).count();
+    let mut next: HashMap<&Option<Cell>, usize, WordBuildHasher> =
+        HashMap::with_capacity_and_hasher(clusters, WordBuildHasher::default());
+    for (at, cells) in rotated.iter().enumerate() {
+        next.entry(&cells[0]).or_insert(at);
+    }
+    let mut same = true;
+    fwd.scan_all(
+        |_| {},
+        |cells| {
+            let (last, rest) = cells.split_last().expect("rows are never 0-ary");
+            match next.get_mut(last) {
+                Some(at)
+                    if rotated
+                        .get(*at)
+                        .is_some_and(|r| r[0] == *last && r[1..] == *rest) =>
+                {
+                    *at += 1
+                }
+                _ => same = false,
+            }
+        },
+    );
+    same
 }
 
-/// The batched probe's key ranges: for each frontier cell, the keys
-/// `(cell, 0) ..< (cell, u64::MAX)` of the rows clustered under it.  A
-/// live partition and a pinned version probe with the same ranges.
-pub(crate) fn cell_ranges(
-    frontier: &Frontier,
-) -> impl Iterator<Item = (Bound<PartitionKey>, Bound<PartitionKey>)> + '_ {
-    frontier.cells().iter().map(|c| {
-        let key = Some(c.clone());
-        (
-            Bound::Included((key.clone(), 0u64)),
-            Bound::Excluded((key, u64::MAX)),
-        )
-    })
+/// The batched probe's key ranges: for each frontier cell, the cluster of
+/// rows keyed under it.  A live partition and a pinned version probe with
+/// the same ranges.
+pub(crate) fn cell_ranges(frontier: &Frontier) -> impl Iterator<Item = Prefix<Option<Cell>>> + '_ {
+    frontier.cells().iter().map(|c| Prefix(Some(c.clone())))
 }
 
 /// An immutable version of one [`StoredPartition`]
@@ -535,11 +471,10 @@ pub(crate) fn cell_ranges(
 pub(crate) struct PartitionVersion {
     from: usize,
     to: usize,
-    next_rowid: u64,
-    /// The forward-clustered tree's pages (keyed on the first column).
-    pub fwd: PageSlab<PartitionKey, Row>,
-    /// The backward-clustered tree's pages (keyed on the last column).
-    pub bwd: PageSlab<PartitionKey, Row>,
+    /// The forward-clustered tree's pages (rows in column order).
+    pub fwd: PageSlab<Cells>,
+    /// The backward-clustered tree's pages (rows rotated).
+    pub bwd: PageSlab<Cells>,
 }
 
 impl PartitionVersion {
@@ -553,93 +488,73 @@ impl PartitionVersion {
         self.fwd.len()
     }
 
-    /// The rows whose id `keep` accepts, read off the forward tree's
-    /// leaves: `(row, rowid)`, sorted by row id.
-    fn rows_by_id(&self, keep: impl Fn(u64) -> bool) -> RowRefs<'_> {
-        let mut rows = Vec::new();
-        self.fwd.scan_all(
-            |_| {},
-            |&(_, rowid), row| {
-                if keep(rowid) {
-                    rows.push((row, rowid));
-                }
-            },
-        );
-        rows.sort_unstable_by_key(|&(_, rowid)| rowid);
-        rows
-    }
-
     /// What this version changed since the base `changes` was marked at:
-    /// the dirty rows read off the forward tree (borrowed, sorted by row
-    /// id), the dead row ids, and each tree's pages not shared with the
-    /// base.  Charges nothing — the delta writer prices the bytes it
-    /// emits.
-    pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> PartitionDelta<RowRefs<'a>> {
-        PartitionDelta {
+    /// each tree's pages not shared with the base, borrowed.  Charges
+    /// nothing — the delta writer prices the bytes it emits.
+    pub fn delta<'a>(&'a self, changes: &PartitionChanges) -> VersionDelta<'a> {
+        VersionDelta {
             from: self.from,
             to: self.to,
-            next_rowid: self.next_rowid,
-            nrows: self.len(),
-            upserts: self.rows_by_id(|rowid| changes.is_dirty(rowid)),
-            deletes: changes.dead_rows.iter().copied().collect(),
-            fwd: RawTreeDelta::changed(&self.fwd, &changes.fwd),
-            bwd: RawTreeDelta::changed(&self.bwd, &changes.bwd),
-            fwd_bytes: 0,
-            bwd_bytes: 0,
+            fwd: ChangedPages::of(&self.fwd, &changes.fwd),
+            bwd: ChangedPages::of(&self.bwd, &changes.bwd),
         }
     }
 }
 
-/// What a partition changed since its base checkpoint: the base's page
-/// marks for each clustering tree, and the rows written or removed since.
+/// Both clustering trees' pages as of a base checkpoint.
 /// [`StoredPartition::mark_clean`] hands it over and
 /// [`PartitionVersion::delta`] reads a delta off a version with it.  The
-/// default (empty marks) counts every page as changed.
+/// default (empty marks) counts every page as changed: read off a
+/// version, it makes its delta over an empty partition — its image.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionChanges {
-    fwd: PageMarks<PartitionKey, Row>,
-    bwd: PageMarks<PartitionKey, Row>,
-    /// The row ids a bulk load issued since the base: every one of them
-    /// is dirty until it is removed, without a set entry each.
-    bulk_rows: Range<u64>,
-    /// Row ids otherwise stored since the base — with `bulk_rows`, the
-    /// row half of a delta checkpoint.
-    dirty_rows: BTreeSet<u64>,
-    /// Row ids physically removed.
-    dead_rows: BTreeSet<u64>,
+    fwd: PageMarks<Cells>,
+    bwd: PageMarks<Cells>,
 }
 
 impl PartitionChanges {
-    /// Changes that count every row and every page as written: read off a
-    /// version, they make its delta over an empty partition — its image.
-    pub(crate) fn everything() -> Self {
-        PartitionChanges {
-            bulk_rows: 0..u64::MAX,
-            ..PartitionChanges::default()
-        }
-    }
-
     /// Was the partition made since the base (created or rebuilt), so
     /// that these changes are not measured from the base's partition?
     pub(crate) fn is_fresh(&self) -> bool {
         self.fwd.is_empty()
     }
+}
 
-    /// Was the live row `rowid` stored since the base?
-    fn is_dirty(&self, rowid: u64) -> bool {
-        self.bulk_rows.contains(&rowid) || self.dirty_rows.contains(&rowid)
-    }
+/// What a [`PartitionVersion`] changed since a base: the pages of each
+/// tree the base does not share, read in place by the checkpoint writer.
+#[derive(Debug)]
+pub(crate) struct VersionDelta<'a> {
+    pub from: usize,
+    pub to: usize,
+    pub fwd: ChangedPages<'a>,
+    pub bwd: ChangedPages<'a>,
+}
 
-    /// Distinct rows changed (dirty + dead).
-    pub fn rows(&self) -> usize {
-        let bulk_dead = self.dead_rows.range(self.bulk_rows.clone()).count();
-        let bulk_live = self.bulk_rows.end - self.bulk_rows.start - bulk_dead as u64;
-        bulk_live as usize + self.dirty_rows.len() + self.dead_rows.len()
+impl VersionDelta<'_> {
+    /// Did anything change?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.fwd.slots.is_empty() && self.bwd.slots.is_empty()
     }
 }
 
-/// The serializable physical state of one [`StoredPartition`]: its rows
-/// with their row ids, plus raw page images of both clustering trees.
+/// One tree's slab and the slots, ascending, that changed since a base.
+#[derive(Debug)]
+pub(crate) struct ChangedPages<'a> {
+    pub pages: &'a PageSlab<Cells>,
+    pub slots: Vec<usize>,
+}
+
+impl<'a> ChangedPages<'a> {
+    fn of(pages: &'a PageSlab<Cells>, base: &PageMarks<Cells>) -> Self {
+        ChangedPages {
+            pages,
+            slots: pages.changed_since(base).collect(),
+        }
+    }
+}
+
+/// The serializable physical state of one [`StoredPartition`]: the page
+/// images of both clustering trees, whose leaves carry the rows.
 /// Produced by `StoredPartition::dump` and the checkpoint readers,
 /// consumed by `StoredPartition::restore`.
 #[derive(Debug, Clone, PartialEq)]
@@ -648,118 +563,15 @@ pub(crate) struct PartitionImage {
     pub from: usize,
     /// Last spanned column (inclusive).
     pub to: usize,
-    /// Row-id allocator position (preserves future id assignment).
-    pub next_rowid: u64,
-    /// The rows with their row ids.
-    pub rows: RowTable,
     /// Page image of the forward-clustered tree.
-    pub fwd: RawTreeImage,
+    pub fwd: TreeImage<Cells>,
     /// Page image of the backward-clustered tree.
-    pub bwd: RawTreeImage,
-    /// Checkpoint bytes backing the forward tree (its tree section plus
-    /// half the partition's row section) — what its restore read charge
-    /// is based on.  Zero for a [`StoredPartition::dump`].
+    pub bwd: TreeImage<Cells>,
+    /// Checkpoint bytes backing the forward tree — what its restore read
+    /// charge is based on.  Zero for a [`StoredPartition::dump`].
     pub fwd_bytes: usize,
     /// Serialized snapshot bytes backing the backward tree.
     pub bwd_bytes: usize,
-}
-
-/// A version's rows borrowed from its forward tree: `(row, rowid)`,
-/// sorted by row id.
-pub(crate) type RowRefs<'a> = Vec<(&'a Row, u64)>;
-
-/// Rows that are not allocated yet: each row's id in listing order, and
-/// the cells of all of them in one buffer, `arity` per row.  What the
-/// checkpoint readers decode rows into, so that
-/// [`StoredPartition::restore`] allocates every row exactly once.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RowTable {
-    /// Cells per row.
-    pub arity: usize,
-    /// The row id of each row.
-    pub ids: Vec<u64>,
-    /// Every row's cells, row after row.
-    pub cells: Vec<Option<Cell>>,
-}
-
-impl RowTable {
-    /// No rows of `arity` cells yet.
-    pub fn new(arity: usize) -> Self {
-        RowTable::with_capacity(arity, 0)
-    }
-
-    /// No rows of `arity` cells yet, with room for `rows` of them.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        RowTable {
-            arity,
-            ids: Vec::with_capacity(rows),
-            cells: Vec::with_capacity(rows * arity),
-        }
-    }
-
-    /// Rows listed.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Copies of borrowed rows of `arity` cells.
-    pub fn copied(arity: usize, rows: &RowRefs<'_>) -> Self {
-        let mut table = RowTable::new(arity);
-        for &(row, rowid) in rows {
-            table.push(rowid, row.cells().iter().cloned());
-        }
-        table
-    }
-
-    /// List one row; `cells` must yield `arity` cells.
-    pub fn push(&mut self, rowid: u64, cells: impl IntoIterator<Item = Option<Cell>>) {
-        self.ids.push(rowid);
-        self.cells.extend(cells);
-    }
-
-    /// The cells of the row listed `k`th.
-    pub fn row(&self, k: usize) -> &[Option<Cell>] {
-        &self.cells[k * self.arity..(k + 1) * self.arity]
-    }
-
-    fn row_mut(&mut self, k: usize) -> &mut [Option<Cell>] {
-        &mut self.cells[k * self.arity..(k + 1) * self.arity]
-    }
-}
-
-/// Row ids in ascending order, each with the listing position of its
-/// row — how a leaf's row ids find their rows.
-struct RowIds(Vec<(u64, usize)>);
-
-impl RowIds {
-    /// Index `ids` (listing order); a row id listed twice is an error.
-    fn new(ids: &[u64]) -> std::result::Result<Self, String> {
-        let mut by_rowid: Vec<(u64, usize)> = ids
-            .iter()
-            .enumerate()
-            .map(|(k, &rowid)| (rowid, k))
-            .collect();
-        by_rowid.sort_unstable();
-        if let Some(twice) = by_rowid.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(format!("row id {} appears twice", twice[0].0));
-        }
-        Ok(RowIds(by_rowid))
-    }
-
-    /// The listing position of the row with id `rowid`.  Row ids are
-    /// issued densely, so a row id's offset from the first one is nearly
-    /// always its position; a binary search finds the others.
-    fn get(&self, rowid: u64) -> Option<usize> {
-        let first = self.0.first()?.0;
-        let guess = usize::try_from(rowid.wrapping_sub(first)).ok();
-        match guess.and_then(|at| self.0.get(at)) {
-            Some(&(id, k)) if id == rowid => Some(k),
-            _ => {
-                let at = self.0.binary_search_by_key(&rowid, |&(id, _)| id).ok()?;
-                Some(self.0[at].1)
-            }
-        }
-    }
 }
 
 /// Pages a restored tree is charged for `bytes` of serialized image
@@ -768,31 +580,20 @@ fn restore_pages(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(PAGE_SIZE as u64).max(1)
 }
 
-/// The incremental counterpart of [`PartitionImage`]: only the rows and
-/// tree pages that changed since the partition's base checkpoint, plus
-/// enough geometry (root, height, free list, slab size) to patch a base
-/// image into the current state.  Produced by [`PartitionVersion::delta`]
-/// (rows borrowed) for the checkpoint writer and by the checkpoint
-/// reader, consumed by `PartitionImage::apply_delta` — or, over an empty
-/// partition, by [`PartitionDelta::into_image`].
+/// A partition's delta as the checkpoint reader decodes it: each tree's
+/// changed pages and post-change geometry.  Patches a base image
+/// ([`PartitionImage::apply_delta`]) or, over an empty partition, is one
+/// ([`PartitionDelta::into_image`]).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PartitionDelta<Rows = RowTable> {
+pub(crate) struct PartitionDelta {
     pub from: usize,
     pub to: usize,
-    pub next_rowid: u64,
-    /// Expected distinct-row count *after* applying this delta (integrity
-    /// check on the patched rows).
-    pub nrows: usize,
-    /// `(row, rowid)` for rows inserted since the base, listed by row id.
-    pub upserts: Rows,
-    /// Row ids physically removed since the base (ascending).
-    pub deletes: Vec<u64>,
     /// Changed pages of the forward-clustered tree.
-    pub fwd: RawTreeDelta,
+    pub fwd: TreeDelta,
     /// Changed pages of the backward-clustered tree.
-    pub bwd: RawTreeDelta,
-    /// Serialized delta bytes attributed to each tree (set by the parser;
-    /// zero on the write path) — the patched image's restore-read charge.
+    pub bwd: TreeDelta,
+    /// Serialized delta bytes attributed to each tree — the patched
+    /// image's restore-read charge.
     pub fwd_bytes: usize,
     pub bwd_bytes: usize,
 }
@@ -800,7 +601,7 @@ pub(crate) struct PartitionDelta<Rows = RowTable> {
 /// Changed pages of one clustering tree since the base, with the full
 /// post-change geometry.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct RawTreeDelta {
+pub(crate) struct TreeDelta {
     pub root: usize,
     pub height: usize,
     pub len: usize,
@@ -810,17 +611,17 @@ pub(crate) struct RawTreeDelta {
     pub total_nodes: usize,
     /// `(page id, new content)` for every page not shared with the base,
     /// including pages that became `Free`.
-    pub pages: Vec<(usize, RawNode)>,
+    pub pages: Vec<(usize, NodeImage<Cells>)>,
 }
 
-impl RawTreeDelta {
+impl TreeDelta {
     /// The image these pages make over an empty tree.
-    fn into_image(self) -> RawTreeImage {
-        let mut nodes = vec![RawNode::Free; self.total_nodes];
+    fn into_image(self) -> TreeImage<Cells> {
+        let mut nodes = vec![NodeImage::Free; self.total_nodes];
         for (slot, node) in self.pages {
             nodes[slot] = node;
         }
-        RawTreeImage {
+        TreeImage {
             root: self.root,
             height: self.height,
             len: self.len,
@@ -829,49 +630,49 @@ impl RawTreeDelta {
         }
     }
 
-    /// The pages of `pages` not shared with `base`, with the geometry.
-    fn changed(pages: &PageSlab<PartitionKey, Row>, base: &PageMarks<PartitionKey, Row>) -> Self {
-        RawTreeDelta {
-            root: pages.root_slot(),
-            height: pages.height(),
-            len: pages.len(),
-            free: pages.free_slots().to_vec(),
-            total_nodes: pages.slot_count(),
-            pages: pages
-                .changed_since(base)
-                .map(|slot| (slot, RawNode::from_page(pages.page(slot))))
-                .collect(),
+    /// Overlay these changed pages onto the `base` image and adopt their
+    /// geometry.  The slab only ever grows; every slot past the base's
+    /// slab is new, so the delta lists it.
+    fn patch(self, mut base: TreeImage<Cells>) -> Result<TreeImage<Cells>> {
+        let corrupt = |msg: String| AsrError::Snapshot(format!("tree delta: {msg}"));
+        if self.total_nodes < base.nodes.len() {
+            return Err(corrupt(format!(
+                "slab shrank ({} -> {} pages)",
+                base.nodes.len(),
+                self.total_nodes
+            )));
         }
-    }
-}
-
-impl PartitionDelta<RowRefs<'_>> {
-    /// The delta with its borrowed rows copied out.
-    pub(crate) fn owned(self) -> PartitionDelta {
-        PartitionDelta {
-            upserts: RowTable::copied(self.to - self.from + 1, &self.upserts),
-            from: self.from,
-            to: self.to,
-            next_rowid: self.next_rowid,
-            nrows: self.nrows,
-            deletes: self.deletes,
-            fwd: self.fwd,
-            bwd: self.bwd,
-            fwd_bytes: self.fwd_bytes,
-            bwd_bytes: self.bwd_bytes,
+        if self.total_nodes > base.nodes.len() + self.pages.len() {
+            return Err(corrupt(format!(
+                "slab grew by {} pages, the delta lists {}",
+                self.total_nodes - base.nodes.len(),
+                self.pages.len()
+            )));
         }
+        base.nodes.resize(self.total_nodes, NodeImage::Free);
+        for (id, node) in self.pages {
+            let total = self.total_nodes;
+            let slot = (base.nodes.get_mut(id))
+                .ok_or_else(|| corrupt(format!("page {id} outside slab of {total}")))?;
+            *slot = node;
+        }
+        Ok(TreeImage {
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            free: self.free,
+            nodes: base.nodes,
+        })
     }
 }
 
 impl PartitionDelta {
-    /// The image this delta makes over an empty partition: its rows, and
-    /// its pages in slabs that are otherwise free.
+    /// The image this delta makes over an empty partition: its pages in
+    /// slabs that are otherwise free.
     pub(crate) fn into_image(self) -> PartitionImage {
         PartitionImage {
             from: self.from,
             to: self.to,
-            next_rowid: self.next_rowid,
-            rows: self.upserts,
             fwd: self.fwd.into_image(),
             bwd: self.bwd.into_image(),
             fwd_bytes: self.fwd_bytes,
@@ -882,213 +683,25 @@ impl PartitionDelta {
 
 impl PartitionImage {
     /// Patch this (base-checkpoint) image with a delta, yielding the image
-    /// the primary would have dumped when it took the delta.  Rows are merged
-    /// by row id; tree slabs grow to the delta's size and changed pages are
-    /// overwritten.  Fails with a descriptive error on any inconsistency —
-    /// the caller falls back to a rebuild or NACKs the delivery.
-    pub(crate) fn apply_delta(mut self, d: &PartitionDelta) -> Result<PartitionImage> {
-        let corrupt = |msg: String| AsrError::Snapshot(format!("partition delta: {msg}"));
+    /// the primary would have dumped when it took the delta: tree slabs
+    /// grow to the delta's size and changed pages are overwritten.  Fails
+    /// with a descriptive error on any inconsistency — the caller falls
+    /// back to a rebuild or NACKs the delivery; restoring the patched
+    /// image checks its trees.
+    pub(crate) fn apply_delta(self, d: PartitionDelta) -> Result<PartitionImage> {
         if (self.from, self.to) != (d.from, d.to) {
-            return Err(corrupt(format!(
-                "span mismatch: base ({}, {}), delta ({}, {})",
+            return Err(AsrError::Snapshot(format!(
+                "partition delta: span mismatch: base ({}, {}), delta ({}, {})",
                 self.from, self.to, d.from, d.to
-            )));
-        }
-        if d.next_rowid < self.next_rowid {
-            return Err(corrupt(format!(
-                "next_rowid went backwards ({} -> {})",
-                self.next_rowid, d.next_rowid
-            )));
-        }
-        // Row id → where its row comes from: the base's rows less the
-        // deleted ones (which may predate the base, never shipped:
-        // tolerated), then the upserts, a later listing winning.
-        let mut merged: BTreeMap<u64, (bool, usize)> = (self.rows.ids.iter().enumerate())
-            .map(|(k, &rowid)| (rowid, (false, k)))
-            .collect();
-        for rowid in &d.deletes {
-            merged.remove(rowid);
-        }
-        for (k, &rowid) in d.upserts.ids.iter().enumerate() {
-            merged.insert(rowid, (true, k));
-        }
-        let mut rows = RowTable::new(self.rows.arity);
-        for (rowid, (upsert, k)) in merged {
-            if upsert {
-                rows.push(rowid, d.upserts.row(k).iter().cloned());
-            } else {
-                rows.push(rowid, self.rows.row_mut(k).iter_mut().map(Option::take));
-            }
-        }
-        if rows.len() != d.nrows {
-            return Err(corrupt(format!(
-                "patched image has {} rows, delta expects {}",
-                rows.len(),
-                d.nrows
             )));
         }
         Ok(PartitionImage {
             from: d.from,
             to: d.to,
-            next_rowid: d.next_rowid,
-            rows,
-            fwd: self.fwd.apply_delta(&d.fwd)?,
-            bwd: self.bwd.apply_delta(&d.bwd)?,
+            fwd: d.fwd.patch(self.fwd)?,
+            bwd: d.bwd.patch(self.bwd)?,
             fwd_bytes: d.fwd_bytes,
             bwd_bytes: d.bwd_bytes,
-        })
-    }
-}
-
-/// A [`TreeImage`] with rows referenced by id instead of stored inline:
-/// leaf entries carry only row ids (keys are re-derived on restore), while
-/// inner separator keys — which may outlive the leaf keys they were copied
-/// from — are kept verbatim.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawTreeImage {
-    pub root: usize,
-    pub height: usize,
-    pub len: usize,
-    pub free: Vec<usize>,
-    pub nodes: Vec<RawNode>,
-}
-
-/// One page of a [`RawTreeImage`].
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RawNode {
-    Inner {
-        keys: Vec<PartitionKey>,
-        children: Vec<usize>,
-    },
-    Leaf {
-        rowids: Vec<u64>,
-        next: Option<usize>,
-    },
-    Free,
-}
-
-impl RawNode {
-    /// One live page in its raw, id-referencing form: a leaf keeps only
-    /// its entries' row ids, read off the page in place.
-    fn from_page(page: PageRef<'_, PartitionKey, Row>) -> Self {
-        match page {
-            PageRef::Inner { keys, children } => RawNode::Inner {
-                keys: keys.to_vec(),
-                children: children.to_vec(),
-            },
-            PageRef::Leaf { entries, next } => RawNode::Leaf {
-                rowids: entries.iter().map(|((_, rowid), _)| *rowid).collect(),
-                next,
-            },
-            PageRef::Free => RawNode::Free,
-        }
-    }
-}
-
-impl RawTreeImage {
-    /// Overlay a delta's changed pages onto this base image and adopt its
-    /// geometry.  The slab only ever grows; changed-page ids must fall
-    /// inside the delta's declared slab size.
-    fn apply_delta(mut self, d: &RawTreeDelta) -> Result<RawTreeImage> {
-        let corrupt = |msg: String| AsrError::Snapshot(format!("tree delta: {msg}"));
-        if d.total_nodes < self.nodes.len() {
-            return Err(corrupt(format!(
-                "slab shrank ({} -> {} pages)",
-                self.nodes.len(),
-                d.total_nodes
-            )));
-        }
-        // Every slot past the base's slab is new, so the delta lists it.
-        if d.total_nodes > self.nodes.len() + d.pages.len() {
-            return Err(corrupt(format!(
-                "slab grew by {} pages, the delta lists {}",
-                d.total_nodes - self.nodes.len(),
-                d.pages.len()
-            )));
-        }
-        self.nodes.resize(d.total_nodes, RawNode::Free);
-        for (id, node) in &d.pages {
-            let slot = self
-                .nodes
-                .get_mut(*id)
-                .ok_or_else(|| corrupt(format!("page {id} outside slab of {}", d.total_nodes)))?;
-            *slot = node.clone();
-        }
-        self.root = d.root;
-        self.height = d.height;
-        self.len = d.len;
-        self.free = d.free.clone();
-        Ok(self)
-    }
-
-    /// The row ids of the leaves along the leftmost leaf's sibling chain
-    /// — every entry in key order.  Stops where the image does not hold
-    /// one well-formed chain (the adopting tree reports what is wrong).
-    fn leaf_chain(&self) -> Vec<&[u64]> {
-        let mut node = self.root;
-        for _ in 0..self.height.min(self.nodes.len()) {
-            match self.nodes.get(node) {
-                Some(RawNode::Inner { children, .. }) if !children.is_empty() => {
-                    node = children[0];
-                }
-                _ => break,
-            }
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut leaves = Vec::new();
-        while let Some(RawNode::Leaf { rowids, next }) = self.nodes.get(node) {
-            if std::mem::replace(&mut seen[node], true) {
-                break;
-            }
-            leaves.push(rowids.as_slice());
-            match next {
-                Some(next) => node = *next,
-                None => break,
-            }
-        }
-        leaves
-    }
-
-    /// Rehydrate into a full [`TreeImage`], each leaf entry's row found
-    /// by `row_of(rowid)` and its key derived from the row via `key_cell`
-    /// (`Row::first` for the forward tree, `Row::last` for the backward
-    /// one).
-    fn materialize<'r>(
-        &self,
-        row_of: impl Fn(u64) -> Option<&'r Row>,
-        key_cell: impl Fn(&Row) -> &Option<Cell>,
-    ) -> Result<TreeImage<PartitionKey, Row>> {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for raw in &self.nodes {
-            nodes.push(match raw {
-                RawNode::Inner { keys, children } => NodeImage::Inner {
-                    keys: keys.clone(),
-                    children: children.clone(),
-                },
-                RawNode::Leaf { rowids, next } => {
-                    let mut entries = Vec::with_capacity(rowids.len());
-                    for &rowid in rowids {
-                        let Some(row) = row_of(rowid) else {
-                            return Err(AsrError::Snapshot(format!(
-                                "partition image: leaf references unknown row id {rowid}"
-                            )));
-                        };
-                        entries.push(((key_cell(row).clone(), rowid), row.clone()));
-                    }
-                    NodeImage::Leaf {
-                        entries,
-                        next: *next,
-                    }
-                }
-                RawNode::Free => NodeImage::Free,
-            });
-        }
-        Ok(TreeImage {
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            free: self.free.clone(),
-            nodes,
         })
     }
 }
@@ -1108,6 +721,29 @@ mod tests {
         StoredPartition::new(0, 2, fresh_stats())
     }
 
+    /// A version's delta with its pages copied out, as the reader
+    /// decodes it.
+    fn owned(d: VersionDelta<'_>) -> PartitionDelta {
+        let tree = |c: ChangedPages<'_>| TreeDelta {
+            root: c.pages.root_slot(),
+            height: c.pages.height(),
+            len: c.pages.len(),
+            free: c.pages.free_slots().to_vec(),
+            total_nodes: c.pages.slot_count(),
+            pages: (c.slots.iter())
+                .map(|&slot| (slot, c.pages.page(slot).to_image()))
+                .collect(),
+        };
+        PartitionDelta {
+            from: d.from,
+            to: d.to,
+            fwd: tree(d.fwd),
+            bwd: tree(d.bwd),
+            fwd_bytes: 0,
+            bwd_bytes: 0,
+        }
+    }
+
     #[test]
     fn insert_and_lookup_both_directions() {
         let mut p = part();
@@ -1118,9 +754,7 @@ mod tests {
         let fwd = p.lookup_first(&Cell::Oid(asr_gom::Oid::from_raw(0)));
         assert_eq!(fwd.len(), 2);
         let bwd = p.lookup_last(&Cell::Oid(asr_gom::Oid::from_raw(2)));
-        assert_eq!(bwd.len(), 2);
-        assert!(bwd.contains(&row![c(0), c(1), c(2)]));
-        assert!(bwd.contains(&row![c(9), c(5), c(2)]));
+        assert_eq!(bwd, vec![row![c(0), c(1), c(2)], row![c(9), c(5), c(2)]]);
         p.check_consistency().unwrap();
     }
 
@@ -1195,6 +829,25 @@ mod tests {
     }
 
     #[test]
+    fn bulk_load_builds_the_trees_inserts_would_hold() {
+        let rows = (0..500u64).map(|k| row![c(k % 37), c(k), c(k % 11)]);
+        let mut bulk = part();
+        bulk.bulk_load(rows.clone().rev()).unwrap();
+        bulk.check_consistency().unwrap();
+        let mut one_by_one = part();
+        for r in rows {
+            one_by_one.insert(r).unwrap();
+        }
+        assert_eq!(bulk.clustered_rows(false), one_by_one.clustered_rows(false));
+        assert_eq!(bulk.clustered_rows(true), one_by_one.clustered_rows(true));
+        let eleven = Cell::Oid(asr_gom::Oid::from_raw(10));
+        assert_eq!(bulk.lookup_last(&eleven), one_by_one.lookup_last(&eleven));
+        let mut dup = part();
+        let twice = [row![c(1), c(2), c(3)], row![c(1), c(2), c(3)]];
+        assert!(dup.bulk_load(twice).is_err(), "rows must be distinct");
+    }
+
+    #[test]
     fn delta_patches_base_image_to_current_state() {
         let mut p = part();
         for k in 0..3000u64 {
@@ -1210,14 +863,14 @@ mod tests {
             p.remove(&row![c(k), c(k + 10000), c(k % 7)]).unwrap();
         }
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean()).owned();
+        let delta = owned(version.delta(&p.mark_clean()));
         assert!(
             delta.fwd.pages.len() < delta.fwd.total_nodes,
             "delta ships a strict subset of pages ({} of {})",
             delta.fwd.pages.len(),
             delta.fwd.total_nodes
         );
-        let patched = base.apply_delta(&delta).unwrap();
+        let patched = base.apply_delta(delta).unwrap();
         assert_eq!(patched, p.dump(), "patched base == freshly dumped state");
         let restored = StoredPartition::restore(patched, fresh_stats(), "t").unwrap();
         restored.check_consistency().unwrap();
@@ -1227,28 +880,15 @@ mod tests {
     }
 
     #[test]
-    fn a_bulk_loaded_partition_is_wholly_dirty_until_marked_clean() {
+    fn changed_pages_count_since_the_mark() {
         let mut p = part();
         p.bulk_load((0..100u64).map(|k| row![c(k), c(k + 1000), c(k % 7)]))
             .unwrap();
-        for k in 0..3u64 {
-            assert!(p.remove(&row![c(k), c(k + 1000), c(k % 7)]).unwrap());
-        }
-        for k in 100..102u64 {
-            assert!(p.insert(row![c(k), c(k + 1000), c(k % 7)]).unwrap());
-        }
-        assert_eq!(
-            p.changed_rows(),
-            99 + 3,
-            "live rows dirty, removed ones dead"
-        );
-        let version = p.freeze();
-        let changes = p.mark_clean();
-        let delta = version.delta(&changes);
-        let upserts: Vec<u64> = delta.upserts.iter().map(|&(_, rowid)| rowid).collect();
-        assert_eq!(upserts, (3..102).collect::<Vec<_>>());
-        assert_eq!(delta.deletes, vec![0, 1, 2]);
-        assert_eq!(p.changed_rows(), 0, "clean after the checkpoint");
+        assert_eq!(p.changed_pages() as u64, p.total_pages(), "all new");
+        p.mark_clean();
+        assert_eq!(p.changed_pages(), 0, "clean after the checkpoint");
+        assert!(p.remove(&row![c(0), c(1000), c(0)]).unwrap());
+        assert_eq!(p.changed_pages(), 2, "one leaf of each tree");
     }
 
     #[test]
@@ -1259,12 +899,10 @@ mod tests {
         }
         p.mark_clean();
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean()).owned();
-        assert_eq!(delta.upserts.len(), 0);
-        assert!(delta.deletes.is_empty());
-        assert!(delta.fwd.pages.is_empty());
-        assert!(delta.bwd.pages.is_empty());
-        let patched = p.dump().apply_delta(&delta).unwrap();
+        let changes = p.mark_clean();
+        assert!(version.delta(&changes).is_empty());
+        let delta = owned(version.delta(&changes));
+        let patched = p.dump().apply_delta(delta).unwrap();
         assert_eq!(patched, p.dump(), "empty delta is the identity patch");
     }
 
@@ -1278,13 +916,36 @@ mod tests {
         p.mark_clean();
         p.insert(row![c(99), c(199), c(1)]).unwrap();
         let version = p.freeze();
-        let delta = version.delta(&p.mark_clean()).owned();
+        let delta = owned(version.delta(&p.mark_clean()));
         let mut wrong = delta.clone();
-        wrong.nrows += 1; // claim a row that never arrives
-        assert!(base.clone().apply_delta(&wrong).is_err());
+        wrong.fwd.len += 1; // claim a row that never arrives
+        let patched = base.clone().apply_delta(wrong).unwrap();
+        assert!(StoredPartition::restore(patched, fresh_stats(), "t").is_err());
         let mut delta = delta;
         delta.fwd.total_nodes = 0; // slab cannot shrink
-        assert!(base.apply_delta(&delta).is_err());
+        assert!(base.apply_delta(delta).is_err());
+    }
+
+    #[test]
+    fn trees_that_disagree_are_refused() {
+        let mut p = part();
+        for k in 0..400u64 {
+            p.insert(row![c(k % 50), c(k), c(k % 13)]).unwrap();
+        }
+        let good = p.dump();
+        // One cell of one backward row changed: both trees stay valid B+
+        // trees, but no longer hold the same rows.
+        let mut img = good.clone();
+        let leaf = (img.bwd.nodes.iter_mut())
+            .find_map(|n| match n {
+                NodeImage::Leaf { entries, .. } if entries.len() > 3 => Some(entries),
+                _ => None,
+            })
+            .unwrap();
+        leaf[2] = c(999_999);
+        let err = StoredPartition::restore(img, fresh_stats(), "t").unwrap_err();
+        assert!(err.to_string().contains("different rows"), "{err}");
+        StoredPartition::restore(good, fresh_stats(), "t").unwrap();
     }
 
     #[test]

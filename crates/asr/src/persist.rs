@@ -1,9 +1,9 @@
 //! Whole-database persistence: one binary, CRC-framed checkpoint document.
 //!
-//! Every document says one thing: *apply these partition rows, tree page
-//! images, object records and variable bindings on top of base `b`*.  A
-//! full checkpoint is that document over the **empty base**; a delta
-//! checkpoint names the checkpoint it patches.  So one writer
+//! Every document says one thing: *apply these tree page images (whose
+//! leaves carry the partition rows), object records and variable bindings
+//! on top of base `b`*.  A full checkpoint is that document over the
+//! **empty base**; a delta checkpoint names the checkpoint it patches.  So one writer
 //! ([`CheckpointSource`], and [`Database::save_to_string`] over the live
 //! state) and one reader serve full, delta and chained checkpoints, crash
 //! recovery and point-in-time recovery, replica bootstrap and delta
@@ -13,7 +13,7 @@
 //!
 //! ## Layout
 //!
-//! An eight-byte magic, `\x89ASRDB\x04\n` (format version 4), then frames
+//! An eight-byte magic, `\x89ASRDB\x05\n` (format version 5), then frames
 //! in a fixed order.  A frame is `[tag u8][len u32][payload][crc u32]`;
 //! its CRC-32 ([`crate::crc32`]) covers tag, length and payload, so every
 //! flipped bit and every cut is caught before anything is decoded.
@@ -26,24 +26,27 @@
 //! | `O` | objects | object count after applying, deleted OIDs, object records, variable bindings |
 //!
 //! ```text
-//! partition := from to next_rowid nrows  rows  removed  tree(fwd) tree(bwd)
-//! rows      := n { rowid cell^(to-from+1) }        written since the base
-//! removed   := n { rowid }                         removed since the base
+//! partition := from to  tree(fwd) tree(bwd)
 //! tree      := root height len slots  n { free-slot }  n { slot page }
 //! page      := 0                                   freed
-//!            | 1 n { child } n { cell rowid }      inner
-//!            | 2 next+1|0 n { rowid }              leaf
+//!            | 1 n { child } (n-1) { row }         inner: separator rows
+//!            | 2 next+1|0 n { row }                leaf: the rows
+//! row       := cell^(to-from+1)                    backward tree: rotated
+//! cell      := 0 | 1 oid | 2 value                 NULL, OID (varint), value
 //! objects   := count  n { oid }  n { oid type# body }  n { name value }
 //! body      := n { slot value }                    tuple (non-NULL slots)
 //!            | n { value }                         set or list
 //! ```
 //!
-//! Counts, ids, row ids, page slots and OIDs are unsigned LEB128 varints;
-//! cells and values use the codec shared with the wire protocol
-//! ([`crate::codec`]).  Leaf keys are not stored: restore re-derives them
-//! as `(row.first|last, rowid)`.  Pages and objects are listed in
-//! ascending slot and OID order.  Over the empty base a document removes
-//! nothing and lists no freed page.
+//! Counts, ids, page slots and OIDs are unsigned LEB128 varints; values
+//! use the codec shared with the wire protocol ([`crate::codec`]).  A row
+//! is its own key: the forward tree's pages hold each row's cells in
+//! column order, the backward tree's the same cells rotated last column
+//! first, and a delta is the pages changed since the base, which carry
+//! their rows.  Pages and objects are listed in ascending slot and OID
+//! order.  Over the empty base a document lists no freed page.  Restoring
+//! checks each tree's pages (layout, keys strictly ascending) and that
+//! both trees hold the same rows.
 //!
 //! A delta's design frame must equal the base's byte for byte: deltas
 //! never span a design change.  The writer ships an ASR as images instead
@@ -63,6 +66,7 @@ use std::rc::Rc;
 
 use asr_gom::{ObjectBase, PathExpression, TypeRef};
 
+use crate::codec::Writer;
 use crate::database::{AsrId, Changes, Database};
 use crate::error::{AsrError, Result};
 use crate::manager::{AccessSupportRelation, AsrConfig};
@@ -73,8 +77,8 @@ use crate::store::ObjectStore;
 use format::Document;
 
 /// The format version of the binary document (1 and 2 were the text
-/// grammars, 3 their text delta).
-pub const FORMAT_VERSION: u32 = 4;
+/// grammars, 3 their text delta, 4 the binary document with row ids).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A per-ASR delta section is only worth shipping when it is at most this
 /// fraction of the ASR's full images; otherwise the writer ships images.
@@ -160,15 +164,20 @@ impl Database {
     /// design and every ASR partition's physical state — as a full
     /// checkpoint document (LSN 0, ASR ids `0..n`).
     pub fn save_to_string(&self) -> Vec<u8> {
+        let header = CheckpointHeader {
+            lsn: 0,
+            base: None,
+            asr_ids: (0..self.asrs().count()).collect(),
+        };
         format::render(
-            0,
-            (0..self.asrs().count()).collect(),
+            &header,
             &format::encode_design(self),
             self.asrs()
                 .map(|(_, asr)| asr.partitions().iter().map(StoredPartition::freeze)),
             self.base(),
             None,
         )
+        .into_bytes()
     }
 
     /// Restore a database from a full document: objects keep their OIDs,
@@ -307,40 +316,47 @@ impl CheckpointSource {
     }
 
     /// `true` when nothing changed since the previous checkpoint: a delta
-    /// rendered from this source would carry no rows, pages, objects or
+    /// rendered from this source would carry no pages, objects or
     /// variables.
     pub fn is_noop_delta(&self) -> bool {
         let c = &self.changes;
+        let mut asrs = self.snapshot.asr_versions().zip(&c.partitions);
         !c.design
             && c.dead_oids.is_empty()
             && c.dirty_oids.is_empty()
             && c.dirty_vars.is_empty()
-            && c.partitions.iter().flatten().all(|p| p.rows() == 0)
+            && asrs.all(|(versions, changes)| {
+                versions.zip(changes).all(|(v, ch)| v.delta(ch).is_empty())
+            })
     }
 
     /// The full document of the captured state at `lsn`: the delta over
     /// the empty base, read off the whole state.
     pub fn save_full(&self, lsn: u64) -> Vec<u8> {
-        self.render(lsn, None)
+        self.render(lsn, None).into_bytes()
     }
 
     /// The delta document at `lsn` over `base`, the checkpoint the
     /// previous one was published as: what changed since the previous
-    /// checkpoint, each partition's dirty rows and the pages its pinned
-    /// version does not share with the previous checkpoint's.  `None`
+    /// checkpoint, each partition's pages its pinned version does not
+    /// share with the previous checkpoint's.  `None`
     /// when the design changed since the base.
     pub fn save_delta(&self, lsn: u64, base: u64) -> Option<Vec<u8>> {
-        (!self.changes.design).then(|| self.render(lsn, Some((base, &self.changes))))
+        (!self.changes.design).then(|| self.render(lsn, Some((base, &self.changes))).into_bytes())
     }
 
-    fn render(&self, lsn: u64, since: Option<(u64, &Changes)>) -> Vec<u8> {
-        format::render(
+    fn render(&self, lsn: u64, since: Option<(u64, &Changes)>) -> Writer {
+        let header = CheckpointHeader {
             lsn,
-            self.snapshot.asr_ids(),
+            base: since.map(|(base, _)| base),
+            asr_ids: self.snapshot.asr_ids(),
+        };
+        format::render(
+            &header,
             &self.design,
             self.snapshot.asr_versions(),
             self.snapshot.base(),
-            since,
+            since.map(|(_, changes)| changes),
         )
     }
 }
@@ -461,7 +477,7 @@ fn restore_asr(
                 .sum();
             let images = parts
                 .iter()
-                .zip(&deltas)
+                .zip(deltas)
                 .map(|(part, d)| part.dump().apply_delta(d))
                 .collect::<Result<_>>()?;
             (images, AsrLoadMode::Delta { pages })
@@ -670,15 +686,27 @@ mod tests {
     }
 
     /// The text fixtures, written by the retired text writer, load to
-    /// exactly the state the current code builds.
+    /// the state the current code builds: page for page where that state
+    /// was bulk-loaded (a text partition is bulk-loaded from its rows),
+    /// row for row where inserts built it.
     #[test]
     fn legacy_text_fixtures_load_to_the_state_built_today() {
         let (db, report) = Database::load_from_string_report(&pinned("figure2.asrdb2")).unwrap();
         assert_eq!(report.version, 2);
         assert!(report.asrs.iter().all(|(_, m)| m.is_physical()));
         assert_eq!(db.save_to_string(), sample_db().save_to_string());
+        let logical = |db: &Database| {
+            let rows: Vec<Vec<_>> = db
+                .asrs()
+                .map(|(_, asr)| asr.full_rows().collect())
+                .collect();
+            (asr_gom::snapshot::write_base(db.base()), rows)
+        };
         let bulk = Database::load_from_string(&pinned("bulk.asrdb2")).unwrap();
-        assert_eq!(bulk.save_to_string(), pinned_bulk().1);
+        for (_, asr) in bulk.asrs() {
+            asr.check_consistency().unwrap();
+        }
+        assert_eq!(logical(&bulk), logical(&pinned_bulk().0));
     }
 
     #[test]
@@ -760,11 +788,12 @@ mod tests {
         settled(bulk)
     }
 
-    /// Figure 2 in full; then, on the bulk database, a delta carrying one
-    /// insert as true deltas, and one that ships its ASR as images and
-    /// carries a deleted object and two rebound variables.
-    fn pinned_documents() -> [Vec<u8>; 3] {
-        let (mut bulk, _) = pinned_bulk();
+    /// Figure 2 in full; the bulk database in full; then, over it, a
+    /// delta carrying one insert as true deltas, and one that ships its
+    /// ASR as images and carries a deleted object and two rebound
+    /// variables.
+    fn pinned_documents() -> [Vec<u8>; 4] {
+        let (mut bulk, full) = pinned_bulk();
         let (set, pepper) = sec_composition(&bulk);
         let part = bulk
             .base()
@@ -780,13 +809,19 @@ mod tests {
         bulk.bind_variable("epoch two", Value::Integer(-2));
         bulk.bind_variable("Mercedes", Value::Null);
         let mixed = bulk.begin_checkpoint().save_delta(42, 41).unwrap();
-        [sample_db().save_to_string(), small, mixed]
+        [sample_db().save_to_string(), full, small, mixed]
     }
 
-    const PINNED_FILES: [&str; 3] = ["figure2.ckpt", "bulk-insert.delta", "bulk-mixed.delta"];
+    const PINNED_FILES: [&str; 4] = [
+        "figure2.ckpt",
+        "bulk.ckpt",
+        "bulk-insert.delta",
+        "bulk-mixed.delta",
+    ];
 
     /// The writer's output byte for byte, and the pinned source renders
-    /// the same bytes.
+    /// the same bytes; the insert delta applies to the bulk checkpoint as
+    /// a true delta.
     #[test]
     fn documents_are_pinned() {
         let docs = pinned_documents();
@@ -794,6 +829,9 @@ mod tests {
             assert!(*doc == pinned(file), "{file} drifted");
         }
         assert_eq!(sample_db().begin_checkpoint().save_full(0), docs[0]);
+        let bulk = Database::load_from_string(&docs[1]).unwrap();
+        let (_, report) = bulk.apply_delta_report(&docs[2], true).unwrap();
+        assert!(report.asrs.iter().all(|(_, m)| m.is_delta()), "{report:?}");
     }
 
     #[test]
@@ -828,30 +866,38 @@ mod tests {
         assert_eq!(patched.dirty_summary(), (0, 0, 0, 0));
     }
 
+    /// A clean database's delta ships no page.  It is the design and the
+    /// headers: under half the full document on 100 parts, and under the
+    /// whole of Figure 2's (520 of 999 B).
     #[test]
     fn clean_database_ships_an_empty_delta() {
-        let (mut db, full) = settled(sample_db());
-        let delta = db.begin_checkpoint().save_delta(1, 0).unwrap();
-        assert!(
-            delta.len() * 2 < full.len(),
-            "{} vs {}",
-            delta.len(),
-            full.len()
-        );
-        let (patched, report) = db.apply_delta_report(&delta, true).unwrap();
-        assert!(
-            report
-                .asrs
-                .iter()
-                .all(|(_, m)| matches!(m, AsrLoadMode::Delta { pages: 0 })),
-            "{report:?}"
-        );
-        assert_eq!(patched.save_to_string(), full);
+        for (db, share) in [(sample_db(), 1), (bulk_db(100), 2)] {
+            let (mut db, full) = settled(db);
+            let delta = db.begin_checkpoint().save_delta(1, 0).unwrap();
+            assert!(
+                delta.len() * share < full.len(),
+                "{} vs {}",
+                delta.len(),
+                full.len()
+            );
+            let (patched, report) = db.apply_delta_report(&delta, true).unwrap();
+            assert!(
+                report
+                    .asrs
+                    .iter()
+                    .all(|(_, m)| matches!(m, AsrLoadMode::Delta { pages: 0 })),
+                "{report:?}"
+            );
+            assert_eq!(patched.save_to_string(), full);
+        }
     }
 
-    #[test]
-    fn small_delta_on_large_database_stays_delta_mode() {
-        let (mut primary, base) = settled(bulk_db(400));
+    /// A database of `parts` parts after one inserted part, settled
+    /// first: its full document, the delta over the settled base, and
+    /// how each ASR loads from that delta (checked to patch the base to
+    /// the full document).
+    fn one_insert_delta(parts: usize) -> (Vec<u8>, Vec<u8>, Vec<AsrLoadMode>) {
+        let (mut primary, base) = settled(bulk_db(parts));
         let (set, _) = sec_composition(&primary);
         let p = primary.instantiate("BasePart").unwrap();
         primary
@@ -860,25 +906,38 @@ mod tests {
         primary.insert_into_set(set, Value::Ref(p)).unwrap();
         let full = primary.save_to_string();
         let delta = primary.begin_checkpoint().save_delta(10, 9).unwrap();
-        assert!(
-            delta.len() * 4 < full.len(),
-            "{} vs {}",
-            delta.len(),
-            full.len()
-        );
         let replica = Database::load_from_string(&base).unwrap();
         let (patched, report) = replica.apply_delta_report(&delta, true).unwrap();
-        let shipped: Vec<usize> = (report.asrs.iter())
-            .map(|(_, m)| match m {
-                AsrLoadMode::Delta { pages } => *pages,
-                other => panic!("one insert must not ship images: {other:?}"),
-            })
-            .collect();
+        assert_eq!(patched.save_to_string(), full, "{parts} parts");
+        let modes = report.asrs.into_iter().map(|(_, m)| m).collect();
+        (full, delta, modes)
+    }
+
+    /// One insert ships the pages it changed, each leaf with all its
+    /// rows: under a quarter of the full document on 1 500 parts (22 917
+    /// of 104 114 B) and under half on 400 (10 466 of 27 335 B).  On 300
+    /// parts those pages exceed [`DELTA_FULL_FRACTION`] of the ASR's
+    /// images, and the ASR ships as images.
+    #[test]
+    fn small_delta_on_large_database_stays_delta_mode() {
+        for (parts, share) in [(1500, 4), (400, 2)] {
+            let (full, delta, modes) = one_insert_delta(parts);
+            assert!(
+                delta.len() * share < full.len(),
+                "{parts} parts: {} vs {}",
+                delta.len(),
+                full.len()
+            );
+            assert!(
+                (modes.iter()).all(|m| matches!(m, AsrLoadMode::Delta { pages } if *pages > 0)),
+                "{parts} parts: one insert ships changed pages, not images: {modes:?}"
+            );
+        }
+        let (_, _, modes) = one_insert_delta(300);
         assert!(
-            shipped.iter().sum::<usize>() > 0,
-            "a real change ships pages"
+            (modes.iter()).all(|m| matches!(m, AsrLoadMode::Physical)),
+            "300 parts: the delta outweighs the images: {modes:?}"
         );
-        assert_eq!(patched.save_to_string(), full);
     }
 
     #[test]
@@ -917,9 +976,9 @@ mod tests {
         assert_eq!(chained.save_to_string(), primary.save_to_string());
     }
 
-    /// `doc` with its first ASR frame's first partition promising one row
-    /// more than it holds, the frame's checksum recomputed: damage only
-    /// the patch can see.
+    /// `doc` with its first ASR frame's first partition's forward tree
+    /// promising one row more than it holds, the frame's checksum
+    /// recomputed: damage only the restore of the patched image can see.
     fn with_one_row_too_many(doc: &[u8]) -> Vec<u8> {
         let mut at = 8;
         while doc[at] != b'A' {
@@ -931,9 +990,10 @@ mod tests {
         w.u8(b'A');
         w.u32(0);
         w.u8(r.u8().unwrap());
-        for k in 0..5 {
+        // Partition count, span, then the forward tree's root, height, len.
+        for k in 0..6 {
             let n = r.varint().unwrap();
-            w.varint(if k == 4 { n + 1 } else { n });
+            w.varint(if k == 5 { n + 1 } else { n });
         }
         w.bytes(r.bytes(r.remaining()).unwrap());
         w.put_u32_at(1, (w.len() - 5) as u32);
@@ -953,7 +1013,7 @@ mod tests {
         let err = replica.apply_delta(&tampered).unwrap_err();
         assert!(err.to_string().contains("delta section"), "{err}");
         // Lenient recovery rebuilds the damaged ASR from the patched base:
-        // not byte-identical (fresh row ids) but query-identical.
+        // not byte-identical (bulk-built pages) but query-identical.
         let (patched, report) = replica.apply_delta_report(&tampered, false).unwrap();
         assert!(report
             .asrs
@@ -962,52 +1022,66 @@ mod tests {
         assert_eq!(door_hits(&patched), door_hits(&primary));
     }
 
+    /// A pinned checkpoint source renders the state as of
+    /// `begin_checkpoint` while the writer moves on.  On 300 parts the
+    /// next checkpoint's Bolt insert outweighs half the ASR's images and
+    /// ships them; on 1 500 it ships its changed pages.
     #[test]
     fn checkpoint_source_matches_live_serialization_byte_for_byte() {
-        let (mut db, base) = settled(bulk_db(300));
-        let (set, pepper) = sec_composition(&db);
-        db.insert_into_set(set, Value::Ref(pepper)).unwrap();
-        db.bind_variable("epoch", Value::string("two"));
+        for (parts, ships_pages) in [(300, false), (1500, true)] {
+            let (mut db, base) = settled(bulk_db(parts));
+            let (set, pepper) = sec_composition(&db);
+            db.insert_into_set(set, Value::Ref(pepper)).unwrap();
+            db.bind_variable("epoch", Value::string("two"));
 
-        let want_full = db.save_to_string();
-        let source = db.begin_checkpoint();
-        assert!(!source.is_noop_delta() && !source.is_design_dirty());
-        assert_eq!(source.save_full(0), want_full);
-        let want_delta = source.save_delta(7, 6).unwrap();
-        let patched = Database::load_from_string(&base)
-            .unwrap()
-            .apply_delta(&want_delta)
-            .unwrap();
-        assert_eq!(patched.save_to_string(), want_full);
+            let want_full = db.save_to_string();
+            let source = db.begin_checkpoint();
+            assert!(!source.is_noop_delta() && !source.is_design_dirty());
+            assert_eq!(source.save_full(0), want_full);
+            let want_delta = source.save_delta(7, 6).unwrap();
+            let patched = Database::load_from_string(&base)
+                .unwrap()
+                .apply_delta(&want_delta)
+                .unwrap();
+            assert_eq!(patched.save_to_string(), want_full);
 
-        // Fuzzy: the writer moves on — a rename, and an insert on the ASR
-        // path that writes partition pages — but the pinned source still
-        // renders the state as of `begin_checkpoint`.
-        db.set_attribute(pepper, "Name", Value::string("Salt"))
-            .unwrap();
-        let bolt = db.instantiate("BasePart").unwrap();
-        db.set_attribute(bolt, "Name", Value::string("Bolt"))
-            .unwrap();
-        db.insert_into_set(set, Value::Ref(bolt)).unwrap();
-        assert_eq!(source.save_full(0), want_full);
-        assert_eq!(source.save_delta(7, 6).unwrap(), want_delta);
-        assert_ne!(db.save_to_string(), want_full, "the live state moved on");
+            // Fuzzy: the writer moves on — a rename, and an insert on the ASR
+            // path that writes partition pages — but the pinned source still
+            // renders the state as of `begin_checkpoint`.
+            db.set_attribute(pepper, "Name", Value::string("Salt"))
+                .unwrap();
+            let bolt = db.instantiate("BasePart").unwrap();
+            db.set_attribute(bolt, "Name", Value::string("Bolt"))
+                .unwrap();
+            db.insert_into_set(set, Value::Ref(bolt)).unwrap();
+            assert_eq!(source.save_full(0), want_full);
+            assert_eq!(source.save_delta(7, 6).unwrap(), want_delta);
+            assert_ne!(db.save_to_string(), want_full, "the live state moved on");
 
-        // The next checkpoint carries exactly the writes made after this
-        // one began, partition pages included.
-        let before = db.txn_status().active_snapshots;
-        drop(source);
-        assert_eq!(db.txn_status().active_snapshots, before - 1);
-        let next = db.begin_checkpoint();
-        assert!(!next.is_noop_delta(), "the Salt rename is still pending");
-        let next_delta = next.save_delta(8, 7).unwrap();
-        let (replayed, report) = patched.apply_delta_report(&next_delta, true).unwrap();
-        assert!(
-            (report.asrs.iter())
-                .all(|(_, m)| matches!(m, AsrLoadMode::Delta { pages } if *pages > 0)),
-            "the Bolt insert ships changed pages, not images: {report:?}"
-        );
-        assert_eq!(replayed.save_to_string(), db.save_to_string());
-        assert!(db.begin_checkpoint().is_noop_delta());
+            // The next checkpoint carries exactly the writes made after this
+            // one began, partition pages included.
+            let before = db.txn_status().active_snapshots;
+            drop(source);
+            assert_eq!(db.txn_status().active_snapshots, before - 1);
+            let next = db.begin_checkpoint();
+            assert!(!next.is_noop_delta(), "the Salt rename is still pending");
+            let next_delta = next.save_delta(8, 7).unwrap();
+            let (replayed, report) = patched.apply_delta_report(&next_delta, true).unwrap();
+            assert!(
+                (report.asrs.iter()).all(|(_, m)| match m {
+                    AsrLoadMode::Delta { pages } => ships_pages && *pages > 0,
+                    AsrLoadMode::Physical => !ships_pages,
+                    AsrLoadMode::Rebuilt(_) => false,
+                }),
+                "{parts} parts: the Bolt insert ships {}: {report:?}",
+                if ships_pages {
+                    "changed pages"
+                } else {
+                    "images"
+                }
+            );
+            assert_eq!(replayed.save_to_string(), db.save_to_string());
+            assert!(db.begin_checkpoint().is_noop_delta());
+        }
     }
 }

@@ -5,21 +5,23 @@ use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 
 use asr_gom::{Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeKind, Value};
+use asr_pagesim::{NodeImage, PageRef};
 
 use super::{assemble, AsrSection, CheckpointHeader, LoadReport, Parsed};
 use super::{DELTA_FULL_FRACTION, FORMAT_VERSION};
+use crate::cell::Cell;
 use crate::codec::{CodecError, Reader, Writer};
 use crate::crc::crc32;
-use crate::database::{AsrId, Changes, Database};
+use crate::database::{Changes, Database};
 use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::manager::AsrConfig;
 use crate::partition::{
-    PartitionChanges, PartitionDelta, PartitionVersion, RawNode, RawTreeDelta, RowRefs, RowTable,
+    ChangedPages, PartitionChanges, PartitionDelta, PartitionVersion, TreeDelta, VersionDelta,
 };
 
-const MAGIC: &[u8; 8] = b"\x89ASRDB\x04\n";
+const MAGIC: &[u8; 8] = b"\x89ASRDB\x05\n";
 const TAG_HEADER: u8 = b'H';
 const TAG_DESIGN: u8 = b'D';
 const TAG_ASR: u8 = b'A';
@@ -103,20 +105,15 @@ pub(super) fn encode_design(db: &Database) -> Vec<u8> {
 /// images; an unchanged ASR always ships as an (empty) delta — the
 /// fraction only arbitrates when there is real change.
 pub(super) fn render(
-    lsn: u64,
-    asr_ids: Vec<AsrId>,
+    header: &CheckpointHeader,
     design: &[u8],
     asrs: impl IntoIterator<Item = impl IntoIterator<Item = impl Borrow<PartitionVersion>>>,
     objects: &ObjectBase,
-    since: Option<(u64, &Changes)>,
-) -> Vec<u8> {
-    let header = CheckpointHeader {
-        lsn,
-        base: since.map(|(base, _)| base),
-        asr_ids,
-    };
-    let mut w = begin_document(&header, design);
-    let everything = PartitionChanges::everything();
+    since: Option<&Changes>,
+) -> Writer {
+    let mut w = Writer::new();
+    begin_document(&mut w, header, design);
+    let everything = PartitionChanges::default();
     for (k, versions) in asrs.into_iter().enumerate() {
         let versions: Vec<_> = versions.into_iter().collect();
         let n = versions.len();
@@ -124,19 +121,19 @@ pub(super) fn render(
         // A partition made since the base (its ASR was rebuilt) has no
         // base partition to patch: the ASR ships as images.
         let changes = since
-            .map(|(_, c)| &c.partitions[k])
+            .map(|c| &c.partitions[k])
             .filter(|changes| !changes.iter().any(PartitionChanges::is_fresh));
         let Some(changes) = changes else {
             write_asr(&mut w, true, n, images());
             continue;
         };
+        let deltas: Vec<VersionDelta<'_>> = (versions.iter().zip(changes))
+            .map(|(v, ch)| v.borrow().delta(ch))
+            .collect();
+        let changed = deltas.iter().any(|d| !d.is_empty());
         let start = w.len();
-        let deltas = versions
-            .iter()
-            .zip(changes)
-            .map(|(v, ch)| v.borrow().delta(ch));
-        write_asr(&mut w, false, n, deltas);
-        if changes.iter().any(|p| p.rows() > 0) {
+        write_asr(&mut w, false, n, deltas.into_iter());
+        if changed {
             let mut full = Writer::new();
             write_asr(&mut full, true, n, images());
             if ((w.len() - start) as f64) > (full.len() as f64) * DELTA_FULL_FRACTION {
@@ -153,7 +150,7 @@ pub(super) fn render(
             objects.objects(),
             objects.variables(),
         ),
-        Some((_, c)) => write_objects(
+        Some(c) => write_objects(
             &mut w,
             objects,
             &c.dead_oids,
@@ -165,7 +162,7 @@ pub(super) fn render(
                 .filter(|(name, _)| c.dirty_vars.contains(*name)),
         ),
     }
-    w.into_bytes()
+    w
 }
 
 /// Append one frame: tag, length, `body`'s payload, then the CRC-32 of
@@ -182,10 +179,9 @@ fn frame(w: &mut Writer, tag: u8, body: impl FnOnce(&mut Writer)) {
 }
 
 /// The magic, header and design frames every document opens with.
-fn begin_document(header: &CheckpointHeader, design: &[u8]) -> Writer {
-    let mut w = Writer::new();
+fn begin_document(w: &mut Writer, header: &CheckpointHeader, design: &[u8]) {
     w.bytes(MAGIC);
-    frame(&mut w, TAG_HEADER, |w| {
+    frame(w, TAG_HEADER, |w| {
         match header.base {
             None => w.u8(0),
             Some(base) => {
@@ -199,8 +195,7 @@ fn begin_document(header: &CheckpointHeader, design: &[u8]) -> Writer {
             w.varint(id as u64);
         }
     });
-    frame(&mut w, TAG_DESIGN, |w| w.bytes(design));
-    w
+    frame(w, TAG_DESIGN, |w| w.bytes(design));
 }
 
 /// One ASR frame: `over_empty` (images) or not (deltas over the base's
@@ -209,66 +204,58 @@ fn write_asr<'a>(
     w: &mut Writer,
     over_empty: bool,
     count: usize,
-    parts: impl Iterator<Item = PartitionDelta<RowRefs<'a>>>,
+    parts: impl Iterator<Item = VersionDelta<'a>>,
 ) {
     frame(w, TAG_ASR, |w| {
         w.bool(over_empty);
         w.varint(count as u64);
         for d in parts {
-            for n in [d.from as u64, d.to as u64, d.next_rowid, d.nrows as u64] {
-                w.varint(n);
-            }
-            w.varint(d.upserts.len() as u64);
-            for &(row, rowid) in &d.upserts {
-                w.varint(rowid);
-                for cell in row.cells() {
-                    w.opt_cell(cell);
-                }
-            }
-            let removed: &[u64] = if over_empty { &[] } else { &d.deletes };
-            w.varint(removed.len() as u64);
-            for &rowid in removed {
-                w.varint(rowid);
-            }
+            w.varint(d.from as u64);
+            w.varint(d.to as u64);
             write_tree(w, &d.fwd, over_empty);
             write_tree(w, &d.bwd, over_empty);
         }
     });
 }
 
-/// One tree's geometry and listed pages; over an empty tree a freed page
-/// is not listed (the slab starts out free).
-fn write_tree(w: &mut Writer, d: &RawTreeDelta, over_empty: bool) {
-    for n in [d.root, d.height, d.len, d.total_nodes, d.free.len()] {
+/// One tree's geometry and listed pages, read off its slab; over an
+/// empty tree a freed page is not listed (the slab starts out free).
+fn write_tree(w: &mut Writer, d: &ChangedPages<'_>, over_empty: bool) {
+    let p = d.pages;
+    for n in [
+        p.root_slot(),
+        p.height(),
+        p.len(),
+        p.slot_count(),
+        p.free_slots().len(),
+    ] {
         w.varint(n as u64);
     }
-    for &slot in &d.free {
+    for &slot in p.free_slots() {
         w.varint(slot as u64);
     }
-    let listed = |node: &RawNode| !(over_empty && matches!(node, RawNode::Free));
-    w.varint(d.pages.iter().filter(|(_, node)| listed(node)).count() as u64);
-    for (slot, node) in d.pages.iter().filter(|(_, node)| listed(node)) {
-        w.varint(*slot as u64);
-        match node {
-            RawNode::Free => w.u8(0),
-            RawNode::Inner { keys, children } => {
+    let listed = |slot: &&usize| !(over_empty && matches!(p.page(**slot), PageRef::Free));
+    w.varint(d.slots.iter().filter(listed).count() as u64);
+    for &slot in d.slots.iter().filter(listed) {
+        w.varint(slot as u64);
+        match p.page(slot) {
+            PageRef::Free => w.u8(0),
+            PageRef::Inner { keys, children } => {
                 w.u8(1);
                 w.varint(children.len() as u64);
                 for &child in children {
                     w.varint(child as u64);
                 }
-                w.varint(keys.len() as u64);
-                for (cell, rowid) in keys {
-                    w.opt_cell(cell);
-                    w.varint(*rowid);
+                for cell in keys.iter().flat_map(|key| key.iter()) {
+                    w.packed_cell(cell);
                 }
             }
-            RawNode::Leaf { rowids, next } => {
+            PageRef::Leaf { entries, next } => {
                 w.u8(2);
                 w.varint(next.map_or(0, |n| n as u64 + 1));
-                w.varint(rowids.len() as u64);
-                for &rowid in rowids {
-                    w.varint(rowid);
+                w.varint((entries.len() / p.stride()) as u64);
+                for cell in entries {
+                    w.packed_cell(cell);
                 }
             }
         }
@@ -560,7 +547,7 @@ fn read_asr(payload: &[u8]) -> Decoded<AsrSection> {
     let mut r = Reader::new(payload);
     let over_empty = r.bool()?;
     let parts = (0..r.count(1)?)
-        .map(|_| read_partition(&mut r, over_empty))
+        .map(|_| read_partition(&mut r))
         .collect::<Decoded<Vec<_>>>()?;
     r.finish()?;
     Ok(if over_empty {
@@ -570,7 +557,7 @@ fn read_asr(payload: &[u8]) -> Decoded<AsrSection> {
     })
 }
 
-fn read_partition(r: &mut Reader<'_>, over_empty: bool) -> Decoded<PartitionDelta> {
+fn read_partition(r: &mut Reader<'_>) -> Decoded<PartitionDelta> {
     let start = r.position();
     let (from, to) = (num(r)?, num(r)?);
     let arity = to
@@ -578,56 +565,43 @@ fn read_partition(r: &mut Reader<'_>, over_empty: bool) -> Decoded<PartitionDelt
         .filter(|&width| width > 0)
         .and_then(|width| width.checked_add(1))
         .ok_or_else(|| Damage(format!("bad span ({from}, {to})")))?;
-    let (next_rowid, nrows) = (r.varint()?, num(r)?);
-    let n = r.count(arity.saturating_add(1))?;
-    let mut upserts = RowTable::with_capacity(arity, n);
-    for _ in 0..n {
-        upserts.ids.push(r.varint()?);
-        for _ in 0..arity {
-            upserts.cells.push(r.opt_cell()?);
-        }
-    }
-    if over_empty && n != nrows {
-        return Err(Damage(format!("{n} rows listed, {nrows} promised")));
-    }
-    let deletes = (0..r.count(1)?)
-        .map(|_| r.varint())
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    if over_empty && !deletes.is_empty() {
-        return Err(Damage("an image removes no rows".into()));
-    }
-    let row_bytes = r.position() - start;
+    let head = r.position() - start;
     let at = r.position();
-    let fwd = read_tree(r, nrows)?;
+    let fwd = read_tree(r, arity)?;
     let fwd_bytes = r.position() - at;
     let at = r.position();
-    let bwd = read_tree(r, nrows)?;
+    let bwd = read_tree(r, arity)?;
     let bwd_bytes = r.position() - at;
-    let half = row_bytes / 2;
+    if fwd.len != bwd.len {
+        return Err(Damage(format!(
+            "the forward tree holds {} rows, the backward {}",
+            fwd.len, bwd.len
+        )));
+    }
     Ok(PartitionDelta {
         from,
         to,
-        next_rowid,
-        nrows,
-        upserts,
-        deletes,
         fwd,
         bwd,
-        fwd_bytes: fwd_bytes + half,
-        bwd_bytes: bwd_bytes + (row_bytes - half),
+        fwd_bytes: fwd_bytes + head / 2,
+        bwd_bytes: bwd_bytes + (head - head / 2),
     })
 }
 
-/// One tree's geometry and listed pages, in ascending slot order.  Its
-/// slab must be plausible for the `nrows` entries every tree holds.
-fn read_tree(r: &mut Reader<'_>, nrows: usize) -> Decoded<RawTreeDelta> {
+/// One row's `arity` cells: an inner page's separator.
+fn read_key(r: &mut Reader<'_>, arity: usize) -> Decoded<Box<[Option<Cell>]>> {
+    Ok((0..arity)
+        .map(|_| r.packed_cell())
+        .collect::<std::result::Result<_, _>>()?)
+}
+
+/// One tree's geometry and listed pages, in ascending slot order, each
+/// leaf's rows decoded straight into its page.
+fn read_tree(r: &mut Reader<'_>, arity: usize) -> Decoded<TreeDelta> {
     let (root, height, len, total) = (num(r)?, num(r)?, num(r)?, num(r)?);
     let free = (0..r.count(1)?)
         .map(|_| num(r))
         .collect::<Decoded<Vec<_>>>()?;
-    if len != nrows {
-        return Err(Damage(format!("{len} tree entries for {nrows} rows")));
-    }
     // Bound the slab before trusting it: a legal tree has at most ~2·len
     // live pages plus its free slots.
     if total > len.saturating_mul(2).saturating_add(free.len() + 8) {
@@ -643,13 +617,14 @@ fn read_tree(r: &mut Reader<'_>, nrows: usize) -> Decoded<RawTreeDelta> {
             return Err(Damage(format!("page {slot} out of order or past {total}")));
         }
         let node = match r.u8()? {
-            0 => RawNode::Free,
+            0 => NodeImage::Free,
             1 => {
-                let children = (0..r.count(1)?).map(|_| num(r)).collect::<Decoded<_>>()?;
-                let keys = (0..r.count(2)?)
-                    .map(|_| Ok((r.opt_cell()?, r.varint()?)))
+                let children: Vec<usize> =
+                    (0..r.count(1)?).map(|_| num(r)).collect::<Decoded<_>>()?;
+                let keys = (1..children.len())
+                    .map(|_| read_key(r, arity))
                     .collect::<Decoded<_>>()?;
-                RawNode::Inner { keys, children }
+                NodeImage::Inner { keys, children }
             }
             2 => {
                 let next = r
@@ -657,16 +632,18 @@ fn read_tree(r: &mut Reader<'_>, nrows: usize) -> Decoded<RawTreeDelta> {
                     .checked_sub(1)
                     .map(usize::try_from)
                     .transpose()?;
-                let rowids = (0..r.count(1)?)
-                    .map(|_| r.varint())
-                    .collect::<std::result::Result<_, _>>()?;
-                RawNode::Leaf { rowids, next }
+                let cells = r.count(arity)? * arity;
+                let mut entries = Vec::with_capacity(cells);
+                for _ in 0..cells {
+                    entries.push(r.packed_cell()?);
+                }
+                NodeImage::Leaf { entries, next }
             }
             t => return Err(Damage(format!("bad page kind {t}"))),
         };
         pages.push((slot, node));
     }
-    Ok(RawTreeDelta {
+    Ok(TreeDelta {
         root,
         height,
         len,

@@ -18,11 +18,13 @@
 //! …
 //! ```
 //!
-//! Leaf keys are not stored; restore re-derives them from the rows.  The
-//! `R` line's second field is a retired witness count: it must be a
-//! positive number and is otherwise ignored.  A malformed physical line
-//! poisons only the ASR it belongs to, which then rebuilds from the
-//! object base with the reason recorded — never a panic.
+//! A partition comes back from its `R` rows, bulk-loaded as one is built
+//! today; its `T`/`N` pages are read for the row ids their leaves list,
+//! which must be exactly the rows', once each per tree.  The `R` line's
+//! second field is a retired witness count: it must be a positive number
+//! and is otherwise ignored.  A malformed physical line poisons only the
+//! ASR it belongs to, which then rebuilds from the object base with the
+//! reason recorded — never a panic.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +36,8 @@ use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::manager::AsrConfig;
-use crate::partition::{PartitionDelta, PartitionImage, RawNode, RawTreeDelta, RowTable};
+use crate::partition::{fresh_stats, PartitionImage, StoredPartition};
+use crate::row::Row;
 
 const MAGIC_V1: &str = "ASRDB 1";
 const MAGIC_V2: &str = "ASRDB 2";
@@ -174,9 +177,8 @@ fn parse_cell(tok: &str) -> Result<Option<Cell>> {
     Ok(Cell::from_gom_owned(snapshot::decode_value(tok)?))
 }
 
-/// Parse an `R` line into `rows`: its row id and cells.  A line that does
-/// not parse adds nothing.
-fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), String> {
+/// Parse an `R` line of `arity` cells: its row id and row.
+fn parse_r_line(line: &str, arity: usize) -> std::result::Result<(u64, Row), String> {
     let mut it = line.split(' ');
     it.next();
     let rowid: u64 = it
@@ -187,46 +189,36 @@ fn parse_r_line(line: &str, rows: &mut RowTable) -> std::result::Result<(), Stri
         .and_then(|s| s.parse::<u64>().ok())
         .filter(|&count| count > 0)
         .ok_or("R: bad witness count")?;
-    let start = rows.cells.len();
-    let parsed = it
-        .try_for_each(|tok| parse_cell(tok).map(|cell| rows.cells.push(cell)))
-        .map_err(|e| e.to_string())
-        .and_then(|()| match rows.cells.len() - start {
-            cells if cells == rows.arity => Ok(()),
-            cells => Err(format!("R: {cells} cells for arity {}", rows.arity)),
-        });
-    match parsed {
-        Ok(()) => rows.ids.push(rowid),
-        Err(_) => rows.cells.truncate(start),
+    let cells = it
+        .map(parse_cell)
+        .collect::<Result<Vec<_>>>()
+        .map_err(|e| e.to_string())?;
+    if cells.len() != arity {
+        return Err(format!("R: {} cells for arity {arity}", cells.len()));
     }
-    parsed
+    Ok((rowid, Row::new(cells)))
 }
 
-/// The page payload of an `N` line: its kind and the fields after it.
+/// The row ids an `N` line's page lists: none for an inner page (whose
+/// fields are checked and dropped), its entries' for a leaf.
 fn parse_node_body<'a>(
     kind: &str,
     mut rest: impl Iterator<Item = &'a str>,
-) -> std::result::Result<RawNode, String> {
+) -> std::result::Result<Vec<u64>, String> {
     match kind {
         "I" => {
             let kids = rest.next().ok_or("N I record too short")?;
-            let children: Vec<usize> = kids
-                .split(',')
-                .map(|s| s.parse().map_err(|_| format!("bad child `{s}`")))
-                .collect::<std::result::Result<_, _>>()?;
-            let keys: Vec<(Option<Cell>, u64)> = rest
-                .map(|tok| {
-                    let (cell, rowid) = tok
-                        .rsplit_once('=')
-                        .ok_or_else(|| format!("bad key `{tok}`"))?;
-                    let rowid: u64 = rowid
-                        .parse()
-                        .map_err(|_| format!("bad key row id `{rowid}`"))?;
-                    let cell = parse_cell(cell).map_err(|e| e.to_string())?;
-                    Ok((cell, rowid))
-                })
-                .collect::<std::result::Result<_, String>>()?;
-            Ok(RawNode::Inner { keys, children })
+            parse_csv_or_dash::<usize>(kids, "child")?;
+            for tok in rest {
+                let (cell, rowid) = tok
+                    .rsplit_once('=')
+                    .ok_or_else(|| format!("bad key `{tok}`"))?;
+                rowid
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad key row id `{rowid}`"))?;
+                parse_cell(cell).map_err(|e| e.to_string())?;
+            }
+            Ok(Vec::new())
         }
         "L" => {
             let (sibling, ids) = (rest.next(), rest.next());
@@ -236,17 +228,12 @@ fn parse_node_body<'a>(
                     4 + usize::from(sibling.is_some()) + usize::from(ids.is_some()) + extra;
                 return Err(format!("N L record has {fields} fields, expected 6"));
             };
-            let next = if sibling == "-" {
-                None
-            } else {
-                Some(
-                    sibling
-                        .parse()
-                        .map_err(|_| format!("bad sibling `{sibling}`"))?,
-                )
-            };
-            let rowids = parse_csv_or_dash(ids, "row id")?;
-            Ok(RawNode::Leaf { rowids, next })
+            if sibling != "-" {
+                sibling
+                    .parse::<usize>()
+                    .map_err(|_| format!("bad sibling `{sibling}`"))?;
+            }
+            parse_csv_or_dash(ids, "row id")
         }
         other => Err(format!("bad page kind `{other}`")),
     }
@@ -340,16 +327,34 @@ impl Sections {
 }
 
 /// One partition under construction: `P`, its `R` rows and its `T`/`N`
-/// trees, read into what the binary reader decodes an image frame to —
-/// a [`PartitionDelta`] over an empty partition.
+/// trees.
 struct PartBuilder {
     asr: usize,
-    part: PartitionDelta,
+    from: usize,
+    to: usize,
+    next_rowid: u64,
+    nrows: usize,
+    /// Each `R` line's row id, and its row.
+    ids: Vec<u64>,
+    rows: Vec<Row>,
+    /// The forward and the backward tree, once its `T` header is read.
+    trees: [Option<TextTree>; 2],
     /// Serialized bytes of the header and `R` lines — split between the
     /// two trees for restore-read pricing.
     row_bytes: usize,
-    /// Whether the forward and the backward tree's `T` header was read.
-    headers: [bool; 2],
+}
+
+/// One tree of a partition section, as far as it is read.
+struct TextTree {
+    /// Slab size its header declares, and how many of its slots are free.
+    total: usize,
+    free: usize,
+    /// Its `N` lines' page ids.
+    pages: Vec<usize>,
+    /// The row ids its leaves list.
+    leaf_ids: Vec<u64>,
+    /// Bytes its lines take.
+    bytes: usize,
 }
 
 impl PartBuilder {
@@ -385,20 +390,14 @@ impl PartBuilder {
         let capacity = nrows.min(head_len / arity.saturating_mul(2));
         Ok(PartBuilder {
             asr,
-            part: PartitionDelta {
-                from,
-                to,
-                next_rowid: t[5].parse().map_err(|_| format!("bad number `{}`", t[5]))?,
-                nrows,
-                upserts: RowTable::with_capacity(arity, capacity),
-                deletes: Vec::new(),
-                fwd: RawTreeDelta::default(),
-                bwd: RawTreeDelta::default(),
-                fwd_bytes: 0,
-                bwd_bytes: 0,
-            },
+            from,
+            to,
+            next_rowid: t[5].parse().map_err(|_| format!("bad number `{}`", t[5]))?,
+            nrows,
+            ids: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity),
+            trees: [None, None],
             row_bytes: line.len() + 1,
-            headers: [false; 2],
         })
     }
 
@@ -406,7 +405,9 @@ impl PartBuilder {
     fn body_line(&mut self, tag: &str, line: &str) -> std::result::Result<(), String> {
         match tag {
             "R" => {
-                parse_r_line(line, &mut self.part.upserts)?;
+                let (rowid, row) = parse_r_line(line, self.to - self.from + 1)?;
+                self.ids.push(rowid);
+                self.rows.push(row);
                 self.row_bytes += line.len() + 1;
             }
             "T" => self.tree_header(line)?,
@@ -416,17 +417,11 @@ impl PartBuilder {
         Ok(())
     }
 
-    /// The tree of direction `f` or `b`, its header read or not, and the
-    /// bytes its lines take.
-    fn tree(
-        &mut self,
-        dir: &str,
-    ) -> std::result::Result<(&mut RawTreeDelta, &mut bool, &mut usize), String> {
-        let p = &mut self.part;
-        let [fwd, bwd] = &mut self.headers;
+    /// The slot of the tree of direction `f` or `b`.
+    fn tree(&mut self, dir: &str) -> std::result::Result<&mut Option<TextTree>, String> {
         match dir {
-            "f" => Ok((&mut p.fwd, fwd, &mut p.fwd_bytes)),
-            "b" => Ok((&mut p.bwd, bwd, &mut p.bwd_bytes)),
+            "f" => Ok(&mut self.trees[0]),
+            "b" => Ok(&mut self.trees[1]),
             other => Err(format!("bad tree direction `{other}`")),
         }
     }
@@ -440,10 +435,14 @@ impl PartBuilder {
         }
         let num = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number `{s}`"));
         let free: Vec<usize> = parse_csv_or_dash(t[8], "number")?;
-        let (root, height, len, total) = (num(t[4])?, num(t[5])?, num(t[6])?, num(t[7])?);
+        let (root, len, total) = (num(t[4])?, num(t[6])?, num(t[7])?);
+        num(t[5])?;
+        if root >= total {
+            return Err(format!("root {root} out of bounds ({total} pages)"));
+        }
         // The trees index exactly the rows listed before them, which ties
         // `len` (and through it the slab) to the input's size.
-        let rows = self.part.upserts.len();
+        let rows = self.rows.len();
         if len != rows {
             return Err(format!("{len} tree entries for {rows} rows"));
         }
@@ -452,19 +451,17 @@ impl PartBuilder {
         if total > len.saturating_mul(2).saturating_add(free.len() + 8) {
             return Err(format!("implausible page count {total} for {len} entries"));
         }
-        let (tree, read, bytes) = self.tree(t[3])?;
-        if std::mem::replace(read, true) {
+        let tree = self.tree(t[3])?;
+        if tree.is_some() {
             return Err(format!("duplicate {} tree", t[3]));
         }
-        *tree = RawTreeDelta {
-            root,
-            height,
-            len,
-            free,
-            total_nodes: total,
+        *tree = Some(TextTree {
+            total,
+            free: free.len(),
             pages: Vec::new(),
-        };
-        *bytes = line.len() + 1;
+            leaf_ids: Vec::new(),
+            bytes: line.len() + 1,
+        });
         Ok(())
     }
 
@@ -475,44 +472,84 @@ impl PartBuilder {
         else {
             return Err("N record too short".into());
         };
-        let (tree, read, bytes) = self.tree(dir)?;
-        if !*read {
-            return Err("N record before its T header".into());
-        }
-        *bytes += line.len() + 1;
+        let tree = self
+            .tree(dir)?
+            .as_mut()
+            .ok_or("N record before its T header")?;
+        tree.bytes += line.len() + 1;
         let id: usize = id.parse().map_err(|_| format!("bad page id `{id}`"))?;
-        if id >= tree.total_nodes {
+        if id >= tree.total {
             return Err(format!("page id {id} out of bounds"));
         }
-        tree.pages.push((id, parse_node_body(kind, t)?));
+        tree.pages.push(id);
+        tree.leaf_ids.extend(parse_node_body(kind, t)?);
         Ok(())
     }
 
-    /// Close the section: check the row count its header promised and
-    /// that no page is written twice, and split the row bytes evenly
-    /// between the two trees (each tree's restore read is priced on its
-    /// share).
-    fn finish(mut self) -> std::result::Result<PartitionImage, String> {
-        let p = &mut self.part;
-        if p.upserts.len() != p.nrows {
+    /// Close the section: check the row count its header promised, that
+    /// no page is written twice and that each tree's leaves list every
+    /// row id once, then bulk-load the rows and split the row bytes
+    /// evenly between the two trees (each tree's restore read is priced
+    /// on its share).
+    fn finish(self) -> std::result::Result<PartitionImage, String> {
+        if self.rows.len() != self.nrows {
             return Err(format!(
                 "partition has {} R rows, expected {}",
-                p.upserts.len(),
-                p.nrows
+                self.rows.len(),
+                self.nrows
             ));
         }
-        if self.headers != [true; 2] {
-            return Err("partition is missing a tree image".into());
+        let mut ids = self.ids;
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("row id {} appears twice", w[0]));
         }
-        for tree in [&mut p.fwd, &mut p.bwd] {
-            tree.pages.sort_by_key(|&(id, _)| id);
-            if let Some(w) = tree.pages.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(format!("page {} written twice", w[0].0));
+        if ids.last().is_some_and(|&id| id >= self.next_rowid) {
+            return Err(format!("row id {} >= next_rowid", ids[ids.len() - 1]));
+        }
+        let [Some(mut fwd), Some(mut bwd)] = self.trees else {
+            return Err("partition is missing a tree image".into());
+        };
+        for (dir, tree) in [("f", &mut fwd), ("b", &mut bwd)] {
+            tree.pages.sort_unstable();
+            if let Some(w) = tree.pages.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!("page {} written twice", w[0]));
+            }
+            if tree.pages.len() + tree.free != tree.total {
+                return Err(format!(
+                    "the {dir} tree lists {} pages and {} free slots of {}",
+                    tree.pages.len(),
+                    tree.free,
+                    tree.total
+                ));
+            }
+            tree.leaf_ids.sort_unstable();
+            if let Some(w) = tree.leaf_ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!("the {dir} leaves name row id {} twice", w[0]));
+            }
+            if let Some(id) = tree
+                .leaf_ids
+                .iter()
+                .find(|id| ids.binary_search(id).is_err())
+            {
+                return Err(format!("a {dir} leaf names unknown row id {id}"));
+            }
+            if tree.leaf_ids.len() != ids.len() {
+                return Err(format!("the {dir} leaves leave rows out"));
             }
         }
+        let mut sorted: Vec<&Row> = self.rows.iter().collect();
+        sorted.sort_unstable();
+        let twice = sorted.windows(2).filter(|w| w[0] == w[1]).count();
+        if twice > 0 {
+            return Err(format!("{twice} rows listed twice under different row ids"));
+        }
+        let mut part = StoredPartition::new(self.from, self.to, fresh_stats());
+        part.bulk_load(self.rows).map_err(|e| e.to_string())?;
+        let mut image = part.dump();
         let half = self.row_bytes / 2;
-        p.fwd_bytes += half;
-        p.bwd_bytes += self.row_bytes - half;
-        Ok(self.part.into_image())
+        image.fwd_bytes = fwd.bytes + half;
+        image.bwd_bytes = bwd.bytes + (self.row_bytes - half);
+        Ok(image)
     }
 }

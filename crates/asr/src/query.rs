@@ -37,7 +37,7 @@ use crate::cell::Cell;
 use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
 use crate::partition::StoredPartition;
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 
 /// The bound input of one access: an ascending, duplicate-free list of
 /// cells.  The type is the invariant — every constructor either checks it
@@ -117,11 +117,11 @@ pub trait SpanSource {
     /// clustering, otherwise the last-column one.  Visits the rows whose
     /// clustering cell is in `frontier`, grouped per cell in frontier
     /// order, each tree page charged at most once for the whole batch.
-    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row));
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>));
 
     /// Exhaustive scan visiting the rows whose column `offset` is in
     /// `frontier`, in first-column clustering order.
-    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row));
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>));
 }
 
 impl SpanSource for StoredPartition {
@@ -129,11 +129,11 @@ impl SpanSource for StoredPartition {
         StoredPartition::arity(self)
     }
 
-    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>)) {
         StoredPartition::probe(self, forward, frontier, visit);
     }
 
-    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>)) {
         StoredPartition::scan(self, |row| {
             if frontier.contains(row.cell(offset)) {
                 visit(row);
@@ -168,7 +168,7 @@ fn walk<P: SpanSource>(
     for step in steps {
         let part = &partitions[step.part];
         next.refill(|out| {
-            let mut keep = |row: &Row| {
+            let mut keep = |row: RowRef<'_>| {
                 if let Some(cell) = row.cell(step.out) {
                     out.push(cell.clone());
                 }
@@ -329,7 +329,7 @@ fn grouped_lookup(
     part.probe(forward, &boundaries, &mut |row| {
         let key = if forward { row.first() } else { row.last() };
         if let Some(key) = key {
-            grouped.entry(key.clone()).or_default().push(row.clone());
+            grouped.entry(key.clone()).or_default().push(row.to_row());
         }
     });
     grouped

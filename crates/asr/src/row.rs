@@ -129,6 +129,81 @@ impl From<&[Option<Cell>]> for Row {
     }
 }
 
+/// A stored row, borrowed from a clustering tree's leaf: its cells as
+/// the tree holds them — in column order in the forward tree, rotated
+/// last column first in the backward tree — read in column order.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    cells: &'a [Option<Cell>],
+    /// Held last column first.
+    rotated: bool,
+}
+
+impl<'a> RowRef<'a> {
+    /// A row held in column order.
+    pub fn new(cells: &'a [Option<Cell>]) -> Self {
+        RowRef {
+            cells,
+            rotated: false,
+        }
+    }
+
+    /// A row held last column first.
+    pub fn rotated(cells: &'a [Option<Cell>]) -> Self {
+        RowRef {
+            cells,
+            rotated: true,
+        }
+    }
+
+    /// Number of columns.
+    pub fn arity(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The cell at column `idx` (panics when out of range).
+    pub fn cell(&self, idx: usize) -> &'a Option<Cell> {
+        if !self.rotated {
+            &self.cells[idx]
+        } else if idx + 1 == self.cells.len() {
+            &self.cells[0]
+        } else {
+            &self.cells[idx + 1]
+        }
+    }
+
+    /// First column.
+    pub fn first(&self) -> &'a Option<Cell> {
+        self.cell(0)
+    }
+
+    /// Last column.
+    pub fn last(&self) -> &'a Option<Cell> {
+        self.cell(self.arity() - 1)
+    }
+
+    /// The cells in column order.
+    pub fn cells(&self) -> impl Iterator<Item = &'a Option<Cell>> + '_ {
+        (0..self.arity()).map(|idx| self.cell(idx))
+    }
+
+    /// A copy of the row.
+    pub fn to_row(&self) -> Row {
+        self.cells().cloned().collect()
+    }
+
+    /// A copy of the inclusive column range `[from, to]`.
+    pub fn project(&self, from: usize, to: usize) -> Row {
+        (from..=to).map(|idx| self.cell(idx).clone()).collect()
+    }
+}
+
+impl PartialEq<Row> for RowRef<'_> {
+    fn eq(&self, row: &Row) -> bool {
+        self.arity() == row.arity() && self.cells().eq(row.cells())
+    }
+}
+
 /// Shorthand to build rows in tests and examples: OIDs from raw numbers,
 /// `None` for NULL.
 #[macro_export]

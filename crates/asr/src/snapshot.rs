@@ -40,7 +40,7 @@ use crate::manager::AsrConfig;
 use crate::naive::check_span;
 use crate::partition::{cell_ranges, PartitionVersion, StoredPartition};
 use crate::query::{self, Frontier, SpanSource};
-use crate::row::Row;
+use crate::row::RowRef;
 
 // ---------------------------------------------------------------------
 // Epoch registry: pin / reclaim
@@ -154,19 +154,22 @@ impl SpanSource for PinnedPartition {
         self.version.arity()
     }
 
-    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
-        let tree = if forward {
-            &self.version.fwd
+    fn probe(&self, forward: bool, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>)) {
+        let ranges = cell_ranges(frontier);
+        if forward {
+            (self.version.fwd)
+                .scan_ranges_sorted(ranges, self.charge(), |_, cells| visit(RowRef::new(cells)));
         } else {
-            &self.version.bwd
-        };
-        tree.scan_ranges_sorted(cell_ranges(frontier), self.charge(), |_, _, row| visit(row));
+            (self.version.bwd).scan_ranges_sorted(ranges, self.charge(), |_, cells| {
+                visit(RowRef::rotated(cells))
+            });
+        }
     }
 
-    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(&Row)) {
-        self.version.fwd.scan_all(self.charge(), |_, row| {
-            if frontier.contains(row.cell(offset)) {
-                visit(row);
+    fn scan(&self, offset: usize, frontier: &Frontier, visit: &mut dyn FnMut(RowRef<'_>)) {
+        self.version.fwd.scan_all(self.charge(), |cells| {
+            if frontier.contains(&cells[offset]) {
+                visit(RowRef::new(cells));
             }
         });
     }
@@ -433,6 +436,7 @@ mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
     use crate::extension::Extension;
+    use crate::row::Row;
     use asr_gom::{Schema, Value};
     use std::collections::BTreeSet;
 
@@ -575,18 +579,18 @@ mod tests {
             });
             let keys: Frontier = firsts.into_iter().collect();
             let mut live = Vec::new();
-            part.probe(true, &keys, &mut |row| live.push(row.clone()));
+            part.probe(true, &keys, &mut |row| live.push(row.to_row()));
             let mut probed = Vec::new();
-            pin.probe(true, &keys, &mut |row| probed.push(row.clone()));
+            pin.probe(true, &keys, &mut |row| probed.push(row.to_row()));
             assert_eq!(live, probed, "forward probe partition {pidx}");
             // Full scan parity at offset 0 with a frontier of everything.
             let rows_live: Vec<Row> = {
                 let mut v = Vec::new();
-                part.scan(|r| v.push(r.clone()));
+                part.scan(|r| v.push(r.to_row()));
                 v
             };
             let mut scanned = Vec::new();
-            pin.scan(0, &keys, &mut |row| scanned.push(row.clone()));
+            pin.scan(0, &keys, &mut |row| scanned.push(row.to_row()));
             let expect: Vec<Row> = rows_live
                 .iter()
                 .filter(|r| keys.contains(r.cell(0)))

@@ -48,7 +48,7 @@ fn load(rel: &Relation, dec: &Decomposition) -> Vec<StoredPartition> {
 fn probed(part: &StoredPartition, forward: bool, cells: &[Cell]) -> Vec<Row> {
     let frontier = Frontier::ascending(cells.to_vec()).expect("ascending probe keys");
     let mut rows = Vec::new();
-    part.probe(forward, &frontier, &mut |row| rows.push(row.clone()));
+    part.probe(forward, &frontier, &mut |row| rows.push(row.to_row()));
     rows
 }
 
@@ -76,7 +76,7 @@ fn forward_per_cell(
             part.scan(|row| {
                 if let Some(cell) = row.cell(offset) {
                     if frontier.contains(cell) {
-                        hits.push(row.clone());
+                        hits.push(row.to_row());
                     }
                 }
             });
@@ -121,7 +121,7 @@ fn backward_per_cell(
             part.scan(|row| {
                 if let Some(cell) = row.cell(offset) {
                     if frontier.contains(cell) {
-                        hits.push(row.clone());
+                        hits.push(row.to_row());
                     }
                 }
             });
@@ -237,7 +237,7 @@ proptest! {
                 let frontier: Frontier = (0..6).map(|v| cell(100 * (a as u64 + 1) + v)).collect();
                 let scan = |part: &dyn SpanSource| {
                     let mut rows = Vec::new();
-                    part.scan(1, &frontier, &mut |row| rows.push(row.clone()));
+                    part.scan(1, &frontier, &mut |row| rows.push(row.to_row()));
                     rows
                 };
                 prop_assert_eq!(

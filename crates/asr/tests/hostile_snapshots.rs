@@ -8,9 +8,12 @@
 //! error: never a panic, never a load that looks successful.
 //!
 //! Behind the checksums, the decoder itself: a seeded bit flipped in
-//! every fourth byte of both documents with every frame's CRC recomputed
-//! must fail with an error or load soundly — page-sound partitions,
-//! consistent rebuilt ASRs, every object value of its declared type.
+//! every fourth byte of `figure2.ckpt` and of `bulk-insert.delta` (over
+//! `bulk.ckpt`) with every frame's CRC recomputed must fail with an error
+//! or load soundly — page-sound partitions whose two trees hold the same
+//! rows, consistent rebuilt ASRs, every object value of its declared
+//! type.  And a resealed change to one row of one tree, which leaves both
+//! trees valid but no longer holding the same rows, is refused.
 //!
 //! The retired text format: `bulk.asrdb2` cut after every line, with a
 //! seeded bit flipped inside every line, and cut and flipped at a seeded
@@ -281,7 +284,7 @@ fn reseal(doc: &mut [u8]) {
 #[test]
 fn resealed_flips_error_or_load_soundly() {
     let full = fixture("figure2.ckpt");
-    let base = Database::load_from_string(&fixture("bulk.asrdb2")).unwrap();
+    let base = Database::load_from_string(&fixture("bulk.ckpt")).unwrap();
     let delta = fixture("bulk-insert.delta");
     let mut rng = SmallRng::seed_from_u64(fuzz_seed(0x5E_2026));
     let (mut loaded, mut refused) = (0, 0);
@@ -313,5 +316,57 @@ fn resealed_flips_error_or_load_soundly() {
     assert!(
         loaded > 0 && refused > 0,
         "{loaded} loaded, {refused} refused"
+    );
+}
+
+/// The byte range of the first ASR frame of `doc` (tag, length, payload
+/// and checksum).
+fn first_asr_frame(doc: &[u8]) -> std::ops::Range<usize> {
+    let mut at = 8;
+    loop {
+        let len = u32::from_le_bytes(doc[at + 1..at + 5].try_into().unwrap()) as usize;
+        if doc[at] == b'A' {
+            return at..at + 9 + len;
+        }
+        at += 9 + len;
+    }
+}
+
+/// One cell of one row changed in one tree, the checksums recomputed:
+/// each tree is still a valid B+ tree, but the two no longer hold the
+/// same rows.  The restore refuses that partition, and the lenient load
+/// rebuilds its ASR from the object base.  Walking back from the end of
+/// the first ASR frame (past the last tree's inner pages, into its
+/// leaves), the first change whose ASR is refused for that reason is the
+/// case.
+#[test]
+fn resealed_trees_that_disagree_are_refused() {
+    let doc = fixture("bulk.ckpt");
+    let want = answers(&Database::load_from_string(&doc).unwrap());
+    let frame = first_asr_frame(&doc);
+    let refused = frame.rev().find(|&at| {
+        if doc[at] >= 0x7f {
+            return false;
+        }
+        let mut bad = doc.clone();
+        bad[at] += 1;
+        reseal(&mut bad);
+        let Ok((db, report)) = Database::load_from_string_report(&bad) else {
+            return false;
+        };
+        let ctx = format!("resealed change in byte {at}");
+        assert_loaded_soundly(&ctx, &db, &report);
+        let disagree = |m: &AsrLoadMode| {
+            matches!(m, AsrLoadMode::Rebuilt(reason) if reason.contains("different rows"))
+        };
+        if report.asrs.iter().any(|(_, m)| disagree(m)) {
+            assert_eq!(answers(&db), want, "{ctx}: the rebuilt ASR answers alike");
+            return true;
+        }
+        false
+    });
+    assert!(
+        refused.is_some(),
+        "no resealed change made the trees disagree"
     );
 }

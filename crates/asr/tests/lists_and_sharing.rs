@@ -124,7 +124,7 @@ fn list_reattachment_is_maintained_incrementally() {
 /// A stored partition's rows, sorted (charges a full scan).
 fn rows(part: &StoredPartition) -> Vec<Row> {
     let mut rows = Vec::new();
-    part.scan(|row| rows.push(row.clone()));
+    part.scan(|row| rows.push(row.to_row()));
     rows.sort();
     rows
 }

@@ -24,6 +24,7 @@
 
 use asr_core::{
     AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension, Relation, Row,
+    RowRef,
 };
 use asr_gom::{ObjectBase, Oid, PathExpression, Schema, TypeRef, Value};
 use asr_pagesim::IoStats;
@@ -175,11 +176,10 @@ proptest! {
         }
     }
 
-    /// The product build against Definitions 3.4–3.8 as written, row ids
-    /// included: each partition of a built ASR lists, in row-id order,
-    /// `dec.decompose(&ext.fold(&aux))` in row order, its ids issued
-    /// densely from 0.  That numbering is what keeps checkpoints
-    /// byte-identical however the build finds the rows.
+    /// The product build against Definitions 3.4–3.8 as written: each
+    /// partition of a built ASR holds, in its forward tree's order,
+    /// `dec.decompose(&ext.fold(&aux))` in row order, and its backward
+    /// tree the same rows.
     #[test]
     fn build_equals_the_definitional_oracle(desc in random_base_strategy()) {
         let (base, path) = materialize(&desc);
@@ -199,11 +199,11 @@ proptest! {
                     ).unwrap();
                     prop_assert_eq!(asr.partitions().len(), want.len());
                     for (p, want) in asr.partitions().iter().zip(&want) {
-                        let mut got: Vec<(u64, Row)> = Vec::new();
-                        p.forward_tree().scan_all(|(_, rowid), row| got.push((*rowid, row.clone())));
-                        got.sort_unstable_by_key(|(rowid, _)| *rowid);
-                        let want: Vec<(u64, Row)> = (0..).zip(want.iter().cloned()).collect();
+                        let mut got: Vec<Row> = Vec::new();
+                        p.scan(|row| got.push(row.to_row()));
+                        let want: Vec<Row> = want.iter().cloned().collect();
                         prop_assert_eq!(got, want, "{} under {} keep={}", ext, dec, keep);
+                        p.check_consistency().unwrap();
                     }
                 }
             }
@@ -474,21 +474,38 @@ fn chain_db(counts: [u8; 4], dec_seed: u8, keep: bool) -> (Database, Vec<Vec<Oid
     (db, levels)
 }
 
-/// Each partition's stored rows as its forward tree and its backward
-/// tree hold them, read off the pages (uncharged).  A stray row that no
-/// reassembled extension row reaches still shows here.
-fn partition_rows(asr: &AccessSupportRelation) -> Vec<(Vec<Row>, Vec<Row>)> {
-    let sorted = |tree: &asr_pagesim::BPlusTree<asr_core::partition::PartitionKey, Row>| {
+/// Each partition's stored rows, read off the pages (uncharged), after
+/// asserting that its forward tree and its backward tree hold the same
+/// ones.  A stray row that no reassembled extension row reaches still
+/// shows here.
+fn partition_rows(asr: &AccessSupportRelation) -> Vec<Vec<Row>> {
+    let sorted = |tree: &asr_core::partition::ClusterTree, rotated: bool| {
         let mut rows = Vec::new();
-        tree.pages()
-            .scan_all(|_| {}, |_, row: &Row| rows.push(row.clone()));
+        tree.pages().scan_all(
+            |_| {},
+            |cells| {
+                let row = if rotated {
+                    RowRef::rotated(cells)
+                } else {
+                    RowRef::new(cells)
+                };
+                rows.push(row.to_row());
+            },
+        );
         rows.sort();
         rows
     };
-    asr.partitions()
-        .iter()
-        .map(|p| (sorted(p.forward_tree()), sorted(p.backward_tree())))
-        .collect()
+    let mut out = Vec::new();
+    for p in asr.partitions() {
+        let fwd = sorted(p.forward_tree(), false);
+        assert_eq!(
+            fwd,
+            sorted(p.backward_tree(), true),
+            "both trees hold the same rows"
+        );
+        out.push(fwd);
+    }
+    out
 }
 
 /// Every span answer of every ASR, supported or not: forward from each
@@ -669,6 +686,27 @@ fn dangling_set_members_are_no_members() {
     db.delete_object(t1).unwrap();
     assert!(db.remove_from_set(s1, &Value::Ref(t1)).unwrap());
     assert_matches_rebuild(&db, "remove the deleted t1 from {t1}");
+}
+
+/// Reassigning a set attribute to another set keeps the rows of every
+/// edge both sets hold — the marker of two empty sets, a shared member:
+/// without set OIDs they are the same rows before and after.
+#[test]
+fn reassigning_a_set_keeps_the_edges_both_sets_hold() {
+    let (mut db, [t0, t1, t2, ..]) = dangling_db();
+    let empty = db.instantiate("S3").unwrap();
+    db.set_attribute(t2, "A3", Value::Ref(empty)).unwrap();
+    assert_matches_rebuild(&db, "t2.A3 := an empty set");
+    let other_empty = db.instantiate("S3").unwrap();
+    db.set_attribute(t2, "A3", Value::Ref(other_empty)).unwrap();
+    assert_matches_rebuild(&db, "t2.A3 := another empty set");
+    let shared = db.instantiate("S1").unwrap();
+    let t1b = db.instantiate("T1").unwrap();
+    for member in [t1, t1b] {
+        db.insert_into_set(shared, Value::Ref(member)).unwrap();
+    }
+    db.set_attribute(t0, "A1", Value::Ref(shared)).unwrap();
+    assert_matches_rebuild(&db, "t0.A1 := {t1, t1b} after {t1}");
 }
 
 // ----------------------------------------------------------------------

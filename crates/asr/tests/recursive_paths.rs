@@ -289,5 +289,5 @@ fn delta_checkpoint_after_the_rebuild_fallback_reproduces_the_primary() {
         "every changed section ships in full: {report:?}"
     );
     assert_eq!(applied.save_to_string(), db.save_to_string());
-    assert_eq!((delta.len(), fnv1a(&delta)), (1137, 0xaac5_5880_0639_13c6));
+    assert_eq!((delta.len(), fnv1a(&delta)), (753, 0x988e_d50a_ca72_2edb));
 }

@@ -279,7 +279,7 @@ fn duplicate_row_id() {
     let bad = damaged(&text, rows[1], "R 0 1 R:i5 S:Roof");
     assert_eq!(
         asr_mode(&bad),
-        AsrLoadMode::Rebuilt("corrupt snapshot: partition image: row id 0 appears twice".into())
+        AsrLoadMode::Rebuilt("row id 0 appears twice".into())
     );
     let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
@@ -308,9 +308,7 @@ fn leaf_naming_an_unknown_row_id() {
     let bad = spliced(&text, at, "N b 0 L - 0,1\n", "N b 0 L - 0,9\n");
     assert_eq!(
         asr_mode(&bad),
-        AsrLoadMode::Rebuilt(
-            "corrupt snapshot: partition image: leaf references unknown row id 9".into()
-        )
+        AsrLoadMode::Rebuilt("a b leaf names unknown row id 9".into())
     );
 }
 
@@ -321,9 +319,7 @@ fn one_row_listed_under_two_row_ids() {
     let bad = damaged(&text, rows[1], "R 1 1 R:i4 S:Door");
     assert_eq!(
         asr_mode(&bad),
-        AsrLoadMode::Rebuilt(
-            "corrupt snapshot: partition image: 1 rows listed twice under different row ids".into()
-        )
+        AsrLoadMode::Rebuilt("1 rows listed twice under different row ids".into())
     );
     let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);
@@ -336,7 +332,7 @@ fn leaves_naming_a_row_id_twice() {
     let bad = spliced(&text, at, "N b 0 L - 0,1\n", "N b 0 L - 0,0\n");
     assert_eq!(
         asr_mode(&bad),
-        AsrLoadMode::Rebuilt("storage error: corrupt structure: leaf 0 keys unsorted".into())
+        AsrLoadMode::Rebuilt("the b leaves name row id 0 twice".into())
     );
     let db = Database::load_from_string(bad.as_bytes()).unwrap();
     assert_eq!(door_divisions(&db), vec![Oid::from_raw(0)]);

@@ -47,7 +47,7 @@ fn backward_per_cell(
             part.scan(|row| {
                 if let Some(cell) = row.cell(offset) {
                     if frontier.contains(cell) {
-                        hits.push(row.clone());
+                        hits.push(row.to_row());
                     }
                 }
             });

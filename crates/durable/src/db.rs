@@ -499,10 +499,13 @@ impl<S: Storage> DurableDatabase<S> {
         policy: FlushPolicy,
         flightrec: &Rc<FlightRecorder>,
     ) -> Result<Recovered> {
-        // Manifest: the existence + version check.  Every recovery-side
-        // read is stabilized — a single read can be transiently mangled
-        // in flight, and recovery acting on it (truncating, re-writing)
-        // would turn a one-off fault into permanent loss.
+        // Manifest: the existence + version check.  It carries no
+        // checksum, so it is read stabilized ([`read_stable`]): a single
+        // read can be transiently mangled in flight, and recovery acting
+        // on it would turn a one-off fault into permanent loss.  Every
+        // binary file checksums its frames, so it is read once, and read
+        // again stabilized only when a checksum fails or a frame looks
+        // torn — before recovery acts on the damage.
         let manifest = read_stable(storage, MANIFEST_FILE, READ_RETRIES)?
             .ok_or_else(|| DurableError::NotADatabase("no MANIFEST in storage".into()))?;
         let manifest = String::from_utf8(manifest)
@@ -516,10 +519,24 @@ impl<S: Storage> DurableDatabase<S> {
         // Checkpoint: its own header's LSN is authoritative — a
         // crash between writing the snapshot and the manifest leaves the
         // manifest stale.
-        let snap = read_stable(storage, CHECKPOINT_FILE, READ_RETRIES)?.ok_or_else(|| {
-            DurableError::Corrupt("MANIFEST present but checkpoint.snap missing".into())
-        })?;
-        let parsed = parse_checkpoint_chain(storage, snap, CHECKPOINT_FILE)?;
+        let load = |read: &dyn Fn(&str) -> Result<Option<Vec<u8>>>| {
+            let snap = read(CHECKPOINT_FILE)?.ok_or_else(|| {
+                DurableError::Corrupt("MANIFEST present but checkpoint.snap missing".into())
+            })?;
+            parse_checkpoint_chain(read, snap, CHECKPOINT_FILE)
+        };
+        // A text checkpoint (`CKPT ` over an `ASRDB 1`/`2` body) carries
+        // no checksum either: it is read stabilized too.
+        let read_once = |name: &str| -> Result<Option<Vec<u8>>> {
+            match storage.read(name)? {
+                Some(bytes) if bytes.starts_with(b"CKPT ") => {
+                    read_stable(&*storage, name, READ_RETRIES)
+                }
+                read => Ok(read),
+            }
+        };
+        let parsed = load(&read_once)
+            .or_else(|_| load(&|name| read_stable(&*storage, name, READ_RETRIES)))?;
         let ParsedCheckpoint {
             mut db,
             lsn: checkpoint_lsn,
@@ -555,24 +572,29 @@ impl<S: Storage> DurableDatabase<S> {
             if seg.last_lsn <= checkpoint_lsn {
                 continue; // fully covered; prunable, not needed
             }
-            let data = read_stable(storage, &seg.file_name(), READ_RETRIES)?.ok_or_else(|| {
-                DurableError::Corrupt(format!(
-                    "segment {} is in segments.manifest but missing",
-                    seg.file_name()
-                ))
-            })?;
-            seg.verify(&data)?;
-            seg_pages_read += pages(data.len());
-            let scan = scan_wal(&data)?;
-            if scan.torn_bytes > 0 {
-                // Sealed segments were fully acknowledged at seal time; a
-                // torn frame inside one is at-rest corruption, never an
-                // unacknowledged tail.
-                return Err(DurableError::Corrupt(format!(
-                    "sealed segment {} has an invalid frame",
-                    seg.file_name()
-                )));
-            }
+            let sealed = |read: &dyn Fn(&str) -> Result<Option<Vec<u8>>>| {
+                let data = read(&seg.file_name())?.ok_or_else(|| {
+                    DurableError::Corrupt(format!(
+                        "segment {} is in segments.manifest but missing",
+                        seg.file_name()
+                    ))
+                })?;
+                seg.verify(&data)?;
+                let scan = scan_wal(&data)?;
+                if scan.torn_bytes > 0 {
+                    // Sealed segments were fully acknowledged at seal
+                    // time; a torn frame inside one is at-rest
+                    // corruption, never an unacknowledged tail.
+                    return Err(DurableError::Corrupt(format!(
+                        "sealed segment {} has an invalid frame",
+                        seg.file_name()
+                    )));
+                }
+                Ok((data.len(), scan))
+            };
+            let (len, scan) = sealed(&|name| storage.read(name))
+                .or_else(|_| sealed(&|name| read_stable(&*storage, name, READ_RETRIES)))?;
+            seg_pages_read += pages(len);
             db.tracer().event(
                 "recovery.segment_replayed",
                 &[
@@ -587,10 +609,18 @@ impl<S: Storage> DurableDatabase<S> {
         seg_span.add_attr("replayed", seg_replayed.to_string());
         seg_span.finish();
 
-        let wal_bytes = read_stable(storage, WAL_FILE, READ_RETRIES)?.unwrap_or_default();
+        let mut wal_bytes = storage.read(WAL_FILE)?.unwrap_or_default();
+        let scan = match scan_wal(&wal_bytes) {
+            Ok(scan) if scan.torn_bytes == 0 => scan,
+            // A torn tail is truncated below: first make sure the tear is
+            // on disk, not in flight.
+            _ => {
+                wal_bytes = read_stable(&*storage, WAL_FILE, READ_RETRIES)?.unwrap_or_default();
+                scan_wal(&wal_bytes)?
+            }
+        };
         let wal_pages_read = pages(wal_bytes.len());
         let mut wal_span = db.tracer().span("recovery.wal_replay");
-        let scan = scan_wal(&wal_bytes)?;
         if scan.torn_bytes > 0 {
             db.tracer().event(
                 "recovery.torn_tail",
@@ -1669,12 +1699,12 @@ pub(crate) fn parse_checkpoint(bytes: &[u8], what: &str) -> Result<ParsedCheckpo
 
 /// Load a checkpoint, resolving a delta through its archived base chain:
 /// each delta names its base checkpoint LSN, whose
-/// [`checkpoint_archive_name`] file is read from `storage`, down to a full
-/// checkpoint; the chain is then applied oldest-first (leniently — a
+/// [`checkpoint_archive_name`] file is read through `read`, down to a
+/// full checkpoint; the chain is then applied oldest-first (leniently — a
 /// patch that cannot apply falls back to a charged rebuild, as crash
 /// recovery must come back up).
-pub(crate) fn parse_checkpoint_chain<S: Storage>(
-    storage: &S,
+pub(crate) fn parse_checkpoint_chain(
+    read: &dyn Fn(&str) -> Result<Option<Vec<u8>>>,
     bytes: Vec<u8>,
     what: &str,
 ) -> Result<ParsedCheckpoint> {
@@ -1692,7 +1722,7 @@ pub(crate) fn parse_checkpoint_chain<S: Storage>(
             )));
         }
         let name = checkpoint_archive_name(base_id);
-        let bytes = read_stable(storage, &name, READ_RETRIES)?.ok_or_else(|| {
+        let bytes = read(&name)?.ok_or_else(|| {
             DurableError::Corrupt(format!(
                 "{what} is a delta over checkpoint LSN {base_id}, but its archive {name} is missing"
             ))
@@ -1798,7 +1828,11 @@ pub fn recover_to_lsn<S: Storage>(storage: &S, bound: u64) -> Result<(Database, 
     let snap = read_stable(storage, &archive, READ_RETRIES)?.ok_or_else(|| {
         DurableError::PitrUnavailable(format!("archived checkpoint {archive} is missing"))
     })?;
-    let parsed = parse_checkpoint_chain(storage, snap, &archive)?;
+    let parsed = parse_checkpoint_chain(
+        &|name| read_stable(storage, name, READ_RETRIES),
+        snap,
+        &archive,
+    )?;
     let mut pages_read = pages(parsed.total_bytes);
     let ParsedCheckpoint {
         mut db,

@@ -150,20 +150,20 @@ fn measure_recovery(delta_ops: usize) -> Recovery {
 
 /// Replaying 16 records costs about a seventh of a rebuild (129 vs 915
 /// pages: each `ins_3` writes only the partition holding its step),
-/// and restoring the checkpoint physically about a sixth of rebuilding
-/// on load (171 vs 994).
+/// and restoring the checkpoint physically about an eighth of rebuilding
+/// on load (123 vs 994).
 #[test]
 fn recovery_phases_charge_pinned_pages() {
     let r = measure_recovery(16);
     assert_eq!((r.applied, r.records_replayed), (16, 16));
-    assert_eq!(r.checkpoint_load, (171, 0));
+    assert_eq!(r.checkpoint_load, (123, 0));
     assert_eq!(r.rebuild_load, (854, 140));
     assert_eq!(r.wal_replay, (81, 48));
     assert_eq!(r.full_rebuild, (775, 140));
     assert_eq!(ratio(total(r.wal_replay), total(r.full_rebuild)), "0.1410");
     assert_eq!(
         ratio(total(r.checkpoint_load), total(r.rebuild_load)),
-        "0.1720"
+        "0.1237"
     );
 }
 
@@ -229,8 +229,8 @@ fn replica_catch_up_and_bootstrap_ship_pinned_bytes() {
     let catch_up = shipped(&primary, &mut warm);
 
     assert_eq!(catch_up, (476, 1, 1, 16));
-    assert_eq!(bootstrap, (670_123, 166, 2, 16));
-    assert_eq!(ratio(catch_up.1, bootstrap.1), "0.0060");
+    assert_eq!(bootstrap, (482_640, 119, 2, 16));
+    assert_eq!(ratio(catch_up.1, bootstrap.1), "0.0084");
 }
 
 /// A delta checkpoint writes the pages the delta dirtied, not the
@@ -248,9 +248,9 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
     let report = primary.checkpoint_delta().expect("delta checkpoint");
     assert!(report.is_delta(), "an ins_3 delta takes the delta path");
     assert_eq!(report.chain_depth, 1);
-    assert_eq!((report.pages_written, report.pages_full), (8, 331));
-    assert_eq!(report.snapshot_bytes, 14_627);
-    assert_eq!(ratio(report.pages_written, report.pages_full), "0.0242");
+    assert_eq!((report.pages_written, report.pages_full), (20, 238));
+    assert_eq!(report.snapshot_bytes, 39_778);
+    assert_eq!(ratio(report.pages_written, report.pages_full), "0.0840");
     primary.prune_segments().expect("prunes");
 
     let delta = shipped(&primary, &mut warm);
@@ -260,8 +260,26 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
 
     assert_eq!(delta, (476, 1, 1, 16));
     assert_eq!(warm.status().delta_bootstraps, 0);
-    assert_eq!(full, (684_283, 169, 2, 0));
-    assert_eq!(ratio(delta.1, full.1), "0.0059");
+    assert_eq!(full, (521_951, 129, 2, 0));
+    assert_eq!(ratio(delta.1, full.1), "0.0078");
+}
+
+/// A delta checkpoint prices `pages_full` at the page size of the full
+/// checkpoint then taken of the same state (checkpoint.snap plus its
+/// archived copy).
+#[test]
+fn pages_full_prices_the_full_checkpoint_of_the_same_state() {
+    let (mut primary, trace, _) = stage(16);
+    apply(&mut primary, &trace);
+    let delta = primary.checkpoint_delta().expect("delta checkpoint");
+    assert!(delta.is_delta());
+    primary
+        .checkpoint()
+        .expect("full checkpoint of the same state");
+    let full = primary.storage().read(CHECKPOINT_FILE).unwrap().unwrap();
+    assert!(!asr_core::CheckpointHeader::read(&full).unwrap().is_delta());
+    assert_eq!(delta.pages_full, pages(2 * full.len() as u64));
+    assert_eq!(primary.wal_status().last_checkpoint_pages, delta.pages_full);
 }
 
 /// Point-in-time recovery over 64 logged inserts spread across
@@ -285,11 +303,11 @@ fn pitr_cost_grows_with_bound_distance() {
     assert_eq!(
         curve,
         [
-            (0, 166, 0, 0),
-            (16, 169, 16, 3),
-            (32, 171, 32, 5),
-            (48, 173, 48, 7),
-            (64, 176, 64, 9),
+            (0, 119, 0, 0),
+            (16, 122, 16, 3),
+            (32, 124, 32, 5),
+            (48, 126, 48, 7),
+            (64, 129, 64, 9),
         ]
     );
 }

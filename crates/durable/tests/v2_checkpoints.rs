@@ -16,8 +16,8 @@
 
 use asr_core::{AsrConfig, AsrLoadMode, Cell, Database, Decomposition, Extension};
 use asr_durable::{
-    DurableDatabase, DurableError, FlushPolicy, MemStorage, Storage, CHECKPOINT_FILE,
-    MANIFEST_FILE, WAL_FILE,
+    DurableDatabase, DurableError, FaultPlan, FaultyStorage, FlushPolicy, MemStorage, ReadFlip,
+    Storage, CHECKPOINT_FILE, MANIFEST_FILE, WAL_FILE,
 };
 use asr_gom::{ObjectBase, Schema, Value};
 use asr_pagesim::PAGE_SIZE;
@@ -335,6 +335,51 @@ fn golden(name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("missing golden fixture file {name}: {e}"))
 }
 
+/// The committed v1 fixture's files in fresh storage.
+fn golden_disk() -> MemStorage {
+    let mut disk = MemStorage::new();
+    disk.write_atomic(CHECKPOINT_FILE, &golden("checkpoint.snap"))
+        .unwrap();
+    disk.write_atomic(MANIFEST_FILE, &golden("MANIFEST"))
+        .unwrap();
+    disk.write_atomic(WAL_FILE, &golden("wal.log")).unwrap();
+    disk
+}
+
+/// A text checkpoint carries no checksum, so a read whose flip leaves it
+/// well-formed (a letter of an object's name, a digit of an OID) would
+/// load silently wrong: every read of the v1 fixture sees, in turn, a
+/// one-shot flip of such a byte, and recovery still lands on the frozen
+/// expectation.
+#[test]
+fn golden_v1_fixture_recovers_through_a_transient_read_flip() {
+    let ckpt = String::from_utf8(golden("checkpoint.snap")).unwrap();
+    let at = |needle: &str| ckpt.find(needle).unwrap_or_else(|| panic!("{needle}"));
+    // `Auto` → `Atto`, `i4` → `i5`, `560` → `561`: each still parses.
+    let bytes = [at("S:Auto") + 3, at("R:i4") + 3, at("560") + 2];
+    let expected = Database::load_from_string(&golden("expected_state.snap"))
+        .unwrap()
+        .save_to_string();
+    for nth in 0..32usize {
+        for byte in bytes {
+            let plan = FaultPlan {
+                flip_read: Some(ReadFlip { nth, byte, bit: 0 }),
+                ..FaultPlan::default()
+            };
+            let faulty = FaultyStorage::new(golden_disk(), plan);
+            let ctx = format!("transient flip on read {nth} byte {byte}");
+            let recovered = DurableDatabase::open(faulty).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(recovered.save_to_string(), expected, "{ctx}");
+        }
+        let probe =
+            DurableDatabase::open(FaultyStorage::new(golden_disk(), FaultPlan::default())).unwrap();
+        if probe.storage().reads_seen() <= nth {
+            return;
+        }
+    }
+    panic!("recovery consumed over 32 reads; widen the sweep");
+}
+
 /// Recover the committed v1 fixture (a text `ASRDB 1` checkpoint plus a
 /// short WAL tail) on current code: every ASR rebuilds, the replayed tail
 /// applies, and the final state is the frozen expectation (an `ASRDB 2`
@@ -348,13 +393,7 @@ fn golden_v1_fixture_recovers_on_current_code() {
         "fixture checkpoint must be a v1 snapshot"
     );
 
-    let mut disk = MemStorage::new();
-    disk.write_atomic(CHECKPOINT_FILE, &ckpt).unwrap();
-    disk.write_atomic(MANIFEST_FILE, &golden("MANIFEST"))
-        .unwrap();
-    disk.write_atomic(WAL_FILE, &golden("wal.log")).unwrap();
-
-    let recovered = DurableDatabase::open(disk).unwrap();
+    let recovered = DurableDatabase::open(golden_disk()).unwrap();
     let report = recovered.recovery_report().clone();
     assert!(report.records_replayed > 0, "fixture WAL tail must replay");
     assert!(!report.asr_load_modes.is_empty());

@@ -15,9 +15,17 @@
 //! lookup, deletion with borrow/merge rebalancing, and ordered range scans
 //! over the linked leaf level.
 //!
+//! A [`Layout`] says what a leaf holds.  Every leaf is one vector of
+//! elements, `stride` of them per entry, and an entry is ordered by the
+//! key its layout reads off its elements.  [`Pairs`] stores `(key,
+//! value)` pairs, one per entry — the classic map, [`BPlusTree`].
+//! [`Rows`] stores rows of `stride` cells inline, each row its own key —
+//! [`RowTree`], a partition's clustering tree, where a cluster is a
+//! [`Prefix`] range.
+//!
 //! Pages are shared copy-on-write.  A tree keeps its pages in a
 //! [`PageSlab`] of `Arc`'d nodes and writes each one through
-//! `Arc::make_mut`, so [`BPlusTree::freeze`] is a copy of page pointers: an
+//! `Arc::make_mut`, so [`BTree::freeze`] is a copy of page pointers: an
 //! immutable, `Send + Sync` version that keeps the pages it was taken with,
 //! while the tree copies a page the first time it writes one the version
 //! still holds.  The reads a version serves — the batched descent and the
@@ -30,13 +38,11 @@
 //! [`PageSlab::changed_since`] lists the slots whose page is no longer the
 //! marked one — the pages a later version does not share with the marked
 //! one.
-//!
-//! Composite keys (e.g. `(column value, row id)`) are expressed through the
-//! ordinary `Ord` bound; prefix scans become half-open ranges.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt::Debug;
+use std::marker::PhantomData;
 use std::ops::Bound;
 use std::sync::{Arc, Weak};
 
@@ -46,6 +52,147 @@ use crate::error::{PageSimError, Result};
 use crate::stats::StatsHandle;
 
 const NO_NODE: usize = usize::MAX;
+
+/// What a tree's leaves hold and how their entries are ordered.
+///
+/// A leaf is one vector of [`Layout::Elem`]s, `stride` consecutive ones
+/// per entry (the stride is the tree's, fixed when it is made).  Entries
+/// are ordered by [`Layout::key`], and inner pages separate them by
+/// owned keys, [`Layout::Sep`].  A layout is a marker type: it is
+/// never made, only named.
+pub trait Layout: Clone + Debug {
+    /// One element of a leaf's vector.
+    type Elem: Clone + Debug;
+    /// What an entry is ordered, probed and found by.
+    type Key: ?Sized + Ord + Debug;
+    /// An inner page's separator: an owned key.
+    type Sep: Borrow<Self::Key> + Clone + Debug + PartialEq;
+
+    /// The key of one entry (`stride` elements).
+    fn key(entry: &[Self::Elem]) -> &Self::Key;
+
+    /// An owned copy of `key`, to separate two pages by.
+    fn sep(key: &Self::Key) -> Self::Sep;
+}
+
+/// `(key, value)` pairs, one per entry: a unique-key map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pairs<K, V>(PhantomData<fn() -> (K, V)>);
+
+impl<K: Ord + Clone + Debug, V: Clone + Debug> Layout for Pairs<K, V> {
+    type Elem = (K, V);
+    type Key = K;
+    type Sep = K;
+
+    fn key(entry: &[(K, V)]) -> &K {
+        &entry[0].0
+    }
+
+    fn sep(key: &K) -> K {
+        key.clone()
+    }
+}
+
+/// Rows of `stride` cells stored inline, each row its own key: no value,
+/// no row id, no allocation per row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rows<T>(PhantomData<fn() -> T>);
+
+impl<T: Ord + Clone + Debug> Layout for Rows<T> {
+    type Elem = T;
+    type Key = [T];
+    type Sep = Box<[T]>;
+
+    fn key(entry: &[T]) -> &[T] {
+        entry
+    }
+
+    fn sep(key: &[T]) -> Box<[T]> {
+        key.into()
+    }
+}
+
+/// A unique-key B+ tree of `(key, value)` pairs.
+pub type BPlusTree<K, V> = BTree<Pairs<K, V>>;
+
+/// A B+ tree of inline rows, each its own key.
+pub type RowTree<T> = BTree<Rows<T>>;
+
+/// One probe of a scan: where it starts, and how far it reaches.
+pub trait KeyRange<K: ?Sized> {
+    /// The lower bound.
+    fn start(&self) -> Bound<&K>;
+
+    /// Is `key`, which is not below the start, still inside?
+    fn holds(&self, key: &K) -> bool;
+}
+
+impl<K: ?Sized + Ord, B: Borrow<K>> KeyRange<K> for (Bound<B>, Bound<B>) {
+    fn start(&self) -> Bound<&K> {
+        self.0.as_ref().map(Borrow::borrow)
+    }
+
+    fn holds(&self, key: &K) -> bool {
+        match &self.1 {
+            Bound::Included(h) => key <= h.borrow(),
+            Bound::Excluded(h) => key < h.borrow(),
+            Bound::Unbounded => true,
+        }
+    }
+}
+
+/// The keys that begin with one element: a row tree's cluster of rows
+/// whose first cell is `0`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Prefix<T>(pub T);
+
+impl<T: Ord> KeyRange<[T]> for Prefix<T> {
+    fn start(&self) -> Bound<&[T]> {
+        Bound::Included(std::slice::from_ref(&self.0))
+    }
+
+    fn holds(&self, key: &[T]) -> bool {
+        key.first() == Some(&self.0)
+    }
+}
+
+/// Entry `i` of a leaf's elements.
+fn nth<E>(entries: &[E], stride: usize, i: usize) -> &[E] {
+    &entries[i * stride..(i + 1) * stride]
+}
+
+/// The number of entries before the first whose key fails `below`
+/// (binary search; the keys must be partitioned by `below`).
+fn partition_point<L: Layout>(
+    entries: &[L::Elem],
+    stride: usize,
+    below: impl Fn(&L::Key) -> bool,
+) -> usize {
+    let (mut lo, mut hi) = (0, entries.len() / stride);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(L::key(nth(entries, stride, mid))) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The first entry at or past `bound`.
+fn start_index<L: Layout>(entries: &[L::Elem], stride: usize, bound: Bound<&L::Key>) -> usize {
+    match bound {
+        Bound::Included(key) => partition_point::<L>(entries, stride, |k| k < key),
+        Bound::Excluded(key) => partition_point::<L>(entries, stride, |k| k <= key),
+        Bound::Unbounded => 0,
+    }
+}
+
+/// The child of an inner page a search for `key` descends to.
+fn child_index<L: Layout>(keys: &[L::Sep], key: &L::Key) -> usize {
+    keys.partition_point(|k| k.borrow() <= key)
+}
 
 /// Plan chunk sizes for bulk loading: greedy chunks of `target`, with the
 /// tail adjusted so every chunk (except a lone root chunk) holds at least
@@ -107,13 +254,13 @@ impl BatchReport {
 /// path and the set of pages already charged this batch.  A live tree
 /// parks one between batches, so a probe allocates nothing once the
 /// buffers have grown; a frozen version's batch starts a fresh one.
-#[derive(Debug)]
-struct BatchState<K> {
+#[derive(Debug, Default)]
+struct BatchState {
     /// Inner nodes of the current descent path, root first, each with the
-    /// exclusive upper separator bound of its subtree (`None` =
-    /// unbounded).  The bound decides how far the next, larger probe key
-    /// must pop before re-descending.
-    path: Vec<(usize, Option<K>)>,
+    /// exclusive upper separator bound of its subtree, named by the inner
+    /// page and index it sits at (`None` = unbounded).  The bound decides
+    /// how far the next, larger probe key must pop before re-descending.
+    path: Vec<(usize, Option<(usize, usize)>)>,
     /// Pages charged so far this batch (`charged[node id]`); all `false`
     /// between batches.
     charged: Vec<bool>,
@@ -122,17 +269,7 @@ struct BatchState<K> {
     touched: Vec<usize>,
 }
 
-impl<K> Default for BatchState<K> {
-    fn default() -> Self {
-        BatchState {
-            path: Vec::new(),
-            charged: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-}
-
-impl<K> BatchState<K> {
+impl BatchState {
     /// Charge `node` unless this batch already has.
     fn charge(&mut self, node: usize, charge: &impl Fn(usize)) {
         if !self.charged[node] {
@@ -146,19 +283,19 @@ impl<K> BatchState<K> {
 /// One page of a [`TreeImage`]: the physical content of a single slab
 /// slot, with sibling links expressed as `Option` instead of the private
 /// `NO_NODE` sentinel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeImage<K, V> {
+#[derive(Debug, Clone)]
+pub enum NodeImage<L: Layout> {
     /// An inner page: `keys.len() + 1` child page ids.
     Inner {
         /// Separator keys.
-        keys: Vec<K>,
+        keys: Vec<L::Sep>,
         /// Child slab slots, one more than `keys`.
         children: Vec<usize>,
     },
     /// A leaf page with its right-sibling link.
     Leaf {
-        /// Sorted `(key, value)` entries.
-        entries: Vec<(K, V)>,
+        /// The entries' elements in key order, `stride` per entry.
+        entries: Vec<L::Elem>,
         /// Slab slot of the right sibling leaf, if any.
         next: Option<usize>,
     },
@@ -167,21 +304,21 @@ pub enum NodeImage<K, V> {
 }
 
 /// One slab slot by reference — what [`NodeImage`] owns, borrowed from
-/// a slab ([`PageSlab::page`]), for serializers that keep only a part of
-/// each page (a leaf's row ids, say) and would discard a clone.
+/// a slab ([`PageSlab::page`]), for serializers that write a page out
+/// without cloning it first.
 #[derive(Debug)]
-pub enum PageRef<'a, K, V> {
+pub enum PageRef<'a, L: Layout> {
     /// An inner page: `keys.len() + 1` child page ids.
     Inner {
         /// Separator keys.
-        keys: &'a [K],
+        keys: &'a [L::Sep],
         /// Child slab slots, one more than `keys`.
         children: &'a [usize],
     },
     /// A leaf page with its right-sibling link.
     Leaf {
-        /// Sorted `(key, value)` entries.
-        entries: &'a [(K, V)],
+        /// The entries' elements in key order, `stride` per entry.
+        entries: &'a [L::Elem],
         /// Slab slot of the right sibling leaf, if any.
         next: Option<usize>,
     },
@@ -189,9 +326,9 @@ pub enum PageRef<'a, K, V> {
     Free,
 }
 
-impl<K: Clone, V: Clone> PageRef<'_, K, V> {
+impl<L: Layout> PageRef<'_, L> {
     /// Clone the page out into an owned [`NodeImage`].
-    pub fn to_image(&self) -> NodeImage<K, V> {
+    pub fn to_image(&self) -> NodeImage<L> {
         match *self {
             PageRef::Inner { keys, children } => NodeImage::Inner {
                 keys: keys.to_vec(),
@@ -208,12 +345,12 @@ impl<K: Clone, V: Clone> PageRef<'_, K, V> {
 
 /// A page-faithful physical image of a B+ tree: the complete slab layout
 /// (including free slots), free list and geometry.  Produced by
-/// [`BPlusTree::dump_image`] and re-installed by
-/// [`BPlusTree::adopt_image`]; `dump ∘ adopt` is the identity, so a tree
+/// [`BTree::dump_image`] (or decoded off a checkpoint) and re-installed
+/// by [`BTree::adopt_image`]; `dump ∘ adopt` is the identity, so a tree
 /// restored from its image is physically indistinguishable from the
 /// original — same pages, same sibling links, same future slot reuse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeImage<K, V> {
+#[derive(Debug, Clone)]
+pub struct TreeImage<L: Layout> {
     /// Slab slot of the root page.
     pub root: usize,
     /// Tree height in levels, including the leaf level.
@@ -223,10 +360,47 @@ pub struct TreeImage<K, V> {
     /// Free slab slots in pop order (the last element is reused first).
     pub free: Vec<usize>,
     /// Every slab slot, free ones included.
-    pub nodes: Vec<NodeImage<K, V>>,
+    pub nodes: Vec<NodeImage<L>>,
 }
 
-impl<K, V> TreeImage<K, V> {
+impl<L: Layout> PartialEq for NodeImage<L>
+where
+    L::Elem: PartialEq,
+{
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (
+                NodeImage::Inner { keys, children },
+                NodeImage::Inner {
+                    keys: k,
+                    children: c,
+                },
+            ) => keys == k && children == c,
+            (
+                NodeImage::Leaf { entries, next },
+                NodeImage::Leaf {
+                    entries: e,
+                    next: n,
+                },
+            ) => entries == e && next == n,
+            (NodeImage::Free, NodeImage::Free) => true,
+            _ => false,
+        }
+    }
+}
+
+impl<L: Layout> PartialEq for TreeImage<L>
+where
+    L::Elem: PartialEq,
+{
+    fn eq(&self, other: &Self) -> bool {
+        (self.root, self.height, self.len, &self.free)
+            == (other.root, other.height, other.len, &other.free)
+            && self.nodes == other.nodes
+    }
+}
+
+impl<L: Layout> TreeImage<L> {
     /// Number of live (non-free) pages.
     pub fn live_pages(&self) -> usize {
         self.nodes.len() - self.free.len()
@@ -234,35 +408,42 @@ impl<K, V> TreeImage<K, V> {
 }
 
 /// A node slab produced by [`build_bulk`]: the stats-free output of a
-/// bottom-up bulk load, which [`BPlusTree::fill`] adopts and charges.
+/// bottom-up bulk load, which [`BTree::fill_entries`] adopts and charges.
 #[derive(Debug)]
-struct BulkNodes<K, V> {
-    nodes: Vec<Node<K, V>>,
+struct BulkNodes<L: Layout> {
+    nodes: Vec<Node<L>>,
     root: usize,
     height: usize,
     len: usize,
 }
 
-/// Build a B+ tree node slab bottom-up from **strictly ascending**
-/// `(key, value)` pairs without charging any page accesses (see
-/// [`BulkNodes`]).  Leaves are packed to ~90% occupancy with the tail
-/// adjusted to respect minimum fill.
-fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
-    entries: Vec<(K, V)>,
+/// Build a B+ tree node slab bottom-up from the elements of entries in
+/// **strictly ascending** key order, `stride` per entry, without
+/// charging any page accesses (see [`BulkNodes`]).  Leaves are packed to
+/// ~90% occupancy with the tail adjusted to respect minimum fill.
+fn build_bulk<L: Layout>(
+    entries: Vec<L::Elem>,
+    stride: usize,
     leaf_capacity: usize,
     inner_capacity: usize,
-) -> Result<BulkNodes<K, V>> {
+) -> Result<BulkNodes<L>> {
     assert!(leaf_capacity >= 2, "leaf capacity must be >= 2");
     assert!(inner_capacity >= 3, "inner capacity must be >= 3");
-    for pair in entries.windows(2) {
-        if pair[0].0 >= pair[1].0 {
+    if entries.len() % stride != 0 {
+        return Err(PageSimError::CorruptStructure(format!(
+            "bulk_load got {} elements, not whole entries of {stride}",
+            entries.len()
+        )));
+    }
+    let count = entries.len() / stride;
+    for i in 1..count {
+        if L::key(nth(&entries, stride, i - 1)) >= L::key(nth(&entries, stride, i)) {
             return Err(PageSimError::CorruptStructure(
                 "bulk_load keys must be strictly ascending".into(),
             ));
         }
     }
-    let count = entries.len();
-    let mut nodes: Vec<Node<K, V>> = Vec::new();
+    let mut nodes: Vec<Node<L>> = Vec::new();
     if count == 0 {
         nodes.push(Node::Leaf {
             entries: Vec::new(),
@@ -282,14 +463,14 @@ fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
     // Cut each leaf off the tail of `entries`, which then gives those
     // bytes back, so no entry is held twice while the leaves are built.
     let mut entries = entries;
-    let mut chunks: Vec<Vec<(K, V)>> = Vec::with_capacity(plan.len());
+    let mut chunks: Vec<Vec<L::Elem>> = Vec::with_capacity(plan.len());
     for &size in plan.iter().rev() {
-        chunks.push(entries.split_off(entries.len() - size));
+        chunks.push(entries.split_off(entries.len() - size * stride));
         entries.shrink_to_fit();
     }
-    let mut level: Vec<(usize, K)> = Vec::with_capacity(plan.len());
+    let mut level: Vec<(usize, L::Sep)> = Vec::with_capacity(plan.len());
     for chunk in chunks.into_iter().rev() {
-        let min = chunk[0].0.clone();
+        let min = L::sep(L::key(&chunk[..stride]));
         let id = nodes.len();
         nodes.push(Node::Leaf {
             entries: chunk,
@@ -308,13 +489,17 @@ fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
     let mut height = 1usize;
     while level.len() > 1 {
         let plan = chunk_plan(level.len(), inner_target, min_children, inner_capacity);
-        let mut parents: Vec<(usize, K)> = Vec::with_capacity(plan.len());
+        let mut parents: Vec<(usize, L::Sep)> = Vec::with_capacity(plan.len());
         let mut iter = level.into_iter();
         for size in plan {
-            let group: Vec<(usize, K)> = iter.by_ref().take(size).collect();
-            let min = group[0].1.clone();
-            let keys: Vec<K> = group[1..].iter().map(|(_, k)| k.clone()).collect();
-            let children: Vec<usize> = group.iter().map(|(id, _)| *id).collect();
+            let mut group = iter.by_ref().take(size);
+            let (first, min) = group.next().expect("chunks are never empty");
+            let mut children = vec![first];
+            let mut keys = Vec::with_capacity(size - 1);
+            for (id, key) in group {
+                children.push(id);
+                keys.push(key);
+            }
             let id = nodes.len();
             nodes.push(Node::Inner { keys, children });
             parents.push((id, min));
@@ -332,15 +517,16 @@ fn build_bulk<K: Ord + Clone + Debug, V: Clone>(
 }
 
 #[derive(Debug, Clone)]
-enum Node<K, V> {
+enum Node<L: Layout> {
     Inner {
         /// Separator keys; `keys.len() + 1 == children.len()`.
         /// `children[i]` holds keys `< keys[i]`; `children[i+1]` keys `>= keys[i]`.
-        keys: Vec<K>,
+        keys: Vec<L::Sep>,
         children: Vec<usize>,
     },
     Leaf {
-        entries: Vec<(K, V)>,
+        /// The entries' elements, `stride` per entry, in key order.
+        entries: Vec<L::Elem>,
         next: usize,
     },
     /// Slab tombstone available for reuse.
@@ -348,20 +534,22 @@ enum Node<K, V> {
 }
 
 /// A B+ tree's pages and geometry: everything a read walks, and nothing
-/// it charges to.  A [`BPlusTree`] keeps one and writes it in place;
-/// [`BPlusTree::freeze`] hands out a clone, an immutable version that
+/// it charges to.  A [`BTree`] keeps one and writes it in place;
+/// [`BTree::freeze`] hands out a clone, an immutable version that
 /// shares each `Arc`'d page with the tree until the tree next writes it.
 ///
 /// The reads here take `charge`, called with the slab slot of every page
 /// the read is charged for.
 #[derive(Debug, Clone)]
-pub struct PageSlab<K, V> {
-    nodes: Vec<Arc<Node<K, V>>>,
+pub struct PageSlab<L: Layout> {
+    nodes: Vec<Arc<Node<L>>>,
     free: Vec<usize>,
     root: usize,
     /// Levels including the leaf level (empty tree = single empty leaf,
     /// height 1).
     height: usize,
+    /// Elements per entry.
+    stride: usize,
     leaf_capacity: usize,
     inner_capacity: usize,
     len: usize,
@@ -376,15 +564,15 @@ pub struct PageSlab<K, V> {
 /// weak pointer), so a page written since the mark never compares equal
 /// to it.  The default marks are empty: every slot counts as changed.
 #[derive(Debug)]
-pub struct PageMarks<K, V>(Vec<Weak<Node<K, V>>>);
+pub struct PageMarks<L: Layout>(Vec<Weak<Node<L>>>);
 
-impl<K, V> Default for PageMarks<K, V> {
+impl<L: Layout> Default for PageMarks<L> {
     fn default() -> Self {
         PageMarks(Vec::new())
     }
 }
 
-impl<K, V> PageMarks<K, V> {
+impl<L: Layout> PageMarks<L> {
     /// No slot marked: the default marks, which no live slab leaves (a
     /// tree always has its root page).
     pub fn is_empty(&self) -> bool {
@@ -392,9 +580,9 @@ impl<K, V> PageMarks<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
+impl<L: Layout> PageSlab<L> {
     /// A single empty root leaf.
-    fn empty(leaf_capacity: usize, inner_capacity: usize) -> Self {
+    fn empty(stride: usize, leaf_capacity: usize, inner_capacity: usize) -> Self {
         PageSlab {
             nodes: vec![Arc::new(Node::Leaf {
                 entries: Vec::new(),
@@ -403,20 +591,42 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
             free: Vec::new(),
             root: 0,
             height: 1,
+            stride,
             leaf_capacity,
             inner_capacity,
             len: 0,
         }
     }
 
-    fn node(&self, id: usize) -> &Node<K, V> {
+    fn node(&self, id: usize) -> &Node<L> {
         &self.nodes[id]
     }
 
     /// Page `id` for writing: copied first if a frozen version still
     /// holds it, so every written page is copied at most once.
-    fn node_mut(&mut self, id: usize) -> &mut Node<K, V> {
+    fn node_mut(&mut self, id: usize) -> &mut Node<L> {
         Arc::make_mut(&mut self.nodes[id])
+    }
+
+    /// The elements of leaf `id`.
+    fn leaf(&self, id: usize) -> &[L::Elem] {
+        match self.node(id) {
+            Node::Leaf { entries, .. } => entries,
+            _ => unreachable!("page {id} is not a leaf"),
+        }
+    }
+
+    /// Entries in a leaf's `elements`.
+    fn count(&self, elements: &[L::Elem]) -> usize {
+        elements.len() / self.stride
+    }
+
+    /// Inner page `parent`'s separator `idx`.
+    fn separator(&self, parent: usize, idx: usize) -> &L::Key {
+        match self.node(parent) {
+            Node::Inner { keys, .. } => keys[idx].borrow(),
+            _ => unreachable!("page {parent} is not an inner page"),
+        }
     }
 
     /// Number of entries.
@@ -427,6 +637,11 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// `true` when the slab holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Elements per entry.
+    pub fn stride(&self) -> usize {
+        self.stride
     }
 
     /// Tree height in levels, *including* the leaf level.
@@ -483,7 +698,7 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// Mark the slab as it is now, so [`PageSlab::changed_since`] can later
     /// tell which pages a version does not share with this one.  The marks
     /// hold no page content.
-    pub fn marks(&self) -> PageMarks<K, V> {
+    pub fn marks(&self) -> PageMarks<L> {
         PageMarks(self.nodes.iter().map(Arc::downgrade).collect())
     }
 
@@ -492,7 +707,7 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// slab's end.  Empty marks report every slot.
     pub fn changed_since<'a>(
         &'a self,
-        marks: &'a PageMarks<K, V>,
+        marks: &'a PageMarks<L>,
     ) -> impl Iterator<Item = usize> + 'a {
         self.nodes
             .iter()
@@ -506,13 +721,13 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
             })
     }
 
-    /// Slab slot `slot` by reference — [`BPlusTree::dump_image`] without
+    /// Slab slot `slot` by reference — [`BTree::dump_image`] without
     /// the clone.  Charges nothing.
     ///
     /// # Panics
     ///
     /// When `slot >= self.slot_count()`.
-    pub fn page(&self, slot: usize) -> PageRef<'_, K, V> {
+    pub fn page(&self, slot: usize) -> PageRef<'_, L> {
         match self.node(slot) {
             Node::Inner { keys, children } => PageRef::Inner { keys, children },
             Node::Leaf { entries, next } => PageRef::Leaf {
@@ -527,71 +742,78 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Visit all entries with `lo <= key < hi` (half-open), in key order.
-    /// Charges one read per level of the descent to the first leaf, then
-    /// one per additional leaf.
+    /// The entry stored under `key`, if any: a root-to-leaf descent,
+    /// each page charged.
+    pub fn get_entry(&self, key: &L::Key, charge: &impl Fn(usize)) -> Option<&[L::Elem]> {
+        let mut node = self.root;
+        loop {
+            charge(node);
+            match self.node(node) {
+                Node::Inner { keys, children } => node = children[child_index::<L>(keys, key)],
+                Node::Leaf { entries, .. } => {
+                    let at = partition_point::<L>(entries, self.stride, |k| k < key);
+                    return (at < self.count(entries))
+                        .then(|| nth(entries, self.stride, at))
+                        .filter(|entry| L::key(entry) == key);
+                }
+                Node::Free => unreachable!("descended into freed node"),
+            }
+        }
+    }
+
+    /// Visit the entries of `range`, in key order.  Charges one read per
+    /// level of the descent to the first leaf, then one per additional
+    /// leaf.
     pub fn scan_range<'a>(
         &'a self,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
+        range: &impl KeyRange<L::Key>,
         charge: &impl Fn(usize),
-        mut visit: impl FnMut(&'a K, &'a V),
+        mut visit: impl FnMut(&'a [L::Elem]),
     ) {
+        let lo = range.start();
         let mut node = self.root;
         loop {
             charge(node);
             match self.node(node) {
                 Node::Inner { keys, children } => {
-                    let idx = match lo {
+                    node = match lo {
                         Bound::Included(key) | Bound::Excluded(key) => {
-                            keys.partition_point(|k| k <= key)
+                            children[child_index::<L>(keys, key)]
                         }
                         // Walk down the left spine.
-                        Bound::Unbounded => 0,
+                        Bound::Unbounded => children[0],
                     };
-                    node = children[idx];
                 }
                 Node::Leaf { .. } => break,
                 Node::Free => unreachable!("descended into freed node"),
             }
         }
         let mut leaf = node;
-        let Node::Leaf { entries, .. } = self.node(leaf) else {
-            unreachable!()
-        };
-        let mut start_idx = entries.partition_point(|(k, _)| match lo {
-            Bound::Included(key) => k < key,
-            Bound::Excluded(key) => k <= key,
-            Bound::Unbounded => false,
-        });
+        let mut start = start_index::<L>(self.leaf(leaf), self.stride, lo);
         loop {
             let Node::Leaf { entries, next } = self.node(leaf) else {
                 unreachable!()
             };
-            for (k, v) in &entries[start_idx..] {
-                let in_range = match hi {
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
-                    Bound::Unbounded => true,
-                };
-                if !in_range {
+            for entry in entries[start * self.stride..].chunks_exact(self.stride) {
+                if !range.holds(L::key(entry)) {
                     return;
                 }
-                visit(k, v);
+                visit(entry);
             }
             if *next == NO_NODE {
                 return;
             }
             leaf = *next;
-            start_idx = 0;
+            start = 0;
             charge(leaf);
         }
     }
 
     /// Visit every entry in key order: the left spine, then the whole
     /// leaf level, each page charged once.
-    pub fn scan_all<'a>(&'a self, charge: impl Fn(usize), visit: impl FnMut(&'a K, &'a V)) {
-        self.scan_range(Bound::Unbounded, Bound::Unbounded, &charge, visit)
+    pub fn scan_all<'a>(&'a self, charge: impl Fn(usize), visit: impl FnMut(&'a [L::Elem])) {
+        let all: (Bound<&L::Key>, Bound<&L::Key>) = (Bound::Unbounded, Bound::Unbounded);
+        self.scan_range(&all, &charge, visit)
     }
 
     /// Visit, in key order, the entries of each of `ranges` — a batch of
@@ -609,14 +831,11 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     ///
     /// An `Unbounded` lower bound restarts the descent at the leftmost
     /// leaf and is only meaningful as the first range of a batch.
-    ///
-    /// Bounds may be borrowed (`&K`) or owned (`K`, built on the fly by
-    /// the caller's iterator), so a batch needs no key array of its own.
-    pub fn scan_ranges_sorted<B: Borrow<K>>(
+    pub fn scan_ranges_sorted<R: KeyRange<L::Key>>(
         &self,
-        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
+        ranges: impl IntoIterator<Item = R>,
         charge: impl Fn(usize),
-        visit: impl FnMut(usize, &K, &V),
+        visit: impl FnMut(usize, &[L::Elem]),
     ) -> BatchReport {
         self.scan_batch(&mut BatchState::default(), ranges, &charge, visit)
     }
@@ -626,25 +845,23 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     /// and charging only pages not yet touched this batch.
     fn batch_descend(
         &self,
-        st: &mut BatchState<K>,
-        key: Option<&K>,
+        st: &mut BatchState,
+        key: Option<&L::Key>,
         charge: &impl Fn(usize),
     ) -> usize {
         match key {
             Some(key) => {
                 // Pop frames whose subtree upper bound the key has passed.
-                while st
-                    .path
-                    .last()
-                    .is_some_and(|(_, hi)| hi.as_ref().is_some_and(|h| key >= h))
-                {
+                while st.path.last().is_some_and(|&(_, hi)| {
+                    hi.is_some_and(|(parent, idx)| key >= self.separator(parent, idx))
+                }) {
                     st.path.pop();
                 }
             }
             None => st.path.clear(),
         }
         let (mut node, mut hi, mut on_path) = match st.path.last() {
-            Some((n, h)) => (*n, h.clone(), true),
+            Some(&(n, h)) => (n, h, true),
             None => (self.root, None, false),
         };
         loop {
@@ -652,15 +869,15 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
             match self.node(node) {
                 Node::Inner { keys, children } => {
                     if !on_path {
-                        st.path.push((node, hi.clone()));
+                        st.path.push((node, hi));
                     }
                     on_path = false;
                     let idx = match key {
-                        Some(key) => keys.partition_point(|k| k <= key),
+                        Some(key) => child_index::<L>(keys, key),
                         None => 0,
                     };
                     if idx < keys.len() {
-                        hi = Some(keys[idx].clone());
+                        hi = Some((node, idx));
                     }
                     node = children[idx];
                 }
@@ -671,67 +888,56 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
     }
 
     /// [`PageSlab::scan_ranges_sorted`] on the caller's batch scratch.
-    fn scan_batch<B: Borrow<K>>(
+    fn scan_batch<R: KeyRange<L::Key>>(
         &self,
-        st: &mut BatchState<K>,
-        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
+        st: &mut BatchState,
+        ranges: impl IntoIterator<Item = R>,
         charge: &impl Fn(usize),
-        mut visit: impl FnMut(usize, &K, &V),
+        mut visit: impl FnMut(usize, &[L::Elem]),
     ) -> BatchReport {
         st.charged.resize(self.nodes.len(), false);
         let mut report = BatchReport::default();
-        let mut prev_lo: Option<B> = None;
-        for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
+        let mut prev: Option<R> = None;
+        for (range_idx, range) in ranges.into_iter().enumerate() {
             report.probes += 1;
-            let key = match &lo {
-                Bound::Included(k) | Bound::Excluded(k) => Some(k.borrow()),
+            let key = match range.start() {
+                Bound::Included(k) | Bound::Excluded(k) => Some(k),
                 Bound::Unbounded => None,
             };
-            if let (Some(prev), Some(k)) = (&prev_lo, key) {
+            if let (Some(prev), Some(k)) = (&prev, key) {
                 debug_assert!(
-                    prev.borrow() <= k,
+                    match prev.start() {
+                        Bound::Included(p) | Bound::Excluded(p) => p <= k,
+                        Bound::Unbounded => true,
+                    },
                     "scan_ranges_sorted: lower bounds must ascend"
                 );
             }
             let mut leaf = self.batch_descend(st, key, charge);
-            let Node::Leaf { entries, .. } = self.node(leaf) else {
-                unreachable!()
-            };
-            let mut start_idx = entries.partition_point(|(k, _)| match &lo {
-                Bound::Included(key) => k < key.borrow(),
-                Bound::Excluded(key) => k <= key.borrow(),
-                Bound::Unbounded => false,
-            });
+            let mut start = start_index::<L>(self.leaf(leaf), self.stride, range.start());
             let mut leaves_visited = 1u64;
             'walk: loop {
                 let Node::Leaf { entries, next } = self.node(leaf) else {
                     unreachable!()
                 };
-                for (k, v) in &entries[start_idx..] {
-                    let in_range = match &hi {
-                        Bound::Included(h) => k <= h.borrow(),
-                        Bound::Excluded(h) => k < h.borrow(),
-                        Bound::Unbounded => true,
-                    };
-                    if !in_range {
+                for entry in entries[start * self.stride..].chunks_exact(self.stride) {
+                    if !range.holds(L::key(entry)) {
                         break 'walk;
                     }
-                    visit(range_idx, k, v);
+                    visit(range_idx, entry);
                 }
                 if *next == NO_NODE {
                     break;
                 }
                 leaf = *next;
-                start_idx = 0;
+                start = 0;
                 st.charge(leaf, charge);
                 leaves_visited += 1;
             }
             // A standalone scan of this range descends the full height and
             // then charges each additional leaf it walks.
             report.naive_pages += self.height as u64 + (leaves_visited - 1);
-            if let Bound::Included(k) | Bound::Excluded(k) = lo {
-                prev_lo = Some(k);
-            }
+            prev = Some(range);
         }
         // Reset only the pages this batch charged, and its path.
         report.pages_read = st.touched.len() as u64;
@@ -779,9 +985,10 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
                 self.len
             )));
         }
-        // Leaf chain must enumerate all entries in ascending order.
+        // Leaf chain must enumerate all entries in ascending order: each
+        // leaf is sorted (checked above), so only the seams are compared.
         let mut chained = 0usize;
-        let mut prev: Option<&K> = None;
+        let mut prev: Option<&L::Key> = None;
         let mut leaf = self.leftmost_leaf();
         loop {
             let Node::Leaf { entries, next } = self.node(leaf) else {
@@ -789,15 +996,17 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
                     "leaf chain hit non-leaf".into(),
                 ));
             };
-            for (k, _) in entries {
-                if prev.is_some_and(|p| p >= k) {
+            let n = self.count(entries);
+            if n > 0 {
+                let first = L::key(nth(entries, self.stride, 0));
+                if prev.is_some_and(|p| p >= first) {
                     return Err(PageSimError::CorruptStructure(
                         "leaf chain out of order".into(),
                     ));
                 }
-                prev = Some(k);
-                chained += 1;
+                prev = Some(L::key(nth(entries, self.stride, n - 1)));
             }
+            chained += n;
             if *next == NO_NODE {
                 break;
             }
@@ -827,8 +1036,8 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
         &self,
         node: usize,
         depth: usize,
-        lo: Option<&K>,
-        hi: Option<&K>,
+        lo: Option<&L::Key>,
+        hi: Option<&L::Key>,
         leaf_depths: &mut Vec<usize>,
         count: &mut usize,
     ) -> Result<()> {
@@ -836,23 +1045,34 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
         match self.node(node) {
             Node::Free => corrupt(format!("reachable node {node} is free")),
             Node::Leaf { entries, .. } => {
-                if node != self.root && entries.len() < self.min_leaf() {
-                    return corrupt(format!("leaf {node} underfull: {}", entries.len()));
+                let n = self.count(entries);
+                if entries.len() != n * self.stride {
+                    return corrupt(format!("leaf {node} holds a partial entry"));
                 }
-                if entries.len() > self.leaf_capacity {
-                    return corrupt(format!("leaf {node} overfull: {}", entries.len()));
+                if node != self.root && n < self.min_leaf() {
+                    return corrupt(format!("leaf {node} underfull: {n}"));
                 }
-                for w in entries.windows(2) {
-                    if w[0].0 >= w[1].0 {
+                if n > self.leaf_capacity {
+                    return corrupt(format!("leaf {node} overfull: {n}"));
+                }
+                for i in 1..n {
+                    if L::key(nth(entries, self.stride, i - 1))
+                        >= L::key(nth(entries, self.stride, i))
+                    {
                         return corrupt(format!("leaf {node} keys unsorted"));
                     }
                 }
-                for (k, _) in entries {
-                    if lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h) {
+                // Sorted, so the ends bound every key.
+                if n > 0 {
+                    let (first, last) = (
+                        L::key(nth(entries, self.stride, 0)),
+                        L::key(nth(entries, self.stride, n - 1)),
+                    );
+                    if lo.is_some_and(|l| first < l) || hi.is_some_and(|h| last >= h) {
                         return corrupt(format!("leaf {node} key outside separator bounds"));
                     }
                 }
-                *count += entries.len();
+                *count += n;
                 leaf_depths.push(depth);
                 Ok(())
             }
@@ -867,13 +1087,21 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
                     return corrupt(format!("inner {node} overfull"));
                 }
                 for w in keys.windows(2) {
-                    if w[0] >= w[1] {
+                    if w[0].borrow() >= w[1].borrow() {
                         return corrupt(format!("inner {node} keys unsorted"));
                     }
                 }
                 for (i, &child) in children.iter().enumerate() {
-                    let child_lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
-                    let child_hi = if i == keys.len() { hi } else { Some(&keys[i]) };
+                    let child_lo = if i == 0 {
+                        lo
+                    } else {
+                        Some(keys[i - 1].borrow())
+                    };
+                    let child_hi = if i == keys.len() {
+                        hi
+                    } else {
+                        Some(keys[i].borrow())
+                    };
                     self.check_node(child, depth + 1, child_lo, child_hi, leaf_depths, count)?;
                 }
                 Ok(())
@@ -886,24 +1114,22 @@ impl<K: Ord + Clone + Debug, V: Clone> PageSlab<K, V> {
 ///
 /// Keys must be unique; composite keys give multi-map behaviour.
 #[derive(Debug)]
-pub struct BPlusTree<K, V> {
-    pages: PageSlab<K, V>,
+pub struct BTree<L: Layout> {
+    pages: PageSlab<L>,
     stats: StatsHandle,
     buffer: RefCell<BufferPool>,
     /// The batched-probe scratch, parked between batches.
-    batch: RefCell<BatchState<K>>,
+    batch: RefCell<BatchState>,
 }
 
-impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
+impl<K: Ord + Clone + Debug, V: Clone + Debug> BTree<Pairs<K, V>> {
     /// Create a tree whose leaf entries occupy `entry_size` bytes and whose
     /// inner-node keys occupy `key_size` bytes.
     ///
     /// Capacities are floored at 2 entries / 3 children so degenerate sizes
     /// (entries larger than half a page) still yield a working tree.
     pub fn new(entry_size: usize, key_size: usize, stats: StatsHandle) -> Self {
-        let leaf_capacity = (PAGE_SIZE / entry_size.max(1)).max(2);
-        let inner_capacity = (PAGE_SIZE / (key_size.max(1) + PP_SIZE)).max(3);
-        Self::with_capacities(leaf_capacity, inner_capacity, stats)
+        BTree::with_geometry(1, entry_size, key_size, stats)
     }
 
     /// Create a tree with explicit node capacities (used by tests to force
@@ -913,10 +1139,136 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         inner_capacity: usize,
         stats: StatsHandle,
     ) -> Self {
+        BTree::with_layout(1, leaf_capacity, inner_capacity, stats)
+    }
+
+    /// Point lookup.  Charges `height` page reads.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.get_entry(key).map(|entry| entry[0].1.clone())
+    }
+
+    /// Visit all entries with `lo <= key < hi` (half-open), in key order.
+    /// Charges the initial descent plus one read per additional leaf.
+    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut visit: impl FnMut(&K, &V)) {
+        self.scan_entries(&(lo, hi), |entry| visit(&entry[0].0, &entry[0].1))
+    }
+
+    /// Collect a half-open range `[lo, hi)` into a vector.
+    pub fn range_collect(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.scan_range(Bound::Included(lo), Bound::Excluded(hi), |k, v| {
+            out.push((k.clone(), v.clone()))
+        });
+        out
+    }
+
+    /// Visit every entry in key order (full leaf-level scan).
+    pub fn scan_all(&self, visit: impl FnMut(&K, &V)) {
+        self.scan_range(Bound::Unbounded, Bound::Unbounded, visit)
+    }
+
+    /// [`BTree::probe_sorted`] over `(lo, hi)` bound pairs.
+    pub fn scan_ranges_sorted<B: Borrow<K>>(
+        &self,
+        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
+        mut visit: impl FnMut(usize, &K, &V),
+    ) -> BatchReport {
+        self.probe_sorted(ranges, |idx, entry| visit(idx, &entry[0].0, &entry[0].1))
+    }
+
+    /// Insert a unique key.  Charges the descent reads plus one write per
+    /// modified node (leaf, split siblings, updated ancestors).
+    pub fn insert(&mut self, key: K, value: V) -> Result<()> {
+        let at = self.locate(&key)?;
+        self.place(at, [(key, value)]);
+        Ok(())
+    }
+
+    /// Remove `key`, returning its value if present.  Rebalances by
+    /// borrowing from or merging with siblings.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.remove_entry(key)
+            .map(|entry| entry.into_iter().next().expect("one pair per entry").1)
+    }
+
+    /// Build a tree bottom-up from **strictly ascending** `(key, value)`
+    /// pairs — the classic bulk-load used when an access relation is
+    /// (re)built from a computed extension.  Charges one page write per
+    /// created node, which is far cheaper than the read-modify-write
+    /// churn of repeated [`BPlusTree::insert`]s.
+    ///
+    /// Returns an error if the keys are not strictly ascending.
+    pub fn bulk_load(
+        entries: impl IntoIterator<Item = (K, V)>,
+        entry_size: usize,
+        key_size: usize,
+        stats: StatsHandle,
+    ) -> Result<Self> {
+        let mut tree = Self::new(entry_size, key_size, stats);
+        tree.fill(entries)?;
+        Ok(tree)
+    }
+
+    /// Bulk-load into an (empty) tree with already-configured capacities,
+    /// charging one page write per node built.
+    pub fn fill(&mut self, entries: impl IntoIterator<Item = (K, V)>) -> Result<()> {
+        self.fill_entries(entries.into_iter().collect())
+    }
+}
+
+impl<T: Ord + Clone + Debug> BTree<Rows<T>> {
+    /// Create a tree of rows of `width` cells whose leaf entries occupy
+    /// `entry_size` bytes and whose inner-node keys occupy `key_size`
+    /// bytes (the paper prices a separator as one OID, whatever the row
+    /// it copies).
+    pub fn new(width: usize, entry_size: usize, key_size: usize, stats: StatsHandle) -> Self {
+        assert!(width > 0, "rows have at least one cell");
+        BTree::with_geometry(width, entry_size, key_size, stats)
+    }
+
+    /// Store `row`, which must not be stored yet.  Charges the descent
+    /// reads plus one write per modified node.
+    pub fn insert(&mut self, row: &[T]) -> Result<()> {
+        let at = self.locate(row)?;
+        self.place(at, row.iter().cloned());
+        Ok(())
+    }
+
+    /// Remove `row`; returns whether it was stored.
+    pub fn remove(&mut self, row: &[T]) -> bool {
+        self.remove_entry(row).is_some()
+    }
+}
+
+/// Where an insert lands: the leaf, the inner pages above it with the
+/// child index taken at each, and the position inside the leaf.
+type Slot = (usize, Vec<(usize, usize)>, usize);
+
+impl<L: Layout> BTree<L> {
+    /// A tree of entries of `stride` elements, occupying `entry_size`
+    /// bytes each, separated by keys of `key_size` bytes.
+    fn with_geometry(
+        stride: usize,
+        entry_size: usize,
+        key_size: usize,
+        stats: StatsHandle,
+    ) -> Self {
+        let leaf_capacity = (PAGE_SIZE / entry_size.max(1)).max(2);
+        let inner_capacity = (PAGE_SIZE / (key_size.max(1) + PP_SIZE)).max(3);
+        Self::with_layout(stride, leaf_capacity, inner_capacity, stats)
+    }
+
+    /// A tree of entries of `stride` elements with explicit capacities.
+    pub fn with_layout(
+        stride: usize,
+        leaf_capacity: usize,
+        inner_capacity: usize,
+        stats: StatsHandle,
+    ) -> Self {
         assert!(leaf_capacity >= 2, "leaf capacity must be >= 2");
         assert!(inner_capacity >= 3, "inner capacity must be >= 3");
-        BPlusTree {
-            pages: PageSlab::empty(leaf_capacity, inner_capacity),
+        BTree {
+            pages: PageSlab::empty(stride, leaf_capacity, inner_capacity),
             stats,
             buffer: RefCell::new(BufferPool::unbuffered()),
             batch: RefCell::default(),
@@ -943,7 +1295,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     /// The structure id this tree's charges are attributed to
-    /// ([`StructureId::UNTRACKED`] before [`BPlusTree::tag`]).
+    /// ([`StructureId::UNTRACKED`] before [`BTree::tag`]).
     ///
     /// [`StructureId::UNTRACKED`]: crate::stats::StructureId::UNTRACKED
     pub fn structure_id(&self) -> crate::stats::StructureId {
@@ -952,14 +1304,14 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// The tree's pages, borrowed: geometry, page-by-page access, and the
     /// reads a frozen version serves.
-    pub fn pages(&self) -> &PageSlab<K, V> {
+    pub fn pages(&self) -> &PageSlab<L> {
         &self.pages
     }
 
     /// An immutable version of the tree as it is now: a copy of the slab's
     /// page pointers, sharing every page with the tree until the tree
     /// next writes it.  Copies no entry and charges nothing.
-    pub fn freeze(&self) -> PageSlab<K, V> {
+    pub fn freeze(&self) -> PageSlab<L> {
         self.pages.clone()
     }
 
@@ -980,7 +1332,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.buffer.borrow_mut().write(node as u64, &self.stats);
     }
 
-    fn alloc(&mut self, node: Node<K, V>) -> usize {
+    fn alloc(&mut self, node: Node<L>) -> usize {
         let node = Arc::new(node);
         match self.pages.free.pop() {
             Some(id) => {
@@ -995,27 +1347,23 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     /// Free slot `id`, returning the page it held.
-    fn release(&mut self, id: usize) -> Arc<Node<K, V>> {
+    fn release(&mut self, id: usize) -> Arc<Node<L>> {
         let page = std::mem::replace(&mut self.pages.nodes[id], Arc::new(Node::Free));
         self.pages.free.push(id);
         page
     }
 
-    // ------------------------------------------------------------------
-    // Descent
-    // ------------------------------------------------------------------
-
     /// Walk from the root to the leaf responsible for `key`, charging one
     /// read per level and recording `(node, child index)` for each inner
     /// node on the way.
-    fn descend(&self, key: &K) -> (usize, Vec<(usize, usize)>) {
+    fn descend(&self, key: &L::Key) -> (usize, Vec<(usize, usize)>) {
         let mut path = Vec::with_capacity(self.pages.height);
         let mut node = self.pages.root;
         loop {
             self.charge_read(node);
             match self.pages.node(node) {
                 Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|k| k <= key);
+                    let idx = child_index::<L>(keys, key);
                     path.push((node, idx));
                     node = children[idx];
                 }
@@ -1026,53 +1374,35 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     // ------------------------------------------------------------------
-    // Lookup
+    // Reads
     // ------------------------------------------------------------------
 
-    /// Point lookup.  Charges `height` page reads.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let (leaf, _) = self.descend(key);
-        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
-            unreachable!()
-        };
-        entries
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| entries[i].1.clone())
+    /// The entry stored under `key`: a point lookup charging `height`
+    /// page reads.
+    fn get_entry(&self, key: &L::Key) -> Option<&[L::Elem]> {
+        self.pages.get_entry(key, &|slot| self.charge_read(slot))
     }
 
-    /// Visit all entries with `lo <= key < hi` (half-open), in key order.
-    /// Charges the initial descent plus one read per additional leaf.
-    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, visit: impl FnMut(&K, &V)) {
+    /// Visit the entries of `range` in key order.  Charges the initial
+    /// descent plus one read per additional leaf.
+    pub fn scan_entries(&self, range: &impl KeyRange<L::Key>, visit: impl FnMut(&[L::Elem])) {
         self.pages
-            .scan_range(lo, hi, &|slot| self.charge_read(slot), visit)
+            .scan_range(range, &|slot| self.charge_read(slot), visit)
     }
 
-    /// Collect a half-open range `[lo, hi)` into a vector.
-    pub fn range_collect(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        self.scan_range(Bound::Included(lo), Bound::Excluded(hi), |k, v| {
-            out.push((k.clone(), v.clone()))
-        });
-        out
+    /// Visit every entry in key order (full leaf-level scan), each page
+    /// charged once.
+    pub fn visit_all(&self, visit: impl FnMut(&[L::Elem])) {
+        self.pages.scan_all(|slot| self.charge_read(slot), visit)
     }
-
-    /// Visit every entry in key order (full leaf-level scan).
-    pub fn scan_all(&self, visit: impl FnMut(&K, &V)) {
-        self.scan_range(Bound::Unbounded, Bound::Unbounded, visit)
-    }
-
-    // ------------------------------------------------------------------
-    // Batched sorted probes
-    // ------------------------------------------------------------------
 
     /// [`PageSlab::scan_ranges_sorted`] on the live pages, charged through
     /// the buffer pool on the shared [`IoStats`](crate::IoStats), whose
     /// batch counters also accumulate the returned [`BatchReport`].
-    pub fn scan_ranges_sorted<B: Borrow<K>>(
+    pub fn probe_sorted<R: KeyRange<L::Key>>(
         &self,
-        ranges: impl IntoIterator<Item = (Bound<B>, Bound<B>)>,
-        visit: impl FnMut(usize, &K, &V),
+        ranges: impl IntoIterator<Item = R>,
+        visit: impl FnMut(usize, &[L::Elem]),
     ) -> BatchReport {
         // A batch started inside another's visitor finds the parked
         // scratch taken and grows its own.
@@ -1089,27 +1419,33 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Insert a unique key.  Charges the descent reads plus one write per
-    /// modified node (leaf, split siblings, updated ancestors).
-    pub fn insert(&mut self, key: K, value: V) -> Result<()> {
-        let (leaf, path) = self.descend(&key);
-        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
-            unreachable!()
-        };
-        let pos = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(_) => return Err(PageSimError::DuplicateKey(format!("{key:?}"))),
-            Err(pos) => pos,
-        };
+    /// Where an entry keyed `key` is inserted; charges the descent reads.
+    /// An error if the key is stored already.
+    fn locate(&self, key: &L::Key) -> Result<Slot> {
+        let (leaf, path) = self.descend(key);
+        let entries = self.pages.leaf(leaf);
+        let stride = self.pages.stride;
+        let pos = partition_point::<L>(entries, stride, |k| k < key);
+        if pos < self.pages.count(entries) && L::key(nth(entries, stride, pos)) == key {
+            return Err(PageSimError::DuplicateKey(format!("{key:?}")));
+        }
+        Ok((leaf, path, pos))
+    }
+
+    /// Insert one entry's elements where [`Self::locate`] found room for
+    /// them.  Charges one write per modified node (leaf, split siblings,
+    /// updated ancestors).
+    fn place(&mut self, (leaf, mut path, pos): Slot, entry: impl IntoIterator<Item = L::Elem>) {
+        let at = pos * self.pages.stride;
         let Node::Leaf { entries, .. } = self.pages.node_mut(leaf) else {
             unreachable!()
         };
-        entries.insert(pos, (key, value));
+        entries.splice(at..at, entry);
         self.pages.len += 1;
         self.charge_write(leaf);
 
         // Split propagation.
         let mut child = leaf;
-        let mut path = path;
         loop {
             let (split_key, new_node) = match self.split_if_overfull(child) {
                 Some(split) => split,
@@ -1139,22 +1475,25 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 }
             }
         }
-        Ok(())
     }
 
     /// If the just-written `node` exceeds its capacity, split it and
     /// return the separator key plus the new right sibling.
-    fn split_if_overfull(&mut self, node: usize) -> Option<(K, usize)> {
-        let (leaf_capacity, inner_capacity) = (self.pages.leaf_capacity, self.pages.inner_capacity);
+    fn split_if_overfull(&mut self, node: usize) -> Option<(L::Sep, usize)> {
+        let (stride, leaf_capacity, inner_capacity) = (
+            self.pages.stride,
+            self.pages.leaf_capacity,
+            self.pages.inner_capacity,
+        );
         match self.pages.node_mut(node) {
             Node::Leaf { entries, next } => {
-                if entries.len() <= leaf_capacity {
+                let n = entries.len() / stride;
+                if n <= leaf_capacity {
                     return None;
                 }
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
+                let right_entries = entries.split_off(n / 2 * stride);
                 let right_next = *next;
-                let separator = right_entries[0].0.clone();
+                let separator = L::sep(L::key(&right_entries[..stride]));
                 let right = self.alloc(Node::Leaf {
                     entries: right_entries,
                     next: right_next,
@@ -1193,30 +1532,15 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     // Bulk loading
     // ------------------------------------------------------------------
 
-    /// Build a tree bottom-up from **strictly ascending** `(key, value)`
-    /// pairs — the classic bulk-load used when an access relation is
-    /// (re)built from a computed extension.  Charges one page write per
-    /// created node, which is far cheaper than the read-modify-write
-    /// churn of repeated [`BPlusTree::insert`]s.
-    ///
-    /// Returns an error if the keys are not strictly ascending.
-    pub fn bulk_load(
-        entries: impl IntoIterator<Item = (K, V)>,
-        entry_size: usize,
-        key_size: usize,
-        stats: StatsHandle,
-    ) -> Result<Self> {
-        let mut tree = Self::new(entry_size, key_size, stats);
-        tree.fill(entries)?;
-        Ok(tree)
-    }
-
-    /// Bulk-load into an (empty) tree with already-configured capacities,
-    /// charging one page write per node built.
-    pub fn fill(&mut self, entries: impl IntoIterator<Item = (K, V)>) -> Result<()> {
+    /// Bulk-load the elements of entries in **strictly ascending** key
+    /// order, `stride` per entry, into this (empty) tree, bottom-up:
+    /// charges one page write per node built.  An error if the keys are
+    /// not strictly ascending.
+    pub fn fill_entries(&mut self, entries: Vec<L::Elem>) -> Result<()> {
         assert!(self.pages.is_empty(), "fill() requires an empty tree");
-        let built = build_bulk(
-            entries.into_iter().collect(),
+        let built = build_bulk::<L>(
+            entries,
+            self.pages.stride,
             self.pages.leaf_capacity,
             self.pages.inner_capacity,
         )?;
@@ -1243,7 +1567,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// list, geometry — as a [`TreeImage`].  Charges nothing: dumping is
     /// the serializer's concern; the writer layer prices the snapshot
     /// bytes it emits.
-    pub fn dump_image(&self) -> TreeImage<K, V> {
+    pub fn dump_image(&self) -> TreeImage<L> {
         let pages = &self.pages;
         TreeImage {
             root: pages.root,
@@ -1259,19 +1583,19 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Adopt a physical image into this empty tree.  Adoption itself
     /// charges nothing: the image's bytes came off whatever medium the
     /// caller read them from, and that read is the caller's to price —
-    /// typically via [`BPlusTree::charge_restore_reads`] so the cost
+    /// typically via [`BTree::charge_restore_reads`] so the cost
     /// attributes to this tree's structure id (tag first).
     ///
     /// The image is validated with bounded, panic-proof checks before
     /// anything is installed: out-of-range page references, reference
-    /// cycles, free-list inconsistencies, depth or capacity violations
-    /// and broken leaf chains all yield a descriptive
+    /// cycles, free-list inconsistencies, depth or capacity violations,
+    /// partial entries and broken leaf chains all yield a descriptive
     /// [`PageSimError::CorruptStructure`].  Semantic invariants (key
     /// order, separator bounds, fill factors) are then verified via
-    /// [`BPlusTree::check_invariants`]; on failure the tree is rolled
+    /// [`BTree::check_invariants`]; on failure the tree is rolled
     /// back to pristine empty state — nothing charged — so the caller
     /// can fall back to a rebuild.
-    pub fn adopt_image(&mut self, image: TreeImage<K, V>) -> Result<()> {
+    pub fn adopt_image(&mut self, image: TreeImage<L>) -> Result<()> {
         assert!(
             self.pages.is_empty(),
             "adopt_image() requires an empty tree"
@@ -1311,7 +1635,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Charge `pages` reads attributed to this tree's structure id —
     /// how a snapshot loader prices pulling this tree's serialized image
-    /// in from the snapshot medium after [`BPlusTree::adopt_image`].
+    /// in from the snapshot medium after [`BTree::adopt_image`].
     /// Bypasses the buffer pool: these are reads of the snapshot file,
     /// not of the tree's own resident pages.
     pub fn charge_restore_reads(&self, pages: u64) {
@@ -1324,7 +1648,11 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Roll back to the pristine empty state (single empty root leaf),
     /// keeping stats handle, capacities and structure tag.
     fn reset_to_empty(&mut self) {
-        self.pages = PageSlab::empty(self.pages.leaf_capacity, self.pages.inner_capacity);
+        self.pages = PageSlab::empty(
+            self.pages.stride,
+            self.pages.leaf_capacity,
+            self.pages.inner_capacity,
+        );
         self.buffer.borrow_mut().invalidate();
     }
 
@@ -1332,7 +1660,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// bounded by the slab size, so adversarial images (cycles, shared
     /// pages, runaway chains) terminate with an error instead of looping
     /// or overflowing the stack.
-    fn validate_image(&self, image: &TreeImage<K, V>) -> Result<()> {
+    fn validate_image(&self, image: &TreeImage<L>) -> Result<()> {
         let corrupt =
             |msg: String| Err(PageSimError::CorruptStructure(format!("tree image: {msg}")));
         let n = image.nodes.len();
@@ -1373,6 +1701,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         let mut visited = 0usize;
         let mut entry_count = 0usize;
         let mut leaves = 0usize;
+        let stride = self.pages.stride;
         while let Some((id, depth)) = queue.pop_front() {
             visited += 1;
             match &image.nodes[id] {
@@ -1409,10 +1738,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                     if depth != image.height {
                         return corrupt(format!("leaf page {id} at depth {depth}"));
                     }
-                    if entries.len() > self.pages.leaf_capacity {
+                    if entries.len() % stride != 0 {
+                        return corrupt(format!("leaf page {id} holds a partial entry"));
+                    }
+                    if entries.len() / stride > self.pages.leaf_capacity {
                         return corrupt(format!("leaf page {id} overfull"));
                     }
-                    entry_count += entries.len();
+                    entry_count += entries.len() / stride;
                     leaves += 1;
                     if let Some(nx) = next {
                         if *nx >= n {
@@ -1466,18 +1798,20 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     // Deletion
     // ------------------------------------------------------------------
 
-    /// Remove `key`, returning its value if present.  Rebalances by
-    /// borrowing from or merging with siblings.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    /// Remove the entry keyed `key`, returning its elements if it was
+    /// stored.  Rebalances by borrowing from or merging with siblings.
+    fn remove_entry(&mut self, key: &L::Key) -> Option<Vec<L::Elem>> {
         let (leaf, path) = self.descend(key);
-        let Node::Leaf { entries, .. } = self.pages.node(leaf) else {
-            unreachable!()
-        };
-        let pos = entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        let stride = self.pages.stride;
+        let entries = self.pages.leaf(leaf);
+        let pos = partition_point::<L>(entries, stride, |k| k < key);
+        if pos >= self.pages.count(entries) || L::key(nth(entries, stride, pos)) != key {
+            return None;
+        }
         let Node::Leaf { entries, .. } = self.pages.node_mut(leaf) else {
             unreachable!()
         };
-        let removed = entries.remove(pos).1;
+        let removed: Vec<L::Elem> = entries.drain(pos * stride..(pos + 1) * stride).collect();
         self.pages.len -= 1;
         self.charge_write(leaf);
         self.rebalance_upwards(leaf, path);
@@ -1486,7 +1820,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     fn node_is_deficient(&self, node: usize) -> bool {
         match self.pages.node(node) {
-            Node::Leaf { entries, .. } => entries.len() < self.pages.min_leaf(),
+            Node::Leaf { entries, .. } => self.pages.count(entries) < self.pages.min_leaf(),
             Node::Inner { children, .. } => children.len() < self.pages.min_children(),
             Node::Free => unreachable!(),
         }
@@ -1556,7 +1890,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     fn has_surplus(&self, node: usize) -> bool {
         match self.pages.node(node) {
-            Node::Leaf { entries, .. } => entries.len() > self.pages.min_leaf(),
+            Node::Leaf { entries, .. } => self.pages.count(entries) > self.pages.min_leaf(),
             Node::Inner { children, .. } => children.len() > self.pages.min_children(),
             Node::Free => unreachable!(),
         }
@@ -1564,6 +1898,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     fn borrow_from_left(&mut self, parent: usize, child_idx: usize, left: usize) {
         let sep_idx = child_idx - 1;
+        let stride = self.pages.stride;
         let child = {
             let Node::Inner { children, .. } = self.pages.node(parent) else {
                 unreachable!()
@@ -1573,17 +1908,17 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         if matches!(self.pages.node(child), Node::Leaf { .. }) {
             // Move the left sibling's last entry over; separator becomes
             // the moved key.
-            let (k, v) = {
+            let moved = {
                 let Node::Leaf { entries, .. } = self.pages.node_mut(left) else {
                     unreachable!()
                 };
-                entries.pop().expect("surplus sibling is non-empty")
+                entries.split_off(entries.len() - stride)
             };
-            let new_sep = k.clone();
+            let new_sep = L::sep(L::key(&moved));
             let Node::Leaf { entries, .. } = self.pages.node_mut(child) else {
                 unreachable!()
             };
-            entries.insert(0, (k, v));
+            entries.splice(0..0, moved);
             let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                 unreachable!()
             };
@@ -1618,6 +1953,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     fn borrow_from_right(&mut self, parent: usize, child_idx: usize, right: usize) {
         let sep_idx = child_idx;
+        let stride = self.pages.stride;
         let child = {
             let Node::Inner { children, .. } = self.pages.node(parent) else {
                 unreachable!()
@@ -1625,17 +1961,17 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             children[child_idx]
         };
         if matches!(self.pages.node(child), Node::Leaf { .. }) {
-            let ((k, v), new_sep) = {
+            let (moved, new_sep) = {
                 let Node::Leaf { entries, .. } = self.pages.node_mut(right) else {
                     unreachable!()
                 };
-                let moved = entries.remove(0);
-                (moved, entries[0].0.clone())
+                let moved: Vec<L::Elem> = entries.drain(..stride).collect();
+                (moved, L::sep(L::key(&entries[..stride])))
             };
             let Node::Leaf { entries, .. } = self.pages.node_mut(child) else {
                 unreachable!()
             };
-            entries.push((k, v));
+            entries.extend(moved);
             let Node::Inner { keys, .. } = self.pages.node_mut(parent) else {
                 unreachable!()
             };
@@ -1878,6 +2214,48 @@ mod tests {
         let r = t.range_collect(&(3, 0), &(4, 0));
         assert_eq!(r.len(), 5);
         assert!(r.iter().all(|((a, _), _)| *a == 3));
+    }
+
+    /// Rows of three cells, each its own key: inserts in any order keep
+    /// them sorted inline, a prefix range is a cluster, and point
+    /// lookups and removals find whole rows.
+    #[test]
+    fn row_tree_holds_rows_inline_and_probes_prefixes() {
+        let mut t: RowTree<u32> = BTree::with_layout(3, 4, 4, IoStats::new_handle());
+        let rows: Vec<[u32; 3]> = (0..200u32).map(|k| [(k * 7) % 23, k, k % 5]).collect();
+        for r in &rows {
+            t.insert(r).unwrap();
+        }
+        assert!(matches!(
+            t.insert(&rows[3]),
+            Err(PageSimError::DuplicateKey(_))
+        ));
+        t.check_invariants().unwrap();
+        let mut want = rows.clone();
+        want.sort();
+        let mut all = Vec::new();
+        t.visit_all(|e| all.push(<[u32; 3]>::try_from(e).unwrap()));
+        assert_eq!(all, want);
+        // Clusters, batched: each prefix's rows, grouped in probe order.
+        let firsts = [0u32, 5, 22, 30];
+        let mut got = Vec::new();
+        t.probe_sorted(firsts.map(Prefix), |i, e| got.push((i, e[0], e[1])));
+        let expect: Vec<_> = (firsts.iter().enumerate())
+            .flat_map(|(i, &f)| {
+                (want.iter())
+                    .filter(move |r| r[0] == f)
+                    .map(move |r| (i, r[0], r[1]))
+            })
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(t.get_entry(&rows[10]), Some(&rows[10][..]));
+        assert_eq!(t.get_entry(&[0, 1, 2]), None);
+        for r in rows.iter().step_by(2) {
+            assert!(t.remove(r));
+        }
+        assert!(!t.remove(&rows[0]));
+        t.check_invariants().unwrap();
+        assert_eq!(t.pages().len(), 100);
     }
 
     #[test]
@@ -2172,7 +2550,7 @@ mod tests {
     #[test]
     fn corrupt_images_error_without_panicking() {
         let good = weathered_tree().dump_image();
-        let adopt = |img: TreeImage<u32, u32>| {
+        let adopt = |img: TreeImage<Pairs<u32, u32>>| {
             let mut r: BPlusTree<u32, u32> = tiny_tree();
             let err = r.adopt_image(img).unwrap_err();
             // The tree stays usable as an empty fallback target.
@@ -2257,10 +2635,10 @@ mod tests {
     /// a snapshot reader applies a delta: grow the slab, overwrite the
     /// changed pages, install the geometry.
     fn apply_changes(
-        base: &TreeImage<u32, u32>,
+        base: &TreeImage<Pairs<u32, u32>>,
         t: &BPlusTree<u32, u32>,
-        marks: &PageMarks<u32, u32>,
-    ) -> TreeImage<u32, u32> {
+        marks: &PageMarks<Pairs<u32, u32>>,
+    ) -> TreeImage<Pairs<u32, u32>> {
         let pages = t.pages();
         let mut nodes = base.nodes.clone();
         assert!(pages.slot_count() >= nodes.len(), "slab never shrinks");
@@ -2277,7 +2655,7 @@ mod tests {
         }
     }
 
-    fn changed(t: &BPlusTree<u32, u32>, marks: &PageMarks<u32, u32>) -> usize {
+    fn changed(t: &BPlusTree<u32, u32>, marks: &PageMarks<Pairs<u32, u32>>) -> usize {
         t.pages().changed_since(marks).count()
     }
 
@@ -2408,18 +2786,20 @@ mod tests {
 
     /// One full scan and one batched probe of `slab`: what they visit,
     /// and the pages they charge.
-    fn reads(slab: &PageSlab<u32, Counted>) -> (Vec<u32>, u64, Vec<(usize, u32)>, BatchReport) {
+    fn reads(
+        slab: &PageSlab<Pairs<u32, Counted>>,
+    ) -> (Vec<u32>, u64, Vec<(usize, u32)>, BatchReport) {
         let pages = std::cell::Cell::new(0u64);
         let charge = |_| pages.set(pages.get() + 1);
         let mut all = Vec::new();
-        slab.scan_all(charge, |k, v| all.push(*k + v.0));
+        slab.scan_all(charge, |e| all.push(e[0].0 + e[0].1 .0));
         let scanned = pages.replace(0);
         let mut hits = Vec::new();
         let report = slab.scan_ranges_sorted(
             [(10u32, 30u32), (31, 40), (200, 230)]
                 .map(|(lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
             charge,
-            |idx, k, _| hits.push((idx, *k)),
+            |idx, e| hits.push((idx, e[0].0)),
         );
         assert_eq!(pages.get(), report.pages_read);
         (all, scanned, hits, report)

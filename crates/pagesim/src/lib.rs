@@ -32,7 +32,10 @@ pub mod error;
 pub mod hash;
 pub mod stats;
 
-pub use btree::{BPlusTree, BatchReport, NodeImage, PageMarks, PageRef, PageSlab, TreeImage};
+pub use btree::{
+    BPlusTree, BTree, BatchReport, KeyRange, Layout, NodeImage, PageMarks, PageRef, PageSlab,
+    Pairs, Prefix, RowTree, Rows, TreeImage,
+};
 pub use buffer::BufferPool;
 pub use clustered::ClusteredFile;
 pub use constants::{bplus_fan, OID_SIZE, PAGE_SIZE, PP_SIZE};

@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use asr_pagesim::stats::IoStats;
-use asr_pagesim::{BPlusTree, NodeImage, PageSlab, TreeImage};
+use asr_pagesim::{BPlusTree, NodeImage, PageSlab, Pairs, TreeImage};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -148,10 +148,10 @@ proptest! {
 /// `base` patched with the pages of `pages` in `changed`, under the
 /// current geometry — how a snapshot reader applies a delta.
 fn patch(
-    base: &TreeImage<u16, u32>,
-    pages: &PageSlab<u16, u32>,
+    base: &TreeImage<Pairs<u16, u32>>,
+    pages: &PageSlab<Pairs<u16, u32>>,
     changed: &BTreeSet<usize>,
-) -> TreeImage<u16, u32> {
+) -> TreeImage<Pairs<u16, u32>> {
     let mut nodes = base.nodes.clone();
     nodes.resize(pages.slot_count(), NodeImage::Free);
     for &slot in changed {

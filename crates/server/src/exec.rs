@@ -9,7 +9,7 @@
 //! frame damage (handled a layer up) NACKs.
 
 use asr_core::query::SpanSource;
-use asr_core::{AsrConfig, AsrId, Database, Decomposition, Extension, Frontier, Row, Snapshot};
+use asr_core::{AsrConfig, AsrId, Database, Decomposition, Extension, Frontier, RowRef, Snapshot};
 use asr_durable::{DurableDatabase, Storage};
 use asr_gom::PathExpression;
 use asr_net::{RequestBody, ResponseBody};
@@ -70,7 +70,7 @@ fn read_partition<'a, P: SpanSource + 'a>(
             .ok_or_else(|| format!("no partition {part}"))
     };
     let mut rows = Vec::new();
-    let mut keep = |row: &Row| rows.push(row.clone());
+    let mut keep = |row: RowRef<'_>| rows.push(row.to_row());
     let read = match body {
         RequestBody::PartitionProbe {
             asr,

@@ -113,7 +113,7 @@ fn pinned_partition_reads_match_live_on_random_chains() {
             stored.scan(|row| {
                 firsts.extend(row.first().clone());
                 lasts.extend(row.last().clone());
-                cells.extend(row.cells().iter().flatten().cloned());
+                cells.extend(row.cells().flatten().cloned());
             });
             let part = part as u32;
             for (forward, keys) in [(true, firsts), (false, lasts)] {

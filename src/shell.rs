@@ -1437,7 +1437,8 @@ mod tests {
         let mut s2 = ShellState::new();
         let out = run_line(&mut s2, &format!("\\load {file_str}"));
         assert!(out.contains("1 access relations"), "{out}");
-        assert!(out.contains("(snapshot v4)"), "{out}");
+        let version = format!("(snapshot v{})", asr_core::persist::FORMAT_VERSION);
+        assert!(out.contains(&version), "{out}");
         assert!(out.contains("asr 0: physical"), "{out}");
         let q = run_line(
             &mut s2,
