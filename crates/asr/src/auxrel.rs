@@ -80,10 +80,15 @@ pub(crate) fn auxiliary_runs(
                     let before = rows.len();
                     // Dangling member references degrade to NULL and are
                     // dropped (they carry no navigable target).
-                    let members = set_obj.elements().map(Cell::from_gom).filter(|c| match c {
-                        Some(Cell::Oid(o)) => base.contains(*o),
-                        _ => true,
-                    });
+                    let members =
+                        set_obj
+                            .elements()
+                            .iter()
+                            .map(Cell::from_gom)
+                            .filter(|c| match c {
+                                Some(Cell::Oid(o)) => base.contains(*o),
+                                _ => true,
+                            });
                     for member in members {
                         rows.push(make_set_row(oid, *target, member, keep_set_oids));
                     }

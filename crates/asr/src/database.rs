@@ -659,6 +659,7 @@ impl Database {
     fn live_members(&self, set: Oid) -> Result<impl Iterator<Item = Cell> + '_> {
         let elements = self.base.object(set)?.elements();
         Ok(elements
+            .iter()
             .filter(|v| !self.is_dangling(v))
             .filter_map(Cell::from_gom))
     }

@@ -66,6 +66,7 @@ fn step_targets(
             let set_obj = base.object(target)?;
             let members: Vec<Option<Cell>> = set_obj
                 .elements()
+                .iter()
                 .filter_map(Cell::from_gom)
                 .filter(|c| match c {
                     Cell::Oid(o) => base.contains(*o),

@@ -8,7 +8,7 @@
 //! state) and one reader serve full, delta and chained checkpoints, crash
 //! recovery and point-in-time recovery, replica bootstrap and delta
 //! re-seed.  The reader feeds the bulk constructors —
-//! [`ObjectBase::from_objects`], [`ObjectStore::sync_with_base`] and
+//! [`asr_gom::BaseBuilder`], [`ObjectStore::sync_with_base`] and
 //! `StoredPartition::restore` — never the mutation API.
 //!
 //! ## Layout
@@ -34,8 +34,8 @@
 //! row       := cell^(to-from+1)                    backward tree: rotated
 //! cell      := 0 | 1 oid | 2 value                 NULL, OID (varint), value
 //! objects   := count  n { oid }  n { oid type# body }  n { name value }
-//! body      := n { slot value }                    tuple (non-NULL slots)
-//!            | n { value }                         set or list
+//! body      := n { slot value }                    tuple: non-NULL slots, ascending
+//!            | n { value }                         set (ascending) or list
 //! ```
 //!
 //! Counts, ids, page slots and OIDs are unsigned LEB128 varints; values
@@ -44,7 +44,9 @@
 //! column order, the backward tree's the same cells rotated last column
 //! first, and a delta is the pages changed since the base, which carry
 //! their rows.  Pages and objects are listed in ascending slot and OID
-//! order.  Over the empty base a document lists no freed page.  Restoring
+//! order, a tuple's slots in ascending slot order and a set's members in
+//! ascending value order, each at most once; the reader refuses any
+//! other order.  Over the empty base a document lists no freed page.  Restoring
 //! checks each tree's pages (layout, keys strictly ascending) and that
 //! both trees hold the same rows.
 //!

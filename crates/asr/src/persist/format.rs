@@ -4,7 +4,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 
-use asr_gom::{Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeKind, Value};
+use asr_gom::{BaseBuilder, Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeKind, Value};
 use asr_pagesim::{NodeImage, PageRef};
 
 use super::{assemble, AsrSection, CheckpointHeader, LoadReport, Parsed};
@@ -268,7 +268,7 @@ fn write_objects<'a>(
     w: &mut Writer,
     base: &ObjectBase,
     dead: &BTreeSet<Oid>,
-    objects: impl Iterator<Item = &'a Object>,
+    objects: impl Iterator<Item = Object<'a>> + Clone,
     vars: impl Iterator<Item = (&'a str, &'a Value)>,
 ) {
     let schema = base.schema();
@@ -277,7 +277,6 @@ fn write_objects<'a>(
     for (k, (ty, _)) in schema.types().enumerate() {
         position[ty.index()] = k as u64;
     }
-    let objects: Vec<&Object> = objects.collect();
     let vars: Vec<(&str, &Value)> = vars.collect();
     frame(w, TAG_OBJECTS, |w| {
         w.varint(base.object_count() as u64);
@@ -285,11 +284,11 @@ fn write_objects<'a>(
         for oid in dead {
             w.varint(oid.as_raw());
         }
-        w.varint(objects.len() as u64);
+        w.varint(objects.clone().count() as u64);
         for obj in objects {
             w.varint(obj.oid.as_raw());
             w.varint(position[obj.ty.index()]);
-            match &obj.body {
+            match obj.body {
                 ObjectBody::Tuple(slots) => {
                     w.varint(slots.iter().filter(|v| !v.is_null()).count() as u64);
                     for (slot, value) in slots.iter().enumerate().filter(|(_, v)| !v.is_null()) {
@@ -297,8 +296,12 @@ fn write_objects<'a>(
                         w.value(value);
                     }
                 }
-                ObjectBody::Set(elems) => write_values(w, elems.len(), elems.iter()),
-                ObjectBody::List(elems) => write_values(w, elems.len(), elems.iter()),
+                ObjectBody::Set(elems) | ObjectBody::List(elems) => {
+                    w.varint(elems.len() as u64);
+                    for v in elems {
+                        w.value(v);
+                    }
+                }
             }
         }
         w.varint(vars.len() as u64);
@@ -307,13 +310,6 @@ fn write_objects<'a>(
             w.value(value);
         }
     });
-}
-
-fn write_values<'a>(w: &mut Writer, n: usize, values: impl Iterator<Item = &'a Value>) {
-    w.varint(n as u64);
-    for v in values {
-        w.value(v);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -458,11 +454,8 @@ impl<'a> Document<'a> {
             ));
         }
         let schema = base.map_or(schema, |db| db.base().schema().clone());
-        let objects = snapshot_err("objects", read_objects(self.objects, &schema))?;
-        let objects = match base {
-            Some(db) => snapshot_err("objects", patch_objects(db.base(), objects))?,
-            None => snapshot_err("objects", full_objects(schema, objects))?,
-        };
+        let objects = read_objects(self.objects, schema, base.map(Database::base));
+        let objects = snapshot_err("objects", objects)?;
         let (sections, bytes) = self
             .asrs
             .into_iter()
@@ -654,28 +647,18 @@ fn read_tree(r: &mut Reader<'_>, arity: usize) -> Decoded<TreeDelta> {
 }
 
 /// The objects frame, decoded against `schema` (whose defined types are
-/// listed in the design frame's order): OIDs strictly ascending, each
-/// body the structure of its type, a tuple with one slot per attribute.
-/// A frame's checksum only proves that the bytes are the ones written,
-/// so [`ObjectBase::from_objects`] type-checks every value when the base
-/// is built.
-struct ObjectsPart {
-    total: usize,
-    dead: Vec<Oid>,
-    objects: Vec<Object>,
-    vars: Vec<(String, Value)>,
-}
-
-fn read_objects(payload: &[u8], schema: &Schema) -> Decoded<ObjectsPart> {
-    let types: Vec<(TypeId, usize)> = schema
-        .types()
-        .map(|(ty, def)| {
-            let slots = match def.kind {
-                TypeKind::Tuple { .. } => schema.layout(ty).map_or(0, <[_]>::len),
-                _ => 0,
-            };
-            (ty, slots)
-        })
+/// listed in the design frame's order) straight into the object base it
+/// describes: over `base`, the base's objects with the deleted ones
+/// dropped and the listed ones put in place, merged in OID order; over
+/// the empty base, the listed ones.  OIDs, a tuple's slots and a set's
+/// members are listed strictly ascending, and each body is the structure
+/// of its type.  A frame's checksum only proves that the bytes are the
+/// ones written, so [`BaseBuilder`] type-checks every value as it builds
+/// the base.  A deleted OID the base does not hold was created after it
+/// and never shipped.
+fn read_objects(payload: &[u8], schema: Schema, base: Option<&ObjectBase>) -> Decoded<ObjectBase> {
+    let types: Vec<(TypeId, bool)> = (schema.types())
+        .map(|(ty, def)| (ty, def.kind.is_tuple()))
         .collect();
     let mut r = Reader::new(payload);
     let total = num(&mut r)?;
@@ -686,96 +669,75 @@ fn read_objects(payload: &[u8], schema: &Schema) -> Decoded<ObjectsPart> {
         return Err(Damage("deleted OIDs out of order".into()));
     }
     let n = r.count(3)?;
-    let mut objects: Vec<Object> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let oid = Oid::from_raw(r.varint()?);
-        if objects.last().is_some_and(|last| last.oid >= oid) {
-            return Err(Damage(format!("object {oid} out of order")));
+    if base.is_none() && (!dead.is_empty() || n != total) {
+        return Err(Damage(format!(
+            "{n} objects listed, {total} promised, {} deleted from the empty base",
+            dead.len()
+        )));
+    }
+    let kept_count = base.map_or(0, ObjectBase::object_count);
+    let mut builder = BaseBuilder::new(schema, total.min(n + kept_count));
+    let mut kept = base.into_iter().flat_map(ObjectBase::objects).peekable();
+    // File the base's objects below `oid` (all of them when `None`) that
+    // were not deleted.
+    let mut keep_below = |builder: &mut BaseBuilder, oid: Option<Oid>| -> Decoded<()> {
+        while let Some(obj) = kept.next_if(|o| oid.is_none_or(|oid| o.oid < oid)) {
+            if dead.binary_search(&obj.oid).is_err() {
+                builder.copy(obj)?;
+            }
         }
-        let (ty, slots) = *types
+        // A listed object replaces the base's.
+        oid.map(|oid| kept.next_if(|o| o.oid == oid));
+        Ok(())
+    };
+    for _ in 0..n {
+        // The builder refuses an OID at or below the one filed before.
+        let oid = Oid::from_raw(r.varint()?);
+        keep_below(&mut builder, Some(oid))?;
+        let (ty, tuple) = *types
             .get(num(&mut r)?)
             .ok_or_else(|| Damage(format!("object {oid} has an unknown type")))?;
-        let body = match schema.def(ty)?.kind {
-            TypeKind::Tuple { .. } => {
-                let mut values = vec![Value::Null; slots];
-                for _ in 0..r.count(2)? {
-                    let slot = num(&mut r)?;
-                    *values
-                        .get_mut(slot)
-                        .ok_or_else(|| Damage(format!("object {oid}: no slot {slot}")))? =
-                        r.value()?;
-                }
-                ObjectBody::Tuple(values.into())
+        if tuple {
+            builder.tuple(oid, ty, |slots| read_slots(&mut r, oid, slots))?;
+        } else {
+            let n = r.count(1)?;
+            let mut elements = Vec::with_capacity(n);
+            for _ in 0..n {
+                elements.push(r.value()?);
             }
-            TypeKind::Set { .. } => ObjectBody::Set(read_values(&mut r)?.into_iter().collect()),
-            TypeKind::List { .. } => ObjectBody::List(read_values(&mut r)?),
-        };
-        objects.push(Object { oid, ty, body });
-    }
-    let vars = (0..r.count(5)?)
-        .map(|_| Ok((r.str()?, r.value()?)))
-        .collect::<Decoded<_>>()?;
-    r.finish()?;
-    Ok(ObjectsPart {
-        total,
-        dead,
-        objects,
-        vars,
-    })
-}
-
-fn read_values(r: &mut Reader<'_>) -> Decoded<Vec<Value>> {
-    (0..r.count(1)?).map(|_| Ok(r.value()?)).collect()
-}
-
-/// The object base a full document lists.
-fn full_objects(schema: Schema, part: ObjectsPart) -> Decoded<ObjectBase> {
-    if !part.dead.is_empty() || part.objects.len() != part.total {
-        return Err(Damage(format!(
-            "{} objects listed, {} promised, {} deleted from the empty base",
-            part.objects.len(),
-            part.total,
-            part.dead.len()
-        )));
-    }
-    Ok(ObjectBase::from_objects(
-        schema,
-        part.objects,
-        part.vars.into_iter().collect(),
-    )?)
-}
-
-/// `base` with the deleted objects dropped and the listed ones put in
-/// place, merged in OID order.  A deleted OID the base does not hold was
-/// created after it and never shipped.
-fn patch_objects(base: &ObjectBase, part: ObjectsPart) -> Decoded<ObjectBase> {
-    let mut merged = Vec::with_capacity(part.total);
-    let mut listed = part.objects.into_iter().peekable();
-    for obj in base.objects() {
-        while let Some(next) = listed.next_if(|o| o.oid < obj.oid) {
-            merged.push(next);
-        }
-        if let Some(next) = listed.next_if(|o| o.oid == obj.oid) {
-            merged.push(next);
-        } else if part.dead.binary_search(&obj.oid).is_err() {
-            merged.push(obj.clone());
+            builder.collection(oid, ty, elements)?;
         }
     }
-    merged.extend(listed);
-    if merged.len() != part.total {
+    keep_below(&mut builder, None)?;
+    if builder.len() != total {
         return Err(Damage(format!(
-            "patched base has {} objects, delta expects {}",
-            merged.len(),
-            part.total
+            "patched base has {} objects, delta expects {total}",
+            builder.len()
         )));
     }
-    let mut vars: HashMap<String, Value> = (base.variables())
+    let mut vars: HashMap<String, Value> = (base.into_iter().flat_map(ObjectBase::variables))
         .map(|(name, value)| (name.to_string(), value.clone()))
         .collect();
-    vars.extend(part.vars);
-    Ok(ObjectBase::from_objects(
-        base.schema().clone(),
-        merged,
-        vars,
-    )?)
+    for _ in 0..r.count(5)? {
+        vars.insert(r.str()?, r.value()?);
+    }
+    r.finish()?;
+    Ok(builder.finish(vars)?)
+}
+
+/// A tuple's non-`NULL` slots, each index above the one before.
+fn read_slots(r: &mut Reader<'_>, oid: Oid, slots: &mut [Value]) -> Decoded<()> {
+    let mut next = 0;
+    for _ in 0..r.count(2)? {
+        let slot = num(r)?;
+        if slot >= slots.len() {
+            return Err(Damage(format!("object {oid}: no slot {slot}")));
+        }
+        if slot < next {
+            return Err(Damage(format!("object {oid}: slot {slot} out of order")));
+        }
+        slots[slot] = r.value()?;
+        next = slot + 1;
+    }
+    Ok(())
 }

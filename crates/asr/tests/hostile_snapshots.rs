@@ -13,7 +13,9 @@
 //! or load soundly — page-sound partitions whose two trees hold the same
 //! rows, consistent rebuilt ASRs, every object value of its declared
 //! type.  And a resealed change to one row of one tree, which leaves both
-//! trees valid but no longer holding the same rows, is refused.
+//! trees valid but no longer holding the same rows, is refused, as are a
+//! resealed objects frame listing a set member twice and one listing a
+//! tuple's slots out of order: the writer lists both strictly ascending.
 //!
 //! The retired text format: `bulk.asrdb2` cut after every line, with a
 //! seeded bit flipped inside every line, and cut and flipped at a seeded
@@ -26,8 +28,9 @@
 //! Seed: `ASR_FUZZ_SEED` (decimal u64), when set, is mixed into each
 //! sweep's default seed, so CI can widen coverage with a rotating seed.
 
+use asr_core::codec::Writer;
 use asr_core::{crc32, AsrError, AsrLoadMode, Cell, Database, LoadReport};
-use asr_gom::{Oid, TypeKind, TypeRef, Value};
+use asr_gom::{ObjectBody, Oid, TypeKind, TypeRef, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,7 +141,7 @@ fn assert_loaded_soundly(ctx: &str, db: &Database, report: &LoadReport) {
             TypeKind::Tuple { .. } => (schema.layout(obj.ty).unwrap_or(&[]).iter())
                 .map(|a| a.ty)
                 .collect(),
-            kind => vec![kind.element().unwrap(); obj.elements().count()],
+            kind => vec![kind.element().unwrap(); obj.elements().len()],
         };
         let values: Vec<&Value> = obj.slots().iter().chain(obj.elements()).collect();
         assert_eq!(values.len(), declared.len(), "{ctx}: object {}", obj.oid);
@@ -319,13 +322,13 @@ fn resealed_flips_error_or_load_soundly() {
     );
 }
 
-/// The byte range of the first ASR frame of `doc` (tag, length, payload
-/// and checksum).
-fn first_asr_frame(doc: &[u8]) -> std::ops::Range<usize> {
+/// The byte range of the first frame of `doc` tagged `tag` (tag, length,
+/// payload and checksum).
+fn first_frame(doc: &[u8], tag: u8) -> std::ops::Range<usize> {
     let mut at = 8;
     loop {
         let len = u32::from_le_bytes(doc[at + 1..at + 5].try_into().unwrap()) as usize;
-        if doc[at] == b'A' {
+        if doc[at] == tag {
             return at..at + 9 + len;
         }
         at += 9 + len;
@@ -343,7 +346,7 @@ fn first_asr_frame(doc: &[u8]) -> std::ops::Range<usize> {
 fn resealed_trees_that_disagree_are_refused() {
     let doc = fixture("bulk.ckpt");
     let want = answers(&Database::load_from_string(&doc).unwrap());
-    let frame = first_asr_frame(&doc);
+    let frame = first_frame(&doc, b'A');
     let refused = frame.rev().find(|&at| {
         if doc[at] >= 0x7f {
             return false;
@@ -369,4 +372,67 @@ fn resealed_trees_that_disagree_are_refused() {
         refused.is_some(),
         "no resealed change made the trees disagree"
     );
+}
+
+/// `doc` with the first occurrence of `from` inside its objects frame
+/// replaced by `to` (as long), the checksums recomputed.
+fn resealed_objects(doc: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    assert_eq!(from.len(), to.len());
+    let frame = first_frame(doc, b'O');
+    let at = frame.start
+        + doc[frame]
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("the bytes are in the objects frame");
+    let mut bad = doc.to_vec();
+    bad[at..at + to.len()].copy_from_slice(to);
+    reseal(&mut bad);
+    bad
+}
+
+/// A set member listed twice and a tuple's slots listed out of order,
+/// behind recomputed checksums: the reader takes only the writer's
+/// canonical order (members and slots strictly ascending) and refuses
+/// the objects frame with a typed error.
+#[test]
+fn resealed_non_canonical_objects_are_refused() {
+    let doc = fixture("figure2.ckpt");
+    let db = Database::load_from_string(&doc).unwrap();
+    let encode = |parts: &[(Option<usize>, &Value)]| {
+        let mut w = Writer::new();
+        for (slot, value) in parts {
+            if let Some(slot) = slot {
+                w.varint(*slot as u64);
+            }
+            w.value(value);
+        }
+        w.into_bytes()
+    };
+    let set = (db.base().objects())
+        .find(|o| matches!(o.body, ObjectBody::Set(members) if members.len() >= 2))
+        .expect("a set with two members");
+    let [a, b, ..] = set.elements() else {
+        unreachable!()
+    };
+    let twice = resealed_objects(
+        &doc,
+        &encode(&[(None, a), (None, b)]),
+        &encode(&[(None, a), (None, a)]),
+    );
+    let tuple = (db.base().objects())
+        .find(|o| o.slots().iter().filter(|v| !v.is_null()).count() >= 2)
+        .expect("a tuple with two attributes set");
+    let mut set_slots = (tuple.slots().iter().enumerate()).filter(|(_, v)| !v.is_null());
+    let (first, second) = (set_slots.next().unwrap(), set_slots.next().unwrap());
+    let (first, second) = ((Some(first.0), first.1), (Some(second.0), second.1));
+    let swapped = resealed_objects(&doc, &encode(&[first, second]), &encode(&[second, first]));
+    for (what, bad) in [("a member twice", twice), ("slots out of order", swapped)] {
+        match Database::load_from_string(&bad) {
+            Err(AsrError::Snapshot(msg)) => {
+                assert!(msg.starts_with("objects frame"), "{what}: {msg}")
+            }
+            Err(other) => panic!("{what}: {other}"),
+            Ok(_) => panic!("{what}: loaded"),
+        }
+    }
 }

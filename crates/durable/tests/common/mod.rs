@@ -219,8 +219,8 @@ impl Generator {
     }
 
     fn set_elems(&self, set: Oid) -> Vec<Value> {
-        match &self.db.base().object(set).unwrap().body {
-            ObjectBody::Set(elems) => elems.iter().cloned().collect(),
+        match self.db.base().object(set).unwrap().body {
+            ObjectBody::Set(elems) => elems.to_vec(),
             _ => Vec::new(),
         }
     }

@@ -125,9 +125,6 @@ fn a_dangling_set_element_survives_a_checkpoint() {
     let db = DurableDatabase::open(disk).unwrap();
     let base = db.database().base();
     let set = base.object(ps).unwrap();
-    assert_eq!(
-        set.elements().cloned().collect::<Vec<_>>(),
-        [Value::Ref(prod)]
-    );
+    assert_eq!(set.elements(), [Value::Ref(prod)]);
     assert_eq!(base.element_oids(ps).unwrap(), Vec::<Oid>::new());
 }

@@ -12,21 +12,28 @@
 //! `insert o into o_i.A_i` names the owner, the set-level API here does
 //! not, and [`ObjectBase::referrers`] recovers it without a scan.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::error::{GomError, Result};
-use crate::object::{Object, ObjectBody};
+use crate::object::Object;
 use crate::oid::{Oid, OidGenerator};
 use crate::schema::Schema;
-use crate::types::{TypeId, TypeKind, TypeRef};
+use crate::table::{BodyMut, ObjectTable};
+use crate::types::{TypeId, TypeRef};
 use crate::value::Value;
+
+mod builder;
+
+pub use builder::BaseBuilder;
 
 /// The extension of a schema: all living objects plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct ObjectBase {
     schema: Schema,
-    objects: BTreeMap<Oid, Object>,
-    extents: HashMap<TypeId, Vec<Oid>>,
+    /// Every object, in one OID-ordered table.
+    table: ObjectTable,
+    /// Each type's direct extent, by type index, in creation order.
+    extents: Vec<Vec<Oid>>,
     variables: HashMap<String, Value>,
     oidgen: OidGenerator,
     /// `(target, owner)` for every tuple object `owner` with at least one
@@ -42,14 +49,9 @@ pub struct ObjectBase {
 impl ObjectBase {
     /// Create an empty object base over `schema`.
     pub fn new(schema: Schema) -> Self {
-        ObjectBase {
-            schema,
-            objects: BTreeMap::new(),
-            extents: HashMap::new(),
-            variables: HashMap::new(),
-            oidgen: OidGenerator::new(),
-            referrers: BTreeSet::new(),
-        }
+        BaseBuilder::new(schema, 0)
+            .finish(HashMap::new())
+            .expect("an empty base is well-typed")
     }
 
     /// The schema this base instantiates.
@@ -59,7 +61,7 @@ impl ObjectBase {
 
     /// Total number of living objects.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.table.len()
     }
 
     // ------------------------------------------------------------------
@@ -80,139 +82,10 @@ impl ObjectBase {
 
     /// File a fresh instance of `ty` under `oid`.
     fn insert_fresh(&mut self, oid: Oid, ty: TypeId) -> Result<()> {
-        let object = match &self.schema.def(ty)?.kind {
-            TypeKind::Tuple { .. } => {
-                let slots = self.schema.layout(ty).map_or(0, <[_]>::len);
-                Object::new_tuple(oid, ty, slots)
-            }
-            TypeKind::Set { .. } => Object::new_set(oid, ty),
-            TypeKind::List { .. } => Object::new_list(oid, ty),
-        };
-        self.objects.insert(oid, object);
-        self.extents.entry(ty).or_default().push(oid);
+        self.schema.def(ty)?;
+        self.table.insert(oid, ty)?;
+        self.extents[ty.index()].push(oid);
         Ok(())
-    }
-
-    /// A base from decoded objects that nothing has checked yet (a binary
-    /// checkpoint's reader): what `ObjectBase::from_snapshot` takes on
-    /// trust is checked first.  OIDs must ascend strictly, each body must
-    /// be the structure its type declares (a tuple with one slot per
-    /// attribute of [`Schema::layout`]), and every value must conform to
-    /// its declared type — a reference whose target is not listed is kept
-    /// dangling, as the live base keeps it.  The errors are the ones the
-    /// object-at-a-time API gives the same object.
-    pub fn from_objects(
-        schema: Schema,
-        objects: Vec<Object>,
-        variables: HashMap<String, Value>,
-    ) -> Result<Self> {
-        if let Some(pair) = objects.windows(2).find(|w| w[0].oid >= w[1].oid) {
-            return Err(match pair[1].oid {
-                twice if twice == pair[0].oid => GomError::DuplicateObject(twice),
-                oid => GomError::InvalidPath(format!(
-                    "snapshot: object {oid} listed after {}",
-                    pair[0].oid
-                )),
-            });
-        }
-        // OIDs are issued densely, so an OID's offset from the first one
-        // is nearly always its position; a binary search finds the others.
-        let first = objects.first().map_or(0, |o| o.oid.as_raw());
-        let target = |oid: Oid| {
-            let guess = usize::try_from(oid.as_raw().wrapping_sub(first)).ok();
-            match guess.and_then(|at| objects.get(at)) {
-                Some(o) if o.oid == oid => Some(o.ty),
-                _ => (objects.binary_search_by_key(&oid, |o| o.oid).ok()).map(|at| objects[at].ty),
-            }
-        };
-        let check = |value: &Value, declared: TypeRef| {
-            check_conformance(
-                &schema,
-                value,
-                value.as_ref_oid().and_then(target),
-                declared,
-            )
-        };
-        for obj in &objects {
-            if obj.ty.index() >= schema.len() {
-                return Err(GomError::UnknownType(format!("#{}", obj.ty.index())));
-            }
-            let oid = obj.oid;
-            match (&schema.def(obj.ty)?.kind, &obj.body) {
-                (TypeKind::Tuple { .. }, ObjectBody::Tuple(slots)) => {
-                    let layout = schema.layout(obj.ty).unwrap_or(&[]);
-                    if layout.len() != slots.len() {
-                        return Err(GomError::WrongStructure {
-                            oid,
-                            expected: "tuple",
-                        });
-                    }
-                    for (attr, value) in layout.iter().zip(slots.iter()) {
-                        check(value, attr.ty)?;
-                    }
-                }
-                (TypeKind::Set { element }, ObjectBody::Set(_))
-                | (TypeKind::List { element }, ObjectBody::List(_)) => {
-                    for value in obj.elements() {
-                        check(value, *element)?;
-                    }
-                }
-                (kind, _) => {
-                    let expected = match kind {
-                        TypeKind::Tuple { .. } => "tuple",
-                        TypeKind::Set { .. } => "set",
-                        TypeKind::List { .. } => "list",
-                    };
-                    return Err(GomError::WrongStructure { oid, expected });
-                }
-            }
-        }
-        Ok(ObjectBase::from_snapshot(schema, objects, variables))
-    }
-
-    /// Assemble a base from a snapshot's objects, in the order the
-    /// snapshot lists them (OIDs distinct, every body built and
-    /// type-checked by the reader): the object map, the extents (each in
-    /// listing order) and the referrer index are each built once from
-    /// sorted input.  The OID generator resumes past every OID the
-    /// snapshot names, dangling reference targets included, so a later
-    /// instantiation cannot revive a dangling reference.
-    pub(crate) fn from_snapshot(
-        schema: Schema,
-        objects: Vec<Object>,
-        variables: HashMap<String, Value>,
-    ) -> Self {
-        let mut extents: Vec<Vec<Oid>> = vec![Vec::new(); schema.len()];
-        let mut referrers = Vec::new();
-        let mut next = 0;
-        for obj in &objects {
-            extents[obj.ty.index()].push(obj.oid);
-            next = next.max(obj.oid.as_raw().saturating_add(1));
-            for target in obj.slots().iter().filter_map(Value::as_ref_oid) {
-                referrers.push((target, obj.oid));
-            }
-            for target in obj.elements().filter_map(Value::as_ref_oid) {
-                next = next.max(target.as_raw().saturating_add(1));
-            }
-        }
-        for &(target, _) in &referrers {
-            next = next.max(target.as_raw().saturating_add(1));
-        }
-        referrers.sort_unstable();
-        let extents = extents
-            .into_iter()
-            .enumerate()
-            .filter(|(_, oids)| !oids.is_empty())
-            .map(|(ty, oids)| (TypeId::from_index(ty), oids))
-            .collect();
-        ObjectBase {
-            schema,
-            objects: objects.into_iter().map(|o| (o.oid, o)).collect(),
-            extents,
-            variables,
-            oidgen: OidGenerator::starting_at(next),
-            referrers: referrers.into_iter().collect(),
-        }
     }
 
     /// Re-create an object with a **specific** OID — snapshot restoration
@@ -233,16 +106,12 @@ impl ObjectBase {
     /// model maintains uni-directional references only); navigation treats
     /// dangling references as `NULL`.
     pub fn delete(&mut self, oid: Oid) -> Result<()> {
-        let obj = self
-            .objects
-            .remove(&oid)
-            .ok_or(GomError::UnknownObject(oid))?;
-        if let Some(extent) = self.extents.get_mut(&obj.ty) {
-            extent.retain(|&o| o != oid);
-        }
+        let obj = self.table.get(oid).ok_or(GomError::UnknownObject(oid))?;
         for target in obj.slots().iter().filter_map(Value::as_ref_oid) {
             self.referrers.remove(&(target, oid));
         }
+        let ty = self.table.remove(oid).ok_or(GomError::UnknownObject(oid))?;
+        self.extents[ty.index()].retain(|&o| o != oid);
         Ok(())
     }
 
@@ -251,18 +120,18 @@ impl ObjectBase {
     // ------------------------------------------------------------------
 
     /// Look up an object.
-    pub fn object(&self, oid: Oid) -> Result<&Object> {
-        self.objects.get(&oid).ok_or(GomError::UnknownObject(oid))
+    pub fn object(&self, oid: Oid) -> Result<Object<'_>> {
+        self.table.get(oid).ok_or(GomError::UnknownObject(oid))
     }
 
     /// Does the object exist?
     pub fn contains(&self, oid: Oid) -> bool {
-        self.objects.contains_key(&oid)
+        self.table.type_of(oid).is_some()
     }
 
     /// The type of an object.
     pub fn type_of(&self, oid: Oid) -> Result<TypeId> {
-        Ok(self.object(oid)?.ty)
+        self.table.type_of(oid).ok_or(GomError::UnknownObject(oid))
     }
 
     /// Attribute value of a tuple object (inherited attributes included).
@@ -290,8 +159,8 @@ impl ObjectBase {
     }
 
     /// Iterate over all objects (ascending OID order — deterministic).
-    pub fn objects(&self) -> impl Iterator<Item = &Object> {
-        self.objects.values()
+    pub fn objects(&self) -> impl Iterator<Item = Object<'_>> + Clone {
+        self.table.iter()
     }
 
     /// The `(owner, attribute)` pairs whose tuple attribute currently holds
@@ -301,20 +170,20 @@ impl ObjectBase {
     pub fn referrers(&self, target: Oid) -> impl Iterator<Item = (Oid, &str)> {
         self.referrers
             .range((target, Oid::from_raw(0))..=(target, Oid::from_raw(u64::MAX)))
-            .filter_map(|(_, owner)| self.objects.get(owner))
+            .filter_map(|&(_, owner)| self.table.get(owner))
             .flat_map(move |obj| {
                 let layout = self.schema.layout(obj.ty).unwrap_or_default();
                 layout
                     .iter()
                     .zip(obj.slots())
                     .filter(move |(_, value)| **value == Value::Ref(target))
-                    .map(|(attr, _)| (obj.oid, attr.name.as_str()))
+                    .map(move |(attr, _)| (obj.oid, attr.name.as_str()))
             })
     }
 
     /// The *direct* extent of a type: objects instantiated exactly from it.
     pub fn extent(&self, ty: TypeId) -> &[Oid] {
-        self.extents.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.extents.get(ty.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The *deep* extent: instances of the type or any of its subtypes.
@@ -339,12 +208,8 @@ impl ObjectBase {
         let ty = self.type_of(oid)?;
         let (slot, declared) = self.schema.slot(ty, attr)?;
         self.check_conformance(&value, declared.ty)?;
-        let obj = self
-            .objects
-            .get_mut(&oid)
-            .ok_or(GomError::UnknownObject(oid))?;
-        match &mut obj.body {
-            ObjectBody::Tuple(slots) => {
+        match self.table.body_mut(oid) {
+            Some((_, BodyMut::Tuple(slots))) => {
                 let new_ref = value.as_ref_oid();
                 let old_ref = std::mem::replace(&mut slots[slot], value).as_ref_oid();
                 if old_ref != new_ref {
@@ -369,27 +234,22 @@ impl ObjectBase {
 
     /// Insert `value` into set object `set_oid`.  Mirrors the paper's
     /// characteristic update `ins_i := insert o into o_i.A_i` (Section 6).
+    /// The members stay one sorted vector: the insert binary-searches
+    /// and shifts, linear in the set's size.
     ///
     /// Returns `true` when the element was newly inserted, `false` when it
     /// was already a member.
     pub fn insert_into_set(&mut self, set_oid: Oid, value: Value) -> Result<bool> {
-        let ty = self.type_of(set_oid)?;
-        let element = self
-            .schema
-            .def(ty)?
-            .kind
-            .element()
-            .ok_or(GomError::WrongStructure {
-                oid: set_oid,
-                expected: "set",
-            })?;
+        let element = self.element_type(set_oid, "set")?;
         self.check_conformance(&value, element)?;
-        let obj = self
-            .objects
-            .get_mut(&set_oid)
-            .ok_or(GomError::UnknownObject(set_oid))?;
-        match &mut obj.body {
-            ObjectBody::Set(set) => Ok(set.insert(value)),
+        match self.table.body_mut(set_oid) {
+            Some((_, BodyMut::Set(members))) => match members.binary_search(&value) {
+                Ok(_) => Ok(false),
+                Err(at) => {
+                    members.insert(at, value);
+                    Ok(true)
+                }
+            },
             _ => Err(GomError::WrongStructure {
                 oid: set_oid,
                 expected: "set",
@@ -400,38 +260,28 @@ impl ObjectBase {
     /// Remove `value` from set object `set_oid`; returns whether it was
     /// present.
     pub fn remove_from_set(&mut self, set_oid: Oid, value: &Value) -> Result<bool> {
-        let obj = self
-            .objects
-            .get_mut(&set_oid)
-            .ok_or(GomError::UnknownObject(set_oid))?;
-        match &mut obj.body {
-            ObjectBody::Set(set) => Ok(set.remove(value)),
-            _ => Err(GomError::WrongStructure {
+        match self.table.body_mut(set_oid) {
+            Some((_, BodyMut::Set(members))) => match members.binary_search(value) {
+                Ok(at) => {
+                    members.remove(at);
+                    Ok(true)
+                }
+                Err(_) => Ok(false),
+            },
+            Some(_) => Err(GomError::WrongStructure {
                 oid: set_oid,
                 expected: "set",
             }),
+            None => Err(GomError::UnknownObject(set_oid)),
         }
     }
 
     /// Append `value` to list object `list_oid`.
     pub fn push_to_list(&mut self, list_oid: Oid, value: Value) -> Result<()> {
-        let ty = self.type_of(list_oid)?;
-        let element = self
-            .schema
-            .def(ty)?
-            .kind
-            .element()
-            .ok_or(GomError::WrongStructure {
-                oid: list_oid,
-                expected: "list",
-            })?;
+        let element = self.element_type(list_oid, "list")?;
         self.check_conformance(&value, element)?;
-        let obj = self
-            .objects
-            .get_mut(&list_oid)
-            .ok_or(GomError::UnknownObject(list_oid))?;
-        match &mut obj.body {
-            ObjectBody::List(list) => {
+        match self.table.body_mut(list_oid) {
+            Some((_, BodyMut::List(list))) => {
                 list.push(value);
                 Ok(())
             }
@@ -440,6 +290,13 @@ impl ObjectBase {
                 expected: "list",
             }),
         }
+    }
+
+    /// The declared element type of collection `oid`; a tuple is not the
+    /// `expected` structure.
+    fn element_type(&self, oid: Oid, expected: &'static str) -> Result<TypeRef> {
+        let ty = self.type_of(oid)?;
+        (self.schema.def(ty)?.kind.element()).ok_or(GomError::WrongStructure { oid, expected })
     }
 
     fn check_conformance(&self, value: &Value, declared: TypeRef) -> Result<()> {
@@ -494,6 +351,7 @@ impl ObjectBase {
         let obj = self.object(collection)?;
         Ok(obj
             .elements()
+            .iter()
             .filter_map(Value::as_ref_oid)
             .filter(|o| self.contains(*o))
             .collect())
@@ -535,6 +393,7 @@ pub(crate) fn check_conformance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::ObjectBody;
 
     fn company_base() -> ObjectBase {
         let mut s = Schema::new();
@@ -712,10 +571,9 @@ mod tests {
         base.push_to_list(l, Value::Integer(1)).unwrap();
         base.push_to_list(l, Value::Integer(2)).unwrap();
         let obj = base.object(l).unwrap();
-        let elems: Vec<_> = obj.elements().cloned().collect();
         assert_eq!(
-            elems,
-            vec![Value::Integer(2), Value::Integer(1), Value::Integer(2)]
+            obj.elements(),
+            [Value::Integer(2), Value::Integer(1), Value::Integer(2)]
         );
         assert!(matches!(
             base.push_to_list(l, Value::string("x")),
@@ -724,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn from_objects_checks_what_from_snapshot_trusts() {
+    fn the_builder_checks_what_the_mutation_api_checks() {
         let mut base = company_base();
         let d = base.instantiate("Division").unwrap();
         let prods = base.instantiate("ProdSET").unwrap();
@@ -734,40 +592,85 @@ mod tests {
         base.set_attribute(d, "Manufactures", Value::Ref(prods))
             .unwrap();
         base.insert_into_set(prods, Value::Ref(p)).unwrap();
-        let objects: Vec<Object> = base.objects().cloned().collect();
-        let rebuild = |objects: Vec<Object>| {
-            ObjectBase::from_objects(base.schema().clone(), objects, HashMap::new())
+        let objects: Vec<Object<'_>> = base.objects().collect();
+        let rebuild = |objects: &[Object<'_>]| {
+            let mut builder = BaseBuilder::new(base.schema().clone(), objects.len());
+            for &obj in objects {
+                builder.copy(obj)?;
+            }
+            builder.finish(HashMap::new())
         };
-        let same = rebuild(objects.clone()).unwrap();
+        let same = rebuild(&objects).unwrap();
         assert!(same.objects().eq(base.objects()));
+        assert_eq!(
+            same.referrers(prods).collect::<Vec<_>>(),
+            [(d, "Manufactures")]
+        );
         // A reference to an object that is not listed stays dangling.
-        assert!(rebuild(objects[..2].to_vec()).is_ok());
+        assert!(rebuild(&objects[..2]).is_ok());
 
-        let with = |k: usize, body: ObjectBody| {
+        let with = |k: usize, body: ObjectBody<'_>| {
             let mut objects = objects.clone();
             objects[k].body = body;
-            rebuild(objects).unwrap_err()
+            rebuild(&objects).unwrap_err()
         };
-        let named = |name: Value| ObjectBody::Tuple(vec![Value::Null, name].into());
+        // Division's layout is sorted by name: Manufactures, Name.
         assert!(matches!(
-            with(0, named(Value::Integer(3))),
+            with(0, ObjectBody::Tuple(&[Value::Null, Value::Integer(3)])),
             GomError::TypeViolation { .. }
         ));
         assert!(matches!(
-            with(1, ObjectBody::Set([Value::Ref(d)].into())),
+            with(1, ObjectBody::Set(&[Value::Ref(d)])),
             GomError::TypeViolation { .. }
         ));
         assert!(matches!(
-            with(0, ObjectBody::Tuple(vec![Value::Null].into())),
+            with(0, ObjectBody::Tuple(&[Value::Null])),
             GomError::WrongStructure { .. }
         ));
         assert!(matches!(
-            with(1, ObjectBody::List(Vec::new())),
+            with(1, ObjectBody::List(&[])),
             GomError::WrongStructure { .. }
         ));
-        let twice = vec![objects[0].clone(), objects[0].clone()];
-        assert_eq!(rebuild(twice).unwrap_err(), GomError::DuplicateObject(d));
-        let swapped = vec![objects[1].clone(), objects[0].clone()];
-        assert!(rebuild(swapped).is_err());
+        // A set's members ascend strictly.
+        for members in [[Value::Ref(p), Value::Ref(p)], [Value::Ref(p), Value::Null]] {
+            assert!(matches!(
+                with(1, ObjectBody::Set(&members)),
+                GomError::InvalidPath(_)
+            ));
+        }
+        let twice = [objects[0], objects[0]];
+        assert_eq!(rebuild(&twice).unwrap_err(), GomError::DuplicateObject(d));
+        let swapped = [objects[1], objects[0]];
+        assert!(rebuild(&swapped).is_err());
+    }
+
+    #[test]
+    fn lookups_survive_deletes_restores_and_compaction() {
+        let mut base = company_base();
+        let oids: Vec<Oid> = (0..200)
+            .map(|_| base.instantiate("BasePart").unwrap())
+            .collect();
+        // Two thirds deleted: tombstones first, then a compaction.
+        for (k, &oid) in oids.iter().enumerate() {
+            if k % 3 != 1 {
+                base.delete(oid).unwrap();
+            }
+        }
+        // Restored below the highest OID, where compaction dropped the
+        // tombstone and where it did not.
+        for k in [0, 2, 197] {
+            base.restore_object(oids[k], "BasePartSET").unwrap();
+        }
+        let live = |k: usize| k % 3 == 1 || [0, 2, 197].contains(&k);
+        for (k, &oid) in oids.iter().enumerate() {
+            assert_eq!(base.contains(oid), live(k), "{oid}");
+        }
+        base.insert_into_set(oids[2], Value::Ref(oids[1])).unwrap();
+        assert_eq!(base.element_oids(oids[2]).unwrap(), [oids[1]]);
+        assert_eq!(base.object_count(), 70);
+        let want = (0..200).filter(|&k| live(k)).map(|k| oids[k]);
+        assert!(base.objects().map(|o| o.oid).eq(want));
+        let fresh = base.instantiate("BasePart").unwrap();
+        assert!(fresh > oids[199]);
     }
 }

@@ -54,11 +54,12 @@ pub mod oid;
 pub mod path;
 pub mod schema;
 pub mod snapshot;
+mod table;
 pub mod types;
 pub mod value;
 
 pub use atomic::AtomicType;
-pub use base::ObjectBase;
+pub use base::{BaseBuilder, ObjectBase};
 pub use error::{GomError, Result};
 pub use object::{Object, ObjectBody};
 pub use oid::{Oid, OidGenerator};

@@ -2,28 +2,28 @@
 //!
 //! An object instance is a triple `(i, v, t)` where `i` is the object
 //! identifier, `v` the object value and `t` the type of the object
-//! (Section 2.2 of the paper).
-
-use std::collections::BTreeSet;
+//! (Section 2.2 of the paper).  The object base keeps every instance in
+//! one OID-ordered table ([`crate::ObjectBase`]); an [`Object`] is a
+//! borrowed view of one of its entries.
 
 use crate::oid::Oid;
 use crate::types::TypeId;
 use crate::value::Value;
 
 /// The value part `v` of an object instance — structured according to the
-/// outermost type constructor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObjectBody {
+/// outermost type constructor, borrowed from the object base.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObjectBody<'a> {
     /// Tuple object: one value per slot of its type's layout
     /// ([`crate::Schema::layout`]), `NULL` included.
-    Tuple(Box<[Value]>),
-    /// Set object: an unordered, duplicate-free collection.
-    Set(BTreeSet<Value>),
+    Tuple(&'a [Value]),
+    /// Set object: its members, ascending and duplicate-free.
+    Set(&'a [Value]),
     /// List object: an ordered collection (duplicates allowed).
-    List(Vec<Value>),
+    List(&'a [Value]),
 }
 
-impl ObjectBody {
+impl ObjectBody<'_> {
     /// Structure name for diagnostics ("tuple" / "set" / "list").
     pub fn structure(&self) -> &'static str {
         match self {
@@ -37,8 +37,7 @@ impl ObjectBody {
     pub fn len(&self) -> usize {
         match self {
             ObjectBody::Tuple(slots) => slots.iter().filter(|v| !v.is_null()).count(),
-            ObjectBody::Set(s) => s.len(),
-            ObjectBody::List(l) => l.len(),
+            ObjectBody::Set(elems) | ObjectBody::List(elems) => elems.len(),
         }
     }
 
@@ -48,70 +47,41 @@ impl ObjectBody {
     }
 }
 
-/// An object instance `(i, v, t)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Object {
+/// An object instance `(i, v, t)`, as the object base holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Object<'a> {
     /// Invariant identity.
     pub oid: Oid,
     /// The type the object was instantiated from.
     pub ty: TypeId,
-    /// The (mutable) value.
-    pub body: ObjectBody,
+    /// The value.
+    pub body: ObjectBody<'a>,
 }
 
-impl Object {
-    /// A fresh tuple object with all `slots` attributes `NULL`.
-    pub fn new_tuple(oid: Oid, ty: TypeId, slots: usize) -> Self {
-        Object {
-            oid,
-            ty,
-            body: ObjectBody::Tuple(vec![Value::Null; slots].into()),
-        }
-    }
-
-    /// A fresh, empty set object.
-    pub fn new_set(oid: Oid, ty: TypeId) -> Self {
-        Object {
-            oid,
-            ty,
-            body: ObjectBody::Set(BTreeSet::new()),
-        }
-    }
-
-    /// A fresh, empty list object.
-    pub fn new_list(oid: Oid, ty: TypeId) -> Self {
-        Object {
-            oid,
-            ty,
-            body: ObjectBody::List(Vec::new()),
-        }
-    }
-
+impl<'a> Object<'a> {
     /// The attribute slots of a tuple object (empty for sets and lists).
-    pub fn slots(&self) -> &[Value] {
-        match &self.body {
+    pub fn slots(&self) -> &'a [Value] {
+        match self.body {
             ObjectBody::Tuple(slots) => slots,
             _ => &[],
         }
     }
 
-    /// Iterate over the elements of a set or list object.
-    pub fn elements(&self) -> Box<dyn Iterator<Item = &Value> + '_> {
-        match &self.body {
-            ObjectBody::Set(s) => Box::new(s.iter()),
-            ObjectBody::List(l) => Box::new(l.iter()),
-            ObjectBody::Tuple(_) => Box::new(std::iter::empty()),
+    /// The elements of a set (ascending) or list (in order) object; empty
+    /// for a tuple.
+    pub fn elements(&self) -> &'a [Value] {
+        match self.body {
+            ObjectBody::Set(elems) | ObjectBody::List(elems) => elems,
+            ObjectBody::Tuple(_) => &[],
         }
     }
 
     /// All OIDs this object references directly (attribute values and
     /// set/list elements that are references).
     pub fn referenced_oids(&self) -> Vec<Oid> {
-        match &self.body {
-            ObjectBody::Tuple(slots) => slots.iter().filter_map(Value::as_ref_oid).collect(),
-            ObjectBody::Set(s) => s.iter().filter_map(Value::as_ref_oid).collect(),
-            ObjectBody::List(l) => l.iter().filter_map(Value::as_ref_oid).collect(),
-        }
+        let (ObjectBody::Tuple(values) | ObjectBody::Set(values) | ObjectBody::List(values)) =
+            self.body;
+        values.iter().filter_map(Value::as_ref_oid).collect()
     }
 }
 
@@ -119,60 +89,51 @@ impl Object {
 mod tests {
     use super::*;
 
-    fn oid(n: u64) -> Oid {
-        Oid::from_raw(n)
+    fn object(body: ObjectBody<'_>) -> Object<'_> {
+        Object {
+            oid: Oid::from_raw(1),
+            ty: TypeId::from_index(0),
+            body,
+        }
     }
 
     #[test]
-    fn fresh_tuple_attributes_are_null() {
-        let o = Object::new_tuple(oid(1), TypeId::from_index(0), 3);
-        assert_eq!(o.slots(), &[Value::Null, Value::Null, Value::Null]);
-        assert_eq!(o.body.len(), 0);
-        assert!(o.body.is_empty());
+    fn a_null_slot_is_no_attribute() {
+        let slots = [Value::Null, Value::Integer(3), Value::Null];
+        let o = object(ObjectBody::Tuple(&slots));
+        assert_eq!(o.slots(), &slots);
+        assert_eq!(o.body.len(), 1);
+        assert!(object(ObjectBody::Tuple(&[Value::Null])).body.is_empty());
     }
 
     #[test]
     fn elements_of_tuple_is_empty() {
-        let o = Object::new_tuple(oid(1), TypeId::from_index(0), 2);
-        assert_eq!(o.elements().count(), 0);
+        let o = object(ObjectBody::Tuple(&[Value::Integer(3)]));
+        assert!(o.elements().is_empty());
+        let s = object(ObjectBody::Set(&[Value::Integer(3)]));
+        assert!(s.slots().is_empty());
+        assert_eq!(s.elements(), &[Value::Integer(3)]);
     }
 
     #[test]
     fn referenced_oids_finds_refs_everywhere() {
-        let mut o = Object::new_tuple(oid(1), TypeId::from_index(0), 2);
-        if let ObjectBody::Tuple(slots) = &mut o.body {
-            slots[0] = Value::Ref(oid(7));
-            slots[1] = Value::Integer(3);
-        }
-        assert_eq!(o.referenced_oids(), vec![oid(7)]);
-
-        let mut s = Object::new_set(oid(2), TypeId::from_index(1));
-        if let ObjectBody::Set(set) = &mut s.body {
-            set.insert(Value::Ref(oid(8)));
-            set.insert(Value::Ref(oid(9)));
-        }
-        assert_eq!(s.referenced_oids(), vec![oid(8), oid(9)]);
+        let oid = Oid::from_raw;
+        let slots = [Value::Ref(oid(7)), Value::Integer(3)];
+        assert_eq!(
+            object(ObjectBody::Tuple(&slots)).referenced_oids(),
+            vec![oid(7)]
+        );
+        let members = [Value::Ref(oid(8)), Value::Ref(oid(9))];
+        assert_eq!(
+            object(ObjectBody::Set(&members)).referenced_oids(),
+            vec![oid(8), oid(9)]
+        );
     }
 
     #[test]
     fn structure_names() {
-        assert_eq!(
-            Object::new_tuple(oid(1), TypeId::from_index(0), 0)
-                .body
-                .structure(),
-            "tuple"
-        );
-        assert_eq!(
-            Object::new_set(oid(1), TypeId::from_index(0))
-                .body
-                .structure(),
-            "set"
-        );
-        assert_eq!(
-            Object::new_list(oid(1), TypeId::from_index(0))
-                .body
-                .structure(),
-            "list"
-        );
+        assert_eq!(ObjectBody::Tuple(&[]).structure(), "tuple");
+        assert_eq!(ObjectBody::Set(&[]).structure(), "set");
+        assert_eq!(ObjectBody::List(&[]).structure(), "list");
     }
 }

@@ -18,10 +18,10 @@
 //! `S:<percent-escaped utf-8>`, `C:<char>`, `B:<0|1>`, `R:i<oid>`.
 //!
 //! [`read_base`] builds the base in bulk rather than replaying the
-//! mutation API object by object: it builds each object's body in one
-//! piece, resolves each type name and each (type, attribute) slot once,
-//! and assembles the object map, the extents and the referrer index each
-//! once from sorted input.  It checks strong typing as
+//! mutation API object by object: it resolves each type name and each
+//! (type, attribute) slot once and files each object's body in one piece
+//! through [`BaseBuilder`], which assembles the object table, the extents
+//! and the referrer index in one pass.  It checks strong typing as
 //! [`ObjectBase::set_attribute`] and [`ObjectBase::insert_into_set`] do,
 //! and a bad line gets the error those give.  A reference to an object
 //! the snapshot does not hold is not an error: the model lets a
@@ -32,12 +32,12 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::base::{check_conformance, ObjectBase};
+use crate::base::{BaseBuilder, ObjectBase};
 use crate::error::{GomError, Result};
 use crate::object::{Object, ObjectBody};
 use crate::oid::Oid;
 use crate::schema::Schema;
-use crate::types::{TypeId, TypeKind, TypeRef};
+use crate::types::{TypeId, TypeKind};
 use crate::value::Value;
 
 const MAGIC: &str = "GOMSNAP 1";
@@ -279,12 +279,12 @@ fn write_base_into(out: &mut String, base: &ObjectBase) {
 }
 
 /// One `O i<oid> <type> <structure> …` line.
-fn write_object_line(out: &mut String, schema: &Schema, obj: &Object) {
+fn write_object_line(out: &mut String, schema: &Schema, obj: Object<'_>) {
     out.push_str("O i");
     push_u64(out, obj.oid.as_raw());
     out.push(' ');
     escape_into(out, schema.name(obj.ty));
-    match &obj.body {
+    match obj.body {
         ObjectBody::Tuple(slots) => {
             out.push_str(" TUPLE");
             let layout = schema.layout(obj.ty).unwrap_or_default();
@@ -364,7 +364,7 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
         read_type_line(&mut schema, line)?;
     }
     schema.validate()?;
-    let objects = read_objects(&schema, &object_lines)?;
+    let objects = read_objects(schema, &object_lines)?;
     let mut variables = HashMap::new();
     for line in var_lines {
         let mut parts = line.splitn(3, ' ');
@@ -381,7 +381,7 @@ pub fn read_base(text: &str) -> Result<ObjectBase> {
         )?;
         variables.insert(name.into_owned(), value);
     }
-    Ok(ObjectBase::from_snapshot(schema, objects, variables))
+    objects.finish(variables)
 }
 
 /// One `O` line's header: the object's identity and type, and the rest of
@@ -392,17 +392,17 @@ struct ObjectHeader<'a> {
     rest: &'a str,
 }
 
-/// Build every object of the `O` lines, in listing order, each body in
-/// one piece.  Two passes, so that references resolve whatever the
-/// order: the headers first (identity and type), then the contents.
-/// Type names and (type, attribute) slots are resolved once each.  A bad
-/// line gets the error the object-at-a-time API
-/// ([`ObjectBase::restore_object`], [`ObjectBase::set_attribute`],
-/// [`ObjectBase::insert_into_set`], [`ObjectBase::push_to_list`]) gives
-/// it, with one exception that is not an error: a reference to an object
-/// the snapshot does not hold is kept as the live base holds it,
-/// dangling, and is type-checked only when its target is present.
-fn read_objects(schema: &Schema, lines: &[&str]) -> Result<Vec<Object>> {
+/// File every object of the `O` lines into a [`BaseBuilder`], in OID
+/// order (the writer's order; lines in another are sorted first), each
+/// body in one piece.  Type names and (type, attribute) slots are resolved
+/// once each, and a set's members are sorted.  A bad line gets the error
+/// the object-at-a-time API ([`ObjectBase::restore_object`],
+/// [`ObjectBase::set_attribute`], [`ObjectBase::insert_into_set`],
+/// [`ObjectBase::push_to_list`]) gives it, with one exception that is not
+/// an error: a reference to an object the snapshot does not hold is kept
+/// as the live base holds it, dangling, and is type-checked only when its
+/// target is present.
+fn read_objects(schema: Schema, lines: &[&str]) -> Result<BaseBuilder> {
     let mut headers: Vec<ObjectHeader<'_>> = Vec::with_capacity(lines.len());
     let mut types: Vec<(Cow<'_, str>, TypeId)> = Vec::new();
     for line in lines {
@@ -426,40 +426,21 @@ fn read_objects(schema: &Schema, lines: &[&str]) -> Result<Vec<Object>> {
         };
         headers.push(ObjectHeader { oid, ty, rest });
     }
-    // The type of every listed object by OID, for conformance checks; an
-    // OID listed twice shows up next to itself.
-    let mut type_of: Vec<(Oid, TypeId)> = headers.iter().map(|h| (h.oid, h.ty)).collect();
-    type_of.sort_unstable_by_key(|&(oid, _)| oid);
-    if let Some(twice) = type_of.windows(2).find(|w| w[0].0 == w[1].0) {
-        return Err(GomError::DuplicateObject(twice[0].0));
-    }
-    // OIDs are issued densely, so an OID's offset from the first one is
-    // nearly always its position; a binary search finds the others.
-    let first = type_of.first().map_or(0, |&(oid, _)| oid.as_raw());
-    let target = |oid: Oid| {
-        let guess = usize::try_from(oid.as_raw().wrapping_sub(first)).ok();
-        match guess.and_then(|at| type_of.get(at)) {
-            Some(&(o, ty)) if o == oid => Some(ty),
-            _ => type_of
-                .binary_search_by_key(&oid, |&(o, _)| o)
-                .ok()
-                .map(|at| type_of[at].1),
-        }
-    };
-    let mut attr_slots: Vec<(TypeId, Cow<'_, str>, usize, TypeRef)> = Vec::new();
-    let mut objects = Vec::with_capacity(headers.len());
+    headers.sort_by_key(|h| h.oid);
+    let mut attr_slots: Vec<(TypeId, Cow<'_, str>, usize)> = Vec::new();
+    // A tuple's (slot, value) pairs, reused from object to object.
+    let mut assigned: Vec<(usize, Value)> = Vec::new();
+    let mut builder = BaseBuilder::new(schema, headers.len());
     for ObjectHeader { oid, ty, rest } in headers {
+        let schema = builder.schema();
         let kind = &schema.def(ty)?.kind;
         let mut fields = rest.split(' ');
         let tag = fields
             .next()
             .ok_or_else(|| bad("missing structure tag".into()))?;
         let fields = fields.filter(|f| !f.is_empty());
-        // A tuple's slots, or a collection's elements in listing order.
-        let mut values = match kind {
-            TypeKind::Tuple { .. } => vec![Value::Null; schema.layout(ty).map_or(0, <[_]>::len)],
-            TypeKind::Set { .. } | TypeKind::List { .. } => Vec::new(),
-        };
+        // A collection's elements in listing order.
+        let mut elements = Vec::new();
         match tag {
             "TUPLE" => {
                 for field in fields {
@@ -470,54 +451,49 @@ fn read_objects(schema: &Schema, lines: &[&str]) -> Result<Vec<Object>> {
                     let value = decode_value(value)?;
                     let known = attr_slots
                         .iter()
-                        .find(|(t, known, ..)| *t == ty && *known == attr);
-                    let (slot, declared) = match known {
-                        Some(&(.., slot, declared)) => (slot, declared),
+                        .find(|(t, known, _)| *t == ty && *known == attr);
+                    let slot = match known {
+                        Some(&(.., slot)) => slot,
                         None => {
-                            let (slot, def) = schema.slot(ty, &attr)?;
-                            let declared = def.ty;
-                            attr_slots.push((ty, attr, slot, declared));
-                            (slot, declared)
+                            let (slot, _) = schema.slot(ty, &attr)?;
+                            attr_slots.push((ty, attr, slot));
+                            slot
                         }
                     };
-                    check_conformance(
-                        schema,
-                        &value,
-                        value.as_ref_oid().and_then(target),
-                        declared,
-                    )?;
-                    values[slot] = value;
+                    assigned.push((slot, value));
                 }
             }
             "SET" | "LIST" => {
                 let expected = if tag == "SET" { "set" } else { "list" };
                 let wrong = GomError::WrongStructure { oid, expected };
+                elements.reserve_exact(fields.clone().count());
                 for field in fields {
                     let value = decode_value(field)?;
-                    let element = kind.element().ok_or_else(|| wrong.clone())?;
-                    check_conformance(
-                        schema,
-                        &value,
-                        value.as_ref_oid().and_then(target),
-                        element,
-                    )?;
                     match (kind, expected) {
                         (TypeKind::Set { .. }, "set") | (TypeKind::List { .. }, "list") => {}
                         _ => return Err(wrong),
                     }
-                    values.push(value);
+                    elements.push(value);
                 }
             }
             other => return Err(bad(format!("unknown structure `{other}`"))),
         }
-        let body = match kind {
-            TypeKind::Tuple { .. } => ObjectBody::Tuple(values.into()),
-            TypeKind::Set { .. } => ObjectBody::Set(values.into_iter().collect()),
-            TypeKind::List { .. } => ObjectBody::List(values),
-        };
-        objects.push(Object { oid, ty, body });
+        match kind {
+            TypeKind::Tuple { .. } => builder.tuple(oid, ty, |slots| {
+                for (slot, value) in assigned.drain(..) {
+                    slots[slot] = value;
+                }
+                Ok::<_, GomError>(())
+            })?,
+            TypeKind::Set { .. } => {
+                elements.sort_unstable();
+                elements.dedup();
+                builder.collection(oid, ty, elements)?;
+            }
+            TypeKind::List { .. } => builder.collection(oid, ty, elements)?,
+        }
     }
-    Ok(objects)
+    Ok(builder)
 }
 
 fn read_type_line(schema: &mut Schema, line: &str) -> Result<()> {
@@ -690,8 +666,7 @@ V nothing N\n";
         assert_eq!(restored.object_count(), base.object_count());
         // Objects identical (same OIDs, same bodies).
         for obj in base.objects() {
-            let r = restored.object(obj.oid).unwrap();
-            assert_eq!(r, obj);
+            assert_eq!(restored.object(obj.oid).unwrap(), obj);
         }
         assert_eq!(
             restored.variable("AllParts").unwrap(),

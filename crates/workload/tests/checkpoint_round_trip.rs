@@ -1,9 +1,10 @@
 //! The checkpoint round trip of the benchmark ledger's database — the
 //! fig6 population at 1/1 scale (generator seed 7) with one Full/binary
-//! ASR on `T0.A1.A2.A3.A4.Tag` — timed: the best of 15 saves and of 15
-//! loads, split into the object base (the same database with its ASR
-//! dropped) and the ASR frames (the difference).  Timing only means
-//! something in release mode:
+//! ASR on `T0.A1.A2.A3.A4.Tag` — timed: the best of 15 saves, of 15
+//! loads and of dropping the 15 loaded databases, each split into the
+//! object base (the same database with its ASR dropped) and the ASR
+//! frames (the difference).  A load is timed up to the loaded database,
+//! without freeing it.  Timing only means something in release mode:
 //!
 //! ```sh
 //! cargo test --release -p asr-workload --test checkpoint_round_trip -- --ignored --nocapture
@@ -17,24 +18,28 @@ use asr_workload::{generate, GeneratorSpec};
 
 const PATH: &str = "T0.A1.A2.A3.A4.Tag";
 
-/// The shortest of `n` runs of `f`.
-fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed()
-        })
-        .min()
-        .expect("at least one run")
+/// The shortest of `n` runs of `f`, and the shortest time taken to drop
+/// what a run made.
+fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (Duration, Duration) {
+    let mut best = (Duration::MAX, Duration::MAX);
+    for _ in 0..n {
+        let t = Instant::now();
+        let made = std::hint::black_box(f());
+        let run = t.elapsed();
+        let t = Instant::now();
+        drop(made);
+        best = (best.0.min(run), best.1.min(t.elapsed()));
+    }
+    best
 }
 
-/// Best-of-15 save and load times of `db`'s full checkpoint, and its size.
-fn round_trip(db: &Database) -> (Duration, Duration, usize) {
+/// Best-of-15 save, load and drop times of `db`'s full checkpoint, and
+/// its size.
+fn round_trip(db: &Database) -> ([Duration; 3], usize) {
     let doc = db.save_to_string();
-    let save = best_of(15, || db.save_to_string());
-    let load = best_of(15, || Database::load_from_string(&doc).expect("loads"));
-    (save, load, doc.len())
+    let (save, _) = best_of(15, || db.save_to_string());
+    let (load, drop) = best_of(15, || Database::load_from_string(&doc).expect("loads"));
+    ([save, load, drop], doc.len())
 }
 
 fn ms(d: Duration) -> f64 {
@@ -61,20 +66,19 @@ fn ledger_checkpoint_save_and_load() {
     );
     let rows = db.asr(id).unwrap().total_rows();
 
-    let (save, load, bytes) = round_trip(&db);
+    let (all, bytes) = round_trip(&db);
     db.drop_asr(id).unwrap();
-    let (save_objects, load_objects, object_bytes) = round_trip(&db);
-    let asr = |all: Duration, objects: Duration| ms(all.saturating_sub(objects));
+    let (objects, object_bytes) = round_trip(&db);
     println!(
-        "ledger checkpoint, {bytes} B ({} B of ASR frames for {rows} rows), best of 15:\n\
-         save {:.2} ms = objects {:.2} + ASR frames {:.2}\n\
-         load {:.2} ms = objects {:.2} + ASR frames {:.2}",
-        bytes - object_bytes,
-        ms(save),
-        ms(save_objects),
-        asr(save, save_objects),
-        ms(load),
-        ms(load_objects),
-        asr(load, load_objects),
+        "ledger checkpoint, {bytes} B ({} B of ASR frames for {rows} rows), best of 15:",
+        bytes - object_bytes
     );
+    for ((what, all), objects) in ["save", "load", "drop"].iter().zip(all).zip(objects) {
+        println!(
+            "{what} {:.2} ms = objects {:.2} + ASR frames {:.2}",
+            ms(all),
+            ms(objects),
+            ms(all.saturating_sub(objects))
+        );
+    }
 }

@@ -1,9 +1,10 @@
 //! What the object base and the stored partitions cost in live heap on
 //! Figure 6's population at 1/5 scale, what building an ASR costs above
-//! what it then holds, and the invariant behind the row figure: a
-//! partition row is no allocation of its own — both clustering trees hold
-//! its cells inline in their leaf pages — however the partition was
-//! filled.
+//! what it then holds, and the invariants behind the object and row
+//! figures: a tuple is no allocation of its own — the object table holds
+//! every tuple's slots in one arena — and a partition row is none either
+//! — both clustering trees hold its cells inline in their leaf pages —
+//! however the partition was filled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -11,9 +12,10 @@ use std::sync::Mutex;
 
 use asr_core::{AsrConfig, Database, Decomposition, Extension};
 use asr_costmodel::{profiles, Mix, Op};
-use asr_gom::snapshot;
+use asr_gom::{snapshot, ObjectBase, ObjectBody, Value};
 use asr_workload::{
-    execute_trace, generate, generate_trace, scale_profile, GeneratedBase, GeneratorSpec,
+    company_database, execute_trace, generate, generate_trace, scale_profile, GeneratedBase,
+    GeneratorSpec,
 };
 
 /// Counts the bytes currently allocated, process-wide, and the most ever
@@ -135,7 +137,11 @@ fn assert_no_allocation_per_row(mut db: Database) {
 /// Live heap of a restored database: per object of its base, per object
 /// of its clustered files (the OID index and slot of each object), and
 /// per stored partition row (what dropping the ASRs frees), against
-/// ceilings ~15 % over the measured 116 B, 49 B and 66 B.  Each row is
+/// ceilings ~15 % over the measured 54 B, 49 B and 66 B.  An object is
+/// a 16-byte table entry, its tuple slots in the table's arena or its
+/// set's sorted vector, its OID in its type's extent and its share of
+/// the referrer index; a `BTreeMap` node per object, a `BTreeSet` per set
+/// and a boxed slice per tuple measured 116 B.  Each row is
 /// its `w` cells inline in both trees' leaves: 2 × 16 B × 2 cells, plus
 /// leaf slack and inner pages.  Rows behind a shared allocation, keyed
 /// by row id in both trees, measured 198 B for rows and clustered files
@@ -169,7 +175,7 @@ fn objects_and_rows_fit_their_heap_budget() {
         "{per_object} B per object, {store_per_object} B per object in the clustered files, \
          {per_row} B per stored partition row"
     );
-    assert!(per_object <= 135, "{per_object} B per object");
+    assert!(per_object <= 62, "{per_object} B per object");
     assert!(
         store_per_object <= 56,
         "{store_per_object} B per object in the files"
@@ -222,4 +228,76 @@ fn no_row_is_an_allocation_after_bulk_load_insert_and_restore() {
     assert_eq!(stored_rows(&restored), stored_rows(&g.db));
     assert_no_allocation_per_row(restored);
     assert_no_allocation_per_row(g.db);
+}
+
+/// The allocations dropping `made` frees.
+fn allocations_freed_by_dropping<T>(made: T) -> isize {
+    let before = BLOCKS.load(Ordering::Relaxed);
+    drop(made);
+    before - BLOCKS.load(Ordering::Relaxed)
+}
+
+/// No tuple is an allocation of its own: dropping `base` read back from
+/// its text snapshot frees, beyond what an empty base read back over the
+/// same schema frees, one allocation per set or list object, those of
+/// its string values and variables, the referrer index's tree nodes (a
+/// non-root node holds at least five entries) and at most one extent per
+/// type plus the table's entry, slot and collection vectors.  A tuple
+/// behind its own allocation would free one more per tuple.
+fn assert_no_allocation_per_tuple(what: &str, base: &ObjectBase) {
+    let empty = snapshot::write_base(&ObjectBase::new(base.schema().clone()));
+    let empty = allocations_freed_by_dropping(snapshot::read_base(&empty).unwrap());
+    let loaded = snapshot::read_base(&snapshot::write_base(base)).unwrap();
+    let string_allocations = |values: &[Value]| -> usize {
+        (values.iter())
+            .map(|v| match v {
+                Value::String(s) => 1 + usize::from(s.capacity() > 0),
+                _ => 0,
+            })
+            .sum()
+    };
+    let (mut tuples, mut collections, mut strings, mut referrers) = (0, 0, 0, 0);
+    for obj in loaded.objects() {
+        match obj.body {
+            ObjectBody::Tuple(slots) => {
+                tuples += 1;
+                let mut targets: Vec<_> = slots.iter().filter_map(Value::as_ref_oid).collect();
+                targets.sort_unstable();
+                targets.dedup();
+                referrers += targets.len();
+                strings += string_allocations(slots);
+            }
+            ObjectBody::Set(elements) | ObjectBody::List(elements) => {
+                collections += 1;
+                strings += string_allocations(elements);
+            }
+        }
+    }
+    let variables: Vec<Value> = loaded.variables().map(|(_, v)| v.clone()).collect();
+    let variables = match variables.len() {
+        0 => 0,
+        n => 1 + n + string_allocations(&variables),
+    };
+    let types = (loaded.schema().types())
+        .filter(|&(ty, _)| !loaded.extent(ty).is_empty())
+        .count();
+    let bookkeeping = referrers.div_ceil(5) + types + 3;
+    let allowed = collections + strings + variables + bookkeeping;
+    let objects = loaded.object_count();
+    let freed = allocations_freed_by_dropping(loaded) - empty;
+    println!(
+        "{what}: dropping {objects} objects ({tuples} tuples, {collections} sets and lists) \
+         freed {freed} allocations, {strings} of them strings"
+    );
+    assert!(
+        freed <= allowed as isize,
+        "{what}: {freed} allocations for {objects} objects ({tuples} tuples), at most {allowed} allowed"
+    );
+}
+
+#[test]
+fn no_tuple_is_an_allocation() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    assert_no_allocation_per_tuple("fig6 at 1/5", fig6_fifth_base().db.base());
+    assert_no_allocation_per_tuple("company", company_database().db.base());
 }
