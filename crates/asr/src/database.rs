@@ -464,8 +464,10 @@ impl Database {
         self.base_mut().restore_object(oid, type_name)?;
         let ty = self.base.type_of(oid)?;
         self.store.register_object(ty, oid)?;
+        // An OID deleted since the base stays listed as deleted: the delta
+        // says it was deleted and made anew, so a base that holds it under
+        // another type is not asked to change an object's type.
         self.dirty_oids.insert(oid);
-        self.dead_oids.remove(&oid);
         Ok(())
     }
 

@@ -58,7 +58,7 @@ pub(crate) mod testutil;
 
 pub use auxrel::build_auxiliary_relations;
 pub use cell::Cell;
-pub use crc::crc32;
+pub use crc::{crc32, crc32_combine};
 pub use database::{AsrId, Database};
 pub use decomposition::Decomposition;
 pub use error::{AsrError, Result};

@@ -309,11 +309,15 @@ impl StoredPartition {
     /// The partition's physical image — what outlives the partition (a
     /// base image to patch).  Charges nothing.
     pub(crate) fn dump(&self) -> PartitionImage {
+        let fwd = self.fwd.dump_image();
+        let bwd = self.bwd.dump_image();
         PartitionImage {
             from: self.from,
             to: self.to,
-            fwd: self.fwd.dump_image(),
-            bwd: self.bwd.dump_image(),
+            fwd_lens: vec![0; fwd.nodes.len()],
+            bwd_lens: vec![0; bwd.nodes.len()],
+            fwd,
+            bwd,
             fwd_bytes: 0,
             bwd_bytes: 0,
         }
@@ -343,6 +347,9 @@ impl StoredPartition {
     /// `(kind, label)` structure ids as before the save), then adopt the
     /// page images — each tree charged one read per page of its share of
     /// the serialized physical section, no extension join, no bulk build.
+    /// Each page remembers the encoded length the image recorded for it,
+    /// which prices the next checkpoint's choice between a delta and
+    /// images.
     ///
     /// [`asr_pagesim::BTree::adopt_image`] validates each tree (page
     /// layout, rows of the partition's width, keys strictly ascending);
@@ -357,6 +364,12 @@ impl StoredPartition {
         p.tag(label);
         p.fwd.adopt_image(img.fwd)?;
         p.bwd.adopt_image(img.bwd)?;
+        for (tree, lens) in [(&p.fwd, &img.fwd_lens), (&p.bwd, &img.bwd_lens)] {
+            let pages = tree.pages();
+            for (slot, &len) in lens.iter().enumerate().take(pages.slot_count()) {
+                pages.remember_encoded_len(slot, len as usize);
+            }
+        }
         if !same_rows(p.fwd.pages(), p.bwd.pages()) {
             return Err(corrupt(format!(
                 "the trees hold different rows: fwd={} bwd={}",
@@ -567,6 +580,11 @@ pub(crate) struct PartitionImage {
     pub fwd: TreeImage<Cells>,
     /// Page image of the backward-clustered tree.
     pub bwd: TreeImage<Cells>,
+    /// The encoded length of each forward-tree page as read, by slot (0
+    /// where it is not known).
+    pub fwd_lens: Vec<u32>,
+    /// The same for the backward tree.
+    pub bwd_lens: Vec<u32>,
     /// Checkpoint bytes backing the forward tree — what its restore read
     /// charge is based on.  Zero for a [`StoredPartition::dump`].
     pub fwd_bytes: usize,
@@ -609,31 +627,39 @@ pub(crate) struct TreeDelta {
     /// Slab size after the change — a patched base image grows (never
     /// shrinks) to this many pages.
     pub total_nodes: usize,
-    /// `(page id, new content)` for every page not shared with the base,
-    /// including pages that became `Free`.
-    pub pages: Vec<(usize, NodeImage<Cells>)>,
+    /// `(page id, new content, its encoded length)` for every page not
+    /// shared with the base, including pages that became `Free`.
+    pub pages: Vec<(usize, NodeImage<Cells>, u32)>,
 }
 
 impl TreeDelta {
-    /// The image these pages make over an empty tree.
-    fn into_image(self) -> TreeImage<Cells> {
+    /// The image these pages make over an empty tree, and their lengths.
+    fn into_image(self) -> (TreeImage<Cells>, Vec<u32>) {
         let mut nodes = vec![NodeImage::Free; self.total_nodes];
-        for (slot, node) in self.pages {
+        let mut lens = vec![0; self.total_nodes];
+        for (slot, node, len) in self.pages {
             nodes[slot] = node;
+            lens[slot] = len;
         }
-        TreeImage {
+        let image = TreeImage {
             root: self.root,
             height: self.height,
             len: self.len,
             free: self.free,
             nodes,
-        }
+        };
+        (image, lens)
     }
 
-    /// Overlay these changed pages onto the `base` image and adopt their
-    /// geometry.  The slab only ever grows; every slot past the base's
-    /// slab is new, so the delta lists it.
-    fn patch(self, mut base: TreeImage<Cells>) -> Result<TreeImage<Cells>> {
+    /// Overlay these changed pages onto the `base` image (whose pages
+    /// encode to `lens`) and adopt their geometry.  The slab only ever
+    /// grows; every slot past the base's slab is new, so the delta lists
+    /// it.
+    fn patch(
+        self,
+        mut base: TreeImage<Cells>,
+        mut lens: Vec<u32>,
+    ) -> Result<(TreeImage<Cells>, Vec<u32>)> {
         let corrupt = |msg: String| AsrError::Snapshot(format!("tree delta: {msg}"));
         if self.total_nodes < base.nodes.len() {
             return Err(corrupt(format!(
@@ -650,19 +676,22 @@ impl TreeDelta {
             )));
         }
         base.nodes.resize(self.total_nodes, NodeImage::Free);
-        for (id, node) in self.pages {
+        lens.resize(self.total_nodes, 0);
+        for (id, node, len) in self.pages {
             let total = self.total_nodes;
             let slot = (base.nodes.get_mut(id))
                 .ok_or_else(|| corrupt(format!("page {id} outside slab of {total}")))?;
             *slot = node;
+            lens[id] = len;
         }
-        Ok(TreeImage {
+        let image = TreeImage {
             root: self.root,
             height: self.height,
             len: self.len,
             free: self.free,
             nodes: base.nodes,
-        })
+        };
+        Ok((image, lens))
     }
 }
 
@@ -670,11 +699,15 @@ impl PartitionDelta {
     /// The image this delta makes over an empty partition: its pages in
     /// slabs that are otherwise free.
     pub(crate) fn into_image(self) -> PartitionImage {
+        let (fwd, fwd_lens) = self.fwd.into_image();
+        let (bwd, bwd_lens) = self.bwd.into_image();
         PartitionImage {
             from: self.from,
             to: self.to,
-            fwd: self.fwd.into_image(),
-            bwd: self.bwd.into_image(),
+            fwd,
+            bwd,
+            fwd_lens,
+            bwd_lens,
             fwd_bytes: self.fwd_bytes,
             bwd_bytes: self.bwd_bytes,
         }
@@ -695,11 +728,15 @@ impl PartitionImage {
                 self.from, self.to, d.from, d.to
             )));
         }
+        let (fwd, fwd_lens) = d.fwd.patch(self.fwd, self.fwd_lens)?;
+        let (bwd, bwd_lens) = d.bwd.patch(self.bwd, self.bwd_lens)?;
         Ok(PartitionImage {
             from: d.from,
             to: d.to,
-            fwd: d.fwd.patch(self.fwd)?,
-            bwd: d.bwd.patch(self.bwd)?,
+            fwd,
+            bwd,
+            fwd_lens,
+            bwd_lens,
             fwd_bytes: d.fwd_bytes,
             bwd_bytes: d.bwd_bytes,
         })
@@ -731,7 +768,7 @@ mod tests {
             free: c.pages.free_slots().to_vec(),
             total_nodes: c.pages.slot_count(),
             pages: (c.slots.iter())
-                .map(|&slot| (slot, c.pages.page(slot).to_image()))
+                .map(|&slot| (slot, c.pages.page(slot).to_image(), 0))
                 .collect(),
         };
         PartitionDelta {

@@ -52,10 +52,23 @@
 //!
 //! A delta's design frame must equal the base's byte for byte: deltas
 //! never span a design change.  The writer ships an ASR as images instead
-//! of deltas when its delta would exceed [`DELTA_FULL_FRACTION`] of them.
-//! An ASR frame that passes its checksum but cannot be restored rebuilds
-//! that ASR from the object base when loading leniently (crash recovery)
-//! and fails a strict apply (replication).
+//! of deltas when its delta would exceed [`DELTA_FULL_FRACTION`] of them,
+//! a choice it prices rather than renders: each tree page remembers its
+//! encoded length from the last document that wrote or read it, so a
+//! checkpoint renders only the bytes it writes.  A delta never lists a
+//! live object under another type (an OID deleted and made anew since
+//! its base is listed as deleted too).
+//!
+//! A chain — a full document and the deltas over it — loads in one pass
+//! ([`Database::load_from_chain_report`]): each ASR's images are the full
+//! document's with every delta's pages laid over them, the objects the
+//! full document's with the chain's latest listing or deletion of each
+//! OID in their place, then one restore and one validation, as for a
+//! full document.  A replica applies one delta at a time
+//! ([`Database::apply_delta`]).  An ASR frame that passes its checksum
+//! but cannot be restored rebuilds that ASR from the object base when
+//! loading leniently (crash recovery) and fails a strict apply
+//! (replication).
 //!
 //! The retired text grammars `ASRDB 1` and `ASRDB 2` stay readable
 //! (`persist::legacy`); nothing writes them.
@@ -72,7 +85,7 @@ use crate::codec::Writer;
 use crate::database::{AsrId, Changes, Database};
 use crate::error::{AsrError, Result};
 use crate::manager::{AccessSupportRelation, AsrConfig};
-use crate::partition::{PartitionDelta, PartitionImage, StoredPartition};
+use crate::partition::{PartitionImage, StoredPartition};
 use crate::snapshot::Snapshot;
 use crate::store::ObjectStore;
 
@@ -166,10 +179,21 @@ impl Database {
     /// design and every ASR partition's physical state — as a full
     /// checkpoint document (LSN 0, ASR ids `0..n`).
     pub fn save_to_string(&self) -> Vec<u8> {
+        self.render_full(0, (0..self.asrs().count()).collect())
+    }
+
+    /// The full checkpoint document of the live state at `lsn`, under the
+    /// session's ASR ids: what a full checkpoint taken now would write.
+    /// Prices a full checkpoint on demand.
+    pub fn save_checkpoint(&self, lsn: u64) -> Vec<u8> {
+        self.render_full(lsn, self.asrs().map(|(id, _)| id).collect())
+    }
+
+    fn render_full(&self, lsn: u64, asr_ids: Vec<AsrId>) -> Vec<u8> {
         let header = CheckpointHeader {
-            lsn: 0,
+            lsn,
             base: None,
-            asr_ids: (0..self.asrs().count()).collect(),
+            asr_ids,
         };
         format::render(
             &header,
@@ -193,17 +217,7 @@ impl Database {
     /// [`Database::load_from_string`] plus a [`LoadReport`] describing
     /// the format and how each ASR was restored.
     pub fn load_from_string_report(bytes: &[u8]) -> Result<(Database, LoadReport)> {
-        if legacy::is_text(bytes) {
-            let (version, base, parsed) = legacy::read(bytes)?;
-            return assemble(base, parsed, version, None, false);
-        }
-        let doc = Document::read(bytes)?;
-        if let Some(base) = doc.header.base {
-            return Err(AsrError::Snapshot(format!(
-                "a delta over checkpoint {base} loads only on top of its base"
-            )));
-        }
-        doc.apply(None, false)
+        Database::load_from_chain_report(bytes, &[])
     }
 
     /// Apply a delta document on top of this database's state, which must
@@ -215,9 +229,9 @@ impl Database {
     }
 
     /// [`Database::apply_delta`] with a [`LoadReport`] and a strictness
-    /// switch: when `strict` is false (crash recovery), an ASR whose
-    /// images cannot be patched falls back to a charged rebuild from the
-    /// patched base instead of failing the whole application.
+    /// switch: when `strict` is false, an ASR whose images cannot be
+    /// patched falls back to a charged rebuild from the patched base
+    /// instead of failing the whole application.
     ///
     /// `self` is never modified — on error the caller still holds the
     /// base state.
@@ -228,23 +242,37 @@ impl Database {
                 "a full checkpoint is not a delta to apply".into(),
             ));
         }
-        doc.apply(Some(self), strict)
+        doc.apply(self, strict)
     }
 
-    /// Load a full document plus a chain of deltas, each applied on top
-    /// of the previous state (crash recovery: lenient per-ASR fallback).
-    /// The report aggregates the chain: `asrs` reflects the final
-    /// application, `physical_bytes` sums every link.
-    pub fn load_from_chain_report(base: &[u8], deltas: &[&[u8]]) -> Result<(Database, LoadReport)> {
-        let (mut db, mut report) = Database::load_from_string_report(base)?;
-        for bytes in deltas {
-            let (next, step) = db.apply_delta_report(bytes, false)?;
-            db = next;
-            report.asrs = step.asrs;
-            report.physical_bytes += step.physical_bytes;
-            report.delta_chain += 1;
-        }
-        Ok((db, report))
+    /// Load a full document plus a chain of deltas over it, oldest first
+    /// (crash recovery: lenient per-ASR fallback), in one pass: every
+    /// frame is checksummed and decoded once, each ASR's images are the
+    /// full document's with the chain's pages laid over them, and the
+    /// objects the full document's with the chain's latest listings and
+    /// deletions in their place — then one restore, as for a full
+    /// document.  The report describes the chain: `asrs` how its last
+    /// document shipped each ASR, `physical_bytes` the ASR frames of
+    /// every document.
+    pub fn load_from_chain_report(full: &[u8], deltas: &[&[u8]]) -> Result<(Database, LoadReport)> {
+        let converted;
+        let full = if legacy::is_text(full) {
+            let (version, base, parsed) = legacy::read(full)?;
+            let loaded = assemble(base, parsed, version, 0, false)?;
+            if deltas.is_empty() {
+                return Ok(loaded);
+            }
+            // Deltas over a text checkpoint patch the pages its load
+            // built: read them off the loaded state.
+            converted = loaded.0.save_to_string();
+            &converted[..]
+        } else {
+            full
+        };
+        let deltas = (deltas.iter())
+            .map(|bytes| Document::read(bytes))
+            .collect::<Result<Vec<_>>>()?;
+        format::load_chain(Document::read(full)?, &deltas)
     }
 
     /// Save to a file.
@@ -367,33 +395,30 @@ impl CheckpointSource {
 // Assembly: shared with the legacy text reader
 // ----------------------------------------------------------------------
 
-/// One ASR's partitions as read: images (of a full document, or shipped
-/// in place of a delta), or deltas over the base's partitions.
-enum AsrSection {
-    Full(Vec<PartitionImage>),
-    Delta(Vec<PartitionDelta>),
-}
+/// One ASR's partition images as read, and the changed pages of the
+/// delta that patched them last (`None`: they were read as images); or
+/// why they cannot be restored.
+type AsrImages = std::result::Result<(Vec<PartitionImage>, Option<usize>), String>;
 
 /// What a reader hands [`assemble`]: the clustered sizes, each ASR's
-/// configuration, its section (or why it cannot be restored) and the
-/// section's bytes.
+/// configuration, its images and the bytes of its sections.
 struct Parsed {
     sizes: Vec<(String, usize)>,
     asrs: Vec<(String, AsrConfig)>,
-    sections: Vec<std::result::Result<AsrSection, String>>,
+    images: Vec<AsrImages>,
     bytes: Vec<usize>,
 }
 
 /// The load tail every document shares: size the clustered files, attach
-/// the object base, restore each ASR (in design order) from its section
+/// the object base, restore each ASR (in design order) from its images
 /// or rebuild it, and mark the result as the next delta's base.
-/// `patched` is the database a delta applies to; `strict` turns an ASR
-/// that cannot be restored into an error instead of a rebuild.
+/// `delta_chain` is how many deltas the images took in; `strict` turns
+/// an ASR that cannot be restored into an error instead of a rebuild.
 fn assemble(
     base: ObjectBase,
     parsed: Parsed,
     version: u32,
-    patched: Option<&Database>,
+    delta_chain: usize,
     strict: bool,
 ) -> Result<(Database, LoadReport)> {
     let stats = asr_pagesim::IoStats::new_handle();
@@ -403,20 +428,19 @@ fn assemble(
     }
     store.sync_with_base(&base)?;
     let mut db = Database::from_parts(base, store, stats);
-    let patched: Vec<&AccessSupportRelation> =
-        patched.map_or_else(Vec::new, |p| p.asrs().map(|(_, asr)| asr).collect());
     let mut report = LoadReport {
         version,
         asrs: Vec::new(),
         physical_bytes: 0,
-        delta_chain: usize::from(!patched.is_empty()),
+        delta_chain,
     };
-    let sections = parsed.asrs.into_iter().zip(parsed.sections);
-    for (ordinal, ((dotted, config), section)) in sections.enumerate() {
+    let sections = parsed.asrs.into_iter().zip(parsed.images);
+    for (ordinal, ((dotted, config), images)) in sections.enumerate() {
         let path = PathExpression::parse(db.base().schema(), &dotted)?;
-        let base = patched.get(ordinal).copied();
-        let outcome = section.and_then(|section| {
-            restore_asr(&mut db, &path, &config, section, base).map_err(|e| e.to_string())
+        let outcome = images.and_then(|(images, pages)| {
+            let id = restore_asr(&mut db, &path, &config, images).map_err(|e| e.to_string())?;
+            let mode = pages.map_or(AsrLoadMode::Physical, |pages| AsrLoadMode::Delta { pages });
+            Ok((id, mode))
         });
         match outcome {
             Ok((id, mode)) => {
@@ -451,40 +475,15 @@ fn charge_path_scans(db: &Database, path: &PathExpression) {
     }
 }
 
-/// Physically restore one ASR from its section — images as they are,
-/// deltas after patching them onto the images of `base` (the ASR at the
-/// same ordinal in the database the delta applies to): tag + adopt both
-/// trees of every partition and attach the ASR.  No extension join runs.
+/// Physically restore one ASR from its partitions' images: tag + adopt
+/// both trees of every partition and attach the ASR.  No extension join
+/// runs.
 fn restore_asr(
     db: &mut Database,
     path: &PathExpression,
     config: &AsrConfig,
-    section: AsrSection,
-    base: Option<&AccessSupportRelation>,
-) -> Result<(AsrId, AsrLoadMode)> {
-    let (images, mode) = match section {
-        AsrSection::Full(images) => (images, AsrLoadMode::Physical),
-        AsrSection::Delta(deltas) => {
-            let parts = base.map_or(&[][..], |asr| asr.partitions());
-            if deltas.len() != parts.len() {
-                return Err(AsrError::Snapshot(format!(
-                    "delta has {} partitions, base has {}",
-                    deltas.len(),
-                    parts.len()
-                )));
-            }
-            let pages = deltas
-                .iter()
-                .map(|d| d.fwd.pages.len() + d.bwd.pages.len())
-                .sum();
-            let images = parts
-                .iter()
-                .zip(deltas)
-                .map(|(part, d)| part.dump().apply_delta(d))
-                .collect::<Result<_>>()?;
-            (images, AsrLoadMode::Delta { pages })
-        }
-    };
+    images: Vec<PartitionImage>,
+) -> Result<AsrId> {
     let stats = Rc::clone(db.stats());
     let mut parts = Vec::with_capacity(images.len());
     for img in images {
@@ -492,7 +491,7 @@ fn restore_asr(
         parts.push(StoredPartition::restore(img, Rc::clone(&stats), &label)?);
     }
     let asr = AccessSupportRelation::from_restored(path.clone(), config.clone(), parts, stats)?;
-    Ok((db.attach_asr(asr), mode))
+    Ok(db.attach_asr(asr))
 }
 
 #[cfg(test)]

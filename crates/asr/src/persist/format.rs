@@ -2,12 +2,13 @@
 //! one writer and its one reader.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use asr_gom::{BaseBuilder, Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeKind, Value};
-use asr_pagesim::{NodeImage, PageRef};
+use asr_pagesim::{NodeImage, PageRef, PageSlab};
 
-use super::{assemble, AsrSection, CheckpointHeader, LoadReport, Parsed};
+use super::{assemble, AsrImages, CheckpointHeader, LoadReport, Parsed};
 use super::{DELTA_FULL_FRACTION, FORMAT_VERSION};
 use crate::cell::Cell;
 use crate::codec::{CodecError, Reader, Writer};
@@ -18,7 +19,8 @@ use crate::error::{AsrError, Result};
 use crate::extension::Extension;
 use crate::manager::AsrConfig;
 use crate::partition::{
-    ChangedPages, PartitionChanges, PartitionDelta, PartitionVersion, TreeDelta, VersionDelta,
+    Cells, ChangedPages, PartitionChanges, PartitionDelta, PartitionImage, PartitionVersion,
+    TreeDelta, VersionDelta,
 };
 
 const MAGIC: &[u8; 8] = b"\x89ASRDB\x05\n";
@@ -103,7 +105,11 @@ pub(super) fn encode_design(db: &Database) -> Vec<u8> {
 /// Over a base checkpoint an ASR rebuilt since the base, and one whose
 /// delta would exceed [`DELTA_FULL_FRACTION`] of its images, ships as
 /// images; an unchanged ASR always ships as an (empty) delta — the
-/// fraction only arbitrates when there is real change.
+/// fraction only arbitrates when there is real change.  The images are
+/// priced, not rendered: every page remembers its encoded length from
+/// the last document that wrote or read it, and the delta just written
+/// records the lengths of the pages it changed.  Only the bytes of the
+/// document are rendered.
 pub(super) fn render(
     header: &CheckpointHeader,
     design: &[u8],
@@ -132,14 +138,10 @@ pub(super) fn render(
             .collect();
         let changed = deltas.iter().any(|d| !d.is_empty());
         let start = w.len();
-        write_asr(&mut w, false, n, deltas.into_iter());
-        if changed {
-            let mut full = Writer::new();
-            write_asr(&mut full, true, n, images());
-            if ((w.len() - start) as f64) > (full.len() as f64) * DELTA_FULL_FRACTION {
-                w.truncate(start);
-                w.bytes(full.as_bytes());
-            }
+        let as_images = write_asr(&mut w, false, n, deltas.into_iter());
+        if changed && ((w.len() - start) as f64) > (as_images as f64) * DELTA_FULL_FRACTION {
+            w.truncate(start);
+            write_asr(&mut w, true, n, images());
         }
     }
     match since {
@@ -163,6 +165,11 @@ pub(super) fn render(
         ),
     }
     w
+}
+
+/// Bytes of `v` as an unsigned LEB128 varint.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 /// Append one frame: tag, length, `body`'s payload, then the CRC-32 of
@@ -199,29 +206,36 @@ fn begin_document(w: &mut Writer, header: &CheckpointHeader, design: &[u8]) {
 }
 
 /// One ASR frame: `over_empty` (images) or not (deltas over the base's
-/// partitions), then its `count` partitions.
+/// partitions), then its `count` partitions.  Returns the bytes the frame
+/// takes as images: what it wrote when `over_empty`.
 fn write_asr<'a>(
     w: &mut Writer,
     over_empty: bool,
     count: usize,
     parts: impl Iterator<Item = VersionDelta<'a>>,
-) {
+) -> usize {
+    let mut as_images = FRAME_OVERHEAD + 1 + varint_len(count);
     frame(w, TAG_ASR, |w| {
         w.bool(over_empty);
         w.varint(count as u64);
         for d in parts {
             w.varint(d.from as u64);
             w.varint(d.to as u64);
-            write_tree(w, &d.fwd, over_empty);
-            write_tree(w, &d.bwd, over_empty);
+            as_images += varint_len(d.from) + varint_len(d.to);
+            as_images += write_tree(w, &d.fwd, over_empty);
+            as_images += write_tree(w, &d.bwd, over_empty);
         }
     });
+    as_images
 }
 
 /// One tree's geometry and listed pages, read off its slab; over an
 /// empty tree a freed page is not listed (the slab starts out free).
-fn write_tree(w: &mut Writer, d: &ChangedPages<'_>, over_empty: bool) {
+/// Each listed page remembers its encoded length.  Returns the bytes the
+/// tree takes as an image (over an empty tree).
+fn write_tree(w: &mut Writer, d: &ChangedPages<'_>, over_empty: bool) -> usize {
     let p = d.pages;
+    let start = w.len();
     for n in [
         p.root_slot(),
         p.height(),
@@ -234,29 +248,66 @@ fn write_tree(w: &mut Writer, d: &ChangedPages<'_>, over_empty: bool) {
     for &slot in p.free_slots() {
         w.varint(slot as u64);
     }
+    let geometry = w.len() - start;
     let listed = |slot: &&usize| !(over_empty && matches!(p.page(**slot), PageRef::Free));
     w.varint(d.slots.iter().filter(listed).count() as u64);
     for &slot in d.slots.iter().filter(listed) {
         w.varint(slot as u64);
-        match p.page(slot) {
-            PageRef::Free => w.u8(0),
-            PageRef::Inner { keys, children } => {
-                w.u8(1);
-                w.varint(children.len() as u64);
-                for &child in children {
-                    w.varint(child as u64);
-                }
-                for cell in keys.iter().flat_map(|key| key.iter()) {
-                    w.packed_cell(cell);
-                }
+        let at = w.len();
+        write_page(w, p, slot);
+        p.remember_encoded_len(slot, w.len() - at);
+    }
+    if over_empty {
+        w.len() - start
+    } else {
+        geometry + live_pages_len(p)
+    }
+}
+
+/// The bytes of `p`'s live pages as an image lists them: their count,
+/// then each one's slot and page.  A page's length is the one it
+/// remembers; a page that remembers none is encoded to measure it, and
+/// remembers it from then on.
+fn live_pages_len(p: &PageSlab<Cells>) -> usize {
+    let mut scratch = Writer::new();
+    let (mut live, mut bytes) = (0, 0);
+    for slot in 0..p.slot_count() {
+        if matches!(p.page(slot), PageRef::Free) {
+            continue;
+        }
+        let len = p.encoded_len(slot).unwrap_or_else(|| {
+            scratch.truncate(0);
+            write_page(&mut scratch, p, slot);
+            p.remember_encoded_len(slot, scratch.len());
+            scratch.len()
+        });
+        live += 1;
+        bytes += varint_len(slot) + len;
+    }
+    varint_len(live) + bytes
+}
+
+/// One page: its kind, then an inner page's children and separator rows,
+/// or a leaf's sibling link and rows.
+fn write_page(w: &mut Writer, p: &PageSlab<Cells>, slot: usize) {
+    match p.page(slot) {
+        PageRef::Free => w.u8(0),
+        PageRef::Inner { keys, children } => {
+            w.u8(1);
+            w.varint(children.len() as u64);
+            for &child in children {
+                w.varint(child as u64);
             }
-            PageRef::Leaf { entries, next } => {
-                w.u8(2);
-                w.varint(next.map_or(0, |n| n as u64 + 1));
-                w.varint((entries.len() / p.stride()) as u64);
-                for cell in entries {
-                    w.packed_cell(cell);
-                }
+            for cell in keys.iter().flat_map(|key| key.iter()) {
+                w.packed_cell(cell);
+            }
+        }
+        PageRef::Leaf { entries, next } => {
+            w.u8(2);
+            w.varint(next.map_or(0, |n| n as u64 + 1));
+            w.varint((entries.len() / p.stride()) as u64);
+            for cell in entries {
+                w.packed_cell(cell);
             }
         }
     }
@@ -434,40 +485,136 @@ impl<'a> Document<'a> {
         })
     }
 
-    /// Apply the document on top of `base` (the empty base when `None`).
-    pub(super) fn apply(
-        self,
-        base: Option<&Database>,
-        strict: bool,
-    ) -> Result<(Database, LoadReport)> {
-        let (schema, sizes, asrs) = snapshot_err("design", read_design(self.design))?;
-        if asrs.len() != self.asrs.len() {
-            return Err(AsrError::Snapshot(format!(
-                "design declares {} ASRs, the document holds {}",
-                asrs.len(),
-                self.asrs.len()
-            )));
-        }
-        if base.is_some_and(|db| encode_design(db) != self.design) {
+    /// Apply this delta on top of `base`, which must hold the delta's
+    /// base checkpoint: patch the base's partition images and merge its
+    /// objects.  `strict` turns an ASR that cannot be restored into an
+    /// error instead of a rebuild.
+    pub(super) fn apply(self, base: &Database, strict: bool) -> Result<(Database, LoadReport)> {
+        let (_, sizes, asrs) = snapshot_err("design", read_design(self.design))?;
+        self.check_design_holds(asrs.len())?;
+        if encode_design(base) != self.design {
             return Err(AsrError::Snapshot(
                 "delta design section does not match the base database".into(),
             ));
         }
-        let schema = base.map_or(schema, |db| db.base().schema().clone());
-        let objects = read_objects(self.objects, schema, base.map(Database::base));
-        let objects = snapshot_err("objects", objects)?;
-        let (sections, bytes) = self
-            .asrs
-            .into_iter()
-            .map(|(payload, bytes)| (read_asr(payload).map_err(|Damage(e)| e), bytes))
+        let schema = base.base().schema().clone();
+        let objects = snapshot_err("objects", read_objects(self.objects, schema, base.base()))?;
+        let based: Vec<_> = base.asrs().map(|(_, asr)| asr).collect();
+        let (images, bytes) = (self.asrs.into_iter().enumerate())
+            .map(|(k, (payload, bytes))| {
+                let base = || match based.get(k) {
+                    Some(asr) => Ok((asr.partitions().iter().map(|p| p.dump()).collect(), None)),
+                    None => Ok((Vec::new(), None)),
+                };
+                (advance(read_asr(payload), base), bytes)
+            })
             .unzip();
         let parsed = Parsed {
             sizes,
             asrs,
-            sections,
+            images,
             bytes,
         };
-        assemble(objects, parsed, FORMAT_VERSION, base, strict)
+        assemble(objects, parsed, FORMAT_VERSION, 1, strict)
+    }
+
+    /// The design declares as many ASRs as the document has frames.
+    fn check_design_holds(&self, declared: usize) -> Result<()> {
+        if declared != self.asrs.len() {
+            return Err(AsrError::Snapshot(format!(
+                "design declares {declared} ASRs, the document holds {}",
+                self.asrs.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Load the full document `full` and the deltas over it, oldest first, in
+/// one pass.  Each ASR's partition images are the full document's with
+/// every delta's pages laid over them in turn (an ASR a delta ships as
+/// images starts over from those); the objects are the full document's
+/// with the latest listing or deletion of each OID in the chain put in
+/// their place, and the variables the latest binding of each.  Then one
+/// [`BaseBuilder::finish`], one restore of each partition and one
+/// validation, as for the full document alone.  Lenient: an ASR that
+/// cannot be restored is rebuilt from the loaded objects.
+pub(super) fn load_chain(
+    full: Document<'_>,
+    deltas: &[Document<'_>],
+) -> Result<(Database, LoadReport)> {
+    if let Some(base) = full.header.base {
+        return Err(AsrError::Snapshot(format!(
+            "a delta over checkpoint {base} loads only on top of its base"
+        )));
+    }
+    let (schema, sizes, asrs) = snapshot_err("design", read_design(full.design))?;
+    full.check_design_holds(asrs.len())?;
+    for delta in deltas {
+        if delta.header.base.is_none() {
+            return Err(AsrError::Snapshot(
+                "a full checkpoint is not a delta to apply".into(),
+            ));
+        }
+        if delta.design != full.design {
+            return Err(AsrError::Snapshot(
+                "delta design section does not match the base database".into(),
+            ));
+        }
+        delta.check_design_holds(asrs.len())?;
+    }
+    let changes = deltas.iter().map(|d| d.objects);
+    let objects = snapshot_err("objects", read_chain_objects(full.objects, changes, schema))?;
+    let mut images: Vec<AsrImages> = vec![Ok((Vec::new(), None)); asrs.len()];
+    let mut bytes = vec![0; asrs.len()];
+    for doc in std::iter::once(&full).chain(deltas) {
+        for (k, &(payload, len)) in doc.asrs.iter().enumerate() {
+            let before = std::mem::replace(&mut images[k], Ok((Vec::new(), None)));
+            images[k] = advance(read_asr(payload), || before);
+            bytes[k] += len;
+        }
+    }
+    let parsed = Parsed {
+        sizes,
+        asrs,
+        images,
+        bytes,
+    };
+    assemble(objects, parsed, FORMAT_VERSION, deltas.len(), false)
+}
+
+/// One ASR frame's partitions as read: images (of a full document, or
+/// shipped in place of a delta), or deltas over the base's partitions.
+enum AsrSection {
+    Full(Vec<PartitionImage>),
+    Delta(Vec<PartitionDelta>),
+}
+
+/// An ASR's partition images after one more document: the section's
+/// images, or `base`'s patched with its deltas.  Damage in the section or
+/// in the patch is why the ASR cannot be restored; so is damage earlier
+/// in a chain unless this section ships images.
+fn advance(section: Decoded<AsrSection>, base: impl FnOnce() -> AsrImages) -> AsrImages {
+    match section.map_err(|Damage(e)| e)? {
+        AsrSection::Full(images) => Ok((images, None)),
+        AsrSection::Delta(deltas) => {
+            let (parts, _) = base()?;
+            if deltas.len() != parts.len() {
+                return Err(format!(
+                    "delta has {} partitions, base has {}",
+                    deltas.len(),
+                    parts.len()
+                ));
+            }
+            let pages = (deltas.iter())
+                .map(|d| d.fwd.pages.len() + d.bwd.pages.len())
+                .sum();
+            let images = (parts.into_iter().zip(deltas))
+                .map(|(part, d)| part.apply_delta(d))
+                .collect::<Result<_>>()
+                .map_err(|e| e.to_string())?;
+            Ok((images, Some(pages)))
+        }
     }
 }
 
@@ -606,9 +753,10 @@ fn read_tree(r: &mut Reader<'_>, arity: usize) -> Decoded<TreeDelta> {
     let mut pages = Vec::with_capacity(n);
     for _ in 0..n {
         let slot = num(r)?;
-        if slot >= total || pages.last().is_some_and(|&(last, _)| slot <= last) {
+        if slot >= total || pages.last().is_some_and(|&(last, _, _)| slot <= last) {
             return Err(Damage(format!("page {slot} out of order or past {total}")));
         }
+        let at = r.position();
         let node = match r.u8()? {
             0 => NodeImage::Free,
             1 => {
@@ -634,7 +782,8 @@ fn read_tree(r: &mut Reader<'_>, arity: usize) -> Decoded<TreeDelta> {
             }
             t => return Err(Damage(format!("bad page kind {t}"))),
         };
-        pages.push((slot, node));
+        let len = u32::try_from(r.position() - at).unwrap_or(0);
+        pages.push((slot, node, len));
     }
     Ok(TreeDelta {
         root,
@@ -646,20 +795,244 @@ fn read_tree(r: &mut Reader<'_>, arity: usize) -> Decoded<TreeDelta> {
     })
 }
 
-/// The objects frame, decoded against `schema` (whose defined types are
-/// listed in the design frame's order) straight into the object base it
-/// describes: over `base`, the base's objects with the deleted ones
-/// dropped and the listed ones put in place, merged in OID order; over
-/// the empty base, the listed ones.  OIDs, a tuple's slots and a set's
-/// members are listed strictly ascending, and each body is the structure
-/// of its type.  A frame's checksum only proves that the bytes are the
-/// ones written, so [`BaseBuilder`] type-checks every value as it builds
-/// the base.  A deleted OID the base does not hold was created after it
-/// and never shipped.
-fn read_objects(payload: &[u8], schema: Schema, base: Option<&ObjectBase>) -> Decoded<ObjectBase> {
-    let types: Vec<(TypeId, bool)> = (schema.types())
+/// Each type's id and whether it is a tuple type, by its position in
+/// the design frame's type list.
+fn type_table(schema: &Schema) -> Vec<(TypeId, bool)> {
+    (schema.types())
         .map(|(ty, def)| (ty, def.kind.is_tuple()))
-        .collect();
+        .collect()
+}
+
+/// One object record's OID, type and body; OIDs must ascend past `last`.
+fn read_record(
+    r: &mut Reader<'_>,
+    types: &[(TypeId, bool)],
+    last: Option<Oid>,
+) -> Decoded<(Oid, TypeId, bool)> {
+    let oid = Oid::from_raw(r.varint()?);
+    if last.is_some_and(|last| oid <= last) {
+        return Err(Damage(format!("object {oid} listed out of order")));
+    }
+    let (ty, tuple) = *types
+        .get(num(r)?)
+        .ok_or_else(|| Damage(format!("object {oid} has an unknown type")))?;
+    Ok((oid, ty, tuple))
+}
+
+/// A listed object's body, decoded ahead of filing it.
+enum Body {
+    /// A tuple's non-`NULL` slots, ascending.
+    Tuple(Vec<(usize, Value)>),
+    /// A set's or list's members.
+    Collection(Vec<Value>),
+}
+
+fn read_body(r: &mut Reader<'_>, oid: Oid, tuple: bool) -> Decoded<Body> {
+    let n = r.count(if tuple { 2 } else { 1 })?;
+    if !tuple {
+        return (0..n)
+            .map(|_| Ok(r.value()?))
+            .collect::<Decoded<_>>()
+            .map(Body::Collection);
+    }
+    let mut slots: Vec<(usize, Value)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let slot = num(r)?;
+        if slots.last().is_some_and(|&(last, _)| slot <= last) {
+            return Err(Damage(format!("object {oid}: slot {slot} out of order")));
+        }
+        slots.push((slot, r.value()?));
+    }
+    Ok(Body::Tuple(slots))
+}
+
+/// File object `oid` of type `ty` with its decoded `body`.
+fn file(builder: &mut BaseBuilder, oid: Oid, ty: TypeId, body: Body) -> Decoded<()> {
+    match body {
+        Body::Tuple(values) => builder.tuple(oid, ty, |slots: &mut [Value]| {
+            for (slot, value) in values {
+                *slots
+                    .get_mut(slot)
+                    .ok_or_else(|| Damage(format!("object {oid}: no slot {slot}")))? = value;
+            }
+            Ok(())
+        }),
+        Body::Collection(elements) => Ok(builder.collection(oid, ty, elements)?),
+    }
+}
+
+/// What the deltas of a chain leave of one OID, merged oldest first.
+struct Fate {
+    /// The newest listing's type and body; `None` when the newest mention
+    /// deletes the object.
+    listed: Option<(TypeId, Body)>,
+    /// The type the OID was listed under when the chain first mentioned
+    /// it by a listing: were it live in the full document, it must be
+    /// under that type.
+    over_full: Option<TypeId>,
+}
+
+/// A delta's objects frame, merged into `fates` and `vars`: a deleted OID
+/// is dead unless a later delta lists it; a listed object replaces the
+/// one before it, which, if it is live, must be of the same type.
+/// Returns the object count the delta promises.
+fn merge_delta_objects(
+    payload: &[u8],
+    types: &[(TypeId, bool)],
+    fates: &mut BTreeMap<Oid, Fate>,
+    vars: &mut HashMap<String, Value>,
+) -> Decoded<usize> {
+    let mut r = Reader::new(payload);
+    let total = num(&mut r)?;
+    let dead = (0..r.count(1)?)
+        .map(|_| Ok(Oid::from_raw(r.varint()?)))
+        .collect::<Decoded<Vec<_>>>()?;
+    if dead.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(Damage("deleted OIDs out of order".into()));
+    }
+    for oid in dead {
+        (fates.entry(oid))
+            .and_modify(|fate| fate.listed = None)
+            .or_insert(Fate {
+                listed: None,
+                over_full: None,
+            });
+    }
+    let mut last = None;
+    for _ in 0..r.count(3)? {
+        let (oid, ty, tuple) = read_record(&mut r, types, last)?;
+        last = Some(oid);
+        let body = read_body(&mut r, oid, tuple)?;
+        match fates.entry(oid) {
+            Entry::Vacant(e) => {
+                e.insert(Fate {
+                    listed: Some((ty, body)),
+                    over_full: Some(ty),
+                });
+            }
+            Entry::Occupied(mut e) => {
+                if let Some((live, _)) = e.get().listed.as_ref().filter(|(live, _)| *live != ty) {
+                    return Err(retyped(oid, *live, ty));
+                }
+                e.get_mut().listed = Some((ty, body));
+            }
+        }
+    }
+    for _ in 0..r.count(5)? {
+        vars.insert(r.str()?, r.value()?);
+    }
+    r.finish()?;
+    Ok(total)
+}
+
+/// A delta lists live object `oid` of type `live` under type `listed`.
+fn retyped(oid: Oid, live: TypeId, listed: TypeId) -> Damage {
+    Damage(format!(
+        "object {oid} of type #{} is listed as type #{}",
+        live.index(),
+        listed.index()
+    ))
+}
+
+/// The objects of a chain: the full document's objects frame `full`,
+/// decoded against `schema` (whose defined types are listed in the design
+/// frame's order) straight into the object base it describes, with the
+/// deltas' frames `deltas` (oldest first) merged over it in the same
+/// pass.  OIDs, a tuple's slots and a set's members are listed strictly
+/// ascending, and each body is the structure of its type.  A frame's
+/// checksum only proves that the bytes are the ones written, so
+/// [`BaseBuilder`] type-checks every value as it builds the base.  A
+/// deleted OID the chain does not hold was created after its base and
+/// never shipped.
+fn read_chain_objects<'a>(
+    full: &[u8],
+    deltas: impl Iterator<Item = &'a [u8]>,
+    schema: Schema,
+) -> Decoded<ObjectBase> {
+    let types = type_table(&schema);
+    let mut fates = BTreeMap::new();
+    let mut delta_vars = HashMap::new();
+    let mut total = None;
+    for payload in deltas {
+        total = Some(merge_delta_objects(
+            payload,
+            &types,
+            &mut fates,
+            &mut delta_vars,
+        )?);
+    }
+    let mut r = Reader::new(full);
+    let promised = num(&mut r)?;
+    let dead = r.count(1)?;
+    let n = r.count(3)?;
+    if dead != 0 || n != promised {
+        return Err(Damage(format!(
+            "{n} objects listed, {promised} promised, {dead} deleted from the empty base",
+        )));
+    }
+    let total = total.unwrap_or(promised);
+    let mut builder = BaseBuilder::new(schema, total.min(n + fates.len()));
+    let mut fates = fates.into_iter().peekable();
+    // File the chain's listings below `oid` (all of them when `None`),
+    // then hand over what it did to `oid`.
+    let mut listed_below = |builder: &mut BaseBuilder, oid: Option<Oid>| -> Decoded<Option<Fate>> {
+        while let Some((at, fate)) = fates.next_if(|(at, _)| oid.is_none_or(|oid| *at < oid)) {
+            if let Some((ty, body)) = fate.listed {
+                file(builder, at, ty, body)?;
+            }
+        }
+        Ok(oid
+            .and_then(|oid| fates.next_if(|(at, _)| *at == oid))
+            .map(|(_, fate)| fate))
+    };
+    let mut last = None;
+    for _ in 0..n {
+        let (oid, ty, tuple) = read_record(&mut r, &types, last)?;
+        last = Some(oid);
+        let Some(fate) = listed_below(&mut builder, Some(oid))? else {
+            if tuple {
+                builder.tuple(oid, ty, |slots| read_slots(&mut r, oid, slots))?;
+            } else {
+                let n = r.count(1)?;
+                let mut elements = Vec::with_capacity(n);
+                for _ in 0..n {
+                    elements.push(r.value()?);
+                }
+                builder.collection(oid, ty, elements)?;
+            }
+            continue;
+        };
+        // A delta replaced or deleted it: its record here is superseded.
+        read_body(&mut r, oid, tuple)?;
+        if let Some(listed) = fate.over_full.filter(|&listed| listed != ty) {
+            return Err(retyped(oid, ty, listed));
+        }
+        if let Some((ty, body)) = fate.listed {
+            file(&mut builder, oid, ty, body)?;
+        }
+    }
+    listed_below(&mut builder, None)?;
+    if builder.len() != total {
+        return Err(Damage(format!(
+            "patched base has {} objects, delta expects {total}",
+            builder.len()
+        )));
+    }
+    let mut vars = HashMap::new();
+    for _ in 0..r.count(5)? {
+        vars.insert(r.str()?, r.value()?);
+    }
+    r.finish()?;
+    vars.extend(delta_vars);
+    Ok(builder.finish(vars)?)
+}
+
+/// A delta's objects frame, decoded against `schema` straight into the
+/// object base it makes of `base`: the base's objects with the deleted
+/// ones dropped and the listed ones put in place, merged in OID order.  A
+/// listed object that replaces one of the base's keeps its type.
+fn read_objects(payload: &[u8], schema: Schema, base: &ObjectBase) -> Decoded<ObjectBase> {
+    let types = type_table(&schema);
     let mut r = Reader::new(payload);
     let total = num(&mut r)?;
     let dead = (0..r.count(1)?)
@@ -669,44 +1042,32 @@ fn read_objects(payload: &[u8], schema: Schema, base: Option<&ObjectBase>) -> De
         return Err(Damage("deleted OIDs out of order".into()));
     }
     let n = r.count(3)?;
-    if base.is_none() && (!dead.is_empty() || n != total) {
-        return Err(Damage(format!(
-            "{n} objects listed, {total} promised, {} deleted from the empty base",
-            dead.len()
-        )));
-    }
-    let kept_count = base.map_or(0, ObjectBase::object_count);
-    let mut builder = BaseBuilder::new(schema, total.min(n + kept_count));
-    let mut kept = base.into_iter().flat_map(ObjectBase::objects).peekable();
+    let mut builder = BaseBuilder::new(schema, total.min(n + base.object_count()));
+    let mut kept = base.objects().peekable();
     // File the base's objects below `oid` (all of them when `None`) that
-    // were not deleted.
-    let mut keep_below = |builder: &mut BaseBuilder, oid: Option<Oid>| -> Decoded<()> {
+    // were not deleted, then hand over the type of the one at `oid`.
+    let mut keep_below = |builder: &mut BaseBuilder, oid: Option<Oid>| -> Decoded<Option<TypeId>> {
         while let Some(obj) = kept.next_if(|o| oid.is_none_or(|oid| o.oid < oid)) {
             if dead.binary_search(&obj.oid).is_err() {
                 builder.copy(obj)?;
             }
         }
-        // A listed object replaces the base's.
-        oid.map(|oid| kept.next_if(|o| o.oid == oid));
-        Ok(())
+        Ok(oid
+            .and_then(|oid| kept.next_if(|o| o.oid == oid))
+            .map(|o| o.ty))
     };
+    let mut last = None;
     for _ in 0..n {
-        // The builder refuses an OID at or below the one filed before.
-        let oid = Oid::from_raw(r.varint()?);
-        keep_below(&mut builder, Some(oid))?;
-        let (ty, tuple) = *types
-            .get(num(&mut r)?)
-            .ok_or_else(|| Damage(format!("object {oid} has an unknown type")))?;
-        if tuple {
-            builder.tuple(oid, ty, |slots| read_slots(&mut r, oid, slots))?;
-        } else {
-            let n = r.count(1)?;
-            let mut elements = Vec::with_capacity(n);
-            for _ in 0..n {
-                elements.push(r.value()?);
-            }
-            builder.collection(oid, ty, elements)?;
+        let (oid, ty, tuple) = read_record(&mut r, &types, last)?;
+        last = Some(oid);
+        // A listed object replaces the base's, under the same type.
+        // (A deleted and listed OID was deleted, then restored.)
+        let replaced = keep_below(&mut builder, Some(oid))?;
+        if let Some(live) = replaced.filter(|&live| live != ty && dead.binary_search(&oid).is_err())
+        {
+            return Err(retyped(oid, live, ty));
         }
+        file(&mut builder, oid, ty, read_body(&mut r, oid, tuple)?)?;
     }
     keep_below(&mut builder, None)?;
     if builder.len() != total {
@@ -715,7 +1076,7 @@ fn read_objects(payload: &[u8], schema: Schema, base: Option<&ObjectBase>) -> De
             builder.len()
         )));
     }
-    let mut vars: HashMap<String, Value> = (base.into_iter().flat_map(ObjectBase::variables))
+    let mut vars: HashMap<String, Value> = (base.variables())
         .map(|(name, value)| (name.to_string(), value.clone()))
         .collect();
     for _ in 0..r.count(5)? {

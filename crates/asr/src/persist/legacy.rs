@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 use asr_gom::snapshot;
 
-use super::{AsrSection, Parsed};
+use super::Parsed;
 use crate::cell::Cell;
 use crate::decomposition::Decomposition;
 use crate::error::{AsrError, Result};
@@ -96,7 +96,7 @@ pub(crate) fn read(bytes: &[u8]) -> Result<(u32, asr_gom::ObjectBase, Parsed)> {
     let bytes = (0..asrs.len())
         .map(|ordinal| sections.bytes.get(&ordinal).copied().unwrap_or(0))
         .collect();
-    let sections = (0..asrs.len())
+    let images = (0..asrs.len())
         .map(|ordinal| {
             match (
                 sections.poisoned.remove(&ordinal),
@@ -104,7 +104,7 @@ pub(crate) fn read(bytes: &[u8]) -> Result<(u32, asr_gom::ObjectBase, Parsed)> {
             ) {
                 _ if version == 1 => Err("v1 snapshot".to_string()),
                 (Some(reason), _) => Err(reason),
-                (None, Some(images)) => Ok(AsrSection::Full(images)),
+                (None, Some(images)) => Ok((images, None)),
                 (None, None) => Err("no physical section for this ASR".into()),
             }
         })
@@ -115,7 +115,7 @@ pub(crate) fn read(bytes: &[u8]) -> Result<(u32, asr_gom::ObjectBase, Parsed)> {
         Parsed {
             sizes,
             asrs,
-            sections,
+            images,
             bytes,
         },
     ))

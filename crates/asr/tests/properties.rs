@@ -713,17 +713,23 @@ fn reassigning_a_set_keeps_the_edges_both_sets_hold() {
 // Checkpoints: a full checkpoint is the delta over the empty base.
 // ----------------------------------------------------------------------
 
-/// One step of a mutation history: a maintained update, or an object
-/// deletion, or a variable binding.
+/// One step of a mutation history: a maintained update, an object
+/// deletion, a variable binding, or the restore of one of the levels'
+/// OIDs under any of the schema's types.
 #[derive(Debug, Clone)]
 enum Step {
     Update(Update),
     Delete { level: u8, i: u8 },
     Bind { var: u8, level: u8, i: u8 },
+    Restore { level: u8, i: u8, ty: u8 },
 }
 
+/// Every type of [`chain_schema`].
+const TYPES: [&str; 6] = ["T0", "S1", "T1", "T2", "S3", "T3"];
+
 fn step_strategy() -> impl Strategy<Value = Step> {
-    // Updates four times as often as deletions and bindings each.
+    // Updates four times as often as deletions, bindings and restores
+    // each.
     prop_oneof![
         update_strategy().prop_map(Step::Update),
         update_strategy().prop_map(Step::Update),
@@ -731,19 +737,31 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         update_strategy().prop_map(Step::Update),
         (0u8..4, any::<u8>()).prop_map(|(level, i)| Step::Delete { level, i }),
         (0u8..3, 0u8..5, any::<u8>()).prop_map(|(var, level, i)| Step::Bind { var, level, i }),
+        (0u8..4, any::<u8>(), any::<u8>()).prop_map(|(level, i, ty)| Step::Restore {
+            level,
+            i,
+            ty
+        }),
     ]
+}
+
+/// The objects of each level still alive under the level's type (a
+/// deleted one may have been restored under another).
+fn alive(db: &Database, levels: &[Vec<Oid>]) -> Vec<Vec<Oid>> {
+    let schema = db.base().schema();
+    (levels.iter().enumerate())
+        .map(|(l, objs)| {
+            let ty = schema.resolve(&format!("T{l}"));
+            let live = objs.iter().copied();
+            live.filter(|&o| db.base().type_of(o).ok() == ty).collect()
+        })
+        .collect()
 }
 
 /// Apply `step` to the objects of `levels` still alive.  Binding level 4
 /// binds `NULL`.
 fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) {
-    let alive: Vec<Vec<Oid>> = levels
-        .iter()
-        .map(|objs| {
-            let live = objs.iter().copied().filter(|&o| db.base().contains(o));
-            live.collect()
-        })
-        .collect();
+    let alive = alive(db, levels);
     let pick = |level: u8, i: u8| {
         let objs = alive.get(level as usize)?;
         (!objs.is_empty()).then(|| objs[i as usize % objs.len()])
@@ -760,8 +778,44 @@ fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) {
             let value = pick(*level, *i).map_or(Value::Null, Value::Ref);
             db.bind_variable(&format!("v{var}"), value);
         }
+        Step::Restore { level, i, ty } => {
+            // Any OID of the level, live or deleted, under any type: a
+            // live one is refused, and so is a type a dangling reference
+            // to it does not admit.
+            let objs = &levels[*level as usize];
+            let oid = objs[*i as usize % objs.len()];
+            let _ = db.instantiate_with_oid(TYPES[*ty as usize % TYPES.len()], oid);
+        }
     }
 }
+
+/// `db`'s full checkpoint loads, to the same object base, and re-saves
+/// to its own bytes.
+fn assert_reloads(db: &Database, what: &str) {
+    let doc = db.save_to_string();
+    let loaded = Database::load_from_string(&doc)
+        .unwrap_or_else(|e| panic!("{what}: the state does not reload from its checkpoint: {e}"));
+    assert_eq!(
+        asr_gom::snapshot::write_base(loaded.base()),
+        asr_gom::snapshot::write_base(db.base()),
+        "{what}: the reloaded base differs"
+    );
+    assert!(
+        loaded.save_to_string() == doc,
+        "{what}: the reload re-saves other bytes"
+    );
+}
+
+/// The answers of [`span_answers`] and the pages they charge.
+fn charged_answers(db: &Database, levels: &[Vec<Oid>]) -> (Vec<String>, u64) {
+    let alive = alive(db, levels);
+    db.stats().reset();
+    let answers = span_answers(db, &alive);
+    (answers, db.stats().accesses())
+}
+
+/// The longest chain a durable database keeps: `asr_durable::DELTA_CHAIN_LIMIT`.
+const CHAIN_LIMIT: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -819,5 +873,76 @@ proptest! {
         for (_, asr) in replica.asrs() {
             asr.check_consistency().unwrap();
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every state a random history reaches — restores of deleted OIDs
+    /// under arbitrary types included — reloads from its own checkpoint.
+    #[test]
+    fn every_reached_state_reloads_from_its_own_checkpoint(
+        counts in proptest::array::uniform4(1u8..4),
+        history in proptest::collection::vec(step_strategy(), 1..40),
+        dec_seed in any::<u8>(),
+    ) {
+        let (mut db, levels) = chain_db(counts, dec_seed, false);
+        for (k, step) in history.iter().enumerate() {
+            apply_step(&mut db, &levels, step);
+            assert_reloads(&db, &format!("after step {k} of {history:?}"));
+        }
+    }
+
+    /// A full checkpoint and a chain of up to [`CHAIN_LIMIT`] deltas after
+    /// it, loaded in one pass, equal the same chain applied delta by delta
+    /// and the live database: the same bytes and the same span answers,
+    /// which charge the same pages as they do on the live state's own full
+    /// checkpoint, loaded (the live clustered files hold objects in
+    /// creation order, a loaded one in OID order).  The histories remove set members,
+    /// reassign sets, delete objects (each ASR then ships images inside
+    /// the delta) and restore them under arbitrary types.
+    #[test]
+    fn a_chain_loads_in_one_pass_to_the_state_applied_delta_by_delta(
+        counts in proptest::array::uniform4(1u8..4),
+        history in proptest::collection::vec(step_strategy(), 1..48),
+        links in 1usize..CHAIN_LIMIT + 1,
+        dec_seed in any::<u8>(),
+        keep in any::<bool>(),
+    ) {
+        let (mut primary, levels) = chain_db(counts, dec_seed, keep);
+        let chunk = history.len().div_ceil(links + 1);
+        let mut chunks = history.chunks(chunk);
+        for step in chunks.next().unwrap_or_default() {
+            apply_step(&mut primary, &levels, step);
+        }
+        let full = primary.begin_checkpoint().save_full(1);
+        let mut deltas = Vec::new();
+        for (k, steps) in chunks.enumerate() {
+            for step in steps {
+                apply_step(&mut primary, &levels, step);
+            }
+            let lsn = k as u64 + 2;
+            deltas.push(primary.begin_checkpoint().save_delta(lsn, lsn - 1).unwrap());
+        }
+        let refs: Vec<&[u8]> = deltas.iter().map(Vec::as_slice).collect();
+        let (one_pass, report) = Database::load_from_chain_report(&full, &refs).unwrap();
+        prop_assert_eq!(report.delta_chain, deltas.len());
+        prop_assert!(report.asrs.iter().all(|(_, m)| m.is_physical() || m.is_delta()), "{:?}", report);
+        let mut stepwise = Database::load_from_string(&full).unwrap();
+        for delta in &deltas {
+            stepwise = stepwise.apply_delta(delta).unwrap();
+        }
+        let want = primary.save_to_string();
+        prop_assert!(one_pass.save_to_string() == want, "the one-pass chain differs from the primary");
+        prop_assert!(stepwise.save_to_string() == want, "the stepwise chain differs from the primary");
+        for (_, asr) in one_pass.asrs() {
+            asr.check_consistency().unwrap();
+        }
+        let (answers, _) = charged_answers(&primary, &levels);
+        let reloaded = charged_answers(&Database::load_from_string(&want).unwrap(), &levels);
+        prop_assert_eq!(&reloaded.0, &answers);
+        prop_assert_eq!(&charged_answers(&one_pass, &levels), &reloaded);
+        prop_assert_eq!(&charged_answers(&stepwise, &levels), &reloaded);
     }
 }

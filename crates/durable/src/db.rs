@@ -105,9 +105,9 @@ pub const DEFAULT_SEGMENT_THRESHOLD: usize = 64 * 1024;
 /// [`DurableError::ReplicationStalled`] text).
 pub const FLIGHT_TAIL_EVENTS: usize = 12;
 
-/// Longest base→delta lineage [`DurableDatabase::checkpoint_delta`] will
-/// extend before falling back to a full checkpoint.  Bounds both the
-/// recovery chain walk and how much history a chain pins against
+/// Longest base→delta lineage [`DurableDatabase::checkpoint`] will extend
+/// before it writes a full checkpoint.  Bounds both the recovery chain
+/// walk and how much history a chain pins against
 /// [`DurableDatabase::prune_segments`].
 pub const DELTA_CHAIN_LIMIT: usize = 8;
 
@@ -177,35 +177,32 @@ pub struct WalStatus {
     /// full snapshot).
     pub delta_chain_depth: usize,
     /// Modeled pages the last checkpoint of this session wrote (0 before
-    /// the first one).
+    /// the first one).  [`DurableDatabase::full_checkpoint_pages`] prices
+    /// a full one on demand.
     pub last_checkpoint_pages: u64,
-    /// Modeled pages an equivalent *full* checkpoint would have written
-    /// (equals `last_checkpoint_pages` when the last one was full).
-    pub last_checkpoint_pages_full: u64,
     /// Group-commit pipeline counters, when the pipeline is enabled.
     pub group: Option<GroupCommitStatus>,
 }
 
-/// What [`DurableDatabase::checkpoint_delta`] wrote.
+/// What [`DurableDatabase::checkpoint`] wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaCheckpointReport {
-    /// LSN the new checkpoint covers.
+pub struct CheckpointReport {
+    /// LSN the checkpoint covers.
     pub lsn: u64,
-    /// The base checkpoint the delta applies to (`None` when the call
-    /// fell back to a full checkpoint).
+    /// The base checkpoint the delta applies to (`None` for a full
+    /// checkpoint).
     pub base_lsn: Option<u64>,
-    /// Bytes of the published snapshot document.
+    /// Bytes of the published snapshot document (0 when nothing was
+    /// logged since the current checkpoint and none was written).
     pub snapshot_bytes: u64,
     /// Modeled pages written (`checkpoint.snap` + its archived copy).
     pub pages_written: u64,
-    /// Modeled pages an equivalent full checkpoint would have written.
-    pub pages_full: u64,
-    /// Deltas between the new checkpoint and its full base (0 when the
-    /// call wrote a full snapshot).
+    /// Deltas between the checkpoint and its full base (0 for a full
+    /// snapshot).
     pub chain_depth: usize,
 }
 
-impl DeltaCheckpointReport {
+impl CheckpointReport {
     /// `true` when the checkpoint was written as a delta.
     pub fn is_delta(&self) -> bool {
         self.base_lsn.is_some()
@@ -304,7 +301,9 @@ impl GroupCommitStatus {
 pub struct PendingCheckpoint {
     fence: u64,
     base_lsn: u64,
-    want_delta: bool,
+    /// Does the pinned source hold every change since `base_lsn`, so a
+    /// delta over it can be written?
+    tracked: bool,
     source: CheckpointSource,
 }
 
@@ -375,16 +374,18 @@ pub struct DurableDatabase<S: Storage> {
     /// when the file is empty) — the `first_lsn` a seal would record.
     active_first_lsn: u64,
     segment_threshold: usize,
-    /// Modeled pages the last checkpoint wrote and what a full one would
-    /// have cost — the `\wal status` "pages saved vs full" line.
-    last_ckpt_pages: (u64, u64),
+    /// Modeled pages the last checkpoint wrote.
+    last_ckpt_pages: u64,
+    /// The session ASR ids the current checkpoint was written under: a
+    /// delta over it must keep them.
+    ckpt_ids: Vec<AsrId>,
     /// The cross-session group-commit pipeline, when enabled.
     group: Option<GroupCommit>,
     /// Highest fence a [`Self::begin_checkpoint`] ever took.  Beginning
     /// a checkpoint resets the database's dirty tracking at the fence,
     /// so if a pending checkpoint is abandoned (never completed) the
-    /// next delta would silently miss the pre-fence changes — deltas are
-    /// therefore refused until a *full* checkpoint republishes past the
+    /// next delta would silently miss the pre-fence changes — the next
+    /// checkpoint is therefore a *full* one, republishing past the
     /// orphaned fence.
     fuzzy_fence: u64,
     /// Black-box recorder subscribed to the database's tracer; failure
@@ -434,7 +435,8 @@ impl<S: Storage> DurableDatabase<S> {
             manifest: SegmentManifest::default(),
             active_first_lsn: 1,
             segment_threshold: DEFAULT_SEGMENT_THRESHOLD,
-            last_ckpt_pages: (0, 0),
+            last_ckpt_pages: 0,
+            ckpt_ids: Vec::new(),
             group: None,
             fuzzy_fence: 0,
             flightrec,
@@ -479,7 +481,8 @@ impl<S: Storage> DurableDatabase<S> {
             manifest: r.manifest,
             active_first_lsn: r.active_first_lsn,
             segment_threshold: DEFAULT_SEGMENT_THRESHOLD,
-            last_ckpt_pages: (0, 0),
+            last_ckpt_pages: 0,
+            ckpt_ids: r.checkpoint_ids,
             group: None,
             fuzzy_fence: r.checkpoint_lsn,
             flightrec,
@@ -543,6 +546,7 @@ impl<S: Storage> DurableDatabase<S> {
             mut asr_remap,
             pages_read: checkpoint_pages_read,
             asr_load_modes,
+            asr_ids: checkpoint_ids,
             delta_chain,
             ..
         } = parsed;
@@ -688,6 +692,7 @@ impl<S: Storage> DurableDatabase<S> {
             report,
             manifest: seg_manifest,
             active_first_lsn,
+            checkpoint_ids,
             ids_remapped: !asr_remap.is_empty(),
         })
     }
@@ -750,8 +755,7 @@ impl<S: Storage> DurableDatabase<S> {
             pitr_floor_lsn: self.manifest.checkpoints.first().copied(),
             delta_base_lsn: self.manifest.delta_base_of(self.checkpoint_lsn),
             delta_chain_depth: self.manifest.delta_depth(self.checkpoint_lsn),
-            last_checkpoint_pages: self.last_ckpt_pages.0,
-            last_checkpoint_pages_full: self.last_ckpt_pages.1,
+            last_checkpoint_pages: self.last_ckpt_pages,
             group: self.group_commit_status(),
         }
     }
@@ -973,15 +977,43 @@ impl<S: Storage> DurableDatabase<S> {
 
     /// Checkpoint: flush, pin the state at the WAL fence, archive a PITR
     /// copy of the snapshot, publish the manifest, then atomically
-    /// replace `checkpoint.snap`.
+    /// replace `checkpoint.snap` — writing only what changed since the
+    /// current checkpoint whenever it can.
+    ///
+    /// The document is a delta over the current checkpoint when its
+    /// archive is retained, the chain below it is shorter than
+    /// [`DELTA_CHAIN_LIMIT`], and the physical design and the session's
+    /// ASR ids are the ones it was written under; an ASR whose changed
+    /// pages outweigh [`asr_core::persist::DELTA_FULL_FRACTION`] of its
+    /// images ships the images inside the delta.  Otherwise it is a full
+    /// document.  With nothing logged since the current checkpoint
+    /// (and the ASR ids unchanged) it writes nothing and reports the
+    /// standing checkpoint.
     ///
     /// Composes [`Self::begin_checkpoint`] + [`Self::complete_checkpoint`];
     /// see them for the fence/crash-window reasoning.  The log is *not*
     /// truncated — records at or below the fence are skipped by LSN
     /// during recovery and reclaimed by the next rotation.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let pending = self.begin_checkpoint(false)?;
-        self.complete_checkpoint(pending).map(|_| ())
+    pub fn checkpoint(&mut self) -> Result<CheckpointReport> {
+        self.check_alive()?;
+        self.flush_wal_accounted()?;
+        let ids: Vec<AsrId> = self.db.asrs().map(|(id, _)| id).collect();
+        if self.wal.last_lsn() == self.checkpoint_lsn
+            && self.manifest.checkpoints.contains(&self.checkpoint_lsn)
+            && ids == self.ckpt_ids
+        {
+            let mut span = self.db.tracer().span("wal.checkpoint");
+            span.add_attr("mode", "noop".to_string());
+            span.finish();
+            return Ok(CheckpointReport {
+                lsn: self.checkpoint_lsn,
+                base_lsn: self.manifest.delta_base_of(self.checkpoint_lsn),
+                chain_depth: self.manifest.delta_depth(self.checkpoint_lsn),
+                ..CheckpointReport::default()
+            });
+        }
+        let pending = self.begin_checkpoint()?;
+        self.complete_checkpoint(pending)
     }
 
     /// Start a fuzzy checkpoint: flush the WAL, take the fence LSN, and
@@ -994,32 +1026,32 @@ impl<S: Storage> DurableDatabase<S> {
     /// Commits logged after `begin` carry LSNs above the fence and stay
     /// in the log for replay over the published image.
     ///
-    /// Abandoning the returned [`PendingCheckpoint`] is safe but resets
-    /// the delta fence: the next checkpoints fall back to full snapshots
-    /// until one publishes past the orphaned fence (beginning a
-    /// checkpoint clears the dirty tracking a delta would need).
-    pub fn begin_checkpoint(&mut self, want_delta: bool) -> Result<PendingCheckpoint> {
+    /// Abandoning the returned [`PendingCheckpoint`] is safe, but the
+    /// next checkpoint is then a full one (beginning a checkpoint clears
+    /// the dirty tracking a delta would need).
+    pub fn begin_checkpoint(&mut self) -> Result<PendingCheckpoint> {
         self.check_alive()?;
         self.flush_wal_accounted()?;
         let fence = self.wal.last_lsn();
         let base_lsn = self.checkpoint_lsn;
         // A delta's dirty sets are only complete when every earlier
         // fence was published (or covered by a published checkpoint).
-        let want_delta = want_delta && self.fuzzy_fence <= base_lsn;
+        let tracked = self.fuzzy_fence <= base_lsn;
         self.fuzzy_fence = fence;
         let source = self.db.begin_checkpoint();
         Ok(PendingCheckpoint {
             fence,
             base_lsn,
-            want_delta,
+            tracked,
             source,
         })
     }
 
-    /// Publish a begun checkpoint: archive copy + manifest entry first
-    /// (PITR history + delta lineage), then the authoritative
-    /// `checkpoint.snap` as the commit point, then the diagnostics
-    /// `MANIFEST`.
+    /// Publish a begun checkpoint — a delta over the checkpoint current
+    /// at `begin` when one can be written (see [`Self::checkpoint`]),
+    /// else a full document: archive copy + manifest entry first (PITR
+    /// history + delta lineage), then the authoritative `checkpoint.snap`
+    /// as the commit point, then the diagnostics `MANIFEST`.
     ///
     /// Every crash window falls *backwards*: until `checkpoint.snap` is
     /// replaced, recovery starts from the previous checkpoint and
@@ -1028,15 +1060,12 @@ impl<S: Storage> DurableDatabase<S> {
     /// [`CheckpointSource`], so commits that landed between `begin` and
     /// `complete` are invisible to the image — they stay in the log,
     /// above the fence.
-    pub fn complete_checkpoint(
-        &mut self,
-        pending: PendingCheckpoint,
-    ) -> Result<DeltaCheckpointReport> {
+    pub fn complete_checkpoint(&mut self, pending: PendingCheckpoint) -> Result<CheckpointReport> {
         self.check_alive()?;
         let PendingCheckpoint {
             fence: lsn,
             base_lsn: base,
-            want_delta,
+            tracked,
             source,
         } = pending;
         if lsn < self.checkpoint_lsn {
@@ -1046,20 +1075,22 @@ impl<S: Storage> DurableDatabase<S> {
             )));
         }
         let mut span = self.db.tracer().span("wal.checkpoint");
-        // The full document is rendered even when a delta is published:
-        // its length prices `pages_full`.
-        let snap = source.save_full(lsn);
-        let full_snap_len = snap.len();
-        let delta = if want_delta
+        let ids = source.snapshot().asr_ids();
+        // A delta never shares its base's LSN (and so its archive name).
+        let delta = if tracked
+            && base < lsn
+            && base == self.checkpoint_lsn
             && self.manifest.checkpoints.contains(&base)
             && self.manifest.delta_depth(base) < DELTA_CHAIN_LIMIT
+            && ids == self.ckpt_ids
         {
             source.save_delta(lsn, base)
         } else {
             None
         };
         let base_lsn = delta.is_some().then_some(base);
-        let snap = delta.unwrap_or(snap);
+        let snap = delta.unwrap_or_else(|| source.save_full(lsn));
+        drop(source);
         let res = self
             .storage
             .write_atomic(&checkpoint_archive_name(lsn), &snap);
@@ -1077,13 +1108,13 @@ impl<S: Storage> DurableDatabase<S> {
             .write_atomic(MANIFEST_FILE, manifest_text(lsn).as_bytes());
         self.poison_on_err(res)?;
         self.checkpoint_lsn = lsn;
+        self.ckpt_ids = ids;
         let pages_written = pages(2 * snap.len());
-        let pages_full = pages(2 * full_snap_len);
         for _ in 0..pages_written {
             // checkpoint.snap + its archived copy
             self.db.stats().count_write_for(self.ckpt_sid);
         }
-        self.last_ckpt_pages = (pages_written, pages_full);
+        self.last_ckpt_pages = pages_written;
         let chain_depth = self.manifest.delta_depth(lsn);
         let metrics = self.db.tracer().metrics();
         metrics.inc_counter("wal.checkpoints", 1);
@@ -1104,45 +1135,21 @@ impl<S: Storage> DurableDatabase<S> {
             span.add_attr("base", b.to_string());
         }
         span.finish();
-        Ok(DeltaCheckpointReport {
+        Ok(CheckpointReport {
             lsn,
             base_lsn,
             snapshot_bytes: snap.len() as u64,
             pages_written,
-            pages_full,
             chain_depth,
         })
     }
 
-    /// [`Self::checkpoint`], but write only what changed since the
-    /// current checkpoint: a delta document whose base is the previous
-    /// checkpoint, with lineage recorded as a `D` record in
-    /// `segments.manifest`.  Falls back to a full checkpoint — reported,
-    /// never an error — when the physical design changed (deltas never
-    /// span ASR creation/drop or type-size changes), when the base
-    /// archive is gone, or when the chain would exceed
-    /// [`DELTA_CHAIN_LIMIT`].  A call with nothing logged since the
-    /// current checkpoint is a no-op (republishing a same-LSN delta
-    /// would overwrite its own base archive).
-    pub fn checkpoint_delta(&mut self) -> Result<DeltaCheckpointReport> {
-        self.check_alive()?;
-        self.flush_wal_accounted()?;
-        if self.wal.last_lsn() == self.checkpoint_lsn {
-            // Nothing logged since the current checkpoint: a delta here
-            // would take the same LSN — and the same archive file name —
-            // as its own base.  Report the standing lineage instead.
-            let mut span = self.db.tracer().span("wal.checkpoint");
-            span.add_attr("mode", "noop".to_string());
-            span.finish();
-            return Ok(DeltaCheckpointReport {
-                lsn: self.checkpoint_lsn,
-                base_lsn: self.manifest.delta_base_of(self.checkpoint_lsn),
-                chain_depth: self.manifest.delta_depth(self.checkpoint_lsn),
-                ..DeltaCheckpointReport::default()
-            });
-        }
-        let pending = self.begin_checkpoint(true)?;
-        self.complete_checkpoint(pending)
+    /// Modeled pages a full checkpoint of the state as it is now would
+    /// write (`checkpoint.snap` + its archived copy), at the current
+    /// checkpoint's LSN: the full document is rendered to price it, so
+    /// only callers that show the comparison pay for it.
+    pub fn full_checkpoint_pages(&self) -> u64 {
+        pages(2 * self.db.save_checkpoint(self.checkpoint_lsn).len())
     }
 
     /// Rotate now: seal the active log (flushing first) into a segment
@@ -1590,6 +1597,8 @@ struct Recovered {
     report: RecoveryReport,
     manifest: SegmentManifest,
     active_first_lsn: u64,
+    /// The session ASR ids the loaded checkpoint was written under.
+    checkpoint_ids: Vec<AsrId>,
     /// Replay had to translate ASR ids — the log must restart in the new
     /// id space (open() checkpoints immediately).
     ids_remapped: bool,
@@ -1606,6 +1615,8 @@ pub(crate) struct ParsedCheckpoint {
     /// sums every link.
     pub(crate) pages_read: u64,
     pub(crate) asr_load_modes: Vec<(AsrId, AsrLoadMode)>,
+    /// The session ASR ids the checkpoint was written under.
+    pub(crate) asr_ids: Vec<AsrId>,
     /// Deltas applied on top of the full base (0 for a full checkpoint).
     pub(crate) delta_chain: usize,
     /// Raw bytes of every checkpoint file read (the top document plus
@@ -1678,6 +1689,7 @@ fn assemble_parsed(
         asr_remap: remap_from_ids(&header.asr_ids),
         pages_read: pages(total_bytes - load.physical_bytes.min(total_bytes)),
         asr_load_modes: load.asrs,
+        asr_ids: header.asr_ids.clone(),
         delta_chain: load.delta_chain,
         total_bytes,
     }

@@ -49,7 +49,7 @@ pub mod wal;
 
 pub use asr_core::crc32;
 pub use db::{
-    recover_to_lsn, DeltaCheckpointReport, DurableDatabase, GroupCommitStatus, OpenDurable,
+    recover_to_lsn, CheckpointReport, DurableDatabase, GroupCommitStatus, OpenDurable,
     PendingCheckpoint, PitrReport, PruneReport, RecoveryReport, WalStatus, CHECKPOINT_FILE,
     DEFAULT_SEGMENT_THRESHOLD, DELTA_CHAIN_LIMIT, FLIGHT_TAIL_EVENTS, MANIFEST_FILE, WAL_FILE,
 };

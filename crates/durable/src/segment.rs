@@ -269,8 +269,10 @@ impl SegmentManifest {
             .max()
     }
 
-    /// Record an archived checkpoint LSN (idempotent, keeps order).
+    /// Record an archived full checkpoint LSN (idempotent, keeps order);
+    /// it replaces a delta archived under the same LSN.
     pub fn add_checkpoint(&mut self, lsn: u64) {
+        self.deltas.retain(|&(l, _)| l != lsn);
         if !self.checkpoints.contains(&lsn) {
             self.checkpoints.push(lsn);
             self.checkpoints.sort_unstable();
@@ -281,10 +283,8 @@ impl SegmentManifest {
     /// needs the archived checkpoint at `base` (idempotent, keeps order).
     pub fn add_delta_checkpoint(&mut self, lsn: u64, base: u64) {
         self.add_checkpoint(lsn);
-        if !self.deltas.iter().any(|(l, _)| *l == lsn) {
-            self.deltas.push((lsn, base));
-            self.deltas.sort_unstable();
-        }
+        self.deltas.push((lsn, base));
+        self.deltas.sort_unstable();
     }
 
     /// The base the archived checkpoint at `lsn` is a delta over, if it

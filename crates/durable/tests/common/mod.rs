@@ -419,6 +419,25 @@ pub fn make_script(s0: &[u8], seed: u64) -> Vec<Op> {
     (0..SCRIPT_LEN).map(|_| g.next_op()).collect()
 }
 
+/// A script for two checkpoints the second of which is a delta: the
+/// first half of a generated script, then generated object operations
+/// only (no design change, which would make the checkpoint a full one)
+/// up to [`SCRIPT_LEN`].  Returns the script and the two checkpoint
+/// positions.  The design operations left out were applied to the
+/// generator's shadow only, and no object operation depends on them.
+pub fn delta_checkpoint_script(s0: &[u8], seed: u64) -> (Vec<Op>, [usize; 2]) {
+    let mut g = Generator::new(s0, seed);
+    let mut script: Vec<Op> = (0..SCRIPT_LEN / 2).map(|_| g.next_op()).collect();
+    let first = script.len();
+    while script.len() < SCRIPT_LEN {
+        let op = g.next_op();
+        if !matches!(op, Op::Size { .. } | Op::MkAsr { .. } | Op::RmAsr { .. }) {
+            script.push(op);
+        }
+    }
+    (script, [first, SCRIPT_LEN])
+}
+
 // ----------------------------------------------------------------------
 // Equivalence
 // ----------------------------------------------------------------------

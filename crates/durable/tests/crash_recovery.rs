@@ -36,18 +36,20 @@ struct RunOutcome {
     torn_bytes: u64,
     ckpt_lsn: u64,
     replayed: u64,
+    /// Deltas under the checkpoint recovery loaded.
+    delta_chain: usize,
 }
 
-/// Run the script under `plan`/`policy` (optionally checkpointing after
-/// `checkpoint_after` operations), crash, reboot, recover, and check the
-/// recovered state against the oracle.  Returns what happened for the
+/// Run the script under `plan`/`policy` (checkpointing after each count
+/// of operations in `checkpoints`), crash, reboot, recover, and check
+/// the recovered state against the oracle.  Returns what happened for the
 /// caller's policy-specific assertions.
 fn run_crash_case(
     s0: &[u8],
     script: &[Op],
     plan: FaultPlan,
     policy: FlushPolicy,
-    checkpoint_after: Option<usize>,
+    checkpoints: &[usize],
     ctx: &str,
 ) -> RunOutcome {
     let disk = MemStorage::new();
@@ -75,6 +77,7 @@ fn run_crash_case(
                 torn_bytes: 0,
                 ckpt_lsn: 0,
                 replayed: 0,
+                delta_chain: 0,
             };
         }
     };
@@ -95,7 +98,7 @@ fn run_crash_case(
                 break;
             }
         }
-        if checkpoint_after == Some(i + 1) {
+        if checkpoints.contains(&(i + 1)) {
             if let Err(e) = dd.checkpoint() {
                 assert!(
                     matches!(e, DurableError::InjectedCrash | DurableError::Poisoned),
@@ -161,6 +164,7 @@ fn run_crash_case(
         torn_bytes: report.torn_bytes,
         ckpt_lsn: report.checkpoint_lsn,
         replayed: report.records_replayed,
+        delta_chain: report.delta_chain,
     }
 }
 
@@ -181,7 +185,7 @@ fn crash_at_every_append_every_record_policy() {
             &script,
             FaultPlan::crash_at_append(n),
             FlushPolicy::EveryRecord,
-            None,
+            &[],
             &ctx,
         );
         if n < SCRIPT_LEN {
@@ -210,7 +214,7 @@ fn torn_write_at_every_append() {
                 &script,
                 FaultPlan::torn_append(n, keep),
                 FlushPolicy::EveryRecord,
-                None,
+                &[],
                 &ctx,
             );
             assert!(out.crashed, "{ctx}");
@@ -238,7 +242,7 @@ fn torn_write_with_bit_flip() {
                 ..FaultPlan::default()
             };
             let ctx = format!("torn+flip append {n} keep {keep} flip@{byte}");
-            let out = run_crash_case(&s0, &script, plan, FlushPolicy::EveryRecord, None, &ctx);
+            let out = run_crash_case(&s0, &script, plan, FlushPolicy::EveryRecord, &[], &ctx);
             assert_eq!(out.durable_ops, n, "{ctx}");
         }
     }
@@ -298,7 +302,7 @@ fn crash_under_group_commit() {
                 torn_keep_bytes: keep,
                 ..FaultPlan::default()
             };
-            let out = run_crash_case(&s0, &script, plan, FlushPolicy::EveryN(group), None, &ctx);
+            let out = run_crash_case(&s0, &script, plan, FlushPolicy::EveryN(group), &[], &ctx);
             if out.crashed {
                 // The durable prefix covers every fully flushed group and
                 // at most the torn group's surviving records.
@@ -405,7 +409,7 @@ fn crash_around_mid_script_checkpoint() {
             &script,
             plan,
             FlushPolicy::EveryRecord,
-            Some(ckpt_at),
+            &[ckpt_at],
             &ctx,
         );
         if atomic_n < CREATE_WRITES {
@@ -456,10 +460,52 @@ fn crash_around_mid_script_checkpoint() {
             &script,
             FaultPlan::crash_at_append(n),
             FlushPolicy::EveryRecord,
-            Some(ckpt_at),
+            &[ckpt_at],
             &ctx,
         );
         assert_eq!(out.durable_ops, n.min(SCRIPT_LEN), "{ctx}");
+    }
+}
+
+/// Crashes on every atomic write of a *delta* checkpoint: create (atomic
+/// writes 0–3) and a first checkpoint (4–7) come before it; the delta
+/// writes its archive (8), `segments.manifest` (9), `checkpoint.snap`
+/// (10, the commit point) and `MANIFEST` (11).  Every operation was
+/// logged before the delta began, so recovery always reaches the whole
+/// script: from the first checkpoint with the longer replay when the
+/// crash came at or before the commit point, from the delta (loaded
+/// through its chain) with no replay after it.
+#[test]
+fn crash_at_every_write_of_a_delta_checkpoint() {
+    let s0 = seed_snapshot();
+    let (script, [first, second]) = delta_checkpoint_script(&s0, fuzz_seed() ^ 0xDE17);
+    const WRITES: usize = 4; // archive, segments.manifest, checkpoint.snap, MANIFEST
+    let delta_from = 2 * WRITES;
+    let commit_point = delta_from + 2;
+    for atomic_n in delta_from..=delta_from + WRITES {
+        let plan = FaultPlan {
+            crash_on_atomic_write: Some(atomic_n),
+            ..FaultPlan::default()
+        };
+        let ctx = format!("crash on atomic write {atomic_n} of a delta checkpoint");
+        let out = run_crash_case(
+            &s0,
+            &script,
+            plan,
+            FlushPolicy::EveryRecord,
+            &[first, second],
+            &ctx,
+        );
+        assert_eq!(out.crashed, atomic_n < delta_from + WRITES, "{ctx}");
+        assert_eq!(out.durable_ops, second, "{ctx}");
+        if atomic_n <= commit_point {
+            assert_eq!(out.ckpt_lsn, first as u64, "{ctx}: the state before");
+            assert_eq!(out.replayed, (second - first) as u64, "{ctx}");
+        } else {
+            assert_eq!(out.ckpt_lsn, second as u64, "{ctx}: the state after");
+            assert_eq!(out.replayed, 0, "{ctx}");
+            assert!(out.delta_chain >= 1, "{ctx}: the checkpoint is a delta");
+        }
     }
 }
 

@@ -229,7 +229,7 @@ fn checkpoint_overlaps_snapshot_reads_and_new_commits() {
         apply_durable(&mut dd, op).unwrap();
     }
 
-    let pending = dd.begin_checkpoint(false).unwrap();
+    let pending = dd.begin_checkpoint().unwrap();
     assert_eq!(pending.fence(), half as u64, "one LSN per script op");
     let snap = pending.snapshot().clone();
     let pinned = (snap.object_count(), snap.asr_ids());
@@ -269,7 +269,7 @@ fn checkpoint_overlaps_snapshot_reads_and_new_commits() {
 }
 
 /// Abandoning a pending checkpoint resets the dirty tracking a delta
-/// would need, so the next delta checkpoint must fall back to a full
+/// would need, so the next checkpoint must be a full
 /// snapshot — and recovery through it must still match the oracle.
 #[test]
 fn abandoned_pending_checkpoint_forces_full_fallback() {
@@ -282,12 +282,12 @@ fn abandoned_pending_checkpoint_forces_full_fallback() {
     for op in script.iter().take(n) {
         apply_durable(&mut dd, op).unwrap();
     }
-    let pending = dd.begin_checkpoint(true).unwrap();
+    let pending = dd.begin_checkpoint().unwrap();
     drop(pending); // never completed: its fence is now orphaned
     for op in script.iter().skip(n).take(2) {
         apply_durable(&mut dd, op).unwrap();
     }
-    let report = dd.checkpoint_delta().unwrap();
+    let report = dd.checkpoint().unwrap();
     assert!(
         !report.is_delta(),
         "a delta over the orphaned fence would miss the pre-fence changes"
@@ -315,7 +315,7 @@ fn stale_pending_checkpoint_is_refused() {
     for op in script.iter().take(4) {
         apply_durable(&mut dd, op).unwrap();
     }
-    let stale = dd.begin_checkpoint(false).unwrap();
+    let stale = dd.begin_checkpoint().unwrap();
     for op in script.iter().skip(4).take(4) {
         apply_durable(&mut dd, op).unwrap();
     }

@@ -153,12 +153,12 @@ fn every_registered_metric_is_exposed_after_a_full_workload() {
     }
     // A delta checkpoint populates the delta counter and chain-depth
     // gauge (and recovery below walks the chain).  The script may have
-    // dirtied the ASR design (which falls back to a full checkpoint), so
-    // follow with a plain object op and a second delta — that one is
-    // guaranteed to take the delta path.
-    primary.checkpoint_delta().unwrap();
+    // dirtied the ASR design (which makes the checkpoint a full one), so
+    // follow with a plain object op and a second checkpoint — that one
+    // is guaranteed to be a delta.
+    primary.checkpoint().unwrap();
     primary.instantiate("BasePart").unwrap();
-    assert!(primary.checkpoint_delta().unwrap().is_delta());
+    assert!(primary.checkpoint().unwrap().is_delta());
     primary.prune_segments().unwrap();
 
     // A converging replication populates the shipping counters and the

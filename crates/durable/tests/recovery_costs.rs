@@ -245,12 +245,13 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
     shipped(&primary, &mut warm);
 
     assert_eq!(apply(&mut primary, &trace), 16);
-    let report = primary.checkpoint_delta().expect("delta checkpoint");
+    let report = primary.checkpoint().expect("delta checkpoint");
     assert!(report.is_delta(), "an ins_3 delta takes the delta path");
     assert_eq!(report.chain_depth, 1);
-    assert_eq!((report.pages_written, report.pages_full), (20, 238));
+    let pages_full = primary.full_checkpoint_pages();
+    assert_eq!((report.pages_written, pages_full), (20, 238));
     assert_eq!(report.snapshot_bytes, 39_778);
-    assert_eq!(ratio(report.pages_written, report.pages_full), "0.0840");
+    assert_eq!(ratio(report.pages_written, pages_full), "0.0840");
     primary.prune_segments().expect("prunes");
 
     let delta = shipped(&primary, &mut warm);
@@ -264,22 +265,31 @@ fn delta_checkpoint_and_reseed_ship_pinned_pages() {
     assert_eq!(ratio(delta.1, full.1), "0.0078");
 }
 
-/// A delta checkpoint prices `pages_full` at the page size of the full
-/// checkpoint then taken of the same state (checkpoint.snap plus its
-/// archived copy).
+/// After a delta checkpoint, a full checkpoint priced on demand costs
+/// the page size of the full checkpoint of the same state
+/// (checkpoint.snap plus its archived copy).  The full one is taken by a
+/// twin with the same history whose pending checkpoint was abandoned, so
+/// that its next checkpoint is a full one at the same LSN.
 #[test]
 fn pages_full_prices_the_full_checkpoint_of_the_same_state() {
     let (mut primary, trace, _) = stage(16);
     apply(&mut primary, &trace);
-    let delta = primary.checkpoint_delta().expect("delta checkpoint");
+    let delta = primary.checkpoint().expect("delta checkpoint");
     assert!(delta.is_delta());
-    primary
+    let pages_full = primary.full_checkpoint_pages();
+
+    let (mut twin, trace, _) = stage(16);
+    apply(&mut twin, &trace);
+    drop(twin.begin_checkpoint().expect("begins"));
+    let report = twin
         .checkpoint()
         .expect("full checkpoint of the same state");
-    let full = primary.storage().read(CHECKPOINT_FILE).unwrap().unwrap();
+    assert!(!report.is_delta());
+    assert_eq!(report.lsn, delta.lsn);
+    let full = twin.storage().read(CHECKPOINT_FILE).unwrap().unwrap();
     assert!(!asr_core::CheckpointHeader::read(&full).unwrap().is_delta());
-    assert_eq!(delta.pages_full, pages(2 * full.len() as u64));
-    assert_eq!(primary.wal_status().last_checkpoint_pages, delta.pages_full);
+    assert_eq!(pages_full, pages(2 * full.len() as u64));
+    assert_eq!(twin.wal_status().last_checkpoint_pages, pages_full);
 }
 
 /// Point-in-time recovery over 64 logged inserts spread across

@@ -316,7 +316,7 @@ fn stage_delta_reseed(
     }
     primary.rotate_segment().unwrap();
     assert!(
-        primary.checkpoint_delta().unwrap().is_delta(),
+        primary.checkpoint().unwrap().is_delta(),
         "plain object ops must yield a delta checkpoint"
     );
     primary.prune_segments().unwrap();
@@ -430,9 +430,11 @@ fn stale_base_falls_back_to_full_reseed() {
     let (mut primary, mut applier, _) = stage_delta_reseed(&s0, &script, 4, 0);
 
     // A *full* checkpoint rebases the lineage away from the replica's
-    // retained base, and pruning unpins that base's archive.
+    // retained base, and pruning unpins that base's archive.  (An
+    // abandoned begin makes the next checkpoint a full one.)
     primary.instantiate("BasePart").unwrap();
-    primary.checkpoint().unwrap();
+    drop(primary.begin_checkpoint().unwrap());
+    assert!(!primary.checkpoint().unwrap().is_delta());
     primary.prune_segments().unwrap();
 
     let mut channel = LosslessChannel::new();

@@ -15,7 +15,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::error::{GomError, Result};
-use crate::object::Object;
+use crate::object::{Object, ObjectBody};
 use crate::oid::{Oid, OidGenerator};
 use crate::schema::Schema;
 use crate::table::{BodyMut, ObjectTable};
@@ -91,13 +91,59 @@ impl ObjectBase {
     /// Re-create an object with a **specific** OID — snapshot restoration
     /// only.  Fails when the OID is already live; advances the generator
     /// past the restored OID so future instantiations cannot collide.
+    ///
+    /// An OID issued before may still be referenced, dangling, by tuple
+    /// slots, sets and lists.  The restore is refused with
+    /// [`GomError::TypeViolation`] unless every one of them is declared
+    /// to hold an object of `type_name`: otherwise the base would hold a
+    /// reference its schema forbids, and could not be reloaded.
     pub fn restore_object(&mut self, oid: Oid, type_name: &str) -> Result<()> {
         if self.contains(oid) {
             return Err(GomError::DuplicateObject(oid));
         }
-        self.insert_fresh(oid, self.schema.require(type_name)?)?;
+        let ty = self.schema.require(type_name)?;
+        if oid.as_raw() < self.oidgen.issued() {
+            self.check_referrers_accept(oid, ty)?;
+        }
+        self.insert_fresh(oid, ty)?;
         if self.oidgen.issued() <= oid.as_raw() {
             self.oidgen = OidGenerator::starting_at(oid.as_raw() + 1);
+        }
+        Ok(())
+    }
+
+    /// Does every tuple slot, set and list that references `oid` declare
+    /// a type an object of `ty` conforms to?  Tuple slots come off the
+    /// referrer index; set and list membership is not indexed, so the
+    /// collections are scanned — only a restore of an OID issued before
+    /// asks.
+    fn check_referrers_accept(&self, oid: Oid, ty: TypeId) -> Result<()> {
+        let value = Value::Ref(oid);
+        let slots = (self
+            .referrers
+            .range((oid, Oid::from_raw(0))..=(oid, Oid::from_raw(u64::MAX))))
+        .filter_map(|&(_, owner)| self.table.get(owner))
+        .flat_map(|obj| {
+            let layout = self.schema.layout(obj.ty).unwrap_or_default();
+            layout.iter().zip(obj.slots()).map(|(attr, v)| (v, attr.ty))
+        });
+        let members = self.table.iter().flat_map(|obj| {
+            let element = self
+                .schema
+                .def(obj.ty)
+                .ok()
+                .and_then(|def| def.kind.element());
+            let members = match obj.body {
+                ObjectBody::Set(members) | ObjectBody::List(members) => members,
+                ObjectBody::Tuple(_) => &[][..],
+            };
+            members
+                .iter()
+                .zip(std::iter::repeat(element))
+                .filter_map(|(v, e)| Some((v, e?)))
+        });
+        for (_, declared) in slots.chain(members).filter(|(v, _)| **v == value) {
+            check_conformance(&self.schema, &value, Some(ty), declared)?;
         }
         Ok(())
     }

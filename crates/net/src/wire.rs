@@ -72,8 +72,8 @@ pub enum RequestBody {
     ListAsrs,
     /// Render the server's metrics table (`\stats`).
     Stats,
-    /// Durable checkpoint (`delta` = `\checkpoint delta`).
-    Checkpoint { delta: bool },
+    /// Durable checkpoint (`\checkpoint`).
+    Checkpoint,
     /// Batched clustered probe against one stored partition of one ASR
     /// (`StoredPartition::probe`): an access with the partition's first
     /// column bound when `forward`, its last otherwise.  `keys` must be
@@ -113,7 +113,7 @@ impl RequestBody {
             RequestBody::DropAsr { .. } => "drop_asr",
             RequestBody::ListAsrs => "list_asrs",
             RequestBody::Stats => "stats",
-            RequestBody::Checkpoint { .. } => "checkpoint",
+            RequestBody::Checkpoint => "checkpoint",
             RequestBody::PartitionProbe { .. } => "partition_probe",
             RequestBody::PartitionScan { .. } => "partition_scan",
             RequestBody::Shutdown => "shutdown",
@@ -131,7 +131,7 @@ impl RequestBody {
                 | RequestBody::BindVar { .. }
                 | RequestBody::CreateAsr { .. }
                 | RequestBody::DropAsr { .. }
-                | RequestBody::Checkpoint { .. }
+                | RequestBody::Checkpoint
         )
     }
 }
@@ -253,10 +253,7 @@ impl Request {
             }
             RequestBody::ListAsrs => w.u8(9),
             RequestBody::Stats => w.u8(10),
-            RequestBody::Checkpoint { delta } => {
-                w.u8(11);
-                w.bool(*delta);
-            }
+            RequestBody::Checkpoint => w.u8(11),
             RequestBody::PartitionProbe {
                 asr,
                 part,
@@ -325,7 +322,7 @@ impl Request {
             8 => RequestBody::DropAsr { asr: r.u32()? },
             9 => RequestBody::ListAsrs,
             10 => RequestBody::Stats,
-            11 => RequestBody::Checkpoint { delta: r.bool()? },
+            11 => RequestBody::Checkpoint,
             12 => RequestBody::PartitionProbe {
                 asr: r.u32()?,
                 part: r.u32()?,
@@ -504,7 +501,7 @@ mod tests {
             RequestBody::DropAsr { asr: 3 },
             RequestBody::ListAsrs,
             RequestBody::Stats,
-            RequestBody::Checkpoint { delta: true },
+            RequestBody::Checkpoint,
             RequestBody::PartitionProbe {
                 asr: 0,
                 part: 1,

@@ -44,6 +44,7 @@ use std::cell::RefCell;
 use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
 use crate::buffer::BufferPool;
@@ -533,6 +534,41 @@ enum Node<L: Layout> {
     Free,
 }
 
+/// One slab slot's page: its node, and the length a serializer recorded
+/// for this content ([`PageSlab::remember_encoded_len`]).  The length
+/// goes with the page: a frozen version and the tree share it until the
+/// tree writes the page, and a write forgets it (`PageSlab::node_mut`;
+/// a copy starts without one).
+#[derive(Debug)]
+struct Page<L: Layout> {
+    node: Node<L>,
+    /// Encoded bytes, 0 while none is recorded.
+    encoded: AtomicU32,
+}
+
+impl<L: Layout> From<Node<L>> for Page<L> {
+    fn from(node: Node<L>) -> Self {
+        Page {
+            node,
+            encoded: AtomicU32::new(0),
+        }
+    }
+}
+
+impl<L: Layout> Clone for Page<L> {
+    fn clone(&self) -> Self {
+        Page::from(self.node.clone())
+    }
+}
+
+impl<L: Layout> std::ops::Deref for Page<L> {
+    type Target = Node<L>;
+
+    fn deref(&self) -> &Node<L> {
+        &self.node
+    }
+}
+
 /// A B+ tree's pages and geometry: everything a read walks, and nothing
 /// it charges to.  A [`BTree`] keeps one and writes it in place;
 /// [`BTree::freeze`] hands out a clone, an immutable version that
@@ -542,7 +578,7 @@ enum Node<L: Layout> {
 /// the read is charged for.
 #[derive(Debug, Clone)]
 pub struct PageSlab<L: Layout> {
-    nodes: Vec<Arc<Node<L>>>,
+    nodes: Vec<Arc<Page<L>>>,
     free: Vec<usize>,
     root: usize,
     /// Levels including the leaf level (empty tree = single empty leaf,
@@ -564,7 +600,7 @@ pub struct PageSlab<L: Layout> {
 /// weak pointer), so a page written since the mark never compares equal
 /// to it.  The default marks are empty: every slot counts as changed.
 #[derive(Debug)]
-pub struct PageMarks<L: Layout>(Vec<Weak<Node<L>>>);
+pub struct PageMarks<L: Layout>(Vec<Weak<Page<L>>>);
 
 impl<L: Layout> Default for PageMarks<L> {
     fn default() -> Self {
@@ -584,10 +620,10 @@ impl<L: Layout> PageSlab<L> {
     /// A single empty root leaf.
     fn empty(stride: usize, leaf_capacity: usize, inner_capacity: usize) -> Self {
         PageSlab {
-            nodes: vec![Arc::new(Node::Leaf {
+            nodes: vec![Arc::new(Page::from(Node::Leaf {
                 entries: Vec::new(),
                 next: NO_NODE,
-            })],
+            }))],
             free: Vec::new(),
             root: 0,
             height: 1,
@@ -603,9 +639,12 @@ impl<L: Layout> PageSlab<L> {
     }
 
     /// Page `id` for writing: copied first if a frozen version still
-    /// holds it, so every written page is copied at most once.
+    /// holds it, so every written page is copied at most once.  The
+    /// page's recorded encoded length no longer holds and is forgotten.
     fn node_mut(&mut self, id: usize) -> &mut Node<L> {
-        Arc::make_mut(&mut self.nodes[id])
+        let page = Arc::make_mut(&mut self.nodes[id]);
+        *page.encoded.get_mut() = 0;
+        &mut page.node
     }
 
     /// The elements of leaf `id`.
@@ -663,7 +702,7 @@ impl<L: Layout> PageSlab<L> {
     pub fn leaf_page_count(&self) -> u64 {
         self.nodes
             .iter()
-            .filter(|n| matches!(***n, Node::Leaf { .. }))
+            .filter(|n| matches!(****n, Node::Leaf { .. }))
             .count() as u64
     }
 
@@ -671,7 +710,7 @@ impl<L: Layout> PageSlab<L> {
     pub fn inner_page_count(&self) -> u64 {
         self.nodes
             .iter()
-            .filter(|n| matches!(***n, Node::Inner { .. }))
+            .filter(|n| matches!(****n, Node::Inner { .. }))
             .count() as u64
     }
 
@@ -736,6 +775,33 @@ impl<L: Layout> PageSlab<L> {
             },
             Node::Free => PageRef::Free,
         }
+    }
+
+    /// The encoded length recorded for slot `slot`'s page since it was
+    /// last written ([`Self::remember_encoded_len`]), if any.
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= self.slot_count()`.
+    pub fn encoded_len(&self, slot: usize) -> Option<usize> {
+        match self.nodes[slot].encoded.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(n as usize),
+        }
+    }
+
+    /// Record that slot `slot`'s page, as it is now, encodes to `len`
+    /// bytes — what a checkpoint writer learns writing the page and a
+    /// reader decoding it.  Every version sharing the page sees it, and
+    /// the next write of the page forgets it.  Lengths of 0 or over
+    /// `u32::MAX` are not recorded.
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= self.slot_count()`.
+    pub fn remember_encoded_len(&self, slot: usize, len: usize) {
+        let len = u32::try_from(len).unwrap_or(0);
+        self.nodes[slot].encoded.store(len, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -1333,7 +1399,7 @@ impl<L: Layout> BTree<L> {
     }
 
     fn alloc(&mut self, node: Node<L>) -> usize {
-        let node = Arc::new(node);
+        let node = Arc::new(Page::from(node));
         match self.pages.free.pop() {
             Some(id) => {
                 self.pages.nodes[id] = node;
@@ -1347,8 +1413,8 @@ impl<L: Layout> BTree<L> {
     }
 
     /// Free slot `id`, returning the page it held.
-    fn release(&mut self, id: usize) -> Arc<Node<L>> {
-        let page = std::mem::replace(&mut self.pages.nodes[id], Arc::new(Node::Free));
+    fn release(&mut self, id: usize) -> Arc<Page<L>> {
+        let page = std::mem::replace(&mut self.pages.nodes[id], Arc::new(Page::from(Node::Free)));
         self.pages.free.push(id);
         page
     }
@@ -1548,7 +1614,9 @@ impl<L: Layout> BTree<L> {
             return Ok(()); // stays the empty root leaf
         }
         self.buffer.borrow_mut().invalidate();
-        self.pages.nodes = built.nodes.into_iter().map(Arc::new).collect();
+        self.pages.nodes = (built.nodes.into_iter())
+            .map(|n| Arc::new(Page::from(n)))
+            .collect();
         self.pages.free.clear();
         self.pages.root = built.root;
         self.pages.height = built.height;
@@ -1612,14 +1680,14 @@ impl<L: Layout> BTree<L> {
         self.pages.nodes = nodes
             .into_iter()
             .map(|n| {
-                Arc::new(match n {
+                Arc::new(Page::from(match n {
                     NodeImage::Inner { keys, children } => Node::Inner { keys, children },
                     NodeImage::Leaf { entries, next } => Node::Leaf {
                         entries,
                         next: next.unwrap_or(NO_NODE),
                     },
                     NodeImage::Free => Node::Free,
-                })
+                }))
             })
             .collect();
         self.pages.free = free;
@@ -2011,7 +2079,7 @@ impl<L: Layout> BTree<L> {
             let separator = keys.remove(idx);
             (left, right, separator)
         };
-        match Arc::unwrap_or_clone(self.release(right)) {
+        match Arc::unwrap_or_clone(self.release(right)).node {
             Node::Leaf { mut entries, next } => {
                 let Node::Leaf {
                     entries: left_entries,
@@ -2657,6 +2725,38 @@ mod tests {
 
     fn changed(t: &BPlusTree<u32, u32>, marks: &PageMarks<Pairs<u32, u32>>) -> usize {
         t.pages().changed_since(marks).count()
+    }
+
+    #[test]
+    fn an_encoded_length_lasts_until_the_page_is_written() {
+        let mut t = tiny_tree();
+        for k in 0..12 {
+            t.insert(k, k).unwrap();
+        }
+        let slots = t.pages().slot_count();
+        for slot in 0..slots {
+            assert_eq!(t.pages().encoded_len(slot), None);
+            t.pages().remember_encoded_len(slot, 10 + slot);
+        }
+        // A frozen version shares the lengths with the tree.
+        let frozen = t.freeze();
+        let marks = t.pages().marks();
+        t.insert(100, 100).unwrap();
+        let written: BTreeSet<usize> = t.pages().changed_since(&marks).collect();
+        assert!(!written.is_empty());
+        for slot in 0..slots {
+            let kept = (!written.contains(&slot)).then_some(10 + slot);
+            assert_eq!(t.pages().encoded_len(slot), kept, "slot {slot}");
+            assert_eq!(frozen.encoded_len(slot), Some(10 + slot), "slot {slot}");
+        }
+        // Written in place (nothing pins the page): forgotten all the same.
+        drop((frozen, marks));
+        for slot in 0..t.pages().slot_count() {
+            t.pages().remember_encoded_len(slot, 7);
+        }
+        t.insert(101, 101).unwrap();
+        let forgotten = (0..t.pages().slot_count()).filter(|&s| t.pages().encoded_len(s).is_none());
+        assert!(forgotten.count() > 0, "the written leaf forgets its length");
     }
 
     #[test]

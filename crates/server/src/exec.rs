@@ -238,14 +238,10 @@ pub(crate) fn execute<S: Storage>(
         RequestBody::Stats => Ok(ResponseBody::Text(
             db.db().tracer().metrics().render_table(),
         )),
-        RequestBody::Checkpoint { delta } => match db {
+        RequestBody::Checkpoint => match db {
             ServerDb::Plain(_) => Err("WAL is off — serve a durable database".to_string()),
             ServerDb::Durable(d) => {
-                if *delta {
-                    d.checkpoint_delta().map_err(|e| e.to_string())?;
-                } else {
-                    d.checkpoint().map_err(|e| e.to_string())?;
-                }
+                d.checkpoint().map_err(|e| e.to_string())?;
                 Ok(ResponseBody::Ok)
             }
         },

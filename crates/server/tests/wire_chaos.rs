@@ -123,7 +123,7 @@ fn script_and_oracle() -> (Vec<RequestBody>, Database) {
         RequestBody::Stats,
         // A request-level error (WAL off on a plain database): the
         // session must survive and stay exactly-once.
-        RequestBody::Checkpoint { delta: false },
+        RequestBody::Checkpoint,
         RequestBody::PartitionScan {
             asr: 0,
             part: 1,

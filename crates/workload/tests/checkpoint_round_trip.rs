@@ -4,7 +4,11 @@
 //! loads and of dropping the 15 loaded databases, each split into the
 //! object base (the same database with its ASR dropped) and the ASR
 //! frames (the difference).  A load is timed up to the loaded database,
-//! without freeing it.  Timing only means something in release mode:
+//! without freeing it.  Then the checkpoints the `restart` workload
+//! takes: the delta after 16 logged `ins_3` (its bytes and the best of 15
+//! renders), and the load of a chain of such deltas over the full
+//! document at depths 0, 1, 2, 4 and 8 (best of 15 each).  Timing only
+//! means something in release mode:
 //!
 //! ```sh
 //! cargo test --release -p asr-workload --test checkpoint_round_trip -- --ignored --nocapture
@@ -13,8 +17,9 @@
 use std::time::{Duration, Instant};
 
 use asr_core::{AsrConfig, Database, Decomposition, Extension};
-use asr_costmodel::profiles;
-use asr_workload::{generate, GeneratorSpec};
+use asr_costmodel::{profiles, Mix, Op};
+use asr_gom::Value;
+use asr_workload::{generate, generate_trace, GeneratedBase, GeneratorSpec, TraceOp};
 
 const PATH: &str = "T0.A1.A2.A3.A4.Tag";
 
@@ -46,10 +51,11 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-#[test]
-#[ignore = "timing; run in release mode"]
-fn ledger_checkpoint_save_and_load() {
+/// The ledger's population, its trace generator, and the database with
+/// its ASR.
+fn ledger() -> (GeneratedBase, Database) {
     let spec = GeneratorSpec::from_profile(&profiles::fig6_profile().profile, 1.0);
+    let generated = generate(&spec, 7);
     let mut db = generate(&spec, 7).db;
     let path = asr_gom::PathExpression::parse(db.base().schema(), PATH).unwrap();
     let config = AsrConfig {
@@ -57,7 +63,84 @@ fn ledger_checkpoint_save_and_load() {
         decomposition: Decomposition::binary(path.arity(false) - 1),
         keep_set_oids: false,
     };
-    let id = db.create_asr_on(PATH, config).expect("ASR builds");
+    db.create_asr_on(PATH, config).expect("ASR builds");
+    (generated, db)
+}
+
+/// Apply the trace's effective `ins_i` inserts to `db`.
+fn insert(db: &mut Database, trace: &[TraceOp]) {
+    for op in trace {
+        let TraceOp::Insert { i, owner, elem } = op else {
+            continue;
+        };
+        let set = db.base().get_attribute(*owner, &format!("A{}", i + 1));
+        if let Some(set) = set.ok().and_then(|v| v.as_ref_oid()) {
+            db.insert_into_set(set, Value::Ref(*elem)).expect("inserts");
+        }
+    }
+}
+
+/// The delta checkpoint a `restart` cycle writes — 16 `ins_3` over the
+/// loaded full document — and loads of delta chains of growing depth.
+#[test]
+#[ignore = "timing; run in release mode"]
+fn ledger_delta_checkpoint_and_chain_open() {
+    let (generated, db) = ledger();
+    let full = db.save_to_string();
+    let mix = Mix::new(vec![], vec![(1.0, Op::ins(3))], 1.0);
+    let trace = generate_trace(&generated, &mix, 16 * 8, 11);
+    let batches: Vec<&[TraceOp]> = trace.chunks(16).collect();
+
+    let mut render = Duration::MAX;
+    let mut bytes = 0;
+    for _ in 0..15 {
+        let mut db = Database::load_from_string(&full).expect("loads");
+        insert(&mut db, batches[0]);
+        let t = Instant::now();
+        let delta = db.begin_checkpoint().save_delta(16, 0).expect("a delta");
+        render = render.min(t.elapsed());
+        bytes = delta.len();
+    }
+    println!(
+        "restart delta checkpoint (16 ins_3): {bytes} B of a {} B full document, rendered in {:.3} ms",
+        full.len(),
+        ms(render)
+    );
+
+    let mut db = Database::load_from_string(&full).expect("loads");
+    let mut deltas = Vec::new();
+    for (k, batch) in batches.iter().enumerate() {
+        insert(&mut db, batch);
+        let lsn = 16 * (k as u64 + 1);
+        deltas.push(
+            db.begin_checkpoint()
+                .save_delta(lsn, lsn - 16)
+                .expect("a delta"),
+        );
+    }
+    let want = db.save_to_string();
+    let mut line = String::from("open at chain depth");
+    for depth in [0, 1, 2, 4, 8] {
+        let links: Vec<&[u8]> = deltas[..depth].iter().map(Vec::as_slice).collect();
+        let (open, _) = best_of(15, || {
+            Database::load_from_chain_report(&full, &links).expect("the chain loads")
+        });
+        line.push_str(&format!(" {depth}: {:.2} ms,", ms(open)));
+    }
+    println!("{}", line.trim_end_matches(','));
+    let links: Vec<&[u8]> = deltas.iter().map(Vec::as_slice).collect();
+    let (chained, _) = Database::load_from_chain_report(&full, &links).unwrap();
+    assert!(
+        chained.save_to_string() == want,
+        "the chain loads the state"
+    );
+}
+
+#[test]
+#[ignore = "timing; run in release mode"]
+fn ledger_checkpoint_save_and_load() {
+    let (_, mut db) = ledger();
+    let id = db.asrs().next().expect("the ASR").0;
     let doc = db.save_to_string();
     let reloaded = Database::load_from_string(&doc).expect("loads");
     assert!(

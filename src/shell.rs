@@ -15,8 +15,8 @@
 //! \save <file> / \load <file|dir>   snapshot persistence / recovery
 //! \wal on <dir>|off|status write-ahead logging for the open database
 //! \wal rotate|prune        segment maintenance for the log archive
-//! \checkpoint [delta]      snapshot the durable state, truncate the log
-//!                          (`delta`: only pages changed since the base)
+//! \checkpoint              checkpoint the durable state: only what changed
+//!                          since the last one, when a delta can be written
 //! \recover <lsn>           point-in-time recovery to an as-of view
 //! \replica on|off|sync|status  warm standby fed by log shipping
 //! \stats / \reset          page-access accounting
@@ -428,7 +428,7 @@ fn cmd_wal(state: &mut ShellState, rest: &str) -> Result<String, String> {
             // the session is poisoned we detach anyway (the directory is
             // consistent up to the last durable flush).
             let parting = match d.checkpoint() {
-                Ok(()) => format!("final checkpoint at LSN {}", d.wal_status().checkpoint_lsn),
+                Ok(_) => format!("final checkpoint at LSN {}", d.wal_status().checkpoint_lsn),
                 Err(e) => format!("final checkpoint failed ({e})"),
             };
             let Some(OpenDb::Durable(d)) = state.db.take() else {
@@ -488,16 +488,15 @@ fn cmd_wal(state: &mut ShellState, rest: &str) -> Result<String, String> {
                 ),
                 None => "full".to_string(),
             };
-            let saved = s
-                .last_checkpoint_pages_full
-                .saturating_sub(s.last_checkpoint_pages);
             let _ = writeln!(
                 out,
                 "checkpoint lineage: {lineage}{}",
-                if s.last_checkpoint_pages_full > 0 {
+                if s.last_checkpoint_pages > 0 {
+                    let full = d.full_checkpoint_pages();
                     format!(
-                        "; last write {} of {} full page(s) ({saved} saved)",
-                        s.last_checkpoint_pages, s.last_checkpoint_pages_full
+                        "; last write {} page(s), a full one now {full} ({} saved)",
+                        s.last_checkpoint_pages,
+                        full.saturating_sub(s.last_checkpoint_pages)
                     )
                 } else {
                     String::new()
@@ -736,44 +735,25 @@ fn cmd_replica(state: &mut ShellState, rest: &str) -> Result<String, String> {
 
 fn cmd_checkpoint(state: &mut ShellState, rest: &str) -> Result<String, String> {
     let d = state.durable_mut()?;
-    match rest {
-        "" => {
-            d.checkpoint().map_err(|e| e.to_string())?;
-            Ok(format!(
-                "checkpoint written at LSN {} (log truncated)",
-                d.wal_status().checkpoint_lsn
-            ))
-        }
-        "delta" => {
-            let r = d.checkpoint_delta().map_err(|e| e.to_string())?;
-            if r.snapshot_bytes == 0 {
-                return Ok(format!(
-                    "nothing logged since LSN {} — checkpoint unchanged{}",
-                    r.lsn,
-                    r.base_lsn
-                        .map(|b| format!(" (delta on base LSN {b}, chain depth {})", r.chain_depth))
-                        .unwrap_or_default()
-                ));
-            }
-            match r.base_lsn {
-                Some(base) => Ok(format!(
-                    "delta checkpoint written at LSN {} on base LSN {base} (chain depth {}): \
-                     {} of {} full page(s) written — {} page(s) saved; log truncated",
-                    r.lsn,
-                    r.chain_depth,
-                    r.pages_written,
-                    r.pages_full,
-                    r.pages_full.saturating_sub(r.pages_written),
-                )),
-                None => Ok(format!(
-                    "checkpoint written at LSN {} (delta unavailable — wrote a full snapshot; \
-                     log truncated)",
-                    r.lsn
-                )),
-            }
-        }
-        other => Err(format!("usage: \\checkpoint [delta] (got `{other}`)")),
+    if !rest.is_empty() {
+        return Err(format!("usage: \\checkpoint (got `{rest}`)"));
     }
+    let r = d.checkpoint().map_err(|e| e.to_string())?;
+    let lineage = r
+        .base_lsn
+        .map(|b| format!("delta on base LSN {b}, chain depth {}", r.chain_depth))
+        .unwrap_or_else(|| "full".to_string());
+    Ok(if r.snapshot_bytes == 0 {
+        format!(
+            "nothing logged since LSN {} — checkpoint unchanged ({lineage})",
+            r.lsn
+        )
+    } else {
+        format!(
+            "checkpoint written at LSN {} ({lineage}): {} page(s) written; log truncated",
+            r.lsn, r.pages_written
+        )
+    })
 }
 
 fn cmd_stats(state: &ShellState) -> Result<String, String> {
@@ -1299,9 +1279,10 @@ const HELP: &str = r#"commands:
                              fully covered by the newest checkpoint
   \txn status                MVCC epochs: commit epoch, snapshot pins,
                              reclamation progress
-  \checkpoint [delta]        flush, snapshot, truncate the log; `delta`
-                             writes only pages changed since the base
-                             checkpoint (falls back to full when needed)
+  \checkpoint                flush and checkpoint: a delta of the pages
+                             and objects changed since the last checkpoint,
+                             or a full one after a design change or at the
+                             chain limit; nothing when nothing was logged
   \recover <lsn>             point-in-time recovery: rebuild the state as
                              of that LSN (in-memory; directory untouched)
   \replica on|off|sync|status  in-process warm standby via log shipping;
@@ -1660,42 +1641,45 @@ mod tests {
             "\\asr Division.Manufactures.Composition.Name full binary",
         );
 
-        // The ASR creation dirtied the design: the first delta falls back
-        // to a full snapshot, honestly labeled.
-        let full = run_line(&mut s, "\\checkpoint delta");
-        assert!(full.contains("delta unavailable"), "{full}");
+        // The ASR creation dirtied the design: the checkpoint is a full
+        // one, labeled as such.
+        let full = run_line(&mut s, "\\checkpoint");
+        assert!(
+            full.contains("checkpoint written at LSN 1 (full)"),
+            "{full}"
+        );
         let st = run_line(&mut s, "\\wal status");
         assert!(st.contains("checkpoint lineage: full"), "{st}");
 
-        // Nothing logged since: a delta now is a no-op, not a same-LSN
-        // self-overwrite.
-        let noop = run_line(&mut s, "\\checkpoint delta");
+        // Nothing logged since: a checkpoint now is a no-op, not a
+        // same-LSN self-overwrite.
+        let noop = run_line(&mut s, "\\checkpoint");
         assert!(noop.contains("nothing logged since LSN 1"), "{noop}");
 
         // A plain object mutation later (no shell command mutates
-        // objects, so reach through the session handle), the delta path
-        // engages and the lineage line reports the pages saved.
+        // objects, so reach through the session handle), the checkpoint
+        // is a delta and the lineage line reports the pages saved.
         match s.db.as_mut().expect("session open") {
             OpenDb::Durable(d) => {
                 d.instantiate("BasePart").expect("logged instantiate");
             }
             OpenDb::Plain(_) => panic!("session must be durable here"),
         }
-        let delta = run_line(&mut s, "\\checkpoint delta");
+        let delta = run_line(&mut s, "\\checkpoint");
+        assert!(delta.contains("checkpoint written at LSN 2"), "{delta}");
         assert!(
-            delta.contains("delta checkpoint written at LSN 2"),
+            delta.contains("(delta on base LSN 1, chain depth 1)"),
             "{delta}"
         );
-        assert!(delta.contains("on base LSN 1 (chain depth 1)"), "{delta}");
-        assert!(delta.contains("page(s) saved"), "{delta}");
         let st = run_line(&mut s, "\\wal status");
         assert!(
             st.contains("checkpoint lineage: delta on base LSN 1, chain depth 1"),
             "{st}"
         );
         assert!(st.contains("last write"), "{st}");
+        assert!(st.contains("saved)"), "{st}");
 
-        assert!(run_line(&mut s, "\\checkpoint sideways").starts_with("error:"));
+        assert!(run_line(&mut s, "\\checkpoint delta").starts_with("error:"));
 
         // Recovery through the delta chain round-trips the session.
         let mut s2 = ShellState::new();
