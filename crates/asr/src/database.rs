@@ -459,7 +459,9 @@ impl Database {
     /// and snapshot restoration, where object identity must survive the
     /// round trip even when the original generator had advanced past the
     /// snapshot's maximum (e.g. the newest object was deleted before the
-    /// checkpoint).  Fails if the OID is already live.
+    /// checkpoint).  Fails if the OID is already live, or if a tuple slot,
+    /// set or list still references it: the restored object would revive
+    /// a reference that no ASR saw.
     pub fn instantiate_with_oid(&mut self, type_name: &str, oid: Oid) -> Result<()> {
         self.base_mut().restore_object(oid, type_name)?;
         let ty = self.base.type_of(oid)?;

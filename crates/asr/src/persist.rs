@@ -64,11 +64,12 @@
 //! document's with every delta's pages laid over them, the objects the
 //! full document's with the chain's latest listing or deletion of each
 //! OID in their place, then one restore and one validation, as for a
-//! full document.  A replica applies one delta at a time
-//! ([`Database::apply_delta`]).  An ASR frame that passes its checksum
-//! but cannot be restored rebuilds that ASR from the object base when
-//! loading leniently (crash recovery) and fails a strict apply
-//! (replication).
+//! full document.  Crash recovery, point-in-time recovery and a
+//! replica applying a shipped delta all load this way.  An ASR frame
+//! that passes its checksum but cannot be restored rebuilds that ASR
+//! from the object base, and the report says so
+//! ([`AsrLoadMode::Rebuilt`]): recovery comes back up, and a replica
+//! refuses the delivery.
 //!
 //! The retired text grammars `ASRDB 1` and `ASRDB 2` stay readable
 //! (`persist::legacy`); nothing writes them.
@@ -220,45 +221,21 @@ impl Database {
         Database::load_from_chain_report(bytes, &[])
     }
 
-    /// Apply a delta document on top of this database's state, which must
-    /// hold the delta's base checkpoint (the caller verifies lineage via
-    /// [`CheckpointHeader::read`]).  Strict: any inconsistency is an
-    /// error — the replication path NACKs instead of silently rebuilding.
-    pub fn apply_delta(&self, bytes: &[u8]) -> Result<Database> {
-        Ok(self.apply_delta_report(bytes, true)?.0)
-    }
-
-    /// [`Database::apply_delta`] with a [`LoadReport`] and a strictness
-    /// switch: when `strict` is false, an ASR whose images cannot be
-    /// patched falls back to a charged rebuild from the patched base
-    /// instead of failing the whole application.
-    ///
-    /// `self` is never modified — on error the caller still holds the
-    /// base state.
-    pub fn apply_delta_report(&self, bytes: &[u8], strict: bool) -> Result<(Database, LoadReport)> {
-        let doc = Document::read(bytes)?;
-        if doc.header.base.is_none() {
-            return Err(AsrError::Snapshot(
-                "a full checkpoint is not a delta to apply".into(),
-            ));
-        }
-        doc.apply(self, strict)
-    }
-
-    /// Load a full document plus a chain of deltas over it, oldest first
-    /// (crash recovery: lenient per-ASR fallback), in one pass: every
+    /// Load a full document plus a chain of deltas over it, oldest first,
+    /// in one pass: every
     /// frame is checksummed and decoded once, each ASR's images are the
     /// full document's with the chain's pages laid over them, and the
     /// objects the full document's with the chain's latest listings and
     /// deletions in their place — then one restore, as for a full
     /// document.  The report describes the chain: `asrs` how its last
     /// document shipped each ASR, `physical_bytes` the ASR frames of
-    /// every document.
+    /// every document.  An ASR that cannot be restored is rebuilt from
+    /// the loaded objects and reported as [`AsrLoadMode::Rebuilt`].
     pub fn load_from_chain_report(full: &[u8], deltas: &[&[u8]]) -> Result<(Database, LoadReport)> {
         let converted;
         let full = if legacy::is_text(full) {
             let (version, base, parsed) = legacy::read(full)?;
-            let loaded = assemble(base, parsed, version, 0, false)?;
+            let loaded = assemble(base, parsed, version, 0)?;
             if deltas.is_empty() {
                 return Ok(loaded);
             }
@@ -412,14 +389,12 @@ struct Parsed {
 /// The load tail every document shares: size the clustered files, attach
 /// the object base, restore each ASR (in design order) from its images
 /// or rebuild it, and mark the result as the next delta's base.
-/// `delta_chain` is how many deltas the images took in; `strict` turns
-/// an ASR that cannot be restored into an error instead of a rebuild.
+/// `delta_chain` is how many deltas the images took in.
 fn assemble(
     base: ObjectBase,
     parsed: Parsed,
     version: u32,
     delta_chain: usize,
-    strict: bool,
 ) -> Result<(Database, LoadReport)> {
     let stats = asr_pagesim::IoStats::new_handle();
     let mut store = ObjectStore::new(Rc::clone(&stats));
@@ -446,11 +421,6 @@ fn assemble(
             Ok((id, mode)) => {
                 report.physical_bytes += parsed.bytes[ordinal];
                 report.asrs.push((id, mode));
-            }
-            Err(reason) if strict => {
-                return Err(AsrError::Snapshot(format!(
-                    "delta section for ASR {ordinal} ({path}): {reason}"
-                )));
             }
             Err(reason) => {
                 // A cold rebuild reads every extent along the path to
@@ -663,14 +633,17 @@ mod tests {
                 Database::load_from_string(&delta).unwrap_err(),
                 "delta over",
             ),
-            (db.apply_delta(&full).unwrap_err(), "not a delta"),
+            (
+                Database::load_from_chain_report(&full, &[&full]).unwrap_err(),
+                "not a delta",
+            ),
         ] {
             assert!(matches!(got, AsrError::Snapshot(_)), "{got}");
             assert!(got.to_string().contains(want), "{got}");
         }
-        // A delta over a base with another design does not apply.
-        let other = Database::load_from_string(&bulk_db(3).save_to_string()).unwrap();
-        let err = other.apply_delta(&delta).unwrap_err();
+        // A delta over a base with another design does not load.
+        let other = bulk_db(3).save_to_string();
+        let err = Database::load_from_chain_report(&other, &[&delta]).unwrap_err();
         assert!(err.to_string().contains("design"), "{err}");
     }
 
@@ -830,8 +803,7 @@ mod tests {
             assert!(*doc == pinned(file), "{file} drifted");
         }
         assert_eq!(sample_db().begin_checkpoint().save_full(0), docs[0]);
-        let bulk = Database::load_from_string(&docs[1]).unwrap();
-        let (_, report) = bulk.apply_delta_report(&docs[2], true).unwrap();
+        let (_, report) = Database::load_from_chain_report(&docs[1], &[&docs[2]]).unwrap();
         assert!(report.asrs.iter().all(|(_, m)| m.is_delta()), "{report:?}");
     }
 
@@ -846,7 +818,7 @@ mod tests {
     // ---- deltas ------------------------------------------------------
 
     #[test]
-    fn delta_apply_reproduces_the_primary_byte_for_byte() {
+    fn a_delta_loads_to_the_primary_byte_for_byte() {
         let (mut primary, base) = settled(sample_db());
         let (set, pepper) = sec_composition(&primary);
         primary.insert_into_set(set, Value::Ref(pepper)).unwrap();
@@ -855,8 +827,7 @@ mod tests {
         let header = CheckpointHeader::read(&delta).unwrap();
         assert_eq!((header.lsn, header.base), (42, Some(41)));
 
-        let replica = Database::load_from_string(&base).unwrap();
-        let (patched, report) = replica.apply_delta_report(&delta, true).unwrap();
+        let (patched, report) = Database::load_from_chain_report(&base, &[&delta]).unwrap();
         assert_eq!((report.version, report.delta_chain), (FORMAT_VERSION, 1));
         assert!(report.physical_bytes > 0);
         assert_eq!(patched.save_to_string(), primary.save_to_string());
@@ -881,7 +852,7 @@ mod tests {
                 delta.len(),
                 full.len()
             );
-            let (patched, report) = db.apply_delta_report(&delta, true).unwrap();
+            let (patched, report) = Database::load_from_chain_report(&full, &[&delta]).unwrap();
             assert!(
                 report
                     .asrs
@@ -895,8 +866,8 @@ mod tests {
 
     /// A database of `parts` parts after one inserted part, settled
     /// first: its full document, the delta over the settled base, and
-    /// how each ASR loads from that delta (checked to patch the base to
-    /// the full document).
+    /// how each ASR loads from that delta (checked to load over the base
+    /// to the full document).
     fn one_insert_delta(parts: usize) -> (Vec<u8>, Vec<u8>, Vec<AsrLoadMode>) {
         let (mut primary, base) = settled(bulk_db(parts));
         let (set, _) = sec_composition(&primary);
@@ -907,8 +878,7 @@ mod tests {
         primary.insert_into_set(set, Value::Ref(p)).unwrap();
         let full = primary.save_to_string();
         let delta = primary.begin_checkpoint().save_delta(10, 9).unwrap();
-        let replica = Database::load_from_string(&base).unwrap();
-        let (patched, report) = replica.apply_delta_report(&delta, true).unwrap();
+        let (patched, report) = Database::load_from_chain_report(&base, &[&delta]).unwrap();
         assert_eq!(patched.save_to_string(), full, "{parts} parts");
         let modes = report.asrs.into_iter().map(|(_, m)| m).collect();
         (full, delta, modes)
@@ -1003,23 +973,22 @@ mod tests {
         [&doc[..at], w.as_bytes(), &doc[at + 9 + len..]].concat()
     }
 
+    /// A delta that passes its checksums but cannot be restored loads by
+    /// rebuilding the damaged ASR from the loaded objects, and says so:
+    /// not byte-identical (bulk-built pages) but query-identical.  (A
+    /// replica refuses such a delivery on that report.)
     #[test]
-    fn tampered_delta_nacks_strictly_and_rebuilds_leniently() {
+    fn tampered_delta_rebuilds_the_damaged_asr() {
         let (mut primary, base) = settled(bulk_db(400));
         let (set, pepper) = sec_composition(&primary);
         primary.insert_into_set(set, Value::Ref(pepper)).unwrap();
         let delta = primary.begin_checkpoint().save_delta(4, 3).unwrap();
         let tampered = with_one_row_too_many(&delta);
-        let replica = Database::load_from_string(&base).unwrap();
-        let err = replica.apply_delta(&tampered).unwrap_err();
-        assert!(err.to_string().contains("delta section"), "{err}");
-        // Lenient recovery rebuilds the damaged ASR from the patched base:
-        // not byte-identical (bulk-built pages) but query-identical.
-        let (patched, report) = replica.apply_delta_report(&tampered, false).unwrap();
+        let (patched, report) = Database::load_from_chain_report(&base, &[&tampered]).unwrap();
         assert!(report
             .asrs
             .iter()
-            .any(|(_, m)| !m.is_physical() && !m.is_delta()));
+            .any(|(_, m)| matches!(m, AsrLoadMode::Rebuilt(_))));
         assert_eq!(door_hits(&patched), door_hits(&primary));
     }
 
@@ -1040,10 +1009,7 @@ mod tests {
             assert!(!source.is_noop_delta() && !source.is_design_dirty());
             assert_eq!(source.save_full(0), want_full);
             let want_delta = source.save_delta(7, 6).unwrap();
-            let patched = Database::load_from_string(&base)
-                .unwrap()
-                .apply_delta(&want_delta)
-                .unwrap();
+            let (patched, _) = Database::load_from_chain_report(&base, &[&want_delta]).unwrap();
             assert_eq!(patched.save_to_string(), want_full);
 
             // Fuzzy: the writer moves on — a rename, and an insert on the ASR
@@ -1067,7 +1033,8 @@ mod tests {
             let next = db.begin_checkpoint();
             assert!(!next.is_noop_delta(), "the Salt rename is still pending");
             let next_delta = next.save_delta(8, 7).unwrap();
-            let (replayed, report) = patched.apply_delta_report(&next_delta, true).unwrap();
+            let (replayed, report) =
+                Database::load_from_chain_report(&base, &[&want_delta, &next_delta]).unwrap();
             assert!(
                 (report.asrs.iter()).all(|(_, m)| match m {
                     AsrLoadMode::Delta { pages } => ships_pages && *pages > 0,

@@ -452,7 +452,7 @@ fn header_payload(payload: &[u8]) -> Decoded<CheckpointHeader> {
 /// A document with every frame's checksum verified and nothing decoded
 /// but its header.
 pub(super) struct Document<'a> {
-    pub(super) header: CheckpointHeader,
+    header: CheckpointHeader,
     design: &'a [u8],
     /// Each ASR frame's payload and its bytes in the document.
     asrs: Vec<(&'a [u8], usize)>,
@@ -485,39 +485,6 @@ impl<'a> Document<'a> {
         })
     }
 
-    /// Apply this delta on top of `base`, which must hold the delta's
-    /// base checkpoint: patch the base's partition images and merge its
-    /// objects.  `strict` turns an ASR that cannot be restored into an
-    /// error instead of a rebuild.
-    pub(super) fn apply(self, base: &Database, strict: bool) -> Result<(Database, LoadReport)> {
-        let (_, sizes, asrs) = snapshot_err("design", read_design(self.design))?;
-        self.check_design_holds(asrs.len())?;
-        if encode_design(base) != self.design {
-            return Err(AsrError::Snapshot(
-                "delta design section does not match the base database".into(),
-            ));
-        }
-        let schema = base.base().schema().clone();
-        let objects = snapshot_err("objects", read_objects(self.objects, schema, base.base()))?;
-        let based: Vec<_> = base.asrs().map(|(_, asr)| asr).collect();
-        let (images, bytes) = (self.asrs.into_iter().enumerate())
-            .map(|(k, (payload, bytes))| {
-                let base = || match based.get(k) {
-                    Some(asr) => Ok((asr.partitions().iter().map(|p| p.dump()).collect(), None)),
-                    None => Ok((Vec::new(), None)),
-                };
-                (advance(read_asr(payload), base), bytes)
-            })
-            .unzip();
-        let parsed = Parsed {
-            sizes,
-            asrs,
-            images,
-            bytes,
-        };
-        assemble(objects, parsed, FORMAT_VERSION, 1, strict)
-    }
-
     /// The design declares as many ASRs as the document has frames.
     fn check_design_holds(&self, declared: usize) -> Result<()> {
         if declared != self.asrs.len() {
@@ -537,8 +504,8 @@ impl<'a> Document<'a> {
 /// with the latest listing or deletion of each OID in the chain put in
 /// their place, and the variables the latest binding of each.  Then one
 /// [`BaseBuilder::finish`], one restore of each partition and one
-/// validation, as for the full document alone.  Lenient: an ASR that
-/// cannot be restored is rebuilt from the loaded objects.
+/// validation, as for the full document alone.  An ASR that cannot be
+/// restored is rebuilt from the loaded objects.
 pub(super) fn load_chain(
     full: Document<'_>,
     deltas: &[Document<'_>],
@@ -570,7 +537,7 @@ pub(super) fn load_chain(
     for doc in std::iter::once(&full).chain(deltas) {
         for (k, &(payload, len)) in doc.asrs.iter().enumerate() {
             let before = std::mem::replace(&mut images[k], Ok((Vec::new(), None)));
-            images[k] = advance(read_asr(payload), || before);
+            images[k] = advance(read_asr(payload), before);
             bytes[k] += len;
         }
     }
@@ -580,7 +547,7 @@ pub(super) fn load_chain(
         images,
         bytes,
     };
-    assemble(objects, parsed, FORMAT_VERSION, deltas.len(), false)
+    assemble(objects, parsed, FORMAT_VERSION, deltas.len())
 }
 
 /// One ASR frame's partitions as read: images (of a full document, or
@@ -591,14 +558,14 @@ enum AsrSection {
 }
 
 /// An ASR's partition images after one more document: the section's
-/// images, or `base`'s patched with its deltas.  Damage in the section or
-/// in the patch is why the ASR cannot be restored; so is damage earlier
-/// in a chain unless this section ships images.
-fn advance(section: Decoded<AsrSection>, base: impl FnOnce() -> AsrImages) -> AsrImages {
+/// images, or the `before` images patched with its deltas.  Damage in the
+/// section or in the patch is why the ASR cannot be restored; so is
+/// damage earlier in a chain unless this section ships images.
+fn advance(section: Decoded<AsrSection>, before: AsrImages) -> AsrImages {
     match section.map_err(|Damage(e)| e)? {
         AsrSection::Full(images) => Ok((images, None)),
         AsrSection::Delta(deltas) => {
-            let (parts, _) = base()?;
+            let (parts, _) = before?;
             if deltas.len() != parts.len() {
                 return Err(format!(
                     "delta has {} partitions, base has {}",
@@ -1024,65 +991,6 @@ fn read_chain_objects<'a>(
     }
     r.finish()?;
     vars.extend(delta_vars);
-    Ok(builder.finish(vars)?)
-}
-
-/// A delta's objects frame, decoded against `schema` straight into the
-/// object base it makes of `base`: the base's objects with the deleted
-/// ones dropped and the listed ones put in place, merged in OID order.  A
-/// listed object that replaces one of the base's keeps its type.
-fn read_objects(payload: &[u8], schema: Schema, base: &ObjectBase) -> Decoded<ObjectBase> {
-    let types = type_table(&schema);
-    let mut r = Reader::new(payload);
-    let total = num(&mut r)?;
-    let dead = (0..r.count(1)?)
-        .map(|_| Ok(Oid::from_raw(r.varint()?)))
-        .collect::<Decoded<Vec<_>>>()?;
-    if dead.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(Damage("deleted OIDs out of order".into()));
-    }
-    let n = r.count(3)?;
-    let mut builder = BaseBuilder::new(schema, total.min(n + base.object_count()));
-    let mut kept = base.objects().peekable();
-    // File the base's objects below `oid` (all of them when `None`) that
-    // were not deleted, then hand over the type of the one at `oid`.
-    let mut keep_below = |builder: &mut BaseBuilder, oid: Option<Oid>| -> Decoded<Option<TypeId>> {
-        while let Some(obj) = kept.next_if(|o| oid.is_none_or(|oid| o.oid < oid)) {
-            if dead.binary_search(&obj.oid).is_err() {
-                builder.copy(obj)?;
-            }
-        }
-        Ok(oid
-            .and_then(|oid| kept.next_if(|o| o.oid == oid))
-            .map(|o| o.ty))
-    };
-    let mut last = None;
-    for _ in 0..n {
-        let (oid, ty, tuple) = read_record(&mut r, &types, last)?;
-        last = Some(oid);
-        // A listed object replaces the base's, under the same type.
-        // (A deleted and listed OID was deleted, then restored.)
-        let replaced = keep_below(&mut builder, Some(oid))?;
-        if let Some(live) = replaced.filter(|&live| live != ty && dead.binary_search(&oid).is_err())
-        {
-            return Err(retyped(oid, live, ty));
-        }
-        file(&mut builder, oid, ty, read_body(&mut r, oid, tuple)?)?;
-    }
-    keep_below(&mut builder, None)?;
-    if builder.len() != total {
-        return Err(Damage(format!(
-            "patched base has {} objects, delta expects {total}",
-            builder.len()
-        )));
-    }
-    let mut vars: HashMap<String, Value> = (base.variables())
-        .map(|(name, value)| (name.to_string(), value.clone()))
-        .collect();
-    for _ in 0..r.count(5)? {
-        vars.insert(r.str()?, r.value()?);
-    }
-    r.finish()?;
     Ok(builder.finish(vars)?)
 }
 

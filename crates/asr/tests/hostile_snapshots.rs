@@ -2,8 +2,8 @@
 //!
 //! The binary format: a small full checkpoint (`figure2.ckpt`) and a
 //! small delta over `bulk.asrdb2` (one insert and one rename, drawn from
-//! the seed), the delta applied strictly and leniently, each document
-//! with every bit flipped in turn and cut at every byte offset.  Every
+//! the seed) loaded as a chain over that base's binary checkpoint, each
+//! document with every bit flipped in turn and cut at every byte offset.  Every
 //! frame carries a CRC-32, so each case must fail with a typed snapshot
 //! error: never a panic, never a load that looks successful.
 //!
@@ -233,7 +233,9 @@ fn every_flip_and_cut_of_a_full_checkpoint_is_a_typed_error() {
 
 #[test]
 fn every_flip_and_cut_of_a_delta_is_a_typed_error() {
-    let base = Database::load_from_string(&fixture("bulk.asrdb2")).unwrap();
+    let base = Database::load_from_string(&fixture("bulk.asrdb2"))
+        .unwrap()
+        .save_to_string();
     let mut primary = Database::load_from_string(&fixture("bulk.asrdb2")).unwrap();
     let mut rng = SmallRng::seed_from_u64(fuzz_seed(0xD3_2026));
     let find = |db: &Database, name: &str| {
@@ -256,10 +258,9 @@ fn every_flip_and_cut_of_a_delta_is_a_typed_error() {
         .insert_into_set(set.unwrap(), Value::Ref(part))
         .unwrap();
     let doc = primary.begin_checkpoint().save_delta(2, 1).unwrap();
-    base.apply_delta(&doc).expect("the undamaged delta applies");
+    Database::load_from_chain_report(&base, &[&doc]).expect("the undamaged delta loads");
     for (ctx, bad) in every_flip_and_cut(&doc) {
-        assert_typed(&ctx, base.apply_delta_report(&bad, true));
-        assert_typed(&ctx, base.apply_delta_report(&bad, false));
+        assert_typed(&ctx, Database::load_from_chain_report(&base, &[&bad]));
     }
 }
 
@@ -287,7 +288,7 @@ fn reseal(doc: &mut [u8]) {
 #[test]
 fn resealed_flips_error_or_load_soundly() {
     let full = fixture("figure2.ckpt");
-    let base = Database::load_from_string(&fixture("bulk.ckpt")).unwrap();
+    let base = fixture("bulk.ckpt");
     let delta = fixture("bulk-insert.delta");
     let mut rng = SmallRng::seed_from_u64(fuzz_seed(0x5E_2026));
     let (mut loaded, mut refused) = (0, 0);
@@ -297,22 +298,17 @@ fn resealed_flips_error_or_load_soundly() {
             bad[at] ^= 1u8 << rng.gen_range(0..8u32);
             reseal(&mut bad);
             let ctx = format!("resealed flip in byte {at}");
-            let outcomes = if is_delta {
-                vec![
-                    base.apply_delta_report(&bad, true),
-                    base.apply_delta_report(&bad, false),
-                ]
+            let outcome = if is_delta {
+                Database::load_from_chain_report(&base, &[&bad])
             } else {
-                vec![Database::load_from_string_report(&bad)]
+                Database::load_from_string_report(&bad)
             };
-            for outcome in outcomes {
-                match outcome {
-                    Ok((db, report)) => {
-                        assert_loaded_soundly(&ctx, &db, &report);
-                        loaded += 1;
-                    }
-                    Err(_) => refused += 1,
+            match outcome {
+                Ok((db, report)) => {
+                    assert_loaded_soundly(&ctx, &db, &report);
+                    loaded += 1;
                 }
+                Err(_) => refused += 1,
             }
         }
     }

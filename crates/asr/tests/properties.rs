@@ -18,9 +18,12 @@
 //!   up with a twin that never was;
 //! * **a full checkpoint is the delta over the empty base** — after random
 //!   mutation histories on all four extensions under every decomposition,
-//!   the checkpoint of the empty database patched with the delta over it
+//!   the checkpoint of the empty database loaded with the delta over it
 //!   re-saves to the full document's bytes, and the full document plus
-//!   the chain of deltas after it re-saves to the primary's bytes.
+//!   the chain of deltas after it re-saves to the primary's bytes;
+//! * **restores revive nothing** — restoring a deleted OID that a tuple
+//!   slot, set or list still references is refused, and every state a
+//!   history of restores reaches matches a rebuild.
 
 use asr_core::{
     AccessSupportRelation, AsrConfig, Cell, Database, Decomposition, Extension, Relation, Row,
@@ -759,8 +762,8 @@ fn alive(db: &Database, levels: &[Vec<Oid>]) -> Vec<Vec<Oid>> {
 }
 
 /// Apply `step` to the objects of `levels` still alive.  Binding level 4
-/// binds `NULL`.
-fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) {
+/// binds `NULL`.  `true` when the step restored an OID.
+fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) -> bool {
     let alive = alive(db, levels);
     let pick = |level: u8, i: u8| {
         let objs = alive.get(level as usize)?;
@@ -769,24 +772,30 @@ fn apply_step(db: &mut Database, levels: &[Vec<Oid>], step: &Step) {
     match step {
         Step::Update(u) => apply_update(db, &alive, u),
         Step::Delete { level, i } => {
-            let Some(oid) = pick(*level, *i) else {
-                return;
-            };
-            db.delete_object(oid).unwrap();
+            if let Some(oid) = pick(*level, *i) {
+                db.delete_object(oid).unwrap();
+            }
         }
         Step::Bind { var, level, i } => {
             let value = pick(*level, *i).map_or(Value::Null, Value::Ref);
             db.bind_variable(&format!("v{var}"), value);
         }
         Step::Restore { level, i, ty } => {
-            // Any OID of the level, live or deleted, under any type: a
-            // live one is refused, and so is a type a dangling reference
-            // to it does not admit.
+            // Any OID of the level, live or deleted, under its level's
+            // type half of the time and any type otherwise: a live one is
+            // refused, and so is one a tuple slot, set or list still
+            // references.
             let objs = &levels[*level as usize];
             let oid = objs[*i as usize % objs.len()];
-            let _ = db.instantiate_with_oid(TYPES[*ty as usize % TYPES.len()], oid);
+            let own = format!("T{level}");
+            let ty = match ty % 2 {
+                0 => own.as_str(),
+                _ => TYPES[*ty as usize / 2 % TYPES.len()],
+            };
+            return db.instantiate_with_oid(ty, oid).is_ok();
         }
     }
+    false
 }
 
 /// `db`'s full checkpoint loads, to the same object base, and re-saves
@@ -852,7 +861,7 @@ proptest! {
         let over_empty = source.save_delta(1, 0).unwrap();
         drop(source);
         let loaded = Database::load_from_string(&full).unwrap();
-        let patched = Database::load_from_string(&empty).unwrap().apply_delta(&over_empty).unwrap();
+        let (patched, _) = Database::load_from_chain_report(&empty, &[&over_empty]).unwrap();
         prop_assert!(patched.save_to_string() == loaded.save_to_string(),
             "the full checkpoint differs from the delta over the empty base");
 
@@ -866,7 +875,7 @@ proptest! {
         }
         let mut replica = loaded;
         for delta in &deltas {
-            replica = replica.apply_delta(delta).unwrap();
+            replica = Database::load_from_chain_report(&replica.save_to_string(), &[delta]).unwrap().0;
         }
         prop_assert!(replica.save_to_string() == primary.save_to_string(),
             "the replayed chain differs from the primary");
@@ -880,9 +889,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every state a random history reaches — restores of deleted OIDs
-    /// under arbitrary types included — reloads from its own checkpoint.
+    /// under arbitrary types included — matches a rebuild and reloads
+    /// from its own checkpoint.  A restore of an OID that a tuple slot,
+    /// set or list still references is refused: the object would revive
+    /// the reference, which no ASR saw.
     #[test]
-    fn every_reached_state_reloads_from_its_own_checkpoint(
+    fn every_reached_state_matches_a_rebuild_and_reloads_from_its_own_checkpoint(
         counts in proptest::array::uniform4(1u8..4),
         history in proptest::collection::vec(step_strategy(), 1..40),
         dec_seed in any::<u8>(),
@@ -890,13 +902,63 @@ proptest! {
         let (mut db, levels) = chain_db(counts, dec_seed, false);
         for (k, step) in history.iter().enumerate() {
             apply_step(&mut db, &levels, step);
-            assert_reloads(&db, &format!("after step {k} of {history:?}"));
+            let what = format!("after step {k} of {history:?}");
+            assert_matches_rebuild(&db, &what);
+            assert_reloads(&db, &what);
         }
     }
+}
+
+/// Restores that the random histories draw, written out: a deleted `T0`
+/// (nothing references one) comes back under its own type and under
+/// another, a deleted `T1` that a set still holds is refused, and a delta
+/// that lists a restored OID as deleted and made anew loads, through the
+/// chain loader, to the primary's bytes.
+#[test]
+fn unreferenced_oids_come_back_and_ship_as_deleted_and_made_anew() {
+    let (mut db, levels) = chain_db([3, 2, 2, 2], 7, false);
+    for step in [
+        Update::AttachSet { level: 0, fi: 0 },
+        Update::SetInsert {
+            level: 0,
+            fi: 0,
+            ti: 1,
+        },
+        Update::AttachSet { level: 0, fi: 2 },
+        Update::SetInsert {
+            level: 0,
+            fi: 2,
+            ti: 0,
+        },
+        Update::Assign { fi: 0, ti: 0 },
+    ] {
+        apply_update(&mut db, &levels, &step);
+    }
+    let full = db.begin_checkpoint().save_full(1);
+    let [t0a, t0b] = [levels[0][0], levels[0][1]];
+    let t1 = levels[1][0];
+    for oid in [t0a, t0b, t1] {
+        db.delete_object(oid).unwrap();
+    }
+    let mut restored = 0;
+    for (oid, ty) in [(t0a, "T0"), (t0b, "T3"), (t1, "T1")] {
+        restored += usize::from(db.instantiate_with_oid(ty, oid).is_ok());
+        assert_matches_rebuild(&db, &format!("after restoring {oid} as {ty}"));
+        assert_reloads(&db, &format!("after restoring {oid} as {ty}"));
+    }
+    assert_eq!(restored, 2, "only the unreferenced OIDs come back");
+    assert!(db.instantiate_with_oid("T1", t1).is_err());
+    let delta = db.begin_checkpoint().save_delta(2, 1).unwrap();
+    let (loaded, _) = Database::load_from_chain_report(&full, &[&delta]).unwrap();
+    assert!(loaded.save_to_string() == db.save_to_string());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A full checkpoint and a chain of up to [`CHAIN_LIMIT`] deltas after
-    /// it, loaded in one pass, equal the same chain applied delta by delta
-    /// and the live database: the same bytes and the same span answers,
+    /// it, loaded in one pass, equal the same chain loaded one delta at a
+    /// time over the state saved before it, and the live database: the same bytes and the same span answers,
     /// which charge the same pages as they do on the live state's own full
     /// checkpoint, loaded (the live clustered files hold objects in
     /// creation order, a loaded one in OID order).  The histories remove set members,
@@ -931,7 +993,7 @@ proptest! {
         prop_assert!(report.asrs.iter().all(|(_, m)| m.is_physical() || m.is_delta()), "{:?}", report);
         let mut stepwise = Database::load_from_string(&full).unwrap();
         for delta in &deltas {
-            stepwise = stepwise.apply_delta(delta).unwrap();
+            stepwise = Database::load_from_chain_report(&stepwise.save_to_string(), &[delta]).unwrap().0;
         }
         let want = primary.save_to_string();
         prop_assert!(one_pass.save_to_string() == want, "the one-pass chain differs from the primary");

@@ -280,10 +280,7 @@ fn delta_checkpoint_after_the_rebuild_fallback_reproduces_the_primary() {
     db.set_attribute(emps[10], "Name", Value::string("renamed"))
         .unwrap();
     let delta = db.begin_checkpoint().save_delta(1, 0).unwrap();
-    let (applied, report) = Database::load_from_string(&base)
-        .unwrap()
-        .apply_delta_report(&delta, true)
-        .unwrap();
+    let (applied, report) = Database::load_from_chain_report(&base, &[&delta]).unwrap();
     assert!(
         report.asrs.iter().all(|(_, mode)| mode.is_physical()),
         "every changed section ships in full: {report:?}"

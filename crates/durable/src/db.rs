@@ -526,7 +526,9 @@ impl<S: Storage> DurableDatabase<S> {
             let snap = read(CHECKPOINT_FILE)?.ok_or_else(|| {
                 DurableError::Corrupt("MANIFEST present but checkpoint.snap missing".into())
             })?;
-            parse_checkpoint_chain(read, snap, CHECKPOINT_FILE)
+            parse_checkpoint_chain(snap, CHECKPOINT_FILE, |lsn| {
+                read(&checkpoint_archive_name(lsn))
+            })
         };
         // A text checkpoint (`CKPT ` over an `ASRDB 1`/`2` body) carries
         // no checksum either: it is read stabilized too.
@@ -1695,70 +1697,64 @@ fn assemble_parsed(
     }
 }
 
-/// Load a *full* checkpoint (a shipped bootstrap delivery, or any
-/// checkpoint known to be full).  A delta is an error — it cannot be
-/// loaded without its base chain (see [`parse_checkpoint_chain`]).
-pub(crate) fn parse_checkpoint(bytes: &[u8], what: &str) -> Result<ParsedCheckpoint> {
-    let (header, body) = checkpoint_parts(bytes, what)?;
-    if header.is_delta() {
-        return Err(DurableError::Corrupt(format!(
-            "{what} is a delta checkpoint; its base chain is required to load it"
-        )));
-    }
-    let (db, load) = Database::load_from_string_report(body)?;
-    Ok(assemble_parsed(&header, db, load, bytes.len()))
-}
-
-/// Load a checkpoint, resolving a delta through its archived base chain:
-/// each delta names its base checkpoint LSN, whose
-/// [`checkpoint_archive_name`] file is read through `read`, down to a
-/// full checkpoint; the chain is then applied oldest-first (leniently — a
-/// patch that cannot apply falls back to a charged rebuild, as crash
-/// recovery must come back up).
-pub(crate) fn parse_checkpoint_chain(
-    read: &dyn Fn(&str) -> Result<Option<Vec<u8>>>,
-    bytes: Vec<u8>,
+/// A checkpoint's lineage by its bytes, oldest first: the full
+/// checkpoint at its root, then every delta up to and including `top`.
+/// Each delta names the LSN of the checkpoint it patches, whose bytes
+/// `read` fetches (from its [`checkpoint_archive_name`] file, or a
+/// replica's retained chain).  A missing base, a base whose header claims
+/// another LSN and a cyclic lineage are [`DurableError::Corrupt`].
+pub(crate) fn checkpoint_lineage<B: AsRef<[u8]>>(
+    top: B,
     what: &str,
-) -> Result<ParsedCheckpoint> {
-    let (top, _) = checkpoint_parts(&bytes, what)?;
-    let Some(mut base_id) = top.base else {
-        return parse_checkpoint(&bytes, what);
-    };
-    let mut total_bytes = bytes.len();
-    let mut visited = std::collections::BTreeSet::from([top.lsn]);
-    let mut deltas: Vec<Vec<u8>> = vec![bytes]; // newest first
-    let full = loop {
-        if !visited.insert(base_id) {
+    mut read: impl FnMut(u64) -> Result<Option<B>>,
+) -> Result<Vec<(CheckpointHeader, B)>> {
+    let (header, _) = checkpoint_parts(top.as_ref(), what)?;
+    let mut visited = std::collections::BTreeSet::from([header.lsn]);
+    let mut lineage = vec![(header, top)]; // newest first
+    while let Some(base) = lineage[lineage.len() - 1].0.base {
+        if !visited.insert(base) {
             return Err(DurableError::Corrupt(format!(
-                "delta checkpoint chain under {what} is cyclic at LSN {base_id}"
+                "delta checkpoint chain under {what} is cyclic at LSN {base}"
             )));
         }
-        let name = checkpoint_archive_name(base_id);
-        let bytes = read(&name)?.ok_or_else(|| {
+        let name = checkpoint_archive_name(base);
+        let bytes = read(base)?.ok_or_else(|| {
             DurableError::Corrupt(format!(
-                "{what} is a delta over checkpoint LSN {base_id}, but its archive {name} is missing"
+                "{what} is a delta over checkpoint LSN {base}, but its archive {name} is missing"
             ))
         })?;
-        let (header, _) = checkpoint_parts(&bytes, &name)?;
-        if header.lsn != base_id {
+        let (header, _) = checkpoint_parts(bytes.as_ref(), &name)?;
+        if header.lsn != base {
             return Err(DurableError::Corrupt(format!(
                 "archived checkpoint {name} claims LSN {}",
                 header.lsn
             )));
         }
-        total_bytes += bytes.len();
-        match header.base {
-            Some(next) => {
-                base_id = next;
-                deltas.push(bytes);
-            }
-            None => break bytes,
-        }
-    };
-    let (_, body) = checkpoint_parts(&full, "base checkpoint")?;
-    let links: Vec<&[u8]> = deltas.iter().rev().map(Vec::as_slice).collect();
-    let (db, load) = Database::load_from_chain_report(body, &links)?;
-    Ok(assemble_parsed(&top, db, load, total_bytes))
+        lineage.push((header, bytes));
+    }
+    lineage.reverse();
+    Ok(lineage)
+}
+
+/// Load a checkpoint through its [`checkpoint_lineage`] in one pass: the
+/// full checkpoint at its root with every delta above it laid over it.
+/// An ASR that cannot be restored falls back to a charged rebuild,
+/// reported in `asr_load_modes`, as crash recovery must come back up.
+pub(crate) fn parse_checkpoint_chain<B: AsRef<[u8]>>(
+    top: B,
+    what: &str,
+    read: impl FnMut(u64) -> Result<Option<B>>,
+) -> Result<ParsedCheckpoint> {
+    let lineage = checkpoint_lineage(top, what, read)?;
+    let ((_, full), links) = lineage
+        .split_first()
+        .expect("a lineage ends in a full checkpoint");
+    let (_, body) = checkpoint_parts(full.as_ref(), "base checkpoint")?;
+    let deltas: Vec<&[u8]> = links.iter().map(|(_, bytes)| bytes.as_ref()).collect();
+    let (db, load) = Database::load_from_chain_report(body, &deltas)?;
+    let total_bytes = lineage.iter().map(|(_, bytes)| bytes.as_ref().len()).sum();
+    let (top, _) = &lineage[lineage.len() - 1];
+    Ok(assemble_parsed(top, db, load, total_bytes))
 }
 
 /// LSN-driven replay over possibly-overlapping record streams
@@ -1840,11 +1836,9 @@ pub fn recover_to_lsn<S: Storage>(storage: &S, bound: u64) -> Result<(Database, 
     let snap = read_stable(storage, &archive, READ_RETRIES)?.ok_or_else(|| {
         DurableError::PitrUnavailable(format!("archived checkpoint {archive} is missing"))
     })?;
-    let parsed = parse_checkpoint_chain(
-        &|name| read_stable(storage, name, READ_RETRIES),
-        snap,
-        &archive,
-    )?;
+    let parsed = parse_checkpoint_chain(snap, &archive, |lsn| {
+        read_stable(storage, &checkpoint_archive_name(lsn), READ_RETRIES)
+    })?;
     let mut pages_read = pages(parsed.total_bytes);
     let ParsedCheckpoint {
         mut db,

@@ -12,19 +12,22 @@
 //! insert recorded as effective replaying as a no-op) is a typed error,
 //! never a silent divergence.
 //!
-//! The applier retains the byte image of the last full-state checkpoint
-//! it absorbed.  When the primary has pruned the segments the replica
-//! would otherwise replay, the pump renegotiates with
-//! [`Need::DeltaBootstrap`] carrying that base's LSN, and the shipper
-//! sends only the delta checkpoints above it — each applied strictly
-//! against the retained base, which is then re-synthesized from the
-//! patched database so the byte-identity oracle keeps holding.
+//! The applier retains the checkpoint chain it absorbed: the full
+//! checkpoint it bootstrapped from and each delta it applied on top.
+//! When the primary has pruned the segments the replica would otherwise
+//! replay, the pump renegotiates with [`Need::DeltaBootstrap`] carrying
+//! the newest link's LSN, and the shipper sends only the delta
+//! checkpoints above it.  Each delta loads with the retained links in one
+//! pass, through the same lineage walk and chain load crash recovery
+//! uses.  A delivery, full or delta, whose load fails or has to rebuild
+//! an ASR is refused as corrupt, leaving the replica as it was; only a
+//! full text checkpoint, written before the binary format, rebuilds.
 
 use std::collections::BTreeMap;
 
-use asr_core::{AsrId, Database};
+use asr_core::{AsrId, AsrLoadMode, Database};
 
-use crate::db::{apply_op, checkpoint_parts, parse_checkpoint, remap_from_ids};
+use crate::db::{apply_op, checkpoint_parts, parse_checkpoint_chain, ParsedCheckpoint};
 use crate::error::Result;
 use crate::ship::{Need, ShipMessage};
 use crate::wal::scan_wal;
@@ -85,21 +88,17 @@ pub struct ReplicaStatus {
     pub bytes_received: u64,
 }
 
-/// The byte image of the last full-state checkpoint the replica
-/// absorbed — what a delta checkpoint patches against.
-#[derive(Debug)]
-struct RetainedBase {
-    lsn: u64,
-    snap: Vec<u8>,
-}
-
 /// The replica-side state machine (see module docs).
 #[derive(Debug, Default)]
 pub struct ReplicaApplier {
     db: Option<Database>,
     applied_lsn: u64,
     asr_remap: BTreeMap<AsrId, AsrId>,
-    base: Option<RetainedBase>,
+    /// The checkpoint chain absorbed, oldest first, each link's LSN and
+    /// bytes: the full `Checkpoint` delivery, then every delta applied on
+    /// top.  The primary's chain bounds it at `DELTA_CHAIN_LIMIT` + 1
+    /// links: a rebased lineage re-seeds in full.
+    retained: Vec<(u64, Vec<u8>)>,
     status: ReplicaStatus,
 }
 
@@ -130,10 +129,11 @@ impl ReplicaApplier {
 
     /// What to ask for when [`Self::needed`]'s cursor can no longer be
     /// served (the primary pruned that history): a delta bootstrap on
-    /// the retained base when there is one, a full checkpoint otherwise.
+    /// the retained chain's tip when there is one, a full checkpoint
+    /// otherwise.
     pub fn reseed_need(&self) -> Need {
-        match &self.base {
-            Some(b) => Need::DeltaBootstrap(b.lsn),
+        match self.retained.last() {
+            Some(&(tip, _)) => Need::DeltaBootstrap(tip),
             None => Need::Checkpoint,
         }
     }
@@ -175,13 +175,16 @@ impl ReplicaApplier {
         };
         let outcome = match msg {
             ShipMessage::Checkpoint(bytes) => {
-                let parsed = match parse_checkpoint(&bytes, "shipped checkpoint") {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // The envelope CRC passed but the snapshot does
-                        // not parse — a mangled delivery that the CRC
-                        // could not catch is still channel damage from
-                        // the replica's point of view: NACK and re-ship.
+                // A full checkpoint: no retained link is its base.
+                // The envelope CRC passed but the snapshot does not parse,
+                // or a binary one had to rebuild an ASR — a mangled
+                // delivery that the CRC could not catch is still channel
+                // damage from the replica's point of view: NACK and
+                // re-ship.  A text checkpoint always rebuilds.
+                let loaded = parse_checkpoint_chain(&bytes[..], "shipped checkpoint", |_| Ok(None));
+                let parsed = match loaded {
+                    Ok(p) if bytes.starts_with(b"CKPT ") || !rebuilds(&p) => p,
+                    _ => {
                         self.status.corrupt += 1;
                         return Ok(OfferOutcome::Corrupt);
                     }
@@ -193,10 +196,7 @@ impl ReplicaApplier {
                     self.applied_lsn = parsed.lsn;
                     self.asr_remap = parsed.asr_remap;
                     self.db = Some(parsed.db);
-                    self.base = Some(RetainedBase {
-                        lsn: parsed.lsn,
-                        snap: bytes,
-                    });
+                    self.retained = vec![(parsed.lsn, bytes)];
                     self.status.bootstraps += 1;
                     OfferOutcome::Bootstrapped { lsn: parsed.lsn }
                 }
@@ -276,12 +276,12 @@ impl ReplicaApplier {
         Ok(outcome)
     }
 
-    /// Classify and apply a delta checkpoint delivery against the
-    /// retained base.  Lineage decides: a delta whose embedded base is
-    /// the retained base applies even when its LSN trails `applied_lsn`
-    /// (the replica may have replayed frames past the base); a delta on
-    /// some *other* base is stale history (duplicate) or a lost link in
-    /// the chain (gap).
+    /// Classify and apply a delta checkpoint delivery over the retained
+    /// chain.  Lineage decides: a delta whose embedded base is the
+    /// chain's tip applies even when its LSN trails `applied_lsn` (the
+    /// replica may have replayed frames past the tip); a delta on some
+    /// *other* base is stale history (duplicate) or a lost link in the
+    /// chain (gap).
     fn offer_delta(&mut self, bytes: Vec<u8>) -> Result<OfferOutcome> {
         let corrupt = |status: &mut ReplicaStatus| {
             status.corrupt += 1;
@@ -298,46 +298,54 @@ impl ReplicaApplier {
             // base is self-referential damage, not valid lineage.
             return corrupt(&mut self.status);
         }
-        let Some(base) = &self.base else {
+        let Some(&(tip, _)) = self.retained.last() else {
             self.status.gaps += 1;
             return Ok(OfferOutcome::Gap {
                 have: 0,
                 got: header.lsn,
             });
         };
-        if base.lsn != base_id {
+        if tip != base_id {
             return Ok(if header.lsn <= self.applied_lsn {
                 self.status.duplicates += 1;
                 OfferOutcome::Duplicate
             } else {
                 self.status.gaps += 1;
                 OfferOutcome::Gap {
-                    have: base.lsn,
+                    have: tip,
                     got: header.lsn,
                 }
             });
         }
-        // The retained base came from a delivery that already parsed (or
-        // from our own serialization): failure here is replica-local
-        // state damage, which must stop replication loudly.
-        let base_parsed = parse_checkpoint(&base.snap, "retained base checkpoint")?;
-        let Ok(patched) = base_parsed.db.apply_delta(&bytes) else {
-            // Strict apply refused the delta (page damage, unknown ASR,
-            // …): channel damage from the replica's point of view.
-            return corrupt(&mut self.status);
-        };
-        self.applied_lsn = header.lsn;
-        self.asr_remap = remap_from_ids(&header.asr_ids);
-        // Re-synthesize the retained base from the patched database so
-        // the next delta in the chain lands on full-state bytes — and so
-        // byte-identity with the primary's serialization keeps holding.
-        self.base = Some(RetainedBase {
-            lsn: header.lsn,
-            snap: patched.save_to_string(),
+        // One chain load over the retained links and the delta.  A load
+        // that fails, or that had to rebuild an ASR the delta's pages
+        // could not restore, is channel damage from the replica's point
+        // of view: NACK, and keep the state as it was.
+        let retained = &self.retained;
+        let loaded = parse_checkpoint_chain(&bytes[..], "shipped delta checkpoint", |lsn| {
+            Ok(retained
+                .iter()
+                .find(|(link, _)| *link == lsn)
+                .map(|(_, link)| &link[..]))
         });
-        self.db = Some(patched);
+        let parsed = match loaded {
+            Ok(p) if !rebuilds(&p) => p,
+            _ => return corrupt(&mut self.status),
+        };
+        self.applied_lsn = parsed.lsn;
+        self.asr_remap = parsed.asr_remap;
+        self.db = Some(parsed.db);
+        self.retained.push((header.lsn, bytes));
         self.status.bootstraps += 1;
         self.status.delta_bootstraps += 1;
         Ok(OfferOutcome::Bootstrapped { lsn: header.lsn })
     }
+}
+
+/// Did the load fall back to rebuilding an ASR?  The primary restores
+/// every ASR of a binary checkpoint from its pages, so a replica reads a
+/// rebuild as damage.
+fn rebuilds(parsed: &ParsedCheckpoint) -> bool {
+    let rebuilt = |(_, mode): &(AsrId, AsrLoadMode)| matches!(mode, AsrLoadMode::Rebuilt(_));
+    parsed.asr_load_modes.iter().any(rebuilt)
 }

@@ -17,8 +17,8 @@
 //!                 │                                     │
 //!                 ├─ history ≥ l retained: Segment*, Frames
 //!                 └─ history pruned below l — the pump renegotiates:
-//!                      · replica retains base B, B in the primary's
-//!                        delta lineage: Need DeltaBootstrap(B) →
+//!                      · replica retains a chain with tip B, B in the
+//!                        primary's lineage: Need DeltaBootstrap(B) →
 //!                        DeltaCheckpoint*, Segment*, Frames
 //!                        (only the changed pages since B are shipped)
 //!                      · otherwise: Checkpoint, DeltaCheckpoint*,
@@ -32,12 +32,13 @@
 //! ```
 //!
 //! A `DeltaCheckpoint` delivery carries a delta checkpoint whose header
-//! names the checkpoint state it patches.  The applier retains its last
-//! full-state checkpoint; a delta whose
-//! base matches is applied strictly (any inconsistency NACKs — the
-//! replica never silently rebuilds), a delta over an unknown base NACKs
-//! as a gap, and the shipper answers a base it no longer has in its
-//! lineage with the full chain instead.
+//! names the checkpoint state it patches.  The applier retains the chain
+//! it absorbed; a delta over its tip loads with that chain in one pass
+//! (a load that fails or rebuilds an ASR NACKs — the replica never
+//! silently rebuilds), a delta over an unknown base NACKs as a gap, and
+//! the shipper answers a base it no longer has in its lineage with the
+//! full chain instead.  Both sides read a lineage through the one walker
+//! crash recovery uses (`checkpoint_lineage` in `db.rs`).
 //!
 //! Every delivery is one [`ShipMessage`] wrapped in the WAL's
 //! `[len][crc32][payload]` envelope ([`crate::wal::frame`]), so a
@@ -58,11 +59,15 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use asr_core::CheckpointHeader;
 use asr_obs::{Attrs, FlightRecorder};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::db::{checkpoint_parts, DurableDatabase, CHECKPOINT_FILE, FLIGHT_TAIL_EVENTS, WAL_FILE};
+use crate::db::{
+    checkpoint_lineage, checkpoint_parts, DurableDatabase, CHECKPOINT_FILE, FLIGHT_TAIL_EVENTS,
+    WAL_FILE,
+};
 use crate::error::{DurableError, Result};
 use crate::replica::{OfferOutcome, ReplicaApplier};
 use crate::segment::{checkpoint_archive_name, SegmentManifest, READ_RETRIES};
@@ -181,7 +186,7 @@ pub enum Need {
     Checkpoint,
     /// Ship records with LSN `>= .0` (the applier's `applied + 1`).
     From(u64),
-    /// Re-seed a replica that still holds the full checkpoint state at
+    /// Re-seed a replica that still holds the checkpoint chain up to
     /// LSN `.0`: ship only the delta checkpoints above that base (plus
     /// history after the newest one).  A base the shipper's lineage no
     /// longer contains degrades to the full-chain answer.
@@ -516,40 +521,9 @@ impl<'a, S: Storage> LogShipper<'a, S> {
         Ok(self.load_state()?.oldest_record().is_some_and(|o| lsn >= o))
     }
 
-    /// The current checkpoint's lineage, oldest first: the full base,
-    /// then every delta up to (and including) `checkpoint.snap` itself.
-    /// A full `checkpoint.snap` resolves to a single-element chain; no
-    /// checkpoint at all to an empty one.
-    fn checkpoint_chain(&self, st: &ShipperState) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut chain: Vec<(u64, Vec<u8>)> = Vec::new();
-        let Some(mut cur) = st.ckpt_bytes.clone() else {
-            return Ok(chain);
-        };
-        let mut cur_lsn = st.ckpt_lsn;
-        loop {
-            let base = checkpoint_parts(&cur, "checkpoint")?.0.base;
-            chain.push((cur_lsn, cur));
-            let Some(base) = base else { break };
-            if chain.iter().any(|(l, _)| *l == base) {
-                return Err(DurableError::Corrupt(format!(
-                    "delta checkpoint chain is cyclic at LSN {base}"
-                )));
-            }
-            let name = checkpoint_archive_name(base);
-            cur = read_stable(self.storage, &name, READ_RETRIES)?.ok_or_else(|| {
-                DurableError::Corrupt(format!(
-                    "checkpoint chain needs archive {name}, which is missing"
-                ))
-            })?;
-            cur_lsn = base;
-        }
-        chain.reverse();
-        Ok(chain)
-    }
-
     /// Encode a full re-seed: the chain's full base as a `Checkpoint`
     /// delivery, every delta above it as a `DeltaCheckpoint`.
-    fn push_chain(out: &mut Vec<Vec<u8>>, chain: Vec<(u64, Vec<u8>)>) {
+    fn push_chain(out: &mut Vec<Vec<u8>>, chain: Vec<(CheckpointHeader, Vec<u8>)>) {
         let mut links = chain.into_iter();
         if let Some((_, bytes)) = links.next() {
             out.push(ShipMessage::Checkpoint(bytes).encode());
@@ -563,27 +537,37 @@ impl<'a, S: Storage> LogShipper<'a, S> {
     /// the requested LSN; or — when that history is gone (pruned) or the
     /// replica has nothing — the checkpoint chain followed by everything
     /// after it.  [`Need::DeltaBootstrap`] ships only the deltas above
-    /// the replica's retained base when that base is in the lineage.
+    /// the replica's retained tip when that tip is in the lineage.
     pub fn deliveries_for(&self, need: Need) -> Result<Vec<Vec<u8>>> {
-        let st = self.load_state()?;
+        let mut st = self.load_state()?;
         let mut out = Vec::new();
         let ship_from = match need {
             Need::From(l) if st.oldest_record().is_some_and(|o| l >= o) => l,
-            Need::DeltaBootstrap(base) => {
-                let chain = self.checkpoint_chain(&st)?;
-                match chain.iter().position(|(l, _)| *l == base) {
+            need => {
+                // The current checkpoint's lineage, oldest first; none
+                // before the first checkpoint.
+                let chain = (st.ckpt_bytes.take())
+                    .map(|top| {
+                        checkpoint_lineage(top, CHECKPOINT_FILE, |lsn| {
+                            read_stable(self.storage, &checkpoint_archive_name(lsn), READ_RETRIES)
+                        })
+                    })
+                    .transpose()?
+                    .unwrap_or_default();
+                let retained = match need {
+                    Need::DeltaBootstrap(tip) => chain.iter().position(|(h, _)| h.lsn == tip),
+                    Need::From(_) | Need::Checkpoint => None,
+                };
+                match retained {
                     Some(pos) => {
                         for (_, bytes) in chain.into_iter().skip(pos + 1) {
                             out.push(ShipMessage::DeltaCheckpoint(bytes).encode());
                         }
                     }
-                    // The replica's base left our lineage: full re-seed.
+                    // No delta bootstrap asked, or the replica's base left
+                    // our lineage: full re-seed.
                     None => Self::push_chain(&mut out, chain),
                 }
-                st.ckpt_lsn + 1
-            }
-            Need::From(_) | Need::Checkpoint => {
-                Self::push_chain(&mut out, self.checkpoint_chain(&st)?);
                 st.ckpt_lsn + 1
             }
         };

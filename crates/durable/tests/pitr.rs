@@ -11,8 +11,8 @@ mod common;
 
 use asr_core::Database;
 use asr_durable::{
-    recover_to_lsn, DurableDatabase, DurableError, FaultPlan, FaultyStorage, FlushPolicy,
-    MemStorage, SegmentManifest, Storage,
+    checkpoint_archive_name, recover_to_lsn, DurableDatabase, DurableError, FaultPlan,
+    FaultyStorage, FlushPolicy, LogShipper, MemStorage, Need, SegmentManifest, Storage,
 };
 use common::*;
 
@@ -253,4 +253,58 @@ fn rotation_past_the_last_seqno_is_corrupt() {
     apply_durable(&mut dd, &script[1]).unwrap();
     let err = dd.rotate_segment().unwrap_err();
     assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
+}
+
+/// A checkpoint lineage that cannot be walked is corrupt, alike to crash
+/// recovery, point-in-time recovery and the shipper: a delta whose base
+/// archive is missing, a base archive whose header claims another LSN,
+/// and a base archive that is itself a delta over the top (a cycle).
+#[test]
+fn a_broken_checkpoint_lineage_is_corrupt_to_every_reader() {
+    let s0 = seed_snapshot();
+    let mut disk = MemStorage::new();
+    let seed_db = Database::load_from_string(&s0).unwrap();
+    let mut dd = DurableDatabase::create(disk.clone(), seed_db, FlushPolicy::EveryRecord).unwrap();
+    dd.instantiate("BasePart").unwrap();
+    drop(dd.begin_checkpoint().unwrap()); // the next checkpoint is full
+    let base = dd.checkpoint().unwrap().lsn;
+    dd.instantiate("BasePart").unwrap();
+    let top = dd.checkpoint().unwrap();
+    assert_eq!(top.base_lsn, Some(base), "plain object ops take a delta");
+    drop(dd);
+
+    let archive = checkpoint_archive_name(base);
+    let intact = disk.read(&archive).unwrap().unwrap();
+    let top_doc = disk
+        .read(&checkpoint_archive_name(top.lsn))
+        .unwrap()
+        .unwrap();
+    let over_top = Database::load_from_string(&s0)
+        .unwrap()
+        .begin_checkpoint()
+        .save_delta(base, top.lsn)
+        .unwrap();
+    for (broken, planted, want) in [
+        ("missing base", None, "is missing"),
+        ("base claiming another LSN", Some(top_doc), "claims LSN"),
+        ("cyclic lineage", Some(over_top), "cyclic"),
+    ] {
+        match &planted {
+            None => disk.remove(&archive).unwrap(),
+            Some(doc) => disk.write_atomic(&archive, doc).unwrap(),
+        }
+        let corrupt = |what: &str, err: DurableError| match err {
+            DurableError::Corrupt(msg) if msg.contains(want) => {}
+            other => panic!("{broken}: {what} gave {other:?}"),
+        };
+        corrupt("open", DurableDatabase::open(disk.clone()).err().unwrap());
+        corrupt("PITR", recover_to_lsn(&disk, top.lsn).err().unwrap());
+        let shipper = LogShipper::new(&disk);
+        corrupt(
+            "the shipper",
+            shipper.deliveries_for(Need::Checkpoint).unwrap_err(),
+        );
+    }
+    disk.write_atomic(&archive, &intact).unwrap();
+    DurableDatabase::open(disk).unwrap();
 }

@@ -18,9 +18,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use asr_core::Database;
+use asr_durable::ship::ShipMessage;
 use asr_durable::{
     replicate, ChaosProfile, DurableDatabase, DurableError, FaultyChannel, FlushPolicy, LogShipper,
-    LosslessChannel, MemStorage, ReplicaApplier, ReplicateOptions,
+    LosslessChannel, MemStorage, OfferOutcome, ReplicaApplier, ReplicateOptions, Storage,
+    CHECKPOINT_FILE,
 };
 use asr_obs::FlightRecorder;
 use common::*;
@@ -293,7 +295,10 @@ fn stage_delta_reseed(
 ) -> (DurableDatabase<MemStorage>, ReplicaApplier, Vec<Vec<u8>>) {
     let half = SCRIPT_LEN / 2;
     let mut primary = build_primary(s0, script, half, None);
-    primary.checkpoint().unwrap(); // full base at LSN `half`
+    // A full base at LSN `half`: the abandoned begin makes the next
+    // checkpoint a full one even when the script made no design change.
+    drop(primary.begin_checkpoint().unwrap());
+    primary.checkpoint().unwrap();
 
     let mut applier = ReplicaApplier::new();
     let mut lossless = LosslessChannel::new();
@@ -420,7 +425,7 @@ fn delta_bootstrap_ships_only_the_deltas_under(seed: u64) {
     assert_on_oracles(&applier, &oracles, "delta re-seed");
 }
 
-/// A replica whose retained base has left the primary's lineage (the
+/// A replica whose retained chain has left the primary's lineage (the
 /// primary re-checkpointed *fully* since) still converges — the shipper
 /// detects the divergence and falls back to the full chain.
 #[test]
@@ -430,7 +435,7 @@ fn stale_base_falls_back_to_full_reseed() {
     let (mut primary, mut applier, _) = stage_delta_reseed(&s0, &script, 4, 0);
 
     // A *full* checkpoint rebases the lineage away from the replica's
-    // retained base, and pruning unpins that base's archive.  (An
+    // retained chain, and pruning unpins that base's archive.  (An
     // abandoned begin makes the next checkpoint a full one.)
     primary.instantiate("BasePart").unwrap();
     drop(primary.begin_checkpoint().unwrap());
@@ -454,6 +459,101 @@ fn stale_base_falls_back_to_full_reseed() {
     assert_eq!(
         applier.snapshot().unwrap(),
         primary.database().save_to_string()
+    );
+}
+
+/// `doc` with its first ASR frame's first partition's forward tree
+/// promising one row more than it holds, the frame's checksum recomputed:
+/// a checkpoint every checksum passes but whose pages cannot be restored.
+fn with_one_row_too_many(doc: &[u8]) -> Vec<u8> {
+    let frame_len = |at: usize| u32::from_le_bytes(doc[at + 1..at + 5].try_into().unwrap());
+    let mut at = 8;
+    while doc[at] != b'A' {
+        at += 9 + frame_len(at) as usize;
+    }
+    let end = at + 5 + frame_len(at) as usize;
+    let mut frame = doc[at..end].to_vec();
+    // After tag and length: the images-or-deltas flag, then the
+    // partition count, the span and the forward tree's root, height and
+    // row count, all one-byte varints on this small database.
+    let rows = 5 + 6;
+    assert!(frame[6..=rows].iter().all(|&b| b < 0x7f), "a small tree");
+    frame[rows] += 1;
+    let crc = asr_durable::crc32(&frame);
+    [&doc[..at], &frame, &crc.to_le_bytes(), &doc[end + 4..]].concat()
+}
+
+/// A delta that passes every checksum but cannot be restored loads only
+/// by rebuilding an ASR: the replica refuses it as corrupt and stays
+/// exactly as it was, then takes the honest delta and converges byte for
+/// byte.
+#[test]
+fn delta_bootstrap_refuses_a_resealed_delta_that_cannot_be_restored() {
+    let s0 = seed_snapshot();
+    let script = make_script(&s0, fuzz_seed() ^ 0xBAD7);
+    let (primary, mut applier, _) = stage_delta_reseed(&s0, &script, 4, 0);
+    let delta = primary.storage().read(CHECKPOINT_FILE).unwrap().unwrap();
+    let before = (applier.applied_lsn(), applier.status(), applier.snapshot());
+
+    let tampered = ShipMessage::DeltaCheckpoint(with_one_row_too_many(&delta)).encode();
+    assert_eq!(applier.offer(&tampered).unwrap(), OfferOutcome::Corrupt);
+    let status = applier.status();
+    assert_eq!(status.corrupt, before.1.corrupt + 1);
+    assert_eq!(
+        applier.applied_lsn(),
+        before.0,
+        "the refused delta moved the replica"
+    );
+    assert_eq!(status.delta_bootstraps, before.1.delta_bootstraps);
+    assert_eq!(
+        applier.snapshot(),
+        before.2,
+        "the refused delta changed the replica"
+    );
+
+    let honest = ShipMessage::DeltaCheckpoint(delta).encode();
+    assert!(matches!(
+        applier.offer(&honest).unwrap(),
+        OfferOutcome::Bootstrapped { .. }
+    ));
+    assert_eq!(applier.status().delta_bootstraps, 1);
+    assert_eq!(
+        applier.snapshot().unwrap(),
+        primary.database().save_to_string(),
+        "the honest delta must converge byte-identically"
+    );
+}
+
+/// The same damage to a full checkpoint: its load would rebuild an ASR,
+/// so the replica refuses it as corrupt and stays unseeded, then
+/// bootstraps from the honest bytes.
+#[test]
+fn a_full_checkpoint_that_cannot_be_restored_is_refused() {
+    let s0 = seed_snapshot();
+    let script = make_script(&s0, fuzz_seed() ^ 0xBAD8);
+    let mut primary = build_primary(&s0, &script, SCRIPT_LEN / 2, None);
+    drop(primary.begin_checkpoint().unwrap());
+    primary.checkpoint().unwrap();
+    let full = primary.storage().read(CHECKPOINT_FILE).unwrap().unwrap();
+
+    let mut applier = ReplicaApplier::new();
+    let tampered = ShipMessage::Checkpoint(with_one_row_too_many(&full)).encode();
+    assert_eq!(applier.offer(&tampered).unwrap(), OfferOutcome::Corrupt);
+    assert!(
+        !applier.is_bootstrapped(),
+        "the refused checkpoint seeded the replica"
+    );
+    assert_eq!(applier.status().bootstraps, 0);
+
+    let honest = ShipMessage::Checkpoint(full).encode();
+    assert!(matches!(
+        applier.offer(&honest).unwrap(),
+        OfferOutcome::Bootstrapped { .. }
+    ));
+    assert_eq!(
+        applier.snapshot().unwrap(),
+        primary.database().save_to_string(),
+        "the honest checkpoint must converge byte-identically"
     );
 }
 

@@ -93,17 +93,17 @@ impl ObjectBase {
     /// past the restored OID so future instantiations cannot collide.
     ///
     /// An OID issued before may still be referenced, dangling, by tuple
-    /// slots, sets and lists.  The restore is refused with
-    /// [`GomError::TypeViolation`] unless every one of them is declared
-    /// to hold an object of `type_name`: otherwise the base would hold a
-    /// reference its schema forbids, and could not be reloaded.
+    /// slots, sets and lists.  Its restore is refused with
+    /// [`GomError::ReferencedObject`] while any of them holds it: the
+    /// restored object would revive those references behind the back of
+    /// everything that maintains paths over them.
     pub fn restore_object(&mut self, oid: Oid, type_name: &str) -> Result<()> {
         if self.contains(oid) {
             return Err(GomError::DuplicateObject(oid));
         }
         let ty = self.schema.require(type_name)?;
-        if oid.as_raw() < self.oidgen.issued() {
-            self.check_referrers_accept(oid, ty)?;
+        if oid.as_raw() < self.oidgen.issued() && self.is_referenced(oid) {
+            return Err(GomError::ReferencedObject(oid));
         }
         self.insert_fresh(oid, ty)?;
         if self.oidgen.issued() <= oid.as_raw() {
@@ -112,40 +112,18 @@ impl ObjectBase {
         Ok(())
     }
 
-    /// Does every tuple slot, set and list that references `oid` declare
-    /// a type an object of `ty` conforms to?  Tuple slots come off the
-    /// referrer index; set and list membership is not indexed, so the
-    /// collections are scanned — only a restore of an OID issued before
-    /// asks.
-    fn check_referrers_accept(&self, oid: Oid, ty: TypeId) -> Result<()> {
+    /// Does a tuple slot, set or list reference `oid`?  Tuple slots come
+    /// off the referrer index; set and list membership is not indexed, so
+    /// the collections are scanned — only a restore of an OID issued
+    /// before asks.
+    fn is_referenced(&self, oid: Oid) -> bool {
         let value = Value::Ref(oid);
-        let slots = (self
-            .referrers
-            .range((oid, Oid::from_raw(0))..=(oid, Oid::from_raw(u64::MAX))))
-        .filter_map(|&(_, owner)| self.table.get(owner))
-        .flat_map(|obj| {
-            let layout = self.schema.layout(obj.ty).unwrap_or_default();
-            layout.iter().zip(obj.slots()).map(|(attr, v)| (v, attr.ty))
-        });
-        let members = self.table.iter().flat_map(|obj| {
-            let element = self
-                .schema
-                .def(obj.ty)
-                .ok()
-                .and_then(|def| def.kind.element());
-            let members = match obj.body {
-                ObjectBody::Set(members) | ObjectBody::List(members) => members,
-                ObjectBody::Tuple(_) => &[][..],
-            };
-            members
-                .iter()
-                .zip(std::iter::repeat(element))
-                .filter_map(|(v, e)| Some((v, e?)))
-        });
-        for (_, declared) in slots.chain(members).filter(|(v, _)| **v == value) {
-            check_conformance(&self.schema, &value, Some(ty), declared)?;
-        }
-        Ok(())
+        let owners = (oid, Oid::from_raw(0))..=(oid, Oid::from_raw(u64::MAX));
+        self.referrers.range(owners).next().is_some()
+            || self.table.iter().any(|obj| match obj.body {
+                ObjectBody::Set(members) | ObjectBody::List(members) => members.contains(&value),
+                ObjectBody::Tuple(_) => false,
+            })
     }
 
     /// Delete an object.  References to it elsewhere become dangling (the
@@ -641,8 +619,16 @@ mod tests {
         let objects: Vec<Object<'_>> = base.objects().collect();
         let rebuild = |objects: &[Object<'_>]| {
             let mut builder = BaseBuilder::new(base.schema().clone(), objects.len());
-            for &obj in objects {
-                builder.copy(obj)?;
+            for obj in objects {
+                match obj.body {
+                    ObjectBody::Tuple(values) => builder.tuple(obj.oid, obj.ty, |slots| {
+                        slots.clone_from_slice(values);
+                        Ok::<_, GomError>(())
+                    })?,
+                    ObjectBody::Set(values) | ObjectBody::List(values) => {
+                        builder.collection(obj.oid, obj.ty, values.to_vec())?
+                    }
+                }
             }
             builder.finish(HashMap::new())
         };
@@ -670,11 +656,11 @@ mod tests {
             GomError::TypeViolation { .. }
         ));
         assert!(matches!(
-            with(0, ObjectBody::Tuple(&[Value::Null])),
+            with(0, ObjectBody::Set(&[])),
             GomError::WrongStructure { .. }
         ));
         assert!(matches!(
-            with(1, ObjectBody::List(&[])),
+            with(1, ObjectBody::Tuple(&[])),
             GomError::WrongStructure { .. }
         ));
         // A set's members ascend strictly.
@@ -688,6 +674,37 @@ mod tests {
         assert_eq!(rebuild(&twice).unwrap_err(), GomError::DuplicateObject(d));
         let swapped = [objects[1], objects[0]];
         assert!(rebuild(&swapped).is_err());
+    }
+
+    #[test]
+    fn an_oid_still_referenced_is_not_restored() {
+        let mut base = company_base();
+        let product = base.instantiate("Product").unwrap();
+        let parts = base.instantiate("BasePartSET").unwrap();
+        let part = base.instantiate("BasePart").unwrap();
+        base.set_attribute(product, "Composition", Value::Ref(parts))
+            .unwrap();
+        base.insert_into_set(parts, Value::Ref(part)).unwrap();
+        for oid in [parts, part] {
+            base.delete(oid).unwrap();
+        }
+        // The set is held by the product's slot; the part only by the
+        // deleted set, whose members no longer count.
+        let refused = |base: &mut ObjectBase, oid, ty| base.restore_object(oid, ty).unwrap_err();
+        assert_eq!(
+            refused(&mut base, parts, "BasePartSET"),
+            GomError::ReferencedObject(parts)
+        );
+        base.set_attribute(product, "Composition", Value::Null)
+            .unwrap();
+        base.restore_object(parts, "BasePartSET").unwrap();
+        base.restore_object(part, "BasePart").unwrap();
+        base.insert_into_set(parts, Value::Ref(part)).unwrap();
+        base.delete(part).unwrap();
+        assert_eq!(
+            refused(&mut base, part, "BasePart"),
+            GomError::ReferencedObject(part)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use super::{check_conformance, ObjectBase};
 use crate::error::{GomError, Result};
-use crate::object::{Object, ObjectBody};
+use crate::object::ObjectBody;
 use crate::oid::{Oid, OidGenerator};
 use crate::schema::Schema;
 use crate::table::{BodyMut, ObjectTable};
@@ -13,7 +13,8 @@ use crate::value::Value;
 
 /// Builds an [`ObjectBase`] from objects that nothing has checked yet — a
 /// checkpoint's objects frame, a text snapshot's object lines, a delta
-/// merged over its base — in one pass, without the mutation API.
+/// chain merged over its full checkpoint — in one pass, without the
+/// mutation API.
 ///
 /// Objects come in strictly ascending OID order and each is filed
 /// straight into the object table and its type's extent.  Its body must
@@ -118,26 +119,6 @@ impl BaseBuilder {
             BodyMut::Tuple(_) => return Err(wrong(oid, "tuple")),
         }
         Ok(())
-    }
-
-    /// File a copy of `obj`, an object of a base over the same schema.
-    pub fn copy(&mut self, obj: Object<'_>) -> Result<()> {
-        let declared = self.structure(obj.ty)?;
-        if obj.body.structure() != declared {
-            return Err(wrong(obj.oid, declared));
-        }
-        match obj.body {
-            ObjectBody::Tuple(values) => self.tuple(obj.oid, obj.ty, |slots: &mut [Value]| {
-                if slots.len() != values.len() {
-                    return Err(wrong(obj.oid, "tuple"));
-                }
-                slots.clone_from_slice(values);
-                Ok(())
-            }),
-            ObjectBody::Set(values) | ObjectBody::List(values) => {
-                self.collection(obj.oid, obj.ty, values.to_vec())
-            }
-        }
     }
 
     /// The base, with `variables` bound, once every value is checked

@@ -44,6 +44,9 @@ pub enum GomError {
     /// An object with this OID already exists (a snapshot listing one OID
     /// twice, or restoring over a live object).
     DuplicateObject(Oid),
+    /// Restoring this OID would revive references that a tuple slot, set
+    /// or list still holds to it, dangling.
+    ReferencedObject(Oid),
     /// The object exists but has the wrong structure for the operation
     /// (e.g. `insert_into_set` on a tuple object).
     WrongStructure {
@@ -87,6 +90,9 @@ impl fmt::Display for GomError {
             }
             GomError::UnknownObject(oid) => write!(f, "object {oid} does not exist"),
             GomError::DuplicateObject(oid) => write!(f, "object {oid} already exists"),
+            GomError::ReferencedObject(oid) => {
+                write!(f, "object {oid} is still referenced and cannot be restored")
+            }
             GomError::WrongStructure { oid, expected } => {
                 write!(f, "object {oid} is not a {expected} instance")
             }

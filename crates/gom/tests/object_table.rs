@@ -4,7 +4,8 @@
 //! appends, deletions (one at a time, and half of the base at once, which
 //! leaves tombstones and then compacts them) and restorations (below the
 //! highest OID, over a tombstone or into a compacted gap, and above it,
-//! leaving a gap), with text snapshot round trips and clones between.
+//! leaving a gap; refused while a body still references the OID), with
+//! text snapshot round trips and clones between.
 //! After every step the base must agree with the model on `objects()`,
 //! `object(oid)`, `extent`, `referrers`, the next OID it issues and the
 //! text snapshot.
@@ -12,7 +13,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use asr_gom::snapshot::{encode_value, escape, write_base, write_schema};
-use asr_gom::{snapshot, Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeRef, Value};
+use asr_gom::{
+    snapshot, GomError, Object, ObjectBase, ObjectBody, Oid, Schema, TypeId, TypeRef, Value,
+};
 use proptest::prelude::*;
 
 const TYPES: [&str; 5] = ["Owner", "SubOwner", "PartSET", "Part", "TagLIST"];
@@ -100,6 +103,12 @@ impl Model {
     fn delete(&mut self, oid: Oid) {
         let (ty, _) = self.objects.remove(&oid).unwrap();
         self.extents.get_mut(&ty).unwrap().retain(|&o| o != oid);
+    }
+
+    /// Does a live body still hold a reference to `oid`?
+    fn is_referenced(&self, oid: Oid) -> bool {
+        let value = Value::Ref(oid);
+        (self.objects.values()).any(|(_, body)| body.values().contains(&&value))
     }
 
     fn body(&mut self, oid: Oid) -> &mut Body {
@@ -294,7 +303,8 @@ proptest! {
                     }
                 }
                 // A deleted object restored under its OID and type, below
-                // the highest OID, or a fresh OID restored past a gap.
+                // the highest OID, or a fresh OID restored past a gap; a
+                // deleted one still referenced is refused.
                 8 => {
                     let dead: Vec<(Oid, &str)> = (ever.iter())
                         .filter(|(o, _)| !model.objects.contains_key(o))
@@ -308,9 +318,14 @@ proptest! {
                             ever[ever.len() - 1]
                         }
                     };
-                    base.restore_object(oid, name).unwrap();
-                    prop_assert!(base.restore_object(oid, name).is_err(), "restored {} twice", oid);
-                    model.create(oid, ty(name));
+                    if model.is_referenced(oid) {
+                        let refused = base.restore_object(oid, name);
+                        prop_assert_eq!(refused, Err(GomError::ReferencedObject(oid)));
+                    } else {
+                        base.restore_object(oid, name).unwrap();
+                        prop_assert!(base.restore_object(oid, name).is_err(), "restored {} twice", oid);
+                        model.create(oid, ty(name));
+                    }
                 }
                 9 => {
                     base = snapshot::read_base(&write_base(&base)).unwrap();
